@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
 from ..signals.timeseries import TimeSeries
-from .aliasing import AliasingVerdict, DualRateAliasingDetector
+from .aliasing import DualRateAliasingDetector
 from .nyquist import NyquistEstimate, NyquistEstimator
-from .resampling import resample_to_rate
+from .resampling import decimation_factor
 
 __all__ = [
     "ControllerMode",
@@ -227,8 +228,32 @@ class AdaptiveRun:
         return TimeSeries(values, finest, self.reference.start_time, self.reference.name)
 
 
+@dataclass
+class _RowState:
+    """Mutable per-trace state of the controller: one per row of a batch."""
+
+    mode: ControllerMode
+    current_rate: float
+    remembered_max_rate: float = 0.0
+    windows_since_check: int = 0
+
+
 class AdaptiveSamplingController:
-    """State machine implementing the §4.2 adaptive sampling strawman."""
+    """State machine implementing the §4.2 adaptive sampling strawman.
+
+    The per-window logic exists once, in a batch-synchronous stepper:
+    every row of a ``(rows, n)`` reference matrix shares the same window
+    bounds, so the stepper advances all rows one window at a time with
+    per-row state (mode, rate, remembered maximum, windows since the last
+    aliasing check).  Within a window, rows that probe at the same
+    decimation factors form one group whose dual-rate check and Nyquist
+    estimate are matrix operations
+    (:meth:`~repro.core.aliasing.DualRateAliasingDetector.check_rows`,
+    :meth:`~repro.core.nyquist.NyquistEstimator.estimate_rows`); the
+    adaptation rules then run per row.  :meth:`run` is the one-row case
+    and :meth:`process_window` the one-row, one-window case, so a trace
+    gets the same decisions whether it is run alone or inside a batch.
+    """
 
     def __init__(self, config: ControllerConfig | None = None,
                  estimator: NyquistEstimator | None = None,
@@ -249,19 +274,39 @@ class AdaptiveSamplingController:
         self.detector = detector or DualRateAliasingDetector(
             rate_ratio=self.config.dual_rate_ratio,
             threshold=self.config.aliasing_threshold)
-        self.mode = ControllerMode.PROBE
-        self.current_rate = self.config.initial_rate
-        self.remembered_max_rate = 0.0
-        self._windows_since_check = 0
+        self._state = self._initial_state()
         self._floor_rate = self.config.min_rate
 
     # ------------------------------------------------------------------
+    def _initial_state(self) -> _RowState:
+        return _RowState(mode=ControllerMode.PROBE, current_rate=self.config.initial_rate)
+
+    @property
+    def mode(self) -> ControllerMode:
+        """Current operating mode (of the single-trace state :meth:`run` advances)."""
+        return self._state.mode
+
+    @mode.setter
+    def mode(self, mode: ControllerMode) -> None:
+        self._state.mode = mode
+
+    @property
+    def current_rate(self) -> float:
+        """Rate the next window will be sampled at (before clamping)."""
+        return self._state.current_rate
+
+    @current_rate.setter
+    def current_rate(self, rate: float) -> None:
+        self._state.current_rate = rate
+
+    @property
+    def remembered_max_rate(self) -> float:
+        """Decaying memory of the highest settled rate, used to re-ramp quickly."""
+        return self._state.remembered_max_rate
+
     def reset(self) -> None:
         """Return the controller to its initial state (keeps configuration)."""
-        self.mode = ControllerMode.PROBE
-        self.current_rate = self.config.initial_rate
-        self.remembered_max_rate = 0.0
-        self._windows_since_check = 0
+        self._state = self._initial_state()
         self._floor_rate = self.config.min_rate
 
     def minimum_viable_rate(self, window_duration: float) -> float:
@@ -281,10 +326,6 @@ class AdaptiveSamplingController:
         floor = max(self.config.min_rate, self._floor_rate)
         return float(min(max(rate, floor), min(self.config.max_rate, ceiling)))
 
-    def _remember(self, rate: float) -> None:
-        self.remembered_max_rate = max(self.remembered_max_rate * self.config.memory_decay,
-                                       rate)
-
     # ------------------------------------------------------------------
     def process_window(self, window: TimeSeries) -> WindowDecision:
         """Decide what to collect for one window of the underlying signal.
@@ -295,51 +336,74 @@ class AdaptiveSamplingController:
         """
         if len(window) < 2:
             raise ValueError("window must contain at least two reference samples")
-        ceiling = window.sampling_rate
-        rate = self._clamp(self.current_rate, ceiling)
+        return self._step([self._state], window.values[None, :], window.interval,
+                          window.start_time, window.end_time)[0][0]
+
+    def _step(self, states: Sequence[_RowState], window: np.ndarray, interval: float,
+              window_start: float, window_end: float) -> list[tuple[WindowDecision, int]]:
+        """Advance every row's controller by one window.
+
+        ``window`` is the ``(rows, L)`` slice of the reference signal in
+        this window, sampled every ``interval`` seconds; ``states[i]`` is
+        row ``i``'s controller state and is updated in place.  Returns per
+        row the window's decision and the decimation factor of the stream
+        the row collected (its primary, slow probe).
+        """
+        config = self.config
+        ceiling = 1.0 / interval
+        rates = [self._clamp(state.current_rate, ceiling) for state in states]
 
         # The dual-frequency check doubles measurement cost (§4.1), so in
         # steady mode it only runs every `aliasing_check_interval` windows;
-        # probe mode always runs it because that is what probing is.
-        run_check = (self.mode is ControllerMode.PROBE
-                     or self._windows_since_check + 1 >= self.config.aliasing_check_interval)
+        # probe mode always runs it because that is what probing is.  Rows
+        # probing at the same decimation factors (and check schedule) are
+        # evaluated together; a fast factor of 0 marks "no check".
+        groups: dict[tuple[int, int], list[int]] = {}
+        for row, (state, rate) in enumerate(zip(states, rates)):
+            run_check = (state.mode is ControllerMode.PROBE
+                         or state.windows_since_check + 1 >= config.aliasing_check_interval)
+            slow_rate, fast_rate = self.detector.probe_rates(rate)
+            fast_factor = decimation_factor(ceiling, min(fast_rate, ceiling)) if run_check else 0
+            groups.setdefault((decimation_factor(ceiling, slow_rate), fast_factor),
+                              []).append(row)
 
-        slow_rate, fast_rate = self.detector.probe_rates(rate)
-        fast_rate = min(fast_rate, ceiling)
-        slow_probe = resample_to_rate(window, slow_rate, anti_alias=False)
+        results: dict[int, tuple[WindowDecision, int]] = {}
+        for (slow_factor, fast_factor), members in groups.items():
+            slow = window[members, ::slow_factor]
+            if fast_factor:
+                fast = window[members, ::fast_factor]
+                aliased, discrepancy, _ = self.detector.check_rows(
+                    slow, interval * slow_factor, fast, interval * fast_factor)
+                samples_collected = slow.shape[1] + fast.shape[1]
+                estimates = self.estimator.estimate_rows(fast, interval * fast_factor)
+            else:
+                aliased = np.zeros(len(members), dtype=bool)
+                discrepancy = np.zeros(len(members))
+                samples_collected = slow.shape[1]
+                estimates = self.estimator.estimate_rows(slow, interval * slow_factor)
 
-        if run_check:
-            fast_probe = resample_to_rate(window, fast_rate, anti_alias=False)
-            verdict = self.detector.check_samples(slow_probe, fast_probe)
-            samples_collected = len(slow_probe) + len(fast_probe)
-            estimation_input = fast_probe
-            self._windows_since_check = 0
-        else:
-            verdict = AliasingVerdict(False, 0.0, self.detector.threshold,
-                                      slow_rate, fast_rate, slow_rate / 2.0)
-            samples_collected = len(slow_probe)
-            estimation_input = slow_probe
-            self._windows_since_check += 1
+            for position, row in enumerate(members):
+                state, rate, estimate = states[row], rates[row], estimates[position]
+                state.windows_since_check = 0 if fast_factor else state.windows_since_check + 1
+                row_aliased = bool(aliased[position])
+                next_rate = self._next_rate(state, rate, row_aliased, estimate, ceiling)
+                results[row] = (WindowDecision(
+                    window_start=window_start,
+                    window_end=window_end,
+                    mode=state.mode,
+                    sampling_rate=rate,
+                    samples_collected=samples_collected,
+                    aliased=row_aliased,
+                    aliasing_discrepancy=float(discrepancy[position]),
+                    nyquist_estimate=(estimate.nyquist_rate if estimate.reliable
+                                      else float("nan")),
+                    next_rate=next_rate,
+                ), slow_factor)
+                state.current_rate = next_rate
+        return [results[row] for row in range(len(states))]
 
-        estimate = self.estimator.estimate(estimation_input)
-        nyquist_rate = estimate.nyquist_rate if estimate.reliable else float("nan")
-
-        next_rate = self._next_rate(rate, verdict, estimate, ceiling)
-        decision = WindowDecision(
-            window_start=window.start_time,
-            window_end=window.end_time,
-            mode=self.mode,
-            sampling_rate=rate,
-            samples_collected=samples_collected,
-            aliased=verdict.aliased,
-            aliasing_discrepancy=verdict.discrepancy,
-            nyquist_estimate=nyquist_rate,
-            next_rate=next_rate,
-        )
-        self.current_rate = next_rate
-        return decision
-
-    def _probe_toward(self, proposed: float, rate: float, ceiling: float) -> float:
+    def _probe_toward(self, state: _RowState, proposed: float, rate: float,
+                      ceiling: float) -> float:
         """Enter probe mode toward ``proposed`` -- unless we are already pinned.
 
         When the clamped proposal cannot exceed the current rate the
@@ -352,26 +416,23 @@ class AdaptiveSamplingController:
         it is supposed to undercut.
         """
         clamped = self._clamp(proposed, ceiling)
-        if clamped <= rate:
-            self.mode = ControllerMode.STEADY
-            return clamped
-        self.mode = ControllerMode.PROBE
+        state.mode = ControllerMode.STEADY if clamped <= rate else ControllerMode.PROBE
         return clamped
 
-    def _next_rate(self, rate: float, verdict: AliasingVerdict,
+    def _next_rate(self, state: _RowState, rate: float, aliased: bool,
                    estimate: NyquistEstimate, ceiling: float) -> float:
         """Apply the §4.2 adaptation rules and return the next window's rate."""
         config = self.config
-        if verdict.aliased or (estimate.reliable and estimate.nyquist_rate > rate):
+        if aliased or (estimate.reliable and estimate.nyquist_rate > rate):
             # Under-sampling detected: multiplicative increase, jump-started
             # by the remembered maximum if we have one.
             proposed = rate * config.probe_multiplier
-            if self.remembered_max_rate > proposed:
-                proposed = self.remembered_max_rate
-            return self._probe_toward(proposed, rate, ceiling)
+            if state.remembered_max_rate > proposed:
+                proposed = state.remembered_max_rate
+            return self._probe_toward(state, proposed, rate, ceiling)
 
         if not estimate.reliable:
-            if self.mode is ControllerMode.STEADY and estimate.reason == "trace too short":
+            if state.mode is ControllerMode.STEADY and estimate.reason == "trace too short":
                 # We already settled once and this window simply holds too
                 # few samples at the (low) steady rate to re-estimate; hold
                 # the rate rather than needlessly ramping back up.
@@ -380,12 +441,13 @@ class AdaptiveSamplingController:
             # looks aliased): keep increasing until the Nyquist rate becomes
             # observable.  The remembered maximum is only used when aliasing
             # is positively detected, not for mere lack of data.
-            return self._probe_toward(rate * config.probe_multiplier, rate, ceiling)
+            return self._probe_toward(state, rate * config.probe_multiplier, rate, ceiling)
 
         # Clean estimate available: settle at Nyquist rate plus headroom.
-        self.mode = ControllerMode.STEADY
+        state.mode = ControllerMode.STEADY
         target = estimate.nyquist_rate * config.headroom
-        self._remember(target)
+        state.remembered_max_rate = max(state.remembered_max_rate * config.memory_decay,
+                                        target)
         if target < rate * config.decrease_factor:
             # The signal has quieted down a lot; decrease gradually rather
             # than jumping straight to the target so a transient lull does
@@ -401,29 +463,68 @@ class AdaptiveSamplingController:
         ``step`` defaults to ``window_duration`` (non-overlapping windows),
         which is how the controller would run in production; Figure 7 uses
         an overlapping window (6 h window, 5 min step) purely for analysis,
-        which :mod:`repro.core.windowed` provides.
+        which :mod:`repro.core.windowed` provides.  The run continues from
+        (and advances) the controller's current state.
         """
+        return self._run_rows([self._state], [reference], reference.values[None, :],
+                              window_duration, step)[0]
+
+    def run_batch(self, values: np.ndarray, interval: float,
+                  window_duration: float) -> list[AdaptiveRun]:
+        """Run the controller over every row of a ``(rows, n)`` reference matrix.
+
+        All rows share one sampling ``interval`` (and start at time 0), so
+        they share every (non-overlapping) window's bounds and step through
+        the trace together.  Each row starts from a copy of the controller's
+        current state; that state and the rate floor are left untouched.
+        Row ``i``'s run equals ``run(TimeSeries(values[i], interval),
+        window_duration)`` on a controller in that state -- same decisions,
+        collected chunks and transitions.
+        """
+        matrix = np.asarray(values, dtype=np.float64)
+        if matrix.ndim != 2:
+            raise ValueError(f"values must be a (rows, n) matrix, got shape {matrix.shape}")
+        references = [TimeSeries(row, interval) for row in matrix]
+        states = [replace(self._state) for _ in references]
+        floor_rate = self._floor_rate
+        try:
+            return self._run_rows(states, references, matrix, window_duration, None)
+        finally:
+            self._floor_rate = floor_rate
+
+    def _run_rows(self, states: Sequence[_RowState], references: Sequence[TimeSeries],
+                  matrix: np.ndarray, window_duration: float,
+                  step: float | None) -> list[AdaptiveRun]:
+        """Step ``states`` through the windows of equal-shape ``references``."""
         if window_duration <= 0:
             raise ValueError("window_duration must be positive")
         step = window_duration if step is None else step
         if step <= 0:
             raise ValueError("step must be positive")
         self._floor_rate = self.minimum_viable_rate(window_duration)
-        run = AdaptiveRun(reference=reference)
-        for window in reference.iter_windows(window_duration, step):
-            if len(window) < 2:
+        runs = [AdaptiveRun(reference=reference) for reference in references]
+        if not references:
+            return runs
+        interval, start_time = references[0].interval, references[0].start_time
+        for first, stop in references[0].iter_window_bounds(window_duration, step):
+            if stop - first < 2:
                 continue
-            mode_before = self.mode
-            decision = self.process_window(window)
-            run.decisions.append(decision)
-            if self.mode is not mode_before:
-                run.transitions.append(ModeTransition(
-                    time=decision.window_end, from_mode=mode_before,
-                    to_mode=self.mode, window_start=decision.window_start,
-                    window_end=decision.window_end))
-            collected = resample_to_rate(window, decision.sampling_rate, anti_alias=False)
-            run.collected.append(collected)
-        return run
+            window_start = start_time + first * interval
+            window_end = window_start + (stop - first) * interval
+            modes_before = [state.mode for state in states]
+            steps = self._step(states, matrix[:, first:stop], interval,
+                               window_start, window_end)
+            for run, state, mode_before, (decision, factor) in zip(runs, states, modes_before,
+                                                                   steps):
+                run.decisions.append(decision)
+                if state.mode is not mode_before:
+                    run.transitions.append(ModeTransition(
+                        time=window_end, from_mode=mode_before, to_mode=state.mode,
+                        window_start=window_start, window_end=window_end))
+                run.collected.append(TimeSeries(run.reference.values[first:stop:factor],
+                                                interval * factor, window_start,
+                                                run.reference.name))
+        return runs
 
 
 def adaptive_sample(reference: TimeSeries, window_duration: float,

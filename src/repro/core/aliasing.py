@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..signals.noise import noise_floor_estimate
-from ..signals.spectrum import Spectrum
+from ..signals.noise import noise_floor_estimates
+from ..signals.spectrum import Spectrum, SpectrumBatch
 from ..signals.timeseries import TimeSeries
-from .psd import periodogram
+from .psd import batch_periodogram
 from .resampling import linear_resample, resample_to_rate
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "DualRateAliasingDetector",
     "detect_aliasing",
     "compare_spectra",
+    "compare_spectra_batch",
 ]
 
 #: Default ratio between the fast and slow probe rates.  1.6 is neither an
@@ -77,35 +78,54 @@ def compare_spectra(slow: Spectrum, fast: Spectrum,
     absolute difference of the (energy-normalised) spectra over the band
     ``(0, band_edge]``, after subtracting the estimated noise floor from
     both.  Normalising by total in-band energy makes the number comparable
-    across metrics with wildly different magnitudes.
+    across metrics with wildly different magnitudes.  This is the one-row
+    case of :func:`compare_spectra_batch`.
     """
+    discrepancy, band_edge = compare_spectra_batch(
+        SpectrumBatch(slow.frequencies, slow.power[None, :], slow.sampling_rate),
+        SpectrumBatch(fast.frequencies, fast.power[None, :], fast.sampling_rate),
+        noise_quantile=noise_quantile)
+    return float(discrepancy[0]), band_edge
+
+
+def compare_spectra_batch(slow: SpectrumBatch, fast: SpectrumBatch,
+                          noise_quantile: float = 0.5) -> tuple[np.ndarray, float]:
+    """Row-wise :func:`compare_spectra`: row ``i`` of ``slow`` against row ``i`` of ``fast``.
+
+    Both batches share their frequency grids across rows, so the common
+    band and comparison grid are computed once; the noise floors are one
+    ``np.quantile(axis=-1)`` and every sum runs along the last axis of a
+    C-contiguous matrix, which keeps each row bit-for-bit equal to a
+    one-row comparison.  Returns ``(discrepancies, band_edge)``.
+    """
+    if len(slow) != len(fast):
+        raise ValueError(f"row counts differ: {len(slow)} slow vs {len(fast)} fast spectra")
     band_edge = min(slow.max_frequency, fast.max_frequency)
     slow_band = slow.without_dc().band(0.0, band_edge)
     fast_band = fast.without_dc().band(0.0, band_edge)
-    if len(slow_band) == 0 or len(fast_band) == 0:
-        return 0.0, band_edge
+    if slow_band.bins == 0 or fast_band.bins == 0:
+        return np.zeros(len(slow)), band_edge
 
     # Compare on the coarser of the two grids so neither spectrum is
     # extrapolated beyond its resolution.
-    grid = slow_band.frequencies if len(slow_band) <= len(fast_band) else fast_band.frequencies
+    grid = slow_band.frequencies if slow_band.bins <= fast_band.bins else fast_band.frequencies
     slow_power = slow_band.interpolate_power(grid)
     fast_power = fast_band.interpolate_power(grid)
 
-    slow_floor = noise_floor_estimate(slow_power, quantile=noise_quantile)
-    fast_floor = noise_floor_estimate(fast_power, quantile=noise_quantile)
-    slow_clean = np.maximum(slow_power - slow_floor, 0.0)
-    fast_clean = np.maximum(fast_power - fast_floor, 0.0)
+    slow_floor = noise_floor_estimates(slow_power, quantile=noise_quantile)
+    fast_floor = noise_floor_estimates(fast_power, quantile=noise_quantile)
+    slow_clean = np.maximum(slow_power - slow_floor[:, None], 0.0)
+    fast_clean = np.maximum(fast_power - fast_floor[:, None], 0.0)
 
-    total = float(np.sum(slow_clean) + np.sum(fast_clean))
-    if total <= 0:
-        return 0.0, band_edge
+    slow_total = np.sum(slow_clean, axis=-1)
+    fast_total = np.sum(fast_clean, axis=-1)
     # Normalise each spectrum to unit energy before differencing so a pure
     # amplitude difference (e.g. window scalloping) does not register as
     # aliasing; only *where* the energy sits matters.
-    slow_norm = slow_clean / (np.sum(slow_clean) or 1.0)
-    fast_norm = fast_clean / (np.sum(fast_clean) or 1.0)
-    discrepancy = float(0.5 * np.sum(np.abs(slow_norm - fast_norm)))
-    return discrepancy, band_edge
+    slow_norm = slow_clean / np.where(slow_total == 0, 1.0, slow_total)[:, None]
+    fast_norm = fast_clean / np.where(fast_total == 0, 1.0, fast_total)[:, None]
+    discrepancy = 0.5 * np.sum(np.abs(slow_norm - fast_norm), axis=-1)
+    return np.where(slow_total + fast_total <= 0, 0.0, discrepancy), band_edge
 
 
 class DualRateAliasingDetector:
@@ -156,28 +176,49 @@ class DualRateAliasingDetector:
         return slow_rate, slow_rate * self.rate_ratio
 
     def check_samples(self, slow: TimeSeries, fast: TimeSeries) -> AliasingVerdict:
-        """Compare two already-collected probe traces of the same signal."""
+        """Compare two already-collected probe traces of the same signal.
+
+        The one-row case of :meth:`check_rows`.
+        """
+        aliased, discrepancy, band_edge = self.check_rows(
+            slow.values[None, :], slow.interval, fast.values[None, :], fast.interval)
         if slow.sampling_rate >= fast.sampling_rate:
             slow, fast = fast, slow
-        if len(slow) < self.min_samples or len(fast) < self.min_samples:
-            # Not enough data to say anything: report "not aliased" with
-            # zero confidence rather than raising, so the adaptive
-            # controller can simply keep probing.
-            return AliasingVerdict(False, 0.0, self.threshold,
-                                   slow.sampling_rate, fast.sampling_rate,
-                                   slow.sampling_rate / 2.0)
-        slow_spectrum = periodogram(slow)
-        fast_spectrum = periodogram(fast)
-        discrepancy, band_edge = compare_spectra(slow_spectrum, fast_spectrum,
-                                                 noise_quantile=self.noise_quantile)
         return AliasingVerdict(
-            aliased=discrepancy > self.threshold,
-            discrepancy=discrepancy,
+            aliased=bool(aliased[0]),
+            discrepancy=float(discrepancy[0]),
             threshold=self.threshold,
             slow_rate=slow.sampling_rate,
             fast_rate=fast.sampling_rate,
             common_band_hz=band_edge,
         )
+
+    def check_rows(self, slow: np.ndarray, slow_interval: float,
+                   fast: np.ndarray, fast_interval: float
+                   ) -> tuple[np.ndarray, np.ndarray, float]:
+        """Row-batched :meth:`check_samples` over two ``(rows, m)`` probe matrices.
+
+        Row ``i`` of ``slow`` (sampled every ``slow_interval`` s) and row
+        ``i`` of ``fast`` are two probe streams of the same signal.  Each
+        stream's periodograms are one ``rfft(axis=-1)``; the comparison is
+        :func:`compare_spectra_batch`.  Returns ``(aliased, discrepancy,
+        band_edge)`` with one verdict per row.
+        """
+        if slow.ndim != 2 or fast.ndim != 2 or slow.shape[0] != fast.shape[0]:
+            raise ValueError(f"probe streams must be (rows, m) matrices with equal row "
+                             f"counts, got shapes {slow.shape} and {fast.shape}")
+        if 1.0 / slow_interval >= 1.0 / fast_interval:
+            slow, slow_interval, fast, fast_interval = fast, fast_interval, slow, slow_interval
+        rows = slow.shape[0]
+        if slow.shape[1] < self.min_samples or fast.shape[1] < self.min_samples:
+            # Not enough data to say anything: report "not aliased" with
+            # zero confidence rather than raising, so the adaptive
+            # controller can simply keep probing.
+            return np.zeros(rows, dtype=bool), np.zeros(rows), 1.0 / slow_interval / 2.0
+        discrepancy, band_edge = compare_spectra_batch(
+            batch_periodogram(slow, slow_interval), batch_periodogram(fast, fast_interval),
+            noise_quantile=self.noise_quantile)
+        return discrepancy > self.threshold, discrepancy, band_edge
 
     def check_signal(self, reference: TimeSeries, candidate_rate: float) -> AliasingVerdict:
         """Would sampling ``reference`` at ``candidate_rate`` alias?

@@ -58,10 +58,11 @@ except ImportError:  # pragma: no cover - exercised only without scipy
     def _rfft(values: np.ndarray, fft_workers: int | None = None) -> np.ndarray:
         return np.fft.rfft(values, axis=-1)
 
-from .nyquist import ALIASED_SENTINEL, NyquistEstimate, NyquistEstimator
-from .psd import batch_welch_psd, taper_energy, window_coefficients
+from ..signals.timeseries import TimeSeries
+from .nyquist import ALIASED_SENTINEL, NyquistEstimate, NyquistEstimator, detrended
+from .psd import batch_periodogram, batch_welch_psd, taper_energy, window_coefficients
 
-__all__ = ["batch_estimate"]
+__all__ = ["batch_estimate", "exact_batch_estimate"]
 
 
 def _unreliable(estimator: NyquistEstimator, current_rate: float, reason: str) -> NyquistEstimate:
@@ -256,6 +257,61 @@ def _fast_batch_estimate(matrix: np.ndarray, interval: float, estimator: Nyquist
             if np.ptp(matrix[index]) == 0:
                 results[index] = _constant_estimate(estimator, current_rate, duration)
     return results
+
+
+def exact_batch_estimate(values: np.ndarray, interval: float,
+                         estimator: NyquistEstimator) -> list[NyquistEstimate]:
+    """The scalar estimator's own arithmetic, run over every row of a trace matrix.
+
+    :func:`batch_estimate` is faster but equal to
+    :meth:`NyquistEstimator.estimate` only to rounding (closed-form
+    detrend, deferred normalisation), which is fine for the survey but not
+    for a feedback loop whose next sampling rate depends on the estimate.
+    Here every step either runs per row exactly as the scalar path does
+    (the ``np.polyfit`` detrend, the cut-off search) or is an elementwise
+    operation / last-axis reduction over a C-contiguous matrix (taper,
+    ``rfft``, power, energy sums, cumulative energy), whose rows are bit
+    for bit the one-dimensional results.  So row ``i`` of the result *is*
+    ``estimator.estimate(TimeSeries(values[i], interval))``.  Welch PSDs
+    run row by row through the scalar path.
+    """
+    matrix = np.ascontiguousarray(values, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ValueError(f"values must be a 2-D (rows, samples) matrix, got shape {matrix.shape}")
+    if interval <= 0:
+        raise ValueError("interval must be positive")
+    rows, n = matrix.shape
+    current_rate = 1.0 / interval
+    if n < estimator.min_samples:
+        rate = current_rate if n else float("nan")
+        return [_unreliable(estimator, rate, "trace too short") for _ in range(rows)]
+    if estimator.psd_method != "periodogram":
+        return [estimator.estimate(TimeSeries(row, interval)) for row in matrix]
+
+    constant = _constant_mask(matrix, estimator)
+    results: list[NyquistEstimate | None] = [None] * rows
+    for index in np.flatnonzero(constant):
+        results[index] = _constant_estimate(estimator, current_rate, n * interval)
+    active = np.flatnonzero(~constant)
+    if active.size:
+        working = matrix[active]
+        if estimator.detrend:
+            for row in working:
+                row[:] = detrended(row)
+        spectra = batch_periodogram(working, interval, window=estimator.window)
+        if not estimator.include_dc:
+            spectra = spectra.without_dc()
+        totals = np.sum(spectra.power, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cumulative = np.cumsum(spectra.power, axis=-1) / totals[:, None]
+        for position, index in enumerate(active):
+            total = float(totals[position])
+            if total <= 0 or spectra.bins == 0:
+                results[index] = _unreliable(estimator, current_rate, "no spectral energy")
+            else:
+                results[index] = estimator.estimate_from_cumulative(
+                    spectra.frequencies, cumulative[position], total, current_rate)
+    return results  # type: ignore[return-value]
 
 
 def batch_estimate(values: np.ndarray, interval: float,

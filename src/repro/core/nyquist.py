@@ -237,7 +237,8 @@ class NyquistEstimator:
         if isinstance(series, IrregularTimeSeries):
             series = regularize(series)
         if len(series) < self.min_samples:
-            return self._unreliable(series, reason="trace too short")
+            return self._unreliable(series.sampling_rate if len(series) else float("nan"),
+                                    reason="trace too short")
 
         if self._is_effectively_constant(series):
             # A constant metric needs (essentially) no sampling at all; we
@@ -276,6 +277,19 @@ class NyquistEstimator:
 
         return batch_estimate(values, interval, estimator=self, fft_workers=fft_workers)
 
+    def estimate_rows(self, values: np.ndarray, interval: float) -> list[NyquistEstimate]:
+        """Run :meth:`estimate` on every row of a ``(rows, n)`` matrix, bit for bit.
+
+        :meth:`estimate_batch` is the survey's engine and matches the
+        scalar path only to rounding; this is the batched form of the
+        scalar path itself, so every result is identical to
+        ``estimate(TimeSeries(row, interval))``.  See
+        :func:`repro.core.batch.exact_batch_estimate`.
+        """
+        from .batch import exact_batch_estimate  # local import: batch builds on this module
+
+        return exact_batch_estimate(values, interval, estimator=self)
+
     def estimate_from_spectrum(self, spectrum: Spectrum,
                                current_rate: float | None = None) -> NyquistEstimate:
         """Run steps (a)-(d) on an already-computed PSD."""
@@ -283,24 +297,25 @@ class NyquistEstimator:
         working = spectrum if self.include_dc else spectrum.without_dc()
         total = float(np.sum(working.power))
         if total <= 0 or len(working) == 0:
-            return NyquistEstimate(
-                nyquist_rate=ALIASED_SENTINEL,
-                cutoff_frequency=None,
-                current_rate=rate,
-                energy_fraction=self.energy_fraction,
-                captured_fraction=0.0,
-                total_energy=0.0,
-                reliable=False,
-                reason="no spectral energy",
-            )
+            return self._unreliable(rate, reason="no spectral energy")
+        return self.estimate_from_cumulative(working.frequencies,
+                                             np.cumsum(working.power) / total, total, rate)
 
-        cumulative = np.cumsum(working.power) / total
+    def estimate_from_cumulative(self, frequencies: np.ndarray, cumulative: np.ndarray,
+                                 total: float, current_rate: float) -> NyquistEstimate:
+        """Run steps (b)-(d) on one PSD's normalised cumulative energy.
+
+        ``frequencies`` are the bins that take part in the energy
+        accounting (DC already dropped unless ``include_dc``),
+        ``cumulative`` is their cumulative power divided by ``total`` (> 0).
+        """
+        bins = len(frequencies)
         cutoff_index = int(np.searchsorted(cumulative, self.energy_fraction - 1e-12))
-        cutoff_index = min(cutoff_index, len(working) - 1)
+        cutoff_index = min(cutoff_index, bins - 1)
 
-        band_edge = float(working.frequencies[-1])
-        if (cutoff_index >= len(working) - 1
-                or working.frequencies[cutoff_index] > self.aliased_band_fraction * band_edge):
+        band_edge = float(frequencies[-1])
+        if (cutoff_index >= bins - 1
+                or frequencies[cutoff_index] > self.aliased_band_fraction * band_edge):
             # All bins (or essentially all of the band) were needed: the
             # energy extends to the edge of the measurable band, which is
             # the signature of a trace that was already aliased when it was
@@ -308,7 +323,7 @@ class NyquistEstimator:
             return NyquistEstimate(
                 nyquist_rate=ALIASED_SENTINEL,
                 cutoff_frequency=None,
-                current_rate=rate,
+                current_rate=current_rate,
                 energy_fraction=self.energy_fraction,
                 captured_fraction=float(cumulative[-1]),
                 total_energy=total,
@@ -316,16 +331,18 @@ class NyquistEstimator:
                 reason="all bins needed",
             )
 
-        cutoff_frequency = float(working.frequencies[cutoff_index])
+        cutoff_frequency = float(frequencies[cutoff_index])
         if cutoff_frequency <= 0:
             # All interesting energy is in the first (lowest) bin; the best
             # statement the data supports is "at most one cycle per trace".
-            cutoff_frequency = float(working.frequencies[0]) or working.resolution
+            # (A one-bin spectrum always takes the branch above, so there
+            # are two bins to take the resolution from.)
+            cutoff_frequency = float(frequencies[0]) or float(frequencies[1] - frequencies[0])
         nyquist_rate = 2.0 * cutoff_frequency
         return NyquistEstimate(
             nyquist_rate=nyquist_rate,
             cutoff_frequency=cutoff_frequency,
-            current_rate=rate,
+            current_rate=current_rate,
             energy_fraction=self.energy_fraction,
             captured_fraction=float(cumulative[cutoff_index]),
             total_energy=total,
@@ -342,11 +359,11 @@ class NyquistEstimator:
         scale = abs(series.mean()) or 1.0
         return spread / scale < self.flat_tolerance
 
-    def _unreliable(self, series: TimeSeries, reason: str) -> NyquistEstimate:
+    def _unreliable(self, current_rate: float, reason: str) -> NyquistEstimate:
         return NyquistEstimate(
             nyquist_rate=ALIASED_SENTINEL,
             cutoff_frequency=None,
-            current_rate=series.sampling_rate if len(series) else float("nan"),
+            current_rate=current_rate,
             energy_fraction=self.energy_fraction,
             captured_fraction=0.0,
             total_energy=0.0,
@@ -376,9 +393,21 @@ def oversampling_ratio(series: TimeSeries | IrregularTimeSeries,
 
 def _remove_linear_trend(series: TimeSeries) -> TimeSeries:
     """Subtract the least-squares linear fit from a series (used by ``detrend``)."""
-    n = len(series)
-    if n < 2:
+    if len(series) < 2:
         return series
-    x = np.arange(n, dtype=np.float64)
-    slope, intercept = np.polyfit(x, series.values, 1)
-    return series.with_values(series.values - (slope * x + intercept))
+    return series.with_values(detrended(series.values))
+
+
+def detrended(values: np.ndarray) -> np.ndarray:
+    """``values`` minus its least-squares line, fitted with ``np.polyfit``.
+
+    The one detrend both :meth:`NyquistEstimator.estimate` and
+    :meth:`NyquistEstimator.estimate_rows` apply.  It stays a per-trace
+    fit on purpose: one ``polyfit`` over a 2-D ``y`` solves all columns in
+    a single least-squares call and differs from per-trace fits in the
+    last bits, which would break the row-batched path's bit-for-bit
+    equality with the scalar one.
+    """
+    x = np.arange(values.shape[0], dtype=np.float64)
+    slope, intercept = np.polyfit(x, values, 1)
+    return values - (slope * x + intercept)

@@ -23,13 +23,17 @@ Two execution paths share these semantics:
 * :meth:`SamplingPolicy.evaluate_batch` runs a policy over a whole
   ``(rows, n)`` matrix of equal-shape reference traces and returns
   columnar per-trace outcome arrays (:class:`PolicyBatchEvaluation`).
-  :class:`FixedRatePolicy` and :class:`NyquistStaticPolicy` override it
-  with vectorised implementations (batched decimation, one
-  ``estimate_batch`` call for the whole calibration matrix, one FFT pair
-  for all reconstructions); the adaptive controller is inherently
-  sequential per trace and uses the row-loop default.  This is the feed
-  of the fleet-scale policy survey
-  (:func:`repro.analysis.policy_survey.run_policy_survey`).
+  Every built-in policy overrides it with a vectorised implementation:
+  :class:`FixedRatePolicy` and :class:`NyquistStaticPolicy` use batched
+  decimation, one ``estimate_batch`` call for the whole calibration
+  matrix and one FFT pair for all reconstructions;
+  :class:`AdaptiveDualRatePolicy` steps every row through the controller
+  one window at a time
+  (:meth:`~repro.core.adaptive.AdaptiveSamplingController.run_batch`),
+  with each window's probes checked and estimated as matrices.  The
+  row-loop default remains for custom policies and as the reference the
+  overrides are tested against.  This is the feed of the fleet-scale
+  policy survey (:func:`repro.analysis.policy_survey.run_policy_survey`).
 
 :class:`PolicySuite` builds the paper's three-policy comparison for a
 metric's production interval, so fleets whose metrics poll at different
@@ -141,10 +145,10 @@ class SamplingPolicy(abc.ABC):
         Returns columnar per-row outcomes: samples collected, achieved
         mean rate, and the reconstruction error against the reference.
 
-        The default implementation loops :meth:`collect` row by row (used
-        by the sequential adaptive controller); vectorisable policies
-        override it with batched implementations that produce the same
-        numbers without per-trace Python overhead.
+        The default implementation loops :meth:`collect` row by row: it
+        serves custom policies and is the reference the built-in
+        policies' batched overrides reproduce without per-trace Python
+        overhead.
         """
         if values.ndim != 2:
             raise ValueError(f"values must be a (rows, n) matrix, got shape {values.shape}")
@@ -165,9 +169,7 @@ class SamplingPolicy(abc.ABC):
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _finish(name: str, reference: TimeSeries, collected: TimeSeries,
-                samples_collected: int, detail: dict[str, float] | None = None) -> PolicyResult:
-        """Shared epilogue: reconstruct at the reference rate and bundle the result."""
+    def _require_two_samples(name: str, reference: TimeSeries, collected: TimeSeries) -> None:
         if len(collected) < 2:
             # A policy that collected fewer than two samples has no signal
             # to reconstruct from; silently reporting a constant (formerly
@@ -178,6 +180,12 @@ class SamplingPolicy(abc.ABC):
                 f"{reference.name or 'the reference trace'} "
                 f"({len(reference)} samples over {reference.duration:g}s); "
                 "at least 2 are needed to reconstruct")
+
+    @staticmethod
+    def _finish(name: str, reference: TimeSeries, collected: TimeSeries,
+                samples_collected: int, detail: dict[str, float] | None = None) -> PolicyResult:
+        """Shared epilogue: reconstruct at the reference rate and bundle the result."""
+        SamplingPolicy._require_two_samples(name, reference, collected)
         reconstructed = reconstruct(collected, reference.sampling_rate)
         duration = reference.duration
         mean_rate = samples_collected / duration if duration > 0 else float("nan")
@@ -423,8 +431,47 @@ class AdaptiveDualRatePolicy(SamplingPolicy):
         is measured from.  :meth:`collect` uses exactly this run, so the
         transitions correspond sample-for-sample to the policy's cost.
         """
-        controller = AdaptiveSamplingController(config=self.config)
-        return controller.run(reference, self.window_duration)
+        return AdaptiveSamplingController(config=self.config).run(reference,
+                                                                  self.window_duration)
+
+    def evaluate_batch(self, values: np.ndarray, interval: float) -> PolicyBatchEvaluation:
+        """Batch-synchronous path: all rows step through the controller together.
+
+        One :meth:`~repro.core.adaptive.AdaptiveSamplingController.run_batch`
+        runs the rows' controllers window by window (the same stepper
+        :meth:`run_controller` uses with one row); rows whose collected
+        streams share a length and interval are then reconstructed with
+        one batched FFT pair.  Numbers match :meth:`collect` row for row,
+        bit for bit.
+        """
+        if values.ndim != 2:
+            raise ValueError(f"values must be a (rows, n) matrix, got shape {values.shape}")
+        rows, n = values.shape
+        runs = AdaptiveSamplingController(config=self.config).run_batch(
+            values, interval, self.window_duration)
+        reference_rate = 1.0 / interval
+        groups: dict[tuple[int, float], list[int]] = {}
+        collected: list[TimeSeries] = []
+        for index, run in enumerate(runs):
+            series = run.collected_series()
+            self._require_two_samples(self.name, run.reference, series)
+            collected.append(series)
+            groups.setdefault((len(series), series.interval), []).append(index)
+        nrmse = np.zeros(rows)
+        max_abs = np.zeros(rows)
+        for (_, collected_interval), members in groups.items():
+            reconstructed = reconstruct_batch(
+                np.vstack([collected[index].values for index in members]),
+                collected_interval, reference_rate)
+            nrmse[members], max_abs[members] = compare_batch(values[members], reconstructed)
+        samples = np.fromiter((run.total_samples_collected for run in runs), np.int64, rows)
+        return PolicyBatchEvaluation(
+            policy_name=self.name,
+            samples_collected=samples,
+            mean_sampling_rate=samples / (n * interval),
+            nrmse=nrmse,
+            max_abs_error=max_abs,
+        )
 
     def collect(self, reference: TimeSeries) -> PolicyResult:
         run: AdaptiveRun = self.run_controller(reference)

@@ -21,6 +21,7 @@ __all__ = [
     "pink_noise",
     "snr_db",
     "noise_floor_estimate",
+    "noise_floor_estimates",
 ]
 
 
@@ -127,3 +128,19 @@ def noise_floor_estimate(power: np.ndarray, quantile: float = 0.5) -> float:
     if not 0 <= quantile <= 1:
         raise ValueError("quantile must be in [0, 1]")
     return float(np.quantile(array, quantile))
+
+
+def noise_floor_estimates(power: np.ndarray, quantile: float = 0.5) -> np.ndarray:
+    """Row-wise :func:`noise_floor_estimate` over a ``(rows, bins)`` PSD matrix.
+
+    One ``np.quantile(axis=-1)`` call for the whole batch; each entry is
+    bit-for-bit the scalar estimate of that row.
+    """
+    array = np.asarray(power, dtype=np.float64)
+    if array.ndim != 2:
+        raise ValueError(f"power must be a (rows, bins) matrix, got shape {array.shape}")
+    if not 0 <= quantile <= 1:
+        raise ValueError("quantile must be in [0, 1]")
+    if array.shape[1] == 0:
+        return np.zeros(array.shape[0])
+    return np.quantile(array, quantile, axis=-1)

@@ -255,6 +255,29 @@ class SpectrumBatch:
         batch = self if include_dc else self.without_dc()
         return np.cumsum(batch.power, axis=-1)
 
+    def band(self, f_low: float, f_high: float) -> "SpectrumBatch":
+        """Bin columns whose frequency lies in ``[f_low, f_high]`` (as :meth:`Spectrum.band`)."""
+        if f_high < f_low:
+            raise ValueError("f_high must be >= f_low")
+        mask = (self.frequencies >= f_low - 1e-15) & (self.frequencies <= f_high + 1e-15)
+        return SpectrumBatch(self.frequencies[mask], self.power[:, mask], self.sampling_rate)
+
+    def interpolate_power(self, frequencies: Iterable[float]) -> np.ndarray:
+        """Row-wise :meth:`Spectrum.interpolate_power`, shape ``(rows, len(frequencies))``.
+
+        ``np.interp`` is one-dimensional, so each row is interpolated with
+        its own call -- the same call the scalar spectrum makes, which keeps
+        every row bit-for-bit equal to the per-spectrum result.
+        """
+        targets = np.asarray(list(frequencies), dtype=np.float64)
+        result = np.zeros((len(self), targets.size))
+        if self.bins == 0:
+            return result
+        for index, row in enumerate(self.power):
+            result[index] = np.interp(targets, self.frequencies, row,
+                                      left=row[0], right=row[-1])
+        return result
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SpectrumBatch(rows={len(self)}, bins={self.bins}, "
                 f"fs={self.sampling_rate:g}Hz)")

@@ -163,3 +163,69 @@ class TestControllerBehaviour:
         # Most steady windows should be cheap (single stream): their sample
         # count should be noticeably below the dual-stream windows'.
         assert len(steady) > 4
+
+
+class TestBatchStepper:
+    """``run_batch`` is the stepper ``run`` uses: N rows equal N single-trace runs."""
+
+    @staticmethod
+    def references(rng) -> np.ndarray:
+        n = 12 * 720  # 12 h at 5 s
+        return np.vstack([
+            quiet_then_busy(rng=rng).values,                          # ramps up mid-trace
+            quiet_then_busy(busy_frequency=1.0 / 900.0, rng=rng).values,
+            np.full(n, 7.0),                                          # constant
+            rng.normal(size=n),                                       # broadband
+            add_white_noise(multi_tone([1.0 / 5400.0], duration=12 * 3600.0,
+                                       sampling_rate=0.2, amplitudes=[2.0]),
+                            0.01, rng=rng).values,
+        ])
+
+    @pytest.mark.parametrize("config", [
+        ControllerConfig(),
+        ControllerConfig(initial_rate=1.0 / 900.0, max_rate=0.05, aliasing_check_interval=2),
+        ControllerConfig(initial_rate=1.0 / 60.0, max_rate=1.0 / 30.0, memory_decay=1.0),
+    ])
+    def test_rows_equal_single_trace_runs(self, rng, config):
+        values = self.references(rng)
+        batched = AdaptiveSamplingController(config).run_batch(values, 5.0, 3600.0)
+        assert len(batched) == len(values)
+        for row, run in zip(values, batched):
+            single = AdaptiveSamplingController(config).run(TimeSeries(row, 5.0), 3600.0)
+            # repr compares every decision field exactly, NaN estimates included.
+            assert repr(run.decisions) == repr(single.decisions)
+            assert run.transitions == single.transitions
+            assert len(run.collected) == len(single.collected)
+            for ours, theirs in zip(run.collected, single.collected):
+                assert np.array_equal(ours.values, theirs.values)
+                assert (ours.interval, ours.start_time) == (theirs.interval, theirs.start_time)
+        # The batch really did split: rows sampled at different rates in
+        # the same window, so the stepper evaluated several rate groups.
+        rates = np.array([[d.sampling_rate for d in run.decisions] for run in batched])
+        assert any(len(set(column)) > 1 for column in rates.T)
+
+    def test_batch_leaves_controller_state_alone(self, rng):
+        window = TimeSeries(self.references(rng)[0][:720], 5.0)
+        expected = AdaptiveSamplingController().process_window(window)
+        controller = AdaptiveSamplingController()
+        # A 600 s window needs a rate floor of 16/600 Hz, far above the
+        # initial rate; the batch must not leave that floor behind for the
+        # controller's own next window.
+        controller.run_batch(self.references(rng), 5.0, 600.0)
+        assert controller.mode is ControllerMode.PROBE
+        assert controller.current_rate == controller.config.initial_rate
+        assert repr(controller.process_window(window)) == repr(expected)
+
+    def test_run_advances_controller_state(self, rng):
+        controller = AdaptiveSamplingController()
+        run = controller.run(TimeSeries(self.references(rng)[0], 5.0), 3600.0)
+        assert controller.current_rate == run.decisions[-1].next_rate
+        assert controller.mode is run.decisions[-1].mode
+
+    def test_empty_and_bad_input(self):
+        controller = AdaptiveSamplingController()
+        assert controller.run_batch(np.empty((0, 100)), 5.0, 3600.0) == []
+        with pytest.raises(ValueError, match="matrix"):
+            controller.run_batch(np.zeros(100), 5.0, 3600.0)
+        with pytest.raises(ValueError):
+            controller.run_batch(np.zeros((2, 100)), 5.0, 0.0)

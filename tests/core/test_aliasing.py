@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core.aliasing import DualRateAliasingDetector, compare_spectra, detect_aliasing
-from repro.core.psd import periodogram
+from repro.core.aliasing import (DualRateAliasingDetector, compare_spectra,
+                                 compare_spectra_batch, detect_aliasing)
+from repro.core.psd import batch_periodogram, periodogram
 from repro.signals.generators import multi_tone, sine
-from repro.signals.noise import add_white_noise
+from repro.signals.noise import add_white_noise, noise_floor_estimate
+from repro.signals.timeseries import TimeSeries
 
 
 def sample_two_tone(rate: float, duration: float = 2.0):
@@ -117,3 +120,90 @@ class TestCompareSpectra:
         scaled = periodogram(two_tone * 3.0)
         discrepancy, _ = compare_spectra(spectrum, scaled)
         assert discrepancy < 0.01
+
+
+class TestRowBatchedCheck:
+    """check_rows / compare_spectra_batch: every row equals its one-row check."""
+
+    @staticmethod
+    def probe_matrix(rows: int, n: int, factor: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(seed)
+        reference = rng.normal(size=(rows, n)).cumsum(axis=1)
+        reference[0] = 3.0                                            # constant
+        reference[1] = rng.normal(size=n)                             # broadband
+        reference[2] = np.sin(2 * np.pi * 0.37 * np.arange(n))        # aliases when decimated
+        return reference[:, ::factor], reference[:, ::max(factor * 8 // 5, 1)]
+
+    @pytest.mark.parametrize("n,factor", [(400, 5), (401, 8), (64, 3), (40, 3)])
+    def test_rows_match_check_samples(self, n, factor):
+        detector = DualRateAliasingDetector()
+        fast, slow = self.probe_matrix(7, n, factor, seed=n)
+        fast_interval = 1.0 * factor
+        slow_interval = 1.0 * max(factor * 8 // 5, 1)
+        aliased, discrepancy, band_edge = detector.check_rows(slow, slow_interval,
+                                                              fast, fast_interval)
+        for index in range(slow.shape[0]):
+            verdict = detector.check_samples(TimeSeries(slow[index], slow_interval),
+                                             TimeSeries(fast[index], fast_interval))
+            assert verdict.aliased == aliased[index]
+            assert verdict.discrepancy == discrepancy[index]
+            assert verdict.common_band_hz == band_edge
+
+    @staticmethod
+    def one_spectrum_discrepancy(slow: TimeSeries, fast: TimeSeries) -> tuple[float, float]:
+        """The single-trace comparison: 1-D periodograms, scalar noise floors and sums."""
+        slow_spectrum, fast_spectrum = periodogram(slow), periodogram(fast)
+        band_edge = min(slow_spectrum.max_frequency, fast_spectrum.max_frequency)
+        slow_band = slow_spectrum.without_dc().band(0.0, band_edge)
+        fast_band = fast_spectrum.without_dc().band(0.0, band_edge)
+        if len(slow_band) == 0 or len(fast_band) == 0:
+            return 0.0, band_edge
+        grid = slow_band.frequencies if len(slow_band) <= len(fast_band) else fast_band.frequencies
+        slow_power = slow_band.interpolate_power(grid)
+        fast_power = fast_band.interpolate_power(grid)
+        slow_clean = np.maximum(slow_power - noise_floor_estimate(slow_power), 0.0)
+        fast_clean = np.maximum(fast_power - noise_floor_estimate(fast_power), 0.0)
+        if float(np.sum(slow_clean) + np.sum(fast_clean)) <= 0:
+            return 0.0, band_edge
+        slow_norm = slow_clean / (np.sum(slow_clean) or 1.0)
+        fast_norm = fast_clean / (np.sum(fast_clean) or 1.0)
+        return float(0.5 * np.sum(np.abs(slow_norm - fast_norm))), band_edge
+
+    @pytest.mark.parametrize("n,factor", [(400, 5), (401, 8), (64, 3), (2000, 2)])
+    def test_rows_match_one_spectrum_arithmetic(self, n, factor):
+        # Pins the batched check to the plain one-trace computation (not to
+        # check_samples, which is itself the one-row batched check).
+        detector = DualRateAliasingDetector()
+        fast, slow = self.probe_matrix(7, n, factor, seed=n + 1)
+        slow_interval = 1.0 * max(factor * 8 // 5, 1)
+        aliased, discrepancy, band_edge = detector.check_rows(slow, slow_interval,
+                                                              fast, 1.0 * factor)
+        for index in range(slow.shape[0]):
+            expected = self.one_spectrum_discrepancy(TimeSeries(slow[index], slow_interval),
+                                                     TimeSeries(fast[index], 1.0 * factor))
+            assert (discrepancy[index], band_edge) == expected
+            assert aliased[index] == (expected[0] > detector.threshold)
+
+    def test_argument_order_does_not_matter(self):
+        detector = DualRateAliasingDetector()
+        fast, slow = self.probe_matrix(5, 300, 4, seed=1)
+        forward = detector.check_rows(slow, 6.0, fast, 4.0)
+        backward = detector.check_rows(fast, 4.0, slow, 6.0)
+        assert np.array_equal(forward[1], backward[1])
+
+    def test_compare_spectra_batch_matches_rows(self):
+        fast, slow = self.probe_matrix(6, 500, 2, seed=2)
+        slow_batch = batch_periodogram(slow, 3.0)
+        fast_batch = batch_periodogram(fast, 2.0)
+        discrepancy, band_edge = compare_spectra_batch(slow_batch, fast_batch)
+        for index in range(len(slow_batch)):
+            assert compare_spectra(slow_batch.row(index), fast_batch.row(index)) == \
+                (discrepancy[index], band_edge)
+
+    def test_rejects_mismatched_rows(self):
+        detector = DualRateAliasingDetector()
+        with pytest.raises(ValueError, match="row counts"):
+            detector.check_rows(np.zeros((2, 32)), 2.0, np.zeros((3, 48)), 1.0)
+        with pytest.raises(ValueError, match="row counts"):
+            compare_spectra_batch(batch_periodogram(np.ones((2, 32)), 2.0),
+                                  batch_periodogram(np.ones((3, 48)), 1.0))

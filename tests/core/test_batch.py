@@ -190,3 +190,54 @@ class TestBatchEstimateEquivalence:
             for index in range(rows):
                 scalar = estimator.estimate(TimeSeries(matrix[index], interval))
                 assert_equivalent(scalar, batched[index])
+
+
+class TestExactBatchEstimate:
+    """``estimate_rows`` is the scalar estimator run over a matrix: bit for bit."""
+
+    @staticmethod
+    def assert_identical(matrix: np.ndarray, interval: float,
+                         estimator: NyquistEstimator) -> None:
+        rows = estimator.estimate_rows(matrix, interval)
+        assert len(rows) == matrix.shape[0]
+        for index, estimate in enumerate(rows):
+            # repr compares every field exactly (and NaN equal to NaN).
+            assert repr(estimate) == repr(estimator.estimate(TimeSeries(matrix[index], interval)))
+
+    @pytest.mark.parametrize("n", [16, 17, 96, 241])
+    @pytest.mark.parametrize("window", ["rectangular", "hann"])
+    @pytest.mark.parametrize("detrend", [False, True])
+    def test_matches_scalar_bit_for_bit(self, n, window, detrend):
+        estimator = NyquistEstimator(window=window, detrend=detrend,
+                                     aliased_band_fraction=1.0)
+        self.assert_identical(make_matrix(n, rows=10, seed=n), 30.0, estimator)
+
+    def test_dc_flat_tolerance_and_energy_fraction(self):
+        matrix = make_matrix(120, rows=12, seed=3)
+        matrix[5] = 100.0 + 1e-9 * np.arange(120)  # flat within tolerance
+        for estimator in (NyquistEstimator(include_dc=True),
+                          NyquistEstimator(flat_tolerance=1e-6, detrend=True),
+                          NyquistEstimator(energy_fraction=0.5, window="blackman")):
+            self.assert_identical(matrix, 7.5, estimator)
+
+    def test_welch_runs_through_the_scalar_path(self):
+        self.assert_identical(make_matrix(200, seed=4), 2.0, NyquistEstimator(psd_method="welch"))
+
+    def test_short_and_empty(self):
+        estimator = NyquistEstimator(min_samples=32)
+        self.assert_identical(np.zeros((3, 20)), 1.0, estimator)
+        assert estimator.estimate_rows(np.empty((0, 64)), 1.0) == []
+
+    def test_strided_input(self):
+        """Decimated (non-contiguous) views give the same answers as copies."""
+        matrix = make_matrix(400, rows=6, seed=9)
+        estimator = NyquistEstimator(detrend=True, window="hann")
+        strided = estimator.estimate_rows(matrix[:, ::3], 3.0)
+        copied = estimator.estimate_rows(np.array(matrix[:, ::3]), 3.0)
+        assert repr(strided) == repr(copied)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            NyquistEstimator().estimate_rows(np.zeros(16), 1.0)
+        with pytest.raises(ValueError):
+            NyquistEstimator().estimate_rows(np.zeros((2, 16)), 0.0)

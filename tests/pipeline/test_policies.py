@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.adaptive import AdaptiveSamplingController, ControllerMode
 from repro.core.errors import compare
 from repro.pipeline.policies import (AdaptiveDualRatePolicy, FixedRatePolicy,
                                      NyquistStaticPolicy, PolicySuite, SamplingPolicy,
@@ -84,38 +85,104 @@ class TestFinishGuard:
             FixedRatePolicy(100.0).evaluate_batch(values, 1.0)
 
 
+#: The adaptive policy under its default controller and under the paper
+#: suite's (start 8x below production, ceiling at production).
+ADAPTIVE_POLICIES = [
+    lambda: AdaptiveDualRatePolicy(window_duration=2 * 3600.0),
+    lambda: PolicySuite(production_oversample=4.0, adaptive_window=2 * 3600.0).build(7.5)[2],
+]
+
+
 class TestBatchEvaluation:
     """evaluate_batch (vectorised) must reproduce the scalar collect path."""
 
     @pytest.fixture(scope="class")
     def batch(self):
+        """12.5 h at 7.5 s: the last half hour is a partial 2 h window, dropped."""
         rng = np.random.default_rng(21)
+        duration = 45000.0
         rows = []
         for k in range(5):
+            # Different slow tones: rows settle at different rates, so
+            # later windows split the batch into several rate groups.
             trace = multi_tone([1.0 / (3600.0 * (k + 1)), 1.0 / 1800.0],
-                               duration=43200.0, sampling_rate=1.0 / 7.5,
+                               duration=duration, sampling_rate=1.0 / 7.5,
                                amplitudes=[8.0, 2.0], offset=40.0)
             rows.append(add_white_noise(trace, 0.05, rng=rng).values)
+        n = rows[0].size
+        rows.append(np.full(n, 40.0))                    # constant
+        rows.append(40.0 + 8.0 * rng.normal(size=n))     # broadband: pinned at the ceiling
         return np.vstack(rows), 7.5
+
+    @pytest.fixture(scope="class")
+    def coarse_batch(self):
+        """A 300 s metric: 2 h windows hold only 24 reference samples, so a
+        settled controller that halves its rate sees fewer than the
+        estimator's 16-sample minimum and takes the "trace too short" hold."""
+        rng = np.random.default_rng(22)
+        rows = [add_white_noise(multi_tone([1.0 / (3600.0 * (k + 8))], duration=86400.0,
+                                           sampling_rate=1.0 / 300.0, amplitudes=[3.0],
+                                           offset=20.0), 0.01, rng=rng).values
+                for k in range(4)]
+        return np.vstack(rows), 300.0
+
+    @staticmethod
+    def assert_matches_row_loop(policy: SamplingPolicy, values: np.ndarray,
+                                interval: float) -> None:
+        vectorised = policy.evaluate_batch(values, interval)
+        # The base-class default runs collect() row by row -- the scalar
+        # reference the vectorised overrides must reproduce, bit for bit.
+        reference = SamplingPolicy.evaluate_batch(policy, values, interval)
+        for column in ("samples_collected", "mean_sampling_rate", "nrmse", "max_abs_error"):
+            assert np.array_equal(getattr(vectorised, column), getattr(reference, column),
+                                  equal_nan=True), column
 
     @pytest.mark.parametrize("make_policy", [
         lambda: FixedRatePolicy(30.0),
         lambda: NyquistStaticPolicy(production_interval=30.0),
-        lambda: AdaptiveDualRatePolicy(window_duration=2 * 3600.0),
+        ADAPTIVE_POLICIES[0],
     ])
     def test_matches_scalar_reference(self, batch, make_policy):
         values, interval = batch
-        policy = make_policy()
-        vectorised = policy.evaluate_batch(values, interval)
-        # The base-class default runs collect() row by row -- the scalar
-        # reference the vectorised overrides must reproduce.
-        reference = SamplingPolicy.evaluate_batch(policy, values, interval)
-        assert np.array_equal(vectorised.samples_collected, reference.samples_collected)
-        assert np.allclose(vectorised.mean_sampling_rate, reference.mean_sampling_rate,
-                           rtol=1e-12)
-        assert np.allclose(vectorised.nrmse, reference.nrmse, rtol=1e-9, equal_nan=True)
-        assert np.allclose(vectorised.max_abs_error, reference.max_abs_error,
-                           rtol=1e-9, equal_nan=True)
+        self.assert_matches_row_loop(make_policy(), values, interval)
+
+    @pytest.mark.parametrize("fixture,make_policy", [
+        ("batch", ADAPTIVE_POLICIES[1]),
+        ("coarse_batch", ADAPTIVE_POLICIES[0]),
+        ("coarse_batch", ADAPTIVE_POLICIES[1]),
+    ])
+    def test_adaptive_matches_row_loop_exactly(self, request, fixture, make_policy):
+        values, interval = request.getfixturevalue(fixture)
+        self.assert_matches_row_loop(make_policy(), values, interval)
+
+    def test_fixtures_reach_every_controller_branch(self, batch, coarse_batch):
+        """Guards the exact-equality test above: the fixtures must drive the
+        stepper through each branch it has to get right."""
+        suite_policy = ADAPTIVE_POLICIES[1]()
+        values, interval = batch
+        runs = AdaptiveSamplingController(suite_policy.config).run_batch(
+            values, interval, suite_policy.window_duration)
+        # The partial last window is dropped: 6 full 2 h windows of 12.5 h.
+        assert all(len(run.decisions) == 6 for run in runs)
+        # Rows split into several rate groups within one window.
+        assert any(len({run.decisions[w].sampling_rate for run in runs}) > 2
+                   for w in range(6))
+        # The broadband row ramps to its ceiling and settles there through
+        # the pinned-probe rule instead of probing forever.
+        pinned = runs[6].decisions[-1]
+        assert pinned.mode is ControllerMode.STEADY
+        assert pinned.sampling_rate == suite_policy.config.max_rate == pinned.next_rate
+
+        values, interval = coarse_batch
+        policy = ADAPTIVE_POLICIES[0]()
+        runs = AdaptiveSamplingController(policy.config).run_batch(
+            values, interval, policy.window_duration)
+        held = [decision for run in runs for decision in run.decisions
+                if decision.mode is ControllerMode.STEADY
+                and decision.samples_collected < 16
+                and np.isnan(decision.nyquist_estimate)
+                and decision.next_rate == decision.sampling_rate]
+        assert held, "no window took the 'trace too short' hold"
 
     def test_rejects_non_matrix_input(self):
         with pytest.raises(ValueError, match="matrix"):

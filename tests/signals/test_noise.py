@@ -85,3 +85,17 @@ class TestNoiseFloor:
     def test_rejects_bad_quantile(self):
         with pytest.raises(ValueError):
             noise.noise_floor_estimate(np.array([1.0]), quantile=1.5)
+
+    def test_row_floors_match_scalar_bit_for_bit(self):
+        power = np.random.default_rng(5).exponential(size=(9, 37))
+        for quantile in (0.0, 0.25, 0.5, 0.9):
+            floors = noise.noise_floor_estimates(power, quantile=quantile)
+            assert [noise.noise_floor_estimate(row, quantile=quantile) for row in power] == \
+                floors.tolist()
+
+    def test_row_floors_edge_cases(self):
+        assert noise.noise_floor_estimates(np.empty((3, 0))).tolist() == [0.0, 0.0, 0.0]
+        with pytest.raises(ValueError):
+            noise.noise_floor_estimates(np.ones(4))
+        with pytest.raises(ValueError):
+            noise.noise_floor_estimates(np.ones((2, 4)), quantile=-0.1)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.signals.spectrum import Spectrum
+from repro.signals.spectrum import Spectrum, SpectrumBatch
 
 
 def make_spectrum(power=None, frequencies=None, fs=10.0):
@@ -121,3 +121,34 @@ class TestSpectrumUtilities:
     def test_interpolate_power_empty(self):
         spectrum = Spectrum(np.empty(0), np.empty(0), 10.0)
         np.testing.assert_allclose(spectrum.interpolate_power([1.0, 2.0]), [0.0, 0.0])
+
+
+class TestSpectrumBatchRowHelpers:
+    """SpectrumBatch.band / interpolate_power mirror the per-row Spectrum methods."""
+
+    @staticmethod
+    def make_batch() -> SpectrumBatch:
+        power = np.random.default_rng(3).exponential(size=(4, 6))
+        return SpectrumBatch(np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]), power, 10.0)
+
+    def test_band_matches_rows(self):
+        batch = self.make_batch()
+        band = batch.band(1.0, 3.0)
+        for index in range(len(batch)):
+            expected = batch.row(index).band(1.0, 3.0)
+            np.testing.assert_array_equal(band.frequencies, expected.frequencies)
+            np.testing.assert_array_equal(band.power[index], expected.power)
+        with pytest.raises(ValueError):
+            batch.band(3.0, 1.0)
+
+    def test_interpolate_power_matches_rows(self):
+        batch = self.make_batch()
+        grid = [0.25, 1.5, 4.75, 7.0]
+        interpolated = batch.interpolate_power(grid)
+        for index in range(len(batch)):
+            np.testing.assert_array_equal(interpolated[index],
+                                          batch.row(index).interpolate_power(grid))
+
+    def test_interpolate_power_empty(self):
+        batch = SpectrumBatch(np.empty(0), np.empty((2, 0)), 10.0)
+        np.testing.assert_array_equal(batch.interpolate_power([1.0, 2.0]), np.zeros((2, 2)))
