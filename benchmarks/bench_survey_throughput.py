@@ -298,14 +298,18 @@ def test_worker_serialisation_modes(tmp_path):
 
 
 def test_backends_equivalent_on_default_survey():
-    """CLI-default 280-pair survey: record-for-record backend equivalence."""
+    """CLI-default 280-pair survey: record for record, the per-trace reference."""
     dataset = FleetDataset(DatasetConfig(pair_count=280, seed=7))
-    scalar = run_survey(dataset, backend="scalar")
-    batched = run_survey(dataset, backend="batched")
-    assert len(scalar.records) == len(batched.records) == 280
-    for a, b in zip(scalar.records, batched.records):
-        assert (a.metric_name, a.device_id) == (b.metric_name, b.device_id)
-        assert a.category is b.category
-        assert a.reliable == b.reliable
-        assert np.isclose(a.nyquist_rate, b.nyquist_rate)
-    assert scalar.headline() == batched.headline()
+    estimator = NyquistEstimator()
+    batched = run_survey(dataset, estimator=estimator)
+    reference = [(pair, trace, estimator.estimate(trace))
+                 for metric in dataset.metric_names()
+                 for pair, trace in dataset.traces(metric)]
+    assert len(batched.records) == len(reference) == 280
+    for record, (pair, trace, estimate) in zip(batched.records, reference):
+        assert (record.metric_name, record.device_id) == pair.key
+        assert record.current_rate == trace.sampling_rate
+        assert record.reliable == estimate.reliable
+        assert np.isclose(record.nyquist_rate, estimate.nyquist_rate)
+        if estimate.reliable:
+            assert np.isclose(record.reduction_ratio, estimate.reduction_ratio)

@@ -35,8 +35,6 @@ def main() -> None:
     parser.add_argument("--pairs", type=int, default=280,
                         help="number of metric-device pairs (paper: 1613)")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--backend", choices=["batched", "scalar"], default="batched",
-                        help="spectral engine (batched = vectorised fleet-scale path)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for trace generation + estimation")
     parser.add_argument("--chunk-size", type=int, default=1024,
@@ -48,7 +46,7 @@ def main() -> None:
 
     dataset = FleetDataset(DatasetConfig(pair_count=args.pairs, seed=args.seed))
     sink = SpillingRecordSink(args.spill_dir) if args.spill_dir is not None else None
-    survey = run_survey(dataset, backend=args.backend, workers=args.workers,
+    survey = run_survey(dataset, workers=args.workers,
                         chunk_size=args.chunk_size, sink=sink)
 
     print(f"Surveyed {len(survey)} metric-device pairs across {len(survey.metrics())} metrics\n")

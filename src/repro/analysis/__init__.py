@@ -4,11 +4,11 @@ from .policy_survey import PolicySurveyResult, run_policy_survey
 from .reporting import (BoxStats, ascii_bar_chart, ascii_cdf, box_stats, cdf_at,
                         empirical_cdf, format_table, write_csv)
 from .survey import (MemoryRecordSink, PairCategory, PairRecord, RecordBlock, RecordSink,
-                     SpillingRecordSink, SurveyBackend, SurveyResult, WindowedPairSummary,
+                     SpillingRecordSink, SurveyResult, WindowedPairSummary,
                      run_survey, run_windowed_survey)
 
 __all__ = [
-    "run_survey", "SurveyResult", "PairRecord", "PairCategory", "SurveyBackend",
+    "run_survey", "SurveyResult", "PairRecord", "PairCategory",
     "RecordBlock", "RecordSink", "MemoryRecordSink", "SpillingRecordSink",
     "run_windowed_survey", "WindowedPairSummary",
     "run_policy_survey", "PolicySurveyResult",

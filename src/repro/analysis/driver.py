@@ -1,0 +1,327 @@
+"""The slice driver: one execution loop for both fleet surveys.
+
+:func:`~repro.analysis.survey.run_survey` and
+:func:`~repro.analysis.policy_survey.run_policy_survey` differ only in what
+they compute from a :class:`~repro.telemetry.source.TraceBatch`.  Each
+passes a small picklable :class:`SliceEvaluator` -- its store fingerprint
+kind, its analysis-parameter token, its failure-stage label and an
+``evaluate(metric_name, batch) -> blocks`` function -- and
+:func:`run_slices` does everything else:
+
+* **Slicing.**  Every metric's pair list is cut at ``chunk_size``
+  boundaries (:func:`~repro.telemetry.source.batch_offsets`).  Every
+  execution mode works on these same slices, so block boundaries -- and
+  hence spill files -- are identical at any worker count, with or without
+  a store or quarantine, even when one metric mixes (length, interval)
+  shapes.
+* **Store.**  With a :class:`~repro.records.RecordStore`, each slice is
+  fingerprinted (:func:`~repro.records.fingerprint_slice`) and hits are
+  served as memory-mapped blocks; only misses are computed, then
+  published.  Quarantined slices are never cached.
+* **Execution.**  Misses run inline (``workers=1``) or on a process pool
+  through :func:`~repro.faults.run_batch_tasks`.  Pool workers receive a
+  picklable task (the source's ``worker_spec()``, the evaluator and the
+  slice address), re-open the source once per process and, when the
+  parent re-serialises blocks anyway, return ``.rcb`` scratch-file refs
+  instead of pickled arrays.
+* **Failures.**  ``on_error="raise"`` propagates the first failure.
+  ``"quarantine"`` retries transient (IO-shaped) failures within the
+  :class:`~repro.faults.RetryPolicy` budget, then salvages the slice pair
+  by pair: traces are loaded one at a time, loadable pairs are regrouped
+  into equal-shape batches in pair order, and a group is re-evaluated row
+  by row only if its evaluation raises.  Healthy rows stay byte-identical
+  to a clean run; every failed pair becomes a
+  :class:`~repro.records.FailureRecord`.
+* **Order.**  Blocks are appended in slice order whatever the mix of
+  hits, pooled results and salvages.
+"""
+
+from __future__ import annotations
+
+import itertools
+import shutil
+from pathlib import Path
+from typing import Any, Callable, Literal, Protocol, Sequence
+
+import numpy as np
+
+from ..faults.execution import (RETRYABLE_EXCEPTIONS, BatchExecutionError, RetryPolicy,
+                                run_batch_tasks)
+from ..records import (BlockFileRef, ColumnarBlock, FailureRecord, RecordSink, RecordStore,
+                       SpillingRecordSink, fingerprint_slice)
+from ..telemetry.source import TraceBatch, TraceSource, WorkerSpec, batch_offsets
+
+__all__ = ["OnError", "SliceEvaluator", "run_slices"]
+
+#: Failure handling of the fleet pipelines: fail fast (the default, the
+#: historical behaviour) or quarantine failing pairs as
+#: :class:`~repro.records.FailureRecord` rows and finish the healthy ones.
+OnError = Literal["raise", "quarantine"]
+
+
+class SliceEvaluator(Protocol):
+    """What one pipeline computes per trace batch; must pickle for workers."""
+
+    @property
+    def kind(self) -> str:
+        """Store fingerprint kind (``"survey"`` / ``"policy"``); also names tasks."""
+
+    @property
+    def stage(self) -> str:
+        """Failure-record stage of an ``evaluate`` error."""
+
+    def params_token(self) -> str:
+        """Analysis-parameter half of a slice fingerprint (store runs only)."""
+
+    def evaluate(self, metric_name: str, batch: TraceBatch) -> list[Any]:
+        """Columnar result blocks of one equal-shape batch."""
+
+
+class _ResultFeed(Protocol):
+    """The part of a survey result the driver writes to."""
+
+    cache_hits: int
+    cache_misses: int
+
+    @property
+    def sink(self) -> RecordSink: ...
+
+    def append_block(self, block: Any) -> None: ...
+
+    def append_failures(self, failures: Sequence[FailureRecord]) -> None: ...
+
+
+#: Per-worker-process source cache: re-opening the source once per process
+#: instead of once per task keeps tasks cheap (worker specs are hashable
+#: frozen dataclasses, so the spec doubles as the cache key).
+_WORKER_SOURCES: dict[WorkerSpec, TraceSource] = {}
+
+#: A slice address: (metric name, offset, limit).
+_Slice = tuple[str, int, int]
+
+
+def _slice_blocks(source: TraceSource, evaluator: SliceEvaluator, metric_name: str,
+                  offset: int, limit: int, chunk_size: int) -> list[Any]:
+    """Evaluate one pair slice, batch by batch, into columnar blocks."""
+    blocks: list[Any] = []
+    for batch in source.trace_batches(metric_name, limit=limit, offset=offset,
+                                      chunk_size=chunk_size):
+        blocks.extend(evaluator.evaluate(metric_name, batch))
+    return blocks
+
+
+def _spill_task_blocks(blocks: Sequence[ColumnarBlock], scratch: str, tag: int
+                       ) -> list[BlockFileRef]:
+    """Write a worker's result blocks as scratch rcb files, return the refs.
+
+    The refs are a few dozen bytes each, so the pool's result pipe ships
+    pointers instead of pickled column arrays when a spilling sink or
+    record store re-serialises the blocks anyway.
+    """
+    refs: list[BlockFileRef] = []
+    for index, block in enumerate(blocks):
+        path = Path(scratch) / f"slice-{tag:05d}-{index:03d}.rcb"
+        block.save_rcb(path)
+        refs.append(BlockFileRef(str(path)))
+    return refs
+
+
+def _materialise_blocks(outcome: Sequence) -> list:
+    """Resolve a worker outcome into blocks, loading spill-file refs.
+
+    Referenced scratch files are unlinked right after the mmap is opened
+    (the mapping keeps the data alive), so the scratch directory never
+    holds more than the in-flight results.
+    """
+    blocks = []
+    for item in outcome:
+        if isinstance(item, BlockFileRef):
+            blocks.append(item.load())
+            Path(item.path).unlink(missing_ok=True)
+        else:
+            blocks.append(item)
+    return blocks
+
+
+def _slice_worker(task: tuple) -> list:
+    """Process-pool entry point: serve one pair slice and evaluate it.
+
+    ``task`` is ``(worker_spec, evaluator, metric_name, offset, limit,
+    chunk_size, spill)``.  The worker re-opens the trace source from the
+    spec (a synthetic fleet regenerates from its config, a measured fleet
+    re-reads its manifest), so no trace data crosses the process boundary.
+    With ``spill`` set (a ``(scratch_dir, slice_index)`` pair), blocks
+    return as ``.rcb`` file refs.  A slice address outside the source's
+    pair list raises instead of silently dropping records.
+
+    Failures surface as :class:`~repro.faults.BatchExecutionError` naming
+    the batch spec, with IO-shaped errors marked retryable.
+    """
+    spec, evaluator, metric_name, offset, limit, chunk_size, spill = task
+    try:
+        source = _WORKER_SOURCES.get(spec)
+        if source is None:
+            source = spec.open()
+            _WORKER_SOURCES[spec] = source
+        blocks = _slice_blocks(source, evaluator, metric_name, offset, limit, chunk_size)
+        return blocks if spill is None else _spill_task_blocks(blocks, *spill)
+    except Exception as error:
+        raise BatchExecutionError.wrap(
+            error, f"{evaluator.kind} batch (source={spec}, metric={metric_name!r}, "
+                   f"offset={offset}, limit={limit})") from error
+
+
+def _batch_of(rows: Sequence[tuple[int, Any, Any]]) -> TraceBatch:
+    """Stack equal-shape ``(position, pair, trace)`` rows into one batch."""
+    return TraceBatch(tuple(pair for _, pair, _ in rows),
+                      np.vstack([trace.values for _, _, trace in rows]), rows[0][2].interval)
+
+
+def _quarantine_slice(source: TraceSource, evaluator: SliceEvaluator, result: _ResultFeed,
+                      address: _Slice) -> None:
+    """Per-pair salvage of one failed slice.
+
+    Pairs whose trace does not load fail at stage ``"trace"``.  The rest
+    are regrouped into consecutive equal-shape batches; a group whose
+    evaluation raises is re-run row by row, and only the rows that still
+    raise fail, at the evaluator's stage.  Evaluation is row-independent,
+    so surviving rows match a clean run bit for bit, and the outcome is a
+    pure function of the slice address, so every worker count salvages
+    the same blocks and failures.
+    """
+    metric_name, offset, limit = address
+    failures: list[tuple[int, FailureRecord]] = []
+    loaded: list[tuple[int, Any, Any]] = []
+    pairs = source.pairs_for_metric(metric_name)[offset:offset + limit]
+    for position, pair in enumerate(pairs, start=offset):
+        try:
+            loaded.append((position, pair, source.load(pair)))
+        except Exception as error:
+            failures.append((position, FailureRecord.from_pair(pair, metric_name, "trace",
+                                                               error, position)))
+    for _, rows in itertools.groupby(loaded, key=lambda row: (len(row[2]), row[2].interval)):
+        group = list(rows)
+        try:
+            blocks = evaluator.evaluate(metric_name, _batch_of(group))
+        except Exception:
+            blocks = _quarantine_rows(evaluator, metric_name, group, failures)
+        for block in blocks:
+            result.append_block(block)
+    result.append_failures([failure for _, failure in sorted(failures,
+                                                             key=lambda item: item[0])])
+
+
+def _quarantine_rows(evaluator: SliceEvaluator, metric_name: str,
+                     group: Sequence[tuple[int, Any, Any]],
+                     failures: list[tuple[int, FailureRecord]]) -> list[Any]:
+    """Re-run a failed group one row at a time, recording the rows that fail."""
+    blocks: list[Any] = []
+    for row in group:
+        position, pair, _ = row
+        try:
+            blocks.extend(evaluator.evaluate(metric_name, _batch_of([row])))
+        except Exception as error:
+            failures.append((position, FailureRecord.from_pair(
+                pair, metric_name, evaluator.stage, error, position)))
+    return blocks
+
+
+def _evaluate_inline(source: TraceSource, evaluator: SliceEvaluator, result: _ResultFeed,
+                     address: _Slice, chunk_size: int, on_error: OnError,
+                     retry: RetryPolicy, sleep: Callable[[float], None]) -> list[Any] | None:
+    """Evaluate one slice in this process under the run's error policy.
+
+    Returns the slice's blocks, or ``None`` once quarantine has salvaged
+    the slice (the salvage appends its own blocks and failures).
+    """
+    metric_name, offset, limit = address
+    if on_error == "raise":
+        return _slice_blocks(source, evaluator, metric_name, offset, limit, chunk_size)
+    for attempt in range(1, retry.max_attempts + 1):
+        try:
+            return _slice_blocks(source, evaluator, metric_name, offset, limit, chunk_size)
+        except RETRYABLE_EXCEPTIONS:
+            if attempt < retry.max_attempts:
+                sleep(retry.delay(attempt))
+                continue
+            _quarantine_slice(source, evaluator, result, address)
+        except Exception:
+            _quarantine_slice(source, evaluator, result, address)
+        return None
+    return None
+
+
+def run_slices(source: TraceSource, evaluator: SliceEvaluator, result: _ResultFeed,
+               metric_names: Sequence[str], limit_per_metric: int | None, chunk_size: int,
+               workers: int, on_error: OnError, store: RecordStore | None,
+               retry: RetryPolicy, sleep: Callable[[float], None]) -> None:
+    """Run ``evaluator`` over every ``chunk_size`` slice of ``source`` into ``result``.
+
+    See the module docstring for the loop.  ``result.cache_hits`` /
+    ``cache_misses`` count the pairs served from and recomputed past
+    ``store`` (both stay 0 without one).
+    """
+    slices = [(metric_name, offset, limit) for metric_name in metric_names
+              for offset, limit in batch_offsets(source, metric_name, limit_per_metric,
+                                                 chunk_size)]
+    fingerprints: list[Any] = [None] * len(slices)
+    cached: list[list[Any] | None] = [None] * len(slices)
+    if store is not None:
+        params_token = evaluator.params_token()
+        for index, (metric_name, offset, limit) in enumerate(slices):
+            fingerprints[index] = fingerprint_slice(evaluator.kind, source, metric_name,
+                                                    offset, limit, chunk_size, params_token)
+            cached[index] = store.get(fingerprints[index])
+
+    # Workers return .rcb spill-file refs instead of pickled arrays when the
+    # parent re-serialises the blocks anyway (store writes, spilling sinks);
+    # the scratch directory lives next to the destination.
+    scratch: Path | None = None
+    if workers > 1:
+        if store is not None:
+            scratch = store.directory / ".scratch"
+        elif isinstance(result.sink, SpillingRecordSink):
+            scratch = result.sink.directory / ".scratch"
+    try:
+        outcomes = None
+        if workers > 1:
+            if scratch is not None:
+                scratch.mkdir(parents=True, exist_ok=True)
+            spec = source.worker_spec()
+            tasks = [(spec, evaluator, metric_name, offset, limit, chunk_size,
+                      None if scratch is None else (str(scratch), index))
+                     for index, (metric_name, offset, limit) in enumerate(slices)
+                     if cached[index] is None]
+            outcomes = run_batch_tasks(_slice_worker, tasks, workers, retry=retry,
+                                       sleep=sleep)
+
+        for index, address in enumerate(slices):
+            hit = cached[index]
+            if hit is not None:
+                result.cache_hits += address[2]
+                for block in hit:
+                    result.append_block(block)
+                continue
+            if store is not None:
+                result.cache_misses += address[2]
+            if outcomes is None:
+                blocks = _evaluate_inline(source, evaluator, result, address, chunk_size,
+                                          on_error, retry, sleep)
+            else:
+                _, outcome = next(outcomes)
+                if isinstance(outcome, BatchExecutionError):
+                    if on_error == "raise":
+                        raise outcome
+                    _quarantine_slice(source, evaluator, result, address)
+                    blocks = None
+                else:
+                    blocks = _materialise_blocks(outcome)
+            if blocks is None:
+                continue
+            if store is not None:
+                store.put(fingerprints[index], blocks)
+            for block in blocks:
+                result.append_block(block)
+    finally:
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)

@@ -8,8 +8,11 @@ what each policy costs (samples collected, hop-weighted bytes moved,
 storage, analysis) and what quality it returns (reconstruction error
 against the reference trace).
 
-The pipeline mirrors :func:`repro.analysis.survey.run_survey` feature for
-feature:
+Execution -- slicing, the worker pool, the record store, retry and
+quarantine -- is the slice driver shared with
+:func:`repro.analysis.survey.run_survey` (:mod:`repro.analysis.driver`);
+this module supplies the per-batch evaluate-and-price step.  What the
+pipeline offers:
 
 * **Columnar storage.**  Each (metric batch, policy) produces one
   :class:`~repro.pipeline.evaluation.PolicyRecordBlock`; aggregations are
@@ -25,8 +28,8 @@ feature:
   specs (the source's ``worker_spec()`` plus a pair-slice address, the
   policy suite recipe and the pricing accountant), re-open the source
   locally and return compact columnar blocks.  Records are byte-identical
-  to ``workers=1`` because slices land on the sequential ``chunk_size``
-  boundaries, exactly like the Nyquist survey.
+  to ``workers=1`` because every mode works on the same ``chunk_size``
+  pair slices.
 * **Vectorised hot loops.**  Policies are evaluated through
   :meth:`~repro.pipeline.policies.SamplingPolicy.evaluate_batch`: the
   fixed-rate baseline and the Nyquist-static policy run as a handful of
@@ -46,23 +49,19 @@ counts -- the end-to-end wiring of :mod:`repro.network`.
 
 from __future__ import annotations
 
-import shutil
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
-from ..faults.execution import (RETRYABLE_EXCEPTIONS, BatchExecutionError, RetryPolicy,
-                                run_batch_tasks)
+from ..faults.execution import RetryPolicy
 from ..network.cost import TelemetryCostAccountant
 from ..pipeline.evaluation import PointEvaluation, PolicyRecordBlock
 from ..pipeline.policies import PolicySuite, SamplingPolicy, StaticPolicySuite
-from ..records import (FailureRecord, FailureRecordBlock, MemoryRecordSink,
-                       RecordSink, RecordStore, SpillingRecordSink, fingerprint_slice)
-from ..telemetry.source import TraceBatch, TraceSource, WorkerSpec, batch_offsets
-from .survey import OnError, _materialise_blocks, _spill_task_blocks
+from ..records import FailureRecord, FailureRecordBlock, MemoryRecordSink, RecordSink, RecordStore
+from ..telemetry.source import TraceBatch, TraceSource
+from .driver import OnError, run_slices
 
 __all__ = ["PolicySurveyResult", "run_policy_survey", "OnError"]
 
@@ -274,315 +273,34 @@ def _coerce_suite(
     return StaticPolicySuite(tuple(policies))
 
 
-def _evaluate_batch_blocks(metric_name: str, batch: TraceBatch,
-                           suite: PolicySuite | StaticPolicySuite,
-                           accountant: TelemetryCostAccountant
-                           ) -> list[PolicyRecordBlock]:
-    """Evaluate every policy of the suite on one trace batch and price it."""
-    devices = [pair.device.device_id for pair in batch.pairs]
-    blocks = []
-    for policy in suite.build(batch.interval):
-        evaluation = policy.evaluate_batch(batch.values, batch.interval)
-        priced = accountant.price_sample_block(devices, evaluation.samples_collected)
-        blocks.append(PolicyRecordBlock.from_batch(metric_name, evaluation,
-                                                   devices, priced))
-    return blocks
+@dataclass(frozen=True)
+class _PolicyEvaluator:
+    """The policy survey's per-batch step for the slice driver: evaluate and price."""
 
+    suite: PolicySuite | StaticPolicySuite
+    accountant: TelemetryCostAccountant
 
-#: Per-worker-process source cache, keyed by the hashable worker spec --
-#: the same idiom as the Nyquist survey's worker pool.
-_WORKER_SOURCES: dict[WorkerSpec, TraceSource] = {}
+    kind: ClassVar[str] = "policy"
+    stage: ClassVar[str] = "evaluate"
 
+    def params_token(self) -> str:
+        token = getattr(self.suite, "cache_token", None)
+        if token is None:
+            raise ValueError(
+                f"policy suite {type(self.suite).__name__} does not define cache_token(); "
+                "store-backed policy surveys need a deterministic parameter fingerprint")
+        return f"{token()}|{self.accountant.cache_token()}"
 
-def _policy_slice_blocks(source: TraceSource, metric_name: str, offset: int,
-                         limit: int | None,
-                         suite: PolicySuite | StaticPolicySuite,
-                         accountant: TelemetryCostAccountant,
-                         chunk_size: int) -> list[PolicyRecordBlock]:
-    """Evaluate and price one pair slice, compacted into columnar blocks."""
-    blocks: list[PolicyRecordBlock] = []
-    for batch in source.trace_batches(metric_name, limit=limit, offset=offset,
-                                      chunk_size=chunk_size):
-        blocks.extend(_evaluate_batch_blocks(metric_name, batch, suite, accountant))
-    return blocks
-
-
-def _policy_worker(task: tuple) -> list:
-    """Process-pool entry point: serve one pair slice, evaluate, price, compact.
-
-    ``task`` is a picklable batch spec ``(worker_spec, metric_name,
-    offset, limit, suite, accountant, chunk_size, spill)``; the worker
-    re-opens the trace source locally from the spec, runs the batched
-    policy evaluation and the vectorised pricing, and returns compact
-    columnar blocks -- no trace data crosses the process boundary.  With
-    ``spill`` set (a ``(scratch_dir, task_tag)`` pair, used when the
-    parent re-serialises blocks anyway), the blocks are written as
-    scratch ``.rcb`` files and only
-    :class:`~repro.records.BlockFileRef` pointers return through the
-    pipe.  A slice address outside the source's pair list raises instead
-    of silently dropping records.
-
-    Failures surface as :class:`~repro.faults.BatchExecutionError` naming
-    the batch spec (source, metric, offset, limit) -- never a bare
-    traceback from the pool -- with IO-shaped errors marked retryable.
-    """
-    (spec, metric_name, offset, limit, suite, accountant, chunk_size, spill) = task
-    context = (f"policy batch (source={spec}, metric={metric_name!r}, "
-               f"offset={offset}, limit={limit})")
-    try:
-        source = _WORKER_SOURCES.get(spec)
-        if source is None:
-            source = spec.open()
-            _WORKER_SOURCES[spec] = source
-        blocks = _policy_slice_blocks(source, metric_name, offset, limit, suite,
-                                      accountant, chunk_size)
-        if spill is None:
-            return blocks
-        return _spill_task_blocks(blocks, spill, "policy")
-    except Exception as error:
-        raise BatchExecutionError.wrap(error, context) from error
-
-
-def _quarantine_policy_slice(source: TraceSource, result: PolicySurveyResult,
-                             metric_name: str, offset: int, limit: int | None,
-                             suite: PolicySuite | StaticPolicySuite,
-                             accountant: TelemetryCostAccountant) -> None:
-    """Per-pair salvage of one failed batch slice.
-
-    Traces are loaded pair by pair; loadable pairs are re-assembled into
-    one survivor batch and evaluated/priced together (policy evaluation
-    is row-independent, so survivor records match the no-fault run),
-    while unloadable pairs become failure rows.  Should the survivor
-    *evaluation* itself fail, the whole survivor batch is quarantined at
-    stage ``"evaluate"`` -- the evaluation is batched, so per-pair blame
-    is not available there.
-    """
-    pairs = source.pairs_for_metric(metric_name)[offset:offset + limit]
-    survivors: list = []
-    values: list[np.ndarray] = []
-    failures: list[FailureRecord] = []
-    positions: list[int] = []
-    interval = 0.0
-    for position, pair in enumerate(pairs):
-        try:
-            trace = source.load(pair)
-        except Exception as error:
-            failures.append(FailureRecord.from_pair(pair, metric_name, "trace", error,
-                                                    offset + position))
-            continue
-        survivors.append(pair)
-        values.append(trace.values)
-        positions.append(offset + position)
-        interval = trace.interval
-    if survivors:
-        batch = TraceBatch(tuple(survivors), np.vstack(values), interval)
-        try:
-            blocks = _evaluate_batch_blocks(metric_name, batch, suite, accountant)
-        except Exception as error:
-            failures.extend(
-                FailureRecord.from_pair(pair, metric_name, "evaluate", error, position)
-                for pair, position in zip(survivors, positions))
-            blocks = []
-        for block in blocks:
-            result.append_block(block)
-    result.append_failures(sorted(failures, key=lambda f: f.provenance))
-
-
-def _policy_slice_or_quarantine(source: TraceSource, result: PolicySurveyResult,
-                                metric_name: str, offset: int, limit: int,
-                                suite: PolicySuite | StaticPolicySuite,
-                                accountant: TelemetryCostAccountant,
-                                chunk_size: int, on_error: OnError,
-                                retry: RetryPolicy,
-                                sleep: Callable[[float], None]
-                                ) -> list[PolicyRecordBlock] | None:
-    """Serve one slice sequentially under the run's error policy.
-
-    With ``on_error="raise"`` the first failure propagates; with
-    ``"quarantine"`` a transiently failing slice is retried under the
-    policy's budget and, once exhausted -- or immediately for content
-    errors -- salvaged pair by pair (returning ``None``: the salvage
-    appends its blocks and failures to ``result`` itself).
-    """
-    if on_error == "raise":
-        return _policy_slice_blocks(source, metric_name, offset, limit, suite,
-                                    accountant, chunk_size)
-    for attempt in range(1, retry.max_attempts + 1):
-        try:
-            return _policy_slice_blocks(source, metric_name, offset, limit,
-                                        suite, accountant, chunk_size)
-        except RETRYABLE_EXCEPTIONS:
-            if attempt < retry.max_attempts:
-                sleep(retry.delay(attempt))
-                continue
-            _quarantine_policy_slice(source, result, metric_name, offset, limit,
-                                     suite, accountant)
-            return None
-        except Exception:
-            _quarantine_policy_slice(source, result, metric_name, offset, limit,
-                                     suite, accountant)
-            return None
-    return None
-
-
-def _run_policy_survey_quarantined(source: TraceSource, result: PolicySurveyResult,
-                                   suite: PolicySuite | StaticPolicySuite,
-                                   accountant: TelemetryCostAccountant,
-                                   metric_names: Sequence[str],
-                                   limit_per_metric: int | None, chunk_size: int,
-                                   retry: RetryPolicy,
-                                   sleep: Callable[[float], None]) -> None:
-    """Sequential quarantine execution: batch isolation at chunk boundaries.
-
-    The policy-survey mirror of the Nyquist survey's quarantine loop:
-    identical slice addresses at any worker count, bounded retry for
-    transient errors, per-pair salvage once a slice stays failed.
-    """
-    for metric_name in metric_names:
-        for offset, limit in batch_offsets(source, metric_name, limit_per_metric,
-                                           chunk_size):
-            blocks = _policy_slice_or_quarantine(
-                source, result, metric_name, offset, limit, suite, accountant,
-                chunk_size, "quarantine", retry, sleep)
-            if blocks is None:
-                continue
-            for block in blocks:
-                result.append_block(block)
-
-
-def _run_policy_survey_parallel(source: TraceSource, result: PolicySurveyResult,
-                                suite: PolicySuite | StaticPolicySuite,
-                                accountant: TelemetryCostAccountant,
-                                metric_names: Sequence[str],
-                                limit_per_metric: int | None, chunk_size: int,
-                                workers: int, on_error: OnError,
-                                retry: RetryPolicy,
-                                sleep: Callable[[float], None],
-                                scratch_dir: Path | None = None) -> None:
-    """Fan policy evaluation out to a process pool, in survey order.
-
-    Tasks slice each metric's pair list at ``chunk_size`` boundaries --
-    exactly where the sequential ``trace_batches`` iteration flushes --
-    so the reassembled blocks are byte-identical to a ``workers=1`` run.
-    This assumes every trace within one metric shares a (length,
-    interval) shape, which holds for all shipped sources (synthetic
-    fleets, their exports, deployment sources); a hand-written measured
-    manifest mixing shapes inside a metric would still evaluate every
-    row identically but flush blocks at the shape changes when
-    sequential, so its spill-file boundaries would differ from a pooled
-    run.
-
-    Execution runs through :func:`~repro.faults.run_batch_tasks`
-    (bounded retry, broken-pool resubmit); a batch that stays failed is
-    raised or salvaged pair by pair on the parent's source, mirroring
-    the Nyquist survey.
-    """
-    spec = source.worker_spec()
-    tasks = []
-    addresses = []
-    for metric_name in metric_names:
-        for offset, limit in batch_offsets(source, metric_name, limit_per_metric,
-                                           chunk_size):
-            spill = None if scratch_dir is None else (str(scratch_dir), len(tasks))
-            tasks.append((spec, metric_name, offset, limit, suite, accountant,
-                          chunk_size, spill))
-            addresses.append((metric_name, offset, limit))
-    for index, outcome in run_batch_tasks(_policy_worker, tasks, workers,
-                                          retry=retry, sleep=sleep):
-        if isinstance(outcome, BatchExecutionError):
-            if on_error == "raise":
-                raise outcome
-            metric_name, offset, limit = addresses[index]
-            _quarantine_policy_slice(source, result, metric_name, offset, limit,
-                                     suite, accountant)
-            continue
-        for block in _materialise_blocks(outcome):
-            result.append_block(block)
-
-
-def _policy_params_token(suite: PolicySuite | StaticPolicySuite,
-                         accountant: TelemetryCostAccountant) -> str:
-    """Analysis-parameter half of a policy slice's fingerprint."""
-    token = getattr(suite, "cache_token", None)
-    if token is None:
-        raise ValueError(
-            f"policy suite {type(suite).__name__} does not define cache_token(); "
-            "store-backed policy surveys need a deterministic parameter fingerprint")
-    return f"{token()}|{accountant.cache_token()}"
-
-
-def _run_policy_survey_with_store(source: TraceSource, result: PolicySurveyResult,
-                                  store: RecordStore,
-                                  suite: PolicySuite | StaticPolicySuite,
-                                  accountant: TelemetryCostAccountant,
-                                  metric_names: Sequence[str],
-                                  limit_per_metric: int | None, chunk_size: int,
-                                  workers: int, on_error: OnError,
-                                  retry: RetryPolicy,
-                                  sleep: Callable[[float], None],
-                                  scratch_dir: Path | None) -> None:
-    """Store-backed execution: serve cached slices, recompute only misses.
-
-    The policy-survey mirror of the Nyquist survey's store runner: each
-    ``chunk_size`` slice is fingerprinted over its pair contents, the
-    suite's and accountant's ``cache_token()``; hits are appended as
-    memory-mapped blocks without loading a trace, misses run exactly as a
-    store-less run would (pooled or sequential) then written back.
-    Quarantined slices are never cached.
-    """
-    params_token = _policy_params_token(suite, accountant)
-    slices: list[tuple[str, int, int]] = []
-    fingerprints: list = []
-    cached: list = []
-    for metric_name in metric_names:
-        for offset, limit in batch_offsets(source, metric_name, limit_per_metric,
-                                           chunk_size):
-            fingerprint = fingerprint_slice("policy", source, metric_name, offset,
-                                            limit, chunk_size, params_token)
-            slices.append((metric_name, offset, limit))
-            fingerprints.append(fingerprint)
-            cached.append(store.get(fingerprint))
-
-    outcomes = None
-    if workers > 1:
-        spec = source.worker_spec()
-        tasks = []
-        for index, (metric_name, offset, limit) in enumerate(slices):
-            if cached[index] is not None:
-                continue
-            spill = None if scratch_dir is None else (str(scratch_dir), index)
-            tasks.append((spec, metric_name, offset, limit, suite, accountant,
-                          chunk_size, spill))
-        outcomes = run_batch_tasks(_policy_worker, tasks, workers,
-                                   retry=retry, sleep=sleep)
-
-    for index, (metric_name, offset, limit) in enumerate(slices):
-        hit = cached[index]
-        if hit is not None:
-            result.cache_hits += limit
-            for block in hit:
-                result.append_block(block)
-            continue
-        result.cache_misses += limit
-        if outcomes is not None:
-            _, outcome = next(outcomes)
-            if isinstance(outcome, BatchExecutionError):
-                if on_error == "raise":
-                    raise outcome
-                _quarantine_policy_slice(source, result, metric_name, offset, limit,
-                                         suite, accountant)
-                continue
-            blocks = _materialise_blocks(outcome)
-        else:
-            maybe_blocks = _policy_slice_or_quarantine(
-                source, result, metric_name, offset, limit, suite, accountant,
-                chunk_size, on_error, retry, sleep)
-            if maybe_blocks is None:
-                continue
-            blocks = maybe_blocks
-        store.put(fingerprints[index], blocks)
-        for block in blocks:
-            result.append_block(block)
+    def evaluate(self, metric_name: str, batch: TraceBatch) -> list[PolicyRecordBlock]:
+        """Evaluate every policy of the suite on one trace batch and price it."""
+        devices = [pair.device.device_id for pair in batch.pairs]
+        blocks = []
+        for policy in self.suite.build(batch.interval):
+            evaluation = policy.evaluate_batch(batch.values, batch.interval)
+            priced = self.accountant.price_sample_block(devices, evaluation.samples_collected)
+            blocks.append(PolicyRecordBlock.from_batch(metric_name, evaluation,
+                                                       devices, priced))
+        return blocks
 
 
 def run_policy_survey(source: TraceSource,
@@ -623,13 +341,12 @@ def run_policy_survey(source: TraceSource,
     metrics / limit_per_metric:
         Restrict the survey (same semantics as ``run_survey``).
     chunk_size:
-        Traces held in memory at once; also the row count of each result
-        block and the slice size of the multi-worker batch specs.
+        Traces held in memory at once; also the pair-slice size of the
+        slice driver, so each result block holds at most ``chunk_size``
+        rows.
     workers:
         Worker processes; ``>= 2`` fans the whole per-batch pipeline out
-        via picklable specs, byte-identical to a single-process run (for
-        sources whose traces share one shape per metric -- true of every
-        shipped source; see ``_run_policy_survey_parallel``).
+        via picklable specs, byte-identical to a single-process run.
     sink:
         Destination for the columnar result blocks (default: in-memory;
         pass a :class:`~repro.records.SpillingRecordSink` for
@@ -675,52 +392,12 @@ def run_policy_survey(source: TraceSource,
             "run_policy_survey needs an empty failure sink (point "
             "SpillingRecordSink at a fresh directory, or re-open the existing "
             "one with PolicySurveyResult(failure_sink=...))")
-    suite = _coerce_suite(policies)
-    accountant = accountant or TelemetryCostAccountant()
     result = PolicySurveyResult(sink=sink, failure_sink=failure_sink)
-    metric_names = list(metrics) if metrics is not None else source.metric_names()
-    retry = retry if retry is not None else RetryPolicy()
-
-    # Workers return .rcb spill-file refs instead of pickled arrays when
-    # the parent re-serialises the blocks anyway (store writes, spilling
-    # sinks); see run_survey for the layout rationale.
-    worker_count = workers if workers is not None else 1
-    scratch_dir: Path | None = None
-    if worker_count > 1:
-        if store is not None:
-            scratch_dir = store.directory / ".scratch"
-        elif isinstance(sink, SpillingRecordSink):
-            scratch_dir = sink.directory / ".scratch"
-    try:
-        if scratch_dir is not None:
-            scratch_dir.mkdir(parents=True, exist_ok=True)
-
-        if store is not None:
-            _run_policy_survey_with_store(source, result, store, suite, accountant,
-                                          metric_names, limit_per_metric, chunk_size,
-                                          worker_count, on_error, retry, retry_sleep,
-                                          scratch_dir)
-            return result
-
-        if worker_count > 1:
-            _run_policy_survey_parallel(source, result, suite, accountant,
-                                        metric_names, limit_per_metric, chunk_size,
-                                        worker_count, on_error, retry, retry_sleep,
-                                        scratch_dir)
-            return result
-    finally:
-        if scratch_dir is not None:
-            shutil.rmtree(scratch_dir, ignore_errors=True)
-
-    if on_error == "quarantine":
-        _run_policy_survey_quarantined(source, result, suite, accountant,
-                                       metric_names, limit_per_metric, chunk_size,
-                                       retry, retry_sleep)
-        return result
-
-    for metric_name in metric_names:
-        for batch in source.trace_batches(metric_name, limit=limit_per_metric,
-                                          chunk_size=chunk_size):
-            for block in _evaluate_batch_blocks(metric_name, batch, suite, accountant):
-                result.append_block(block)
+    evaluator = _PolicyEvaluator(_coerce_suite(policies),
+                                 accountant or TelemetryCostAccountant())
+    run_slices(source, evaluator, result,
+               metric_names=list(metrics) if metrics is not None else source.metric_names(),
+               limit_per_metric=limit_per_metric, chunk_size=chunk_size,
+               workers=workers or 1, on_error=on_error, store=store,
+               retry=retry if retry is not None else RetryPolicy(), sleep=retry_sleep)
     return result

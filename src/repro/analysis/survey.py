@@ -34,21 +34,16 @@ The pipeline is built for fleets far beyond the paper's 1613 pairs:
   :class:`~repro.telemetry.measured.MeasuredFleetDataset` it is the
   directory path, and the pair-slice address becomes a file-offset slice
   of the manifest's pair list.  Records are byte-identical to the
-  single-process run because workers slice the pair list at the same
-  ``chunk_size`` boundaries the sequential iteration flushes at, and a
-  batch spec whose offset falls outside the manifest/pair count fails
-  loudly instead of dropping records.
+  single-process run because every mode works on the same ``chunk_size``
+  pair slices, and a batch spec whose offset falls outside the
+  manifest/pair count fails loudly instead of dropping records.
 
-Two interchangeable backends drive the estimation:
-
-* ``"batched"`` (the default) groups the dataset's traces by (length,
-  interval) shape via :meth:`FleetDataset.trace_batches` and runs the
-  batched spectral engine (:mod:`repro.core.batch`) -- one ``rfft`` and
-  one vectorised energy cut-off per chunk;
-* ``"scalar"`` runs :meth:`NyquistEstimator.estimate` per trace and is
-  kept as the reference implementation; the two backends produce
-  equivalent records (enforced by tests and
-  ``benchmarks/bench_survey_throughput.py``).
+Estimation runs on the batched spectral engine (:mod:`repro.core.batch`):
+each equal-shape (length, interval) group of traces becomes one ``rfft``
+and one vectorised energy cut-off.  Slicing, the worker pool, the record
+store and quarantine live in the shared slice driver
+(:mod:`repro.analysis.driver`); this module supplies only the per-batch
+estimate-and-classify step.
 
 :func:`run_windowed_survey` is the fleet-wide Figure 7 loop: the
 moving-window Nyquist sweep run over every pair through the vectorised
@@ -60,25 +55,22 @@ from __future__ import annotations
 
 import enum
 import math
-import shutil
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterable, Iterator, Literal, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..core.nyquist import NyquistEstimate, NyquistEstimator
 from ..core.windowed import (FIGURE7_STEP_SECONDS, FIGURE7_WINDOW_SECONDS, rate_stability,
                              windowed_nyquist_rates)
-from ..faults.execution import (RETRYABLE_EXCEPTIONS, BatchExecutionError, RetryPolicy,
-                                run_batch_tasks)
-from ..records import (BlockFileRef, BlockSchema, ColumnarBlock, ColumnSpec,
-                       FailureRecord, FailureRecordBlock, MemoryRecordSink,
-                       RecordSink, RecordStore, ScalarSpec, SpillingRecordSink,
-                       fingerprint_slice, register_block_type)
+from ..faults.execution import RetryPolicy
+from ..records import (BlockSchema, ColumnarBlock, ColumnSpec, FailureRecord,
+                       FailureRecordBlock, MemoryRecordSink, RecordSink, RecordStore,
+                       ScalarSpec, SpillingRecordSink, register_block_type)
 from ..telemetry.dataset import TracePair
-from ..telemetry.source import TraceSource, WorkerSpec, batch_offsets
+from ..telemetry.source import TraceBatch, TraceSource
+from .driver import OnError, run_slices
 
 __all__ = [
     "PairCategory",
@@ -89,18 +81,10 @@ __all__ = [
     "SpillingRecordSink",
     "SurveyResult",
     "run_survey",
-    "SurveyBackend",
     "OnError",
     "WindowedPairSummary",
     "run_windowed_survey",
 ]
-
-SurveyBackend = Literal["batched", "scalar"]
-
-#: Failure handling of the fleet pipelines: fail fast (the default, the
-#: historical behaviour) or quarantine failing pairs as
-#: :class:`~repro.records.FailureRecord` rows and finish the healthy ones.
-OnError = Literal["raise", "quarantine"]
 
 #: Conservative reduction ratio assigned to unreliable pairs when they are
 #: included in a CDF: an aliased trace's Nyquist rate is at least its
@@ -482,352 +466,34 @@ def _block_from_estimates(metric_name: str, pairs: Sequence[TracePair],
     )
 
 
-#: Per-worker-process source cache: re-opening the source once per process
-#: instead of once per task keeps tasks cheap (worker specs are hashable
-#: frozen dataclasses -- a DatasetConfig or a MeasuredSourceSpec -- so the
-#: spec doubles as the cache key).
-_WORKER_SOURCES: dict[WorkerSpec, TraceSource] = {}
+@dataclass(frozen=True)
+class _SurveyEvaluator:
+    """The survey's per-batch step for the slice driver: estimate, classify, compact."""
 
+    estimator: NyquistEstimator
+    oversample_threshold: float
+    fft_workers: int | None
+    trace_duration: float
 
-def _survey_slice_blocks(source: TraceSource, metric_name: str, offset: int,
-                         limit: int | None, estimator: NyquistEstimator,
-                         oversample_threshold: float, fft_workers: int | None,
-                         chunk_size: int, trace_duration: float) -> list[RecordBlock]:
-    """Run the batched engine over one pair slice and compact the outcomes."""
-    blocks: list[RecordBlock] = []
-    for batch in source.trace_batches(metric_name, limit=limit, offset=offset,
-                                      chunk_size=chunk_size):
-        estimates = estimator.estimate_batch(batch.values, batch.interval,
-                                             fft_workers=fft_workers)
-        blocks.append(_block_from_estimates(metric_name, batch.pairs, estimates,
-                                            batch.sampling_rate, oversample_threshold,
-                                            trace_duration))
-    return blocks
+    kind: ClassVar[str] = "survey"
+    stage: ClassVar[str] = "estimate"
 
+    def params_token(self) -> str:
+        return (f"{self.estimator.cache_token()}|"
+                f"oversample_threshold={self.oversample_threshold!r}")
 
-def _spill_task_blocks(blocks: Sequence[ColumnarBlock], spill: tuple[str, int],
-                       prefix: str) -> list[BlockFileRef]:
-    """Write a worker's result blocks as scratch rcb files, return the refs.
-
-    The refs are a few dozen bytes each, so the pool's result pipe ships
-    pointers instead of pickled column arrays -- the fix for multi-worker
-    runs being *slower* than sequential ones when a spilling sink or
-    record store (which re-serialises the blocks anyway) is in use.
-    """
-    scratch, tag = spill
-    refs: list[BlockFileRef] = []
-    for index, block in enumerate(blocks):
-        path = Path(scratch) / f"{prefix}-{tag:05d}-{index:03d}.rcb"
-        block.save_rcb(path)
-        refs.append(BlockFileRef(str(path)))
-    return refs
-
-
-def _materialise_blocks(outcome: Sequence) -> list:
-    """Resolve a worker outcome into blocks, loading spill-file refs.
-
-    Referenced scratch files are unlinked right after the mmap is opened
-    (the mapping keeps the data alive), so the scratch directory never
-    holds more than the in-flight results.
-    """
-    blocks = []
-    for item in outcome:
-        if isinstance(item, BlockFileRef):
-            block = item.load()
-            Path(item.path).unlink(missing_ok=True)
-            blocks.append(block)
-        else:
-            blocks.append(item)
-    return blocks
-
-
-def _survey_worker(task: tuple) -> list:
-    """Process-pool entry point: serve one pair slice, estimate, compact.
-
-    ``task`` is a picklable batch spec ``(worker_spec, metric_name,
-    offset, limit, estimator, oversample_threshold, fft_workers,
-    chunk_size, spill)``; the worker re-opens the trace source locally
-    from the spec (``spec.open()``: a synthetic fleet regenerates from
-    its config, a measured fleet re-reads its manifest and serves the
-    file-offset slice) and returns compact columnar blocks -- no trace
-    data crosses the process boundary.  With ``spill`` set (a
-    ``(scratch_dir, task_tag)`` pair, used when the parent re-serialises
-    blocks anyway), the blocks are written as scratch ``.rcb`` files and
-    only :class:`~repro.records.BlockFileRef` pointers return through the
-    pipe.  A slice address outside the source's pair list raises instead
-    of silently dropping records.
-
-    Failures surface as :class:`~repro.faults.BatchExecutionError` naming
-    the batch spec (source, metric, offset, limit) -- never a bare
-    traceback from the pool -- with IO-shaped errors marked retryable.
-    """
-    (spec, metric_name, offset, limit, estimator,
-     oversample_threshold, fft_workers, chunk_size, spill) = task
-    context = (f"survey batch (source={spec}, metric={metric_name!r}, "
-               f"offset={offset}, limit={limit})")
-    try:
-        source = _WORKER_SOURCES.get(spec)
-        if source is None:
-            source = spec.open()
-            _WORKER_SOURCES[spec] = source
-        blocks = _survey_slice_blocks(source, metric_name, offset, limit, estimator,
-                                      oversample_threshold, fft_workers, chunk_size,
-                                      source.trace_duration)
-        if spill is None:
-            return blocks
-        return _spill_task_blocks(blocks, spill, "survey")
-    except Exception as error:
-        raise BatchExecutionError.wrap(error, context) from error
-
-
-def _quarantine_survey_slice(source: TraceSource, result: SurveyResult,
-                             metric_name: str, offset: int, limit: int | None,
-                             estimator: NyquistEstimator, oversample_threshold: float,
-                             fft_workers: int | None, trace_duration: float) -> None:
-    """Per-pair salvage of one failed batch slice.
-
-    Healthy pairs of the slice complete through per-pair estimation
-    (estimates are chunk-size invariant, so their records match the
-    no-fault run bit for bit) and land in one block in pair order;
-    failing pairs become :class:`~repro.records.FailureRecord` rows.
-    Both outcomes are pure functions of the slice address, so any worker
-    count produces identical record *and* failure blocks.
-    """
-    pairs = source.pairs_for_metric(metric_name)[offset:offset + limit]
-    survivors: list = []
-    estimates: list[NyquistEstimate] = []
-    failures: list[FailureRecord] = []
-    current_rate = 0.0
-    for position, pair in enumerate(pairs):
-        try:
-            trace = source.load(pair)
-        except Exception as error:
-            failures.append(FailureRecord.from_pair(pair, metric_name, "trace", error,
-                                                    offset + position))
-            continue
-        try:
-            estimate = estimator.estimate_batch(trace.values[np.newaxis, :],
-                                                trace.interval,
-                                                fft_workers=fft_workers)[0]
-        except Exception as error:
-            failures.append(FailureRecord.from_pair(pair, metric_name, "estimate",
-                                                    error, offset + position))
-            continue
-        survivors.append(pair)
-        estimates.append(estimate)
-        current_rate = trace.sampling_rate
-    if survivors:
-        result.append_block(_block_from_estimates(metric_name, survivors, estimates,
-                                                  current_rate, oversample_threshold,
-                                                  trace_duration))
-    result.append_failures(failures)
-
-
-def _survey_slice_or_quarantine(dataset: TraceSource, result: SurveyResult,
-                                metric_name: str, offset: int, limit: int,
-                                estimator: NyquistEstimator, fft_workers: int | None,
-                                chunk_size: int, trace_duration: float,
-                                on_error: OnError, retry: RetryPolicy,
-                                sleep: Callable[[float], None]) -> list[RecordBlock] | None:
-    """Serve one slice sequentially under the run's error policy.
-
-    With ``on_error="raise"`` the first failure propagates; with
-    ``"quarantine"`` a transiently failing slice is retried under the
-    policy's budget and, once exhausted -- or immediately for content
-    errors -- salvaged pair by pair (returning ``None``: the salvage
-    appends its blocks and failures to ``result`` itself).
-    """
-    if on_error == "raise":
-        return _survey_slice_blocks(dataset, metric_name, offset, limit, estimator,
-                                    result.oversample_threshold, fft_workers,
-                                    chunk_size, trace_duration)
-    for attempt in range(1, retry.max_attempts + 1):
-        try:
-            return _survey_slice_blocks(
-                dataset, metric_name, offset, limit, estimator,
-                result.oversample_threshold, fft_workers, chunk_size,
-                trace_duration)
-        except RETRYABLE_EXCEPTIONS:
-            if attempt < retry.max_attempts:
-                sleep(retry.delay(attempt))
-                continue
-            _quarantine_survey_slice(dataset, result, metric_name, offset, limit,
-                                     estimator, result.oversample_threshold,
-                                     fft_workers, trace_duration)
-            return None
-        except Exception:
-            _quarantine_survey_slice(dataset, result, metric_name, offset, limit,
-                                     estimator, result.oversample_threshold,
-                                     fft_workers, trace_duration)
-            return None
-    return None
-
-
-def _run_survey_quarantined(dataset: TraceSource, result: SurveyResult,
-                            estimator: NyquistEstimator, metric_names: Sequence[str],
-                            limit_per_metric: int | None, chunk_size: int,
-                            fft_workers: int | None, retry: RetryPolicy,
-                            sleep: Callable[[float], None]) -> None:
-    """Sequential quarantine execution: batch isolation at chunk boundaries.
-
-    Works slice by slice at the same ``chunk_size`` boundaries the
-    multi-worker batch specs use, so a quarantined run's blocks are
-    byte-identical at any worker count.  A slice that fails with a
-    transient (IO-shaped) error is retried under the policy's budget;
-    once exhausted -- or immediately for content errors -- the slice is
-    salvaged pair by pair.
-    """
-    trace_duration = dataset.trace_duration
-    for metric_name in metric_names:
-        for offset, limit in batch_offsets(dataset, metric_name, limit_per_metric,
-                                           chunk_size):
-            blocks = _survey_slice_or_quarantine(
-                dataset, result, metric_name, offset, limit, estimator, fft_workers,
-                chunk_size, trace_duration, "quarantine", retry, sleep)
-            if blocks is None:
-                continue
-            for block in blocks:
-                result.append_block(block)
-
-
-def _run_survey_parallel(dataset: TraceSource, result: SurveyResult,
-                         estimator: NyquistEstimator, metric_names: Sequence[str],
-                         limit_per_metric: int | None, chunk_size: int, workers: int,
-                         fft_workers: int | None, on_error: OnError,
-                         retry: RetryPolicy, sleep: Callable[[float], None],
-                         scratch_dir: Path | None = None) -> None:
-    """Fan trace production + estimation out to a process pool, in survey order.
-
-    Tasks slice each metric's pair list at ``chunk_size`` boundaries --
-    exactly where the sequential ``trace_batches`` iteration flushes -- so
-    the reassembled blocks are byte-identical to a ``workers=1`` run.
-    Offsets are derived from the source's own pair counts (the manifest,
-    for a measured fleet), and the worker-side slice validation rejects
-    any address past that count.
-
-    Execution runs through :func:`~repro.faults.run_batch_tasks`:
-    transient batch failures are retried with deterministic backoff and a
-    crashed worker (``BrokenProcessPool``) costs one batch retry, not the
-    run.  A batch that stays failed is raised (``on_error="raise"``) or
-    salvaged pair by pair on the parent's own source
-    (``on_error="quarantine"``) -- the same salvage the sequential
-    quarantine path runs, so blocks stay worker-count independent.
-    """
-    spec = dataset.worker_spec()
-    trace_duration = dataset.trace_duration
-    tasks = []
-    addresses = []
-    for metric_name in metric_names:
-        for offset, limit in batch_offsets(dataset, metric_name, limit_per_metric,
-                                           chunk_size):
-            spill = None if scratch_dir is None else (str(scratch_dir), len(tasks))
-            tasks.append((spec, metric_name, offset, limit, estimator,
-                          result.oversample_threshold, fft_workers, chunk_size,
-                          spill))
-            addresses.append((metric_name, offset, limit))
-    for index, outcome in run_batch_tasks(_survey_worker, tasks, workers,
-                                          retry=retry, sleep=sleep):
-        if isinstance(outcome, BatchExecutionError):
-            if on_error == "raise":
-                raise outcome
-            metric_name, offset, limit = addresses[index]
-            _quarantine_survey_slice(dataset, result, metric_name, offset, limit,
-                                     estimator, result.oversample_threshold,
-                                     fft_workers, trace_duration)
-            continue
-        for block in _materialise_blocks(outcome):
-            result.append_block(block)
-
-
-def _survey_params_token(estimator: NyquistEstimator, result: SurveyResult) -> str:
-    """Analysis-parameter half of a survey slice's fingerprint."""
-    return (f"{estimator.cache_token()}|"
-            f"oversample_threshold={result.oversample_threshold!r}")
-
-
-def _run_survey_with_store(dataset: TraceSource, result: SurveyResult,
-                           store: "RecordStore", estimator: NyquistEstimator,
-                           metric_names: Sequence[str], limit_per_metric: int | None,
-                           chunk_size: int, workers: int, fft_workers: int | None,
-                           on_error: OnError, retry: RetryPolicy,
-                           sleep: Callable[[float], None],
-                           scratch_dir: Path | None) -> None:
-    """Store-backed execution: serve cached slices, recompute only misses.
-
-    Every slice is fingerprinted over its pair contents and analysis
-    parameters (:func:`~repro.records.fingerprint_slice`).  Hits are
-    appended straight from the store as memory-mapped blocks -- no trace
-    generation, no estimator call -- and misses run exactly as a
-    store-less run would (fanned out to the process pool when
-    ``workers > 1``, sequentially otherwise), then written back.  Blocks
-    are appended in survey order regardless of hit/miss interleaving, so
-    results stay byte-identical to a cold run at any worker count.
-    Quarantined slices are never cached: their salvage blocks depend on
-    which pairs failed, not just the slice address.
-    """
-    trace_duration = dataset.trace_duration
-    params_token = _survey_params_token(estimator, result)
-    slices: list[tuple[str, int, int]] = []
-    fingerprints: list = []
-    cached: list = []
-    for metric_name in metric_names:
-        for offset, limit in batch_offsets(dataset, metric_name, limit_per_metric,
-                                           chunk_size):
-            fingerprint = fingerprint_slice("survey", dataset, metric_name, offset,
-                                            limit, chunk_size, params_token)
-            slices.append((metric_name, offset, limit))
-            fingerprints.append(fingerprint)
-            cached.append(store.get(fingerprint))
-
-    outcomes = None
-    if workers > 1:
-        spec = dataset.worker_spec()
-        tasks = []
-        for index, (metric_name, offset, limit) in enumerate(slices):
-            if cached[index] is not None:
-                continue
-            spill = None if scratch_dir is None else (str(scratch_dir), index)
-            tasks.append((spec, metric_name, offset, limit, estimator,
-                          result.oversample_threshold, fft_workers, chunk_size,
-                          spill))
-        outcomes = run_batch_tasks(_survey_worker, tasks, workers,
-                                   retry=retry, sleep=sleep)
-
-    for index, (metric_name, offset, limit) in enumerate(slices):
-        hit = cached[index]
-        if hit is not None:
-            result.cache_hits += limit
-            for block in hit:
-                result.append_block(block)
-            continue
-        result.cache_misses += limit
-        if outcomes is not None:
-            _, outcome = next(outcomes)
-            if isinstance(outcome, BatchExecutionError):
-                if on_error == "raise":
-                    raise outcome
-                _quarantine_survey_slice(dataset, result, metric_name, offset, limit,
-                                         estimator, result.oversample_threshold,
-                                         fft_workers, trace_duration)
-                continue
-            blocks = _materialise_blocks(outcome)
-        else:
-            maybe_blocks = _survey_slice_or_quarantine(
-                dataset, result, metric_name, offset, limit, estimator, fft_workers,
-                chunk_size, trace_duration, on_error, retry, sleep)
-            if maybe_blocks is None:
-                continue
-            blocks = maybe_blocks
-        store.put(fingerprints[index], blocks)
-        for block in blocks:
-            result.append_block(block)
+    def evaluate(self, metric_name: str, batch: TraceBatch) -> list[RecordBlock]:
+        estimates = self.estimator.estimate_batch(batch.values, batch.interval,
+                                                  fft_workers=self.fft_workers)
+        return [_block_from_estimates(metric_name, batch.pairs, estimates,
+                                      batch.sampling_rate, self.oversample_threshold,
+                                      self.trace_duration)]
 
 
 def run_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
                oversample_threshold: float = 1.25,
                metrics: Sequence[str] | None = None,
                limit_per_metric: int | None = None,
-               backend: SurveyBackend = "batched",
                chunk_size: int = 1024,
                workers: int | None = None,
                fft_workers: int | None = None,
@@ -860,25 +526,20 @@ def run_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
     limit_per_metric:
         Cap the number of pairs analysed per metric (useful for quick runs
         and benchmarks).
-    backend:
-        ``"batched"`` (default) analyses equal-shape trace groups with the
-        vectorised engine of :mod:`repro.core.batch`; ``"scalar"`` runs
-        the reference per-trace estimator.  Both produce equivalent
-        records in the same order.
     chunk_size:
         Maximum traces held in memory at once (memory is bounded at
         ``chunk_size * samples_per_trace`` floats regardless of fleet
-        size); also the row count of each columnar result block and the
-        slice size of the multi-worker batch specs.
+        size); also the pair-slice size of the slice driver, so each
+        columnar result block holds at most ``chunk_size`` rows.
     workers:
         Number of survey worker *processes*.  With ``workers >= 2``,
-        trace production and estimation both fan out to a process pool
-        (batched backend only): workers receive picklable batch specs
-        (``dataset.worker_spec()`` + a pair-slice address), re-open the
-        source locally and return compact columnar blocks.  The records
-        are byte-identical to a single-process run.  Synthetic fleets
-        ship their config and regenerate; measured fleets ship their
-        directory and serve file-offset slices of the manifest.
+        trace production and estimation both fan out to a process pool:
+        workers receive picklable batch specs (``dataset.worker_spec()`` +
+        a pair-slice address), re-open the source locally and return
+        compact columnar blocks.  The records are byte-identical to a
+        single-process run.  Synthetic fleets ship their config and
+        regenerate; measured fleets ship their directory and serve
+        file-offset slices of the manifest.
     fft_workers:
         pocketfft thread count for the batched engine's ``rfft`` (see
         :func:`repro.core.batch.batch_estimate`).
@@ -888,28 +549,27 @@ def run_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
         100k+-pair survey's memory stays bounded by ``chunk_size``.
     on_error:
         ``"raise"`` (default) fails fast on the first broken pair or
-        batch, as the pipeline always has.  ``"quarantine"`` (batched
-        backend only) isolates failures at the batch boundary: a failing
-        slice is salvaged pair by pair, healthy pairs complete with
-        records byte-identical to a no-fault run, and every failure is
-        recorded as a :class:`~repro.records.FailureRecord` row flowing
-        into ``failure_sink`` (see ``SurveyResult.quarantined`` and the
+        batch, as the pipeline always has.  ``"quarantine"`` isolates
+        failures at the slice boundary: a failing slice is salvaged pair
+        by pair, healthy pairs complete with records byte-identical to a
+        no-fault run, and every failure is recorded as a
+        :class:`~repro.records.FailureRecord` row flowing into
+        ``failure_sink`` (see ``SurveyResult.quarantined`` and the
         ``quarantined_pairs`` headline entry).
     failure_sink:
         Destination for the quarantined-failure blocks (default:
         in-memory; pass a :class:`SpillingRecordSink` on its own
         directory for out-of-core runs).
     store:
-        A :class:`~repro.records.RecordStore` for incremental reruns
-        (batched backend only).  Each ``chunk_size`` slice is
-        fingerprinted over its pair contents and analysis parameters;
-        fingerprints already in the store are served as memory-mapped
-        blocks without generating a trace or calling the estimator, and
-        misses are computed exactly as a store-less run would (including
-        the multi-worker fan-out) then written back atomically.  Results
-        are byte-identical either way; ``SurveyResult.cache_hits`` /
-        ``cache_misses`` count the pairs on each path.  Quarantined
-        slices are never cached.
+        A :class:`~repro.records.RecordStore` for incremental reruns.
+        Each ``chunk_size`` slice is fingerprinted over its pair contents
+        and analysis parameters; fingerprints already in the store are
+        served as memory-mapped blocks without generating a trace or
+        calling the estimator, and misses are computed exactly as a
+        store-less run would (including the multi-worker fan-out) then
+        written back atomically.  Results are byte-identical either way;
+        ``SurveyResult.cache_hits`` / ``cache_misses`` count the pairs on
+        each path.  Quarantined slices are never cached.
     retry:
         Bounded-retry policy for transient (IO-shaped) batch failures
         and crashed workers; defaults to
@@ -922,20 +582,10 @@ def run_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
     """
     if oversample_threshold < 1:
         raise ValueError("oversample_threshold must be >= 1")
-    if backend not in ("batched", "scalar"):
-        raise ValueError(f"unknown backend {backend!r}; choose 'batched' or 'scalar'")
     if on_error not in ("raise", "quarantine"):
         raise ValueError(f"unknown on_error {on_error!r}; choose 'raise' or 'quarantine'")
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
-    if workers is not None and workers > 1 and backend != "batched":
-        raise ValueError("multi-worker execution requires the 'batched' backend")
-    if on_error == "quarantine" and backend != "batched":
-        raise ValueError("quarantine execution requires the 'batched' backend "
-                         "(failures are isolated at its batch boundaries)")
-    if store is not None and backend != "batched":
-        raise ValueError("store-backed execution requires the 'batched' backend "
-                         "(slices are fingerprinted at its batch boundaries)")
     if sink is not None and sink.rows > 0:
         # Appending a fresh survey to leftover records would silently
         # corrupt every aggregation with duplicates; a previous run's spill
@@ -949,81 +599,15 @@ def run_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
             f"failure_sink already holds {failure_sink.rows} records; run_survey "
             "needs an empty failure sink (point it at a fresh directory, or re-open "
             "the existing one with SurveyResult(failure_sink=...))")
-    estimator = estimator or NyquistEstimator()
     result = SurveyResult(oversample_threshold=oversample_threshold, sink=sink,
                           failure_sink=failure_sink)
-    metric_names = list(metrics) if metrics is not None else dataset.metric_names()
-    trace_duration = dataset.trace_duration
-    retry = retry if retry is not None else RetryPolicy()
-
-    # Workers return .rcb spill-file refs instead of pickled arrays when
-    # the parent re-serialises the blocks anyway (store writes, spilling
-    # sinks) -- the scratch directory lives next to the destination so the
-    # rename-free loads stay on one filesystem.
-    worker_count = workers if workers is not None else 1
-    scratch_dir: Path | None = None
-    if worker_count > 1:
-        if store is not None:
-            scratch_dir = store.directory / ".scratch"
-        elif isinstance(sink, SpillingRecordSink):
-            scratch_dir = sink.directory / ".scratch"
-    try:
-        if scratch_dir is not None:
-            scratch_dir.mkdir(parents=True, exist_ok=True)
-
-        if store is not None:
-            _run_survey_with_store(dataset, result, store, estimator, metric_names,
-                                   limit_per_metric, chunk_size, worker_count,
-                                   fft_workers, on_error, retry, retry_sleep,
-                                   scratch_dir)
-            return result
-
-        if worker_count > 1:
-            _run_survey_parallel(dataset, result, estimator, metric_names,
-                                 limit_per_metric, chunk_size, worker_count,
-                                 fft_workers, on_error, retry, retry_sleep,
-                                 scratch_dir)
-            return result
-    finally:
-        if scratch_dir is not None:
-            shutil.rmtree(scratch_dir, ignore_errors=True)
-
-    if on_error == "quarantine":
-        _run_survey_quarantined(dataset, result, estimator, metric_names,
-                                limit_per_metric, chunk_size, fft_workers, retry,
-                                retry_sleep)
-        return result
-
-    for metric_name in metric_names:
-        if backend == "batched":
-            for batch in dataset.trace_batches(metric_name, limit=limit_per_metric,
-                                               chunk_size=chunk_size):
-                estimates = estimator.estimate_batch(batch.values, batch.interval,
-                                                     fft_workers=fft_workers)
-                result.append_block(_block_from_estimates(
-                    metric_name, batch.pairs, estimates, batch.sampling_rate,
-                    oversample_threshold, trace_duration))
-        else:
-            buffer_pairs: list[TracePair] = []
-            buffer_estimates: list[NyquistEstimate] = []
-            buffer_rate = 0.0
-
-            def flush() -> None:
-                if buffer_pairs:
-                    result.append_block(_block_from_estimates(
-                        metric_name, buffer_pairs, buffer_estimates, buffer_rate,
-                        oversample_threshold, trace_duration))
-                    buffer_pairs.clear()
-                    buffer_estimates.clear()
-
-            for pair, trace in dataset.traces(metric_name, limit=limit_per_metric):
-                if buffer_pairs and (trace.sampling_rate != buffer_rate
-                                     or len(buffer_pairs) >= chunk_size):
-                    flush()
-                buffer_rate = trace.sampling_rate
-                buffer_pairs.append(pair)
-                buffer_estimates.append(estimator.estimate(trace))
-            flush()
+    evaluator = _SurveyEvaluator(estimator or NyquistEstimator(), oversample_threshold,
+                                 fft_workers, dataset.trace_duration)
+    run_slices(dataset, evaluator, result,
+               metric_names=list(metrics) if metrics is not None else dataset.metric_names(),
+               limit_per_metric=limit_per_metric, chunk_size=chunk_size,
+               workers=workers or 1, on_error=on_error, store=store,
+               retry=retry if retry is not None else RetryPolicy(), sleep=retry_sleep)
     return result
 
 

@@ -14,7 +14,7 @@ Installed as ``repro-monitor`` (see pyproject) and runnable as
   ``--from-dir``
   surveys a *measured* fleet (a directory of recorded per-pair trace
   files + manifest, as written by ``export-fleet``) instead of
-  generating synthetic telemetry -- same backends, workers and sinks.
+  generating synthetic telemetry -- same workers and sinks.
 * ``policies`` -- the cost-vs-quality experiment behind the paper's
   title, at fleet scale: deploy monitoring on a leaf-spine fabric (or
   read a measured fleet with ``--from-dir``), evaluate today's
@@ -105,9 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     survey.add_argument("--seed", type=int, default=7, help="dataset seed")
     survey.add_argument("--energy-fraction", type=float, default=0.99,
                         help="energy cut-off for the Nyquist estimator")
-    survey.add_argument("--backend", choices=["batched", "scalar"], default="batched",
-                        help="spectral engine: 'batched' vectorises whole trace groups "
-                             "(default), 'scalar' runs the per-trace reference path")
     survey.add_argument("--limit-per-metric", type=_non_negative_int, default=None,
                         help="cap the number of (metric, device) pairs analysed per metric")
     survey.add_argument("--csv-dir", type=Path, default=None,
@@ -345,7 +342,7 @@ def _command_survey(args: argparse.Namespace) -> int:
     try:
         store = (RecordStore(args.store)
                  if args.store is not None and not args.no_store else None)
-        result = run_survey(dataset, estimator=estimator, backend=args.backend,
+        result = run_survey(dataset, estimator=estimator,
                             limit_per_metric=args.limit_per_metric,
                             workers=args.workers, fft_workers=args.fft_workers,
                             chunk_size=args.chunk_size, sink=sink,

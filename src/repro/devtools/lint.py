@@ -114,6 +114,7 @@ STORE_MODULES = frozenset({
 #: Modules that emit survey/policy/ingest records; RL006's deterministic
 #: iteration discipline applies to them.
 RECORD_MODULES = frozenset(IO_MODULES | {
+    "src/repro/analysis/driver.py",
     "src/repro/analysis/survey.py",
     "src/repro/analysis/policy_survey.py",
     "src/repro/pipeline/evaluation.py",
@@ -124,6 +125,7 @@ RECORD_MODULES = frozenset(IO_MODULES | {
 #: Pipeline modules whose except handlers isolate batch/parse failures;
 #: RL007's record-or-raise discipline applies to every handler in them.
 QUARANTINE_MODULES = frozenset({
+    "src/repro/analysis/driver.py",
     "src/repro/analysis/survey.py",
     "src/repro/analysis/policy_survey.py",
     "src/repro/telemetry/ingest.py",

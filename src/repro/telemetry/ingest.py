@@ -6,7 +6,7 @@ Production archives are not shaped like that: monitoring systems dump
 *streams* -- model-driven (gNMI) telemetry interleaves updates from many
 (metric, device) pairs in one append-only log, and SNMP pollers write wide
 per-poll tables.  This module converts both into the measured-fleet
-directory layout, so ``run_survey``/``run_policy_survey`` (any backend,
+directory layout, so ``run_survey``/``run_policy_survey`` (any
 worker count or sink) point at real archives unchanged.
 
 Two wire formats are supported, behind the format-sniffing

@@ -7,7 +7,7 @@ directory holding one trace file per (metric, device) pair plus a
 ``manifest.json`` describing them, exposed through the same
 :class:`~repro.telemetry.source.TraceSource` protocol the synthetic
 :class:`~repro.telemetry.dataset.FleetDataset` implements -- so
-``run_survey(backend="batched", workers=N, sink=...)`` runs unchanged on
+``run_survey(workers=N, sink=...)`` runs unchanged on
 recorded data.  Multi-worker batch specs address the directory by
 file-offset slices of the manifest's pair list instead of regenerating a
 config, and a bad address fails loudly against the manifest's pair count.

@@ -6,7 +6,7 @@ and serve their traces -- the synthetic
 :class:`~repro.telemetry.dataset.FleetDataset` regenerates them from a
 config, while :class:`~repro.telemetry.measured.MeasuredFleetDataset`
 streams recorded traces from a directory of per-pair files.  Both run
-through ``run_survey(backend="batched", workers=N, sink=...)`` unchanged.
+through ``run_survey(workers=N, sink=...)`` unchanged.
 
 :class:`BaseTraceSource` carries the shared machinery: slice-validated
 ``traces`` iteration, the equal-shape :class:`TraceBatch` grouping the
@@ -40,11 +40,10 @@ def batch_offsets(source: "TraceSource", metric_name: str,
                   chunk_size: int = 1024) -> list[tuple[int, int]]:
     """``(offset, limit)`` slice addresses of one metric at ``chunk_size`` boundaries.
 
-    These are exactly the boundaries the sequential ``trace_batches``
-    iteration flushes at (within one metric every trace shares a shape),
-    so any execution that works slice by slice -- the multi-worker batch
-    specs, the quarantine path's batch-isolation loop -- produces the
-    same block boundaries as a sequential run, at any worker count.
+    The slice driver (:mod:`repro.analysis.driver`) runs every execution
+    mode -- inline, pooled, store-backed, quarantined -- on these slices,
+    so block boundaries are the same at any worker count, even where a
+    metric mixes (length, interval) shapes.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
@@ -232,12 +231,10 @@ class BaseTraceSource(ABC):
         changes or ``chunk_size`` rows are buffered.  This is the feed for
         the batched spectral engine: memory stays bounded at
         ``chunk_size`` traces regardless of fleet size, and concatenating
-        the batches' pairs reproduces :meth:`traces` order exactly (within
-        one metric every trace shares a shape, so per-metric iteration
-        yields contiguous chunks).  ``offset``/``limit`` select a slice of
-        the pair list (offset first), so a survey worker slicing the fleet
-        at ``chunk_size`` boundaries reproduces exactly the matrices the
-        sequential iteration would build.
+        the batches' pairs reproduces :meth:`traces` order exactly.
+        ``offset``/``limit`` select a slice of the pair list (offset
+        first); the slice driver feeds each ``chunk_size`` slice through
+        here, so every execution mode builds the same matrices.
         """
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")

@@ -250,6 +250,15 @@ class TestPolicyWorkerEquivalence:
         assert_policy_blocks_byte_identical(memory.iter_blocks(), recorded.iter_blocks())
         assert memory.rows() == recorded.rows()
 
+    def test_mixed_shape_fleet_workers_byte_identical(self, mixed_shape_fleet,
+                                                       fleet_suite):
+        """A metric polled at two rates cuts the same blocks at any worker count."""
+        single = run_policy_survey(mixed_shape_fleet, fleet_suite, chunk_size=4)
+        pooled = run_policy_survey(mixed_shape_fleet, fleet_suite, chunk_size=4,
+                                   workers=2)
+        assert_policy_blocks_byte_identical(single.iter_blocks(), pooled.iter_blocks())
+        assert single.rows() == pooled.rows()
+
     def test_workers_with_spill_sink_and_reopen(self, fleet, fleet_suite, tmp_path):
         dataset, measured = fleet
         memory = run_policy_survey(dataset, fleet_suite, chunk_size=4)
@@ -421,3 +430,26 @@ class TestPolicyQuarantineEquivalence:
         assert clean.rows() == crashed.rows()
         assert_policy_blocks_byte_identical(clean.iter_blocks(),
                                             crashed.iter_blocks())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mixed_shape_salvage_quarantines_only_the_corrupt_pair(
+            self, suite, mixed_shape_fleet, corrupt_mixed_shape_fleet, workers):
+        """Salvaging a slice that mixes polling rates finishes, blames only the
+        corrupt pair and keeps every healthy row identical to a clean run."""
+        corrupt, corrupt_key = corrupt_mixed_shape_fleet
+        salvaged = run_policy_survey(corrupt, suite, chunk_size=4, workers=workers,
+                                     on_error="quarantine")
+        assert [(f.metric_name, f.device_id, f.stage) for f in salvaged.quarantined] == \
+            [(*corrupt_key, "trace")]
+
+        def rows(result):
+            return {(block.policy_name, block.metric_name, str(device)):
+                    tuple(getattr(block, column)[index].tobytes()
+                          for column in POLICY_COLUMNS[1:])
+                    for block in result.iter_blocks()
+                    for index, device in enumerate(block.device_ids)}
+        clean = rows(run_policy_survey(mixed_shape_fleet, suite, chunk_size=4))
+        healthy = rows(salvaged)
+        assert set(clean) - set(healthy) == {(policy, *corrupt_key)
+                                             for policy in salvaged.policies()}
+        assert all(clean[key] == value for key, value in healthy.items())

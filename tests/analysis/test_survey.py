@@ -153,11 +153,11 @@ class TestAggregations:
             if record.category is PairCategory.OVERSAMPLED:
                 assert record.reduction_ratio > survey.oversample_threshold
 
-    def test_backend_equivalence(self):
-        """The batched engine must reproduce the scalar reference exactly."""
+    def test_backend_equivalence(self, survey_oracle):
+        """The batched survey must reproduce the per-trace reference estimator."""
         dataset = FleetDataset(DatasetConfig(pair_count=84, seed=5))
-        scalar = run_survey(dataset, backend="scalar")
-        batched = run_survey(dataset, backend="batched")
+        scalar = survey_oracle(dataset)
+        batched = run_survey(dataset)
         assert len(scalar.records) == len(batched.records)
         for a, b in zip(scalar.records, batched.records):
             assert (a.metric_name, a.device_id) == (b.metric_name, b.device_id)
@@ -166,18 +166,14 @@ class TestAggregations:
             assert np.isclose(a.nyquist_rate, b.nyquist_rate)
             if a.reliable:
                 assert np.isclose(a.reduction_ratio, b.reduction_ratio)
+            assert a.current_rate == b.current_rate
 
     def test_batched_chunking_preserves_records(self):
         dataset = FleetDataset(DatasetConfig(pair_count=56, seed=5))
-        whole = run_survey(dataset, backend="batched", chunk_size=1024)
-        chunked = run_survey(dataset, backend="batched", chunk_size=3)
+        whole = run_survey(dataset, chunk_size=1024)
+        chunked = run_survey(dataset, chunk_size=3)
         assert [(r.metric_name, r.device_id, r.nyquist_rate) for r in whole.records] == \
             [(r.metric_name, r.device_id, r.nyquist_rate) for r in chunked.records]
-
-    def test_rejects_unknown_backend(self):
-        dataset = FleetDataset(DatasetConfig(pair_count=14, seed=5))
-        with pytest.raises(ValueError, match="backend"):
-            run_survey(dataset, backend="gpu")  # type: ignore[arg-type]
 
     def test_custom_estimator_is_used(self):
         dataset = FleetDataset(DatasetConfig(pair_count=28, seed=5))
@@ -326,10 +322,17 @@ class TestParallelWorkers:
         assert len(single) == len(pooled) == 4
         assert_blocks_byte_identical(single.iter_blocks(), pooled.iter_blocks())
 
-    def test_workers_rejects_scalar_backend(self):
-        dataset = FleetDataset(DatasetConfig(pair_count=14, seed=5))
-        with pytest.raises(ValueError, match="batched"):
-            run_survey(dataset, workers=2, backend="scalar")
+    def test_mixed_shape_worker_count_invariance(self, mixed_shape_fleet, survey_oracle):
+        """A metric polled at two rates cuts the same blocks at any worker count."""
+        single = run_survey(mixed_shape_fleet, workers=1, chunk_size=4)
+        pooled = run_survey(mixed_shape_fleet, workers=2, chunk_size=4)
+        assert_blocks_byte_identical(single.iter_blocks(), pooled.iter_blocks())
+        # Each slice of the mixed metric splits at its shape change.
+        assert [len(block) for block in single.iter_blocks()
+                if block.metric_name == "Link util"] == [2, 2, 2, 2]
+        reference = survey_oracle(mixed_shape_fleet)
+        assert [r.current_rate for r in single.records] == \
+            [r.current_rate for r in reference.records]
 
     def test_rejects_bad_worker_count(self):
         dataset = FleetDataset(DatasetConfig(pair_count=14, seed=5))
@@ -718,3 +721,19 @@ class TestQuarantineEquivalence:
         clean = run_survey(dataset, chunk_size=2, workers=2)
         assert len(clean) == len(crashed)
         assert_blocks_byte_identical(clean.iter_blocks(), crashed.iter_blocks())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mixed_shape_salvage_keeps_each_rows_rate(self, mixed_shape_fleet,
+                                                      corrupt_mixed_shape_fleet, workers):
+        """Salvaging a slice that mixes polling rates stamps every row with its
+        own rate: healthy records equal the clean run's, field for field."""
+        corrupt, corrupt_key = corrupt_mixed_shape_fleet
+        salvaged = run_survey(corrupt, chunk_size=4, workers=workers,
+                              on_error="quarantine")
+        assert [(f.metric_name, f.device_id, f.stage) for f in salvaged.quarantined] == \
+            [(*corrupt_key, "trace")]
+        clean = {(r.metric_name, r.device_id): r
+                 for r in run_survey(mixed_shape_fleet, chunk_size=4).records}
+        assert len(salvaged) == len(clean) - 1
+        for record in salvaged.records:  # repr: exact floats, nan == nan
+            assert repr(record) == repr(clean[(record.metric_name, record.device_id)])

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import shutil
+from typing import Any, Callable, Sequence
+
 import numpy as np
 import pytest
 
+from repro.analysis.survey import PairCategory, PairRecord, SurveyResult
+from repro.core.nyquist import NyquistEstimator
 from repro.signals.generators import multi_tone, sine
 from repro.signals.timeseries import TimeSeries
 from repro.telemetry.dataset import DatasetConfig, FleetDataset
+from repro.telemetry.measured import MeasuredFleetDataset
 from repro.telemetry.metrics import METRIC_CATALOG
 from repro.telemetry.profiles import DeviceProfile, DeviceRole, draw_metric_parameters
+from repro.telemetry.source import BaseTraceSource, TraceSource
 
 
 @pytest.fixture
@@ -53,3 +60,99 @@ def temperature_trace(rng) -> TimeSeries:
 def small_dataset() -> FleetDataset:
     """A small survey dataset shared by dataset/survey tests (42 pairs, 3 per metric)."""
     return FleetDataset(DatasetConfig(pair_count=42, seed=5))
+
+
+# ----------------------------------------------------------------------
+# Per-trace survey oracle
+# ----------------------------------------------------------------------
+def scalar_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
+                  oversample_threshold: float = 1.25) -> SurveyResult:
+    """The survey computed the reference way: ``estimator.estimate`` per trace."""
+    estimator = estimator or NyquistEstimator()
+    records = []
+    for metric_name in dataset.metric_names():
+        for pair, trace in dataset.traces(metric_name):
+            estimate = estimator.estimate(trace)
+            if not estimate.reliable:
+                category = PairCategory.ALIASED_SUSPECT
+            elif estimate.reduction_ratio > oversample_threshold:
+                category = PairCategory.OVERSAMPLED
+            else:
+                category = PairCategory.MARGINAL
+            records.append(PairRecord(
+                metric_name=metric_name, device_id=pair.device.device_id,
+                current_rate=trace.sampling_rate, nyquist_rate=estimate.nyquist_rate,
+                reduction_ratio=estimate.reduction_ratio, category=category,
+                reliable=estimate.reliable,
+                true_nyquist_rate=pair.parameters.true_nyquist_rate,
+                trace_duration=dataset.trace_duration))
+    return SurveyResult(records, oversample_threshold=oversample_threshold)
+
+
+@pytest.fixture(scope="session")
+def survey_oracle() -> Callable[..., SurveyResult]:
+    """:func:`scalar_survey`, the per-trace reference the batched survey must match."""
+    return scalar_survey
+
+
+# ----------------------------------------------------------------------
+# A measured fleet that mixes (length, interval) shapes inside one metric
+# ----------------------------------------------------------------------
+#: The metric whose devices poll at two rates, and the positions (within
+#: that metric) of the devices polling at half the production rate.  At
+#: ``chunk_size=4`` both slices of the metric hold both shapes.
+MIXED_METRIC = "Link util"
+MIXED_SLOW_POSITIONS = (2, 3, 4, 5)
+
+
+class _HalfRatePairs(BaseTraceSource):
+    """A fleet in which some pairs poll at twice the production interval."""
+
+    def __init__(self, inner: FleetDataset, slow_keys: set[tuple[str, str]]) -> None:
+        self.inner = inner
+        self.slow_keys = slow_keys
+
+    def pairs(self) -> Sequence:
+        return self.inner.pairs()
+
+    def pairs_for_metric(self, metric_name: str) -> Sequence:
+        return self.inner.pairs_for_metric(metric_name)
+
+    def metric_names(self) -> list[str]:
+        return self.inner.metric_names()
+
+    @property
+    def trace_duration(self) -> float:
+        return self.inner.trace_duration
+
+    def worker_spec(self) -> Any:  # pragma: no cover - only exported, never pooled
+        raise NotImplementedError
+
+    def load(self, pair: Any) -> TimeSeries:
+        trace = self.inner.load(pair)
+        if pair.key not in self.slow_keys:
+            return trace
+        return TimeSeries(trace.values[::2].copy(), 2 * trace.interval,
+                          start_time=trace.start_time)
+
+
+@pytest.fixture(scope="session")
+def mixed_shape_fleet(tmp_path_factory) -> MeasuredFleetDataset:
+    """Two metrics of eight 6 h traces; ``Link util`` mixes (720, 30 s) and (360, 60 s)."""
+    fleet = FleetDataset(DatasetConfig(pair_count=16, seed=5, trace_duration=21600.0,
+                                       metrics=("Temperature", MIXED_METRIC)))
+    pairs = fleet.pairs_for_metric(MIXED_METRIC)
+    slow = {pairs[position].key for position in MIXED_SLOW_POSITIONS}
+    return _HalfRatePairs(fleet, slow).export(tmp_path_factory.mktemp("mixed") / "fleet")
+
+
+@pytest.fixture(scope="session")
+def corrupt_mixed_shape_fleet(mixed_shape_fleet, tmp_path_factory
+                              ) -> tuple[MeasuredFleetDataset, tuple[str, str]]:
+    """The mixed-shape fleet with the first trace of its mixed slice corrupted."""
+    directory = tmp_path_factory.mktemp("mixed-corrupt") / "fleet"
+    shutil.copytree(mixed_shape_fleet.directory, directory)
+    corrupt = MeasuredFleetDataset(directory)
+    pair = corrupt.pairs_for_metric(MIXED_METRIC)[0]
+    (directory / pair.file).write_bytes(b"not a trace file")
+    return corrupt, pair.key

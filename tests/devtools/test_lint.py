@@ -35,6 +35,7 @@ LIBRARY = "src/repro/core/fixture.py"
 IO_MODULE = "src/repro/records/sinks.py"
 RECORD_MODULE = "src/repro/analysis/survey.py"
 QUARANTINE_MODULE = "src/repro/analysis/policy_survey.py"
+DRIVER_MODULE = "src/repro/analysis/driver.py"
 STORE_MODULE = "src/repro/records/store.py"
 TEST_ZONE = "tests/core/test_fixture.py"
 
@@ -322,12 +323,14 @@ def test_content_error_rule_scopes_to_io_modules() -> None:
 
 def test_iteration_rule_scopes_to_record_modules() -> None:
     snippet = case_by_label("set-iteration").bad
+    assert rule_ids(lint_sources({DRIVER_MODULE: snippet})) == ["RL006"]
     assert lint_sources({LIBRARY: snippet}) == []
     assert lint_sources({TEST_ZONE: snippet}) == []
 
 
 def test_quarantine_rule_scopes_to_quarantine_modules() -> None:
     snippet = case_by_label("quarantine-silent-continue").bad
+    assert rule_ids(lint_sources({DRIVER_MODULE: snippet})) == ["RL007"]
     assert lint_sources({LIBRARY: snippet}) == []
     assert lint_sources({IO_MODULE: snippet}) == []
     assert lint_sources({TEST_ZONE: snippet}) == []

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.reporting import ascii_bar_chart, format_table
 from repro.cli import build_parser, main
+from repro.telemetry.dataset import DatasetConfig, FleetDataset
 
 
 class TestParser:
@@ -17,13 +19,7 @@ class TestParser:
         args = build_parser().parse_args(["survey"])
         assert args.command == "survey"
         assert args.pairs == 280
-        assert args.backend == "batched"
         assert args.limit_per_metric is None
-
-    def test_survey_backend_choices(self):
-        assert build_parser().parse_args(["survey", "--backend", "scalar"]).backend == "scalar"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["survey", "--backend", "gpu"])
 
     def test_adaptive_metric_choices(self):
         with pytest.raises(SystemExit):
@@ -42,12 +38,15 @@ class TestSurveyCommand:
         assert (tmp_path / "figure4_reduction_ratios.csv").exists()
         assert (tmp_path / "figure5_nyquist_rates.csv").exists()
 
-    def test_survey_backends_agree(self, capsys):
-        assert main(["survey", "--pairs", "28", "--seed", "3", "--backend", "scalar"]) == 0
-        scalar_output = capsys.readouterr().out
-        assert main(["survey", "--pairs", "28", "--seed", "3", "--backend", "batched"]) == 0
-        batched_output = capsys.readouterr().out
-        assert scalar_output == batched_output
+    def test_survey_backends_agree(self, capsys, survey_oracle):
+        """The CLI's figures and headline match the per-trace reference estimator."""
+        assert main(["survey", "--pairs", "28", "--seed", "3"]) == 0
+        output = capsys.readouterr().out
+        reference = survey_oracle(FleetDataset(DatasetConfig(pair_count=28, seed=3)))
+        assert ascii_bar_chart(reference.oversampled_fraction_by_metric(),
+                               maximum=1.0) in output
+        assert format_table([{"statistic": key, "value": value}
+                             for key, value in reference.headline().items()]) in output
 
     def test_survey_limit_per_metric(self, capsys):
         assert main(["survey", "--pairs", "84", "--limit-per-metric", "1"]) == 0

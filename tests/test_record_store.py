@@ -169,10 +169,6 @@ class TestSurveyStoreEquivalence:
         changed = run_survey(other, store=store, chunk_size=4)
         assert changed.cache_hits == 0
 
-    def test_store_requires_batched_backend(self, dataset, store):
-        with pytest.raises(ValueError, match="batched"):
-            run_survey(dataset, store=store, backend="scalar")
-
 
 # ----------------------------------------------------------------------
 class TestMeasuredFleetContentInvalidation:
