@@ -137,6 +137,7 @@ def _run_ingest_bench(section: str, exporter, dump_name: str, tmp_path,
         "peak_buffer_bytes": stats.peak_buffered_samples * 16,
         "spilled_samples": stats.spilled_samples,
         "spill_writes": stats.spill_writes,
+        "cpu_count": os.cpu_count() or 1,
     }
     update_bench_json(section, payload, path=BENCH_INGEST_JSON)
     return payload

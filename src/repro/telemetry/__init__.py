@@ -4,7 +4,7 @@ from .dataset import PAPER_PAIR_COUNT, DatasetConfig, FleetDataset, TraceBatch, 
 from .fleet import DEFAULT_ROLE_MIX, build_fleet, devices_by_role
 from .ingest import (EXPORT_FORMATS, GNMI_FORMAT, METRIC_PATHS, SNMP_FORMAT,
                      IngestStats, PairAccumulator, RawUpdate, ShardIngestStats,
-                     TelemetryDump, export_gnmi_dump, export_snmp_dump,
+                     TelemetryDump, UpdateBlock, export_gnmi_dump, export_snmp_dump,
                      ingest_dump, open_export, sniff_format)
 from .irregular import add_timing_jitter, drop_samples, duplicate_samples, make_irregular
 from .measured import (MeasuredDevice, MeasuredFleetDataset, MeasuredPair,
@@ -22,7 +22,7 @@ __all__ = [
     "MeasuredFleetDataset", "MeasuredPair", "MeasuredDevice", "MeasuredParameters",
     "MeasuredSourceSpec", "export_traces",
     "GNMI_FORMAT", "SNMP_FORMAT", "EXPORT_FORMATS", "METRIC_PATHS",
-    "TelemetryDump", "RawUpdate", "PairAccumulator",
+    "TelemetryDump", "RawUpdate", "UpdateBlock", "PairAccumulator",
     "IngestStats", "ShardIngestStats",
     "ByteRange", "plan_byte_ranges", "shard_of_key",
     "open_export", "sniff_format", "ingest_dump",

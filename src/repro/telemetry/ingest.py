@@ -20,6 +20,10 @@ Two wire formats are supported, behind the format-sniffing
   ``timestamp,device,<metric...>`` and one row per poll of one device,
   one column per OID/metric path; empty cells are missed polls.
 
+Both formats are read in bounded columnar blocks (:data:`UpdateBlock`,
+see :meth:`TelemetryDump.updates`): about :data:`BLOCK_BYTES` of text at a
+time, each block's updates grouped per pair.
+
 The importer *streams* with bounded memory: a :class:`PairAccumulator`
 buffers per-pair samples and, once its in-memory budget is hit, spills the
 largest partial series to per-pair scratch files (the spill idiom of
@@ -65,6 +69,7 @@ import heapq
 import json
 import math
 import os
+import re
 import shutil
 import time
 from dataclasses import dataclass, field
@@ -92,6 +97,8 @@ __all__ = [
     "metric_from_path",
     "path_for_metric",
     "RawUpdate",
+    "UpdateBlock",
+    "BLOCK_BYTES",
     "TelemetryDump",
     "open_export",
     "sniff_format",
@@ -157,9 +164,15 @@ def path_for_metric(name: str) -> str:
 # ----------------------------------------------------------------------
 # Reading raw exports
 # ----------------------------------------------------------------------
+#: Bytes of dump text parsed per :data:`UpdateBlock` (cut at a newline):
+#: bounds the parse stage's transient memory while amortising its per-block
+#: regex/numpy work over a few thousand updates.
+BLOCK_BYTES: int = 1 << 19
+
+
 @dataclass(frozen=True)
 class RawUpdate:
-    """One parsed telemetry update: a (pair, timestamp, value) sample."""
+    """One update parsed by the line-by-line gNMI reader."""
 
     timestamp: float
     device: str
@@ -171,11 +184,38 @@ class RawUpdate:
         return (self.metric, self.device)
 
 
+#: One bounded slice of a dump's updates, grouped per pair (columnar): every
+#: ``(metric, device)`` key of the slice, in first-seen order, mapped to that
+#: key's float64 ``(timestamps, values)`` in arrival order.
+UpdateBlock = dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]
+
+
+class _BlockBuilder:
+    """Collects one block's samples per key, keeping first-seen/arrival order."""
+
+    def __init__(self) -> None:
+        self._groups: dict[tuple[str, str], tuple[list[float], list[float]]] = {}
+
+    def add(self, key: tuple[str, str], timestamp: float, value: float) -> None:
+        times, values = self._groups.setdefault(key, ([], []))
+        times.append(timestamp)
+        values.append(value)
+
+    def build(self) -> UpdateBlock:
+        return {key: (np.array(times, dtype=np.float64),
+                      np.array(values, dtype=np.float64))
+                for key, (times, values) in self._groups.items()}
+
+
 def _require_number(raw: object, what: str, path: Path, line_number: int) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ValueError(f"{path}, line {line_number}: {what} must be a number, "
                          f"got {raw!r}")
-    value = float(raw)
+    try:
+        value = float(raw)
+    except OverflowError:
+        raise ValueError(f"{path}, line {line_number}: {what} must be finite, got "
+                         f"a {len(str(abs(raw)))}-digit integer") from None
     if not math.isfinite(value):
         raise ValueError(f"{path}, line {line_number}: {what} must be finite, "
                          f"got {raw!r}")
@@ -203,6 +243,9 @@ def _parse_gnmi_line(stripped: str, path: Path, line_number: int) -> RawUpdate:
     except json.JSONDecodeError as error:
         raise ValueError(f"{path}, line {line_number}: malformed gNMI JSON "
                          f"update ({error.msg}): {stripped[:80]!r}") from error
+    except ValueError as error:  # an integer literal past int()'s digit limit
+        raise ValueError(f"{path}, line {line_number}: malformed gNMI JSON "
+                         f"update ({error}): {stripped[:80]!r}") from error
     if not isinstance(update, dict):
         raise ValueError(f"{path}, line {line_number}: expected a JSON object "
                          f"per update, got {type(update).__name__}")
@@ -217,37 +260,121 @@ def _parse_gnmi_line(stripped: str, path: Path, line_number: int) -> RawUpdate:
     return RawUpdate(timestamp, device, metric_from_path(token), value)
 
 
-def _iter_gnmi_updates(path: Path,
-                       record_failure: FailureCallback | None = None,
-                       ) -> Iterator[RawUpdate]:
-    """Parse a gNMI-style JSON-lines dump, failing loudly with file + line.
+# The one line shape export_gnmi_dump writes: JSON-grammar numbers (the
+# lookahead forbids leading zeros) and names without quotes, escapes or
+# control characters, so each name is its own JSON value verbatim and the
+# device/path pair is captured as one string split at _NAME_SEPARATOR.
+# [0-9], not \d, which also matches non-ASCII digits; the possessive
+# quantifiers only skip backtracking that could never succeed.
+_JSON_NUMBER = r"(-?(?!0[0-9])[0-9]++(?:\.[0-9]++)?+(?:[eE][-+]?+[0-9]++)?+)"
+_PLAIN_STRING = r'[^"\\\x00-\x1f]*+'
+_NAME_SEPARATOR = '", "path": "'
+_CANONICAL_GNMI_LINE = re.compile(
+    r'^\{"timestamp": ' + _JSON_NUMBER
+    + r', "device": "(' + _PLAIN_STRING + _NAME_SEPARATOR + _PLAIN_STRING
+    + r')", "value": ' + _JSON_NUMBER + r'\}\r?$', re.MULTILINE)
 
-    With ``record_failure`` (quarantine mode), a malformed line is
-    reported to the callback and skipped instead of aborting the stream;
-    every healthy line still parses identically.
+
+def _json_numbers(literals: Sequence[str]) -> np.ndarray:
+    """JSON number literals as float64, bit-equal to ``float(json.loads(literal))``.
+
+    ``float`` of the literal correctly rounds the same decimal value that
+    json's int-then-float path rounds, so the two agree on every literal
+    except the integer ``-0``: json reads the int 0, hence ``+0.0``.
+    (An integer past float range is ``inf`` here; callers reject it.)
     """
-    with path.open() as handle:
-        for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                update = _parse_gnmi_line(stripped, path, line_number)
-            except ValueError as error:
-                if record_failure is None:
-                    raise
-                record_failure(line_number, error)
-                continue
-            yield update
+    numbers = np.fromiter(map(float, literals), dtype=np.float64, count=len(literals))
+    for index in np.flatnonzero(np.signbit(numbers) & (numbers == 0.0)):
+        if literals[index] == "-0":
+            numbers[index] = 0.0
+    return numbers
+
+
+def _parse_canonical_gnmi_block(text: str) -> UpdateBlock | None:
+    """The gNMI fast path: one regex pass over a block of canonical lines.
+
+    Returns ``None`` -- the caller re-parses the block line by line --
+    unless every line matched :data:`_CANONICAL_GNMI_LINE` (so a blank
+    line also sends the block to the fallback), every number is finite
+    and every name is non-empty after ``str.strip()``.  An accepted block
+    holds exactly what :func:`_parse_gnmi_line` would have produced.
+    """
+    rows = _CANONICAL_GNMI_LINE.findall(text)
+    if not rows or len(rows) != text.count("\n") + int(not text.endswith("\n")):
+        return None
+    stamp_literals, names, value_literals = zip(*rows)
+    times = _json_numbers(stamp_literals)
+    values = _json_numbers(value_literals)
+    if not (np.isfinite(times).all() and np.isfinite(values).all()):
+        return None
+    raw_ids = {raw: index for index, raw in enumerate(dict.fromkeys(names))}
+    raw_of_line = np.fromiter(map(raw_ids.__getitem__, names), dtype=np.intp,
+                              count=len(rows))
+    # Resolve each distinct raw device/path once; distinct raw names can
+    # land on one key (" d" and "d", a catalogue path and its metric name).
+    key_ids: dict[tuple[str, str], int] = {}
+    key_of_raw = np.empty(len(raw_ids), dtype=np.intp)
+    for raw_index, raw in enumerate(raw_ids):
+        device, token = (name.strip() for name in raw.split(_NAME_SEPARATOR))
+        if not token or not device:
+            return None
+        key = (metric_from_path(token), device)
+        key_of_raw[raw_index] = key_ids.setdefault(key, len(key_ids))
+    key_of_line = key_of_raw[raw_of_line]
+    order = np.argsort(key_of_line, kind="stable")
+    bounds = np.cumsum(np.bincount(key_of_line, minlength=len(key_ids)))[:-1]
+    return dict(zip(key_ids, zip(np.split(times[order], bounds),
+                                 np.split(values[order], bounds))))
+
+
+def _parse_gnmi_block(text: str, path: Path, first_line: int,
+                      record_failure: FailureCallback | None) -> UpdateBlock:
+    """Parse one block of gNMI JSON lines: the fast path, else line by line.
+
+    The fallback runs every line through :func:`_parse_gnmi_line`, so error
+    text, line numbers and quarantine provenance are the per-line reader's.
+    """
+    block = _parse_canonical_gnmi_block(text)
+    if block is not None:
+        return block
+    builder = _BlockBuilder()
+    for line_number, line in enumerate(text.split("\n"), start=first_line):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            update = _parse_gnmi_line(stripped, path, line_number)
+        except ValueError as error:
+            if record_failure is None:
+                raise
+            record_failure(line_number, error)
+            continue
+        builder.add(update.key, update.timestamp, update.value)
+    return builder.build()
+
+
+def _split_csv_line(line: str, path: Path, line_number: int) -> list[str]:
+    """One CSV line's cells (``[]`` for an empty line), raising with file + line.
+
+    Each line is its own CSV record: a quoted cell cannot carry a record
+    across a newline, and a lone ``\\r`` inside a line is malformed.
+    """
+    try:
+        return next(csv.reader((line,)), [])
+    except csv.Error as error:
+        raise ValueError(f"{path}, line {line_number}: malformed CSV row "
+                         f"({error})") from None
 
 
 def _parse_snmp_row(row: list[str], header: list[str], metrics: list[str],
-                    path: Path, line_number: int) -> list[RawUpdate]:
-    """Parse one SNMP CSV data row into updates, raising with file + line.
+                    path: Path, line_number: int,
+                    ) -> tuple[float, str, list[tuple[str, float]]]:
+    """Parse one SNMP CSV data row, raising with file + line.
 
-    The whole row is parsed before anything is returned, so a quarantining
-    caller drops the row atomically -- a bad cell never leaks the row's
-    earlier cells into the stream.
+    Returns ``(timestamp, device, [(metric, value), ...])`` for the row's
+    non-empty cells.  The whole row is parsed before anything is returned,
+    so a quarantining caller drops the row atomically -- a bad cell never
+    leaks the row's earlier cells into the stream.
     """
     if len(row) != len(header):
         raise ValueError(f"{path}, line {line_number}: expected "
@@ -263,7 +390,7 @@ def _parse_snmp_row(row: list[str], header: list[str], metrics: list[str],
     device = row[1].strip()
     if not device:
         raise ValueError(f"{path}, line {line_number}: empty device id")
-    updates = []
+    cells: list[tuple[str, float]] = []
     for metric, cell in zip(metrics, row[2:]):
         cell = cell.strip()
         if not cell:
@@ -277,18 +404,36 @@ def _parse_snmp_row(row: list[str], header: list[str], metrics: list[str],
         if not math.isfinite(value):
             raise ValueError(f"{path}, line {line_number}: value in column "
                              f"{metric!r} must be finite, got {cell!r}")
-        updates.append(RawUpdate(timestamp, device, metric, value))
-    return updates
+        cells.append((metric, value))
+    return timestamp, device, cells
+
+
+def _parse_snmp_block(text: str, path: Path, first_line: int,
+                      columns: tuple[list[str], list[str]],
+                      record_failure: FailureCallback | None) -> UpdateBlock:
+    """Parse one block of SNMP CSV data rows (row-atomic quarantine)."""
+    header, metrics = columns
+    builder = _BlockBuilder()
+    for line_number, line in enumerate(text.split("\n"), start=first_line):
+        try:
+            row = _split_csv_line(line, path, line_number)
+            if not row:
+                continue
+            timestamp, device, cells = _parse_snmp_row(row, header, metrics, path,
+                                                       line_number)
+        except ValueError as error:
+            if record_failure is None:
+                raise
+            record_failure(line_number, error)
+            continue
+        for metric, value in cells:
+            builder.add((metric, device), timestamp, value)
+    return builder.build()
 
 
 def _validate_snmp_header(header: list[str], path: Path,
                           header_line: int) -> list[str]:
-    """Validate an SNMP header row and resolve its column metric names.
-
-    Shared by the serial reader and the sharded planner (which parses the
-    header once in the parent before fanning ranges out), so both paths
-    reject a broken header with the same error.
-    """
+    """Validate an SNMP header row and resolve its column metric names."""
     if (len(header) < 3 or header[0].strip() != "timestamp"
             or header[1].strip() != "device"):
         raise ValueError(
@@ -304,43 +449,80 @@ def _validate_snmp_header(header: list[str], path: Path,
     return metrics
 
 
-def _iter_snmp_updates(path: Path,
-                       record_failure: FailureCallback | None = None,
-                       ) -> Iterator[RawUpdate]:
-    """Parse an SNMP-poller wide CSV dump, failing loudly with file + line.
+def _read_snmp_header(path: Path) -> tuple[list[str], list[str], int, int]:
+    """Parse + validate an SNMP dump's header: its first non-blank line.
 
-    With ``record_failure`` (quarantine mode), a malformed *data* row is
-    reported and skipped as a whole; header problems always raise -- with
-    no usable header the rest of the file cannot be interpreted at all.
+    Returns ``(header cells, column metrics, data byte offset, first data
+    line number)``.  The serial reader and the sharded planner (which
+    reads the header once before fanning ranges out) both start here, so
+    a broken header fails with the same error on either path.  Header
+    problems always raise, even in quarantine mode: with no usable header
+    the rest of the file cannot be interpreted at all.
     """
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        # The header is the first non-blank row (the gNMI reader likewise
-        # skips blank lines, so a sniffable file is always ingestible).
-        header = None
-        for row in reader:
-            if row and any(cell.strip() for cell in row):
-                header = row
-                break
-        if header is None:
-            raise ValueError(f"{path}, line 1: empty SNMP export (missing "
-                             "'timestamp,device,<metric...>' header)")
-        metrics = _validate_snmp_header(header, path, reader.line_num)
-        for row in reader:
-            line_number = reader.line_num
-            if not row:
-                continue
-            try:
-                updates = _parse_snmp_row(row, header, metrics, path, line_number)
-            except ValueError as error:
-                if record_failure is None:
-                    raise
-                record_failure(line_number, error)
-                continue
-            yield from updates
+    offset = 0
+    line_number = 0
+    with path.open("rb") as handle:
+        for raw in handle:  # binary lines: split at "\n" only
+            line_number += 1
+            offset += len(raw)
+            text = raw.decode("utf-8")
+            if text.strip():
+                header = _split_csv_line(text, path, line_number)
+                metrics = _validate_snmp_header(header, path, line_number)
+                return header, metrics, offset, line_number + 1
+    raise ValueError(f"{path}, line 1: empty SNMP export (missing "
+                     "'timestamp,device,<metric...>' header)")
 
 
-_UPDATE_ITERATORS = {GNMI_FORMAT: _iter_gnmi_updates, SNMP_FORMAT: _iter_snmp_updates}
+def _iter_text_blocks(path: Path, start: int, end: int) -> Iterator[str]:
+    """Yield ``path[start:end]`` as decoded text blocks of about :data:`BLOCK_BYTES`.
+
+    Every block but the last ends with ``\\n``, so no line straddles two
+    blocks (a line longer than a block grows its block instead).  Only
+    ``\\n`` ends a line -- the JSON Lines rule, and what the sharded
+    path's byte ranges are cut on -- so a lone ``\\r`` stays inside its
+    line; ``str.strip()`` still absorbs the ``\\r`` of a CRLF ending.
+    """
+    with path.open("rb") as handle:
+        handle.seek(start)
+        remaining = end - start
+        carry = b""
+        while remaining > 0:
+            chunk = handle.read(min(BLOCK_BYTES, remaining))
+            if not chunk:
+                break  # the file shrank underneath us; serve what we have
+            remaining -= len(chunk)
+            data = carry + chunk
+            cut = data.rfind(b"\n") + 1 if remaining > 0 else len(data)
+            carry = data[cut:]
+            if cut:
+                yield data[:cut].decode("utf-8")
+        if carry:
+            yield carry.decode("utf-8")
+
+
+def _iter_update_blocks(path: Path, start: int, end: int, first_line: int,
+                        record_failure: FailureCallback | None,
+                        columns: tuple[list[str], list[str]] | None,
+                        ) -> Iterator[UpdateBlock]:
+    """Parse the whole lines of ``path[start:end]`` into :data:`UpdateBlock` s.
+
+    The one reader behind both ingest paths: the serial importer runs it
+    over a dump's whole data section, each sharded range worker over its
+    own line-aligned byte range.  ``first_line`` numbers the range's
+    first line.  ``columns`` is an SNMP dump's validated ``(header,
+    metrics)`` pair; ``None`` reads gNMI JSON lines.
+    """
+    line_number = first_line
+    for text in _iter_text_blocks(path, start, end):
+        if columns is None:
+            block = _parse_gnmi_block(text, path, line_number, record_failure)
+        else:
+            block = _parse_snmp_block(text, path, line_number, columns,
+                                      record_failure)
+        line_number += text.count("\n")
+        if block:
+            yield block
 
 
 def sniff_format(path: Path | str) -> str:
@@ -377,15 +559,29 @@ class TelemetryDump:
     format: str
 
     def updates(self, record_failure: FailureCallback | None = None,
-                ) -> Iterator[RawUpdate]:
-        """Stream the dump's updates in file order (one pass, O(1) memory).
+                ) -> Iterator[UpdateBlock]:
+        """Stream the dump in file order as bounded columnar :data:`UpdateBlock` s.
+
+        Each block covers about :data:`BLOCK_BYTES` of dump text cut at a
+        line end and groups its updates per ``(metric, device)`` key, so
+        memory stays O(block) however long the dump is.  A line is
+        ``\\n``-terminated in both formats.  gNMI blocks whose every line
+        has :func:`export_gnmi_dump`'s canonical shape are parsed in one
+        regex pass; any other block is re-parsed line by line with the
+        per-line error reporting.  SNMP rows are parsed row-atomically.
 
         ``record_failure`` switches the reader into quarantine mode:
         malformed lines/rows are reported to the callback and skipped
         instead of raising (structural errors -- an unreadable SNMP
         header -- still raise).
         """
-        return _UPDATE_ITERATORS[self.format](self.path, record_failure)
+        columns: tuple[list[str], list[str]] | None = None
+        start, first_line = 0, 1
+        if self.format == SNMP_FORMAT:
+            header, metrics, start, first_line = _read_snmp_header(self.path)
+            columns = (header, metrics)
+        yield from _iter_update_blocks(self.path, start, self.path.stat().st_size,
+                                       first_line, record_failure, columns)
 
 
 def _has_content(path: Path) -> bool:
@@ -428,7 +624,7 @@ def open_export(path: Path | str, fmt: str | None = None) -> TelemetryDump:
 class PairAccumulator:
     """Per-pair (timestamp, value) buffers with an overall in-memory budget.
 
-    ``add`` appends one sample to its pair's buffer.  Whenever the total
+    ``extend`` appends a pair's samples to its buffer.  Whenever the total
     buffered sample count reaches ``memory_budget_samples``, the largest
     buffers are spilled -- appended to one little-endian float64
     ``(timestamp, value)`` scratch file per pair -- until at most half the
@@ -458,29 +654,13 @@ class PairAccumulator:
         self.total_samples = 0
 
     # ------------------------------------------------------------------
-    def add(self, key: tuple[str, str], timestamp: float, value: float) -> None:
-        times = self._times.get(key)
-        if times is None:
-            self._index[key] = len(self._index)
-            times = self._times[key] = []
-            self._values[key] = []
-        times.append(timestamp)
-        self._values[key].append(value)
-        self.buffered_samples += 1
-        self.total_samples += 1
-        if self.buffered_samples > self.peak_buffered_samples:
-            self.peak_buffered_samples = self.buffered_samples
-        if self.buffered_samples >= self.memory_budget_samples:
-            self._spill_down_to(self.memory_budget_samples // 2)
-
     def extend(self, key: tuple[str, str], times: Sequence[float] | np.ndarray,
                values: Sequence[float] | np.ndarray) -> None:
-        """Append many samples for one pair, honouring the memory budget.
+        """Append one pair's samples (in arrival order), honouring the budget.
 
-        Equivalent to calling :meth:`add` per sample (same counters, same
-        budget-bounded peak) but amortised for the sharded importer's
-        part-file chunks: samples are appended in budget-sized slices
-        with one spill check per slice instead of per sample.
+        Samples are appended in slices that fill the budget's remaining
+        room, with one spill check per slice, so the buffered total never
+        exceeds ``memory_budget_samples`` however large the chunk is.
         """
         chunk_times = np.asarray(times, dtype=np.float64)
         chunk_values = np.asarray(values, dtype=np.float64)
@@ -857,8 +1037,9 @@ def _ingest_into(dump: TelemetryDump, directory: Path, manifest_path: Path,
     callback = record_failure if on_error == "quarantine" else None
     with PairAccumulator(directory / ".ingest-scratch",
                          memory_budget_samples) as accumulator:
-        for update in dump.updates(record_failure=callback):
-            accumulator.add(update.key, update.timestamp, update.value)
+        for block in dump.updates(record_failure=callback):
+            for key, (times, values) in block.items():
+                accumulator.extend(key, times, values)
         if not accumulator.keys():
             raise ValueError(f"{dump.path}: no telemetry updates found "
                              f"(format {dump.format})")

@@ -3,10 +3,13 @@
 :func:`~repro.telemetry.ingest.ingest_dump` is single-threaded by
 default; this module is the ``workers=N`` engine behind it.  The dump is
 split into byte ranges aligned to record (line) boundaries, each range is
-parsed in a worker process, and every parsed update is routed to one of
-``N`` shards by a stable sha256 hash of its ``(metric, device)`` key --
+parsed in a worker process by the serial importer's own block reader
+(:meth:`~repro.telemetry.ingest.TelemetryDump.updates` runs the same code
+over the whole dump), and every parsed update is routed to one of ``N``
+shards by a stable sha256 hash of its ``(metric, device)`` key --
 ``PYTHONHASHSEED``-independent, so shard ownership is a pure function of
-the pair.  Each shard then runs its own bounded
+the pair (one hash per pair per parsed block).  Each shard then runs its
+own bounded
 :class:`~repro.telemetry.ingest.PairAccumulator` + pair-finishing pass in
 a worker process, and the parent merges the per-shard outputs into one
 canonical-order fleet directory.
@@ -41,23 +44,21 @@ the parent (deterministic salvage); only a repeat failure aborts.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import os
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
 from ..faults.execution import BatchExecutionError, RetryPolicy, run_batch_tasks
 from ..records import FailureRecord
 from .measured import _save_trace_csv, _save_trace_npz
-from .ingest import (GNMI_FORMAT, SNMP_FORMAT, IngestStats, PairAccumulator,
-                     ShardIngestStats, TelemetryDump, _finish_pair,
-                     _parse_gnmi_line, _parse_snmp_row, _validate_snmp_header,
-                     _write_manifest)
+from .ingest import (SNMP_FORMAT, IngestStats, PairAccumulator, ShardIngestStats,
+                     TelemetryDump, UpdateBlock, _finish_pair, _iter_update_blocks,
+                     _read_snmp_header, _write_manifest)
 
 __all__ = ["ByteRange", "plan_byte_ranges", "shard_of_key"]
 
@@ -100,7 +101,7 @@ def plan_byte_ranges(path: Path | str, parts: int, data_start: int = 0,
     ``first_line`` skip an already-parsed header (the SNMP CSV case).
 
     The scan is cheap relative to parsing: it only finds ``\\n`` bytes,
-    while the workers run ``json.loads``/``csv`` over the same bytes.
+    while the workers parse the same bytes into update blocks.
     """
     path = Path(path)
     if parts < 1:
@@ -149,54 +150,37 @@ def plan_byte_ranges(path: Path | str, parts: int, data_start: int = 0,
     return ranges
 
 
-def _iter_range_lines(path: Path, start: int, end: int) -> Iterator[bytes]:
-    """Yield the raw lines of ``path[start:end]``, newlines included.
-
-    Reads in bounded chunks; only the tail of the current chunk (at most
-    one partial line) is held between reads.
-    """
-    with path.open("rb") as handle:
-        handle.seek(start)
-        remaining = end - start
-        tail = b""
-        while remaining > 0:
-            chunk = handle.read(min(1 << 20, remaining))
-            if not chunk:
-                break  # the file shrank underneath us; serve what we have
-            remaining -= len(chunk)
-            pieces = (tail + chunk).split(b"\n")
-            tail = pieces.pop()
-            for piece in pieces:
-                yield piece + b"\n"
-        if tail:
-            yield tail
-
-
 # ----------------------------------------------------------------------
 # Phase 1: parse byte ranges, route updates to per-shard part files
 # ----------------------------------------------------------------------
 class _ShardBuffer:
-    """One shard's pending updates inside a range parser, key-table encoded."""
+    """One shard's pending samples inside a range parser, key-table encoded."""
 
-    __slots__ = ("ids", "metrics", "devices", "key_index", "times", "values")
+    __slots__ = ("ids", "keys", "times", "values")
 
     def __init__(self) -> None:
         self.ids: dict[tuple[str, str], int] = {}
-        self.metrics: list[str] = []
-        self.devices: list[str] = []
-        self.key_index: list[int] = []
-        self.times: list[float] = []
-        self.values: list[float] = []
+        self.keys: list[np.ndarray] = []
+        self.times: list[np.ndarray] = []
+        self.values: list[np.ndarray] = []
+
+    def append(self, key: tuple[str, str], times: np.ndarray,
+               values: np.ndarray) -> None:
+        index = self.ids.setdefault(key, len(self.ids))
+        self.keys.append(np.full(times.size, index, dtype=np.uint32))
+        self.times.append(times)
+        self.values.append(values)
 
 
 class _ShardPartWriter:
-    """Routes parsed updates to shards and flushes them as ``.npz`` part files.
+    """Routes parsed update blocks to shards and flushes them as ``.npz`` part files.
 
-    A part file holds one flush of one shard's updates from one range:
-    unicode key tables (``metric``/``device``), a ``key`` index column and
-    the ``t``/``v`` sample columns.  At most ``flush_budget`` samples are
-    buffered across all shards, so phase-1 memory is bounded no matter how
-    large the range is.
+    Each block group is routed with one ``shard_of_key`` hash.  A part
+    file holds one flush of one shard's samples from one range: unicode
+    key tables (``metric``/``device``), a ``key`` index column and the
+    ``t``/``v`` sample columns.  At most ``flush_budget`` samples are
+    buffered across all shards, so phase-1 memory is bounded (beyond the
+    block being routed) no matter how large the range is.
     """
 
     def __init__(self, scratch_dir: Path, range_index: int, shards: int,
@@ -210,34 +194,33 @@ class _ShardPartWriter:
         self._chunks = [0] * shards
         self._buffers = [_ShardBuffer() for _ in range(shards)]
 
-    def add(self, metric: str, device: str, timestamp: float, value: float) -> None:
-        buffer = self._buffers[shard_of_key((metric, device), self.shards)]
-        index = buffer.ids.get((metric, device))
-        if index is None:
-            index = buffer.ids[(metric, device)] = len(buffer.metrics)
-            buffer.metrics.append(metric)
-            buffer.devices.append(device)
-        buffer.key_index.append(index)
-        buffer.times.append(timestamp)
-        buffer.values.append(value)
-        self.total += 1
-        self._buffered += 1
-        if self._buffered >= self.flush_budget:
-            self.flush()
+    def add_block(self, block: UpdateBlock) -> None:
+        for key, (times, values) in block.items():
+            shard = shard_of_key(key, self.shards)
+            position = 0
+            while position < times.size:
+                take = min(times.size - position, self.flush_budget - self._buffered)
+                self._buffers[shard].append(key, times[position:position + take],
+                                            values[position:position + take])
+                position += take
+                self.total += take
+                self._buffered += take
+                if self._buffered >= self.flush_budget:
+                    self.flush()
 
     def flush(self) -> None:
         for shard, buffer in enumerate(self._buffers):
-            if not buffer.key_index:
+            if not buffer.keys:
                 continue
             part = (self.scratch_dir
                     / f"part-r{self.range_index:04d}-s{shard:04d}"
                       f"-c{self._chunks[shard]:05d}.npz")
             np.savez(part,
-                     metric=np.asarray(buffer.metrics),
-                     device=np.asarray(buffer.devices),
-                     key=np.asarray(buffer.key_index, dtype=np.uint32),
-                     t=np.asarray(buffer.times, dtype=np.float64),
-                     v=np.asarray(buffer.values, dtype=np.float64))
+                     metric=np.asarray([key[0] for key in buffer.ids]),
+                     device=np.asarray([key[1] for key in buffer.ids]),
+                     key=np.concatenate(buffer.keys),
+                     t=np.concatenate(buffer.times),
+                     v=np.concatenate(buffer.values))
             self._chunks[shard] += 1
             self._buffers[shard] = _ShardBuffer()
         self._buffered = 0
@@ -248,7 +231,6 @@ class _RangeTask:
     """Picklable spec of one phase-1 parse task."""
 
     dump_path: str
-    fmt: str
     start: int
     end: int
     first_line: int
@@ -257,7 +239,7 @@ class _RangeTask:
     scratch_dir: str
     flush_budget: int
     quarantine: bool
-    header: tuple[str, ...] | None  # validated SNMP header cells
+    header: tuple[str, ...] | None  # validated SNMP header cells (None: gNMI)
     metrics: tuple[str, ...] | None  # SNMP column metric names
 
 
@@ -294,68 +276,15 @@ def _parse_range(task: _RangeTask) -> _RangeResult:
 
     writer = _ShardPartWriter(scratch, task.range_index, task.shards,
                               task.flush_budget)
-    lines = _iter_range_lines(dump_path, task.start, task.end)
-    if task.fmt == GNMI_FORMAT:
-        for line_number, raw in enumerate(lines, start=task.first_line):
-            stripped = raw.decode("utf-8").strip()
-            if not stripped:
-                continue
-            try:
-                update = _parse_gnmi_line(stripped, dump_path, line_number)
-            except ValueError as error:
-                if not task.quarantine:
-                    raise
-                record_failure(line_number, error)
-                continue
-            writer.add(update.metric, update.device, update.timestamp, update.value)
-    else:
-        header = list(task.header or ())
-        metrics = list(task.metrics or ())
-        reader = csv.reader(raw.decode("utf-8") for raw in lines)
-        for row in reader:
-            line_number = task.first_line + reader.line_num - 1
-            if not row:
-                continue
-            try:
-                updates = _parse_snmp_row(row, header, metrics, dump_path,
-                                          line_number)
-            except ValueError as error:
-                if not task.quarantine:
-                    raise
-                record_failure(line_number, error)
-                continue
-            for update in updates:
-                writer.add(update.metric, update.device, update.timestamp,
-                           update.value)
+    columns: tuple[list[str], list[str]] | None = None
+    if task.header is not None and task.metrics is not None:
+        columns = (list(task.header), list(task.metrics))
+    for block in _iter_update_blocks(dump_path, task.start, task.end, task.first_line,
+                                     record_failure if task.quarantine else None,
+                                     columns):
+        writer.add_block(block)
     writer.flush()
     return _RangeResult(updates=writer.total, failures=tuple(failures))
-
-
-def _read_snmp_header(path: Path) -> tuple[list[str], list[str], int, int]:
-    """Parse + validate the SNMP header in the parent, before any fan-out.
-
-    Returns ``(header cells, column metrics, data byte offset, first data
-    line number)``.  Header problems always raise -- with no usable header
-    the rest of the file cannot be interpreted at all, exactly the serial
-    reader's contract (and its error messages).
-    """
-    offset = 0
-    line_number = 0
-    header_text = None
-    with path.open("rb") as handle:
-        for raw in handle:
-            line_number += 1
-            offset += len(raw)
-            text = raw.decode("utf-8")
-            if text.strip():
-                header_text = text
-                break
-    if header_text is None:
-        raise ValueError(f"{path}, line 1: empty SNMP export (missing "
-                         "'timestamp,device,<metric...>' header)")
-    header = next(csv.reader([header_text]))
-    metrics = _validate_snmp_header(header, path, line_number)
-    return header, metrics, offset, line_number + 1
 
 
 # ----------------------------------------------------------------------
@@ -503,7 +432,7 @@ def _sharded_ingest_into(dump: TelemetryDump, staging: Path, manifest_path: Path
     pending.mkdir(parents=True, exist_ok=True)
 
     range_tasks = [
-        _RangeTask(dump_path=str(dump.path), fmt=dump.format,
+        _RangeTask(dump_path=str(dump.path),
                    start=byte_range.start, end=byte_range.end,
                    first_line=byte_range.first_line, range_index=index,
                    shards=workers, scratch_dir=str(scratch),

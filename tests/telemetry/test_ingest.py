@@ -14,12 +14,16 @@ Three layers of guarantees are pinned here:
 * **Bounded memory** -- the :class:`PairAccumulator` never buffers more
   than its budget, spills make it to disk and back losslessly, and the
   spilled result is identical to an unbounded ingest.
+* **Block-reader exactness** -- the gNMI fast path (one regex pass per
+  block of canonical lines) publishes exactly the bytes and quarantine
+  records of parsing every line with ``_parse_gnmi_line``.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,10 +33,12 @@ from repro.faults import FaultPlan, corrupt_dump_lines
 from repro.records import (FailureRecord, FailureRecordBlock,
                            MemoryRecordSink)
 from repro.cli import main
+from repro.telemetry import ingest as ingest_module
 from repro.telemetry.dataset import DatasetConfig, FleetDataset
-from repro.telemetry.ingest import (GNMI_FORMAT, METRIC_PATHS,
-                                    SNMP_FORMAT, PairAccumulator, ingest_dump,
-                                    metric_from_path, open_export, sniff_format)
+from repro.telemetry.ingest import (BLOCK_BYTES, GNMI_FORMAT, METRIC_PATHS,
+                                    SNMP_FORMAT, PairAccumulator, _parse_gnmi_line,
+                                    ingest_dump, metric_from_path, open_export,
+                                    sniff_format)
 from repro.telemetry.measured import MeasuredFleetDataset
 
 #: Small, fast fleet shared by the suite: three families (gauge, counter,
@@ -262,10 +268,9 @@ class TestBoundedMemory:
 
     def test_accumulator_spills_largest_buffers_first(self, tmp_path):
         accumulator = PairAccumulator(tmp_path / "scratch", memory_budget_samples=10)
-        for index in range(8):
-            accumulator.add(("m", "big"), float(index), 1.0)
-        accumulator.add(("m", "small"), 0.0, 2.0)
-        accumulator.add(("m", "small"), 1.0, 3.0)  # hits the budget -> spill
+        accumulator.extend(("m", "big"), np.arange(8.0), np.ones(8))
+        # Two more samples hit the budget -> spill.
+        accumulator.extend(("m", "small"), [0.0, 1.0], [2.0, 3.0])
         assert accumulator.buffered_samples <= 5
         assert accumulator.spilled_samples >= 8
         times, values = accumulator.samples(("m", "big"))
@@ -633,6 +638,33 @@ class TestQuarantinedIngest:
         with pytest.raises(ValueError, match=r"dirty\.jsonl, line"):
             ingest_dump(dirty, tmp_path / "fleet")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_out_of_range_integer_is_quarantined(self, gnmi_dump, tmp_path, workers):
+        # float(int) of a 401-digit literal overflows; the line must be
+        # quarantined like any other malformed line, not abort the run.
+        dump = with_huge_integer_timestamp(gnmi_dump, tmp_path)
+        sink = MemoryRecordSink()
+        ingest_dump(dump, tmp_path / "fleet", on_error="quarantine",
+                    failure_sink=sink, workers=workers)
+        failures = [f for block in sink.blocks() for f in block.failures()]
+        assert [f.provenance for f in failures] == [f"{dump}:6"]
+        assert "line 6: 'timestamp' must be finite" in failures[0].message
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_out_of_range_integer_names_file_and_line(self, gnmi_dump, tmp_path,
+                                                      workers):
+        dump = with_huge_integer_timestamp(gnmi_dump, tmp_path)
+        with pytest.raises(ValueError, match=r"huge\.jsonl, line 6: 'timestamp'"):
+            ingest_dump(dump, tmp_path / "fleet", workers=workers)
+
+    def test_integer_past_the_digit_limit_names_file_and_line(self, gnmi_dump,
+                                                              tmp_path):
+        # json.loads raises a plain ValueError (not JSONDecodeError) for an
+        # integer literal past int()'s digit limit.
+        dump = with_huge_integer_timestamp(gnmi_dump, tmp_path, digits=5000)
+        with pytest.raises(ValueError, match=r"huge\.jsonl, line 6: malformed gNMI"):
+            ingest_dump(dump, tmp_path / "fleet")
+
 
 class TestAtomicIngest:
     """Ingest stages into ``<dest>.partial`` and publishes by rename: a
@@ -670,3 +702,175 @@ class TestAtomicIngest:
         a = ingest_dump(gnmi_dump, tmp_path / "a")
         b = ingest_dump(gnmi_dump, tmp_path / "b")
         assert_same_fleet(a, b)
+
+
+def with_huge_integer_timestamp(dump: Path, tmp_path: Path, digits: int = 401) -> Path:
+    lines = dump.read_text().splitlines(keepends=True)
+    lines[5] = ('{"timestamp": 1' + "0" * (digits - 1)
+                + ', "device": "d", "path": "/x", "value": 1.0}\n')
+    huge = tmp_path / "huge.jsonl"
+    huge.write_text("".join(lines))
+    return huge
+
+
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def large_gnmi_lines(tmp_path_factory) -> list[str]:
+    """A canonical gNMI dump spanning several blocks, as ``\\n``-ended lines."""
+    fleet = FleetDataset(DatasetConfig(pair_count=30, seed=5, trace_duration=14400.0,
+                                       metrics=INGEST_METRICS))
+    dump = fleet.export_gnmi_dump(tmp_path_factory.mktemp("dumps") / "large.jsonl")
+    assert dump.stat().st_size > 2 * BLOCK_BYTES
+    return dump.read_text().splitlines(keepends=True)
+
+
+def directory_bytes(directory: Path) -> dict[str, bytes]:
+    """Every published file of a fleet directory, keyed by relative path."""
+    return {str(path.relative_to(directory)): path.read_bytes()
+            for path in sorted(directory.rglob("*")) if path.is_file()}
+
+
+def per_line_failures(dump: Path) -> list[tuple[str, str, str]]:
+    """Quarantine records of a plain ``_parse_gnmi_line`` pass over every line."""
+    failures = []
+    text = dump.read_bytes().decode("utf-8")
+    for line_number, line in enumerate(text.split("\n"), start=1):
+        if line.strip():
+            try:
+                _parse_gnmi_line(line.strip(), dump, line_number)
+            except ValueError as error:
+                failures.append((type(error).__name__, str(error),
+                                 f"{dump}:{line_number}"))
+    return failures
+
+
+def assert_exact_against_per_line(dump: Path, tmp_path: Path, monkeypatch,
+                                  ) -> list[tuple[str, str, str]]:
+    """Block-reader ingest == per-line reference ingest; returns the failures.
+
+    The reference run disables the fast path, so every line goes through
+    ``_parse_gnmi_line``; the block run must take the fast path at least
+    once, or the comparison would prove nothing.
+    """
+    fast_path = ingest_module._parse_canonical_gnmi_block
+    accepted: list[bool] = []
+
+    def spy(text: str):
+        block = fast_path(text)
+        accepted.append(block is not None)
+        return block
+
+    monkeypatch.setattr(ingest_module, "_parse_canonical_gnmi_block", spy)
+    sink = MemoryRecordSink()
+    ingest_dump(dump, tmp_path / "blocks", fmt=GNMI_FORMAT, on_error="quarantine",
+                failure_sink=sink)
+    failures = [(f.error_type, f.message, f.provenance)
+                for block in sink.blocks() for f in block.failures()]
+    assert failures == per_line_failures(dump)
+    assert any(accepted), "no block took the fast path"
+    if failures:  # raise mode reports the first one, verbatim
+        with pytest.raises(ValueError) as raised:
+            ingest_dump(dump, tmp_path / "raised", fmt=GNMI_FORMAT)
+        assert str(raised.value) == failures[0][1]
+    monkeypatch.setattr(ingest_module, "_parse_canonical_gnmi_block",
+                        lambda text: None)
+    ingest_dump(dump, tmp_path / "per-line", fmt=GNMI_FORMAT, on_error="quarantine")
+    assert directory_bytes(tmp_path / "blocks") == directory_bytes(tmp_path / "per-line")
+    return failures
+
+
+def canonical(timestamp: str, device: str, path: str, value: str) -> str:
+    return (f'{{"timestamp": {timestamp}, "device": "{device}", "path": "{path}", '
+            f'"value": {value}}}')
+
+
+class TestBlockReaderExactness:
+    """The gNMI fast path publishes exactly what per-line parsing does."""
+
+    def test_malformed_first_last_and_block_straddling_lines(
+            self, large_gnmi_lines, tmp_path, monkeypatch):
+        lines = list(large_gnmi_lines)
+        ends = np.cumsum([len(line.encode()) for line in lines])
+        # The line holding byte BLOCK_BYTES straddles the first block cut.
+        straddling = int(np.searchsorted(ends, BLOCK_BYTES, side="right"))
+        assert ends[straddling - 1] < BLOCK_BYTES < ends[straddling]
+        lines[0] = "not json\n"
+        lines[straddling] = lines[straddling].replace('"value": ', '"value": "')
+        lines[straddling] = lines[straddling].replace("}\n", '"}\n')
+        lines[-1] = lines[-1][: len(lines[-1]) // 2]  # truncated, no newline
+        dump = tmp_path / "dirty.jsonl"
+        dump.write_text("".join(lines))
+        failures = assert_exact_against_per_line(dump, tmp_path, monkeypatch)
+        assert [failure[2] for failure in failures] == [
+            f"{dump}:1", f"{dump}:{straddling + 1}", f"{dump}:{len(lines)}"]
+
+    def test_joined_json_counterexample_is_rejected_line_by_line(
+            self, large_gnmi_lines, tmp_path, monkeypatch):
+        # Each line alone is malformed, yet joined into one JSON array the
+        # three parse into exactly three valid update objects.
+        trio = [canonical("0.0", "d", "/x", "1.0")[:-1] + ', "x": [{}',
+                "{}]}",
+                canonical("60.0", "d", "/x", "2.0") + ", "
+                + canonical("120.0", "d", "/x", "3.0")]
+        joined = json.loads("[" + ",".join(trio) + "]")
+        assert len(joined) == 3 and all("value" in update for update in joined)
+        lines = list(large_gnmi_lines)
+        lines[10:10] = [line + "\n" for line in trio]
+        dump = tmp_path / "joined.jsonl"
+        dump.write_text("".join(lines))
+        failures = assert_exact_against_per_line(dump, tmp_path, monkeypatch)
+        assert [failure[2] for failure in failures] == [
+            f"{dump}:11", f"{dump}:12", f"{dump}:13"]
+
+    def test_raw_line_separators_inside_device_names(
+            self, large_gnmi_lines, tmp_path, monkeypatch):
+        # U+2028 and U+0085 are legal raw inside JSON strings (and
+        # str.splitlines() would break on them); \x0c is a control
+        # character json rejects.  Stripping maps " edge\u0085" to
+        # "edge", merging it with the plain "edge" device.
+        extra = []
+        for index in range(12):
+            for device in ("edge box", "edge\u0085box", " edge\u0085",
+                           "edge"):
+                extra.append(canonical(f"{60.0 * index}", device, "/sep",
+                                       f"{index}.5") + "\n")
+        lines = extra + list(large_gnmi_lines)
+        lines.append(canonical("0.0", "form\x0cfeed", "/sep", "1.0") + "\n")
+        dump = tmp_path / "separators.jsonl"
+        dump.write_bytes("".join(lines).encode("utf-8"))
+        failures = assert_exact_against_per_line(dump, tmp_path, monkeypatch)
+        assert [failure[2] for failure in failures] == [f"{dump}:{len(lines)}"]
+        devices = {pair.device.device_id
+                   for pair in MeasuredFleetDataset(tmp_path / "blocks").pairs()
+                   if pair.metric_name == "/sep"}
+        assert devices == {"edge box", "edge\u0085box", "edge"}
+
+    def test_number_literals_line_endings_and_blank_lines(
+            self, large_gnmi_lines, tmp_path, monkeypatch):
+        # First block: -0 (json's int 0, so +0.0) against -0.0, exponent
+        # timestamps, a 30-digit integer and CRLF endings -- all on the
+        # fast path.  Last block: NaN/Infinity tokens (rejected as before)
+        # and blank or whitespace-only lines (the per-line fallback).
+        head = []
+        for index in range(8):
+            value = "-0" if index % 2 == 0 else "-0.0"
+            head.append(canonical(f"{index + 1}E2", "zero", "/z", value) + "\r\n")
+            head.append(canonical(f"{index * 100}", "wide", "/z",
+                                  "123456789012345678901234567890") + "\n")
+        tail = ["\n", "   \t\n",
+                canonical("NaN", "d", "/x", "1.0") + "\n",
+                "\r\n",
+                canonical("0.0", "d", "/x", "Infinity") + "\n",
+                canonical("60.0", "d", "/x", "-Infinity") + "\n"]
+        lines = head + list(large_gnmi_lines) + tail
+        dump = tmp_path / "literals.jsonl"
+        dump.write_text("".join(lines))
+        failures = assert_exact_against_per_line(dump, tmp_path, monkeypatch)
+        total = len(lines)
+        assert [failure[2] for failure in failures] == [
+            f"{dump}:{total - 3}", f"{dump}:{total - 1}", f"{dump}:{total}"]
+        fleet = MeasuredFleetDataset(tmp_path / "blocks")
+        zero = next(pair for pair in fleet.pairs() if pair.key == ("/z", "zero"))
+        trace = fleet.load(zero)
+        assert trace.start_time == 100.0 and trace.interval == 100.0
+        assert list(np.signbit(trace.values)) == [False, True] * 4

@@ -224,10 +224,35 @@ class TestShardedQuarantine:
             ingest_dump(dirty, tmp_path / "fleet", fmt=GNMI_FORMAT, workers=3)
         assert not (tmp_path / "fleet").exists()
 
+    @pytest.mark.parametrize("dump_fixture", ["gnmi_dump", "snmp_dump"])
+    def test_lone_cr_dump_identical_across_worker_counts(self, request,
+                                                         dump_fixture, tmp_path):
+        # Only "\n" ends a line, in the serial reader and in every range
+        # worker alike: a lone "\r" joins lines 80 and 81 into one
+        # malformed line 80 at any worker count (CRLF endings, as in the
+        # csv-written SNMP dump, stay fine).
+        dump = request.getfixturevalue(dump_fixture)
+        lines = dump.read_bytes().split(b"\n")
+        lines[79] = lines[79].rstrip(b"\r") + b"\r" + lines.pop(80)
+        lone_cr = tmp_path / f"lone-cr{dump.suffix}"
+        lone_cr.write_bytes(b"\n".join(lines))
+        failures = {}
+        for workers in (1, 2, 4):
+            sink = MemoryRecordSink()
+            ingest_dump(lone_cr, tmp_path / f"fleet-w{workers}", workers=workers,
+                        on_error="quarantine", failure_sink=sink)
+            failures[workers] = [(f.message, f.provenance) for block in sink.blocks()
+                                 for f in block.failures()]
+            assert_byte_identical(tmp_path / "fleet-w1", tmp_path / f"fleet-w{workers}")
+            with pytest.raises(ValueError, match=r"lone-cr\.\w+, line 80: "):
+                ingest_dump(lone_cr, tmp_path / f"raise-w{workers}", workers=workers)
+        assert [provenance for _, provenance in failures[1]] == [f"{lone_cr}:80"]
+        assert failures[2] == failures[1] and failures[4] == failures[1]
+
 
 # ----------------------------------------------------------------------
 class TestAccumulatorExtend:
-    def test_extend_matches_add_loop_bit_for_bit(self, tmp_path):
+    def test_extend_matches_one_sample_loop_bit_for_bit(self, tmp_path):
         rng = np.random.default_rng(11)
         keys = [("m", f"d{i}") for i in range(4)]
         chunks = [(key, rng.uniform(0, 3600, size=size),
@@ -237,8 +262,9 @@ class TestAccumulatorExtend:
         batched = PairAccumulator(tmp_path / "batch", memory_budget_samples=64)
         for key, times, values in chunks:
             for timestamp, value in zip(times, values):
-                looped.add(key, timestamp, value)
+                looped.extend(key, [timestamp], [value])
             batched.extend(key, times, values)
+        assert looped.peak_buffered_samples <= 64
         assert batched.peak_buffered_samples <= 64
         assert batched.total_samples == looped.total_samples
         assert batched.keys() == looped.keys()
