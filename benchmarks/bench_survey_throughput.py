@@ -113,6 +113,7 @@ def test_batched_engine_speedup(output_dir):
         "scalar_pairs_per_second": total_pairs / scalar_seconds,
         "batched_pairs_per_second": total_pairs / batched_seconds,
         "speedup": speedup,
+        "cpu_count": os.cpu_count(),
     })
     print(f"\n=== Survey engine throughput ({total_pairs} pairs) ===")
     print(format_table(rows))
@@ -184,6 +185,7 @@ def test_fleet_scale_out_of_core_survey(output_dir, tmp_path):
         "spill_files": len(sink.files),
         "spill_bytes": spill_bytes,
         "oversampled_fraction": headline["oversampled_fraction"],
+        "cpu_count": os.cpu_count(),
     })
     print("\n=== Out-of-core fleet survey ===")
     print(format_table([{
@@ -235,6 +237,7 @@ def test_measured_vs_generated_throughput(output_dir, tmp_path):
         "generated_pairs_per_second": MEASURED_PAIRS / generated_seconds,
         "measured_pairs_per_second": MEASURED_PAIRS / recorded_seconds,
         "trace_format": "npz",
+        "cpu_count": os.cpu_count(),
     })
     print(f"\n=== Measured vs generated survey ({MEASURED_PAIRS} pairs, workers=2) ===")
     print(format_table([

@@ -56,7 +56,8 @@ class DatasetConfig:
     trace_duration:
         Length of each trace in seconds (paper: one day).
     metrics:
-        Metric names to include; defaults to the full 14-metric catalogue.
+        Distinct metric names to include; defaults to the full 14-metric
+        catalogue.
     broadband_fraction:
         Fraction of pairs whose traces should look aliased (paper: ~11 %).
     seed:
@@ -79,6 +80,9 @@ class DatasetConfig:
         unknown = [name for name in self.metrics if name not in METRIC_CATALOG]
         if unknown:
             raise ValueError(f"unknown metrics: {unknown}")
+        repeated = sorted({name for name in self.metrics if self.metrics.count(name) > 1})
+        if repeated:
+            raise ValueError(f"metrics must be distinct; repeated: {repeated}")
         if not 0 <= self.broadband_fraction <= 1:
             raise ValueError("broadband_fraction must be in [0, 1]")
 

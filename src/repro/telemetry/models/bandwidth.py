@@ -16,8 +16,8 @@ import numpy as np
 from ...signals.timeseries import TimeSeries
 from ..metrics import MetricSpec
 from ..profiles import MetricParameters
-from .common import (band_limited_component, broadband_component, diurnal_component,
-                     finalize_trace, time_grid)
+from .common import (add_gaussian_pulses, band_limited_component, broadband_component,
+                     diurnal_component, finalize_trace, time_grid)
 
 __all__ = ["generate_peak_bandwidth_trace"]
 
@@ -26,7 +26,14 @@ def generate_peak_bandwidth_trace(spec: MetricSpec, params: MetricParameters,
                                   duration: float, interval: float,
                                   rng: np.random.Generator | None = None,
                                   device_name: str = "") -> TimeSeries:
-    """Generate one peak-bandwidth trace (Gbps maxima per polling interval)."""
+    """Generate one peak-bandwidth trace (Gbps maxima per polling interval).
+
+    Bursts are added by :func:`~.common.add_gaussian_pulses`, which
+    evaluates the Gaussian bell once per trace.  That is bit-exact
+    whenever ``k * interval`` is an exact float64 for every sample index
+    ``k`` (every catalogue poll interval and its /2 and /4 oversampled
+    grids); on other grids the bursts are evaluated one by one.
+    """
     rng = rng or np.random.default_rng(params.seed)
     times = time_grid(duration, interval)
     n = times.shape[0]
@@ -45,16 +52,10 @@ def generate_peak_bandwidth_trace(spec: MetricSpec, params: MetricParameters,
     values = baseline.copy()
     expected_bursts = params.burst_rate_per_day * duration / 86400.0
     burst_count = int(rng.poisson(max(expected_bursts, 0.0)))
-    if burst_count:
-        sigma = max(1.0 / (2.0 * np.pi * params.bandwidth_hz), 2.0 * interval)
-        span = max(int(round(3.0 * sigma / interval)), 1)
-        for _ in range(burst_count):
-            centre = int(rng.integers(0, n))
-            start = max(centre - span, 0)
-            stop = min(centre + span, n)
-            pulse_times = times[start:stop] - times[centre]
-            magnitude = params.amplitude * float(rng.uniform(0.5, 2.0))
-            values[start:stop] += magnitude * np.exp(-0.5 * (pulse_times / sigma) ** 2)
+    sigma = max(1.0 / (2.0 * np.pi * params.bandwidth_hz), 2.0 * interval)
+    span = max(int(round(3.0 * sigma / interval)), 1)
+    add_gaussian_pulses(values, times, interval, sigma, span, burst_count,
+                        scale=params.amplitude, low=0.5, high=2.0, rng=rng)
 
     if params.broadband:
         values = values + np.abs(broadband_component(n, params.amplitude, rng))

@@ -18,7 +18,8 @@ import numpy as np
 from ...signals.timeseries import TimeSeries
 from ..metrics import MetricSpec
 from ..profiles import MetricParameters
-from .common import band_limited_component, broadband_component, finalize_trace, time_grid
+from .common import (add_gaussian_pulses, band_limited_component, broadband_component,
+                     finalize_trace, time_grid)
 
 __all__ = ["generate_error_count_trace", "episode_time_constant"]
 
@@ -39,7 +40,14 @@ def generate_error_count_trace(spec: MetricSpec, params: MetricParameters,
                                duration: float, interval: float,
                                rng: np.random.Generator | None = None,
                                device_name: str = "") -> TimeSeries:
-    """Generate one sparse error-counter trace (events per interval)."""
+    """Generate one sparse error-counter trace (events per interval).
+
+    Episodes are added by :func:`~.common.add_gaussian_pulses`, which
+    evaluates the Gaussian bell once per trace.  That is bit-exact
+    whenever ``k * interval`` is an exact float64 for every sample index
+    ``k`` (every catalogue poll interval and its /2 and /4 oversampled
+    grids); on other grids the pulses are evaluated one by one.
+    """
     rng = rng or np.random.default_rng(params.seed)
     times = time_grid(duration, interval)
     n = times.shape[0]
@@ -51,20 +59,15 @@ def generate_error_count_trace(spec: MetricSpec, params: MetricParameters,
         1.0 + band_limited_component(n, interval, params.bandwidth_hz, 1.0, rng))
     values = np.maximum(background, 0.0)
 
+    # Episodes build up and drain over the device's characteristic time
+    # scale; a Gaussian bell keeps the pulse band-limited to ~1/(2*pi*tau)
+    # so the episode does not leak energy above the device bandwidth.
     tau = max(episode_time_constant(params.bandwidth_hz), 2.0 * interval)
     expected_episodes = params.burst_rate_per_day * duration / 86400.0
     episode_count = int(rng.poisson(max(expected_episodes, 0.0)))
-    for _ in range(episode_count):
-        centre_index = int(rng.integers(0, n))
-        magnitude = params.level * float(rng.uniform(2.0, 10.0))
-        # Episodes build up and drain over the device's characteristic time
-        # scale; a Gaussian bell keeps the pulse band-limited to ~1/(2*pi*tau)
-        # so the episode does not leak energy above the device bandwidth.
-        span = max(int(round(4.0 * tau / interval)), 1)
-        start_index = max(centre_index - span, 0)
-        stop_index = min(centre_index + span, n)
-        pulse_times = times[start_index:stop_index] - times[centre_index]
-        values[start_index:stop_index] += magnitude * np.exp(-0.5 * (pulse_times / tau) ** 2)
+    span = max(int(round(4.0 * tau / interval)), 1)
+    add_gaussian_pulses(values, times, interval, tau, span, episode_count,
+                        scale=params.level, low=2.0, high=10.0, rng=rng)
 
     if params.broadband:
         values = values + np.abs(broadband_component(n, params.level, rng))

@@ -28,6 +28,12 @@ class TestDatasetConfig:
         with pytest.raises(ValueError):
             DatasetConfig(metrics=())
 
+    def test_rejects_repeated_metrics(self):
+        # A repeated metric would give duplicate (metric, device) keys, and
+        # a survey would then return more records than pairs.
+        with pytest.raises(ValueError, match="Temperature"):
+            DatasetConfig(pair_count=20, metrics=("Temperature", "Temperature", "FCS errors"))
+
 
 class TestFleetDataset:
     def test_pair_count_is_exact(self, small_dataset):

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.nyquist import estimate_nyquist_rate
-from repro.telemetry.metrics import METRIC_CATALOG
-from repro.telemetry.models import generate_trace
-from repro.telemetry.models.common import (band_limited_component, broadband_component,
-                                           diurnal_component, time_grid)
+from repro.telemetry.metrics import METRIC_CATALOG, MetricFamily
+from repro.telemetry.models import generate_trace, paths
+from repro.telemetry.models.common import (_grid_is_exact, band_limited_component,
+                                           broadband_component, diurnal_component,
+                                           finalize_trace, time_grid)
 from repro.telemetry.models.errorcounts import episode_time_constant
 from repro.telemetry.profiles import DeviceProfile, DeviceRole, draw_metric_parameters
 
@@ -134,3 +137,165 @@ class TestGeneratedTraces:
         trace = generate_trace(spec, params, 21600.0, rng=np.random.default_rng(37),
                                device_name="tor-0001")
         assert "tor-0001" in trace.name
+
+
+# --- Reference generators -------------------------------------------------
+#
+# The per-episode, per-burst and per-step loops the fast paths replaced,
+# kept here as oracles: the library's generators must reproduce them byte
+# for byte and leave the RNG in the same state.
+
+def reference_error_count_trace(spec, params, duration, interval, rng):
+    times = time_grid(duration, interval)
+    n = times.shape[0]
+    background = params.level * 0.3 * (
+        1.0 + band_limited_component(n, interval, params.bandwidth_hz, 1.0, rng))
+    values = np.maximum(background, 0.0)
+    tau = max(episode_time_constant(params.bandwidth_hz), 2.0 * interval)
+    episode_count = int(rng.poisson(max(params.burst_rate_per_day * duration / 86400.0, 0.0)))
+    for _ in range(episode_count):
+        centre_index = int(rng.integers(0, n))
+        magnitude = params.level * float(rng.uniform(2.0, 10.0))
+        span = max(int(round(4.0 * tau / interval)), 1)
+        start_index = max(centre_index - span, 0)
+        stop_index = min(centre_index + span, n)
+        pulse_times = times[start_index:stop_index] - times[centre_index]
+        values[start_index:stop_index] += magnitude * np.exp(-0.5 * (pulse_times / tau) ** 2)
+    if params.broadband:
+        values = values + np.abs(broadband_component(n, params.level, rng))
+    return finalize_trace(values, spec, params, interval, rng)
+
+
+def reference_peak_bandwidth_trace(spec, params, duration, interval, rng):
+    times = time_grid(duration, interval)
+    n = times.shape[0]
+    diurnal_amplitude = params.amplitude * 0.5 if params.bandwidth_hz >= 1.0 / 86400.0 else 0.0
+    phase = float(rng.uniform(0.0, 2.0 * np.pi))
+    baseline = (params.level
+                + diurnal_component(times, diurnal_amplitude, phase=phase)
+                + band_limited_component(n, interval, params.bandwidth_hz,
+                                         params.amplitude * 0.5, rng))
+    values = baseline.copy()
+    burst_count = int(rng.poisson(max(params.burst_rate_per_day * duration / 86400.0, 0.0)))
+    if burst_count:
+        sigma = max(1.0 / (2.0 * np.pi * params.bandwidth_hz), 2.0 * interval)
+        span = max(int(round(3.0 * sigma / interval)), 1)
+        for _ in range(burst_count):
+            centre = int(rng.integers(0, n))
+            start = max(centre - span, 0)
+            stop = min(centre + span, n)
+            pulse_times = times[start:stop] - times[centre]
+            magnitude = params.amplitude * float(rng.uniform(0.5, 2.0))
+            values[start:stop] += magnitude * np.exp(-0.5 * (pulse_times / sigma) ** 2)
+    if params.broadband:
+        values = values + np.abs(broadband_component(n, params.amplitude, rng))
+    return finalize_trace(values, spec, params, interval, rng)
+
+
+def reference_walk(n, current, mean_count, transition_probability, rng):
+    values = np.empty(n)
+    for i in range(n):
+        if rng.random() < transition_probability:
+            direction = (1.0 if rng.random() < 0.5 + 0.5 * (mean_count - current)
+                         / (mean_count + 1.0) else -1.0)
+            current = max(current + direction * float(rng.integers(1, 3)), 0.0)
+        values[i] = current
+    return values
+
+
+def reference_path_count_trace(spec, params, duration, interval, rng):
+    n = time_grid(duration, interval).shape[0]
+    mean_count = max(params.level, 1.0)
+    transition_probability = min(params.bandwidth_hz * interval, 0.5)
+    current = float(rng.poisson(mean_count))
+    values = reference_walk(n, current, mean_count, transition_probability, rng)
+    if params.broadband:
+        values = values + np.abs(broadband_component(n, mean_count * 0.5, rng))
+    return finalize_trace(values, spec, params, interval, rng)
+
+
+REFERENCE_GENERATORS = {
+    MetricFamily.ERROR_COUNT: reference_error_count_trace,
+    MetricFamily.PEAK_BANDWIDTH: reference_peak_bandwidth_trace,
+    MetricFamily.PATH_COUNT: reference_path_count_trace,
+}
+
+FAST_PATH_METRICS = [name for name, spec in METRIC_CATALOG.items()
+                     if spec.family in REFERENCE_GENERATORS]
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox,
+                  np.random.SFC64, np.random.PCG64DXSM]
+
+
+def assert_matches_reference(spec, params, duration, interval, seed):
+    """The library trace and one trailing draw equal the reference's, bit for bit."""
+    fast_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    fast = generate_trace(spec, params, duration, interval=interval, rng=fast_rng)
+    reference = REFERENCE_GENERATORS[spec.family](spec, params, duration, interval,
+                                                  reference_rng)
+    assert fast.values.tobytes() == reference.values.tobytes()
+    assert fast_rng.random() == reference_rng.random()
+
+
+class TestFastPathsMatchReference:
+    @pytest.mark.parametrize("divisor", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("metric_name", FAST_PATH_METRICS)
+    def test_one_day_traces(self, metric_name, divisor):
+        for seed in range(3):
+            spec, params = params_for(metric_name, seed=seed, broadband=seed == 2)
+            assert_matches_reference(spec, params, 86400.0, spec.poll_interval / divisor,
+                                     seed + 100)
+
+    @pytest.mark.parametrize("divisor", [1, 4, 7])
+    @pytest.mark.parametrize("metric_name", FAST_PATH_METRICS)
+    def test_one_hour_slow_devices(self, metric_name, divisor):
+        # A slow device's pulse spans more than the whole trace; a high
+        # burst rate makes sure an hour still draws several of them.
+        for seed in range(3):
+            spec, params = params_for(metric_name, seed=seed, bandwidth=1e-5)
+            params = dataclasses.replace(params, burst_rate_per_day=120.0)
+            interval = spec.poll_interval / divisor
+            span = max(int(round(4.0 * episode_time_constant(1e-5) / interval)), 1)
+            assert span > time_grid(3600.0, interval).shape[0]
+            assert_matches_reference(spec, params, 3600.0, interval, seed + 200)
+
+    @pytest.mark.parametrize("metric_name", FAST_PATH_METRICS)
+    def test_zero_episode_traces(self, metric_name):
+        spec, params = params_for(metric_name, seed=5)
+        params = dataclasses.replace(params, burst_rate_per_day=0.0)
+        assert_matches_reference(spec, params, 86400.0, spec.poll_interval, 300)
+
+    @pytest.mark.parametrize("interval", [0.1, 1.7, 13.0])
+    def test_off_catalogue_intervals(self, interval):
+        for metric_name in FAST_PATH_METRICS:
+            spec, params = params_for(metric_name, seed=7)
+            assert_matches_reference(spec, params, 3600.0, interval, 400)
+
+    @pytest.mark.parametrize("transition_probability",
+                             [1e-4, paths.BLOCK_WALK_MAX_PROBABILITY,
+                              paths.BLOCK_WALK_MAX_PROBABILITY * 1.01, 0.5])
+    def test_path_counts_on_both_sides_of_the_crossover(self, transition_probability):
+        spec = METRIC_CATALOG["Lossy paths"]
+        _, params = params_for("Lossy paths", seed=9,
+                               bandwidth=transition_probability / spec.poll_interval)
+        assert_matches_reference(spec, params, 86400.0, spec.poll_interval, 500)
+
+    @pytest.mark.parametrize("transition_probability",
+                             [0.0, 1e-3, paths.BLOCK_WALK_MAX_PROBABILITY, 0.5])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+    def test_block_walk_matches_step_walk(self, bit_generator, transition_probability):
+        for n in (1, paths.WALK_BLOCK, paths.WALK_BLOCK + 1, 1440):
+            fast_rng = np.random.Generator(bit_generator(17))
+            reference_rng = np.random.Generator(bit_generator(17))
+            values = np.empty(n)
+            paths._block_walk(values, 3.0, 2.0, transition_probability, fast_rng)
+            expected = reference_walk(n, 3.0, 2.0, transition_probability, reference_rng)
+            assert values.tobytes() == expected.tobytes()
+            assert fast_rng.random() == reference_rng.random()
+
+    def test_grid_exactness(self):
+        assert all(_grid_is_exact(86400 * 4, poll / divisor)
+                   for poll in (30.0, 60.0, 300.0) for divisor in (1, 2, 3, 4))
+        assert not _grid_is_exact(2880, 30.0 / 7)
+        assert not _grid_is_exact(2880, 0.1)
+        assert _grid_is_exact(1, 0.1)
