@@ -16,8 +16,8 @@ kind, its analysis-parameter token, its failure-stage label and an
   shapes.
 * **Store.**  With a :class:`~repro.records.RecordStore`, each slice is
   fingerprinted (:func:`~repro.records.fingerprint_slice`) and hits are
-  served as memory-mapped blocks; only misses are computed, then
-  published.  Quarantined slices are never cached.
+  served from its ``.rcb`` blocks (one read per file, no descriptor kept
+  open); only misses are computed, then published.  Quarantined slices are never cached.
 * **Execution.**  Misses run inline (``workers=1``) or on a process pool
   through :func:`~repro.faults.run_batch_tasks`.  Pool workers receive a
   picklable task (the source's ``worker_spec()``, the evaluator and the
@@ -129,9 +129,9 @@ def _spill_task_blocks(blocks: Sequence[ColumnarBlock], scratch: str, tag: int
 def _materialise_blocks(outcome: Sequence) -> list:
     """Resolve a worker outcome into blocks, loading spill-file refs.
 
-    Referenced scratch files are unlinked right after the mmap is opened
-    (the mapping keeps the data alive), so the scratch directory never
-    holds more than the in-flight results.
+    Referenced scratch files are unlinked right after they are read (the
+    loaded block owns its bytes), so the scratch directory never holds
+    more than the in-flight results.
     """
     blocks = []
     for item in outcome:

@@ -366,7 +366,7 @@ def run_policy_survey(source: TraceSource,
         A :class:`~repro.records.RecordStore` for incremental reruns.
         Slices already fingerprinted in the store (pair contents + the
         suite's and accountant's ``cache_token()``) are served as
-        memory-mapped blocks without loading a trace; misses run exactly
+        its ``.rcb`` blocks without loading a trace; misses run exactly
         as a store-less run would, then are written back atomically.
         ``PolicySurveyResult.cache_hits`` / ``cache_misses`` count the
         pairs on each path; quarantined slices are never cached.

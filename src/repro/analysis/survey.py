@@ -564,7 +564,7 @@ def run_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
         A :class:`~repro.records.RecordStore` for incremental reruns.
         Each ``chunk_size`` slice is fingerprinted over its pair contents
         and analysis parameters; fingerprints already in the store are
-        served as memory-mapped blocks without generating a trace or
+        served from its ``.rcb`` blocks without generating a trace or
         calling the estimator, and misses are computed exactly as a
         store-less run would (including the multi-worker fan-out) then
         written back atomically.  Results are byte-identical either way;

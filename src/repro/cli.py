@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="content-addressed record store for incremental "
                              "reruns: slices already computed from identical "
                              "traces and parameters are served from DIR as "
-                             "memory-mapped blocks, misses are written back")
+                             ".rcb blocks, misses are written back")
     survey.add_argument("--no-store", action="store_true",
                         help="ignore --store and recompute everything")
     survey.add_argument("--from-dir", type=Path, default=None, metavar="FLEET_DIR",

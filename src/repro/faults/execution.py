@@ -121,8 +121,10 @@ def run_batch_tasks(worker_fn: Callable[[Any], Any], tasks: Sequence[Any],
       completed are kept, never re-executed.
 
     Any other exception type propagates unchanged (it is a bug, not a
-    batch failure).  ``sleep`` is injectable so tests and benchmarks can
-    skip the real backoff waits.
+    batch failure).  The pool is joined before the last outcome is
+    yielded, so no worker process outlives a completed run; a raising or
+    abandoned generator shuts it down without waiting.  ``sleep`` is
+    injectable so tests and benchmarks can skip the real backoff waits.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -155,22 +157,24 @@ def run_batch_tasks(worker_fn: Callable[[Any], Any], tasks: Sequence[Any],
                 for position in range(index + 1 if exhausted else index, len(tasks)):
                     if _needs_resubmit(futures[position]):
                         futures[position] = pool.submit(worker_fn, tasks[position])
-                if exhausted:
-                    yield index, BatchExecutionError(
-                        f"batch {index} crashed its worker process "
-                        f"{attempts[index]} times (BrokenProcessPool)",
-                        error_type="BrokenProcessPool", retryable=True)
-                    index += 1
-                continue
+                if not exhausted:
+                    continue
+                outcome = BatchExecutionError(
+                    f"batch {index} crashed its worker process "
+                    f"{attempts[index]} times (BrokenProcessPool)",
+                    error_type="BrokenProcessPool", retryable=True)
             except BatchExecutionError as error:
                 if error.retryable and attempts[index] < retry.max_attempts:
                     sleep(retry.delay(attempts[index]))
                     attempts[index] += 1
                     futures[index] = pool.submit(worker_fn, tasks[index])
                     continue
-                yield index, error
-                index += 1
-                continue
+                outcome = error
+            if index == len(tasks) - 1:
+                # Every future is done: join the workers before the last
+                # yield, because callers that count their ``next()`` calls
+                # never resume the generator into ``finally``.
+                pool.shutdown(wait=True)
             yield index, outcome
             index += 1
     finally:

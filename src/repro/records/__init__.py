@@ -13,9 +13,9 @@ Layout:
 * :mod:`repro.records.blocks` -- :class:`BlockSchema`-driven
   serialisation (:class:`ColumnarBlock`), the quarantine failure records
   and the block-type registry.
-* :mod:`repro.records.rcb` -- the ``.rcb`` memory-mapped binary block
-  format: loads are zero-copy ``np.memmap`` views, writes deterministic
-  byte for byte.  npz/csv remain as legacy paths behind the same
+* :mod:`repro.records.rcb` -- the ``.rcb`` binary block format: a load
+  is one read, with columns as zero-copy views of that buffer; writes
+  are deterministic byte for byte.  npz/csv remain as legacy paths behind the same
   sniffing.
 * :mod:`repro.records.sinks` -- :class:`MemoryRecordSink` and
   :class:`SpillingRecordSink` (one file per block, numerically ordered).

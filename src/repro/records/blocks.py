@@ -154,9 +154,9 @@ class ColumnarBlock:
     Subclasses are frozen dataclasses whose fields are the schema's
     scalars (strings) followed by its columns (1-D arrays); ``_SCHEMA``
     drives validation, the npz/csv/rcb round trips and spill-file
-    sniffing.  Blocks loaded from ``.rcb`` files hold zero-copy
-    ``np.memmap``-backed views, so re-opening a finished survey touches
-    only the pages an aggregation actually reads.
+    sniffing.  Blocks loaded from ``.rcb`` files hold read-only
+    zero-copy views of one read buffer per file, and keep no file
+    descriptor open.
     """
 
     _SCHEMA: ClassVar[BlockSchema]
@@ -245,13 +245,13 @@ class ColumnarBlock:
         return cls(**scalars, **columns)
 
     def save_rcb(self, path: Path) -> None:
-        """Write the block as one memory-mappable ``.rcb`` file."""
+        """Write the block as one ``.rcb`` file."""
         from .rcb import write_rcb
         write_rcb(self, path)
 
     @classmethod
     def load_rcb(cls, path: Path) -> Self:
-        """Load an ``.rcb`` file as zero-copy ``np.memmap``-backed views."""
+        """Load an ``.rcb`` file with one read; columns are zero-copy views."""
         from .rcb import read_rcb
         return read_rcb(cls, path)
 

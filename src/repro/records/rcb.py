@@ -1,6 +1,6 @@
-"""The ``.rcb`` memory-mapped columnar block format.
+"""The ``.rcb`` columnar block format.
 
-An rcb file is a self-describing, mmap-friendly serialisation of one
+An rcb file is a self-describing, aligned serialisation of one
 :class:`~repro.records.ColumnarBlock`:
 
 ``````
@@ -18,23 +18,27 @@ data_start  = 8 + H rounded up to the next 64-byte boundary
             data_start and 64-byte aligned, ``nbytes`` == rows * itemsize.
 ``````
 
-Columns load as read-only ``np.memmap`` views (``np.asarray`` onto the
-schema dtype is zero-copy, pinned by tests), so re-opening a block costs
-one page of header I/O instead of an npz decompress, and aggregations
-fault in only the columns they touch.  Writes are deterministic byte for
-byte (sorted JSON keys, zero padding), which is what lets CI compare a
-warm store rerun to a cold run with ``cmp``.  Any structural damage --
-bad magic, unparseable header, payload size mismatch -- raises
+A load is one open, one header parse and one read: the data section
+lands in a single immutable buffer and every column is a read-only
+zero-copy view into it (``np.asarray`` onto the schema dtype shares
+that memory, pinned by tests).  No descriptor or mapping outlives the
+call, so a process can hold any number of loaded blocks.  Each file is
+one block of at most ``chunk_size`` rows and every consumer reads every
+column, so lazy paging would save nothing.  Writes are deterministic
+byte for byte (sorted JSON keys, zero padding), which is what lets CI
+compare a warm store rerun to a cold run with ``cmp``.  Any structural
+damage -- bad magic, unparseable header, payload size mismatch -- raises
 ``ValueError`` naming the file.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Mapping
+from typing import Any, BinaryIO
 
 import numpy as np
 
@@ -48,7 +52,7 @@ RCB_MAGIC = b"RCB1"
 RCB_FORMAT = "rcb/1"
 
 #: Column payloads (and the data section itself) start on this alignment,
-#: so memmap views are cache-line aligned regardless of header size.
+#: so column views are cache-line aligned relative to the data section.
 _ALIGN = 64
 
 #: Hard ceiling on the JSON header, to reject garbage length prefixes
@@ -69,15 +73,15 @@ class BlockFileRef:
     """A pointer to one rcb block file, cheap to pickle across processes.
 
     Pool workers return these instead of the blocks themselves when a
-    spilling sink or record store is in use: the parent re-opens the file
-    as mmap views, so the block's column arrays never ride through the
+    spilling sink or record store is in use: the parent loads the file
+    with one read, so the block's column arrays never ride through the
     pickle pipe.
     """
 
     path: str
 
     def load(self) -> Any:
-        """Materialise the referenced block (mmap-backed views)."""
+        """Materialise the referenced block (views of one read buffer)."""
         return load_rcb_any(Path(self.path))
 
 
@@ -149,7 +153,7 @@ def _read_header(path: Path, handle: BinaryIO) -> tuple[dict, int]:
     if not isinstance(header["data_bytes"], int) or header["data_bytes"] < 0:
         raise _corrupt(path, f"bad data size {header['data_bytes']!r}")
     data_start = _align(8 + header_length)
-    size = Path(path).stat().st_size
+    size = os.fstat(handle.fileno()).st_size
     if size != data_start + header["data_bytes"]:
         raise _corrupt(path, f"expected {data_start + header['data_bytes']} bytes, "
                              f"found {size}")
@@ -165,8 +169,10 @@ def _read_header(path: Path, handle: BinaryIO) -> tuple[dict, int]:
                 raise _corrupt(path, f"column {column.get('name')!r} payload is "
                                      f"{column['nbytes']} bytes, expected "
                                      f"{rows * dtype.itemsize}")
-            if column["offset"] + column["nbytes"] > header["data_bytes"]:
-                raise _corrupt(path, f"column {column.get('name')!r} overruns the file")
+            if (column["offset"] < 0
+                    or column["offset"] + column["nbytes"] > header["data_bytes"]):
+                raise _corrupt(path, f"column {column.get('name')!r} lies outside "
+                                     "the data section")
         except (TypeError, KeyError) as error:
             raise _corrupt(path, f"bad column descriptor: {error}") from error
     return header, data_start
@@ -175,7 +181,7 @@ def _read_header(path: Path, handle: BinaryIO) -> tuple[dict, int]:
 def read_rcb_header(path: Path) -> dict:
     """Parse (and structurally validate) just the JSON header of ``path``.
 
-    Cheap -- one small read plus a stat -- so sinks use it to count rows
+    Cheap -- one small read plus an ``fstat`` -- so sinks use it to count rows
     and sniff block types without touching the column payloads.
     """
     path = Path(path)
@@ -187,14 +193,22 @@ def read_rcb_header(path: Path) -> dict:
     return header
 
 
-def read_rcb(cls: type, path: Path) -> Any:
-    """Load ``path`` as an instance of ``cls`` with mmap-backed columns."""
-    path = Path(path)
+def _read_file(path: Path) -> tuple[dict, bytes]:
+    """The validated header of ``path`` and its data section, in one read."""
     try:
         with path.open("rb") as handle:
             header, data_start = _read_header(path, handle)
+            handle.seek(data_start)
+            data = handle.read(header["data_bytes"])
     except OSError as error:
         raise _corrupt(path, str(error)) from error
+    if len(data) != header["data_bytes"]:
+        raise _corrupt(path, f"read {len(data)} of {header['data_bytes']} data bytes")
+    return header, data
+
+
+def _block_from(cls: type, path: Path, header: dict, data: bytes) -> Any:
+    """Build a ``cls`` block whose columns are read-only views of ``data``."""
     schema = cls._SCHEMA
     by_name = {column["name"]: column for column in header["columns"]}
     fields: dict[str, Any] = {}
@@ -211,30 +225,35 @@ def read_rcb(cls: type, path: Path) -> Any:
         if column["nbytes"] == 0:
             fields[spec.name] = np.empty(0, dtype=dtype)
         else:
-            fields[spec.name] = np.memmap(path, mode="r", dtype=dtype,
-                                          shape=(rows,),
-                                          offset=data_start + column["offset"])
+            fields[spec.name] = np.frombuffer(data, dtype=dtype, count=rows,
+                                              offset=column["offset"])
     return cls(**fields)
+
+
+def read_rcb(cls: type, path: Path) -> Any:
+    """Load ``path`` as an instance of ``cls`` (one read, zero-copy columns)."""
+    path = Path(path)
+    return _block_from(cls, path, *_read_file(path))
 
 
 def load_rcb_any(path: Path) -> Any:
     """Load an rcb file whose block type is not known in advance.
 
-    Resolves the class through the block-type registry -- by the header's
-    ``block_type`` name first, falling back to member sniffing for files
-    written by a renamed class -- and raises ``ValueError`` naming the
-    file when nothing claims it.
+    Resolves the class through the block-type registry from the one
+    parsed header -- by its ``block_type`` name first, falling back to
+    member sniffing for files written by a renamed class -- and raises
+    ``ValueError`` naming the file when nothing claims it.
     """
     from .blocks import _BLOCK_TYPES, _ensure_registry
     path = Path(path)
-    header = read_rcb_header(path)
+    header, data = _read_file(path)
     _ensure_registry()
     for cls in _BLOCK_TYPES:
         if cls.__name__ == header["block_type"]:
-            return read_rcb(cls, path)
+            return _block_from(cls, path, header, data)
     for cls in _BLOCK_TYPES:
         if cls.sniff_rcb(header):
-            return read_rcb(cls, path)
+            return _block_from(cls, path, header, data)
     raise ValueError(
         f"spill file {path} does not match any registered record block type "
         f"({[cls.__name__ for cls in _BLOCK_TYPES]}); the file is corrupt or "

@@ -88,8 +88,8 @@ class SpillingRecordSink(RecordSink):
     ``PolicySurveyResult(sink=SpillingRecordSink(path))``).
 
     ``fmt`` picks the spill serialisation: ``"npz"`` (compressed, the
-    default), ``"csv"`` (greppable), or ``"rcb"`` (memory-mapped -- blocks
-    stream back as zero-copy views, the fastest re-open).  ``fmt=None``
+    default), ``"csv"`` (greppable), or ``"rcb"`` (one read per file --
+    blocks stream back as zero-copy views, the fastest re-open).  ``fmt=None``
     infers it from the files already in the directory, defaulting to npz
     on a fresh one.
 

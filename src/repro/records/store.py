@@ -8,8 +8,9 @@ limit, chunk size), the estimator/policy/accountant parameters, and one
 *content token* per pair (trace-file bytes for measured fleets, the
 generative spec identity for synthetic ones).  Two runs that agree on the
 fingerprint are guaranteed byte-identical record blocks, so
-``run_survey(..., store=...)`` serves hits straight from the store as
-memory-mapped ``.rcb`` blocks and recomputes only the misses.
+``run_survey(..., store=...)`` serves hits straight from the store's
+``.rcb`` blocks (one read per file, no descriptor kept open) and
+recomputes only the misses.
 
 Entries are published atomically: blocks and metadata are staged in a
 scratch directory next to the entry and renamed into place in one
@@ -147,10 +148,11 @@ class RecordStore:
 
     where ``<aa>`` is the digest's first two hex characters (the usual
     fan-out that keeps any one directory small) and the blocks are the
-    slice's record blocks in production order.  :meth:`get` returns them
-    as mmap-backed views; :meth:`put` publishes a new entry atomically
-    and is idempotent -- republishing an existing digest is a no-op, and
-    two processes publishing the same digest race benignly.
+    slice's record blocks in production order.  :meth:`get` loads them
+    with one read per file (columns are read-only views of that buffer);
+    :meth:`put` publishes a new entry atomically and is idempotent --
+    republishing an existing digest is a no-op, and two processes
+    publishing the same digest race benignly.
     """
 
     def __init__(self, directory: Path | str) -> None:
@@ -181,11 +183,42 @@ class RecordStore:
         return (self._entry_dir(fingerprint) / "meta.json").exists()
 
     def get(self, fingerprint: PairFingerprint) -> list[Any] | None:
-        """The slice's blocks as mmap-backed views, or None on a miss."""
+        """The slice's blocks, or None on a miss.
+
+        Loads exactly the ``meta["blocks"]`` block files the entry was
+        published with and checks their rows against ``meta["rows"]``, so
+        a damaged entry raises ``ValueError`` instead of serving a short
+        slice as a complete hit.
+        """
         entry = self._entry_dir(fingerprint)
-        if not (entry / "meta.json").exists():
+        meta_path = entry / "meta.json"
+        try:
+            meta = json.loads(meta_path.read_text())
+        except FileNotFoundError:
             return None
-        return [load_rcb_any(path) for path in sorted(entry.glob("block-*.rcb"))]
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as error:
+            raise self._damaged(entry, f"unreadable metadata {meta_path} ({error})") from error
+        declared, rows = meta.get("blocks"), meta.get("rows")
+        if not isinstance(declared, int) or not isinstance(rows, int):
+            raise self._damaged(entry, f"metadata {meta_path} declares blocks="
+                                       f"{declared!r}, rows={rows!r}")
+        blocks = []
+        for index in range(declared):
+            try:
+                blocks.append(load_rcb_any(entry / f"block-{index:05d}.rcb"))
+            except ValueError as error:
+                raise self._damaged(entry, str(error)) from error
+        loaded = sum(len(block) for block in blocks)
+        if loaded != rows:
+            raise self._damaged(entry, f"its {declared} block file(s) hold {loaded} "
+                                       f"row(s), metadata declares {rows}")
+        return blocks
+
+    def _damaged(self, entry: Path, reason: str) -> ValueError:
+        return ValueError(
+            f"record store entry {entry} is damaged: {reason}; run "
+            f"`repro-monitor store verify {self.directory}` and delete the "
+            "entry so the next run recomputes it")
 
     def put(self, fingerprint: PairFingerprint, blocks: Sequence[Any]) -> None:
         """Publish the slice's blocks under ``fingerprint`` atomically."""

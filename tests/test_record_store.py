@@ -16,6 +16,11 @@ scratch files rely on.
 
 from __future__ import annotations
 
+import json
+import os
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,7 +30,7 @@ from repro.core.nyquist import NyquistEstimator
 from repro.faults import FaultInjectingTraceSource, FaultPlan
 from repro.pipeline.policies import PolicySuite
 from repro.records import (PairFingerprint, RecordStore, SpillingRecordSink,
-                           fingerprint_slice)
+                           fingerprint_slice, load_rcb_any)
 from repro.telemetry.dataset import DatasetConfig, FleetDataset
 
 CONFIG = DatasetConfig(pair_count=56, seed=5)
@@ -373,6 +378,84 @@ class TestSpillFileOrdering:
         reopened = SpillingRecordSink(tmp_path / "spool", fmt=None)
         assert reopened.fmt == "rcb"
         assert reopened.rows == 1
+
+
+# ----------------------------------------------------------------------
+def _lose_first_block(entry) -> None:
+    (entry / "block-00000.rcb").unlink()
+
+
+def _overstate_rows(entry) -> None:
+    meta = json.loads((entry / "meta.json").read_text())
+    meta["rows"] += 1
+    (entry / "meta.json").write_text(json.dumps(meta))
+
+
+def _garble_metadata(entry) -> None:
+    (entry / "meta.json").write_text("{not json")
+
+
+class TestDamagedEntries:
+    """A hit serves exactly the published blocks, or raises naming the entry.
+
+    ``get`` loads the ``meta["blocks"]`` files the entry was published
+    with and checks their rows against ``meta["rows"]``; a lost, stray
+    or short block must never pass as a complete hit.
+    """
+
+    @pytest.fixture()
+    def fleet(self) -> FleetDataset:
+        return FleetDataset(DatasetConfig(pair_count=40, seed=5))
+
+    @pytest.fixture()
+    def populated(self, fleet, store):
+        cold = run_survey(fleet, store=store, chunk_size=4)
+        return store, block_payloads(cold.iter_blocks())
+
+    @pytest.mark.parametrize("damage, reason", [
+        (_lose_first_block, "No such file"),
+        (_overstate_rows, "metadata declares"),
+        (_garble_metadata, "unreadable metadata"),
+    ], ids=["lost-block", "row-count", "garbled-meta"])
+    def test_damage_raises_naming_the_entry(self, fleet, populated, damage, reason):
+        store, _ = populated
+        entry = next(iter(store.entries()))
+        damage(entry)
+        with pytest.raises(ValueError, match=reason) as raised:
+            run_survey(fleet, store=store, chunk_size=4)
+        assert str(entry) in str(raised.value)
+        assert "repro-monitor store verify" in str(raised.value)
+
+    def test_stray_block_file_is_not_served(self, fleet, populated):
+        store, cold_payloads = populated
+        entry = next(iter(store.entries()))
+        shutil.copy(entry / "block-00000.rcb", entry / "block-00009.rcb")
+        warm = run_survey(fleet, store=store, chunk_size=4)
+        assert (warm.cache_hits, warm.cache_misses) == (40, 0)
+        assert block_payloads(warm.iter_blocks()) == cold_payloads
+
+
+def _open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(),
+                    reason="needs /proc to count open descriptors")
+def test_served_blocks_hold_no_file_descriptors(tmp_path):
+    """Loaded store blocks keep no descriptor open, however many are alive."""
+    store = RecordStore(tmp_path / "store")
+    run_survey(FleetDataset(DatasetConfig(pair_count=400, seed=7)), store=store,
+               chunk_size=4)
+    paths = [path for entry in store.entries() for path in sorted(entry.glob("block-*.rcb"))]
+    assert len(paths) >= 100
+    before = _open_descriptors()
+    blocks = [load_rcb_any(path) for path in paths]
+    assert _open_descriptors() == before
+    warm = run_survey(FleetDataset(DatasetConfig(pair_count=400, seed=7)), store=store,
+                      chunk_size=4)
+    assert (warm.cache_hits, warm.cache_misses) == (400, 0)
+    assert _open_descriptors() == before
+    assert sum(len(block) for block in blocks) == len(warm) == 400
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from repro.analysis.survey import RecordBlock
 from repro.pipeline.evaluation import PolicyRecordBlock
 from repro.records import (RCB_MAGIC, BlockSchema, ColumnSpec, FailureRecord,
                            FailureRecordBlock, ScalarSpec, SpillingRecordSink,
-                           read_rcb_header, registered_block_types)
+                           load_rcb_any, read_rcb_header, registered_block_types)
 
 # ----------------------------------------------------------------------
 # One sample block per registered type (NaNs included to pin bit-exact
@@ -145,6 +145,32 @@ class TestRoundTrips:
                             for spec in schema.scalars]
         header = lines[len(comments)]
         assert header == ",".join(schema.csv_header)
+
+
+class TestZeroCopyLoad:
+    """An rcb load is one read: every column is a read-only view of one buffer."""
+
+    def test_every_registered_type_is_covered(self):
+        assert set(registered_block_types()) <= set(BLOCK_FACTORIES)
+
+    @pytest.mark.parametrize("load", ["load_rcb", "load_rcb_any"])
+    def test_columns_are_read_only_views_of_one_buffer(self, block, load, tmp_path):
+        path = tmp_path / "block.rcb"
+        block.save_rcb(path)
+        if load == "load_rcb":
+            loaded = type(block).load_rcb(path)
+        else:
+            loaded = load_rcb_any(path)
+        bases = []
+        for spec in type(block)._SCHEMA.columns:
+            column = getattr(loaded, spec.name)
+            assert len(column) > 0
+            assert column.dtype.type is np.dtype(spec.dtype).type
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[0]
+            assert np.shares_memory(np.asarray(column, dtype=spec.dtype), column)
+            bases.append(column.base)
+        assert all(base is bases[0] for base in bases)
 
 
 class TestCorruption:
