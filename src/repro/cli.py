@@ -113,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for trace generation + estimation "
                              "(>= 2 fans the survey out to a process pool)")
     survey.add_argument("--fft-workers", type=_positive_int, default=None,
-                        help="pocketfft threads inside each batched rfft")
+                        help="pocketfft threads inside each batched rfft "
+                             "(uses scipy if installed, else ignored)")
     survey.add_argument("--chunk-size", type=_positive_int, default=1024,
                         help="traces held in memory at once (bounds survey memory)")
     survey.add_argument("--spill-dir", type=Path, default=None,

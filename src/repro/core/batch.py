@@ -9,7 +9,8 @@ performs every stage of the estimator as one vectorised numpy operation:
 * constant-trace detection  -- per-row peak-to-peak over the matrix;
 * optional linear detrend   -- one closed-form least-squares fit per row;
 * the PSD                   -- a single ``rfft(axis=-1)`` call for the
-  whole batch (scipy's pocketfft when available, numpy otherwise);
+  whole batch (numpy's pocketfft; scipy's, threaded across rows, only
+  when ``fft_workers > 1`` asks for it and scipy is installed);
 * the 99 % energy cut-off   -- ``np.cumsum`` + ``argmax`` over the batch.
 
 Only the final wrap into per-trace :class:`~repro.core.nyquist.NyquistEstimate`
@@ -41,28 +42,30 @@ from __future__ import annotations
 
 import numpy as np
 
-try:  # scipy's pocketfft is measurably faster; numpy is the fallback.
-    from scipy.fft import rfft as _scipy_rfft
-
-    def _rfft(values: np.ndarray, fft_workers: int | None = None) -> np.ndarray:
-        """Row-wise rfft, optionally spread over pocketfft worker threads.
-
-        ``fft_workers`` maps to scipy's ``workers=`` argument, which
-        parallelises the batch across rows without changing any row's
-        result (each row's transform is still computed by the same code).
-        """
-        if fft_workers is not None and fft_workers > 1:
-            return _scipy_rfft(values, axis=-1, workers=fft_workers)
-        return _scipy_rfft(values, axis=-1)
-except ImportError:  # pragma: no cover - exercised only without scipy
-    def _rfft(values: np.ndarray, fft_workers: int | None = None) -> np.ndarray:
-        return np.fft.rfft(values, axis=-1)
-
 from ..signals.timeseries import TimeSeries
 from .nyquist import ALIASED_SENTINEL, NyquistEstimate, NyquistEstimator, detrended
 from .psd import batch_periodogram, batch_welch_psd, taper_energy, window_coefficients
 
 __all__ = ["batch_estimate", "exact_batch_estimate"]
+
+
+def _rfft(values: np.ndarray, fft_workers: int | None = None) -> np.ndarray:
+    """Row-wise rfft: numpy's pocketfft, or scipy's threaded one on request.
+
+    ``fft_workers > 1`` maps to ``scipy.fft.rfft(workers=...)``, which
+    parallelises the batch across rows without changing any row's result;
+    scipy is imported only then, and without scipy the request is ignored.
+    numpy's ``rfft`` equals scipy's bit for bit (both are pocketfft), so
+    the single-threaded default never pays scipy's import.
+    """
+    if fft_workers is not None and fft_workers > 1:
+        try:
+            from scipy.fft import rfft as scipy_rfft
+        except ImportError:  # scipy is optional; run single-threaded instead
+            pass
+        else:
+            return scipy_rfft(values, axis=-1, workers=fft_workers)
+    return np.fft.rfft(values, axis=-1)
 
 
 def _unreliable(estimator: NyquistEstimator, current_rate: float, reason: str) -> NyquistEstimate:
@@ -335,11 +338,12 @@ def batch_estimate(values: np.ndarray, interval: float,
         ``detrend``, ``window``) is honoured.
     fft_workers:
         Number of pocketfft worker threads for the batched ``rfft``
-        (scipy's ``workers=``; ignored under the numpy fallback and for
-        the Welch path).  Parallelism is across rows, so the per-row
-        results are unchanged; the default (``None``) keeps the FFT
-        single-threaded, which is right for 1-CPU hosts and for surveys
-        already parallelised across worker *processes*.
+        (scipy's ``workers=``, imported only when this is above 1;
+        ignored without scipy and for the Welch path).  Parallelism is
+        across rows, so the per-row results are unchanged; the default
+        (``None``) keeps the FFT single-threaded, which is right for 1-CPU
+        hosts and for surveys already parallelised across worker
+        *processes*.
 
     Returns
     -------

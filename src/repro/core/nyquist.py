@@ -271,7 +271,9 @@ class NyquistEstimator:
         ``rfft(axis=-1)`` call and the energy cut-offs with one batched
         ``cumsum``/``argmax`` -- see :mod:`repro.core.batch`.
         ``fft_workers`` spreads that ``rfft`` over scipy pocketfft
-        threads (row-parallel, so results are unchanged).
+        threads (row-parallel, so results are unchanged); scipy is
+        optional and imported only then, and without it the request is
+        ignored.
         """
         from .batch import batch_estimate  # local import: batch builds on this module
 

@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
+
+from .topology import Fabric, hop_counts
 
 __all__ = ["CostModel", "CostBreakdown", "TelemetryCostAccountant"]
 
@@ -109,13 +110,16 @@ class TelemetryCostAccountant:
     """Prices sample collection against a topology and a cost model.
 
     Hop counts from every device to its collector are computed once (BFS
-    shortest path) and cached; devices not present in the topology are
-    priced with a configurable default hop count, which keeps the
-    accountant usable for abstract (topology-less) experiments too.
+    shortest path, :func:`~repro.network.topology.hop_counts`) and cached;
+    the topology is a :class:`~repro.network.topology.Fabric` or any graph
+    with ``neighbors()`` and ``in``, such as a ``networkx.Graph``.  Devices
+    not present in the topology are priced with a configurable default hop
+    count, which keeps the accountant usable for abstract (topology-less)
+    experiments too.
     """
 
     def __init__(self, cost_model: CostModel | None = None,
-                 topology: nx.Graph | None = None,
+                 topology: Fabric | None = None,
                  collector: str | None = None,
                  default_hops: int = 3) -> None:
         if default_hops < 0:
@@ -128,8 +132,7 @@ class TelemetryCostAccountant:
         if topology is not None and collector is not None:
             if collector not in topology:
                 raise ValueError(f"collector {collector!r} not in topology")
-            lengths = nx.single_source_shortest_path_length(topology, collector)
-            self._hop_cache = {node: int(hops) for node, hops in lengths.items()}
+            self._hop_cache = hop_counts(topology, collector)
 
     def hops(self, device: str) -> int:
         """Fabric hops from ``device`` to the collector."""

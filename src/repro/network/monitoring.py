@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..signals.timeseries import TimeSeries
@@ -34,7 +33,7 @@ from ..telemetry.profiles import (DeviceProfile, DeviceRole, MetricParameters,
                                   draw_metric_parameters)
 from ..telemetry.source import BaseTraceSource
 from .cost import CostModel, TelemetryCostAccountant
-from .topology import (FabricSpec, NodeRole, TopologySpec, WanRingSpec,
+from .topology import (Fabric, FabricSpec, NodeRole, TopologySpec, WanRingSpec,
                        attach_collector, servers, switches)
 
 __all__ = ["MonitoredPoint", "MonitoringDeployment", "DeploymentSpec",
@@ -90,7 +89,7 @@ class MonitoringDeployment:
         Fraction of measurement points that are broadband (aliased-looking).
     """
 
-    topology: nx.Graph
+    topology: Fabric
     trace_duration: float = 86400.0
     seed: int = 11
     switch_metrics: tuple[str, ...] = _SWITCH_METRICS
@@ -211,7 +210,7 @@ class DeploymentSpec:
         if self.oversample_factor < 1:
             raise ValueError("oversample_factor must be >= 1")
 
-    def build_topology(self) -> tuple[nx.Graph, str | None]:
+    def build_topology(self) -> tuple[Fabric, str | None]:
         """The fabric graph plus the collector node name (None if detached)."""
         graph = self.topology.build()
         if not self.with_collector:

@@ -3,10 +3,17 @@
 The paper's cost argument is about fleet scale: every polled sample is
 collected on a device, crosses the fabric to a collector, and lands in a
 store.  To account for those costs we need an actual fabric.  The builders
-here produce :class:`networkx.Graph` objects whose nodes are switches,
-servers and collectors (tagged with a ``role`` attribute) and whose edges
-carry link capacities; :mod:`repro.network.cost` walks them to price
-telemetry movement.
+here produce :class:`Fabric` graphs whose nodes are switches, servers and
+collectors (tagged with a ``role`` attribute) and whose edges carry link
+capacities; :mod:`repro.network.cost` walks them (:func:`hop_counts`) to
+price telemetry movement.
+
+:class:`Fabric` is a small undirected, insertion-ordered graph holding
+node attributes and adjacency, nothing else.  Its node order, per-node neighbour order and edge set match what
+``networkx.Graph`` gives for the same construction sequence, and the
+functions here read a graph only through ``nodes.items()``,
+``neighbors()``, ``add_node``/``add_edge`` and ``in``, so a caller's own
+``networkx.Graph`` still works wherever a fabric is accepted.
 
 Each fabric also has a frozen, picklable spec (:class:`TopologySpec`,
 :class:`FatTreeSpec`, :class:`WanRingSpec`) with a ``build()`` method, so
@@ -20,10 +27,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import Any, Iterator
 
 __all__ = [
+    "Fabric",
+    "hop_counts",
     "NodeRole",
     "TopologySpec",
     "FatTreeSpec",
@@ -36,6 +44,86 @@ __all__ = [
     "servers",
     "attach_collector",
 ]
+
+
+class Fabric:
+    """An undirected graph whose nodes and neighbours keep insertion order.
+
+    ``nodes`` maps each node to its attribute dict and ``adjacency`` maps
+    each node to ``{neighbour: edge attribute dict}``; both directions of
+    an edge share one attribute dict.  Re-adding a node or an edge
+    updates its attributes in place and keeps its position.
+    """
+
+    def __init__(self) -> None:
+        self.nodes: dict[str, dict[str, Any]] = {}
+        self.adjacency: dict[str, dict[str, dict[str, Any]]] = {}
+
+    def add_node(self, node: str, **attrs: Any) -> None:
+        """Add ``node`` (or update its attributes)."""
+        if node not in self.nodes:
+            self.nodes[node] = {}
+            self.adjacency[node] = {}
+        self.nodes[node].update(attrs)
+
+    def add_edge(self, u: str, v: str, **attrs: Any) -> None:
+        """Add the undirected edge ``u``--``v`` (adding missing endpoints)."""
+        self.add_node(u)
+        self.add_node(v)
+        data = self.adjacency[u].setdefault(v, {})
+        data.update(attrs)
+        self.adjacency[v][u] = data
+
+    def neighbors(self, node: str) -> Iterator[str]:
+        """Neighbours of ``node`` in the order their edges were added."""
+        return iter(self.adjacency[node])
+
+    def degree(self, node: str) -> int:
+        """Number of edges at ``node`` (a self-loop counts twice)."""
+        return len(self.adjacency[node]) + (node in self.adjacency[node])
+
+    def has_edge(self, u: str, v: str) -> bool:
+        """Whether ``u`` and ``v`` are joined by an edge."""
+        return u in self.adjacency and v in self.adjacency[u]
+
+    def edges(self) -> Iterator[tuple[str, str, dict[str, Any]]]:
+        """Every edge once, as ``(u, v, attrs)``, in node-then-neighbour order."""
+        seen: set[str] = set()
+        for node, neighbours in self.adjacency.items():
+            for neighbour, data in neighbours.items():
+                if neighbour not in seen:
+                    yield node, neighbour, data
+            seen.add(node)
+
+    def __contains__(self, node: object) -> bool:
+        return node in self.nodes
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.nodes)
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+
+def hop_counts(graph: Fabric, source: str) -> dict[str, int]:
+    """Breadth-first hop count from ``source`` to every node it reaches.
+
+    Needs only ``graph.neighbors``; nodes come out in BFS order, nearest
+    first.  The graph is connected exactly when every node is a key.
+    """
+    hops = {source: 0}
+    frontier = [source]
+    distance = 0
+    while frontier:
+        distance += 1
+        next_frontier = []
+        for node in frontier:
+            for neighbour in graph.neighbors(node):
+                if neighbour not in hops:
+                    hops[neighbour] = distance
+                    next_frontier.append(neighbour)
+        frontier = next_frontier
+    return hops
 
 
 class NodeRole:
@@ -80,7 +168,7 @@ class TopologySpec:
         if self.leaf_uplink_gbps <= 0 or self.server_link_gbps <= 0:
             raise ValueError("link capacities must be positive")
 
-    def build(self) -> nx.Graph:
+    def build(self) -> Fabric:
         """Build this fabric (see :func:`build_leaf_spine`)."""
         return build_leaf_spine(self)
 
@@ -108,7 +196,7 @@ class FatTreeSpec:
         if self.server_link_gbps <= 0 or self.fabric_link_gbps <= 0:
             raise ValueError("link capacities must be positive")
 
-    def build(self) -> nx.Graph:
+    def build(self) -> Fabric:
         """Build this fabric (see :func:`build_fat_tree`)."""
         return build_fat_tree(self.k, server_link_gbps=self.server_link_gbps,
                               fabric_link_gbps=self.fabric_link_gbps)
@@ -163,7 +251,7 @@ class WanRingSpec:
                self.server_link_gbps) <= 0:
             raise ValueError("link capacities must be positive")
 
-    def build(self) -> nx.Graph:
+    def build(self) -> Fabric:
         """Build this fabric (see :func:`build_wan_ring`)."""
         return build_wan_ring(self)
 
@@ -176,7 +264,7 @@ class WanRingSpec:
 FabricSpec = TopologySpec | FatTreeSpec | WanRingSpec
 
 
-def build_leaf_spine(spec: TopologySpec | None = None) -> nx.Graph:
+def build_leaf_spine(spec: TopologySpec | None = None) -> Fabric:
     """Build a two-tier leaf-spine fabric.
 
     Every leaf connects to every spine; servers hang off leaves.  Node
@@ -184,7 +272,7 @@ def build_leaf_spine(spec: TopologySpec | None = None) -> nx.Graph:
     ``capacity_gbps``.
     """
     spec = spec or TopologySpec()
-    graph = nx.Graph(kind="leaf_spine", spec=spec)
+    graph = Fabric()
     spines = [f"spine-{i}" for i in range(spec.num_spines)]
     leaves = [f"leaf-{i}" for i in range(spec.num_leaves)]
     for name in spines:
@@ -202,7 +290,7 @@ def build_leaf_spine(spec: TopologySpec | None = None) -> nx.Graph:
 
 
 def build_fat_tree(k: int = 4, server_link_gbps: float = 25.0,
-                   fabric_link_gbps: float = 100.0) -> nx.Graph:
+                   fabric_link_gbps: float = 100.0) -> Fabric:
     """Build a canonical k-ary fat-tree (k even): (k/2)^2 cores, k pods.
 
     Each pod has k/2 aggregation and k/2 edge switches; each edge switch
@@ -212,7 +300,7 @@ def build_fat_tree(k: int = 4, server_link_gbps: float = 25.0,
     if k < 2 or k % 2 != 0:
         raise ValueError("k must be an even integer >= 2")
     half = k // 2
-    graph = nx.Graph(kind="fat_tree", k=k)
+    graph = Fabric()
 
     cores = [f"core-{i}" for i in range(half * half)]
     for name in cores:
@@ -240,7 +328,7 @@ def build_fat_tree(k: int = 4, server_link_gbps: float = 25.0,
     return graph
 
 
-def build_wan_ring(spec: WanRingSpec | None = None) -> nx.Graph:
+def build_wan_ring(spec: WanRingSpec | None = None) -> Fabric:
     """Build a WAN ring: full-mesh PoP sites joined in a cycle.
 
     Site ``i``'s gateway router ``pop-i-0`` connects to the gateways of
@@ -250,7 +338,7 @@ def build_wan_ring(spec: WanRingSpec | None = None) -> nx.Graph:
     ``capacity_gbps``.
     """
     spec = spec or WanRingSpec()
-    graph = nx.Graph(kind="wan_ring", spec=spec)
+    graph = Fabric()
     gateways: list[str] = []
     for site in range(spec.num_sites):
         routers = [f"pop-{site}-{i}" for i in range(spec.routers_per_site)]
@@ -271,19 +359,19 @@ def build_wan_ring(spec: WanRingSpec | None = None) -> nx.Graph:
     return graph
 
 
-def switches(graph: nx.Graph) -> list[str]:
+def switches(graph: Fabric) -> list[str]:
     """All switch nodes (any non-server, non-collector role)."""
-    return [node for node, data in graph.nodes(data=True)
+    return [node for node, data in graph.nodes.items()
             if data.get("role") in NodeRole.SWITCH_ROLES]
 
 
-def servers(graph: nx.Graph) -> list[str]:
+def servers(graph: Fabric) -> list[str]:
     """All server nodes."""
-    return [node for node, data in graph.nodes(data=True)
+    return [node for node, data in graph.nodes.items()
             if data.get("role") == NodeRole.SERVER]
 
 
-def attach_collector(graph: nx.Graph, attachment_points: list[str] | None = None,
+def attach_collector(graph: Fabric, attachment_points: list[str] | None = None,
                      name: str = "collector-0",
                      link_gbps: float = 100.0) -> str:
     """Attach a telemetry collector node to the fabric.
@@ -295,7 +383,7 @@ def attach_collector(graph: nx.Graph, attachment_points: list[str] | None = None
     if name in graph:
         raise ValueError(f"node {name!r} already exists")
     if attachment_points is None:
-        attachment_points = [node for node, data in graph.nodes(data=True)
+        attachment_points = [node for node, data in graph.nodes.items()
                              if data.get("role") in (NodeRole.SPINE, NodeRole.CORE)]
         if not attachment_points:
             attachment_points = switches(graph)[:1]

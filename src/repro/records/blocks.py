@@ -188,7 +188,7 @@ class ColumnarBlock:
     def load_npz(cls, path: Path) -> Self:
         schema = cls._SCHEMA
         try:
-            with np.load(path) as data:
+            with path.open("rb") as handle, np.load(handle) as data:
                 fields = {spec.name: str(data[spec.name]) for spec in schema.scalars}
                 fields.update({spec.name: data[spec.name] for spec in schema.columns})
                 return cls(**fields)

@@ -12,9 +12,11 @@ lexicographically, so a directory that has grown past ``records-00009``
 from __future__ import annotations
 
 import re
+import zipfile
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Literal
+from typing import Any, Iterator, Literal
 
 import numpy as np
 
@@ -25,6 +27,20 @@ __all__ = ["RecordSink", "MemoryRecordSink", "SpillingRecordSink"]
 
 #: The numeric index embedded in a spill file name.
 _SPILL_INDEX = re.compile(r"records-(\d+)\.")
+
+
+@contextmanager
+def _open_npz(path: Path) -> Iterator[Any]:
+    """Open one npz spill file; a corrupt one raises ``ValueError`` naming it.
+
+    The handle is ours, not ``np.load``'s, so it closes even when numpy
+    rejects a truncated archive.
+    """
+    try:
+        with path.open("rb") as handle, np.load(handle) as data:
+            yield data
+    except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile) as error:
+        raise ValueError(f"corrupt or truncated spill file {path}: {error}") from error
 
 
 def _spill_order(path: Path) -> tuple[int, str]:
@@ -136,7 +152,7 @@ class SpillingRecordSink(RecordSink):
         """Infer the block class of an existing spill file."""
         _ensure_registry()
         if self.fmt == "npz":
-            with np.load(path) as data:
+            with _open_npz(path) as data:
                 members = tuple(data.files)
             for cls in _BLOCK_TYPES:
                 if cls.sniff_npz(members):
@@ -176,7 +192,7 @@ class SpillingRecordSink(RecordSink):
         spill directory cheap.
         """
         if self.fmt == "npz":
-            with np.load(path) as data:
+            with _open_npz(path) as data:
                 return int(data["device_ids"].shape[0])
         if self.fmt == "rcb":
             return int(read_rcb_header(path)["rows"])

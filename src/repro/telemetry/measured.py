@@ -159,7 +159,7 @@ def _save_trace_csv(path: Path, trace: TimeSeries) -> None:
 
 
 def _load_trace_npz(path: Path) -> tuple[np.ndarray, float, float]:
-    with np.load(path) as data:
+    with path.open("rb") as handle, np.load(handle) as data:
         return (np.asarray(data["values"], dtype=np.float64),
                 float(data["interval"]), float(data["start_time"]))
 

@@ -47,6 +47,7 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -338,13 +339,17 @@ def _finish_shard(task: _ShardTask) -> _ShardResult:
     skipped: list[dict] = []
     parts = sorted(scratch.glob(f"part-r*-s{task.shard_index:04d}-c*.npz"))
     with PairAccumulator(acc_dir, task.memory_budget_samples) as accumulator:
-        for part in parts:
-            with np.load(part) as data:
-                metrics = data["metric"]
-                devices = data["device"]
-                key_index = np.asarray(data["key"], dtype=np.int64)
-                times = np.asarray(data["t"], dtype=np.float64)
-                values = np.asarray(data["v"], dtype=np.float64)
+        for part_path in parts:
+            try:
+                with part_path.open("rb") as handle, np.load(handle) as data:
+                    metrics = data["metric"]
+                    devices = data["device"]
+                    key_index = np.asarray(data["key"], dtype=np.int64)
+                    times = np.asarray(data["t"], dtype=np.float64)
+                    values = np.asarray(data["v"], dtype=np.float64)
+            except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as error:
+                raise ValueError(
+                    f"corrupt or truncated shard part {part_path}: {error}") from error
             order = np.argsort(key_index, kind="stable")
             sorted_keys = key_index[order]
             starts = np.searchsorted(sorted_keys, np.arange(len(metrics)))

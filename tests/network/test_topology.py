@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
-from repro.network.topology import (FatTreeSpec, NodeRole, TopologySpec, WanRingSpec,
-                                    attach_collector, build_fat_tree, build_leaf_spine,
-                                    build_wan_ring, servers, switches)
+from repro.network.topology import (Fabric, FatTreeSpec, NodeRole, TopologySpec,
+                                    WanRingSpec, attach_collector, build_fat_tree,
+                                    build_leaf_spine, build_wan_ring, hop_counts, servers,
+                                    switches)
+
+
+def is_connected(graph) -> bool:
+    """A graph is connected exactly when a BFS from any node reaches every node."""
+    if len(graph) == 0:
+        raise ValueError("connectivity is undefined for the null graph")
+    return set(hop_counts(graph, next(iter(graph)))) == set(graph)
+
+
+def roles(graph) -> dict[str, str]:
+    """``role`` attribute per node, for the nodes that have one."""
+    return {node: data["role"] for node, data in graph.nodes.items() if "role" in data}
 
 
 class TestLeafSpine:
@@ -19,18 +31,18 @@ class TestLeafSpine:
     def test_full_bipartite_fabric(self):
         spec = TopologySpec(num_spines=3, num_leaves=5, servers_per_leaf=0)
         graph = build_leaf_spine(spec)
-        for leaf in (n for n, d in graph.nodes(data=True) if d["role"] == NodeRole.LEAF):
+        for leaf in (n for n, d in graph.nodes.items() if d["role"] == NodeRole.LEAF):
             spine_neighbors = [n for n in graph.neighbors(leaf)
                                if graph.nodes[n]["role"] == NodeRole.SPINE]
             assert len(spine_neighbors) == 3
 
     def test_connected(self):
         graph = build_leaf_spine()
-        assert nx.is_connected(graph)
+        assert is_connected(graph)
 
     def test_edges_have_capacity(self):
         graph = build_leaf_spine()
-        for _, _, data in graph.edges(data=True):
+        for _, _, data in graph.edges():
             assert data["capacity_gbps"] > 0
 
     def test_servers_attach_to_one_leaf(self):
@@ -48,14 +60,14 @@ class TestLeafSpine:
 class TestFatTree:
     def test_k4_counts(self):
         graph = build_fat_tree(4)
-        roles = nx.get_node_attributes(graph, "role")
-        assert sum(1 for role in roles.values() if role == NodeRole.CORE) == 4
-        assert sum(1 for role in roles.values() if role == NodeRole.AGGREGATION) == 8
-        assert sum(1 for role in roles.values() if role == NodeRole.EDGE) == 8
-        assert sum(1 for role in roles.values() if role == NodeRole.SERVER) == 16
+        by_node = roles(graph)
+        assert sum(1 for role in by_node.values() if role == NodeRole.CORE) == 4
+        assert sum(1 for role in by_node.values() if role == NodeRole.AGGREGATION) == 8
+        assert sum(1 for role in by_node.values() if role == NodeRole.EDGE) == 8
+        assert sum(1 for role in by_node.values() if role == NodeRole.SERVER) == 16
 
     def test_k4_is_connected(self):
-        assert nx.is_connected(build_fat_tree(4))
+        assert is_connected(build_fat_tree(4))
 
     def test_server_count_scales_with_k(self):
         assert len(servers(build_fat_tree(6))) == 6 ** 3 // 4
@@ -67,7 +79,7 @@ class TestFatTree:
     def test_core_connectivity(self):
         graph = build_fat_tree(4)
         # Each aggregation switch connects to k/2 cores.
-        aggs = [n for n, d in graph.nodes(data=True) if d["role"] == NodeRole.AGGREGATION]
+        aggs = [n for n, d in graph.nodes.items() if d["role"] == NodeRole.AGGREGATION]
         for agg in aggs:
             cores = [n for n in graph.neighbors(agg) if graph.nodes[n]["role"] == NodeRole.CORE]
             assert len(cores) == 2
@@ -99,7 +111,7 @@ class TestCollector:
     def test_collector_reaches_every_device(self):
         graph = build_leaf_spine()
         collector = attach_collector(graph)
-        lengths = nx.single_source_shortest_path_length(graph, collector)
+        lengths = hop_counts(graph, collector)
         assert set(lengths) == set(graph.nodes)
 
 
@@ -108,12 +120,12 @@ class TestFatTreeSpec:
         spec = FatTreeSpec(k=4, server_link_gbps=10.0, fabric_link_gbps=40.0)
         graph = spec.build()
         reference = build_fat_tree(4, server_link_gbps=10.0, fabric_link_gbps=40.0)
-        assert set(graph.nodes) == set(reference.nodes)
-        assert set(graph.edges) == set(reference.edges)
+        assert list(graph) == list(reference)
+        assert list(graph.edges()) == list(reference.edges())
 
     def test_smallest_legal_arity(self):
         graph = FatTreeSpec(k=2).build()
-        assert nx.is_connected(graph)
+        assert is_connected(graph)
         assert len(servers(graph)) == 2  # k pods x k/2 edges x k/2 servers
 
     @pytest.mark.parametrize("kwargs", [
@@ -132,14 +144,14 @@ class TestWanRing:
         gateways = [f"pop-{site}-0" for site in range(4)]
         for site, gateway in enumerate(gateways):
             assert graph.has_edge(gateway, gateways[(site + 1) % 4])
-        assert nx.is_connected(graph)
+        assert is_connected(graph)
 
     def test_single_site_ring_is_degenerate_but_valid(self):
         """A one-site 'ring' must not self-loop: one PoP, zero transit hops."""
         spec = WanRingSpec(num_sites=1, routers_per_site=1, servers_per_site=2)
         graph = build_wan_ring(spec)
-        assert not any(u == v for u, v in graph.edges)
-        assert nx.is_connected(graph)
+        assert not any(u == v for u, v, _ in graph.edges())
+        assert is_connected(graph)
         assert len(servers(graph)) == 2
         assert spec.gateway() == "pop-0-0"
 
@@ -147,8 +159,8 @@ class TestWanRing:
         """The smallest fabric of all: one router, nothing else."""
         graph = build_wan_ring(WanRingSpec(num_sites=1, routers_per_site=1,
                                            servers_per_site=0))
-        assert list(graph.nodes) == ["pop-0-0"]
-        assert len(graph.edges) == 0
+        assert list(graph) == ["pop-0-0"]
+        assert list(graph.edges()) == []
 
     def test_hop_counts_are_asymmetric_from_the_collector_site(self):
         """The point of the WAN column: distance to the collector depends on
@@ -156,7 +168,7 @@ class TestWanRing:
         spec = WanRingSpec(num_sites=4, routers_per_site=1, servers_per_site=1)
         graph = build_wan_ring(spec)
         collector = attach_collector(graph, [spec.gateway()])
-        lengths = nx.single_source_shortest_path_length(graph, collector)
+        lengths = hop_counts(graph, collector)
         pop_hops = [lengths[f"pop-{site}-0"] for site in range(4)]
         server_hops = [lengths[f"server-{site}-0"] for site in range(4)]
         assert pop_hops == [1, 2, 3, 2]
@@ -176,3 +188,46 @@ class TestWanRing:
     def test_spec_validation(self, kwargs):
         with pytest.raises(ValueError):
             WanRingSpec(**kwargs)
+
+
+class TestFabric:
+    def test_nodes_and_neighbours_keep_insertion_order(self):
+        graph = Fabric()
+        graph.add_edge("b", "a", capacity_gbps=1.0)
+        graph.add_node("c", role="x")
+        graph.add_edge("b", "c")
+        assert list(graph) == ["b", "a", "c"]
+        assert list(graph.neighbors("b")) == ["a", "c"]
+        assert list(graph.neighbors("a")) == ["b"]
+        assert len(graph) == 3 and "c" in graph and "z" not in graph
+
+    def test_readding_updates_attributes_in_place(self):
+        graph = Fabric()
+        graph.add_node("a", role="leaf")
+        graph.add_edge("a", "b", capacity_gbps=1.0)
+        graph.add_node("a", pod=2)
+        graph.add_edge("b", "a", capacity_gbps=5.0)
+        assert graph.nodes["a"] == {"role": "leaf", "pod": 2}
+        assert list(graph.edges()) == [("a", "b", {"capacity_gbps": 5.0})]
+        assert graph.adjacency["a"]["b"] is graph.adjacency["b"]["a"]
+        assert graph.degree("a") == 1 and graph.has_edge("b", "a")
+
+    def test_edges_reported_once_self_loop_counts_twice_in_degree(self):
+        graph = Fabric()
+        graph.add_edge("a", "b")
+        graph.add_edge("a", "a")
+        graph.add_edge("b", "c")
+        assert [(u, v) for u, v, _ in graph.edges()] == [("a", "b"), ("a", "a"), ("b", "c")]
+        assert graph.degree("a") == 3
+        assert not graph.has_edge("a", "c") and not graph.has_edge("z", "a")
+
+    def test_hop_counts_stop_at_the_component(self):
+        graph = Fabric()
+        graph.add_edge("a", "b")
+        graph.add_edge("b", "c")
+        graph.add_edge("x", "y")
+        assert hop_counts(graph, "a") == {"a": 0, "b": 1, "c": 2}
+        assert not is_connected(graph)
+        graph.add_edge("c", "x")
+        assert is_connected(graph)
+        assert hop_counts(graph, "a") == {"a": 0, "b": 1, "c": 2, "x": 3, "y": 4}
