@@ -4,10 +4,10 @@ The paper's Figure 7 slides a 6-hour window in 5-minute steps over the
 temperature trace and plots the Nyquist rate inferred in each window,
 showing that the rate is not constant over time -- the motivation for
 dynamic sampling.  This bench regenerates that series, summarises how
-much the inferred rate moves, and times the vectorised windowed backend
+much the inferred rate moves, and times the vectorised windowed sweep
 (all window positions gathered into one matrix via
-``sliding_window_view`` and fed to ``estimate_batch``) against the
-scalar per-window reference loop -- the fleet-wide continuous
+``sliding_window_view`` and fed to ``estimate_batch``) against a scalar
+loop calling ``estimate`` per window -- the fleet-wide continuous
 re-estimation loop runs this sweep on every pair, so its speed-up is
 what makes always-on Figure 7 monitoring affordable.  The timing lands
 in ``BENCH_survey.json`` next to the survey throughput numbers.
@@ -22,8 +22,8 @@ import numpy as np
 
 from repro.analysis.reporting import format_table, write_csv
 from repro.core.nyquist import NyquistEstimator
-from repro.core.windowed import (FIGURE7_STEP_SECONDS, FIGURE7_WINDOW_SECONDS, rate_stability,
-                                 windowed_nyquist_rates)
+from repro.core.windowed import (FIGURE7_STEP_SECONDS, FIGURE7_WINDOW_SECONDS,
+                                 WindowedEstimate, rate_stability, windowed_nyquist_rates)
 from repro.telemetry.metrics import METRIC_CATALOG
 from repro.telemetry.models import generate_trace
 from repro.telemetry.profiles import DeviceProfile, DeviceRole, draw_metric_parameters
@@ -88,19 +88,23 @@ def test_windowed_backend_speedup(output_dir):
     trace = build_trace()
     estimator = build_estimator()
 
-    def run_backend(backend):
+    def run_scalar():
+        return [WindowedEstimate(window.start_time, window.end_time, estimator.estimate(window))
+                for window in trace.iter_windows(FIGURE7_WINDOW_SECONDS, FIGURE7_STEP_SECONDS)
+                if len(window) >= estimator.min_samples]
+
+    def run_batched():
         return windowed_nyquist_rates(trace, window_seconds=FIGURE7_WINDOW_SECONDS,
-                                      step_seconds=FIGURE7_STEP_SECONDS,
-                                      estimator=estimator, backend=backend)
+                                      step_seconds=FIGURE7_STEP_SECONDS, estimator=estimator)
 
     best_scalar, scalar_series = float("inf"), None
     best_batched, batched_series = float("inf"), None
     for _ in range(3):
         start = time.perf_counter()
-        scalar_series = run_backend("scalar")
+        scalar_series = run_scalar()
         best_scalar = min(best_scalar, time.perf_counter() - start)
         start = time.perf_counter()
-        batched_series = run_backend("batched")
+        batched_series = run_batched()
         best_batched = min(best_batched, time.perf_counter() - start)
     speedup = best_scalar / best_batched
 

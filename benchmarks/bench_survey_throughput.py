@@ -21,10 +21,6 @@ PRs:
   because every record block is spilled to npz as it is produced.  Size
   via ``REPRO_BENCH_FLEET_PAIRS`` (default 25200; CI smoke uses a small
   fleet to stay under its time budget).
-* **worker_serialisation** -- ``workers=2`` returning pickled arrays
-  (memory sink) vs ``.rcb`` spill-file refs (spilling sink); records the
-  before/after of the worker-return-path fix so multi-worker out-of-core
-  runs stop paying double serialisation.
 * **measured** -- the recorded-telemetry path: the same fleet exported to
   a per-pair trace-file directory and re-surveyed through
   :class:`MeasuredFleetDataset` (``workers=2``, file-offset batch
@@ -247,56 +243,6 @@ def test_measured_vs_generated_throughput(output_dir, tmp_path):
          "pairs_per_second": MEASURED_PAIRS / recorded_seconds},
         {"path": "export", "seconds": export_seconds,
          "pairs_per_second": MEASURED_PAIRS / export_seconds},
-    ]))
-
-
-def test_worker_serialisation_modes(tmp_path):
-    """Pickled-array returns vs .rcb spill-file refs at workers=2.
-
-    Multi-worker runs used to return every result block as pickled numpy
-    arrays through the pool's result pipe even when the parent was about
-    to re-serialise them into a spilling sink -- making ``workers=2``
-    *slower* than ``workers=1`` for out-of-core runs.  With a spilling
-    sink (or a record store) in use, workers now write ``.rcb`` scratch
-    files and ship only path refs.  Both modes are recorded so the
-    serialisation trade-off stays visible; records must be identical.
-    """
-    pairs = 392
-    dataset = FleetDataset(DatasetConfig(pair_count=pairs, seed=7))
-
-    start = time.perf_counter()
-    pickled = run_survey(dataset, workers=2, chunk_size=FLEET_CHUNK_SIZE)
-    pickled_seconds = time.perf_counter() - start
-
-    sink = SpillingRecordSink(tmp_path / "spool")
-    start = time.perf_counter()
-    spilled = run_survey(dataset, workers=2, chunk_size=FLEET_CHUNK_SIZE, sink=sink)
-    spilled_seconds = time.perf_counter() - start
-
-    assert len(pickled) == len(spilled) == pairs
-    for a, b in zip(pickled.iter_blocks(), spilled.iter_blocks()):
-        assert a.metric_name == b.metric_name
-        assert np.array_equal(a.device_ids, b.device_ids)
-        assert np.array_equal(a.nyquist_rate, b.nyquist_rate)
-        assert np.array_equal(a.reduction_ratio, b.reduction_ratio, equal_nan=True)
-    assert pickled.headline() == spilled.headline()
-
-    update_bench_json("worker_serialisation", {
-        "pairs": pairs,
-        "workers": 2,
-        "chunk_size": FLEET_CHUNK_SIZE,
-        "pickled_return_seconds": pickled_seconds,
-        "spill_ref_return_seconds": spilled_seconds,
-        "pickled_pairs_per_second": pairs / pickled_seconds,
-        "spill_ref_pairs_per_second": pairs / spilled_seconds,
-        "cpu_count": os.cpu_count(),
-    })
-    print(f"\n=== Worker result serialisation ({pairs} pairs, workers=2) ===")
-    print(format_table([
-        {"mode": "pickled arrays (memory sink)", "seconds": pickled_seconds,
-         "pairs_per_second": pairs / pickled_seconds},
-        {"mode": ".rcb spill refs (spilling sink)", "seconds": spilled_seconds,
-         "pairs_per_second": pairs / spilled_seconds},
     ]))
 
 

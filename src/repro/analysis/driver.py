@@ -21,9 +21,9 @@ kind, its analysis-parameter token, its failure-stage label and an
 * **Execution.**  Misses run inline (``workers=1``) or on a process pool
   through :func:`~repro.faults.run_batch_tasks`.  Pool workers receive a
   picklable task (the source's ``worker_spec()``, the evaluator and the
-  slice address), re-open the source once per process and, when the
-  parent re-serialises blocks anyway, return ``.rcb`` scratch-file refs
-  instead of pickled arrays.
+  slice address), re-open the source once per process and return the
+  slice's blocks through the pool's result pipe; the parent appends them
+  and publishes them to the store exactly as an inline run does.
 * **Failures.**  ``on_error="raise"`` propagates the first failure.
   ``"quarantine"`` retries transient (IO-shaped) failures within the
   :class:`~repro.faults.RetryPolicy` budget, then salvages the slice pair
@@ -34,24 +34,26 @@ kind, its analysis-parameter token, its failure-stage label and an
   :class:`~repro.records.FailureRecord`.
 * **Order.**  Blocks are appended in slice order whatever the mix of
   hits, pooled results and salvages.
+
+Both pipelines also share their result plumbing (:class:`SliceResult`:
+the block and failure sinks, the store counters) and their entry-point
+checks (:func:`check_run_options`).
 """
 
 from __future__ import annotations
 
 import itertools
-import shutil
-from pathlib import Path
-from typing import Any, Callable, Literal, Protocol, Sequence
+from typing import Any, Callable, Iterator, Literal, Protocol, Sequence
 
 import numpy as np
 
 from ..faults.execution import (RETRYABLE_EXCEPTIONS, BatchExecutionError, RetryPolicy,
                                 run_batch_tasks)
-from ..records import (BlockFileRef, ColumnarBlock, FailureRecord, RecordSink, RecordStore,
-                       SpillingRecordSink, fingerprint_slice)
+from ..records import (FailureRecord, FailureRecordBlock, MemoryRecordSink, RecordSink,
+                       RecordStore, fingerprint_slice)
 from ..telemetry.source import TraceBatch, TraceSource, WorkerSpec, batch_offsets
 
-__all__ = ["OnError", "SliceEvaluator", "run_slices"]
+__all__ = ["OnError", "SliceEvaluator", "SliceResult", "check_run_options", "run_slices"]
 
 #: Failure handling of the fleet pipelines: fail fast (the default, the
 #: historical behaviour) or quarantine failing pairs as
@@ -77,18 +79,102 @@ class SliceEvaluator(Protocol):
         """Columnar result blocks of one equal-shape batch."""
 
 
-class _ResultFeed(Protocol):
-    """The part of a survey result the driver writes to."""
+class SliceResult:
+    """The sinks and counters a fleet-survey result shares; the driver writes here.
 
-    cache_hits: int
-    cache_misses: int
+    Result blocks stream into ``sink`` and quarantined failures into
+    ``failure_sink`` (both in memory unless a sink is passed).  A sink
+    that already holds blocks -- a re-opened spill directory -- is
+    adopted as is.  Subclasses add their aggregations on top and may
+    extend :meth:`_note`, which sees every block once, in order.
+    """
+
+    def __init__(self, sink: RecordSink | None = None,
+                 failure_sink: RecordSink | None = None) -> None:
+        #: Pairs served from / recomputed past a RecordStore (both stay 0
+        #: on store-less runs).
+        self.cache_hits = 0
+        self.cache_misses = 0
+        self._sink = sink if sink is not None else MemoryRecordSink()
+        self._failure_sink = failure_sink if failure_sink is not None \
+            else MemoryRecordSink()
+        self._metric_order: list[str] = []
+        for block in self._sink.blocks():  # adopt pre-existing (reopened) sink content
+            self._note(block)
+
+    def _note(self, block: Any) -> None:
+        """Record the first-appearance order of the block's metric."""
+        if block.metric_name not in self._metric_order:
+            self._metric_order.append(block.metric_name)
+
+    def append_block(self, block: Any) -> None:
+        """Append one columnar chunk of outcomes (the pipeline's feed)."""
+        self._sink.append(block)
+        self._note(block)
+
+    def iter_blocks(self) -> Iterator[Any]:
+        """Stream the stored columnar chunks in survey order."""
+        return self._sink.blocks()
 
     @property
-    def sink(self) -> RecordSink: ...
+    def sink(self) -> RecordSink:
+        return self._sink
 
-    def append_block(self, block: Any) -> None: ...
+    # --------------------- quarantine accounting -----------------------
+    def append_failures(self, failures: Sequence[FailureRecord]) -> None:
+        """Record one batch slice's quarantined failures (pipeline feed)."""
+        if failures:
+            self._failure_sink.append(FailureRecordBlock.from_failures(failures))
 
-    def append_failures(self, failures: Sequence[FailureRecord]) -> None: ...
+    def iter_failure_blocks(self) -> Iterator[FailureRecordBlock]:
+        """Stream the quarantined-failure chunks in survey order."""
+        return self._failure_sink.blocks()
+
+    @property
+    def failure_sink(self) -> RecordSink:
+        return self._failure_sink
+
+    @property
+    def quarantined(self) -> list[FailureRecord]:
+        """Per-failure view of the quarantine store, materialised on demand."""
+        return [failure for block in self._failure_sink.blocks()
+                for failure in block.failures()]
+
+    @property
+    def quarantined_count(self) -> int:
+        """Number of pairs quarantined during the run."""
+        return self._failure_sink.rows
+
+    def __len__(self) -> int:
+        """Total rows stored."""
+        return self._sink.rows
+
+    def metrics(self) -> list[str]:
+        """Metric names present in the survey, in first-appearance order."""
+        return list(self._metric_order)
+
+
+def check_run_options(pipeline: str, result_type: type, workers: int | None,
+                      on_error: str, sink: RecordSink | None,
+                      failure_sink: RecordSink | None) -> None:
+    """Reject the options no fleet pipeline can run with, naming ``pipeline``.
+
+    A sink that already holds records is refused: appending a fresh run
+    to leftover records would silently corrupt every aggregation with
+    duplicates.  A previous run's spill directory is re-opened with
+    ``result_type(sink=...)`` instead.
+    """
+    if workers is not None and workers < 1:
+        raise ValueError(f"{pipeline}: workers must be >= 1, got {workers}")
+    if on_error not in ("raise", "quarantine"):
+        raise ValueError(f"{pipeline}: on_error must be 'raise' or 'quarantine', "
+                         f"got {on_error!r}")
+    for name, given in (("sink", sink), ("failure_sink", failure_sink)):
+        if given is not None and given.rows > 0:
+            raise ValueError(
+                f"{name} already holds {given.rows} records; {pipeline} needs an empty "
+                f"{name} (point it at a fresh spill directory, or re-open the existing "
+                f"one with {result_type.__name__}({name}=...))")
 
 
 #: Per-worker-process source cache: re-opening the source once per process
@@ -110,61 +196,26 @@ def _slice_blocks(source: TraceSource, evaluator: SliceEvaluator, metric_name: s
     return blocks
 
 
-def _spill_task_blocks(blocks: Sequence[ColumnarBlock], scratch: str, tag: int
-                       ) -> list[BlockFileRef]:
-    """Write a worker's result blocks as scratch rcb files, return the refs.
-
-    The refs are a few dozen bytes each, so the pool's result pipe ships
-    pointers instead of pickled column arrays when a spilling sink or
-    record store re-serialises the blocks anyway.
-    """
-    refs: list[BlockFileRef] = []
-    for index, block in enumerate(blocks):
-        path = Path(scratch) / f"slice-{tag:05d}-{index:03d}.rcb"
-        block.save_rcb(path)
-        refs.append(BlockFileRef(str(path)))
-    return refs
-
-
-def _materialise_blocks(outcome: Sequence) -> list:
-    """Resolve a worker outcome into blocks, loading spill-file refs.
-
-    Referenced scratch files are unlinked right after they are read (the
-    loaded block owns its bytes), so the scratch directory never holds
-    more than the in-flight results.
-    """
-    blocks = []
-    for item in outcome:
-        if isinstance(item, BlockFileRef):
-            blocks.append(item.load())
-            Path(item.path).unlink(missing_ok=True)
-        else:
-            blocks.append(item)
-    return blocks
-
-
 def _slice_worker(task: tuple) -> list:
     """Process-pool entry point: serve one pair slice and evaluate it.
 
     ``task`` is ``(worker_spec, evaluator, metric_name, offset, limit,
-    chunk_size, spill)``.  The worker re-opens the trace source from the
-    spec (a synthetic fleet regenerates from its config, a measured fleet
-    re-reads its manifest), so no trace data crosses the process boundary.
-    With ``spill`` set (a ``(scratch_dir, slice_index)`` pair), blocks
-    return as ``.rcb`` file refs.  A slice address outside the source's
-    pair list raises instead of silently dropping records.
+    chunk_size)``.  The worker re-opens the trace source from the spec (a
+    synthetic fleet regenerates from its config, a measured fleet re-reads
+    its manifest), so no trace data crosses the process boundary; only
+    the slice's result blocks travel back.  A slice address outside the
+    source's pair list raises instead of silently dropping records.
 
     Failures surface as :class:`~repro.faults.BatchExecutionError` naming
     the batch spec, with IO-shaped errors marked retryable.
     """
-    spec, evaluator, metric_name, offset, limit, chunk_size, spill = task
+    spec, evaluator, metric_name, offset, limit, chunk_size = task
     try:
         source = _WORKER_SOURCES.get(spec)
         if source is None:
             source = spec.open()
             _WORKER_SOURCES[spec] = source
-        blocks = _slice_blocks(source, evaluator, metric_name, offset, limit, chunk_size)
-        return blocks if spill is None else _spill_task_blocks(blocks, *spill)
+        return _slice_blocks(source, evaluator, metric_name, offset, limit, chunk_size)
     except Exception as error:
         raise BatchExecutionError.wrap(
             error, f"{evaluator.kind} batch (source={spec}, metric={metric_name!r}, "
@@ -177,7 +228,7 @@ def _batch_of(rows: Sequence[tuple[int, Any, Any]]) -> TraceBatch:
                       np.vstack([trace.values for _, _, trace in rows]), rows[0][2].interval)
 
 
-def _quarantine_slice(source: TraceSource, evaluator: SliceEvaluator, result: _ResultFeed,
+def _quarantine_slice(source: TraceSource, evaluator: SliceEvaluator, result: SliceResult,
                       address: _Slice) -> None:
     """Per-pair salvage of one failed slice.
 
@@ -226,7 +277,7 @@ def _quarantine_rows(evaluator: SliceEvaluator, metric_name: str,
     return blocks
 
 
-def _evaluate_inline(source: TraceSource, evaluator: SliceEvaluator, result: _ResultFeed,
+def _evaluate_inline(source: TraceSource, evaluator: SliceEvaluator, result: SliceResult,
                      address: _Slice, chunk_size: int, on_error: OnError,
                      retry: RetryPolicy, sleep: Callable[[float], None]) -> list[Any] | None:
     """Evaluate one slice in this process under the run's error policy.
@@ -251,16 +302,23 @@ def _evaluate_inline(source: TraceSource, evaluator: SliceEvaluator, result: _Re
     return None
 
 
-def run_slices(source: TraceSource, evaluator: SliceEvaluator, result: _ResultFeed,
-               metric_names: Sequence[str], limit_per_metric: int | None, chunk_size: int,
-               workers: int, on_error: OnError, store: RecordStore | None,
-               retry: RetryPolicy, sleep: Callable[[float], None]) -> None:
+def run_slices(source: TraceSource, evaluator: SliceEvaluator, result: SliceResult,
+               metric_names: Sequence[str] | None, limit_per_metric: int | None,
+               chunk_size: int, workers: int | None, on_error: OnError,
+               store: RecordStore | None, retry: RetryPolicy | None,
+               sleep: Callable[[float], None]) -> None:
     """Run ``evaluator`` over every ``chunk_size`` slice of ``source`` into ``result``.
 
-    See the module docstring for the loop.  ``result.cache_hits`` /
-    ``cache_misses`` count the pairs served from and recomputed past
-    ``store`` (both stay 0 without one).
+    See the module docstring for the loop.  ``metric_names`` defaults to
+    every metric of ``source``, ``workers`` to 1 and ``retry`` to
+    ``RetryPolicy()``.  ``result.cache_hits`` / ``cache_misses`` count the
+    pairs served from and recomputed past ``store`` (both stay 0 without
+    one).
     """
+    if metric_names is None:
+        metric_names = source.metric_names()
+    workers = workers or 1
+    retry = retry if retry is not None else RetryPolicy()
     slices = [(metric_name, offset, limit) for metric_name in metric_names
               for offset, limit in batch_offsets(source, metric_name, limit_per_metric,
                                                  chunk_size)]
@@ -273,55 +331,36 @@ def run_slices(source: TraceSource, evaluator: SliceEvaluator, result: _ResultFe
                                                     offset, limit, chunk_size, params_token)
             cached[index] = store.get(fingerprints[index])
 
-    # Workers return .rcb spill-file refs instead of pickled arrays when the
-    # parent re-serialises the blocks anyway (store writes, spilling sinks);
-    # the scratch directory lives next to the destination.
-    scratch: Path | None = None
+    outcomes = None
     if workers > 1:
-        if store is not None:
-            scratch = store.directory / ".scratch"
-        elif isinstance(result.sink, SpillingRecordSink):
-            scratch = result.sink.directory / ".scratch"
-    try:
-        outcomes = None
-        if workers > 1:
-            if scratch is not None:
-                scratch.mkdir(parents=True, exist_ok=True)
-            spec = source.worker_spec()
-            tasks = [(spec, evaluator, metric_name, offset, limit, chunk_size,
-                      None if scratch is None else (str(scratch), index))
-                     for index, (metric_name, offset, limit) in enumerate(slices)
-                     if cached[index] is None]
-            outcomes = run_batch_tasks(_slice_worker, tasks, workers, retry=retry,
-                                       sleep=sleep)
+        spec = source.worker_spec()
+        tasks = [(spec, evaluator, metric_name, offset, limit, chunk_size)
+                 for (metric_name, offset, limit), hit in zip(slices, cached) if hit is None]
+        outcomes = run_batch_tasks(_slice_worker, tasks, workers, retry=retry, sleep=sleep)
 
-        for index, address in enumerate(slices):
-            hit = cached[index]
-            if hit is not None:
-                result.cache_hits += address[2]
-                for block in hit:
-                    result.append_block(block)
-                continue
-            if store is not None:
-                result.cache_misses += address[2]
-            if outcomes is None:
-                blocks = _evaluate_inline(source, evaluator, result, address, chunk_size,
-                                          on_error, retry, sleep)
-            else:
-                _, outcome = next(outcomes)
-                if isinstance(outcome, BatchExecutionError):
-                    if on_error == "raise":
-                        raise outcome
-                    _quarantine_slice(source, evaluator, result, address)
-                    blocks = None
-                else:
-                    blocks = _materialise_blocks(outcome)
-            if blocks is None:
-                continue
-            if store is not None:
-                store.put(fingerprints[index], blocks)
-            for block in blocks:
+    for index, address in enumerate(slices):
+        hit = cached[index]
+        if hit is not None:
+            result.cache_hits += address[2]
+            for block in hit:
                 result.append_block(block)
-    finally:
-        if scratch is not None:
-            shutil.rmtree(scratch, ignore_errors=True)
+            continue
+        if store is not None:
+            result.cache_misses += address[2]
+        if outcomes is None:
+            blocks = _evaluate_inline(source, evaluator, result, address, chunk_size,
+                                      on_error, retry, sleep)
+        else:
+            _, outcome = next(outcomes)
+            if isinstance(outcome, BatchExecutionError):
+                if on_error == "raise":
+                    raise outcome
+                _quarantine_slice(source, evaluator, result, address)
+                continue
+            blocks = outcome
+        if blocks is None:
+            continue
+        if store is not None:
+            store.put(fingerprints[index], blocks)
+        for block in blocks:
+            result.append_block(block)

@@ -59,9 +59,9 @@ from ..faults.execution import RetryPolicy
 from ..network.cost import TelemetryCostAccountant
 from ..pipeline.evaluation import PointEvaluation, PolicyRecordBlock
 from ..pipeline.policies import PolicySuite, SamplingPolicy, StaticPolicySuite
-from ..records import FailureRecord, FailureRecordBlock, MemoryRecordSink, RecordSink, RecordStore
+from ..records import RecordSink, RecordStore
 from ..telemetry.source import TraceBatch, TraceSource
-from .driver import OnError, run_slices
+from .driver import OnError, SliceResult, check_run_options, run_slices
 
 __all__ = ["PolicySurveyResult", "run_policy_survey", "OnError"]
 
@@ -108,7 +108,7 @@ class _PolicyTotals:
         return self.nrmse_sum / self.nrmse_count if self.nrmse_count else float("nan")
 
 
-class PolicySurveyResult:
+class PolicySurveyResult(SliceResult):
     """All policy-evaluation records of one survey run, with aggregations.
 
     Outcomes live in columnar
@@ -116,75 +116,20 @@ class PolicySurveyResult:
     :class:`~repro.records.RecordSink`; every aggregation streams the
     blocks, so a spilled (out-of-core) run aggregates identically to an
     in-memory one while holding one block in memory at a time.
+    ``cache_hits`` / ``cache_misses`` count the pairs of
+    ``run_policy_survey(store=...)``.
     """
 
     def __init__(self, sink: RecordSink | None = None,
                  failure_sink: RecordSink | None = None) -> None:
-        #: Pairs served from / recomputed past a RecordStore (both stay 0
-        #: on store-less runs); see ``run_policy_survey(store=...)``.
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self._sink = sink if sink is not None else MemoryRecordSink()
-        self._failure_sink = failure_sink if failure_sink is not None \
-            else MemoryRecordSink()
-        self._metric_order: list[str] = []
         self._policy_order: list[str] = []
         self._totals_cache: tuple[int, dict[str, _PolicyTotals]] | None = None
-        for block in self._sink.blocks():  # adopt pre-existing (reopened) sink content
-            self._note(block)
+        super().__init__(sink, failure_sink)
 
-    # ------------------------------------------------------------------
     def _note(self, block: PolicyRecordBlock) -> None:
-        if block.metric_name not in self._metric_order:
-            self._metric_order.append(block.metric_name)
+        super()._note(block)
         if block.policy_name not in self._policy_order:
             self._policy_order.append(block.policy_name)
-
-    def append_block(self, block: PolicyRecordBlock) -> None:
-        """Append one columnar chunk of outcomes (the pipeline's feed)."""
-        self._sink.append(block)
-        self._note(block)
-
-    def iter_blocks(self) -> Iterator[PolicyRecordBlock]:
-        """Stream the stored columnar chunks in survey order."""
-        return self._sink.blocks()
-
-    @property
-    def sink(self) -> RecordSink:
-        return self._sink
-
-    # --------------------- quarantine accounting -----------------------
-    def append_failures(self, failures: Sequence[FailureRecord]) -> None:
-        """Record one batch slice's quarantined failures (pipeline feed)."""
-        if failures:
-            self._failure_sink.append(FailureRecordBlock.from_failures(failures))
-
-    def iter_failure_blocks(self) -> Iterator[FailureRecordBlock]:
-        """Stream the quarantined-failure chunks in survey order."""
-        return self._failure_sink.blocks()
-
-    @property
-    def failure_sink(self) -> RecordSink:
-        return self._failure_sink
-
-    @property
-    def quarantined(self) -> list[FailureRecord]:
-        """Per-failure view of the quarantine store, materialised on demand."""
-        return [failure for block in self._failure_sink.blocks()
-                for failure in block.failures()]
-
-    @property
-    def quarantined_count(self) -> int:
-        """Number of pairs quarantined during the run."""
-        return self._failure_sink.rows
-
-    def __len__(self) -> int:
-        """Total (policy, measurement point) rows stored."""
-        return self._sink.rows
-
-    def metrics(self) -> list[str]:
-        """Metric names present in the survey, in first-appearance order."""
-        return list(self._metric_order)
 
     def policies(self) -> list[str]:
         """Policy names present in the survey, in first-appearance order."""
@@ -377,27 +322,12 @@ def run_policy_survey(source: TraceSource,
     retry_sleep:
         Injectable backoff sleep (tests/benchmarks pass a no-op).
     """
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be >= 1")
-    if on_error not in ("raise", "quarantine"):
-        raise ValueError(f"on_error must be 'raise' or 'quarantine', got {on_error!r}")
-    if sink is not None and sink.rows > 0:
-        raise ValueError(
-            f"sink already holds {sink.rows} records; run_policy_survey needs an "
-            "empty sink (point SpillingRecordSink at a fresh directory, or re-open "
-            "the existing one with PolicySurveyResult(sink=...))")
-    if failure_sink is not None and failure_sink.rows > 0:
-        raise ValueError(
-            f"failure_sink already holds {failure_sink.rows} records; "
-            "run_policy_survey needs an empty failure sink (point "
-            "SpillingRecordSink at a fresh directory, or re-open the existing "
-            "one with PolicySurveyResult(failure_sink=...))")
+    check_run_options("run_policy_survey", PolicySurveyResult, workers, on_error, sink,
+                      failure_sink)
     result = PolicySurveyResult(sink=sink, failure_sink=failure_sink)
     evaluator = _PolicyEvaluator(_coerce_suite(policies),
                                  accountant or TelemetryCostAccountant())
-    run_slices(source, evaluator, result,
-               metric_names=list(metrics) if metrics is not None else source.metric_names(),
-               limit_per_metric=limit_per_metric, chunk_size=chunk_size,
-               workers=workers or 1, on_error=on_error, store=store,
-               retry=retry if retry is not None else RetryPolicy(), sleep=retry_sleep)
+    run_slices(source, evaluator, result, metric_names=metrics,
+               limit_per_metric=limit_per_metric, chunk_size=chunk_size, workers=workers,
+               on_error=on_error, store=store, retry=retry, sleep=retry_sleep)
     return result

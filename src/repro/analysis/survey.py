@@ -47,7 +47,7 @@ estimate-and-classify step.
 
 :func:`run_windowed_survey` is the fleet-wide Figure 7 loop: the
 moving-window Nyquist sweep run over every pair through the vectorised
-windowed backend, summarising how much each pair's rate drifts -- the
+windowed sweep, summarising how much each pair's rate drifts -- the
 continuous re-estimation the paper's Section 4 argues for.
 """
 
@@ -65,12 +65,11 @@ from ..core.nyquist import NyquistEstimate, NyquistEstimator
 from ..core.windowed import (FIGURE7_STEP_SECONDS, FIGURE7_WINDOW_SECONDS, rate_stability,
                              windowed_nyquist_rates)
 from ..faults.execution import RetryPolicy
-from ..records import (BlockSchema, ColumnarBlock, ColumnSpec, FailureRecord,
-                       FailureRecordBlock, MemoryRecordSink, RecordSink, RecordStore,
-                       ScalarSpec, SpillingRecordSink, register_block_type)
+from ..records import (BlockSchema, ColumnarBlock, ColumnSpec, MemoryRecordSink, RecordSink,
+                       RecordStore, ScalarSpec, SpillingRecordSink, register_block_type)
 from ..telemetry.dataset import TracePair
 from ..telemetry.source import TraceBatch, TraceSource
-from .driver import OnError, run_slices
+from .driver import OnError, SliceResult, check_run_options, run_slices
 
 __all__ = [
     "PairCategory",
@@ -142,9 +141,10 @@ class RecordBlock(ColumnarBlock):
     All rows belong to one metric (chunks are produced per metric by both
     the sequential and the multi-worker pipeline), so the metric name is a
     single scalar rather than a per-row column.  Blocks are the unit of
-    spilling: each one round-trips losslessly through ``.npz`` or ``.csv``
-    behind the sink layer of :mod:`repro.records`, with the layout (and
-    hence the on-disk format) declared once in ``_SCHEMA``.
+    spilling and of the record store: each one round-trips losslessly
+    through ``.npz``, ``.csv`` or ``.rcb`` behind the sink layer of
+    :mod:`repro.records`, with the layout (and hence the on-disk format)
+    declared once in ``_SCHEMA``.
     """
 
     _SCHEMA = BlockSchema(
@@ -221,7 +221,7 @@ def _blocks_from_records(records: Iterable[PairRecord]) -> Iterator[RecordBlock]
         yield RecordBlock.from_records(current, buffer)
 
 
-class SurveyResult:
+class SurveyResult(SliceResult):
     """All pair records of one survey run, with figure-oriented aggregations.
 
     Outcomes live in columnar :class:`RecordBlock` chunks behind a
@@ -229,7 +229,8 @@ class SurveyResult:
     them with vectorised numpy operations, so a spilled (out-of-core)
     survey aggregates identically to an in-memory one while holding one
     block in memory at a time.  ``records`` materialises the classic
-    per-pair :class:`PairRecord` list on demand.
+    per-pair :class:`PairRecord` list on demand.  ``cache_hits`` /
+    ``cache_misses`` count the pairs of ``run_survey(store=...)``.
     """
 
     def __init__(self, records: Iterable[PairRecord] | None = None,
@@ -237,74 +238,15 @@ class SurveyResult:
                  sink: RecordSink | None = None,
                  failure_sink: RecordSink | None = None) -> None:
         self.oversample_threshold = oversample_threshold
-        #: Pairs served from / recomputed past a RecordStore (both stay 0
-        #: on store-less runs); see ``run_survey(store=...)``.
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self._sink = sink if sink is not None else MemoryRecordSink()
-        self._failure_sink = failure_sink if failure_sink is not None \
-            else MemoryRecordSink()
-        self._metric_order: list[str] = []
-        for block in self._sink.blocks():  # adopt pre-existing (reopened) sink content
-            self._note_metric(block.metric_name)
+        super().__init__(sink, failure_sink)
         if records is not None:
             for block in _blocks_from_records(records):
                 self.append_block(block)
-
-    # ------------------------------------------------------------------
-    def _note_metric(self, metric_name: str) -> None:
-        if metric_name not in self._metric_order:
-            self._metric_order.append(metric_name)
-
-    def append_block(self, block: RecordBlock) -> None:
-        """Append one columnar chunk of outcomes (the pipeline's feed)."""
-        self._sink.append(block)
-        self._note_metric(block.metric_name)
-
-    def iter_blocks(self) -> Iterator[RecordBlock]:
-        """Stream the stored columnar chunks in survey order."""
-        return self._sink.blocks()
-
-    @property
-    def sink(self) -> RecordSink:
-        return self._sink
-
-    # --------------------- quarantine accounting -----------------------
-    def append_failures(self, failures: Sequence[FailureRecord]) -> None:
-        """Record one batch slice's quarantined failures (pipeline feed)."""
-        if failures:
-            self._failure_sink.append(FailureRecordBlock.from_failures(failures))
-
-    def iter_failure_blocks(self) -> Iterator[FailureRecordBlock]:
-        """Stream the quarantined-failure chunks in survey order."""
-        return self._failure_sink.blocks()
-
-    @property
-    def failure_sink(self) -> RecordSink:
-        return self._failure_sink
-
-    @property
-    def quarantined(self) -> list[FailureRecord]:
-        """Per-failure view of the quarantine store, materialised on demand."""
-        return [failure for block in self._failure_sink.blocks()
-                for failure in block.failures()]
-
-    @property
-    def quarantined_count(self) -> int:
-        """Number of pairs quarantined during the run."""
-        return self._failure_sink.rows
-
-    def __len__(self) -> int:
-        return self._sink.rows
 
     @property
     def records(self) -> list[PairRecord]:
         """Per-pair view of the columnar store, materialised on demand."""
         return [record for block in self._sink.blocks() for record in block.to_records()]
-
-    def metrics(self) -> list[str]:
-        """Metric names present in the survey, in first-appearance order."""
-        return list(self._metric_order)
 
     def records_for_metric(self, metric_name: str) -> list[PairRecord]:
         return [record for block in self._sink.blocks() if block.metric_name == metric_name
@@ -582,32 +524,14 @@ def run_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
     """
     if oversample_threshold < 1:
         raise ValueError("oversample_threshold must be >= 1")
-    if on_error not in ("raise", "quarantine"):
-        raise ValueError(f"unknown on_error {on_error!r}; choose 'raise' or 'quarantine'")
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be >= 1")
-    if sink is not None and sink.rows > 0:
-        # Appending a fresh survey to leftover records would silently
-        # corrupt every aggregation with duplicates; a previous run's spill
-        # directory is re-opened with SurveyResult(sink=...) instead.
-        raise ValueError(
-            f"sink already holds {sink.rows} records; run_survey needs an empty sink "
-            "(point SpillingRecordSink at a fresh directory, or re-open the existing "
-            "one with SurveyResult(sink=...))")
-    if failure_sink is not None and failure_sink.rows > 0:
-        raise ValueError(
-            f"failure_sink already holds {failure_sink.rows} records; run_survey "
-            "needs an empty failure sink (point it at a fresh directory, or re-open "
-            "the existing one with SurveyResult(failure_sink=...))")
+    check_run_options("run_survey", SurveyResult, workers, on_error, sink, failure_sink)
     result = SurveyResult(oversample_threshold=oversample_threshold, sink=sink,
                           failure_sink=failure_sink)
     evaluator = _SurveyEvaluator(estimator or NyquistEstimator(), oversample_threshold,
                                  fft_workers, dataset.trace_duration)
-    run_slices(dataset, evaluator, result,
-               metric_names=list(metrics) if metrics is not None else dataset.metric_names(),
-               limit_per_metric=limit_per_metric, chunk_size=chunk_size,
-               workers=workers or 1, on_error=on_error, store=store,
-               retry=retry if retry is not None else RetryPolicy(), sleep=retry_sleep)
+    run_slices(dataset, evaluator, result, metric_names=metrics,
+               limit_per_metric=limit_per_metric, chunk_size=chunk_size, workers=workers,
+               on_error=on_error, store=store, retry=retry, sleep=retry_sleep)
     return result
 
 
@@ -642,7 +566,7 @@ def run_windowed_survey(dataset: TraceSource,
     This is the paper's continuous re-estimation loop at fleet scale: for
     each (metric, device) pair, slide the Figure 7 window over its trace,
     estimate the Nyquist rate in every position through the vectorised
-    windowed backend (one ``rfft`` per pair for the whole sweep), and
+    windowed sweep (one ``rfft`` per pair for the whole sweep), and
     summarise how much the rate drifts.  Pairs whose ``dynamic_range``
     exceeds 2x (``drifting``) are the ones a fixed sampling rate cannot
     serve -- the motivation for the Section 4 adaptive controller.

@@ -7,29 +7,24 @@ exactly that series for any trace; :func:`rate_stability` summarises how
 much the inferred rate moves, which is what motivates dynamic sampling in
 the first place.
 
-Two interchangeable backends drive the sweep:
-
-* ``"batched"`` (the default) gathers every window position into one
-  ``(num_windows, window_len)`` matrix with
-  :func:`numpy.lib.stride_tricks.sliding_window_view` and feeds it to
-  :meth:`NyquistEstimator.estimate_batch` -- one ``rfft`` for the whole
-  sweep instead of one per window, which is what makes continuous
-  fleet-wide re-estimation (the Figure 7 loop run on every pair, forever)
-  tractable.  Window positions whose sample count differs (ragged edges
-  from non-integer window/step-to-interval ratios) are grouped by length
-  and batched per group, so every position the scalar path analyses is
-  analysed here too.
-* ``"scalar"`` estimates one window at a time via
-  :meth:`NyquistEstimator.estimate`; it is kept as the reference
-  implementation and the two backends produce equivalent series
-  (enforced by ``tests/core/test_windowed.py`` and timed by
-  ``benchmarks/bench_fig7_windowed_rates.py``).
+The sweep gathers every window position into one
+``(num_windows, window_len)`` matrix with
+:func:`numpy.lib.stride_tricks.sliding_window_view` and feeds it to
+:meth:`NyquistEstimator.estimate_batch` -- one ``rfft`` for the whole
+sweep instead of one per window, which is what makes continuous
+fleet-wide re-estimation (the Figure 7 loop run on every pair, forever)
+tractable.  Window positions whose sample count differs (ragged edges
+from non-integer window/step-to-interval ratios) are grouped by length
+and batched per group, so every position of
+:meth:`TimeSeries.iter_windows` is analysed.  The per-window
+:meth:`NyquistEstimator.estimate` loop lives in the tests as the oracle
+the sweep must match (``tests/core/test_windowed.py``), and
+``benchmarks/bench_fig7_windowed_rates.py`` times the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -41,10 +36,7 @@ __all__ = [
     "WindowedEstimate",
     "windowed_nyquist_rates",
     "rate_stability",
-    "WindowedBackend",
 ]
-
-WindowedBackend = Literal["batched", "scalar"]
 
 #: The paper's Figure 7 parameters.
 FIGURE7_WINDOW_SECONDS: float = 6 * 3600.0
@@ -65,16 +57,22 @@ class WindowedEstimate:
         return self.estimate.nyquist_rate if self.estimate.reliable else float("nan")
 
 
-def _windowed_rates_batched(series: TimeSeries, window_seconds: float, step_seconds: float,
-                            estimator: NyquistEstimator) -> list[WindowedEstimate]:
-    """All window positions as length-grouped matrices, one estimate_batch each.
+def windowed_nyquist_rates(series: TimeSeries,
+                           window_seconds: float = FIGURE7_WINDOW_SECONDS,
+                           step_seconds: float = FIGURE7_STEP_SECONDS,
+                           estimator: NyquistEstimator | None = None) -> list[WindowedEstimate]:
+    """Estimate the Nyquist rate in every position of a sliding window.
 
-    Window positions come from :meth:`TimeSeries.iter_window_bounds` --
-    the same source the scalar ``iter_windows`` loop consumes -- so both
-    backends analyse byte-for-byte the same sample slices; positions
-    shorter than the estimator's minimum are skipped, like the scalar
-    loop does.
+    Parameters default to the paper's Figure 7 settings (6-hour window,
+    5-minute step).  Windows containing fewer samples than the estimator's
+    minimum are skipped (they would only produce unreliable estimates).
+
+    Window positions come from :meth:`TimeSeries.iter_window_bounds`, the
+    source :meth:`TimeSeries.iter_windows` also consumes, so the sweep
+    analyses byte for byte the sample slices a per-window loop would; all
+    equal-length positions become one matrix and one ``estimate_batch``.
     """
+    estimator = estimator or NyquistEstimator()
     bounds = [(first, stop - first)
               for first, stop in series.iter_window_bounds(window_seconds, step_seconds)
               if stop - first >= estimator.min_samples]
@@ -100,36 +98,6 @@ def _windowed_rates_batched(series: TimeSeries, window_seconds: float, step_seco
             results[slot] = WindowedEstimate(window_start, window_start + length * interval,
                                              estimate)
     return results  # type: ignore[return-value]
-
-
-def windowed_nyquist_rates(series: TimeSeries,
-                           window_seconds: float = FIGURE7_WINDOW_SECONDS,
-                           step_seconds: float = FIGURE7_STEP_SECONDS,
-                           estimator: NyquistEstimator | None = None,
-                           backend: WindowedBackend = "batched") -> list[WindowedEstimate]:
-    """Estimate the Nyquist rate in every position of a sliding window.
-
-    Parameters default to the paper's Figure 7 settings (6-hour window,
-    5-minute step).  Windows containing fewer samples than the estimator's
-    minimum are skipped (they would only produce unreliable estimates).
-
-    ``backend="batched"`` (the default) runs the whole sweep through the
-    batched spectral engine -- all equal-length window positions become one
-    matrix and one ``rfft`` -- and is equivalent to the per-window
-    ``"scalar"`` reference loop.
-    """
-    if backend not in ("batched", "scalar"):
-        raise ValueError(f"unknown backend {backend!r}; choose 'batched' or 'scalar'")
-    estimator = estimator or NyquistEstimator()
-    if backend == "batched":
-        return _windowed_rates_batched(series, window_seconds, step_seconds, estimator)
-    results: list[WindowedEstimate] = []
-    for window in series.iter_windows(window_seconds, step_seconds):
-        if len(window) < estimator.min_samples:
-            continue
-        estimate = estimator.estimate(window)
-        results.append(WindowedEstimate(window.start_time, window.end_time, estimate))
-    return results
 
 
 def rate_stability(estimates: list[WindowedEstimate]) -> dict[str, float]:

@@ -15,10 +15,11 @@ Layout:
   and the block-type registry.
 * :mod:`repro.records.rcb` -- the ``.rcb`` binary block format: a load
   is one read, with columns as zero-copy views of that buffer; writes
-  are deterministic byte for byte.  npz/csv remain as legacy paths behind the same
-  sniffing.
+  are deterministic byte for byte.  The record store keeps its blocks in
+  it.
 * :mod:`repro.records.sinks` -- :class:`MemoryRecordSink` and
-  :class:`SpillingRecordSink` (one file per block, numerically ordered).
+  :class:`SpillingRecordSink` (one file per block, numerically ordered;
+  npz by default, csv for greppable output, rcb for the fastest re-open).
 * :mod:`repro.records.store` -- :class:`RecordStore`, the
   content-addressed cache behind ``run_survey(..., store=...)``
   incremental reruns, keyed by :class:`PairFingerprint`.
@@ -28,8 +29,7 @@ from .blocks import (BlockSchema, ColumnarBlock, ColumnSpec, FailureRecord,
                      FailureRecordBlock, ScalarSpec, _BLOCK_TYPES,
                      _ensure_registry, register_block_type,
                      registered_block_types)
-from .rcb import (RCB_FORMAT, RCB_MAGIC, BlockFileRef, load_rcb_any,
-                  read_rcb_header)
+from .rcb import RCB_FORMAT, RCB_MAGIC, load_rcb_any, read_rcb_header
 from .sinks import MemoryRecordSink, RecordSink, SpillingRecordSink
 from .store import (STORE_SCHEMA_VERSION, PairFingerprint, RecordStore,
                     StoreVerification, fingerprint_slice)
@@ -48,7 +48,6 @@ __all__ = [
     "registered_block_types",
     "RCB_MAGIC",
     "RCB_FORMAT",
-    "BlockFileRef",
     "read_rcb_header",
     "load_rcb_any",
     "STORE_SCHEMA_VERSION",

@@ -36,14 +36,13 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, BinaryIO
 
 import numpy as np
 
-__all__ = ["RCB_MAGIC", "RCB_FORMAT", "BlockFileRef", "write_rcb", "read_rcb",
-           "read_rcb_header", "load_rcb_any"]
+__all__ = ["RCB_MAGIC", "RCB_FORMAT", "write_rcb", "read_rcb", "read_rcb_header",
+           "load_rcb_any"]
 
 #: Leading magic bytes of every rcb file.
 RCB_MAGIC = b"RCB1"
@@ -66,23 +65,6 @@ def _align(offset: int) -> int:
 
 def _corrupt(path: Path, reason: str) -> ValueError:
     return ValueError(f"corrupt or truncated record file {path}: {reason}")
-
-
-@dataclass(frozen=True)
-class BlockFileRef:
-    """A pointer to one rcb block file, cheap to pickle across processes.
-
-    Pool workers return these instead of the blocks themselves when a
-    spilling sink or record store is in use: the parent loads the file
-    with one read, so the block's column arrays never ride through the
-    pickle pipe.
-    """
-
-    path: str
-
-    def load(self) -> Any:
-        """Materialise the referenced block (views of one read buffer)."""
-        return load_rcb_any(Path(self.path))
 
 
 def _little_endian(array: np.ndarray) -> np.ndarray:

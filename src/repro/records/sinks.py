@@ -11,6 +11,7 @@ lexicographically, so a directory that has grown past ``records-00009``
 
 from __future__ import annotations
 
+import csv
 import re
 import zipfile
 from abc import ABC, abstractmethod
@@ -187,17 +188,21 @@ class SpillingRecordSink(RecordSink):
 
         npz members decompress lazily, so touching only ``device_ids``
         skips the wide float columns; rcb headers carry the row count
-        outright; for csv a line count suffices (comment lines carry
-        block-level scalars, not rows).  Keeps re-opening a 100k+-row
-        spill directory cheap.
+        outright; csv rows are counted by ``csv.reader`` past the leading
+        comment lines (block-level scalars) and the header, because a
+        quoted cell -- a quarantine message, say -- may span several
+        physical lines.  Keeps re-opening a 100k+-row spill directory
+        cheap.
         """
         if self.fmt == "npz":
             with _open_npz(path) as data:
                 return int(data["device_ids"].shape[0])
         if self.fmt == "rcb":
             return int(read_rcb_header(path)["rows"])
-        with path.open() as handle:
-            return max(sum(1 for line in handle if not line.startswith("#")) - 1, 0)
+        with path.open(newline="") as handle:
+            while handle.readline().startswith("#"):  # scalar comments, then the header
+                pass
+            return sum(1 for _ in csv.reader(handle))
 
     def _load(self, path: Path) -> ColumnarBlock:
         cls = self._resolve_type()

@@ -198,8 +198,8 @@ class TimeSeries:
         The single source of truth for the Figure 7 window arithmetic:
         both the per-window :meth:`iter_windows` iteration and the
         vectorised sweep of :mod:`repro.core.windowed` consume these
-        bounds, so the two backends always analyse byte-for-byte the same
-        sample slices (including the ragged positions where rounding makes
+        bounds, so a per-window loop and the sweep always analyse
+        byte-for-byte the same sample slices (including the ragged positions where rounding makes
         a window one sample shorter or longer than its neighbours).
         Windows that would extend past the end of the series are not
         yielded.

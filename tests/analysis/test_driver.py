@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import pytest
 
 from repro.analysis.driver import run_slices
+from repro.analysis.policy_survey import run_policy_survey
+from repro.analysis.survey import run_survey
 from repro.faults import RetryPolicy
+from repro.pipeline.policies import PolicySuite
 from repro.records import MemoryRecordSink
 from repro.telemetry.dataset import DatasetConfig, FleetDataset
 
@@ -72,3 +76,24 @@ def test_raise_mode_propagates_the_evaluation_error():
         run_slices(dataset, evaluator, KeyResult(), metric_names=[metric],
                    limit_per_metric=None, chunk_size=4, workers=1, on_error="raise",
                    store=None, retry=RetryPolicy(), sleep=lambda delay: None)
+
+
+@pytest.mark.parametrize("pipeline", ["run_survey", "run_policy_survey"])
+def test_run_checks_name_the_pipeline_and_its_result(pipeline):
+    """Both entry points share one copy of the checks; messages say which one refused."""
+    dataset = FleetDataset(DatasetConfig(pair_count=14, seed=5))
+    if pipeline == "run_survey":
+        run, result_name = partial(run_survey, dataset), "SurveyResult"
+    else:
+        run, result_name = partial(run_policy_survey, dataset, PolicySuite()), \
+            "PolicySurveyResult"
+    used = MemoryRecordSink()
+    run_survey(dataset, sink=used)
+    with pytest.raises(ValueError, match=f"^{pipeline}: workers"):
+        run(workers=0)
+    with pytest.raises(ValueError, match=f"^{pipeline}: on_error"):
+        run(on_error="skip")
+    with pytest.raises(ValueError, match=rf"already holds .*{result_name}\(sink="):
+        run(sink=used)
+    with pytest.raises(ValueError, match=rf"already holds .*{result_name}\(failure_sink="):
+        run(failure_sink=used)

@@ -9,8 +9,16 @@ import pytest
 
 from repro.core.nyquist import NyquistEstimator
 from repro.core.windowed import (FIGURE7_STEP_SECONDS, FIGURE7_WINDOW_SECONDS,
-                                 rate_stability, windowed_nyquist_rates)
+                                 WindowedEstimate, rate_stability, windowed_nyquist_rates)
 from repro.signals.generators import multi_tone, sine
+
+
+def scalar_windowed_rates(series, window_seconds, step_seconds, estimator=None):
+    """The sweep computed the reference way: ``estimator.estimate`` per window."""
+    estimator = estimator or NyquistEstimator()
+    return [WindowedEstimate(window.start_time, window.end_time, estimator.estimate(window))
+            for window in series.iter_windows(window_seconds, step_seconds)
+            if len(window) >= estimator.min_samples]
 
 
 class TestWindowedEstimates:
@@ -56,7 +64,7 @@ class TestWindowedEstimates:
 
 class TestBackendEquivalence:
     """The vectorised (sliding_window_view + estimate_batch) sweep must
-    reproduce the scalar per-window reference loop, window for window."""
+    reproduce the per-window reference loop, window for window."""
 
     @staticmethod
     def assert_series_equivalent(scalar, batched):
@@ -78,10 +86,8 @@ class TestBackendEquivalence:
     def test_equivalence_on_tone(self, window_seconds, step_seconds):
         series = sine(1.0 / 1800.0, duration=86400.0, sampling_rate=1.0 / 60.0,
                       amplitude=5.0)
-        scalar = windowed_nyquist_rates(series, window_seconds, step_seconds,
-                                        backend="scalar")
-        batched = windowed_nyquist_rates(series, window_seconds, step_seconds,
-                                         backend="batched")
+        scalar = scalar_windowed_rates(series, window_seconds, step_seconds)
+        batched = windowed_nyquist_rates(series, window_seconds, step_seconds)
         assert scalar  # the sweep is non-trivial
         self.assert_series_equivalent(scalar, batched)
 
@@ -90,10 +96,8 @@ class TestBackendEquivalence:
         differ by one sample; every length group must still be analysed."""
         series = sine(0.003, duration=3500.0, sampling_rate=1.0 / 7.0, amplitude=3.0)
         series = series.with_values(series.values + 0.01 * rng.normal(size=len(series)))
-        scalar = windowed_nyquist_rates(series, window_seconds=300.0, step_seconds=93.0,
-                                        backend="scalar")
-        batched = windowed_nyquist_rates(series, window_seconds=300.0, step_seconds=93.0,
-                                         backend="batched")
+        scalar = scalar_windowed_rates(series, window_seconds=300.0, step_seconds=93.0)
+        batched = windowed_nyquist_rates(series, window_seconds=300.0, step_seconds=93.0)
         lengths = {round((e.window_end - e.window_start) / 7.0) for e in batched}
         assert len(lengths) > 1  # the ragged case is actually exercised
         self.assert_series_equivalent(scalar, batched)
@@ -105,26 +109,19 @@ class TestBackendEquivalence:
         fast = multi_tone([1.0 / 7200.0, 1.0 / 600.0], duration=43200.0,
                           sampling_rate=rate, amplitudes=[5.0, 5.0])
         series = slow.concatenate(fast)
-        scalar = windowed_nyquist_rates(series, 6 * 3600.0, 1800.0,
-                                        estimator=estimator, backend="scalar")
-        batched = windowed_nyquist_rates(series, 6 * 3600.0, 1800.0,
-                                         estimator=estimator, backend="batched")
+        scalar = scalar_windowed_rates(series, 6 * 3600.0, 1800.0, estimator=estimator)
+        batched = windowed_nyquist_rates(series, 6 * 3600.0, 1800.0, estimator=estimator)
         self.assert_series_equivalent(scalar, batched)
 
     def test_empty_sweep(self):
         series = sine(1.0, duration=10.0, sampling_rate=2.0)
-        assert windowed_nyquist_rates(series, 1.0, 1.0, backend="batched") == []
-
-    def test_rejects_unknown_backend(self):
-        series = sine(1.0, duration=10.0, sampling_rate=2.0)
-        with pytest.raises(ValueError, match="backend"):
-            windowed_nyquist_rates(series, 5.0, 1.0, backend="gpu")  # type: ignore[arg-type]
+        assert windowed_nyquist_rates(series, 1.0, 1.0) == []
 
     def test_rejects_bad_window(self):
         series = sine(1.0, duration=10.0, sampling_rate=2.0)
-        for backend in ("scalar", "batched"):
+        for sweep in (scalar_windowed_rates, windowed_nyquist_rates):
             with pytest.raises(ValueError):
-                windowed_nyquist_rates(series, 0.0, 1.0, backend=backend)
+                sweep(series, 0.0, 1.0)
 
 
 class TestRateStability:

@@ -10,8 +10,7 @@ healthy rerun would give.
 
 These tests drive both fan-outs (``run_survey`` and
 ``run_policy_survey``) against stores on disk, plus the spill-sink
-ordering regression (numeric file ordering past ten blocks) the store's
-scratch files rely on.
+ordering regression (numeric file ordering past ten blocks).
 """
 
 from __future__ import annotations
@@ -292,23 +291,21 @@ class TestPolicySurveyStore:
 
 
 # ----------------------------------------------------------------------
-class TestWorkerSpillPath:
-    """Workers hand back .rcb refs, not pickled arrays, when spilling."""
+class TestMultiWorkerFiles:
+    """Multi-worker runs leave only their own files."""
 
     def test_spilling_sink_multiworker_matches_sequential(self, dataset, tmp_path):
         plain = run_survey(FleetDataset(CONFIG), chunk_size=4)
         sink = SpillingRecordSink(tmp_path / "spool")
         pooled = run_survey(dataset, chunk_size=4, workers=2, sink=sink)
         assert block_payloads(pooled.iter_blocks()) == block_payloads(plain.iter_blocks())
-        # The scratch directory is cleaned up after the run and the spool
-        # holds only the sink's own spill files.
-        assert not (tmp_path / "spool" / ".scratch").exists()
-        assert all(path.name.startswith("records-") for path in sink.files)
+        assert sorted((tmp_path / "spool").iterdir()) == sorted(sink.files)
 
-    def test_store_scratch_directory_is_cleaned_up(self, dataset, tmp_path):
-        store = RecordStore(tmp_path / "store")
-        run_survey(dataset, store=store, chunk_size=4, workers=2)
-        assert not (tmp_path / "store" / ".scratch").exists()
+    def test_store_run_leaves_what_a_sequential_run_leaves(self, dataset, tmp_path):
+        run_survey(dataset, store=RecordStore(tmp_path / "inline"), chunk_size=4)
+        run_survey(dataset, store=RecordStore(tmp_path / "pooled"), chunk_size=4, workers=2)
+        inline = {path.name for path in (tmp_path / "inline").iterdir()}
+        assert {path.name for path in (tmp_path / "pooled").iterdir()} <= inline
 
 
 # ----------------------------------------------------------------------

@@ -72,9 +72,23 @@ def make_failure_block(rows: int = 3) -> FailureRecordBlock:
         for i in range(rows)])
 
 
+def make_multiline_failure_block() -> FailureRecordBlock:
+    """Two failures, one whose message csv must quote across three lines."""
+    return FailureRecordBlock.from_failures([
+        FailureRecord(metric_name="Link util", device_id=f"tor-{i:04d}", stage="trace",
+                      error_type="ValueError", message=message,
+                      provenance=f"Link util[{i}] traces/{i}.npz")
+        for i, message in enumerate(["line one\nline two\n# three", "one line"])])
+
+
 BLOCK_FACTORIES = {RecordBlock: make_record_block,
                    PolicyRecordBlock: make_policy_block,
                    FailureRecordBlock: make_failure_block}
+
+#: What a spill directory must re-open losslessly: every block type, plus
+#: a failure message spanning lines (one csv row over several lines).
+SPILL_FACTORIES = {**{cls.__name__: factory for cls, factory in BLOCK_FACTORIES.items()},
+                   "FailureRecordBlock-multiline": make_multiline_failure_block}
 
 
 def assert_blocks_equal(a, b) -> None:
@@ -94,6 +108,11 @@ def assert_blocks_equal(a, b) -> None:
 @pytest.fixture(params=list(BLOCK_FACTORIES), ids=lambda cls: cls.__name__)
 def block(request):
     return BLOCK_FACTORIES[request.param]()
+
+
+@pytest.fixture(params=list(SPILL_FACTORIES))
+def spill_block(request):
+    return SPILL_FACTORIES[request.param]()
 
 
 @pytest.fixture(params=list(BLOCK_FACTORIES), ids=lambda cls: cls.__name__)
@@ -295,10 +314,12 @@ class TestSniffing:
         assert PolicyRecordBlock in registered
 
     @pytest.mark.parametrize("fmt", ["npz", "csv", "rcb"])
-    def test_sniffing_tells_the_types_apart(self, block, fmt, tmp_path):
+    def test_sniffing_tells_the_types_apart(self, spill_block, fmt, tmp_path):
+        block = spill_block
         sink = SpillingRecordSink(tmp_path / "spool", fmt=fmt)
         sink.append(block)
         reopened = SpillingRecordSink(tmp_path / "spool", fmt=fmt)
+        assert reopened.rows == len(block)
         loaded = list(reopened.blocks())
         assert len(loaded) == 1
         assert type(loaded[0]) is type(block)
