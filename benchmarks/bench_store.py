@@ -3,21 +3,12 @@
 The store exists so fleet-scale reruns (new code, same data) cost disk
 reads instead of trace generation + FFTs.  This benchmark pins that
 contract on a 25k+-pair survey (size via ``REPRO_BENCH_STORE_PAIRS``;
-CI smoke uses a small fleet):
+CI smoke uses a small fleet): ``run_survey(store=...)`` runs twice
+against the same store directory, and the warm run must be 100 % cache
+hits, byte-identical to the cold run, and at least
+``REPRO_BENCH_STORE_MIN_SPEEDUP``x faster (default 5).
 
-* **cold vs warm** -- ``run_survey(store=...)`` twice against the same
-  store directory.  The warm run must be 100 % cache hits, byte-identical
-  to the cold run, and at least ``REPRO_BENCH_STORE_MIN_SPEEDUP``x
-  faster (default 5).
-* **rcb vs npz** -- re-opening the store's published ``.rcb`` blocks
-  (one read per file, columns as zero-copy views of that buffer) vs
-  re-parsing the same blocks from compressed npz, the legacy spill
-  format.  The rcb path must win; both numbers land in
-  ``BENCH_store.json`` under the historical ``mmap_vs_npz`` key (kept
-  for trajectory continuity -- rcb loads stopped being memory maps) so
-  the format trade-off stays measured.
-
-Both sections record the host's ``cpu_count``.  Results are recorded in
+Results, with the host's ``cpu_count``, are recorded in
 ``benchmarks/output/BENCH_store.json`` and uploaded by the CI
 ``store-smoke`` job.
 """
@@ -31,7 +22,7 @@ import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.analysis.survey import run_survey
-from repro.records import RecordStore, load_rcb_any
+from repro.records import RecordStore
 from repro.telemetry.dataset import DatasetConfig, FleetDataset
 
 from conftest import BENCH_STORE_JSON, update_bench_json
@@ -92,58 +83,3 @@ def test_warm_rerun_speedup(tmp_path):
     assert speedup >= REQUIRED_SPEEDUP, \
         f"warm rerun only {speedup:.1f}x faster (need >= {REQUIRED_SPEEDUP}x)"
 
-
-def test_rcb_reopen_beats_npz_reparse(tmp_path):
-    """Loading published .rcb blocks (one read each) vs the same blocks from npz."""
-    pairs = min(STORE_PAIRS, 2800)
-    dataset = FleetDataset(DatasetConfig(pair_count=pairs, seed=7))
-    store = RecordStore(tmp_path / "store")
-    result = run_survey(dataset, store=store, chunk_size=CHUNK_SIZE)
-
-    rcb_paths = [path for entry in store.entries()
-                 for path in sorted(entry.glob("block-*.rcb"))]
-    assert rcb_paths
-    npz_dir = tmp_path / "npz"
-    npz_dir.mkdir()
-    npz_paths = []
-    for index, block in enumerate(result.iter_blocks()):
-        path = npz_dir / f"block-{index:05d}.npz"
-        block.save_npz(path)
-        npz_paths.append((type(block), path))
-
-    def load_rcb():
-        return sum(len(load_rcb_any(path).device_ids) for path in rcb_paths)
-
-    def load_npz():
-        return sum(len(cls.load_npz(path).device_ids) for cls, path in npz_paths)
-
-    best_rcb = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        rows_rcb = load_rcb()
-        best_rcb = min(best_rcb, time.perf_counter() - start)
-    best_npz = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        rows_npz = load_npz()
-        best_npz = min(best_npz, time.perf_counter() - start)
-    assert rows_rcb == rows_npz == pairs
-
-    ratio = best_npz / best_rcb
-    update_bench_json("mmap_vs_npz", {
-        "pairs": pairs,
-        "blocks": len(rcb_paths),
-        "rcb_seconds": best_rcb,
-        "npz_seconds": best_npz,
-        "npz_over_rcb": ratio,
-        "cpu_count": os.cpu_count() or 1,
-    }, path=BENCH_STORE_JSON)
-    print(f"\n=== Store block re-open: rcb one-read vs npz re-parse "
-          f"({len(rcb_paths)} blocks, {pairs} rows) ===")
-    print(format_table([
-        {"format": "rcb (one read)", "seconds": best_rcb},
-        {"format": "npz (re-parse)", "seconds": best_npz},
-        {"format": "npz/rcb", "seconds": ratio},
-    ]))
-    assert best_rcb < best_npz, \
-        f"rcb re-open ({best_rcb:.4f}s) should beat npz re-parse ({best_npz:.4f}s)"

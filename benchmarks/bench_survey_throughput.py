@@ -18,7 +18,7 @@ PRs:
 * **fleet** -- a 25k+-pair out-of-core survey (``workers=2`` and a
   :class:`SpillingRecordSink`), the scale the paper's always-on fleet
   monitoring argument needs; memory stays bounded by ``chunk_size``
-  because every record block is spilled to npz as it is produced.  Size
+  because every record block is spilled to ``.rcb`` as it is produced.  Size
   via ``REPRO_BENCH_FLEET_PAIRS`` (default 25200; CI smoke uses a small
   fleet to stay under its time budget).
 * **measured** -- the recorded-telemetry path: the same fleet exported to

@@ -9,7 +9,7 @@ Run with:  python examples/fleet_survey.py [--pairs N]
 
 The pipeline scales far beyond the paper's 1613 pairs.  A 25k-pair
 out-of-core run -- trace generation and estimation fanned out to worker
-processes, per-pair records streamed to npz chunks on disk so memory
+processes, per-pair records streamed to .rcb chunks on disk so memory
 stays bounded by --chunk-size -- looks like:
 
     python examples/fleet_survey.py --pairs 25200 --workers 4 \\
@@ -40,7 +40,7 @@ def main() -> None:
     parser.add_argument("--chunk-size", type=int, default=1024,
                         help="traces held in memory at once (bounds survey memory)")
     parser.add_argument("--spill-dir", type=Path, default=None,
-                        help="stream per-pair record chunks to npz files here "
+                        help="stream per-pair record chunks to .rcb files here "
                              "(out-of-core mode for 100k+-pair fleets)")
     args = parser.parse_args()
 
@@ -75,7 +75,7 @@ def main() -> None:
                         for key, value in survey.headline().items()]))
 
     if sink is not None:
-        print(f"\nRecord chunks spilled to {args.spill_dir} ({len(sink.files)} npz files); "
+        print(f"\nRecord chunks spilled to {args.spill_dir} ({len(sink.files)} {sink.fmt} files); "
               f"re-open later with SurveyResult(sink=SpillingRecordSink({str(args.spill_dir)!r}))")
 
 

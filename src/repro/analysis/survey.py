@@ -20,7 +20,7 @@ The pipeline is built for fleets far beyond the paper's 1613 pairs:
   per-pair view for API compatibility.
 * **Out-of-core results.**  A :class:`RecordSink` receives the blocks as
   they are produced; :class:`MemoryRecordSink` keeps them in RAM while
-  :class:`SpillingRecordSink` streams each block to an ``.npz`` (or
+  :class:`SpillingRecordSink` streams each block to an ``.rcb`` (or
   ``.csv``) file, so a 100k+-pair survey holds at most one ``chunk_size``
   block in memory at a time and the aggregations stream back from disk.
 * **Multi-worker execution.**  ``run_survey(workers=N)`` fans the whole
@@ -142,7 +142,7 @@ class RecordBlock(ColumnarBlock):
     the sequential and the multi-worker pipeline), so the metric name is a
     single scalar rather than a per-row column.  Blocks are the unit of
     spilling and of the record store: each one round-trips losslessly
-    through ``.npz``, ``.csv`` or ``.rcb`` behind the sink layer of
+    through ``.rcb`` or ``.csv`` behind the sink layer of
     :mod:`repro.records`, with the layout (and hence the on-disk format)
     declared once in ``_SCHEMA``.
     """

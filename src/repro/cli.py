@@ -6,7 +6,7 @@ Installed as ``repro-monitor`` (see pyproject) and runnable as
 * ``survey``   -- run the Section 3.2 fleet survey and print Figures 1/4/5
   style summaries (optionally exporting CSVs).  ``--workers`` fans trace
   production + estimation out to a process pool and ``--spill-dir``
-  streams the per-pair records to npz chunks on disk, so 100k+-pair
+  streams the per-pair records to ``.rcb`` chunks on disk, so 100k+-pair
   fleets run with memory bounded by ``--chunk-size``.  ``--store DIR``
   keeps a content-addressed record store across runs: a rerun with
   identical traces and parameters serves every slice from the store
@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     survey.add_argument("--chunk-size", type=_positive_int, default=1024,
                         help="traces held in memory at once (bounds survey memory)")
     survey.add_argument("--spill-dir", type=Path, default=None,
-                        help="stream per-pair records to npz chunks in this directory "
+                        help="stream per-pair records to .rcb chunks in this directory "
                              "instead of holding them in memory (out-of-core surveys)")
     survey.add_argument("--store", type=Path, default=None, metavar="DIR",
                         help="content-addressed record store for incremental "
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     policies.add_argument("--chunk-size", type=_positive_int, default=256,
                           help="traces held in memory at once (bounds survey memory)")
     policies.add_argument("--spill-dir", type=Path, default=None,
-                          help="stream per-point records to npz chunks in this "
+                          help="stream per-point records to .rcb chunks in this "
                                "directory instead of holding them in memory")
     policies.add_argument("--store", type=Path, default=None, metavar="DIR",
                           help="content-addressed record store for incremental "
@@ -336,11 +336,11 @@ def _command_survey(args: argparse.Namespace) -> int:
     else:
         dataset = FleetDataset(DatasetConfig(pair_count=args.pairs, seed=args.seed))
     estimator = NyquistEstimator(energy_fraction=args.energy_fraction)
-    sink = SpillingRecordSink(args.spill_dir) if args.spill_dir is not None else None
-    failure_sink = (SpillingRecordSink(args.spill_dir / "failures")
-                    if args.spill_dir is not None and args.on_error == "quarantine"
-                    else None)
     try:
+        sink = SpillingRecordSink(args.spill_dir) if args.spill_dir is not None else None
+        failure_sink = (SpillingRecordSink(args.spill_dir / "failures")
+                        if args.spill_dir is not None and args.on_error == "quarantine"
+                        else None)
         store = (RecordStore(args.store)
                  if args.store is not None and not args.no_store else None)
         result = run_survey(dataset, estimator=estimator,
@@ -351,8 +351,9 @@ def _command_survey(args: argparse.Namespace) -> int:
                             store=store)
     except (ValueError, BatchExecutionError) as error:
         # E.g. a corrupt/truncated trace file in a measured fleet (possibly
-        # wrapped with its batch spec by a pooled run), or a used spill
-        # directory -- report cleanly instead of dumping a traceback.
+        # wrapped with its batch spec by a pooled run), or a used or
+        # mixed-format spill directory -- report cleanly instead of dumping
+        # a traceback.
         print(f"error: {error}", file=sys.stderr)
         return 1
 

@@ -85,7 +85,7 @@ class PolicyRecordBlock(ColumnarBlock):
     policy's collection volume and achieved rate, the reconstruction
     error, the priced cost components (hop-weighted transmission
     included), and the optional event-detection outcome.  Blocks are the
-    unit of spilling: each round-trips losslessly through ``.npz`` or
+    unit of spilling: each round-trips losslessly through ``.rcb`` or
     ``.csv`` behind the sink layer of :mod:`repro.records`, with the
     layout (and hence the on-disk format) declared once in ``_SCHEMA``.
     """

@@ -19,7 +19,8 @@ Layout:
   it.
 * :mod:`repro.records.sinks` -- :class:`MemoryRecordSink` and
   :class:`SpillingRecordSink` (one file per block, numerically ordered;
-  npz by default, csv for greppable output, rcb for the fastest re-open).
+  rcb by default, csv for greppable output; a re-opened directory keeps
+  the format its files hold).
 * :mod:`repro.records.store` -- :class:`RecordStore`, the
   content-addressed cache behind ``run_survey(..., store=...)``
   incremental reruns, keyed by :class:`PairFingerprint`.

@@ -3,12 +3,11 @@
 A block class participates by subclassing :class:`ColumnarBlock` with a
 :class:`BlockSchema` (``_SCHEMA``) describing its block-level scalars and
 per-row columns -- the schema drives one shared implementation of the
-``save_npz``/``load_npz``, ``save_csv``/``load_csv`` and
-``save_rcb``/``load_rcb`` round trips, the ``sniff_npz``/``sniff_csv``/
-``sniff_rcb`` classmethods a spill directory is re-opened with, and the
-dtype/shape validation of ``__post_init__`` -- and by registering via
-:func:`register_block_type`.  The first schema column doubles as the row
-counter of spill files (the existing block types lead with
+``save_rcb``/``load_rcb`` and ``save_csv``/``load_csv`` round trips, the
+``sniff_rcb``/``sniff_csv`` classmethods a spill directory is re-opened
+with, and the dtype/shape validation of ``__post_init__`` -- and by
+registering via :func:`register_block_type`.  The first schema column
+doubles as the block's row counter (the existing block types lead with
 ``device_ids``), so adding a new record-producing pipeline is a schema
 declaration plus whatever view/constructor helpers it wants.
 """
@@ -16,7 +15,6 @@ declaration plus whatever view/constructor helpers it wants.
 from __future__ import annotations
 
 import csv
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, ClassVar, Iterator, Literal, Mapping, Self, Sequence
@@ -100,12 +98,12 @@ class ColumnSpec:
 class ScalarSpec:
     """One block-level string scalar (metric name, policy name, ...).
 
-    Scalars are stored three ways, all driven by this spec: as a 0-d npz
-    member, as a leading ``# {label}={value}`` comment line in csv files
-    (so zero-row blocks round-trip without losing them), and repeated as
-    the first csv data columns (the historical row format, which also
-    keeps the files greppable).  The rcb header carries them in its JSON
-    ``scalars`` mapping.
+    The rcb header carries scalars in its JSON ``scalars`` mapping.  In
+    csv files they are written twice, both driven by this spec: as a
+    leading ``# {label}={value}`` comment line (so zero-row blocks
+    round-trip without losing them), and repeated as the first data
+    columns (the historical row format, which also keeps the files
+    greppable).
     """
 
     name: str
@@ -121,10 +119,10 @@ class BlockSchema:
     """Declarative layout of one columnar block type.
 
     The scalars come first in the csv header (by ``name``), followed by
-    the columns (by ``header``); npz members are scalars + columns by
-    ``name``.  The first column is the reference every other column's
-    row count is validated against -- and the one sinks touch to count
-    rows of a spill file cheaply.
+    the columns (by ``header``); an rcb header's members are scalars +
+    columns by ``name``.  The first column is the reference every other
+    column's row count is validated against, and gives the block its
+    length.
     """
 
     scalars: tuple[ScalarSpec, ...]
@@ -153,10 +151,9 @@ class ColumnarBlock:
 
     Subclasses are frozen dataclasses whose fields are the schema's
     scalars (strings) followed by its columns (1-D arrays); ``_SCHEMA``
-    drives validation, the npz/csv/rcb round trips and spill-file
-    sniffing.  Blocks loaded from ``.rcb`` files hold read-only
-    zero-copy views of one read buffer per file, and keep no file
-    descriptor open.
+    drives validation, the rcb/csv round trips and spill-file sniffing.
+    Blocks loaded from ``.rcb`` files hold read-only zero-copy views of
+    one read buffer per file, and keep no file descriptor open.
     """
 
     _SCHEMA: ClassVar[BlockSchema]
@@ -177,25 +174,6 @@ class ColumnarBlock:
         return int(getattr(self, self._SCHEMA.columns[0].name).shape[0])
 
     # ------------------------- disk round trip -------------------------
-    def save_npz(self, path: Path) -> None:
-        schema = self._SCHEMA
-        members = {spec.name: np.array(getattr(self, spec.name))
-                   for spec in schema.scalars}
-        members.update({spec.name: getattr(self, spec.name) for spec in schema.columns})
-        np.savez_compressed(path, **members)
-
-    @classmethod
-    def load_npz(cls, path: Path) -> Self:
-        schema = cls._SCHEMA
-        try:
-            with path.open("rb") as handle, np.load(handle) as data:
-                fields = {spec.name: str(data[spec.name]) for spec in schema.scalars}
-                fields.update({spec.name: data[spec.name] for spec in schema.columns})
-                return cls(**fields)
-        except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile) as error:
-            raise ValueError(
-                f"corrupt or truncated record file {path}: {error}") from error
-
     def save_csv(self, path: Path) -> None:
         schema = self._SCHEMA
         with path.open("w", newline="") as handle:
@@ -256,11 +234,6 @@ class ColumnarBlock:
         return read_rcb(cls, path)
 
     # ---------------------- spill-type sniffing ------------------------
-    @classmethod
-    def sniff_npz(cls, member_names: Sequence[str]) -> bool:
-        """True when an npz spill file holds exactly this schema's members."""
-        return set(member_names) == set(cls._SCHEMA.member_names)
-
     @classmethod
     def sniff_csv(cls, head_lines: Sequence[str]) -> bool:
         """True when a csv spill file's leading lines carry this schema's header."""

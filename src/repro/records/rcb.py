@@ -42,7 +42,7 @@ from typing import Any, BinaryIO
 import numpy as np
 
 __all__ = ["RCB_MAGIC", "RCB_FORMAT", "write_rcb", "read_rcb", "read_rcb_header",
-           "load_rcb_any"]
+           "block_type_of", "load_rcb_any"]
 
 #: Leading magic bytes of every rcb file.
 RCB_MAGIC = b"RCB1"
@@ -218,25 +218,32 @@ def read_rcb(cls: type, path: Path) -> Any:
     return _block_from(cls, path, *_read_file(path))
 
 
-def load_rcb_any(path: Path) -> Any:
-    """Load an rcb file whose block type is not known in advance.
+def block_type_of(path: Path, header: dict) -> type:
+    """The registered block class a parsed rcb header describes.
 
-    Resolves the class through the block-type registry from the one
-    parsed header -- by its ``block_type`` name first, falling back to
-    member sniffing for files written by a renamed class -- and raises
-    ``ValueError`` naming the file when nothing claims it.
+    Matches by the header's ``block_type`` name first, falling back to
+    member sniffing for files written by a renamed class, and raises
+    ``ValueError`` naming ``path`` when nothing claims it.
     """
     from .blocks import _BLOCK_TYPES, _ensure_registry
-    path = Path(path)
-    header, data = _read_file(path)
     _ensure_registry()
     for cls in _BLOCK_TYPES:
         if cls.__name__ == header["block_type"]:
-            return _block_from(cls, path, header, data)
+            return cls
     for cls in _BLOCK_TYPES:
         if cls.sniff_rcb(header):
-            return _block_from(cls, path, header, data)
+            return cls
     raise ValueError(
         f"spill file {path} does not match any registered record block type "
         f"({[cls.__name__ for cls in _BLOCK_TYPES]}); the file is corrupt or "
         "from an incompatible version")
+
+
+def load_rcb_any(path: Path) -> Any:
+    """Load an rcb file whose block type is not known in advance.
+
+    The class comes from the one parsed header (:func:`block_type_of`).
+    """
+    path = Path(path)
+    header, data = _read_file(path)
+    return _block_from(block_type_of(path, header), path, header, data)

@@ -1,47 +1,30 @@
 """Record sinks: the streaming destinations for columnar record blocks.
 
 :class:`MemoryRecordSink` keeps blocks in RAM; :class:`SpillingRecordSink`
-streams each block to one ``records-NNNNN.npz``/``.csv``/``.rcb`` file so
+streams each block to one ``records-NNNNN.rcb`` (or ``.csv``) file so
 memory stays bounded by a single block regardless of fleet size, and
-re-opens an existing directory (resuming its row count) for later
-aggregation.  Spill files are ordered by their *numeric* index, not
-lexicographically, so a directory that has grown past ``records-00009``
-(or holds hand-named unpadded files) streams back in append order.
+re-opens an existing directory (resuming its row count, in the format
+its files hold) for later aggregation.  Spill files are ordered by their
+*numeric* index, not lexicographically, so a directory that has grown
+past ``records-00009`` (or holds hand-named unpadded files) streams back
+in append order.
 """
 
 from __future__ import annotations
 
 import csv
 import re
-import zipfile
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Literal
-
-import numpy as np
+from typing import Iterator, Literal
 
 from .blocks import _BLOCK_TYPES, ColumnarBlock, _ensure_registry
-from .rcb import read_rcb_header
+from .rcb import block_type_of, read_rcb_header
 
 __all__ = ["RecordSink", "MemoryRecordSink", "SpillingRecordSink"]
 
 #: The numeric index embedded in a spill file name.
 _SPILL_INDEX = re.compile(r"records-(\d+)\.")
-
-
-@contextmanager
-def _open_npz(path: Path) -> Iterator[Any]:
-    """Open one npz spill file; a corrupt one raises ``ValueError`` naming it.
-
-    The handle is ours, not ``np.load``'s, so it closes even when numpy
-    rejects a truncated archive.
-    """
-    try:
-        with path.open("rb") as handle, np.load(handle) as data:
-            yield data
-    except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile) as error:
-        raise ValueError(f"corrupt or truncated spill file {path}: {error}") from error
 
 
 def _spill_order(path: Path) -> tuple[int, str]:
@@ -95,20 +78,22 @@ class MemoryRecordSink(RecordSink):
 class SpillingRecordSink(RecordSink):
     """Streams every block straight to disk; memory stays O(one block).
 
-    Each appended block becomes one ``records-NNNNN.npz`` (``.csv``,
-    ``.rcb``) file under ``directory``; aggregations stream the files
-    back one at a time, so neither writing nor reading ever holds more
-    than a single ``chunk_size`` block in memory.  Opening a sink on a
-    directory that already contains record files resumes from them, which
-    is how a spilled run is re-opened in a later process (e.g.
+    Each appended block becomes one ``records-NNNNN.rcb`` (or ``.csv``)
+    file under ``directory``; aggregations stream the files back one at a
+    time, so neither writing nor reading ever holds more than a single
+    ``chunk_size`` block in memory.  Opening a sink on a directory that
+    already contains record files resumes from them, which is how a
+    spilled run is re-opened in a later process (e.g.
     ``SurveyResult(sink=SpillingRecordSink(path))`` or
     ``PolicySurveyResult(sink=SpillingRecordSink(path))``).
 
-    ``fmt`` picks the spill serialisation: ``"npz"`` (compressed, the
-    default), ``"csv"`` (greppable), or ``"rcb"`` (one read per file --
-    blocks stream back as zero-copy views, the fastest re-open).  ``fmt=None``
-    infers it from the files already in the directory, defaulting to npz
-    on a fresh one.
+    ``fmt`` picks the spill serialisation: ``"rcb"`` (one read per file --
+    blocks stream back as zero-copy views) or ``"csv"`` (greppable).  The
+    default, ``None``, takes the format of the ``records-*`` files already
+    in the directory, and rcb on a fresh one.  A directory holding more
+    than one format, a ``fmt`` that disagrees with the files present, or
+    leftover ``records-*.npz`` files (npz spill is no longer read) raise
+    ``ValueError``.
 
     ``block_type`` names the block class the sink stores.  When omitted it
     is inferred: from the first appended block on a fresh directory, or by
@@ -116,32 +101,42 @@ class SpillingRecordSink(RecordSink):
     serves every registered block type.
     """
 
-    _FMTS = ("npz", "csv", "rcb")
+    _FMTS = ("rcb", "csv")
 
     def __init__(self, directory: Path | str,
-                 fmt: Literal["npz", "csv", "rcb"] | None = "npz",
+                 fmt: Literal["rcb", "csv"] | None = None,
                  block_type: type | None = None) -> None:
         if fmt is not None and fmt not in self._FMTS:
-            raise ValueError(f"unknown spill format {fmt!r}; "
-                             "choose 'npz', 'csv' or 'rcb'")
+            raise ValueError(f"unknown spill format {fmt!r}; choose 'rcb' or 'csv'")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        if fmt is None:
-            fmt = self._sniff_fmt()
-        self.fmt = fmt
+        self.fmt = self._sniff_fmt(fmt)
         self._block_type = block_type
-        self._files: list[Path] = sorted(self.directory.glob(f"records-*.{fmt}"),
+        self._files: list[Path] = sorted(self.directory.glob(f"records-*.{self.fmt}"),
                                          key=_spill_order)
         self._next_index = 1 + max((_spill_order(path)[0] for path in self._files),
                                    default=-1)
         self._rows = sum(self._count_rows(path) for path in self._files)
 
-    def _sniff_fmt(self) -> str:
-        """Infer the spill format from the directory's existing files."""
-        for fmt in self._FMTS:
-            if any(True for _ in self.directory.glob(f"records-*.{fmt}")):
-                return fmt
-        return "npz"
+    def _sniff_fmt(self, fmt: str | None) -> str:
+        """The spill format of the directory's ``records-*`` files.
+
+        The one place the format is decided: it must agree with ``fmt``
+        when one is given, and a fresh directory gets ``fmt`` or rcb.
+        """
+        suffixes = {path.suffix for path in self.directory.glob("records-*")}
+        if ".npz" in suffixes:
+            raise ValueError(f"spill directory {self.directory} holds records-*.npz "
+                             "files; npz spill is no longer read -- re-run into a "
+                             "fresh directory")
+        present = [known for known in self._FMTS if f".{known}" in suffixes]
+        if len(present) > 1:
+            raise ValueError(f"spill directory {self.directory} mixes "
+                             f"{' and '.join(present)} record files")
+        if present and fmt is not None and fmt != present[0]:
+            raise ValueError(f"spill directory {self.directory} holds {present[0]} "
+                             f"record files; cannot spill {fmt} into it")
+        return present[0] if present else fmt or "rcb"
 
     # ------------------------------------------------------------------
     @property
@@ -151,24 +146,14 @@ class SpillingRecordSink(RecordSink):
 
     def _sniff_type(self, path: Path) -> type:
         """Infer the block class of an existing spill file."""
+        if self.fmt == "rcb":
+            return block_type_of(path, read_rcb_header(path))
         _ensure_registry()
-        if self.fmt == "npz":
-            with _open_npz(path) as data:
-                members = tuple(data.files)
-            for cls in _BLOCK_TYPES:
-                if cls.sniff_npz(members):
-                    return cls
-        elif self.fmt == "rcb":
-            header = read_rcb_header(path)
-            for cls in _BLOCK_TYPES:
-                if cls.__name__ == header["block_type"] or cls.sniff_rcb(header):
-                    return cls
-        else:
-            with path.open() as handle:
-                head = tuple(handle.readline() for _ in range(4))
-            for cls in _BLOCK_TYPES:
-                if cls.sniff_csv(head):
-                    return cls
+        with path.open() as handle:
+            head = tuple(handle.readline() for _ in range(4))
+        for cls in _BLOCK_TYPES:
+            if cls.sniff_csv(head):
+                return cls
         raise ValueError(
             f"spill file {path} does not match any registered record block type "
             f"({[cls.__name__ for cls in _BLOCK_TYPES]}); the file is corrupt or "
@@ -186,17 +171,12 @@ class SpillingRecordSink(RecordSink):
     def _count_rows(self, path: Path) -> int:
         """Row count of one spill file without loading its full columns.
 
-        npz members decompress lazily, so touching only ``device_ids``
-        skips the wide float columns; rcb headers carry the row count
-        outright; csv rows are counted by ``csv.reader`` past the leading
-        comment lines (block-level scalars) and the header, because a
-        quoted cell -- a quarantine message, say -- may span several
-        physical lines.  Keeps re-opening a 100k+-row spill directory
-        cheap.
+        rcb headers carry the row count outright; csv rows are counted
+        by ``csv.reader`` past the leading comment lines (block-level
+        scalars) and the header, because a quoted cell -- a quarantine
+        message, say -- may span several physical lines.  Keeps
+        re-opening a 100k+-row spill directory cheap.
         """
-        if self.fmt == "npz":
-            with _open_npz(path) as data:
-                return int(data["device_ids"].shape[0])
         if self.fmt == "rcb":
             return int(read_rcb_header(path)["rows"])
         with path.open(newline="") as handle:

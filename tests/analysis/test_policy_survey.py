@@ -156,9 +156,9 @@ class TestPolicyRecordBlockStorage:
     def block(self, demo_survey) -> PolicyRecordBlock:
         return next(iter(demo_survey.iter_blocks()))
 
-    def test_npz_round_trip(self, block, tmp_path):
-        block.save_npz(tmp_path / "block.npz")
-        loaded = PolicyRecordBlock.load_npz(tmp_path / "block.npz")
+    def test_rcb_round_trip(self, block, tmp_path):
+        block.save_rcb(tmp_path / "block.rcb")
+        loaded = PolicyRecordBlock.load_rcb(tmp_path / "block.rcb")
         assert_policy_blocks_byte_identical([block], [loaded])
 
     def test_csv_round_trip(self, block, tmp_path):
@@ -172,7 +172,7 @@ class TestPolicyRecordBlockStorage:
             mean_rate_hz=[], nrmse=[], max_abs_error=[], hops=[], collection_cpu_us=[],
             transmission=[], storage_bytes=[], analysis=[], detected=[],
             detection_latency=[])
-        for fmt in ("npz", "csv"):
+        for fmt in ("rcb", "csv"):
             path = tmp_path / f"block.{fmt}"
             getattr(empty, f"save_{fmt}")(path)
             loaded = getattr(PolicyRecordBlock, f"load_{fmt}")(path)
@@ -180,10 +180,10 @@ class TestPolicyRecordBlockStorage:
             assert len(loaded) == 0
 
     def test_corrupt_files_raise_value_error(self, tmp_path):
-        npz = tmp_path / "records-00000.npz"
-        npz.write_bytes(b"definitely not a zip archive")
+        rcb = tmp_path / "records-00000.rcb"
+        rcb.write_bytes(b"definitely not an rcb file")
         with pytest.raises(ValueError, match="corrupt or truncated record file"):
-            PolicyRecordBlock.load_npz(npz)
+            PolicyRecordBlock.load_rcb(rcb)
         empty_csv = tmp_path / "records-00000.csv"
         empty_csv.write_text("")
         with pytest.raises(ValueError, match="missing CSV header"):
@@ -263,9 +263,12 @@ class TestPolicyWorkerEquivalence:
         dataset, measured = fleet
         memory = run_policy_survey(dataset, fleet_suite, chunk_size=4)
         spilled = run_policy_survey(measured, fleet_suite, chunk_size=4, workers=2,
-                                    sink=SpillingRecordSink(tmp_path / "spool"))
+                                    sink=SpillingRecordSink(tmp_path / "spool",
+                                                            fmt="rcb"))
         assert_policy_blocks_byte_identical(memory.iter_blocks(), spilled.iter_blocks())
+        # Re-opened without naming the format: the directory's files decide.
         reopened = PolicySurveyResult(sink=SpillingRecordSink(tmp_path / "spool"))
+        assert reopened.sink.fmt == "rcb"
         assert reopened.rows() == memory.rows()
         assert reopened.relative_costs("fixed") == memory.relative_costs("fixed")
         assert reopened.policies() == memory.policies()
@@ -280,8 +283,8 @@ class TestPolicyWorkerEquivalence:
                                     sink=SpillingRecordSink(tmp_path / "spool",
                                                             fmt="csv"))
         assert_policy_blocks_byte_identical(memory.iter_blocks(), spilled.iter_blocks())
-        reopened = PolicySurveyResult(
-            sink=SpillingRecordSink(tmp_path / "spool", fmt="csv"))
+        reopened = PolicySurveyResult(sink=SpillingRecordSink(tmp_path / "spool"))
+        assert reopened.sink.fmt == "csv"
         assert_policy_blocks_byte_identical(memory.iter_blocks(), reopened.iter_blocks())
 
 

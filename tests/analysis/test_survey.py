@@ -212,10 +212,10 @@ class TestColumnarStorage:
         assert rebuilt.headline() == survey.headline()
         assert np.array_equal(rebuilt.reduction_ratios(), survey.reduction_ratios())
 
-    def test_block_npz_round_trip(self, survey, tmp_path):
+    def test_block_rcb_round_trip(self, survey, tmp_path):
         block = next(iter(survey.iter_blocks()))
-        block.save_npz(tmp_path / "block.npz")
-        loaded = RecordBlock.load_npz(tmp_path / "block.npz")
+        block.save_rcb(tmp_path / "block.rcb")
+        loaded = RecordBlock.load_rcb(tmp_path / "block.rcb")
         assert_blocks_byte_identical([block], [loaded])
 
     def test_block_csv_round_trip(self, survey, tmp_path):
@@ -230,18 +230,14 @@ class TestColumnarStorage:
                            nyquist_rate=[], reduction_ratio=[], category=[],
                            reliable=[], true_nyquist_rate=[], trace_duration=[])
 
-    @pytest.mark.parametrize("fmt", ["npz", "csv"])
+    @pytest.mark.parametrize("fmt", ["rcb", "csv"])
     def test_empty_block_round_trip_keeps_metric(self, tmp_path, fmt):
         """Regression: csv blocks stored the metric only per data row, so a
         zero-row block came back with metric_name == ''."""
         block = self._empty_block("Temperature")
         path = tmp_path / f"block.{fmt}"
-        if fmt == "npz":
-            block.save_npz(path)
-            loaded = RecordBlock.load_npz(path)
-        else:
-            block.save_csv(path)
-            loaded = RecordBlock.load_csv(path)
+        getattr(block, f"save_{fmt}")(path)
+        loaded = getattr(RecordBlock, f"load_{fmt}")(path)
         assert loaded.metric_name == "Temperature"
         assert len(loaded) == 0
         assert_blocks_byte_identical([block], [loaded])
@@ -269,19 +265,19 @@ class TestColumnarStorage:
         with pytest.raises(ValueError, match="corrupt or truncated record file"):
             RecordBlock.load_csv(path)
 
-    def test_load_npz_on_corrupt_file_raises_value_error(self, tmp_path):
-        path = tmp_path / "records-00000.npz"
-        path.write_bytes(b"definitely not a zip archive")
+    def test_load_rcb_on_corrupt_file_raises_value_error(self, tmp_path):
+        path = tmp_path / "records-00000.rcb"
+        path.write_bytes(b"definitely not an rcb file")
         with pytest.raises(ValueError, match="corrupt or truncated record file"):
-            RecordBlock.load_npz(path)
+            RecordBlock.load_rcb(path)
 
-    def test_load_npz_on_truncated_file_raises_value_error(self, survey, tmp_path):
+    def test_load_rcb_on_truncated_file_raises_value_error(self, survey, tmp_path):
         block = next(iter(survey.iter_blocks()))
-        path = tmp_path / "records-00000.npz"
-        block.save_npz(path)
+        path = tmp_path / "records-00000.rcb"
+        block.save_rcb(path)
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         with pytest.raises(ValueError, match="corrupt or truncated record file"):
-            RecordBlock.load_npz(path)
+            RecordBlock.load_rcb(path)
 
     def test_legacy_csv_without_metric_comment_still_loads(self, survey, tmp_path):
         """Spill files written before the metric comment line existed must
@@ -366,8 +362,10 @@ class TestSpillToDisk:
         """A spilled survey can be re-opened from its directory in a new result."""
         dataset = FleetDataset(DatasetConfig(pair_count=28, seed=5))
         original = run_survey(dataset, chunk_size=4,
-                              sink=SpillingRecordSink(tmp_path / "spool"))
+                              sink=SpillingRecordSink(tmp_path / "spool", fmt="rcb"))
+        # Re-opened without naming the format: the directory's files decide.
         reopened = SurveyResult(sink=SpillingRecordSink(tmp_path / "spool"))
+        assert reopened.sink.fmt == "rcb"
         assert len(reopened) == len(original)
         assert reopened.metrics() == original.metrics()
         assert reopened.headline() == original.headline()
@@ -379,10 +377,16 @@ class TestSpillToDisk:
         memory = run_survey(dataset, chunk_size=4)
         assert spilled.headline() == memory.headline()
         assert all(path.suffix == ".csv" for path in spilled.sink.files)
+        reopened = SurveyResult(sink=SpillingRecordSink(tmp_path / "spool"))
+        assert reopened.sink.fmt == "csv"
+        assert len(reopened) == len(memory)
+        assert_blocks_byte_identical(reopened.iter_blocks(), memory.iter_blocks())
 
     def test_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             SpillingRecordSink(tmp_path, fmt="parquet")  # type: ignore[arg-type]
+        with pytest.raises(ValueError, match="unknown spill format 'npz'"):
+            SpillingRecordSink(tmp_path, fmt="npz")  # type: ignore[arg-type]
 
     def test_run_survey_rejects_non_empty_sink(self, tmp_path):
         """Regression: re-running a survey into a used spill directory must

@@ -59,7 +59,15 @@ class TestSurveyCommand:
                      "--spill-dir", str(spool)]) == 0
         output = capsys.readouterr().out
         assert "spilled" in output
-        assert list(spool.glob("records-*.npz"))
+        assert list(spool.glob("records-*.rcb"))
+
+    def test_survey_spill_dir_with_npz_files_fails_cleanly(self, tmp_path, capsys):
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        (spool / "records-00000.npz").write_bytes(b"")
+        assert main(["survey", "--pairs", "28", "--seed", "3",
+                     "--spill-dir", str(spool)]) == 1
+        assert "npz spill is no longer read" in capsys.readouterr().err
 
     def test_survey_workers_match_single_process(self, capsys):
         assert main(["survey", "--pairs", "28", "--seed", "3", "--workers", "1"]) == 0
@@ -112,7 +120,7 @@ class TestPoliciesCommand:
         assert main([*POLICY_DEMO_ARGS, "--metrics", "Temperature", "Link util",
                      "--chunk-size", "2", "--spill-dir", str(spool)]) == 0
         assert "spilled" in capsys.readouterr().out
-        assert list(spool.glob("records-*.npz"))
+        assert list(spool.glob("records-*.rcb"))
 
     def test_policies_csv_dir(self, tmp_path, capsys):
         assert main([*POLICY_DEMO_ARGS, "--metrics", "Temperature",

@@ -1,12 +1,14 @@
-"""Every ``.npz`` reader closes its file when numpy rejects a truncated archive.
+"""Every record and trace reader closes its file when it rejects a truncated one.
 
 ``np.load(path)`` opens the file itself and leaves it open when the
 archive turns out to be unreadable, so a long survey that trips over
 damaged files leaks one descriptor per file (``-X dev`` reports them as
-``unclosed file``).  Each reader opens the file itself and hands numpy the
-handle.  Under ``error::ResourceWarning`` a leaked handle fails the test
-once it is collected; each test still expects a ``ValueError`` that
-names the damaged file.
+``unclosed file``).  Each ``.npz`` reader (shard parts, measured traces)
+opens the file itself and hands numpy the handle; the ``.rcb`` record
+readers open theirs in a ``with`` block.  Under
+``error::ResourceWarning`` a leaked handle fails the test once it is
+collected; each test still expects a ``ValueError`` that names the
+damaged file.
 """
 
 from __future__ import annotations
@@ -45,17 +47,17 @@ def make_block() -> FailureRecordBlock:
         for index in range(3)])
 
 
-def test_block_load_npz(tmp_path):
-    path = tmp_path / "block.npz"
-    make_block().save_npz(path)
+def test_block_load_rcb(tmp_path):
+    path = tmp_path / "block.rcb"
+    make_block().save_rcb(path)
     truncate(path)
-    expect_value_error_naming(path, lambda: FailureRecordBlock.load_npz(path))
+    expect_value_error_naming(path, lambda: FailureRecordBlock.load_rcb(path))
 
 
 def test_spill_sink_row_count(tmp_path):
     sink = SpillingRecordSink(tmp_path / "spool")
     sink.append(make_block())
-    path = next((tmp_path / "spool").glob("records-*.npz"))
+    path = next((tmp_path / "spool").glob("records-*.rcb"))
     truncate(path)
     expect_value_error_naming(path, lambda: SpillingRecordSink(tmp_path / "spool"))
 
@@ -63,7 +65,7 @@ def test_spill_sink_row_count(tmp_path):
 def test_spill_sink_block_type_sniff(tmp_path):
     SpillingRecordSink(tmp_path / "spool").append(make_block())
     reopened = SpillingRecordSink(tmp_path / "spool")
-    path = next((tmp_path / "spool").glob("records-*.npz"))
+    path = next((tmp_path / "spool").glob("records-*.rcb"))
     truncate(path)
     expect_value_error_naming(path, lambda: list(reopened.blocks()))
 

@@ -338,7 +338,7 @@ class TestSpillFileOrdering:
                 trace_duration=np.array([86400.0]),
             )
             # Legacy writers did not zero-pad the index.
-            block.save_npz(directory / f"records-{index}.npz")
+            block.save_rcb(directory / f"records-{index}.rcb")
             order.append(f"metric-{index}")
         sink = SpillingRecordSink(directory)
         assert [block.metric_name for block in sink.blocks()] == order
@@ -355,7 +355,7 @@ class TestSpillFileOrdering:
             trace_duration=np.array([86400.0]),
         )
         sink.append(extra)
-        assert sink.files[-1].name == "records-00012.npz"
+        assert sink.files[-1].name == "records-00012.rcb"
         assert [block.metric_name for block in sink.blocks()] == order + ["metric-12"]
 
     def test_format_auto_detection(self, tmp_path):

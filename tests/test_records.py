@@ -5,7 +5,7 @@ Both columnar block classes -- the Nyquist survey's
 :class:`~repro.pipeline.evaluation.PolicyRecordBlock` -- serialise through
 the one schema-driven implementation in :mod:`repro.records`
 (:class:`~repro.records.ColumnarBlock`).  These tests pin the shared
-contract once for all block types: lossless npz/csv round trips (floats
+contract once for all block types: lossless rcb/csv round trips (floats
 bit for bit, NaNs included), zero-row blocks keeping their block-level
 scalars, spill-file sniffing that tells the types apart, legacy csv files
 without the scalar comment lines, and loud ``ValueError``s naming the
@@ -22,6 +22,7 @@ from repro.pipeline.evaluation import PolicyRecordBlock
 from repro.records import (RCB_MAGIC, BlockSchema, ColumnSpec, FailureRecord,
                            FailureRecordBlock, ScalarSpec, SpillingRecordSink,
                            load_rcb_any, read_rcb_header, registered_block_types)
+from repro.records.rcb import block_type_of
 
 # ----------------------------------------------------------------------
 # One sample block per registered type (NaNs included to pin bit-exact
@@ -127,14 +128,14 @@ def empty_block(request):
 
 # ----------------------------------------------------------------------
 class TestRoundTrips:
-    @pytest.mark.parametrize("fmt", ["npz", "csv", "rcb"])
+    @pytest.mark.parametrize("fmt", ["csv", "rcb"])
     def test_round_trip_is_lossless(self, block, fmt, tmp_path):
         path = tmp_path / f"block.{fmt}"
         getattr(block, f"save_{fmt}")(path)
         loaded = getattr(type(block), f"load_{fmt}")(path)
         assert_blocks_equal(block, loaded)
 
-    @pytest.mark.parametrize("fmt", ["npz", "csv", "rcb"])
+    @pytest.mark.parametrize("fmt", ["csv", "rcb"])
     def test_zero_row_block_keeps_scalars(self, empty_block, fmt, tmp_path):
         path = tmp_path / f"empty.{fmt}"
         getattr(empty_block, f"save_{fmt}")(path)
@@ -193,25 +194,6 @@ class TestZeroCopyLoad:
 
 
 class TestCorruption:
-    def test_missing_npz_member_raises_value_error(self, block, tmp_path):
-        path = tmp_path / "block.npz"
-        first_column = type(block)._SCHEMA.columns[0].name
-        members = {spec.name: np.array(getattr(block, spec.name))
-                   for spec in type(block)._SCHEMA.scalars}
-        members.update({spec.name: getattr(block, spec.name)
-                        for spec in type(block)._SCHEMA.columns})
-        del members[first_column]
-        np.savez_compressed(path, **members)
-        with pytest.raises(ValueError, match=str(path)):
-            type(block).load_npz(path)
-
-    def test_truncated_npz_raises_value_error(self, block, tmp_path):
-        path = tmp_path / "block.npz"
-        block.save_npz(path)
-        path.write_bytes(path.read_bytes()[:40])
-        with pytest.raises(ValueError, match=str(path)):
-            type(block).load_npz(path)
-
     def test_truncated_rcb_raises_value_error_naming_path(self, block, tmp_path):
         path = tmp_path / "block.rcb"
         block.save_rcb(path)
@@ -313,7 +295,7 @@ class TestSniffing:
         assert RecordBlock in registered
         assert PolicyRecordBlock in registered
 
-    @pytest.mark.parametrize("fmt", ["npz", "csv", "rcb"])
+    @pytest.mark.parametrize("fmt", ["csv", "rcb"])
     def test_sniffing_tells_the_types_apart(self, spill_block, fmt, tmp_path):
         block = spill_block
         sink = SpillingRecordSink(tmp_path / "spool", fmt=fmt)
@@ -328,14 +310,84 @@ class TestSniffing:
         for other in registered_block_types():
             if other is type(block):
                 continue
-            if fmt == "npz":
-                with np.load(sink.files[0]) as data:
-                    assert not other.sniff_npz(tuple(data.files))
-            elif fmt == "rcb":
+            if fmt == "rcb":
                 assert not other.sniff_rcb(read_rcb_header(sink.files[0]))
             else:
                 head = sink.files[0].read_text().splitlines()[:4]
                 assert not other.sniff_csv(head)
+
+    @pytest.mark.parametrize("fmt", ["csv", "rcb"])
+    def test_reopen_without_fmt_reads_the_files(self, spill_block, fmt, tmp_path):
+        """Re-opening a spill directory without naming its format reads its
+        files, and later appends continue the same file set."""
+        block = spill_block
+        SpillingRecordSink(tmp_path / "spool", fmt=fmt).append(block)
+        reopened = SpillingRecordSink(tmp_path / "spool")
+        assert reopened.fmt == fmt
+        assert reopened.rows == len(block)
+        assert reopened.block_type is None
+        reopened.append(block)
+        assert [path.name for path in reopened.files] == [
+            f"records-00000.{fmt}", f"records-00001.{fmt}"]
+        assert sorted(path.name for path in (tmp_path / "spool").iterdir()) == [
+            path.name for path in reopened.files]
+        again = SpillingRecordSink(tmp_path / "spool")
+        assert again.rows == 2 * len(block)
+        loaded = list(again.blocks())
+        assert len(loaded) == 2
+        for each in loaded:
+            assert_blocks_equal(block, each)
+
+    @pytest.mark.parametrize("present, fmt, match", [
+        (("rcb", "csv"), None, "mixes rcb and csv record files"),
+        (("rcb",), "csv", "holds rcb record files; cannot spill csv"),
+        (("npz",), None, "npz spill is no longer read"),
+    ], ids=["mixed-suffixes", "fmt-disagrees", "leftover-npz"])
+    def test_spill_directory_holds_one_format(self, present, fmt, match, tmp_path):
+        """A sink refuses a directory it would leave holding two formats."""
+        directory = tmp_path / "spool"
+        directory.mkdir()
+        block = make_record_block()
+        for index, suffix in enumerate(present):
+            path = directory / f"records-{index:05d}.{suffix}"
+            if suffix == "npz":
+                np.savez(path, device_ids=block.device_ids)
+            else:
+                getattr(block, f"save_{suffix}")(path)
+        before = sorted(directory.iterdir())
+        with pytest.raises(ValueError, match=match) as error:
+            SpillingRecordSink(directory, fmt=fmt)
+        assert str(directory) in str(error.value)
+        assert sorted(directory.iterdir()) == before
+
+
+class TestBlockTypeOf:
+    """The one header-to-class lookup behind ``load_rcb_any`` and the sink."""
+
+    @staticmethod
+    def _header(block, tmp_path) -> dict:
+        path = tmp_path / "block.rcb"
+        block.save_rcb(path)
+        return read_rcb_header(path)
+
+    def test_block_type_name_decides(self, block, tmp_path):
+        header = self._header(block, tmp_path)
+        assert header["block_type"] == type(block).__name__
+        assert block_type_of(tmp_path / "block.rcb", header) is type(block)
+
+    def test_renamed_class_falls_back_to_sniffing(self, block, tmp_path):
+        header = self._header(block, tmp_path)
+        header["block_type"] = "RenamedBlock"
+        assert block_type_of(tmp_path / "block.rcb", header) is type(block)
+
+    def test_unclaimed_header_raises_value_error_naming_path(self, tmp_path):
+        header = self._header(make_record_block(), tmp_path)
+        header["block_type"] = "RenamedBlock"
+        header["columns"] = header["columns"][1:]
+        path = tmp_path / "block.rcb"
+        with pytest.raises(ValueError, match="does not match any registered") as error:
+            block_type_of(path, header)
+        assert str(path) in str(error.value)
 
 
 class TestSchemaValidation:
