@@ -14,34 +14,32 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis import CostQualityEvaluator
 from repro.analysis.reporting import format_table, write_csv
-from repro.network import (MonitoringDeployment, TelemetryCostAccountant, TopologySpec,
-                           attach_collector, build_leaf_spine)
-from repro.pipeline import (AdaptiveDualRatePolicy, CostQualityEvaluator, EventKind,
-                            FixedRatePolicy, NyquistStaticPolicy, inject_event)
+from repro.network import DeploymentSpec, TopologySpec
+from repro.pipeline import (AdaptiveDualRatePolicy, EventKind, FixedRatePolicy,
+                            NyquistStaticPolicy, inject_event)
 
 METRICS = ["Link util", "Temperature", "Unicast bytes"]
 POINTS_PER_METRIC = 6
 
 
 def run_tradeoff(seed: int = 97):
-    topology = build_leaf_spine(TopologySpec(num_spines=2, num_leaves=4, servers_per_leaf=2))
-    collector = attach_collector(topology)
-    deployment = MonitoringDeployment(topology, trace_duration=43200.0, seed=seed)
-    accountant = TelemetryCostAccountant(topology=topology, collector=collector)
+    source = DeploymentSpec(topology=TopologySpec(num_spines=2, num_leaves=4, servers_per_leaf=2),
+                            trace_duration=43200.0, seed=seed).open()
     policies = [
         FixedRatePolicy(30.0, name="baseline-30s"),
         NyquistStaticPolicy(production_interval=30.0),
         AdaptiveDualRatePolicy(window_duration=3 * 3600.0),
     ]
-    evaluator = CostQualityEvaluator(policies, accountant=accountant)
+    evaluator = CostQualityEvaluator(policies, accountant=source.accountant())
     rng = np.random.default_rng(seed)
     for metric in METRICS:
-        for point, reference in deployment.iter_reference_traces(metric, limit=POINTS_PER_METRIC):
+        for pair, reference in source.traces(metric, limit=POINTS_PER_METRIC):
             event_time = reference.start_time + float(rng.uniform(0.5, 0.9)) * reference.duration
             magnitude = 6.0 * reference.std() + 1.0
             modified, event = inject_event(reference, EventKind.STEP, event_time, magnitude)
-            evaluator.evaluate_point(point.node, metric, modified, event)
+            evaluator.evaluate_point(pair.device.device_id, metric, modified, event)
     return evaluator
 
 

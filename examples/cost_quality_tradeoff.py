@@ -18,8 +18,8 @@ process pool (byte-identical records) and ``--spill-dir`` streams the
 per-point record blocks to disk so memory stays bounded.
 
 For per-point event-detection scoring (injected fail-stop steps and the
-detection-latency columns), see ``repro.pipeline.CostQualityEvaluator`` --
-the per-trace driver behind the same columnar records.
+detection-latency columns), see ``repro.analysis.CostQualityEvaluator`` --
+the per-trace driver behind the same columnar records and rows.
 
 Run with:  python examples/cost_quality_tradeoff.py [--leaves N] [--workers N]
 """

@@ -45,25 +45,37 @@ sequence applied to every metric.  With a
 :class:`~repro.network.DeploymentTraceSource` and an accountant built on
 the same topology, the survey prices every point with real fabric hop
 counts -- the end-to-end wiring of :mod:`repro.network`.
+
+:class:`CostQualityEvaluator` is the per-point driver on the same result
+type: it runs every policy on one reference trace at a time, scores
+injected-event detection, and appends the same blocks, so both drivers
+report through one :meth:`PolicySurveyResult.rows` format.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
+from ..core.errors import compare
 from ..faults.execution import RetryPolicy
 from ..network.cost import TelemetryCostAccountant
-from ..pipeline.evaluation import PointEvaluation, PolicyRecordBlock
-from ..pipeline.policies import PolicySuite, SamplingPolicy, StaticPolicySuite
+from ..pipeline.evaluation import (DETECTION_DETECTED, DETECTION_MISSED, DETECTION_UNSCORED,
+                                   PointEvaluation, PolicyRecordBlock)
+from ..pipeline.events import InjectedEvent, ThresholdDetector, score_detection
+from ..pipeline.policies import (PolicyBatchEvaluation, PolicySuite, SamplingPolicy,
+                                 StaticPolicySuite)
 from ..records import RecordSink, RecordStore
+from ..signals.timeseries import TimeSeries
 from ..telemetry.source import TraceBatch, TraceSource
 from .driver import OnError, SliceResult, check_run_options, run_slices
 
-__all__ = ["PolicySurveyResult", "run_policy_survey", "OnError"]
+__all__ = ["PolicySurveyResult", "CostQualityEvaluator", "run_policy_survey", "OnError"]
 
 
 #: Columns accumulated per policy by the streaming aggregation.
@@ -83,6 +95,9 @@ class _PolicyTotals:
     nrmse_sum: float = 0.0
     nrmse_count: int = 0
     worst_nrmse: float = float("nan")
+    scored: int = 0
+    detected: int = 0
+    latency_sum: float = 0.0
 
     def add(self, block: PolicyRecordBlock) -> None:
         self.points += len(block)
@@ -97,6 +112,10 @@ class _PolicyTotals:
             worst = float(finite.max())
             if not self.worst_nrmse >= worst:  # also replaces the initial nan
                 self.worst_nrmse = worst
+        hits = block.detected == DETECTION_DETECTED
+        self.scored += int(np.count_nonzero(block.detected != DETECTION_UNSCORED))
+        self.detected += int(np.count_nonzero(hits))
+        self.latency_sum += float(block.detection_latency[hits].sum())
 
     @property
     def total_cost(self) -> float:
@@ -106,6 +125,15 @@ class _PolicyTotals:
     @property
     def mean_nrmse(self) -> float:
         return self.nrmse_sum / self.nrmse_count if self.nrmse_count else float("nan")
+
+    # ``math.nan`` is one object, so rows of unscored runs compare equal.
+    @property
+    def detection_rate(self) -> float:
+        return self.detected / self.scored if self.scored else math.nan
+
+    @property
+    def mean_detection_latency(self) -> float:
+        return self.latency_sum / self.detected if self.detected else math.nan
 
 
 class PolicySurveyResult(SliceResult):
@@ -159,10 +187,11 @@ class PolicySurveyResult(SliceResult):
     def rows(self) -> list[dict[str, float | str]]:
         """One aggregate cost/quality row per policy -- the paper's table.
 
-        Keys mirror :meth:`~repro.pipeline.evaluation.PolicySummary.as_row`
-        (minus the detection columns, which the fleet survey does not
-        score): points, samples, the cost components and total, and the
-        mean/worst reconstruction nrmse across the fleet.
+        Keys: points, samples, the cost components and total, the
+        mean/worst reconstruction nrmse, then the share of scored rows
+        that detected their injected event and the mean latency of the
+        detections.  Only :meth:`CostQualityEvaluator.evaluate_point`
+        scores detection; both detection columns are ``nan`` otherwise.
         """
         rows = []
         for name, totals in self._totals().items():
@@ -177,6 +206,8 @@ class PolicySurveyResult(SliceResult):
                 "analysis": totals.analysis,
                 "mean_nrmse": totals.mean_nrmse,
                 "worst_nrmse": totals.worst_nrmse,
+                "detection_rate": totals.detection_rate,
+                "mean_detection_latency_s": totals.mean_detection_latency,
             })
         return rows
 
@@ -206,6 +237,63 @@ class PolicySurveyResult(SliceResult):
                  if block.policy_name == policy_name
                  and (metric_name is None or block.metric_name == metric_name)]
         return np.concatenate(parts) if parts else np.array([])
+
+
+class CostQualityEvaluator(PolicySurveyResult):
+    """Run several sampling policies over the same measurement points and compare them.
+
+    The per-point driver: :meth:`evaluate_point` runs every policy on one
+    reference trace (optionally carrying an injected event whose
+    detection it scores) and appends one 1-row
+    :class:`~repro.pipeline.evaluation.PolicyRecordBlock` per policy to
+    ``sink`` (in-memory by default; pass an empty
+    :class:`~repro.records.SpillingRecordSink` to stream rows to disk).
+    Every report -- ``rows``, ``relative_costs``, ``evaluations`` -- is
+    the inherited :class:`PolicySurveyResult` one, and lists every policy
+    from the start, in the order given.
+    """
+
+    def __init__(self, policies: Sequence[SamplingPolicy],
+                 accountant: TelemetryCostAccountant | None = None,
+                 detector: ThresholdDetector | None = None,
+                 sink: RecordSink | None = None) -> None:
+        if not policies:
+            raise ValueError("need at least one policy")
+        names = [policy.name for policy in policies]
+        if len(set(names)) != len(names):
+            raise ValueError("policy names must be unique")
+        check_run_options("CostQualityEvaluator", PolicySurveyResult, None, "raise",
+                          sink, None)
+        super().__init__(sink)
+        self._policy_order = names
+        self._policies = list(policies)
+        self.accountant = accountant or TelemetryCostAccountant()
+        self.detector = detector or ThresholdDetector()
+
+    def evaluate_point(self, point_name: str, metric_name: str, reference: TimeSeries,
+                       event: InjectedEvent | None = None) -> list[PointEvaluation]:
+        """Run every policy on one measurement point's reference trace."""
+        results = []
+        for policy in self._policies:
+            outcome = policy.collect(reference)
+            error = compare(reference, outcome.reconstructed)
+            evaluation = PolicyBatchEvaluation(
+                policy.name, [outcome.samples_collected], [outcome.mean_sampling_rate],
+                [error.nrmse], [error.max_abs])
+            block = PolicyRecordBlock.from_batch(
+                metric_name, evaluation, [point_name],
+                self.accountant.price_sample_block([point_name],
+                                                   [outcome.samples_collected]))
+            if event is not None:
+                detection = score_detection(policy.name, outcome.collected, event,
+                                            detector=self.detector)
+                code = DETECTION_DETECTED if detection.detected else DETECTION_MISSED
+                block = dataclasses.replace(
+                    block, detected=np.array([code], dtype=np.int8),
+                    detection_latency=np.array([detection.latency]))
+            self.append_block(block)
+            results.extend(block.to_evaluations())
+        return results
 
 
 # ----------------------------------------------------------------------

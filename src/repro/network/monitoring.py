@@ -3,9 +3,8 @@
 This is the glue between the topology (:mod:`repro.network.topology`), the
 telemetry generators (:mod:`repro.telemetry`) and the pipeline simulator
 (:mod:`repro.pipeline`): a :class:`MonitoringDeployment` assigns metric
-specs to fabric nodes, draws the per-(device, metric) generative
-parameters, and can materialise the reference (ground-truth) traces the
-simulator samples from.
+specs to fabric nodes and draws the per-(device, metric) generative
+parameters the reference (ground-truth) traces are generated from.
 
 :class:`DeploymentTraceSource` exposes a deployment through the
 :class:`~repro.telemetry.source.TraceSource` protocol, so the fleet
@@ -21,7 +20,7 @@ rebuilds deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -131,39 +130,6 @@ class MonitoringDeployment:
     def points_for_metric(self, metric_name: str) -> list[MonitoredPoint]:
         """All measurement points of one metric."""
         return [point for point in self.points() if point.metric.name == metric_name]
-
-    def reference_trace(self, point: MonitoredPoint,
-                        oversample_factor: float = 4.0) -> TimeSeries:
-        """Ground-truth trace for a measurement point.
-
-        The reference is generated ``oversample_factor`` times faster than
-        the production polling rate so sampling policies have headroom to
-        probe above today's rate (the adaptive controller's dual-frequency
-        probe needs it).
-        """
-        if oversample_factor < 1:
-            raise ValueError("oversample_factor must be >= 1")
-        interval = point.metric.poll_interval / oversample_factor
-        rng = np.random.default_rng(point.parameters.seed)
-        return generate_trace(point.metric, point.parameters, self.trace_duration,
-                              interval=interval, rng=rng, device_name=point.node)
-
-    def production_trace(self, point: MonitoredPoint) -> TimeSeries:
-        """What today's monitoring system collects for this point."""
-        rng = np.random.default_rng(point.parameters.seed)
-        return generate_trace(point.metric, point.parameters, self.trace_duration,
-                              rng=rng, device_name=point.node)
-
-    def iter_reference_traces(self, metric_name: str | None = None,
-                              limit: int | None = None,
-                              oversample_factor: float = 4.0
-                              ) -> Iterator[tuple[MonitoredPoint, TimeSeries]]:
-        """Iterate (point, reference trace) pairs."""
-        selected = self.points() if metric_name is None else self.points_for_metric(metric_name)
-        if limit is not None:
-            selected = selected[:limit]
-        for point in selected:
-            yield point, self.reference_trace(point, oversample_factor=oversample_factor)
 
 
 # ----------------------------------------------------------------------
@@ -324,8 +290,9 @@ class DeploymentTraceSource(BaseTraceSource):
     def load(self, pair: TracePair) -> TimeSeries:
         """Generate the reference trace for one measurement point.
 
-        Same generation path as :meth:`MonitoringDeployment.reference_trace`
-        (identical parameters, seed and interval), keyed off the pair view.
+        The one recipe for a fabric point's trace: the point's own seed,
+        sampled every ``poll_interval / oversample_factor`` seconds (with
+        ``oversample_factor=1`` that is what today's polling collects).
         """
         interval = pair.metric.poll_interval / self.oversample_factor
         rng = np.random.default_rng(pair.parameters.seed)

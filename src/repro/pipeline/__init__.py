@@ -1,7 +1,6 @@
 """Monitoring pipeline: sampling policies, event injection and cost/quality evaluation."""
 
-from .evaluation import (CostQualityEvaluator, PointEvaluation, PolicyRecordBlock,
-                         PolicySummary)
+from .evaluation import PointEvaluation, PolicyRecordBlock
 from .events import (DetectionOutcome, EventKind, InjectedEvent, ModeTransition,
                      ThresholdDetector, inject_event, reprobe_latency,
                      resettle_latency, score_detection)
@@ -16,6 +15,6 @@ __all__ = [
     "EventKind", "InjectedEvent", "inject_event", "ThresholdDetector",
     "DetectionOutcome", "score_detection",
     "ModeTransition", "reprobe_latency", "resettle_latency",
-    "CostQualityEvaluator", "PointEvaluation", "PolicyRecordBlock", "PolicySummary",
+    "PointEvaluation", "PolicyRecordBlock",
     "AposterioriRetention", "RetentionDecision", "RetentionReport",
 ]

@@ -14,34 +14,30 @@ numpy reductions, exactly like the Nyquist survey's
 :class:`~repro.analysis.survey.RecordBlock`.  :class:`PointEvaluation`
 remains as a lazily materialised per-row view.
 
-Two drivers feed these blocks:
+Two drivers feed these blocks, both in :mod:`repro.analysis.policy_survey`
+and both reporting through its ``PolicySurveyResult``:
 
-* :class:`CostQualityEvaluator` -- the per-point driver: runs every policy
-  on one reference trace at a time, scores injected-event detection, and
-  keeps the classic ``summaries`` / ``rows`` reporting surface.
-* :func:`repro.analysis.policy_survey.run_policy_survey` -- the
+* :func:`~repro.analysis.policy_survey.run_policy_survey` -- the
   fleet-scale driver: batched policy evaluation over any trace source,
-  priced with the same accountant, multi-worker and out-of-core.
+  multi-worker and out-of-core.
+* :class:`~repro.analysis.policy_survey.CostQualityEvaluator` -- the
+  per-point driver: runs every policy on one reference trace at a time
+  and also scores injected-event detection.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..core.errors import compare
-from ..network.cost import CostBreakdown, TelemetryCostAccountant
-from ..records import (BlockSchema, ColumnarBlock, ColumnSpec, MemoryRecordSink,
-                       RecordSink, ScalarSpec, register_block_type)
-from ..signals.timeseries import TimeSeries
-from .events import DetectionOutcome, InjectedEvent, ThresholdDetector, score_detection
-from .policies import PolicyBatchEvaluation, PolicyResult, SamplingPolicy
+from ..network.cost import CostBreakdown
+from ..records import BlockSchema, ColumnarBlock, ColumnSpec, ScalarSpec, register_block_type
+from .events import DetectionOutcome
+from .policies import PolicyBatchEvaluation
 
-__all__ = ["PointEvaluation", "PolicyRecordBlock", "PolicySummary",
-           "CostQualityEvaluator"]
+__all__ = ["PointEvaluation", "PolicyRecordBlock"]
 
 
 @dataclass(frozen=True)
@@ -187,180 +183,3 @@ class PolicyRecordBlock(ColumnarBlock):
                 max_abs_error=float(self.max_abs_error[index]),
                 detection=detection,
             )
-
-@dataclass
-class PolicySummary:
-    """Aggregate cost and quality of one policy across all evaluated points."""
-
-    policy_name: str
-    evaluations: list[PointEvaluation] = field(default_factory=list)
-
-    @property
-    def total_samples(self) -> int:
-        return sum(entry.samples_collected for entry in self.evaluations)
-
-    @property
-    def total_cost(self) -> CostBreakdown:
-        total = CostBreakdown()
-        for entry in self.evaluations:
-            total.add(entry.cost)
-        return total
-
-    @property
-    def mean_nrmse(self) -> float:
-        values = [entry.nrmse for entry in self.evaluations if not math.isnan(entry.nrmse)]
-        return float(np.mean(values)) if values else float("nan")
-
-    @property
-    def worst_nrmse(self) -> float:
-        values = [entry.nrmse for entry in self.evaluations if not math.isnan(entry.nrmse)]
-        return float(np.max(values)) if values else float("nan")
-
-    @property
-    def detection_rate(self) -> float:
-        scored = [entry for entry in self.evaluations if entry.detection is not None]
-        if not scored:
-            return float("nan")
-        return float(np.mean([entry.detection.detected for entry in scored]))
-
-    @property
-    def mean_detection_latency(self) -> float:
-        latencies = [entry.detection.latency for entry in self.evaluations
-                     if entry.detection is not None and entry.detection.detected]
-        return float(np.mean(latencies)) if latencies else float("nan")
-
-    def as_row(self) -> dict[str, float | str]:
-        """Flat row for tables / CSV export."""
-        cost = self.total_cost
-        return {
-            "policy": self.policy_name,
-            "points": float(len(self.evaluations)),
-            "samples": float(self.total_samples),
-            "total_cost": cost.total,
-            "storage_bytes": cost.storage_bytes,
-            "transmission": cost.transmission,
-            "mean_nrmse": self.mean_nrmse,
-            "worst_nrmse": self.worst_nrmse,
-            "detection_rate": self.detection_rate,
-            "mean_detection_latency_s": self.mean_detection_latency,
-        }
-
-
-class CostQualityEvaluator:
-    """Run several sampling policies over the same measurement points and compare them.
-
-    Every evaluated (policy, point) row is appended to a
-    :class:`PolicyRecordBlock` behind ``sink`` (in-memory by default; pass
-    a :class:`~repro.records.SpillingRecordSink` to stream rows to disk).
-    ``summaries`` and ``rows`` are views over that columnar store.
-    """
-
-    def __init__(self, policies: Sequence[SamplingPolicy],
-                 accountant: TelemetryCostAccountant | None = None,
-                 detector: ThresholdDetector | None = None,
-                 sink: RecordSink | None = None) -> None:
-        if not policies:
-            raise ValueError("need at least one policy")
-        names = [policy.name for policy in policies]
-        if len(set(names)) != len(names):
-            raise ValueError("policy names must be unique")
-        self.policies = list(policies)
-        self.accountant = accountant or TelemetryCostAccountant()
-        self.detector = detector or ThresholdDetector()
-        self._sink = sink if sink is not None else MemoryRecordSink()
-        self._summaries_cache: tuple[int, dict[str, PolicySummary]] | None = None
-
-    # ------------------------------------------------------------------
-    @property
-    def sink(self) -> RecordSink:
-        return self._sink
-
-    def iter_blocks(self) -> Iterator[PolicyRecordBlock]:
-        """Stream the stored columnar chunks in evaluation order."""
-        return self._sink.blocks()
-
-    def evaluate_point(self, point_name: str, metric_name: str, reference: TimeSeries,
-                       event: InjectedEvent | None = None) -> list[PointEvaluation]:
-        """Run every policy on one measurement point's reference trace."""
-        results = []
-        for policy in self.policies:
-            outcome: PolicyResult = policy.collect(reference)
-            error = compare(reference, outcome.reconstructed)
-            cost = self.accountant.price_samples(point_name, outcome.samples_collected)
-            detection = None
-            if event is not None:
-                detection = score_detection(policy.name, outcome.collected, event,
-                                            detector=self.detector)
-            if detection is None:
-                detected_code, latency = DETECTION_UNSCORED, float("nan")
-            elif detection.detected:
-                detected_code, latency = DETECTION_DETECTED, detection.latency
-            else:
-                detected_code, latency = DETECTION_MISSED, detection.latency
-            block = PolicyRecordBlock(
-                metric_name=metric_name,
-                policy_name=policy.name,
-                device_ids=np.array([point_name], dtype=np.str_),
-                samples=np.array([outcome.samples_collected], dtype=np.int64),
-                mean_rate_hz=np.array([outcome.mean_sampling_rate]),
-                nrmse=np.array([error.nrmse]),
-                max_abs_error=np.array([error.max_abs]),
-                hops=np.array([self.accountant.hops(point_name)], dtype=np.int64),
-                collection_cpu_us=np.array([cost.collection_cpu_us]),
-                transmission=np.array([cost.transmission]),
-                storage_bytes=np.array([cost.storage_bytes]),
-                analysis=np.array([cost.analysis]),
-                detected=np.array([detected_code], dtype=np.int8),
-                detection_latency=np.array([latency]),
-            )
-            self._sink.append(block)
-            results.extend(block.to_evaluations())
-        return results
-
-    # ------------------------------------------------------------------
-    @property
-    def summaries(self) -> dict[str, PolicySummary]:
-        """Per-policy summaries, materialised from the columnar store.
-
-        Cached per sink state: the (possibly spilled) blocks are only
-        re-read after new evaluations land, so repeated reporting calls
-        (``rows``, ``relative_costs``, direct ``summaries`` access) do
-        not re-stream a spill directory each time.
-        """
-        if self._summaries_cache is not None and \
-                self._summaries_cache[0] == self._sink.rows:
-            return self._summaries_cache[1]
-        summaries = {policy.name: PolicySummary(policy.name) for policy in self.policies}
-        for block in self._sink.blocks():
-            summary = summaries.get(block.policy_name)
-            if summary is None:  # pragma: no cover - foreign blocks in a reused sink
-                summary = summaries.setdefault(block.policy_name,
-                                               PolicySummary(block.policy_name))
-            summary.evaluations.extend(block.to_evaluations())
-        self._summaries_cache = (self._sink.rows, summaries)
-        return summaries
-
-    def rows(self) -> list[dict[str, float | str]]:
-        """One aggregate row per policy (in the order policies were given)."""
-        summaries = self.summaries
-        return [summaries[policy.name].as_row() for policy in self.policies]
-
-    def relative_costs(self, baseline_policy: str) -> dict[str, float]:
-        """Total cost of each policy relative to ``baseline_policy``.
-
-        Raises :class:`ValueError` when the baseline's total cost is zero
-        (e.g. no points evaluated yet, or a zero cost model): dividing by
-        it would silently turn every relative cost into ``nan`` and
-        propagate through reports.
-        """
-        summaries = self.summaries
-        if baseline_policy not in summaries:
-            raise KeyError(f"unknown policy {baseline_policy!r}")
-        baseline = summaries[baseline_policy].total_cost.total
-        if baseline == 0:
-            raise ValueError(
-                f"baseline policy {baseline_policy!r} has zero total cost "
-                f"({len(summaries[baseline_policy].evaluations)} points evaluated); "
-                "relative costs are undefined")
-        return {name: summary.total_cost.total / baseline
-                for name, summary in summaries.items()}

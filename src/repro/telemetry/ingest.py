@@ -812,6 +812,48 @@ def _finish_pair(metric: str, device: str, times: np.ndarray, values: np.ndarray
     return trace, stats
 
 
+def _finish_pairs(accumulator: PairAccumulator, root: Path, name_prefix: str,
+                  trace_format: str, min_samples: int) -> tuple[list[dict], list[dict]]:
+    """Finish every accumulated pair into trace files plus manifest entries.
+
+    Pairs go in canonical (metric, device) order: the output depends only
+    on the dump's update *set*, so shuffled/merged copies ingest
+    identically, and each metric's pairs come out contiguous as the
+    survey's per-metric iteration requires.  Each kept pair is saved as
+    ``root / f"{name_prefix}{index:05d}.{trace_format}"`` (the manifest
+    ``file`` is the path relative to ``root``); pairs below
+    ``min_samples`` become skipped entries.  Shared by the serial ingest
+    and each shard of the sharded one.
+    """
+    save = _save_trace_npz if trace_format == "npz" else _save_trace_csv
+    entries: list[dict] = []
+    skipped: list[dict] = []
+    for key in sorted(accumulator.keys()):
+        metric, device = key
+        times, values = accumulator.samples(key)
+        trace, stats = _finish_pair(metric, device, times, values, min_samples)
+        if trace is None:
+            skipped.append({"metric": metric, "device": device, **stats})
+            continue
+        file_name = f"{name_prefix}{len(entries):05d}.{trace_format}"
+        save(root / file_name, trace)
+        entries.append({"metric": metric, "device": device,
+                        "interval": trace.interval, "length": len(trace),
+                        "file": file_name, "ingest": stats})
+    return entries, skipped
+
+
+def _parse_failure_recorder(dump_path: Path,
+                            failures: list[FailureRecord]) -> FailureCallback:
+    """A ``record_failure`` callback quarantining bad lines into ``failures``."""
+    def record_failure(line_number: int, error: ValueError) -> None:
+        failures.append(FailureRecord(
+            metric_name="", device_id="", stage="parse",
+            error_type=type(error).__name__, message=str(error),
+            provenance=f"{dump_path}:{line_number}"))
+    return record_failure
+
+
 # ----------------------------------------------------------------------
 # Run statistics
 # ----------------------------------------------------------------------
@@ -1023,18 +1065,9 @@ def _ingest_into(dump: TelemetryDump, directory: Path, manifest_path: Path,
     the quarantined parse failures (empty in ``raise`` mode, which
     aborts on the first one instead) plus the run statistics.
     """
-    save = _save_trace_npz if trace_format == "npz" else _save_trace_csv
-    entries: list[dict] = []
-    skipped: list[dict] = []
     failures: list[FailureRecord] = []
-
-    def record_failure(line_number: int, error: ValueError) -> None:
-        failures.append(FailureRecord(
-            metric_name="", device_id="", stage="parse",
-            error_type=type(error).__name__, message=str(error),
-            provenance=f"{dump.path}:{line_number}"))
-
-    callback = record_failure if on_error == "quarantine" else None
+    callback = (_parse_failure_recorder(dump.path, failures)
+                if on_error == "quarantine" else None)
     with PairAccumulator(directory / ".ingest-scratch",
                          memory_budget_samples) as accumulator:
         for block in dump.updates(record_failure=callback):
@@ -1043,22 +1076,8 @@ def _ingest_into(dump: TelemetryDump, directory: Path, manifest_path: Path,
         if not accumulator.keys():
             raise ValueError(f"{dump.path}: no telemetry updates found "
                              f"(format {dump.format})")
-        # Canonical (metric, device) order: the output depends only on the
-        # dump's update *set*, so shuffled/merged copies ingest identically,
-        # and sorting groups each metric's pairs contiguously as the
-        # survey's per-metric iteration requires.
-        for key in sorted(accumulator.keys()):
-            metric, device = key
-            times, values = accumulator.samples(key)
-            trace, stats = _finish_pair(metric, device, times, values, min_samples)
-            if trace is None:
-                skipped.append({"metric": metric, "device": device, **stats})
-                continue
-            file_name = f"traces/pair-{len(entries):05d}.{trace_format}"
-            save(directory / file_name, trace)
-            entries.append({"metric": metric, "device": device,
-                            "interval": trace.interval, "length": len(trace),
-                            "file": file_name, "ingest": stats})
+        entries, skipped = _finish_pairs(accumulator, directory, "traces/pair-",
+                                         trace_format, min_samples)
         run_stats = IngestStats(
             workers=1,
             memory_budget_samples=accumulator.memory_budget_samples,

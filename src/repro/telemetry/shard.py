@@ -56,10 +56,9 @@ import numpy as np
 
 from ..faults.execution import BatchExecutionError, RetryPolicy, run_batch_tasks
 from ..records import FailureRecord
-from .measured import _save_trace_csv, _save_trace_npz
 from .ingest import (SNMP_FORMAT, IngestStats, PairAccumulator, ShardIngestStats,
-                     TelemetryDump, UpdateBlock, _finish_pair, _iter_update_blocks,
-                     _read_snmp_header, _write_manifest)
+                     TelemetryDump, UpdateBlock, _finish_pairs, _iter_update_blocks,
+                     _parse_failure_recorder, _read_snmp_header, _write_manifest)
 
 __all__ = ["ByteRange", "plan_byte_ranges", "shard_of_key"]
 
@@ -268,21 +267,14 @@ def _parse_range(task: _RangeTask) -> _RangeResult:
     for stale in sorted(scratch.glob(f"part-r{task.range_index:04d}-*.npz")):
         stale.unlink()
     failures: list[FailureRecord] = []
-
-    def record_failure(line_number: int, error: ValueError) -> None:
-        failures.append(FailureRecord(
-            metric_name="", device_id="", stage="parse",
-            error_type=type(error).__name__, message=str(error),
-            provenance=f"{dump_path}:{line_number}"))
-
+    callback = _parse_failure_recorder(dump_path, failures) if task.quarantine else None
     writer = _ShardPartWriter(scratch, task.range_index, task.shards,
                               task.flush_budget)
     columns: tuple[list[str], list[str]] | None = None
     if task.header is not None and task.metrics is not None:
         columns = (list(task.header), list(task.metrics))
     for block in _iter_update_blocks(dump_path, task.start, task.end, task.first_line,
-                                     record_failure if task.quarantine else None,
-                                     columns):
+                                     callback, columns):
         writer.add_block(block)
     writer.flush()
     return _RangeResult(updates=writer.total, failures=tuple(failures))
@@ -334,9 +326,6 @@ def _finish_shard(task: _ShardTask) -> _ShardResult:
     if acc_dir.exists():
         shutil.rmtree(acc_dir)
     out_dir.mkdir(parents=True)
-    save = _save_trace_npz if task.trace_format == "npz" else _save_trace_csv
-    entries: list[dict] = []
-    skipped: list[dict] = []
     parts = sorted(scratch.glob(f"part-r*-s{task.shard_index:04d}-c*.npz"))
     with PairAccumulator(acc_dir, task.memory_budget_samples) as accumulator:
         for part_path in parts:
@@ -361,19 +350,9 @@ def _finish_shard(task: _ShardTask) -> _ShardResult:
                                        times[rows], values[rows])
         # Canonical (metric, device) order within the shard; the parent's
         # merge interleaves the shards back into one globally sorted list.
-        for key in sorted(accumulator.keys()):
-            metric, device = key
-            pair_times, pair_values = accumulator.samples(key)
-            trace, stats = _finish_pair(metric, device, pair_times, pair_values,
-                                        task.min_samples)
-            if trace is None:
-                skipped.append({"metric": metric, "device": device, **stats})
-                continue
-            file_name = f"shard-{task.shard_index:04d}/trace-{len(entries):05d}.{task.trace_format}"
-            save(Path(task.out_dir) / file_name, trace)
-            entries.append({"metric": metric, "device": device,
-                            "interval": trace.interval, "length": len(trace),
-                            "file": file_name, "ingest": stats})
+        entries, skipped = _finish_pairs(accumulator, Path(task.out_dir),
+                                         f"shard-{task.shard_index:04d}/trace-",
+                                         task.trace_format, task.min_samples)
         counters = (accumulator.total_samples, accumulator.peak_buffered_samples,
                     accumulator.spilled_samples, accumulator.spill_writes)
     return _ShardResult(shard_index=task.shard_index, entries=tuple(entries),

@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.policy_survey import PolicySurveyResult, run_policy_survey
+from repro.analysis.policy_survey import (CostQualityEvaluator, PolicySurveyResult,
+                                          run_policy_survey)
 from repro.faults import BatchExecutionError, FaultInjectingTraceSource, FaultPlan
 from repro.network.cost import TelemetryCostAccountant
 from repro.network.monitoring import DeploymentSpec, DeploymentTraceSource, MonitoringDeployment
 from repro.network.topology import TopologySpec, build_leaf_spine
-from repro.pipeline.evaluation import PolicyRecordBlock
+from repro.pipeline.evaluation import DETECTION_UNSCORED, PolicyRecordBlock
 from repro.pipeline.policies import FixedRatePolicy, NyquistStaticPolicy, PolicySuite
 from repro.records import SpillingRecordSink
 from repro.telemetry.dataset import DatasetConfig, FleetDataset
@@ -206,6 +207,48 @@ class TestPolicyRecordBlockStorage:
             assert view.samples_collected == int(block.samples[index])
             assert view.cost.transmission == pytest.approx(block.transmission[index])
             assert view.detection is None  # fleet survey does not score events
+
+
+class TestPerPointDriverAgreement:
+    """CostQualityEvaluator (one trace at a time, scalar ``collect``) and
+    run_policy_survey (batched ``evaluate_batch``) store the same rows."""
+
+    OUTCOME_COLUMNS = ("samples", "mean_rate_hz", "nrmse", "max_abs_error", "hops",
+                       "collection_cpu_us", "transmission", "storage_bytes", "analysis")
+
+    @staticmethod
+    def rows_by_key(result: PolicySurveyResult) -> dict[tuple[str, str], dict]:
+        rows = {}
+        for block in result.iter_blocks():
+            for index, device in enumerate(block.device_ids):
+                rows[(block.policy_name, str(device))] = {
+                    column: getattr(block, column)[index]
+                    for column in (*TestPerPointDriverAgreement.OUTCOME_COLUMNS,
+                                   "detected", "detection_latency")}
+        return rows
+
+    def test_drivers_agree_row_for_row(self):
+        source = DeploymentSpec(TopologySpec(2, 2, 1), trace_duration=21600.0,
+                                seed=8).open()
+        accountant = source.accountant()
+        traces = list(source.traces("Link util"))
+        policies = PolicySuite(production_oversample=4.0).build(traces[0][1].interval)
+        assert len(policies) == 3
+        per_point = CostQualityEvaluator(policies, accountant=accountant)
+        for pair, reference in traces:
+            per_point.evaluate_point(pair.device.device_id, "Link util", reference)
+        fleet = run_policy_survey(source, policies, accountant=accountant,
+                                  metrics=["Link util"])
+
+        left, right = self.rows_by_key(per_point), self.rows_by_key(fleet)
+        assert left.keys() == right.keys()
+        assert len(left) == len(traces) * len(policies)
+        for key, row in left.items():
+            for column in self.OUTCOME_COLUMNS:
+                assert row[column] == right[key][column], (key, column)
+            for scored in (row, right[key]):
+                assert scored["detected"] == DETECTION_UNSCORED
+                assert np.isnan(scored["detection_latency"])
 
 
 class TestPolicyWorkerEquivalence:

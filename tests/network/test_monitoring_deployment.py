@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.network.monitoring import DeploymentSpec, MonitoringDeployment
+from repro.network.monitoring import (DeploymentSpec, DeploymentTraceSource,
+                                     MonitoringDeployment)
 from repro.network.topology import (FatTreeSpec, TopologySpec, WanRingSpec,
                                     build_leaf_spine, servers, switches)
 
@@ -38,29 +39,27 @@ class TestDeployment:
         assert all(point.metric.name == "Link util" for point in points)
         assert len(points) == len(switches(deployment.topology))
 
-    def test_reference_trace_is_oversampled(self, deployment):
-        point = deployment.points_for_metric("Temperature")[0]
-        reference = deployment.reference_trace(point, oversample_factor=4.0)
-        production = deployment.production_trace(point)
+    def test_oversampled_trace_vs_production(self, deployment):
+        pair = DeploymentTraceSource(deployment).pairs_for_metric("Temperature")[0]
+        reference = DeploymentTraceSource(deployment, 4.0).load(pair)
+        production = DeploymentTraceSource(deployment, 1.0).load(pair)
         assert reference.sampling_rate == pytest.approx(production.sampling_rate * 4.0)
         assert len(reference) == pytest.approx(4 * len(production), abs=4)
 
-    def test_reference_trace_rejects_bad_factor(self, deployment):
-        point = deployment.points()[0]
+    def test_source_rejects_bad_factor(self, deployment):
         with pytest.raises(ValueError):
-            deployment.reference_trace(point, oversample_factor=0.5)
+            DeploymentTraceSource(deployment, oversample_factor=0.5)
 
     def test_traces_are_deterministic(self, deployment):
-        point = deployment.points()[0]
-        a = deployment.production_trace(point)
-        b = deployment.production_trace(point)
-        np.testing.assert_allclose(a.values, b.values)
+        source = DeploymentTraceSource(deployment, 1.0)
+        pair = source.pairs()[0]
+        np.testing.assert_allclose(source.load(pair).values, source.load(pair).values)
 
-    def test_iter_reference_traces_limit(self, deployment):
-        pairs = list(deployment.iter_reference_traces("Link util", limit=2))
+    def test_traces_limit(self, deployment):
+        pairs = list(DeploymentTraceSource(deployment).traces("Link util", limit=2))
         assert len(pairs) == 2
-        for point, trace in pairs:
-            assert point.metric.name == "Link util"
+        for pair, trace in pairs:
+            assert pair.metric.name == "Link util"
             assert len(trace) > 0
 
 

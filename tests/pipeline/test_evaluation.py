@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.analysis.policy_survey import CostQualityEvaluator, PolicySurveyResult
 from repro.network.cost import TelemetryCostAccountant
-from repro.pipeline.evaluation import CostQualityEvaluator
 from repro.pipeline.events import EventKind, inject_event
 from repro.pipeline.policies import FixedRatePolicy, NyquistStaticPolicy
+from repro.records import SpillingRecordSink
 from repro.signals.generators import multi_tone
 from repro.signals.noise import add_white_noise
 
@@ -69,9 +71,30 @@ class TestEvaluator:
                                        magnitude=30.0)
         results = evaluator.evaluate_point("dev-1", "Link util", modified, event)
         assert all(result.detection is not None for result in results)
-        summary = evaluator.summaries["baseline"]
-        assert summary.detection_rate == 1.0
-        assert summary.mean_detection_latency >= 0.0
+        row = evaluator.rows()[0]
+        assert row["policy"] == "baseline"
+        assert row["detection_rate"] == 1.0
+        assert row["mean_detection_latency_s"] >= 0.0
+
+    def test_detection_unscored_without_event(self, reference):
+        evaluator = make_evaluator()
+        evaluator.evaluate_point("dev-1", "Link util", reference)
+        for row in evaluator.rows():
+            assert np.isnan(row["detection_rate"])
+            assert np.isnan(row["mean_detection_latency_s"])
+
+    def test_rejects_sink_with_records(self, reference, tmp_path):
+        """A sink that already holds records used to be adopted silently,
+        so its rows were counted twice; re-opening goes through
+        PolicySurveyResult instead."""
+        policies = [FixedRatePolicy(30.0, name="baseline")]
+        first = CostQualityEvaluator(policies, sink=SpillingRecordSink(tmp_path))
+        first.evaluate_point("dev-1", "Link util", reference)
+        with pytest.raises(ValueError, match=r"already holds 1 records.*"
+                                             r"PolicySurveyResult\(sink=\.\.\.\)"):
+            CostQualityEvaluator(policies, sink=SpillingRecordSink(tmp_path))
+        reopened = PolicySurveyResult(sink=SpillingRecordSink(tmp_path))
+        assert reopened.rows() == first.rows()
 
     def test_summary_quality_fields(self, reference):
         evaluator = make_evaluator()
@@ -85,7 +108,7 @@ class TestEvaluator:
 class TestColumnarStore:
     """The evaluator's canonical storage is columnar PolicyRecordBlocks."""
 
-    def test_blocks_back_the_summaries(self, reference):
+    def test_blocks_back_the_rows(self, reference):
         evaluator = make_evaluator()
         evaluator.evaluate_point("dev-1", "Link util", reference)
         evaluator.evaluate_point("dev-2", "Link util", reference)
@@ -93,15 +116,14 @@ class TestColumnarStore:
         assert len(blocks) == 4  # 2 points x 2 policies, one 1-row block each
         assert evaluator.sink.rows == 4
         assert {block.policy_name for block in blocks} == {"baseline", "nyquist-static"}
-        summary = evaluator.summaries["baseline"]
-        assert [entry.point_name for entry in summary.evaluations] == ["dev-1", "dev-2"]
-        assert summary.total_samples == sum(
+        baseline = [entry for entry in evaluator.evaluations()
+                    if entry.policy_name == "baseline"]
+        assert [entry.point_name for entry in baseline] == ["dev-1", "dev-2"]
+        assert evaluator.rows()[0]["samples"] == sum(
             int(block.samples.sum()) for block in blocks
             if block.policy_name == "baseline")
 
     def test_spilled_evaluator_round_trips(self, reference, tmp_path):
-        from repro.records import SpillingRecordSink
-
         policies = [FixedRatePolicy(30.0, name="baseline"),
                     NyquistStaticPolicy(production_interval=30.0)]
         spilling = CostQualityEvaluator(policies, accountant=TelemetryCostAccountant(),
@@ -145,5 +167,7 @@ class TestRelativeCostGuards:
 
     def test_no_points_evaluated_raises(self):
         evaluator = make_evaluator()
+        assert evaluator.policies() == ["baseline", "nyquist-static"]
+        assert [row["points"] for row in evaluator.rows()] == [0.0, 0.0]
         with pytest.raises(ValueError, match="zero total cost"):
             evaluator.relative_costs("baseline")

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis import CostQualityEvaluator
 from repro.analysis.survey import run_survey
 from repro.core import (AdaptiveSamplingController, ControllerConfig, compare,
                         estimate_nyquist_rate, nyquist_round_trip, reconstruct)
 from repro.core.quantization import UniformQuantizer
-from repro.network import (MonitoringDeployment, TelemetryCostAccountant, TopologySpec,
-                           attach_collector, build_leaf_spine)
-from repro.pipeline import (CostQualityEvaluator, EventKind, FixedRatePolicy,
-                            NyquistStaticPolicy, inject_event)
+from repro.network import DeploymentSpec, TopologySpec
+from repro.pipeline import EventKind, FixedRatePolicy, NyquistStaticPolicy, inject_event
 from repro.telemetry import METRIC_CATALOG
 from repro.telemetry.models import generate_trace
 from repro.telemetry.profiles import DeviceProfile, DeviceRole, draw_metric_parameters
@@ -70,23 +69,22 @@ class TestFigure6Workflow:
 
 class TestCostQualityPipeline:
     def test_nyquist_static_saves_cost_with_modest_quality_loss(self):
-        topology = build_leaf_spine(TopologySpec(num_spines=2, num_leaves=2, servers_per_leaf=2))
-        collector = attach_collector(topology)
-        deployment = MonitoringDeployment(topology, trace_duration=21600.0, seed=8)
-        accountant = TelemetryCostAccountant(topology=topology, collector=collector)
+        source = DeploymentSpec(topology=TopologySpec(num_spines=2, num_leaves=2,
+                                                      servers_per_leaf=2),
+                                trace_duration=21600.0, seed=8).open()
         evaluator = CostQualityEvaluator(
             [FixedRatePolicy(30.0, name="baseline"), NyquistStaticPolicy(30.0)],
-            accountant=accountant)
+            accountant=source.accountant())
         rng = np.random.default_rng(8)
-        for point, reference in deployment.iter_reference_traces("Link util", limit=4):
+        for pair, reference in source.traces("Link util", limit=4):
             event_time = reference.start_time + float(rng.uniform(0.5, 0.9)) * reference.duration
             modified, event = inject_event(reference, EventKind.STEP, event_time,
                                            magnitude=6.0 * reference.std() + 1.0)
-            evaluator.evaluate_point(point.node, "Link util", modified, event)
+            evaluator.evaluate_point(pair.device.device_id, "Link util", modified, event)
         relative = evaluator.relative_costs("baseline")
         assert relative["nyquist-static"] < 0.9
-        summary = evaluator.summaries["nyquist-static"]
-        assert summary.mean_nrmse < 0.5
+        row = {row["policy"]: row for row in evaluator.rows()}["nyquist-static"]
+        assert row["mean_nrmse"] < 0.5
 
 
 class TestDatasetToEstimatorConsistency:
