@@ -5,8 +5,8 @@ provides:
 
 * :mod:`repro.core` -- Nyquist-rate estimation from traces (§3.2), dual-
   frequency aliasing detection (§4.1), an adaptive sampling controller
-  (§4.2), low-pass reconstruction (§4.3) and the §6 extensions
-  (ergodicity, multivariate signals).
+  (§4.2), low-pass reconstruction (§4.3) and the §6 ergodicity
+  extension.
 * :mod:`repro.signals` -- the time-series substrate (containers, spectra,
   generators, noise, filters).
 * :mod:`repro.telemetry` -- synthetic production telemetry for the 14
@@ -39,7 +39,7 @@ Quickstart::
 from . import analysis, core, faults, network, pipeline, scenarios, signals, telemetry
 from .core import (AdaptiveSamplingController, ControllerConfig, DualRateAliasingDetector,
                    NyquistEstimate, NyquistEstimator, estimate_nyquist_rate,
-                   nyquist_round_trip, oversampling_ratio)
+                   nyquist_round_trip)
 from .faults import BatchExecutionError, FaultInjectingTraceSource, FaultPlan, RetryPolicy
 from .signals import IrregularTimeSeries, Spectrum, TimeSeries
 
@@ -50,7 +50,7 @@ __all__ = [
     "signals", "core", "telemetry", "network", "pipeline", "analysis", "faults",
     "scenarios",
     "TimeSeries", "IrregularTimeSeries", "Spectrum",
-    "NyquistEstimator", "NyquistEstimate", "estimate_nyquist_rate", "oversampling_ratio",
+    "NyquistEstimator", "NyquistEstimate", "estimate_nyquist_rate",
     "nyquist_round_trip", "AdaptiveSamplingController", "ControllerConfig",
     "DualRateAliasingDetector",
     "FaultPlan", "FaultInjectingTraceSource", "RetryPolicy", "BatchExecutionError",

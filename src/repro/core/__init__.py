@@ -10,25 +10,20 @@
 * :mod:`repro.core.resampling` -- pre-cleaning, down/up-sampling.
 * :mod:`repro.core.quantization` -- quantisers and quantisation noise.
 * :mod:`repro.core.windowed` -- moving-window Nyquist inference (Figure 7).
-* :mod:`repro.core.ergodicity` / :mod:`repro.core.multivariate` -- the
-  Section 6 "beyond Nyquist" extensions.
+* :mod:`repro.core.ergodicity` -- the Section 6 "beyond Nyquist" ergodicity
+  extension.
 """
 
 from .adaptive import (AdaptiveRun, AdaptiveSamplingController, ControllerConfig,
-                       ControllerMode, ModeTransition, WindowDecision, adaptive_sample)
+                       ControllerMode, ModeTransition, WindowDecision)
 from .batch import batch_estimate
-from .aliasing import (AliasingVerdict, DualRateAliasingDetector, compare_spectra,
-                       detect_aliasing)
-from .errors import ReconstructionError, compare, l2_distance, max_abs_error, nrmse, rmse
+from .aliasing import AliasingVerdict, DualRateAliasingDetector, compare_spectra
+from .errors import ReconstructionError, compare, max_abs_error, nrmse, rmse
 from .ergodicity import (ErgodicityReport, ensemble_statistics, ergodicity_gap,
                          ergodicity_report, minimum_canary_size, time_statistics)
-from .multivariate import (MultivariateEstimate, correlation_matrix,
-                           correlation_preservation, estimate_joint_nyquist,
-                           joint_sampling_rate)
-from .nyquist import (ALIASED_SENTINEL, NyquistEstimate, NyquistEstimator,
-                      estimate_nyquist_rate, oversampling_ratio)
-from .psd import batch_periodogram, batch_welch_psd, periodogram, power_spectrum, welch_psd
-from .quantization import UniformQuantizer, quantization_noise_std, quantize, sqnr_db
+from .nyquist import ALIASED_SENTINEL, NyquistEstimate, NyquistEstimator, estimate_nyquist_rate
+from .psd import batch_periodogram, batch_welch_psd, periodogram, welch_psd
+from .quantization import UniformQuantizer
 from .reconstruction import RoundTripResult, nyquist_round_trip, reconstruct, upsample_to_length
 from .resampling import (downsample, fourier_resample, linear_resample,
                          nearest_neighbor_resample, regularize, resample_to_rate)
@@ -38,29 +33,27 @@ from .windowed import (FIGURE7_STEP_SECONDS, FIGURE7_WINDOW_SECONDS, WindowedEst
 __all__ = [
     # nyquist
     "ALIASED_SENTINEL", "NyquistEstimate", "NyquistEstimator",
-    "estimate_nyquist_rate", "oversampling_ratio",
+    "estimate_nyquist_rate",
     # psd / batch
-    "periodogram", "welch_psd", "power_spectrum",
+    "periodogram", "welch_psd",
     "batch_periodogram", "batch_welch_psd", "batch_estimate",
     # aliasing
-    "AliasingVerdict", "DualRateAliasingDetector", "detect_aliasing", "compare_spectra",
+    "AliasingVerdict", "DualRateAliasingDetector", "compare_spectra",
     # adaptive
     "AdaptiveSamplingController", "ControllerConfig", "ControllerMode",
-    "AdaptiveRun", "WindowDecision", "ModeTransition", "adaptive_sample",
+    "AdaptiveRun", "WindowDecision", "ModeTransition",
     # reconstruction / errors
     "RoundTripResult", "nyquist_round_trip", "reconstruct", "upsample_to_length",
-    "ReconstructionError", "compare", "l2_distance", "rmse", "nrmse", "max_abs_error",
+    "ReconstructionError", "compare", "rmse", "nrmse", "max_abs_error",
     # resampling
     "regularize", "nearest_neighbor_resample", "downsample", "resample_to_rate",
     "fourier_resample", "linear_resample",
     # quantization
-    "UniformQuantizer", "quantize", "quantization_noise_std", "sqnr_db",
+    "UniformQuantizer",
     # windowed
     "WindowedEstimate", "windowed_nyquist_rates", "rate_stability",
     "FIGURE7_WINDOW_SECONDS", "FIGURE7_STEP_SECONDS",
-    # ergodicity / multivariate
+    # ergodicity
     "ErgodicityReport", "ensemble_statistics", "time_statistics", "ergodicity_gap",
     "ergodicity_report", "minimum_canary_size",
-    "MultivariateEstimate", "estimate_joint_nyquist", "joint_sampling_rate",
-    "correlation_matrix", "correlation_preservation",
 ]

@@ -43,7 +43,6 @@ __all__ = [
     "ModeTransition",
     "AdaptiveRun",
     "AdaptiveSamplingController",
-    "adaptive_sample",
 ]
 
 
@@ -525,10 +524,3 @@ class AdaptiveSamplingController:
                                                 interval * factor, window_start,
                                                 run.reference.name))
         return runs
-
-
-def adaptive_sample(reference: TimeSeries, window_duration: float,
-                    config: ControllerConfig | None = None) -> AdaptiveRun:
-    """Convenience wrapper: run a fresh controller over ``reference``."""
-    controller = AdaptiveSamplingController(config=config)
-    return controller.run(reference, window_duration)

@@ -26,7 +26,6 @@ from .resampling import linear_resample, resample_to_rate
 __all__ = [
     "AliasingVerdict",
     "DualRateAliasingDetector",
-    "detect_aliasing",
     "compare_spectra",
     "compare_spectra_batch",
 ]
@@ -248,11 +247,3 @@ class DualRateAliasingDetector:
         if abs(ratio - round(ratio)) < 1e-9:
             return resample_to_rate(reference, rate, anti_alias=False)
         return linear_resample(reference, rate)
-
-
-def detect_aliasing(reference: TimeSeries, candidate_rate: float,
-                    rate_ratio: float = DEFAULT_RATE_RATIO,
-                    threshold: float = 0.1) -> AliasingVerdict:
-    """Convenience wrapper: dual-frequency aliasing check with default settings."""
-    detector = DualRateAliasingDetector(rate_ratio=rate_ratio, threshold=threshold)
-    return detector.check_signal(reference, candidate_rate)

@@ -17,11 +17,9 @@ from ..signals.timeseries import TimeSeries
 
 __all__ = [
     "ReconstructionError",
-    "l2_distance",
     "rmse",
     "nrmse",
     "max_abs_error",
-    "mean_abs_error",
     "compare",
     "compare_batch",
 ]
@@ -39,12 +37,6 @@ def _aligned_values(original: TimeSeries, reconstructed: TimeSeries) -> tuple[np
     if n == 0:
         raise ValueError("cannot compare empty series")
     return original.values[:n], reconstructed.values[:n]
-
-
-def l2_distance(original: TimeSeries, reconstructed: TimeSeries) -> float:
-    """Euclidean distance between the two traces (the paper's Figure 6 metric)."""
-    a, b = _aligned_values(original, reconstructed)
-    return float(np.linalg.norm(a - b))
 
 
 def rmse(original: TimeSeries, reconstructed: TimeSeries) -> float:
@@ -72,12 +64,6 @@ def max_abs_error(original: TimeSeries, reconstructed: TimeSeries) -> float:
     """Largest per-sample absolute deviation."""
     a, b = _aligned_values(original, reconstructed)
     return float(np.max(np.abs(a - b)))
-
-
-def mean_abs_error(original: TimeSeries, reconstructed: TimeSeries) -> float:
-    """Mean per-sample absolute deviation."""
-    a, b = _aligned_values(original, reconstructed)
-    return float(np.mean(np.abs(a - b)))
 
 
 @dataclass(frozen=True)

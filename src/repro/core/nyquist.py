@@ -37,7 +37,6 @@ __all__ = [
     "NyquistEstimate",
     "NyquistEstimator",
     "estimate_nyquist_rate",
-    "oversampling_ratio",
     "ALIASED_SENTINEL",
     "DEFAULT_ENERGY_FRACTION",
     "DEFAULT_ALIASED_BAND_FRACTION",
@@ -380,17 +379,6 @@ def estimate_nyquist_rate(series: TimeSeries | IrregularTimeSeries,
     """Convenience wrapper around :class:`NyquistEstimator` with default settings."""
     estimator = NyquistEstimator(energy_fraction=energy_fraction, include_dc=include_dc)
     return estimator.estimate(series)
-
-
-def oversampling_ratio(series: TimeSeries | IrregularTimeSeries,
-                       energy_fraction: float = DEFAULT_ENERGY_FRACTION) -> float:
-    """Ratio between the trace's actual sampling rate and its estimated Nyquist rate.
-
-    This is the quantity plotted (as a per-metric CDF) in Figure 4.
-    Returns ``nan`` when the Nyquist rate cannot be estimated reliably.
-    """
-    estimate = estimate_nyquist_rate(series, energy_fraction=energy_fraction)
-    return estimate.reduction_ratio
 
 
 def _remove_linear_trend(series: TimeSeries) -> TimeSeries:

@@ -17,7 +17,7 @@ the same PSD the scalar estimator would produce for that trace.
 
 from __future__ import annotations
 
-from typing import Any, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from ..signals.timeseries import TimeSeries
 __all__ = [
     "periodogram",
     "welch_psd",
-    "power_spectrum",
     "batch_periodogram",
     "batch_welch_psd",
     "WindowName",
@@ -251,13 +250,3 @@ def batch_welch_psd(values: np.ndarray, interval: float,
     power = np.mean(_one_sided_psd(segments, taper), axis=1)
     freqs = np.fft.rfftfreq(segment_length, d=interval)
     return SpectrumBatch(freqs, power, 1.0 / interval)
-
-
-def power_spectrum(series: TimeSeries, method: Literal["periodogram", "welch"] = "periodogram",
-                   **kwargs: Any) -> Spectrum:
-    """Dispatch helper: compute a PSD with the requested method."""
-    if method == "periodogram":
-        return periodogram(series, **kwargs)
-    if method == "welch":
-        return welch_psd(series, **kwargs)
-    raise ValueError(f"unknown PSD method {method!r}")

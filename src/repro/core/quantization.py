@@ -23,9 +23,6 @@ from ..signals.timeseries import TimeSeries
 
 __all__ = [
     "UniformQuantizer",
-    "quantize",
-    "quantization_noise_std",
-    "sqnr_db",
 ]
 
 
@@ -71,35 +68,3 @@ class UniformQuantizer:
         if self.minimum is None or self.maximum is None:
             return None
         return int(round((self.maximum - self.minimum) / self.step)) + 1
-
-
-def quantize(series: TimeSeries, step: float,
-             minimum: float | None = None, maximum: float | None = None) -> TimeSeries:
-    """Quantise ``series`` with a uniform quantiser of the given step."""
-    return UniformQuantizer(step, minimum, maximum).apply_series(series)
-
-
-def quantization_noise_std(step: float) -> float:
-    """Standard deviation of uniform quantisation noise for a given step."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    return step / math.sqrt(12.0)
-
-
-def sqnr_db(series: TimeSeries, step: float) -> float:
-    """Signal-to-quantisation-noise ratio in dB for quantising ``series`` with ``step``.
-
-    Computed against the AC power of the signal.  A large SQNR means
-    quantisation barely perturbs the spectrum; a small one means the
-    high-frequency quantisation noise floor will be visible and the 99 %
-    energy threshold is doing real work.
-    """
-    if len(series) == 0:
-        raise ValueError("series is empty")
-    ac_power = float(np.mean((series.values - np.mean(series.values)) ** 2))
-    noise_power = quantization_noise_std(step) ** 2
-    if ac_power == 0:
-        return -math.inf
-    if noise_power == 0:
-        return math.inf
-    return 10.0 * math.log10(ac_power / noise_power)

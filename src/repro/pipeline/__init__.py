@@ -7,7 +7,6 @@ from .events import (DetectionOutcome, EventKind, InjectedEvent, ModeTransition,
 from .policies import (AdaptiveDualRatePolicy, FixedRatePolicy, NyquistStaticPolicy,
                        PolicyBatchEvaluation, PolicyResult, PolicySuite, SamplingPolicy,
                        StaticPolicySuite)
-from .retention import AposterioriRetention, RetentionDecision, RetentionReport
 
 __all__ = [
     "SamplingPolicy", "PolicyResult", "PolicyBatchEvaluation", "FixedRatePolicy",
@@ -16,5 +15,4 @@ __all__ = [
     "DetectionOutcome", "score_detection",
     "ModeTransition", "reprobe_latency", "resettle_latency",
     "PointEvaluation", "PolicyRecordBlock",
-    "AposterioriRetention", "RetentionDecision", "RetentionReport",
 ]

@@ -18,7 +18,7 @@ This package turns "scenario diversity" into a harness:
   measured re-probe latency.
 """
 
-from .backfill import export_backfill_dump, shuffled_dump
+from .backfill import export_backfill_dump
 from .matrix import (ADAPTIVE, FIXED, NYQUIST_STATIC, MatrixCell, MatrixResult,
                      evaluate_cell, run_matrix)
 from .presets import (DEFAULT_BLACKOUT, default_fabrics, default_scenarios, paper_suite,
@@ -32,7 +32,7 @@ __all__ = [
     "CounterPathology",
     "BlackoutWindow", "Scenario", "ScenarioSourceSpec", "ScenarioTraceSource",
     "apply_transforms",
-    "export_backfill_dump", "shuffled_dump",
+    "export_backfill_dump",
     "FIXED", "NYQUIST_STATIC", "ADAPTIVE",
     "MatrixCell", "MatrixResult", "evaluate_cell", "run_matrix",
     "DEFAULT_BLACKOUT", "paper_suite", "default_scenarios", "smoke_scenarios",

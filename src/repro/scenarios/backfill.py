@@ -23,14 +23,12 @@ import json
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
-import numpy as np
-
 from ..signals.timeseries import TimeSeries
 from ..telemetry.ingest import path_for_metric
 from ..telemetry.source import TraceSource
 from .transforms import BlackoutWindow
 
-__all__ = ["export_backfill_dump", "shuffled_dump"]
+__all__ = ["export_backfill_dump"]
 
 
 def _update_lines(order: int, pair: Any,
@@ -88,19 +86,3 @@ def export_backfill_dump(source: TraceSource, path: Path | str,
         for _, _, line in heapq.merge(*late_streams):
             handle.write(line)
     return path, deferred
-
-
-def shuffled_dump(src: Path | str, dst: Path | str, seed: int) -> Path:
-    """Copy a JSON-lines dump with its lines in a seeded random order.
-
-    The adversarial arrival order for ingest-invariance tests: same
-    update set, no order guarantee at all.
-    """
-    src, dst = Path(src), Path(dst)
-    lines = src.read_text().splitlines(keepends=True)
-    rng = np.random.default_rng(seed)
-    permutation = rng.permutation(len(lines))
-    with dst.open("w") as handle:
-        for index in permutation:
-            handle.write(lines[int(index)])
-    return dst

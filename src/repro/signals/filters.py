@@ -1,10 +1,9 @@
-"""Simple time-domain and frequency-domain filters.
+"""The reconstruction filter.
 
 Reconstruction in the paper (Section 4.3) is "pass the signal through a
 low-pass filter (for example, by taking an FFT of the sampled signal,
 setting all frequency components above f0 to 0 and then taking the IFFT)".
-That FFT brick-wall filter lives here, alongside the standard smoothing
-filters used to pre-clean noisy telemetry.
+That FFT brick-wall filter lives here.
 """
 
 from __future__ import annotations
@@ -15,10 +14,6 @@ from .timeseries import TimeSeries
 
 __all__ = [
     "low_pass_fft",
-    "high_pass_fft",
-    "moving_average",
-    "median_filter",
-    "exponential_smoothing",
 ]
 
 
@@ -37,65 +32,3 @@ def low_pass_fft(series: TimeSeries, cutoff_hz: float) -> TimeSeries:
     spectrum[freqs > cutoff_hz] = 0.0
     filtered = np.fft.irfft(spectrum, n=len(series))
     return series.with_values(filtered)
-
-
-def high_pass_fft(series: TimeSeries, cutoff_hz: float,
-                  keep_dc: bool = False) -> TimeSeries:
-    """Brick-wall high-pass filter: zero all FFT bins at or below ``cutoff_hz``.
-
-    Used to isolate the noise/quantisation floor of a trace.
-    """
-    if cutoff_hz < 0:
-        raise ValueError("cutoff_hz must be non-negative")
-    if len(series) == 0:
-        return series
-    spectrum = np.fft.rfft(series.values)
-    freqs = np.fft.rfftfreq(len(series), d=series.interval)
-    mask = freqs <= cutoff_hz
-    if keep_dc:
-        mask = mask & (freqs > 0)
-    spectrum[mask] = 0.0
-    filtered = np.fft.irfft(spectrum, n=len(series))
-    return series.with_values(filtered)
-
-
-def moving_average(series: TimeSeries, window: int) -> TimeSeries:
-    """Centred moving average with edge handling by shrinking the window."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if len(series) == 0 or window == 1:
-        return series
-    kernel = np.ones(window)
-    sums = np.convolve(series.values, kernel, mode="same")
-    counts = np.convolve(np.ones(len(series)), kernel, mode="same")
-    return series.with_values(sums / counts)
-
-
-def median_filter(series: TimeSeries, window: int) -> TimeSeries:
-    """Sliding median -- removes isolated spikes without smearing steps."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    n = len(series)
-    if n == 0 or window == 1:
-        return series
-    half = window // 2
-    values = series.values
-    filtered = np.empty(n)
-    for i in range(n):
-        lo = max(0, i - half)
-        hi = min(n, i + half + 1)
-        filtered[i] = np.median(values[lo:hi])
-    return series.with_values(filtered)
-
-
-def exponential_smoothing(series: TimeSeries, alpha: float) -> TimeSeries:
-    """Classic EWMA smoothing, ``y[n] = alpha * x[n] + (1 - alpha) * y[n-1]``."""
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
-    if len(series) == 0:
-        return series
-    smoothed = np.empty(len(series))
-    smoothed[0] = series.values[0]
-    for i in range(1, len(series)):
-        smoothed[i] = alpha * series.values[i] + (1.0 - alpha) * smoothed[i - 1]
-    return series.with_values(smoothed)

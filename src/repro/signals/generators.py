@@ -22,14 +22,6 @@ __all__ = [
     "sine",
     "multi_tone",
     "two_tone_figure3",
-    "square_wave",
-    "sawtooth",
-    "chirp",
-    "band_limited_noise",
-    "random_walk",
-    "step_signal",
-    "impulse_train",
-    "diurnal_pattern",
 ]
 
 
@@ -93,122 +85,3 @@ def two_tone_figure3(duration: float = 1.0, sampling_rate: float = 2000.0) -> Ti
     rate) so the down-sampling experiments of the figure can be run on it.
     """
     return multi_tone([400.0, 440.0], duration, sampling_rate, name="figure3_two_tone")
-
-
-def square_wave(frequency: float, duration: float, sampling_rate: float,
-                amplitude: float = 1.0, duty_cycle: float = 0.5,
-                name: str = "square") -> TimeSeries:
-    """A square wave (infinite bandwidth in theory; useful for aliasing tests)."""
-    if not 0 < duty_cycle < 1:
-        raise ValueError("duty_cycle must be in (0, 1)")
-    times, interval = _time_axis(duration, sampling_rate)
-    phase = (times * frequency) % 1.0
-    values = np.where(phase < duty_cycle, amplitude, -amplitude)
-    return TimeSeries(values.astype(np.float64), interval, name=name)
-
-
-def sawtooth(frequency: float, duration: float, sampling_rate: float,
-             amplitude: float = 1.0, name: str = "sawtooth") -> TimeSeries:
-    """A rising sawtooth wave."""
-    times, interval = _time_axis(duration, sampling_rate)
-    phase = (times * frequency) % 1.0
-    values = amplitude * (2.0 * phase - 1.0)
-    return TimeSeries(values, interval, name=name)
-
-
-def chirp(f_start: float, f_end: float, duration: float, sampling_rate: float,
-          amplitude: float = 1.0, name: str = "chirp") -> TimeSeries:
-    """A linear chirp sweeping from ``f_start`` to ``f_end``.
-
-    Chirps exercise the *time-varying* Nyquist-rate case that motivates the
-    dynamic sampling controller of Section 4.
-    """
-    if f_start < 0 or f_end < 0:
-        raise ValueError("frequencies must be non-negative")
-    times, interval = _time_axis(duration, sampling_rate)
-    sweep_rate = (f_end - f_start) / duration
-    phase = 2 * math.pi * (f_start * times + 0.5 * sweep_rate * times ** 2)
-    return TimeSeries(amplitude * np.sin(phase), interval, name=name)
-
-
-def band_limited_noise(max_frequency: float, duration: float, sampling_rate: float,
-                       amplitude: float = 1.0, rng: np.random.Generator | None = None,
-                       name: str = "band_limited_noise") -> TimeSeries:
-    """Gaussian noise whose spectrum is confined below ``max_frequency``.
-
-    Constructed directly in the frequency domain: random phases and
-    amplitudes below the cut-off, zeros above it.  The resulting signal has
-    a hard band limit, so its Nyquist rate is ``2 * max_frequency``.
-    """
-    if max_frequency <= 0:
-        raise ValueError("max_frequency must be positive")
-    if max_frequency > sampling_rate / 2:
-        raise ValueError("max_frequency must not exceed sampling_rate / 2")
-    rng = rng or np.random.default_rng(0)
-    times, interval = _time_axis(duration, sampling_rate)
-    n = times.shape[0]
-    freqs = np.fft.rfftfreq(n, d=interval)
-    spectrum = np.zeros(freqs.shape, dtype=np.complex128)
-    in_band = (freqs > 0) & (freqs <= max_frequency)
-    count = int(np.count_nonzero(in_band))
-    if count:
-        magnitudes = rng.normal(size=count) + 1j * rng.normal(size=count)
-        spectrum[in_band] = magnitudes
-    values = np.fft.irfft(spectrum, n=n)
-    peak = np.max(np.abs(values)) if n else 0.0
-    if peak > 0:
-        values = values / peak * amplitude
-    return TimeSeries(values, interval, name=name)
-
-
-def random_walk(duration: float, sampling_rate: float, step_std: float = 1.0,
-                start: float = 0.0, rng: np.random.Generator | None = None,
-                name: str = "random_walk") -> TimeSeries:
-    """A Gaussian random walk (a 1/f^2-style signal, mostly low frequency)."""
-    rng = rng or np.random.default_rng(0)
-    times, interval = _time_axis(duration, sampling_rate)
-    steps = rng.normal(scale=step_std, size=times.shape[0])
-    values = start + np.cumsum(steps)
-    return TimeSeries(values, interval, name=name)
-
-
-def step_signal(duration: float, sampling_rate: float, step_time: float,
-                low: float = 0.0, high: float = 1.0, name: str = "step") -> TimeSeries:
-    """A single level shift at ``step_time`` -- the "first of its kind event" of §4.2."""
-    times, interval = _time_axis(duration, sampling_rate)
-    values = np.where(times >= step_time, high, low).astype(np.float64)
-    return TimeSeries(values, interval, name=name)
-
-
-def impulse_train(duration: float, sampling_rate: float, period: float,
-                  amplitude: float = 1.0, baseline: float = 0.0,
-                  name: str = "impulse_train") -> TimeSeries:
-    """Periodic spikes on a flat baseline (models bursty error counters)."""
-    if period <= 0:
-        raise ValueError("period must be positive")
-    times, interval = _time_axis(duration, sampling_rate)
-    values = np.full(times.shape, float(baseline))
-    spike_times = np.arange(0.0, duration, period)
-    indices = np.clip(np.round(spike_times / interval).astype(int), 0, len(values) - 1)
-    values[indices] = baseline + amplitude
-    return TimeSeries(values, interval, name=name)
-
-
-def diurnal_pattern(duration: float, sampling_rate: float,
-                    base: float = 50.0, daily_swing: float = 20.0,
-                    harmonics: Sequence[float] = (0.3, 0.1),
-                    day_seconds: float = 86400.0,
-                    name: str = "diurnal") -> TimeSeries:
-    """A slow daily cycle plus harmonics -- the backbone of many datacenter metrics.
-
-    Temperature, CPU utilisation and link utilisation all follow load,
-    which follows the day/night cycle; this helper produces that backbone
-    which the telemetry models then decorate with noise and events.
-    """
-    times, interval = _time_axis(duration, sampling_rate)
-    base_frequency = 1.0 / day_seconds
-    values = np.full(times.shape, float(base))
-    values = values + daily_swing * np.sin(2 * math.pi * base_frequency * times)
-    for order, fraction in enumerate(harmonics, start=2):
-        values = values + daily_swing * fraction * np.sin(2 * math.pi * base_frequency * order * times)
-    return TimeSeries(values, interval, name=name)

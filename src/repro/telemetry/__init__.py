@@ -1,16 +1,15 @@
 """Synthetic production telemetry: the substitute for the paper's proprietary traces."""
 
 from .dataset import PAPER_PAIR_COUNT, DatasetConfig, FleetDataset, TraceBatch, TracePair
-from .fleet import DEFAULT_ROLE_MIX, build_fleet, devices_by_role
+from .fleet import DEFAULT_ROLE_MIX, build_fleet
 from .ingest import (EXPORT_FORMATS, GNMI_FORMAT, METRIC_PATHS, SNMP_FORMAT,
                      IngestStats, PairAccumulator, RawUpdate, ShardIngestStats,
                      TelemetryDump, UpdateBlock, export_gnmi_dump, export_snmp_dump,
                      ingest_dump, open_export, sniff_format)
-from .irregular import add_timing_jitter, drop_samples, duplicate_samples, make_irregular
 from .measured import (MeasuredDevice, MeasuredFleetDataset, MeasuredPair,
                        MeasuredParameters, MeasuredSourceSpec, export_traces)
 from .metrics import (FIGURE4_METRICS, FIGURE5_ORDER, METRIC_CATALOG, MetricFamily,
-                      MetricSpec, get_metric, metric_names)
+                      MetricSpec, metric_names)
 from .models import generate_trace
 from .profiles import DeviceProfile, DeviceRole, MetricParameters, draw_metric_parameters
 from .source import BaseTraceSource, TraceSource, WorkerSpec
@@ -27,10 +26,9 @@ __all__ = [
     "ByteRange", "plan_byte_ranges", "shard_of_key",
     "open_export", "sniff_format", "ingest_dump",
     "export_gnmi_dump", "export_snmp_dump",
-    "build_fleet", "devices_by_role", "DEFAULT_ROLE_MIX",
-    "METRIC_CATALOG", "MetricSpec", "MetricFamily", "metric_names", "get_metric",
+    "build_fleet", "DEFAULT_ROLE_MIX",
+    "METRIC_CATALOG", "MetricSpec", "MetricFamily", "metric_names",
     "FIGURE4_METRICS", "FIGURE5_ORDER",
     "DeviceProfile", "DeviceRole", "MetricParameters", "draw_metric_parameters",
     "generate_trace",
-    "add_timing_jitter", "drop_samples", "duplicate_samples", "make_irregular",
 ]

@@ -9,13 +9,11 @@ then decides which metrics are monitored on which devices.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .profiles import DeviceProfile, DeviceRole
 
-__all__ = ["DEFAULT_ROLE_MIX", "build_fleet", "devices_by_role"]
+__all__ = ["DEFAULT_ROLE_MIX", "build_fleet"]
 
 #: Fraction of the fleet in each role.  Roughly a 2-tier Clos deployment
 #: plus the servers whose CPU/memory metrics the survey includes.
@@ -54,8 +52,3 @@ def build_fleet(num_devices: int, seed: int = 0,
         fleet.append(DeviceProfile(device_id=device_id, role=role,
                                    seed=int(rng.integers(0, 2 ** 31 - 1))))
     return fleet
-
-
-def devices_by_role(fleet: Sequence[DeviceProfile], role: DeviceRole) -> list[DeviceProfile]:
-    """All devices in ``fleet`` with the given role."""
-    return [device for device in fleet if device.role == role]

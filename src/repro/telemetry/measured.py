@@ -177,6 +177,8 @@ def _load_trace_csv(path: Path, interval: float) -> tuple[np.ndarray, float, flo
             timestamps.append(float(row[0]))
             values.append(float(row[1]))
     times = np.asarray(timestamps, dtype=np.float64)
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"non-finite timestamp at row {int(np.argmin(np.isfinite(times))) + 1}")
     if len(times) >= 2:
         deltas = np.diff(times)
         if np.any(np.abs(deltas - interval) > 1e-6 * interval):
@@ -351,6 +353,9 @@ class MeasuredFleetDataset(BaseTraceSource):
             raise ValueError(
                 f"trace file {path} holds {values.shape} samples but the manifest "
                 f"promises {pair.length}; the recording is truncated or corrupt")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"trace file {path} holds a non-finite value at sample "
+                             f"{int(np.argmin(np.isfinite(values)))}")
         if file_interval != pair.interval:
             raise ValueError(
                 f"trace file {path} was recorded at interval {file_interval} s but the "

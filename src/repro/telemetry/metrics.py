@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-__all__ = ["MetricFamily", "MetricSpec", "METRIC_CATALOG", "metric_names", "get_metric"]
+__all__ = ["MetricFamily", "MetricSpec", "METRIC_CATALOG", "metric_names"]
 
 
 class MetricFamily(enum.Enum):
@@ -142,11 +142,3 @@ FIGURE4_METRICS: tuple[str, ...] = (
 def metric_names() -> list[str]:
     """All metric names in the catalogue."""
     return list(METRIC_CATALOG)
-
-
-def get_metric(name: str) -> MetricSpec:
-    """Look up a metric by name, raising ``KeyError`` with a helpful message."""
-    try:
-        return METRIC_CATALOG[name]
-    except KeyError:
-        raise KeyError(f"unknown metric {name!r}; known metrics: {sorted(METRIC_CATALOG)}") from None

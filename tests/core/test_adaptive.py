@@ -6,8 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.adaptive import (AdaptiveSamplingController, ControllerConfig, ControllerMode,
-                                 adaptive_sample)
+from repro.core.adaptive import AdaptiveSamplingController, ControllerConfig, ControllerMode
 from repro.signals.generators import multi_tone
 from repro.signals.noise import add_white_noise
 from repro.signals.timeseries import TimeSeries
@@ -91,14 +90,14 @@ class TestControllerBehaviour:
 
     def test_collects_fewer_samples_than_reference(self, rng):
         reference = quiet_then_busy(rng=rng)
-        run = adaptive_sample(reference, window_duration=3600.0,
-                              config=ControllerConfig(initial_rate=1.0 / 900.0, max_rate=0.2))
+        config = ControllerConfig(initial_rate=1.0 / 900.0, max_rate=0.2)
+        run = AdaptiveSamplingController(config).run(reference, window_duration=3600.0)
         assert 0 < run.total_samples_collected < len(reference)
         assert run.cost_reduction > 1.0
 
     def test_decisions_cover_all_windows(self, rng):
         reference = quiet_then_busy(rng=rng)
-        run = adaptive_sample(reference, window_duration=3600.0)
+        run = AdaptiveSamplingController().run(reference, window_duration=3600.0)
         assert len(run.decisions) == 12
         assert run.decisions[0].window_start == pytest.approx(reference.start_time)
 
@@ -112,14 +111,14 @@ class TestControllerBehaviour:
 
     def test_inferred_rates_series_matches_decisions(self, rng):
         reference = quiet_then_busy(rng=rng)
-        run = adaptive_sample(reference, window_duration=3600.0)
+        run = AdaptiveSamplingController().run(reference, window_duration=3600.0)
         inferred = run.inferred_rates()
         assert len(inferred) == len(run.decisions)
         assert inferred[0][0] == run.decisions[0].window_start
 
     def test_collected_series_is_nonempty(self, rng):
         reference = quiet_then_busy(rng=rng)
-        run = adaptive_sample(reference, window_duration=3600.0)
+        run = AdaptiveSamplingController().run(reference, window_duration=3600.0)
         collected = run.collected_series()
         assert len(collected) > 0
         assert collected.start_time == reference.start_time
@@ -150,6 +149,11 @@ class TestControllerBehaviour:
     def test_run_rejects_bad_window(self, sine_1hz):
         with pytest.raises(ValueError):
             AdaptiveSamplingController().run(sine_1hz, window_duration=0.0)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0])
+    def test_run_rejects_non_positive_step(self, sine_1hz, step):
+        with pytest.raises(ValueError, match="step"):
+            AdaptiveSamplingController().run(sine_1hz, window_duration=2.0, step=step)
 
     def test_steady_mode_checks_are_periodic(self, rng):
         reference = add_white_noise(

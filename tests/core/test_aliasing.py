@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.aliasing import (DualRateAliasingDetector, compare_spectra,
-                                 compare_spectra_batch, detect_aliasing)
+from repro.core.aliasing import DualRateAliasingDetector, compare_spectra, compare_spectra_batch
 from repro.core.psd import batch_periodogram, periodogram
 from repro.signals.generators import multi_tone, sine
 from repro.signals.noise import add_white_noise, noise_floor_estimate
@@ -97,9 +96,9 @@ class TestDetection:
         with pytest.raises(ValueError):
             detector.check_signal(two_tone, candidate_rate=1900.0)
 
-    def test_detect_aliasing_helper(self, two_tone):
-        assert detect_aliasing(two_tone, 500.0).aliased
-        assert not detect_aliasing(two_tone, 1100.0).aliased
+    def test_check_signal_with_defaults(self, two_tone):
+        assert DualRateAliasingDetector().check_signal(two_tone, 500.0).aliased
+        assert not DualRateAliasingDetector().check_signal(two_tone, 1100.0).aliased
 
 
 class TestCompareSpectra:

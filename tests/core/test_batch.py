@@ -74,6 +74,24 @@ class TestBatchedPsd:
         with pytest.raises(ValueError):
             batch_periodogram(np.zeros((2, 1)), 1.0)
 
+    def test_batch_periodogram_detrend_matches_scalar_rows(self):
+        matrix = make_matrix(64) + 50.0
+        batch = batch_periodogram(matrix, interval=1.0, detrend=True)
+        for index in range(matrix.shape[0]):
+            scalar = periodogram(TimeSeries(matrix[index], 1.0), detrend=True)
+            np.testing.assert_allclose(batch.row(index).power, scalar.power, atol=1e-9)
+        assert np.all(batch.power[:, 0] < 1e-12)
+
+    @pytest.mark.parametrize("values, interval, segment_length, message", [
+        (np.zeros((2, 3, 4)), 1.0, None, "2-D"),
+        (np.zeros((2, 8)), 0.0, None, "interval"),
+        (np.zeros((2, 1)), 1.0, None, "two samples"),
+        (np.zeros((2, 8)), 1.0, 1, "segment_length"),
+    ], ids=["not-a-matrix", "zero-interval", "one-sample", "one-sample-segments"])
+    def test_batch_welch_rejects_bad_input(self, values, interval, segment_length, message):
+        with pytest.raises(ValueError, match=message):
+            batch_welch_psd(values, interval, segment_length=segment_length)
+
 
 class TestBatchEstimateEquivalence:
     @pytest.mark.parametrize("n", [16, 17, 64, 65, 256, 257])

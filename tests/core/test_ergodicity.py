@@ -47,6 +47,14 @@ class TestStatistics:
         with pytest.raises(ValueError):
             ensemble_statistics([])
 
+    def test_ensemble_rejects_empty_traces(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            ensemble_statistics([TimeSeries([], 60.0), TimeSeries([1.0], 60.0)])
+
+    def test_time_statistics_rejects_empty_series(self):
+        with pytest.raises(ValueError, match="empty"):
+            time_statistics(TimeSeries([], 60.0))
+
     def test_time_statistics_duration_prefix(self):
         series = sine(0.1, duration=100.0, sampling_rate=10.0, offset=5.0)
         full = time_statistics(series)
@@ -75,6 +83,10 @@ class TestErgodicityGap:
         assert len(report.gaps) == 3
         assert report.durations[-1] > report.durations[0]
 
+    def test_report_rejects_empty_fleet(self):
+        with pytest.raises(ValueError, match="at least one trace"):
+            ergodicity_report([])
+
     def test_report_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
             ergodicity_report(ergodic_fleet(), fractions=(0.0,))
@@ -102,3 +114,7 @@ class TestCanarySize:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             minimum_canary_size(ergodic_fleet(), tolerance=0.0)
+
+    def test_rejects_zero_trials(self):
+        with pytest.raises(ValueError, match="trials"):
+            minimum_canary_size(ergodic_fleet(), trials=0)

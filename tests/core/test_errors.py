@@ -7,8 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.errors import (compare, l2_distance, max_abs_error, mean_abs_error, nrmse,
-                               rmse)
+from repro.core.errors import compare, compare_batch, max_abs_error, nrmse, rmse
 from repro.signals.timeseries import TimeSeries
 
 
@@ -18,14 +17,14 @@ def series(values, interval=1.0):
 
 class TestMetrics:
     def test_identical_series_all_zero(self, sine_1hz):
-        assert l2_distance(sine_1hz, sine_1hz) == 0.0
+        assert compare(sine_1hz, sine_1hz).l2 == 0.0
         assert rmse(sine_1hz, sine_1hz) == 0.0
         assert nrmse(sine_1hz, sine_1hz) == 0.0
         assert max_abs_error(sine_1hz, sine_1hz) == 0.0
-        assert mean_abs_error(sine_1hz, sine_1hz) == 0.0
+        assert compare(sine_1hz, sine_1hz).mean_abs == 0.0
 
     def test_l2_distance_known_value(self):
-        assert l2_distance(series([0.0, 0.0]), series([3.0, 4.0])) == pytest.approx(5.0)
+        assert compare(series([0.0, 0.0]), series([3.0, 4.0])).l2 == pytest.approx(5.0)
 
     def test_rmse_known_value(self):
         assert rmse(series([0.0, 0.0]), series([2.0, 2.0])) == pytest.approx(2.0)
@@ -44,23 +43,23 @@ class TestMetrics:
         original = series([0.0, 0.0, 0.0])
         other = series([1.0, -2.0, 0.5])
         assert max_abs_error(original, other) == 2.0
-        assert mean_abs_error(original, other) == pytest.approx(3.5 / 3.0)
+        assert compare(original, other).mean_abs == pytest.approx(3.5 / 3.0)
 
     def test_length_mismatch_compares_overlap(self):
         longer = series([1.0, 2.0, 3.0, 4.0])
         shorter = series([1.0, 2.0, 3.0])
-        assert l2_distance(longer, shorter) == 0.0
+        assert compare(longer, shorter).l2 == 0.0
 
     def test_empty_comparison_rejected(self):
         with pytest.raises(ValueError):
-            l2_distance(series([]), series([]))
+            compare(series([]), series([]))
 
 
 class TestCompareBundle:
     def test_bundle_matches_individual_metrics(self, sine_1hz):
         other = sine_1hz + 0.5
         bundle = compare(sine_1hz, other)
-        assert bundle.l2 == pytest.approx(l2_distance(sine_1hz, other))
+        assert bundle.l2 == pytest.approx(np.linalg.norm(sine_1hz.values - other.values))
         assert bundle.rmse == pytest.approx(rmse(sine_1hz, other))
         assert bundle.nrmse == pytest.approx(nrmse(sine_1hz, other))
         assert bundle.max_abs == pytest.approx(0.5)
@@ -73,3 +72,38 @@ class TestCompareBundle:
     def test_str_contains_metrics(self, sine_1hz):
         text = str(compare(sine_1hz, sine_1hz))
         assert "L2=" in text and "RMSE=" in text
+
+
+class TestCompareBatch:
+    """``compare_batch`` is the row-wise ``compare`` of the policy pipeline."""
+
+    def test_rows_match_scalar_compare(self, rng):
+        original = rng.normal(size=(5, 40))
+        reconstructed = original + rng.normal(scale=0.1, size=(5, 40))
+        nrmse_rows, max_abs_rows = compare_batch(original, reconstructed)
+        for index in range(5):
+            scalar = compare(series(original[index]), series(reconstructed[index]))
+            assert nrmse_rows[index] == pytest.approx(scalar.nrmse, rel=1e-12)
+            assert max_abs_rows[index] == pytest.approx(scalar.max_abs, rel=1e-12)
+
+    def test_trims_to_common_column_count(self):
+        original = np.array([[0.0, 1.0, 2.0, 3.0]])
+        reconstructed = np.array([[0.0, 1.0, 2.0]])
+        nrmse_rows, max_abs_rows = compare_batch(original, reconstructed)
+        assert nrmse_rows.tolist() == [0.0]
+        assert max_abs_rows.tolist() == [0.0]
+
+    def test_constant_row_is_zero_when_exact_and_nan_otherwise(self):
+        flat = np.full((2, 3), 5.0)
+        nrmse_rows, _ = compare_batch(flat, np.array([[5.0, 5.0, 5.0], [5.0, 6.0, 5.0]]))
+        assert nrmse_rows[0] == 0.0
+        assert math.isnan(nrmse_rows[1])
+
+    @pytest.mark.parametrize("original, reconstructed, message", [
+        (np.zeros(4), np.zeros((1, 4)), "matrices"),
+        (np.zeros((2, 4)), np.zeros((3, 4)), "row counts"),
+        (np.zeros((2, 0)), np.zeros((2, 4)), "empty"),
+    ], ids=["not-a-matrix", "row-mismatch", "no-columns"])
+    def test_rejects_bad_shapes(self, original, reconstructed, message):
+        with pytest.raises(ValueError, match=message):
+            compare_batch(original, reconstructed)

@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.nyquist import (ALIASED_SENTINEL, NyquistEstimator, estimate_nyquist_rate,
-                                oversampling_ratio)
-from repro.signals.generators import band_limited_noise, constant, sine
-from repro.signals.noise import add_white_noise, white_noise
+from repro.core.nyquist import ALIASED_SENTINEL, NyquistEstimator, estimate_nyquist_rate
+from repro.core.psd import periodogram, welch_psd
+from repro.signals.spectrum import Spectrum
+from repro.signals.generators import constant, sine
+from repro.signals.noise import add_white_noise
 from repro.signals.timeseries import IrregularTimeSeries, TimeSeries
+from signal_helpers import band_limited_noise, white_noise
 
 
 class TestEstimatorOnKnownSignals:
@@ -105,9 +107,23 @@ class TestEstimateProperties:
         estimate = NyquistEstimator(aliased_band_fraction=0.9).estimate(series)
         assert estimate.is_aliased_suspect
 
-    def test_oversampling_ratio_helper(self, sine_1hz):
-        assert oversampling_ratio(sine_1hz) == pytest.approx(
-            estimate_nyquist_rate(sine_1hz).reduction_ratio)
+
+class TestPowerSpectrumDispatch:
+    """``psd_method`` picks the spectrum the estimator reads."""
+
+    def test_dispatch(self, sine_1hz):
+        by_periodogram = NyquistEstimator(psd_method="periodogram").compute_spectrum(sine_1hz)
+        np.testing.assert_array_equal(by_periodogram.power, periodogram(sine_1hz).power)
+        # Welch needs a taper: the rectangular default is replaced by Hann.
+        by_welch = NyquistEstimator(psd_method="welch").compute_spectrum(sine_1hz)
+        np.testing.assert_array_equal(by_welch.power, welch_psd(sine_1hz, window="hann").power)
+
+    def test_unknown_method(self, sine_1hz):
+        estimator = NyquistEstimator(psd_method="magic")  # type: ignore[arg-type]
+        with pytest.raises(ValueError, match="magic"):
+            estimator.compute_spectrum(sine_1hz)
+        with pytest.raises(ValueError, match="magic"):
+            estimator.estimate_batch(sine_1hz.values[None, :], sine_1hz.interval)
 
 
 class TestEstimatorConfiguration:
@@ -124,6 +140,16 @@ class TestEstimatorConfiguration:
     def test_rejects_bad_band_fraction(self):
         with pytest.raises(ValueError):
             NyquistEstimator(aliased_band_fraction=0.0)
+
+    def test_rejects_negative_flat_tolerance(self):
+        with pytest.raises(ValueError, match="flat_tolerance"):
+            NyquistEstimator(flat_tolerance=-0.1)
+
+    def test_spectrum_without_energy_is_unreliable(self):
+        silent = Spectrum(np.linspace(0.0, 5.0, 11), np.zeros(11), 10.0)
+        estimate = NyquistEstimator().estimate_from_spectrum(silent)
+        assert not estimate.reliable
+        assert estimate.reason == "no spectral energy"
 
     def test_higher_energy_fraction_gives_higher_estimate(self, rng):
         series = add_white_noise(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.psd import periodogram, power_spectrum, welch_psd, window_coefficients
+from repro.core.psd import periodogram, welch_psd, window_coefficients
 from repro.signals.generators import constant, sine
 from repro.signals.timeseries import TimeSeries
 
@@ -101,6 +101,11 @@ class TestWelch:
         with pytest.raises(ValueError):
             welch_psd(TimeSeries([1.0], 1.0))
 
+    def test_rejects_one_sample_segments(self):
+        series = sine(1.0, 2.0, 50.0)
+        with pytest.raises(ValueError, match="segment_length"):
+            welch_psd(series, segment_length=1)
+
     def test_trailing_samples_are_analysed(self):
         """Regression: Welch used to drop up to segment_length - 1 trailing
         samples when (n - segment_length) was not a multiple of the step.
@@ -144,7 +149,7 @@ class TestWelch:
         np.testing.assert_allclose(spectrum.power, manual / 2, atol=1e-12)
 
     def test_variance_lower_than_periodogram(self, rng):
-        from repro.signals.noise import white_noise
+        from signal_helpers import white_noise
         series = white_noise(60.0, 20.0, std=1.0, rng=rng)
         raw = periodogram(series).without_dc()
         averaged = welch_psd(series, segment_length=128).without_dc()
@@ -187,13 +192,3 @@ class TestDegenerateTaperedWindow:
         series = sine(1.0, duration=4.0, sampling_rate=16.0)
         spectrum = welch_psd(series, segment_length=8, window="hann")
         assert np.all(np.isfinite(spectrum.power))
-
-
-class TestPowerSpectrumDispatch:
-    def test_dispatch(self, sine_1hz):
-        assert len(power_spectrum(sine_1hz, method="periodogram")) > 0
-        assert len(power_spectrum(sine_1hz, method="welch")) > 0
-
-    def test_unknown_method(self, sine_1hz):
-        with pytest.raises(ValueError):
-            power_spectrum(sine_1hz, method="magic")  # type: ignore[arg-type]

@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.quantization import (UniformQuantizer, quantization_noise_std, quantize,
-                                     sqnr_db)
-from repro.signals.generators import constant, sine
+from repro.core.errors import compare
+from repro.core.quantization import UniformQuantizer
+from repro.signals.generators import sine
 from repro.signals.timeseries import TimeSeries
 
 
@@ -42,6 +42,11 @@ class TestUniformQuantizer:
         with pytest.raises(ValueError):
             UniformQuantizer(step=-1.0)
 
+    @pytest.mark.parametrize("step", [math.inf, math.nan])
+    def test_rejects_non_finite_step(self, step):
+        with pytest.raises(ValueError, match="finite"):
+            UniformQuantizer(step=step)
+
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             UniformQuantizer(step=1.0, minimum=5.0, maximum=1.0)
@@ -52,34 +57,22 @@ class TestUniformQuantizer:
         twice = quantizer.apply_series(once)
         np.testing.assert_allclose(once.values, twice.values)
 
-
-class TestHelpers:
-    def test_quantize_function(self, sine_1hz):
-        quantized = quantize(sine_1hz, 0.5)
+    def test_apply_series_lands_on_the_grid(self, sine_1hz):
+        quantized = UniformQuantizer(0.5).apply_series(sine_1hz)
         assert np.all(np.abs(quantized.values / 0.5 - np.round(quantized.values / 0.5)) < 1e-9)
-
-    def test_quantization_noise_std_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            quantization_noise_std(0.0)
-
-    def test_sqnr_large_for_fine_quantization(self):
-        series = sine(1.0, 10.0, 50.0, amplitude=10.0)
-        fine = sqnr_db(series, 0.01)
-        coarse = sqnr_db(series, 5.0)
-        assert fine > coarse
-        assert fine > 40.0
-
-    def test_sqnr_constant_signal_is_minus_inf(self):
-        assert sqnr_db(constant(5.0, 10.0, 10.0), 0.1) == -math.inf
-
-    def test_sqnr_empty_series_rejected(self):
-        with pytest.raises(ValueError):
-            sqnr_db(TimeSeries(np.empty(0), 1.0), 0.1)
 
     def test_measured_quantization_error_matches_model(self, rng):
         # Empirical RMS error of quantising noise-like data approaches step/sqrt(12).
         values = rng.uniform(0.0, 100.0, size=20000)
         series = TimeSeries(values, 1.0)
-        quantized = quantize(series, 1.0)
+        quantized = UniformQuantizer(1.0).apply_series(series)
         empirical = float(np.std(series.values - quantized.values))
-        assert empirical == pytest.approx(quantization_noise_std(1.0), rel=0.05)
+        assert empirical == pytest.approx(UniformQuantizer(1.0).noise_std(), rel=0.05)
+
+    def test_finer_step_gives_smaller_error(self):
+        series = sine(1.0, 10.0, 50.0, amplitude=10.0)
+        fine = compare(series, UniformQuantizer(0.01).apply_series(series))
+        coarse = compare(series, UniformQuantizer(5.0).apply_series(series))
+        assert fine.rmse < coarse.rmse
+        # A fine step stays within the uniform-error model's RMS.
+        assert fine.rmse == pytest.approx(UniformQuantizer(0.01).noise_std(), rel=0.1)

@@ -7,9 +7,11 @@ import pytest
 
 from repro.core.nyquist import NyquistEstimator
 from repro.core.quantization import UniformQuantizer
-from repro.core.reconstruction import (nyquist_round_trip, reconstruct, upsample_to_length)
+from repro.core.reconstruction import (nyquist_round_trip, reconstruct, reconstruct_batch,
+                                       upsample_to_length)
 from repro.core.resampling import resample_to_rate
 from repro.signals.generators import constant, multi_tone, sine
+from repro.signals.timeseries import TimeSeries
 
 
 class TestUpsample:
@@ -43,6 +45,24 @@ class TestReconstruct:
     def test_rejects_bad_rate(self, sine_1hz):
         with pytest.raises(ValueError):
             reconstruct(sine_1hz, 0.0)
+
+
+class TestReconstructBatch:
+    def test_rows_match_scalar_reconstruct(self, rng):
+        collected = rng.normal(size=(3, 25))
+        batch = reconstruct_batch(collected, interval=4.0, original_rate=1.0)
+        for index in range(3):
+            scalar = reconstruct(TimeSeries(collected[index], 4.0), 1.0)
+            assert batch.shape[1] == len(scalar)
+            np.testing.assert_allclose(batch[index], scalar.values, rtol=0, atol=1e-12)
+
+    def test_rejects_bad_rate(self):
+        with pytest.raises(ValueError, match="original_rate"):
+            reconstruct_batch(np.zeros((2, 8)), interval=1.0, original_rate=0.0)
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValueError, match="matrix"):
+            reconstruct_batch(np.zeros(8), interval=1.0, original_rate=2.0)
 
 
 class TestNyquistRoundTrip:
@@ -82,7 +102,7 @@ class TestNyquistRoundTrip:
             nyquist_round_trip(slow_metric_trace, headroom=0.5)
 
     def test_unreliable_estimate_keeps_trace(self, rng):
-        from repro.signals.noise import white_noise
+        from signal_helpers import white_noise
         noise_trace = white_noise(100.0, 10.0, rng=rng)
         estimator = NyquistEstimator(aliased_band_fraction=0.9)
         result = nyquist_round_trip(noise_trace, estimator=estimator)

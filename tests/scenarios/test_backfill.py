@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.network.monitoring import DeploymentSpec
 from repro.network.topology import TopologySpec
-from repro.scenarios import BlackoutWindow, export_backfill_dump, shuffled_dump
+from repro.scenarios import BlackoutWindow, export_backfill_dump
 from repro.telemetry.ingest import export_gnmi_dump, ingest_dump
 
 
@@ -21,6 +22,20 @@ def source():
         topology=TopologySpec(num_spines=1, num_leaves=2, servers_per_leaf=1),
         trace_duration=2 * 3600.0, seed=23, oversample_factor=2.0)
     return spec.open()
+
+
+def shuffled_dump(src: Path, dst: Path, seed: int) -> Path:
+    """Copy a JSON-lines dump with its lines in a seeded random order.
+
+    The adversarial arrival order for ingest-invariance tests: same
+    update set, no order guarantee at all.
+    """
+    lines = src.read_text().splitlines(keepends=True)
+    permutation = np.random.default_rng(seed).permutation(len(lines))
+    with dst.open("w") as handle:
+        for index in permutation:
+            handle.write(lines[int(index)])
+    return dst
 
 
 def assert_same_fleet(a, b) -> None:

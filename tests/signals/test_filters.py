@@ -1,4 +1,4 @@
-"""Unit tests for the time/frequency-domain filters."""
+"""Unit tests for the FFT low-pass reconstruction filter."""
 
 from __future__ import annotations
 
@@ -17,6 +17,13 @@ class TestFftFilters:
         reference = sine(1.0, duration=4.0, sampling_rate=100.0)
         assert np.max(np.abs(filtered.values - reference.values)) < 0.05
 
+    def test_low_pass_residual_is_the_high_tone(self):
+        # What the low-pass removes is exactly the content above the cut-off.
+        series = multi_tone([1.0, 20.0], duration=4.0, sampling_rate=100.0)
+        residual = series.values - filters.low_pass_fft(series, 5.0).values
+        reference = sine(20.0, duration=4.0, sampling_rate=100.0)
+        assert np.max(np.abs(residual - reference.values)) < 0.05
+
     def test_low_pass_keeps_dc(self):
         series = sine(10.0, 2.0, 100.0, offset=7.0)
         filtered = filters.low_pass_fft(series, cutoff_hz=1.0)
@@ -29,64 +36,3 @@ class TestFftFilters:
     def test_low_pass_empty_series(self):
         empty = TimeSeries(np.empty(0), 1.0)
         assert len(filters.low_pass_fft(empty, 1.0)) == 0
-
-    def test_high_pass_removes_low_tone(self):
-        series = multi_tone([1.0, 20.0], duration=4.0, sampling_rate=100.0)
-        filtered = filters.high_pass_fft(series, cutoff_hz=5.0)
-        reference = sine(20.0, duration=4.0, sampling_rate=100.0)
-        assert np.max(np.abs(filtered.values - reference.values)) < 0.05
-
-    def test_high_pass_keep_dc_option(self):
-        series = sine(1.0, 2.0, 100.0, offset=5.0)
-        without_dc = filters.high_pass_fft(series, cutoff_hz=2.0)
-        with_dc = filters.high_pass_fft(series, cutoff_hz=2.0, keep_dc=True)
-        assert without_dc.mean() == pytest.approx(0.0, abs=0.01)
-        assert with_dc.mean() == pytest.approx(5.0, abs=0.01)
-
-    def test_low_then_high_pass_partition_energy(self):
-        series = multi_tone([1.0, 20.0], duration=4.0, sampling_rate=100.0)
-        low = filters.low_pass_fft(series, 5.0)
-        high = filters.high_pass_fft(series, 5.0)
-        np.testing.assert_allclose(low.values + high.values, series.values, atol=1e-9)
-
-
-class TestSmoothingFilters:
-    def test_moving_average_flattens_noise(self, rng):
-        from repro.signals.noise import add_white_noise
-        clean = sine(0.5, 20.0, 50.0)
-        noisy = add_white_noise(clean, 0.5, rng=rng)
-        smoothed = filters.moving_average(noisy, 15)
-        assert np.mean((smoothed.values - clean.values) ** 2) < np.mean((noisy.values - clean.values) ** 2)
-
-    def test_moving_average_window_one_is_identity(self, sine_1hz):
-        assert filters.moving_average(sine_1hz, 1) is sine_1hz
-
-    def test_moving_average_rejects_bad_window(self, sine_1hz):
-        with pytest.raises(ValueError):
-            filters.moving_average(sine_1hz, 0)
-
-    def test_median_filter_removes_spike(self):
-        values = np.zeros(21)
-        values[10] = 100.0
-        series = TimeSeries(values, 1.0)
-        filtered = filters.median_filter(series, 5)
-        assert filtered.max() == 0.0
-
-    def test_median_filter_preserves_step(self):
-        values = np.concatenate([np.zeros(10), np.ones(10)])
-        series = TimeSeries(values, 1.0)
-        filtered = filters.median_filter(series, 3)
-        assert set(np.unique(filtered.values)) <= {0.0, 1.0}
-
-    def test_exponential_smoothing_bounds(self):
-        series = TimeSeries([0.0, 10.0, 10.0, 10.0], 1.0)
-        smoothed = filters.exponential_smoothing(series, alpha=0.5)
-        np.testing.assert_allclose(smoothed.values, [0.0, 5.0, 7.5, 8.75])
-
-    def test_exponential_smoothing_alpha_one_is_identity(self, sine_1hz):
-        smoothed = filters.exponential_smoothing(sine_1hz, alpha=1.0)
-        np.testing.assert_allclose(smoothed.values, sine_1hz.values)
-
-    def test_exponential_smoothing_rejects_bad_alpha(self, sine_1hz):
-        with pytest.raises(ValueError):
-            filters.exponential_smoothing(sine_1hz, alpha=0.0)

@@ -23,6 +23,10 @@ class TestSpectrumConstruction:
         assert spectrum.max_frequency == pytest.approx(5.0)
         assert spectrum.resolution == pytest.approx(1.0)
 
+    def test_rejects_two_dimensional_input(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Spectrum(np.zeros((2, 3)), np.zeros((2, 3)), 10.0)
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             Spectrum([0.0, 1.0], [1.0], 10.0)
@@ -152,3 +156,45 @@ class TestSpectrumBatchRowHelpers:
     def test_interpolate_power_empty(self):
         batch = SpectrumBatch(np.empty(0), np.empty((2, 0)), 10.0)
         np.testing.assert_array_equal(batch.interpolate_power([1.0, 2.0]), np.zeros((2, 2)))
+
+    def test_iteration_yields_the_rows(self):
+        batch = self.make_batch()
+        rows = list(batch)
+        assert len(rows) == len(batch)
+        for index, spectrum in enumerate(rows):
+            np.testing.assert_array_equal(spectrum.power, batch.power[index])
+
+    @pytest.mark.parametrize("include_dc", [False, True])
+    def test_energy_accounting_matches_rows(self, include_dc):
+        batch = self.make_batch()
+        totals = batch.total_energy(include_dc=include_dc)
+        cumulative = batch.cumulative_energy(include_dc=include_dc)
+        for index, spectrum in enumerate(batch):
+            assert totals[index] == pytest.approx(spectrum.total_energy(include_dc=include_dc))
+            np.testing.assert_allclose(cumulative[index],
+                                       spectrum.cumulative_energy(include_dc=include_dc))
+
+    def test_without_dc_is_noop_when_no_dc_bin(self):
+        batch = self.make_batch().without_dc()
+        assert batch.without_dc() is batch
+
+    def test_resolution(self):
+        assert self.make_batch().resolution == 1.0
+        single = SpectrumBatch(np.array([0.0]), np.ones((2, 1)), 10.0)
+        assert single.resolution == single.max_frequency == 5.0
+        assert single.total_energy().tolist() == [0.0, 0.0]
+
+
+class TestSpectrumBatchConstruction:
+    @pytest.mark.parametrize("frequencies, power, fs, message", [
+        (np.zeros((2, 3)), np.zeros((2, 3)), 10.0, "frequencies must be one-dimensional"),
+        (np.arange(3.0), np.zeros(3), 10.0, "two-dimensional"),
+        (np.arange(3.0), np.zeros((2, 4)), 10.0, "one column per frequency bin"),
+        (np.array([0.0, 2.0, 1.0]), np.zeros((2, 3)), 10.0, "ascending"),
+        (np.arange(3.0), -np.ones((2, 3)), 10.0, "non-negative"),
+        (np.arange(3.0), np.zeros((2, 3)), 0.0, "sampling_rate"),
+    ], ids=["2-d-frequencies", "1-d-power", "bin-mismatch", "descending", "negative-power",
+            "zero-rate"])
+    def test_rejects_malformed_batches(self, frequencies, power, fs, message):
+        with pytest.raises(ValueError, match=message):
+            SpectrumBatch(frequencies, power, fs)

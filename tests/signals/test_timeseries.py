@@ -148,6 +148,10 @@ class TestTimeSeriesTransforms:
         with pytest.raises(ValueError):
             make_series(3).head(-1)
 
+    def test_tail_rejects_negative(self):
+        with pytest.raises(ValueError):
+            make_series(3).tail(-1)
+
     def test_segment(self):
         segment = make_series(10).segment(3, 6)
         np.testing.assert_allclose(segment.values, [3.0, 4.0, 5.0])
@@ -156,6 +160,11 @@ class TestTimeSeriesTransforms:
     def test_segment_clamps_to_length(self):
         segment = make_series(4).segment(2, 100)
         assert len(segment) == 2
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (3, 2)])
+    def test_segment_rejects_invalid_bounds(self, start, stop):
+        with pytest.raises(ValueError, match="segment bounds"):
+            make_series(5).segment(start, stop)
 
     def test_decimate(self):
         decimated = make_series(10).decimate(3)
@@ -198,6 +207,10 @@ class TestTimeSeriesArithmetic:
         diff = make_series(3) - make_series(3)
         np.testing.assert_allclose(diff.values, 0.0)
 
+    def test_subtract_scalar(self):
+        shifted = make_series(3) - 1.0
+        np.testing.assert_allclose(shifted.values, [-1.0, 0.0, 1.0])
+
     def test_multiply(self):
         scaled = make_series(3) * 3.0
         np.testing.assert_allclose(scaled.values, [0.0, 3.0, 6.0])
@@ -205,6 +218,10 @@ class TestTimeSeriesArithmetic:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             make_series(3) + make_series(4)
+
+    def test_mismatched_intervals_rejected(self):
+        with pytest.raises(ValueError, match="intervals differ"):
+            make_series(3, interval=1.0) - make_series(3, interval=2.0)
 
 
 class TestIrregularTimeSeries:
@@ -224,6 +241,10 @@ class TestIrregularTimeSeries:
     def test_median_interval_requires_two_samples(self):
         with pytest.raises(ValueError):
             IrregularTimeSeries([1.0], [1.0]).median_interval()
+
+    def test_median_interval_rejects_a_single_timestamp(self):
+        with pytest.raises(ValueError, match="same timestamp"):
+            IrregularTimeSeries([5.0, 5.0, 5.0], [1.0, 2.0, 3.0]).median_interval()
 
     def test_is_regular(self):
         regular = IrregularTimeSeries([0.0, 1.0, 2.0], [0.0] * 3)

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.analysis.survey import run_survey
 from repro.telemetry.dataset import DatasetConfig, FleetDataset
 from repro.telemetry.measured import (MANIFEST_FORMAT, MANIFEST_NAME, MeasuredFleetDataset,
                                       MeasuredPair, MeasuredSourceSpec, export_traces)
@@ -249,3 +250,60 @@ class TestMeasuredWithoutGroundTruth:
         measured = MeasuredFleetDataset(directory)
         assert all(math.isnan(pair.parameters.true_nyquist_rate)
                    for pair in measured.pairs())
+
+
+class TestNonFiniteSamples:
+    """A recording with a NaN or infinite sample must fail, naming its file,
+    rather than be surveyed as a reliable trace."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return FleetDataset(DatasetConfig(pair_count=12, seed=5))
+
+    @staticmethod
+    def poison_value(directory, pair, fmt):
+        path = directory / pair.file
+        if fmt == "npz":
+            with np.load(path) as data:
+                values = np.array(data["values"])
+                interval, start_time = data["interval"], data["start_time"]
+            values[4] = np.nan
+            np.savez_compressed(path, values=values, interval=interval, start_time=start_time)
+        else:
+            lines = path.read_text().splitlines()
+            timestamp, _ = lines[5].split(",")
+            lines[5] = f"{timestamp},nan"
+            path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("fmt", ["npz", "csv"])
+    def test_non_finite_value_raises_naming_the_file(self, small, tmp_path, fmt):
+        measured = small.export(tmp_path / "fleet", fmt=fmt)
+        path = self.poison_value(tmp_path / "fleet", measured.pairs()[0], fmt)
+        with pytest.raises(ValueError, match=f"{path.name}.*non-finite value"):
+            measured.load(measured.pairs()[0])
+        with pytest.raises(ValueError, match=path.name):
+            run_survey(MeasuredFleetDataset(tmp_path / "fleet"), on_error="raise")
+
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_non_finite_csv_timestamp_raises_naming_the_file(self, small, tmp_path, text):
+        measured = small.export(tmp_path / "fleet", fmt="csv")
+        pair = measured.pairs()[0]
+        path = tmp_path / "fleet" / pair.file
+        lines = path.read_text().splitlines()
+        _, value = lines[5].split(",")
+        lines[5] = f"{text},{value}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"{path.name}.*non-finite timestamp at row 5"):
+            measured.load(pair)
+
+    @pytest.mark.parametrize("fmt", ["npz", "csv"])
+    def test_quarantine_isolates_the_poisoned_pair(self, small, tmp_path, fmt):
+        measured = small.export(tmp_path / "fleet", fmt=fmt)
+        clean = run_survey(measured).records
+        poisoned = measured.pairs()[0]
+        self.poison_value(tmp_path / "fleet", poisoned, fmt)
+        survey = run_survey(MeasuredFleetDataset(tmp_path / "fleet"), on_error="quarantine")
+        assert [(f.metric_name, f.device_id) for f in survey.quarantined] == [poisoned.key]
+        assert survey.records == [record for record in clean
+                                  if (record.metric_name, record.device_id) != poisoned.key]

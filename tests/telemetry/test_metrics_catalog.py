@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.telemetry.metrics import (FIGURE4_METRICS, FIGURE5_ORDER, METRIC_CATALOG,
-                                     MetricFamily, get_metric, metric_names)
+                                     MetricFamily, metric_names)
 
 
 class TestCatalog:
@@ -46,10 +46,10 @@ class TestCatalog:
     def test_metric_names_helper(self):
         assert sorted(metric_names()) == sorted(METRIC_CATALOG)
 
-    def test_get_metric(self):
-        assert get_metric("Temperature").units == "degC"
+    def test_catalog_lookup(self):
+        assert METRIC_CATALOG["Temperature"].units == "degC"
         with pytest.raises(KeyError):
-            get_metric("Does not exist")
+            METRIC_CATALOG["Does not exist"]
 
     def test_temperature_polled_every_five_minutes(self):
         # Figure 6 of the paper: the production temperature signal is

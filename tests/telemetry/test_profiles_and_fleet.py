@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.telemetry.fleet import DEFAULT_ROLE_MIX, build_fleet, devices_by_role
+from repro.telemetry.fleet import DEFAULT_ROLE_MIX, build_fleet
 from repro.telemetry.metrics import METRIC_CATALOG
 from repro.telemetry.profiles import (DeviceProfile, DeviceRole, MetricParameters,
                                       draw_metric_parameters)
@@ -97,7 +97,7 @@ class TestFleet:
 
     def test_role_mix_roughly_respected(self):
         fleet = build_fleet(400, seed=3)
-        servers = devices_by_role(fleet, DeviceRole.SERVER)
+        servers = [device for device in fleet if device.role == DeviceRole.SERVER]
         fraction = len(servers) / len(fleet)
         assert abs(fraction - DEFAULT_ROLE_MIX[DeviceRole.SERVER]) < 0.1
 

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.survey import run_survey
-from repro.core.errors import compare, l2_distance
+from repro.core.errors import compare
 from repro.core.nyquist import NyquistEstimator, estimate_nyquist_rate
 from repro.core.psd import periodogram
 from repro.core.quantization import UniformQuantizer
@@ -141,9 +141,9 @@ def test_compare_identical_series_is_exact(values, interval):
 def test_l2_distance_is_symmetric_and_triangleish(values, interval, offset):
     series = TimeSeries(np.array(values), interval)
     shifted = series + offset
-    assert l2_distance(series, shifted) == pytest.approx(l2_distance(shifted, series))
-    assert l2_distance(series, shifted) == pytest.approx(abs(offset) * math.sqrt(len(series)),
-                                                         rel=1e-6, abs=1e-6)
+    assert compare(series, shifted).l2 == pytest.approx(compare(shifted, series).l2)
+    assert compare(series, shifted).l2 == pytest.approx(abs(offset) * math.sqrt(len(series)),
+                                                        rel=1e-6, abs=1e-6)
 
 
 @FAST
