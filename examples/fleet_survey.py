@@ -75,7 +75,7 @@ def main() -> None:
                         for key, value in survey.headline().items()]))
 
     if sink is not None:
-        print(f"\nRecord chunks spilled to {args.spill_dir} ({len(sink.files)} {sink.fmt} files); "
+        print(f"\nRecord chunks spilled to {args.spill_dir} ({len(sink.files)} rcb files); "
               f"re-open later with SurveyResult(sink=SpillingRecordSink({str(args.spill_dir)!r}))")
 
 

@@ -305,20 +305,19 @@ def _evaluate_inline(source: TraceSource, evaluator: SliceEvaluator, result: Sli
 def run_slices(source: TraceSource, evaluator: SliceEvaluator, result: SliceResult,
                metric_names: Sequence[str] | None, limit_per_metric: int | None,
                chunk_size: int, workers: int | None, on_error: OnError,
-               store: RecordStore | None, retry: RetryPolicy | None,
-               sleep: Callable[[float], None]) -> None:
+               store: RecordStore | None, sleep: Callable[[float], None]) -> None:
     """Run ``evaluator`` over every ``chunk_size`` slice of ``source`` into ``result``.
 
     See the module docstring for the loop.  ``metric_names`` defaults to
-    every metric of ``source``, ``workers`` to 1 and ``retry`` to
-    ``RetryPolicy()``.  ``result.cache_hits`` / ``cache_misses`` count the
-    pairs served from and recomputed past ``store`` (both stay 0 without
-    one).
+    every metric of ``source`` and ``workers`` to 1; transient failures
+    are retried under ``RetryPolicy()``.  ``result.cache_hits`` /
+    ``cache_misses`` count the pairs served from and recomputed past
+    ``store`` (both stay 0 without one).
     """
     if metric_names is None:
         metric_names = source.metric_names()
     workers = workers or 1
-    retry = retry if retry is not None else RetryPolicy()
+    retry = RetryPolicy()
     slices = [(metric_name, offset, limit) for metric_name in metric_names
               for offset, limit in batch_offsets(source, metric_name, limit_per_metric,
                                                  chunk_size)]

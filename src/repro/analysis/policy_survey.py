@@ -63,7 +63,6 @@ from typing import Callable, ClassVar, Iterator, Sequence
 import numpy as np
 
 from ..core.errors import compare
-from ..faults.execution import RetryPolicy
 from ..network.cost import TelemetryCostAccountant
 from ..pipeline.evaluation import (DETECTION_DETECTED, DETECTION_MISSED, DETECTION_UNSCORED,
                                    PointEvaluation, PolicyRecordBlock)
@@ -347,7 +346,6 @@ def run_policy_survey(source: TraceSource,
                       on_error: OnError = "raise",
                       failure_sink: RecordSink | None = None,
                       store: RecordStore | None = None,
-                      retry: RetryPolicy | None = None,
                       retry_sleep: Callable[[float], None] = time.sleep,
                       ) -> PolicySurveyResult:
     """Evaluate sampling policies over every pair of a trace source.
@@ -403,12 +401,11 @@ def run_policy_survey(source: TraceSource,
         as a store-less run would, then are written back atomically.
         ``PolicySurveyResult.cache_hits`` / ``cache_misses`` count the
         pairs on each path; quarantined slices are never cached.
-    retry:
-        :class:`~repro.faults.RetryPolicy` bounding attempts per batch
-        for transient (IO-shaped) failures and crashed workers.
-        Defaults to ``RetryPolicy()``.
     retry_sleep:
-        Injectable backoff sleep (tests/benchmarks pass a no-op).
+        Injectable backoff sleep (tests/benchmarks pass a no-op) of the
+        default :class:`~repro.faults.RetryPolicy`, which bounds the
+        attempts per batch for transient (IO-shaped) failures and crashed
+        workers.
     """
     check_run_options("run_policy_survey", PolicySurveyResult, workers, on_error, sink,
                       failure_sink)
@@ -417,5 +414,5 @@ def run_policy_survey(source: TraceSource,
                                  accountant or TelemetryCostAccountant())
     run_slices(source, evaluator, result, metric_names=metrics,
                limit_per_metric=limit_per_metric, chunk_size=chunk_size, workers=workers,
-               on_error=on_error, store=store, retry=retry, sleep=retry_sleep)
+               on_error=on_error, store=store, sleep=retry_sleep)
     return result

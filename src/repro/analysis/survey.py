@@ -20,9 +20,9 @@ The pipeline is built for fleets far beyond the paper's 1613 pairs:
   per-pair view for API compatibility.
 * **Out-of-core results.**  A :class:`RecordSink` receives the blocks as
   they are produced; :class:`MemoryRecordSink` keeps them in RAM while
-  :class:`SpillingRecordSink` streams each block to an ``.rcb`` (or
-  ``.csv``) file, so a 100k+-pair survey holds at most one ``chunk_size``
-  block in memory at a time and the aggregations stream back from disk.
+  :class:`SpillingRecordSink` streams each block to an ``.rcb`` file, so
+  a 100k+-pair survey holds at most one ``chunk_size`` block in memory at
+  a time and the aggregations stream back from disk.
 * **Multi-worker execution.**  ``run_survey(workers=N)`` fans the whole
   per-pair pipeline -- trace *production* and estimation, not just the
   FFT -- out to a process pool.  Workers receive compact picklable batch
@@ -64,7 +64,6 @@ import numpy as np
 from ..core.nyquist import NyquistEstimate, NyquistEstimator
 from ..core.windowed import (FIGURE7_STEP_SECONDS, FIGURE7_WINDOW_SECONDS, rate_stability,
                              windowed_nyquist_rates)
-from ..faults.execution import RetryPolicy
 from ..records import (BlockSchema, ColumnarBlock, ColumnSpec, MemoryRecordSink, RecordSink,
                        RecordStore, ScalarSpec, SpillingRecordSink, register_block_type)
 from ..telemetry.dataset import TracePair
@@ -142,15 +141,15 @@ class RecordBlock(ColumnarBlock):
     the sequential and the multi-worker pipeline), so the metric name is a
     single scalar rather than a per-row column.  Blocks are the unit of
     spilling and of the record store: each one round-trips losslessly
-    through ``.rcb`` or ``.csv`` behind the sink layer of
-    :mod:`repro.records`, with the layout (and hence the on-disk format)
-    declared once in ``_SCHEMA``.
+    through ``.rcb`` behind the sink layer of :mod:`repro.records`, with
+    the layout (and hence the on-disk format) declared once in
+    ``_SCHEMA``.
     """
 
     _SCHEMA = BlockSchema(
-        scalars=(ScalarSpec("metric_name", "metric"),),
+        scalars=(ScalarSpec("metric_name"),),
         columns=(
-            ColumnSpec("device_ids", "str", csv_name="device_id"),
+            ColumnSpec("device_ids", "str"),
             ColumnSpec("current_rate", "float"),
             ColumnSpec("nyquist_rate", "float"),
             ColumnSpec("reduction_ratio", "float"),
@@ -443,7 +442,6 @@ def run_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
                on_error: OnError = "raise",
                failure_sink: RecordSink | None = None,
                store: "RecordStore | None" = None,
-               retry: RetryPolicy | None = None,
                retry_sleep: Callable[[float], None] = time.sleep) -> SurveyResult:
     """Run the Section 3.2 analysis over a whole dataset.
 
@@ -512,15 +510,13 @@ def run_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
         written back atomically.  Results are byte-identical either way;
         ``SurveyResult.cache_hits`` / ``cache_misses`` count the pairs on
         each path.  Quarantined slices are never cached.
-    retry:
-        Bounded-retry policy for transient (IO-shaped) batch failures
-        and crashed workers; defaults to
-        :class:`~repro.faults.RetryPolicy` (3 attempts, deterministic
-        exponential backoff).  Applies to multi-worker runs in both
-        error modes and to sequential quarantine runs.
     retry_sleep:
         Sleep callable for the backoff delays (injectable so tests and
-        benchmarks skip the real waits).
+        benchmarks skip the real waits).  Transient (IO-shaped) batch
+        failures and crashed workers are retried under the default
+        :class:`~repro.faults.RetryPolicy` (3 attempts, deterministic
+        exponential backoff), in multi-worker runs in both error modes
+        and in sequential quarantine runs.
     """
     if oversample_threshold < 1:
         raise ValueError("oversample_threshold must be >= 1")
@@ -531,7 +527,7 @@ def run_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
                                  fft_workers, dataset.trace_duration)
     run_slices(dataset, evaluator, result, metric_names=metrics,
                limit_per_metric=limit_per_metric, chunk_size=chunk_size, workers=workers,
-               on_error=on_error, store=store, retry=retry, sleep=retry_sleep)
+               on_error=on_error, store=store, sleep=retry_sleep)
     return result
 
 
@@ -558,7 +554,6 @@ class WindowedPairSummary:
 def run_windowed_survey(dataset: TraceSource,
                         window_seconds: float = FIGURE7_WINDOW_SECONDS,
                         step_seconds: float = FIGURE7_STEP_SECONDS,
-                        estimator: NyquistEstimator | None = None,
                         metrics: Sequence[str] | None = None,
                         limit_per_metric: int | None = None) -> list[WindowedPairSummary]:
     """Run the Figure 7 moving-window sweep over every pair of a fleet.
@@ -571,7 +566,7 @@ def run_windowed_survey(dataset: TraceSource,
     exceeds 2x (``drifting``) are the ones a fixed sampling rate cannot
     serve -- the motivation for the Section 4 adaptive controller.
 
-    The default estimator uses the short-window configuration shared by
+    The estimator uses the short-window configuration shared by
     every Figure 7 call site (the adaptive controller, the Figure 7
     bench): detrend + Hann taper so slow trends that do not complete a
     cycle inside a 6-hour window do not leak across the spectrum, and the
@@ -579,8 +574,7 @@ def run_windowed_survey(dataset: TraceSource,
     calibrated day-length survey default (0.9) would refuse every
     noise-dominated quiet window instead of reporting its small rate.
     """
-    estimator = estimator or NyquistEstimator(detrend=True, window="hann",
-                                              aliased_band_fraction=1.0)
+    estimator = NyquistEstimator(detrend=True, window="hann", aliased_band_fraction=1.0)
     summaries: list[WindowedPairSummary] = []
     metric_names = list(metrics) if metrics is not None else dataset.metric_names()
     for metric_name in metric_names:

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -326,36 +327,23 @@ def _print_quarantined(count: int, failures: list, limit: int = 10) -> None:
 
 def _command_survey(args: argparse.Namespace) -> int:
     if args.from_dir is not None:
-        try:
-            dataset = MeasuredFleetDataset(args.from_dir)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
+        dataset = MeasuredFleetDataset(args.from_dir)
         print(f"Surveying measured fleet from {args.from_dir} "
               f"({len(dataset)} recorded pairs)\n")
     else:
         dataset = FleetDataset(DatasetConfig(pair_count=args.pairs, seed=args.seed))
     estimator = NyquistEstimator(energy_fraction=args.energy_fraction)
-    try:
-        sink = SpillingRecordSink(args.spill_dir) if args.spill_dir is not None else None
-        failure_sink = (SpillingRecordSink(args.spill_dir / "failures")
-                        if args.spill_dir is not None and args.on_error == "quarantine"
-                        else None)
-        store = (RecordStore(args.store)
-                 if args.store is not None and not args.no_store else None)
-        result = run_survey(dataset, estimator=estimator,
-                            limit_per_metric=args.limit_per_metric,
-                            workers=args.workers, fft_workers=args.fft_workers,
-                            chunk_size=args.chunk_size, sink=sink,
-                            on_error=args.on_error, failure_sink=failure_sink,
-                            store=store)
-    except (ValueError, BatchExecutionError) as error:
-        # E.g. a corrupt/truncated trace file in a measured fleet (possibly
-        # wrapped with its batch spec by a pooled run), or a used or
-        # mixed-format spill directory -- report cleanly instead of dumping
-        # a traceback.
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    sink = SpillingRecordSink(args.spill_dir) if args.spill_dir is not None else None
+    failure_sink = (SpillingRecordSink(args.spill_dir / "failures")
+                    if args.spill_dir is not None and args.on_error == "quarantine"
+                    else None)
+    store = RecordStore(args.store) if args.store is not None and not args.no_store else None
+    result = run_survey(dataset, estimator=estimator,
+                        limit_per_metric=args.limit_per_metric,
+                        workers=args.workers, fft_workers=args.fft_workers,
+                        chunk_size=args.chunk_size, sink=sink,
+                        on_error=args.on_error, failure_sink=failure_sink,
+                        store=store)
 
     print(f"Surveyed {len(result)} metric-device pairs "
           f"({len(result.metrics())} metrics)\n")
@@ -392,7 +380,7 @@ def _command_survey(args: argparse.Namespace) -> int:
         print(f"\nCSV series written under {args.csv_dir}")
     if args.spill_dir is not None:
         print(f"\nRecord chunks spilled to {args.spill_dir} "
-              f"({len(result.sink.files)} {result.sink.fmt} files)")
+              f"({len(result.sink.files)} rcb files)")
     return 0
 
 
@@ -407,55 +395,47 @@ def _print_store_summary(store, directory, result) -> None:
 
 
 def _command_policies(args: argparse.Namespace) -> int:
-    try:
-        if args.from_dir is not None:
-            source = MeasuredFleetDataset(args.from_dir)
-            oversample = args.oversample if args.oversample is not None else 1.0
-            if oversample < 1:
-                raise ValueError("--oversample must be >= 1")
-            accountant = TelemetryCostAccountant()
-            print(f"Evaluating policies on measured fleet from {args.from_dir} "
-                  f"({len(source)} recorded pairs)\n")
-        else:
-            oversample = args.oversample if args.oversample is not None else 4.0
-            spec = DeploymentSpec(
-                topology=TopologySpec(num_spines=args.spines, num_leaves=args.leaves,
-                                      servers_per_leaf=args.servers_per_leaf),
-                trace_duration=args.duration_hours * 3600.0,
-                seed=args.seed,
-                oversample_factor=oversample)
-            source = spec.open()
-            accountant = source.accountant()
-            print("Deployed monitoring on a "
-                  f"{len(source.deployment.topology)}-node leaf-spine fabric "
-                  f"({len(source)} measurement points, collector at {source.collector})\n")
-        if args.metrics is not None:
-            unknown = sorted(set(args.metrics) - set(source.metric_names()))
-            if not args.metrics or unknown:
-                raise ValueError(
-                    f"{'--metrics needs at least one name' if not args.metrics else f'unknown metrics {unknown}'}; "
-                    f"this fleet serves {source.metric_names()}")
-        suite = PolicySuite(production_oversample=oversample,
-                            calibration_fraction=args.calibration_fraction,
-                            adaptive_window=args.adaptive_window_hours * 3600.0)
-        sink = SpillingRecordSink(args.spill_dir) if args.spill_dir is not None else None
-        failure_sink = (SpillingRecordSink(args.spill_dir / "failures")
-                        if args.spill_dir is not None and args.on_error == "quarantine"
-                        else None)
-        store = (RecordStore(args.store)
-                 if args.store is not None and not args.no_store else None)
-        result = run_policy_survey(source, suite, accountant=accountant,
-                                   metrics=args.metrics,
-                                   limit_per_metric=args.limit_per_metric,
-                                   chunk_size=args.chunk_size, workers=args.workers,
-                                   sink=sink, on_error=args.on_error,
-                                   failure_sink=failure_sink, store=store)
-    except (ValueError, BatchExecutionError) as error:
-        # Bad spec/suite parameters, unknown metrics, a corrupt measured
-        # fleet (possibly wrapped with its batch spec by a pooled run) or a
-        # used spill directory -- report cleanly, no traceback.
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    if args.from_dir is not None:
+        source = MeasuredFleetDataset(args.from_dir)
+        oversample = args.oversample if args.oversample is not None else 1.0
+        if oversample < 1:
+            raise ValueError("--oversample must be >= 1")
+        accountant = TelemetryCostAccountant()
+        print(f"Evaluating policies on measured fleet from {args.from_dir} "
+              f"({len(source)} recorded pairs)\n")
+    else:
+        oversample = args.oversample if args.oversample is not None else 4.0
+        spec = DeploymentSpec(
+            topology=TopologySpec(num_spines=args.spines, num_leaves=args.leaves,
+                                  servers_per_leaf=args.servers_per_leaf),
+            trace_duration=args.duration_hours * 3600.0,
+            seed=args.seed,
+            oversample_factor=oversample)
+        source = spec.open()
+        accountant = source.accountant()
+        print("Deployed monitoring on a "
+              f"{len(source.deployment.topology)}-node leaf-spine fabric "
+              f"({len(source)} measurement points, collector at {source.collector})\n")
+    if args.metrics is not None:
+        unknown = sorted(set(args.metrics) - set(source.metric_names()))
+        if not args.metrics or unknown:
+            raise ValueError(
+                f"{'--metrics needs at least one name' if not args.metrics else f'unknown metrics {unknown}'}; "
+                f"this fleet serves {source.metric_names()}")
+    suite = PolicySuite(production_oversample=oversample,
+                        calibration_fraction=args.calibration_fraction,
+                        adaptive_window=args.adaptive_window_hours * 3600.0)
+    sink = SpillingRecordSink(args.spill_dir) if args.spill_dir is not None else None
+    failure_sink = (SpillingRecordSink(args.spill_dir / "failures")
+                    if args.spill_dir is not None and args.on_error == "quarantine"
+                    else None)
+    store = RecordStore(args.store) if args.store is not None and not args.no_store else None
+    result = run_policy_survey(source, suite, accountant=accountant,
+                               metrics=args.metrics,
+                               limit_per_metric=args.limit_per_metric,
+                               chunk_size=args.chunk_size, workers=args.workers,
+                               sink=sink, on_error=args.on_error,
+                               failure_sink=failure_sink, store=store)
 
     points = len(result) // max(len(result.policies()), 1)
     print(f"Evaluated {len(result.policies())} policies on {points} "
@@ -481,17 +461,13 @@ def _command_policies(args: argparse.Namespace) -> int:
         print(f"\nCSV written under {args.csv_dir}")
     if args.spill_dir is not None:
         print(f"\nRecord chunks spilled to {args.spill_dir} "
-              f"({len(result.sink.files)} {result.sink.fmt} files)")
+              f"({len(result.sink.files)} rcb files)")
     return 0
 
 
 def _command_export_fleet(args: argparse.Namespace) -> int:
     dataset = FleetDataset(DatasetConfig(pair_count=args.pairs, seed=args.seed))
-    try:
-        manifest_path = export_traces(dataset, args.directory, fmt=args.trace_format)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    manifest_path = export_traces(dataset, args.directory, fmt=args.trace_format)
     print(f"Exported {len(dataset)} metric-device pairs "
           f"({len(dataset.metric_names())} metrics) to {args.directory}")
     print(f"  manifest: {manifest_path}")
@@ -505,23 +481,16 @@ def _command_ingest(args: argparse.Namespace) -> int:
     import json
 
     fmt = None if args.format == "auto" else args.format
-    try:
-        dump = open_export(args.dump, fmt)
-        print(f"Ingesting {dump.format} export {dump.path} "
-              f"(memory budget {args.memory_budget} samples, "
-              f"~{args.memory_budget * 16 / 2 ** 20:.1f} MiB)...")
-        dataset = ingest_dump(dump, args.directory,
-                              memory_budget_samples=args.memory_budget,
-                              min_samples=args.min_samples,
-                              trace_format=args.trace_format,
-                              on_error=args.on_error,
-                              workers=args.workers)
-    except (ValueError, BatchExecutionError) as error:
-        # Malformed updates (reported with file + line), a used destination
-        # directory, an empty dump, or a sharded run whose worker pool
-        # failed -- report cleanly, no traceback.
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    dump = open_export(args.dump, fmt)
+    print(f"Ingesting {dump.format} export {dump.path} "
+          f"(memory budget {args.memory_budget} samples, "
+          f"~{args.memory_budget * 16 / 2 ** 20:.1f} MiB)...")
+    dataset = ingest_dump(dump, args.directory,
+                          memory_budget_samples=args.memory_budget,
+                          min_samples=args.min_samples,
+                          trace_format=args.trace_format,
+                          on_error=args.on_error,
+                          workers=args.workers)
     manifest = json.loads((args.directory / "manifest.json").read_text())
     summary = manifest["ingest"]
     stats = dataset.ingest_stats
@@ -558,13 +527,8 @@ def _command_ingest(args: argparse.Namespace) -> int:
 
 
 def _command_export_dump(args: argparse.Namespace) -> int:
-    try:
-        config = DatasetConfig(pair_count=args.pairs, seed=args.seed,
-                               trace_duration=args.duration_hours * 3600.0)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    dataset = FleetDataset(config)
+    dataset = FleetDataset(DatasetConfig(pair_count=args.pairs, seed=args.seed,
+                                         trace_duration=args.duration_hours * 3600.0))
     exporter = export_gnmi_dump if args.format == GNMI_FORMAT else export_snmp_dump
     exporter(dataset, args.path)
     print(f"Exported {len(dataset)} metric-device pairs "
@@ -631,34 +595,39 @@ def _command_adaptive(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_estimate(args: argparse.Namespace) -> int:
+def _read_trace_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The finite ``timestamp,value`` rows of a csv trace; ``ValueError`` names the line."""
     timestamps = []
     values = []
     try:
-        handle = args.path.open()
+        handle = path.open()
     except OSError as error:
-        print(f"error: cannot read {args.path}: {error}", file=sys.stderr)
-        return 1
+        raise ValueError(f"cannot read {path}: {error}") from error
     with handle:
-        reader = csv.reader(handle)
-        for line_number, row in enumerate(reader, start=1):
+        for line_number, row in enumerate(csv.reader(handle), start=1):
             if not row or row[0].strip().lower() in ("timestamp", "time", "t"):
                 continue
             if len(row) < 2:
-                print(f"error: {args.path}, line {line_number}: expected two columns "
-                      f"(timestamp,value), got {len(row)}", file=sys.stderr)
-                return 1
+                raise ValueError(f"{path}, line {line_number}: expected two columns "
+                                 f"(timestamp,value), got {len(row)}")
             try:
-                timestamps.append(float(row[0]))
-                values.append(float(row[1]))
+                timestamp, value = float(row[0]), float(row[1])
             except ValueError:
-                print(f"error: {args.path}, line {line_number}: could not parse "
-                      f"{row[:2]!r} as numeric timestamp,value", file=sys.stderr)
-                return 1
+                raise ValueError(f"{path}, line {line_number}: could not parse "
+                                 f"{row[:2]!r} as numeric timestamp,value") from None
+            if not (math.isfinite(timestamp) and math.isfinite(value)):
+                raise ValueError(f"{path}, line {line_number}: timestamp and value "
+                                 f"must be finite, got {row[:2]!r}")
+            timestamps.append(timestamp)
+            values.append(value)
     if len(values) < 2:
-        print("need at least two samples", file=sys.stderr)
-        return 1
-    series = IrregularTimeSeries(np.array(timestamps), np.array(values), name=str(args.path))
+        raise ValueError(f"{path}: need at least two samples")
+    return np.array(timestamps), np.array(values)
+
+
+def _command_estimate(args: argparse.Namespace) -> int:
+    timestamps, values = _read_trace_csv(args.path)
+    series = IrregularTimeSeries(timestamps, values, name=str(args.path))
     estimate = estimate_nyquist_rate(series, energy_fraction=args.energy_fraction)
     print(f"samples:          {len(values)}")
     print(f"current rate:     {estimate.current_rate:.6g} Hz")
@@ -672,11 +641,7 @@ def _command_estimate(args: argparse.Namespace) -> int:
 
 def _command_store(args: argparse.Namespace) -> int:
     # Only 'verify' exists today; argparse enforces store_command.
-    try:
-        store = RecordStore(args.directory)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    store = RecordStore(args.directory)
     verification = store.verify()
     print(f"Record store {args.directory}: {verification.entries} entr"
           f"{'y' if verification.entries == 1 else 'ies'}, "
@@ -708,7 +673,14 @@ def main(argv: list[str] | None = None) -> int:
         "estimate": _command_estimate,
         "store": _command_store,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ValueError, BatchExecutionError) as error:
+        # Bad parameters (``--pairs 0``), malformed or corrupt input named by
+        # file and line (possibly wrapped with its batch spec by a pooled
+        # run), a used destination or spill directory: one line, no traceback.
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess in tests

@@ -40,10 +40,13 @@ is kept as the reference backend and the equivalence is enforced by
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..signals.timeseries import TimeSeries
-from .nyquist import ALIASED_SENTINEL, NyquistEstimate, NyquistEstimator, detrended
+from .nyquist import (ALIASED_SENTINEL, NON_FINITE_REASON, NyquistEstimate, NyquistEstimator,
+                      detrended)
 from .psd import batch_periodogram, batch_welch_psd, taper_energy, window_coefficients
 
 __all__ = ["batch_estimate", "exact_batch_estimate"]
@@ -224,6 +227,9 @@ def _fast_batch_estimate(matrix: np.ndarray, interval: float, estimator: Nyquist
     results: list[NyquistEstimate] = []
     for index in range(rows):
         raw_total = totals_list[index]
+        if not math.isfinite(raw_total):
+            results.append(_unreliable(estimator, current_rate, NON_FINITE_REASON))
+            continue
         if raw_total <= 0:
             results.append(_unreliable(estimator, current_rate, "no spectral energy"))
             continue
@@ -309,7 +315,9 @@ def exact_batch_estimate(values: np.ndarray, interval: float,
             cumulative = np.cumsum(spectra.power, axis=-1) / totals[:, None]
         for position, index in enumerate(active):
             total = float(totals[position])
-            if total <= 0 or spectra.bins == 0:
+            if not math.isfinite(total):
+                results[index] = _unreliable(estimator, current_rate, NON_FINITE_REASON)
+            elif total <= 0 or spectra.bins == 0:
                 results[index] = _unreliable(estimator, current_rate, "no spectral energy")
             else:
                 results[index] = estimator.estimate_from_cumulative(
@@ -416,6 +424,9 @@ def batch_estimate(values: np.ndarray, interval: float,
 
     for position, index in enumerate(active):
         raw_total = float(totals[position])
+        if not math.isfinite(raw_total):
+            results[index] = _unreliable(estimator, current_rate, NON_FINITE_REASON)
+            continue
         if raw_total <= 0:
             results[index] = _unreliable(estimator, current_rate, "no spectral energy")
             continue

@@ -23,6 +23,7 @@ backend the fleet survey uses by default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -38,6 +39,7 @@ __all__ = [
     "NyquistEstimator",
     "estimate_nyquist_rate",
     "ALIASED_SENTINEL",
+    "NON_FINITE_REASON",
     "DEFAULT_ENERGY_FRACTION",
     "DEFAULT_ALIASED_BAND_FRACTION",
 ]
@@ -45,6 +47,12 @@ __all__ = [
 #: Value the paper records when the estimator cannot produce a reliable
 #: rate because the trace appears to be aliased already.
 ALIASED_SENTINEL: float = -1.0
+
+#: ``reason`` of the unreliable estimate every path returns for a trace
+#: whose spectral energy is not finite -- a ``nan`` or ``inf`` sample.
+#: Its energy cut-off would otherwise land on the bottom bin and report
+#: the trace as massively over-sampled.
+NON_FINITE_REASON: str = "non-finite spectral energy"
 
 #: Default share of total (non-DC) energy that must be captured below the
 #: cut-off frequency.  This is the paper's 99 % knob.
@@ -297,6 +305,8 @@ class NyquistEstimator:
         rate = current_rate if current_rate is not None else spectrum.sampling_rate
         working = spectrum if self.include_dc else spectrum.without_dc()
         total = float(np.sum(working.power))
+        if not math.isfinite(total):
+            return self._unreliable(rate, reason=NON_FINITE_REASON)
         if total <= 0 or len(working) == 0:
             return self._unreliable(rate, reason="no spectral energy")
         return self.estimate_from_cumulative(working.frequencies,

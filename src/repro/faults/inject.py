@@ -21,7 +21,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Literal, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from ..signals.distortions import apply_data_fault
 from ..signals.timeseries import TimeSeries
@@ -146,9 +146,9 @@ class FaultInjectingTraceSource(BaseTraceSource):
 # ----------------------------------------------------------------------
 # On-disk fault injection
 # ----------------------------------------------------------------------
-def faulty_export(source: TraceSource, directory: Path | str, plan: FaultPlan,
-                  fmt: Literal["npz", "csv"] = "npz") -> "MeasuredFleetDataset":
-    """Export ``source`` to a measured-fleet directory, then damage it.
+def faulty_export(source: TraceSource, directory: Path | str,
+                  plan: FaultPlan) -> "MeasuredFleetDataset":
+    """Export ``source`` to an npz measured-fleet directory, then damage it.
 
     Every pair the plan assigns ``corrupt-trace`` gets its trace file
     overwritten with garbage bytes; every ``truncated-trace`` pair's file
@@ -160,7 +160,7 @@ def faulty_export(source: TraceSource, directory: Path | str, plan: FaultPlan,
     """
     from ..telemetry.measured import MeasuredFleetDataset, export_traces
     directory = Path(directory)
-    export_traces(source, directory, fmt=fmt)
+    export_traces(source, directory)
     dataset = MeasuredFleetDataset(directory)
     for pair in dataset.pairs():
         kind = plan.kind_for(pair.metric_name, pair.device.device_id)

@@ -1,8 +1,7 @@
 """Network substrate: topologies, monitoring deployment and cost model."""
 
 from .cost import CostBreakdown, CostModel, TelemetryCostAccountant
-from .monitoring import (DeploymentSpec, DeploymentTraceSource, MonitoredPoint,
-                         MonitoringDeployment)
+from .monitoring import DeploymentSpec, DeploymentTraceSource, MonitoringDeployment
 from .topology import (Fabric, FabricSpec, FatTreeSpec, NodeRole, TopologySpec,
                        WanRingSpec, attach_collector, build_fat_tree, build_leaf_spine,
                        build_wan_ring, hop_counts, servers, switches)
@@ -13,6 +12,6 @@ __all__ = [
     "build_leaf_spine", "build_fat_tree", "build_wan_ring",
     "switches", "servers", "attach_collector",
     "CostModel", "CostBreakdown", "TelemetryCostAccountant",
-    "MonitoredPoint", "MonitoringDeployment",
+    "MonitoringDeployment",
     "DeploymentSpec", "DeploymentTraceSource",
 ]

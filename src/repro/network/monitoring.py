@@ -26,17 +26,15 @@ import numpy as np
 
 from ..signals.timeseries import TimeSeries
 from ..telemetry.dataset import TracePair
-from ..telemetry.metrics import METRIC_CATALOG, MetricSpec
+from ..telemetry.metrics import METRIC_CATALOG
 from ..telemetry.models import generate_trace
-from ..telemetry.profiles import (DeviceProfile, DeviceRole, MetricParameters,
-                                  draw_metric_parameters)
+from ..telemetry.profiles import DeviceProfile, DeviceRole, draw_metric_parameters
 from ..telemetry.source import BaseTraceSource
 from .cost import CostModel, TelemetryCostAccountant
 from .topology import (Fabric, FabricSpec, NodeRole, TopologySpec, WanRingSpec,
                        attach_collector, servers, switches)
 
-__all__ = ["MonitoredPoint", "MonitoringDeployment", "DeploymentSpec",
-           "DeploymentTraceSource"]
+__all__ = ["MonitoringDeployment", "DeploymentSpec", "DeploymentTraceSource"]
 
 #: Which metric families make sense on which kind of fabric node.
 _SWITCH_METRICS = ("Link util", "Unicast bytes", "Multicast bytes", "Unicast drops",
@@ -54,20 +52,6 @@ _ROLE_MAP = {
     NodeRole.POP: DeviceRole.AGGREGATION_SWITCH,
     NodeRole.SERVER: DeviceRole.SERVER,
 }
-
-
-@dataclass(frozen=True)
-class MonitoredPoint:
-    """One (fabric node, metric) measurement point."""
-
-    node: str
-    metric: MetricSpec
-    profile: DeviceProfile
-    parameters: MetricParameters
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.node, self.metric.name)
 
 
 @dataclass
@@ -94,14 +78,19 @@ class MonitoringDeployment:
     switch_metrics: tuple[str, ...] = _SWITCH_METRICS
     server_metrics: tuple[str, ...] = _SERVER_METRICS
     broadband_fraction: float = 0.11
-    _points: list[MonitoredPoint] | None = field(default=None, init=False, repr=False)
+    _points: list[TracePair] | None = field(default=None, init=False, repr=False)
 
-    def points(self) -> list[MonitoredPoint]:
-        """All measurement points of the deployment (cached)."""
+    def points(self) -> list[TracePair]:
+        """All measurement points of the deployment, in node order (cached).
+
+        Each point is a :class:`~repro.telemetry.dataset.TracePair` whose
+        device is the node's :class:`~repro.telemetry.profiles.DeviceProfile`
+        (device id = fabric node name).
+        """
         if self._points is not None:
             return self._points
         rng = np.random.default_rng(self.seed)
-        points: list[MonitoredPoint] = []
+        points: list[TracePair] = []
         for node in switches(self.topology):
             points.extend(self._points_for_node(node, self.switch_metrics, rng))
         for node in servers(self.topology):
@@ -110,7 +99,7 @@ class MonitoringDeployment:
         return points
 
     def _points_for_node(self, node: str, metric_names: Sequence[str],
-                         rng: np.random.Generator) -> list[MonitoredPoint]:
+                         rng: np.random.Generator) -> list[TracePair]:
         role = _ROLE_MAP.get(self.topology.nodes[node].get("role"), DeviceRole.SERVER)
         profile = DeviceProfile(device_id=node, role=role,
                                 seed=int(rng.integers(0, 2 ** 31 - 1)))
@@ -121,15 +110,11 @@ class MonitoringDeployment:
                 spec, profile, self.trace_duration,
                 broadband_fraction=self.broadband_fraction,
                 rng=np.random.default_rng(profile.metric_seed(name)))
-            points.append(MonitoredPoint(node, spec, profile, params))
+            points.append(TracePair(spec, profile, params))
         return points
 
     def __len__(self) -> int:
         return len(self.points())
-
-    def points_for_metric(self, metric_name: str) -> list[MonitoredPoint]:
-        """All measurement points of one metric."""
-        return [point for point in self.points() if point.metric.name == metric_name]
 
 
 # ----------------------------------------------------------------------
@@ -249,9 +234,8 @@ class DeploymentTraceSource(BaseTraceSource):
     def pairs(self) -> list[TracePair]:
         if self._pairs is None:
             by_metric = {name: [] for name in self._metric_order}
-            for point in self.deployment.points():
-                by_metric[point.metric.name].append(
-                    TracePair(point.metric, point.profile, point.parameters))
+            for pair in self.deployment.points():
+                by_metric[pair.metric.name].append(pair)
             self._by_metric = by_metric
             self._pairs = [pair for name in self._metric_order for pair in by_metric[name]]
         return self._pairs

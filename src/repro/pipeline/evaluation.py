@@ -81,16 +81,16 @@ class PolicyRecordBlock(ColumnarBlock):
     policy's collection volume and achieved rate, the reconstruction
     error, the priced cost components (hop-weighted transmission
     included), and the optional event-detection outcome.  Blocks are the
-    unit of spilling: each round-trips losslessly through ``.rcb`` or
-    ``.csv`` behind the sink layer of :mod:`repro.records`, with the
-    layout (and hence the on-disk format) declared once in ``_SCHEMA``.
+    unit of spilling: each round-trips losslessly through ``.rcb`` behind
+    the sink layer of :mod:`repro.records`, with the layout (and hence the
+    on-disk format) declared once in ``_SCHEMA``.
     """
 
     _SCHEMA = BlockSchema(
-        scalars=(ScalarSpec("metric_name", "metric"),
-                 ScalarSpec("policy_name", "policy")),
+        scalars=(ScalarSpec("metric_name"),
+                 ScalarSpec("policy_name")),
         columns=(
-            ColumnSpec("device_ids", "str", csv_name="device_id"),
+            ColumnSpec("device_ids", "str"),
             ColumnSpec("samples", "int"),
             ColumnSpec("mean_rate_hz", "float"),
             ColumnSpec("nrmse", "float"),

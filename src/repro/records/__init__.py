@@ -18,18 +18,16 @@ Layout:
   are deterministic byte for byte.  The record store keeps its blocks in
   it.
 * :mod:`repro.records.sinks` -- :class:`MemoryRecordSink` and
-  :class:`SpillingRecordSink` (one file per block, numerically ordered;
-  rcb by default, csv for greppable output; a re-opened directory keeps
-  the format its files hold).
+  :class:`SpillingRecordSink` (one ``.rcb`` file per block, numerically
+  ordered).
 * :mod:`repro.records.store` -- :class:`RecordStore`, the
   content-addressed cache behind ``run_survey(..., store=...)``
   incremental reruns, keyed by :class:`PairFingerprint`.
 """
 
 from .blocks import (BlockSchema, ColumnarBlock, ColumnSpec, FailureRecord,
-                     FailureRecordBlock, ScalarSpec, _BLOCK_TYPES,
-                     _ensure_registry, register_block_type,
-                     registered_block_types)
+                     FailureRecordBlock, ScalarSpec, _ensure_registry,
+                     register_block_type, registered_block_types)
 from .rcb import RCB_FORMAT, RCB_MAGIC, load_rcb_any, read_rcb_header
 from .sinks import MemoryRecordSink, RecordSink, SpillingRecordSink
 from .store import (STORE_SCHEMA_VERSION, PairFingerprint, RecordStore,

@@ -3,18 +3,17 @@
 A block class participates by subclassing :class:`ColumnarBlock` with a
 :class:`BlockSchema` (``_SCHEMA``) describing its block-level scalars and
 per-row columns -- the schema drives one shared implementation of the
-``save_rcb``/``load_rcb`` and ``save_csv``/``load_csv`` round trips, the
-``sniff_rcb``/``sniff_csv`` classmethods a spill directory is re-opened
-with, and the dtype/shape validation of ``__post_init__`` -- and by
-registering via :func:`register_block_type`.  The first schema column
-doubles as the block's row counter (the existing block types lead with
-``device_ids``), so adding a new record-producing pipeline is a schema
-declaration plus whatever view/constructor helpers it wants.
+``save_rcb``/``load_rcb`` round trip, the ``sniff_rcb`` classmethod a
+spill directory is re-opened with, and the dtype/shape validation of
+``__post_init__`` -- and by registering via :func:`register_block_type`.
+The first schema column doubles as the block's row counter (the existing
+block types lead with ``device_ids``), so adding a new record-producing
+pipeline is a schema declaration plus whatever view/constructor helpers
+it wants.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, ClassVar, Iterator, Literal, Mapping, Self, Sequence
@@ -48,19 +47,10 @@ _COLUMN_DTYPES = {
 
 @dataclass(frozen=True)
 class ColumnSpec:
-    """One per-row column of a columnar record block.
-
-    ``kind`` selects the dtype and the csv cell conversion (floats are
-    written with ``repr`` so they round-trip bit for bit, ints/bools as
-    integers, strings verbatim); ``csv_name`` overrides the csv header
-    cell when it differs from the attribute name (e.g. the plural
-    ``device_ids`` array serialises under a singular ``device_id``
-    header).
-    """
+    """One per-row column of a columnar record block; ``kind`` selects the dtype."""
 
     name: str
     kind: Literal["float", "int", "int8", "bool", "str"]
-    csv_name: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _COLUMN_DTYPES:
@@ -68,61 +58,28 @@ class ColumnSpec:
                              f"choose one of {sorted(_COLUMN_DTYPES)}")
 
     @property
-    def header(self) -> str:
-        return self.csv_name if self.csv_name is not None else self.name
-
-    @property
     def dtype(self) -> type:
         return _COLUMN_DTYPES[self.kind]
-
-    def to_cell(self, value: Any) -> str | int:
-        """Serialise one array element for a csv data row."""
-        if self.kind == "float":
-            return repr(float(value))
-        if self.kind == "str":
-            return str(value)
-        return int(value)
-
-    def from_cell(self, cell: str) -> float | int | bool | str:
-        """Parse one csv cell back into a python value for the column."""
-        if self.kind == "float":
-            return float(cell)
-        if self.kind == "str":
-            return cell
-        if self.kind == "bool":
-            return bool(int(cell))
-        return int(cell)
 
 
 @dataclass(frozen=True)
 class ScalarSpec:
     """One block-level string scalar (metric name, policy name, ...).
 
-    The rcb header carries scalars in its JSON ``scalars`` mapping.  In
-    csv files they are written twice, both driven by this spec: as a
-    leading ``# {label}={value}`` comment line (so zero-row blocks
-    round-trip without losing them), and repeated as the first data
-    columns (the historical row format, which also keeps the files
-    greppable).
+    The rcb header carries scalars in its JSON ``scalars`` mapping, so
+    zero-row blocks round-trip without losing them.
     """
 
     name: str
-    label: str
-
-    @property
-    def comment_prefix(self) -> str:
-        return f"# {self.label}="
 
 
 @dataclass(frozen=True)
 class BlockSchema:
     """Declarative layout of one columnar block type.
 
-    The scalars come first in the csv header (by ``name``), followed by
-    the columns (by ``header``); an rcb header's members are scalars +
-    columns by ``name``.  The first column is the reference every other
-    column's row count is validated against, and gives the block its
-    length.
+    An rcb header's members are the scalars followed by the columns, by
+    ``name``.  The first column is the reference every other column's row
+    count is validated against, and gives the block its length.
     """
 
     scalars: tuple[ScalarSpec, ...]
@@ -136,11 +93,6 @@ class BlockSchema:
             raise ValueError(f"duplicate field names in block schema: {names}")
 
     @property
-    def csv_header(self) -> tuple[str, ...]:
-        return (*(spec.name for spec in self.scalars),
-                *(spec.header for spec in self.columns))
-
-    @property
     def member_names(self) -> tuple[str, ...]:
         return (*(spec.name for spec in self.scalars),
                 *(spec.name for spec in self.columns))
@@ -151,7 +103,7 @@ class ColumnarBlock:
 
     Subclasses are frozen dataclasses whose fields are the schema's
     scalars (strings) followed by its columns (1-D arrays); ``_SCHEMA``
-    drives validation, the rcb/csv round trips and spill-file sniffing.
+    drives validation, the rcb round trip and spill-file sniffing.
     Blocks loaded from ``.rcb`` files hold read-only zero-copy views of
     one read buffer per file, and keep no file descriptor open.
     """
@@ -174,54 +126,6 @@ class ColumnarBlock:
         return int(getattr(self, self._SCHEMA.columns[0].name).shape[0])
 
     # ------------------------- disk round trip -------------------------
-    def save_csv(self, path: Path) -> None:
-        schema = self._SCHEMA
-        with path.open("w", newline="") as handle:
-            for spec in schema.scalars:
-                handle.write(f"{spec.comment_prefix}{getattr(self, spec.name)}\n")
-            writer = csv.writer(handle)
-            writer.writerow(schema.csv_header)
-            scalar_cells = [str(getattr(self, spec.name)) for spec in schema.scalars]
-            columns = [(spec, getattr(self, spec.name)) for spec in schema.columns]
-            for index in range(len(self)):
-                writer.writerow(scalar_cells
-                                + [spec.to_cell(array[index]) for spec, array in columns])
-
-    @classmethod
-    def load_csv(cls, path: Path) -> Self:
-        schema = cls._SCHEMA
-        scalars = {spec.name: "" for spec in schema.scalars}
-        columns: dict[str, list] = {spec.name: [] for spec in schema.columns}
-        with path.open(newline="") as handle:
-            line = handle.readline()
-            if not line.strip():
-                raise ValueError(f"corrupt or truncated record file {path}: "
-                                 "missing CSV header")
-            # Leading comment lines carry the block-level scalars (optional,
-            # in schema order, so legacy files without them still load).
-            for spec in schema.scalars:
-                if line.startswith(spec.comment_prefix):
-                    scalars[spec.name] = line[len(spec.comment_prefix):].rstrip("\r\n")
-                    line = handle.readline()
-            if line.rstrip("\r\n").split(",") != list(schema.csv_header):
-                raise ValueError(f"corrupt or truncated record file {path}: "
-                                 f"unexpected CSV header {line.rstrip()!r}")
-            reader = csv.reader(handle)
-            width = len(schema.csv_header)
-            for line_number, row in enumerate(reader, start=1):
-                try:
-                    if len(row) < width:
-                        raise ValueError(f"expected {width} cells, got {len(row)}")
-                    for offset, spec in enumerate(schema.scalars):
-                        scalars[spec.name] = row[offset]
-                    base = len(schema.scalars)
-                    for offset, spec in enumerate(schema.columns):
-                        columns[spec.name].append(spec.from_cell(row[base + offset]))
-                except (IndexError, ValueError) as error:
-                    raise ValueError(f"corrupt or truncated record file {path}, "
-                                     f"data row {line_number}: {error}") from error
-        return cls(**scalars, **columns)
-
     def save_rcb(self, path: Path) -> None:
         """Write the block as one ``.rcb`` file."""
         from .rcb import write_rcb
@@ -234,12 +138,6 @@ class ColumnarBlock:
         return read_rcb(cls, path)
 
     # ---------------------- spill-type sniffing ------------------------
-    @classmethod
-    def sniff_csv(cls, head_lines: Sequence[str]) -> bool:
-        """True when a csv spill file's leading lines carry this schema's header."""
-        header = ",".join(cls._SCHEMA.csv_header)
-        return any(line.rstrip("\r\n") == header for line in head_lines)
-
     @classmethod
     def sniff_rcb(cls, header: Mapping[str, Any]) -> bool:
         """True when a parsed rcb header describes exactly this schema."""
@@ -336,12 +234,12 @@ class FailureRecordBlock(ColumnarBlock):
     _SCHEMA: ClassVar[BlockSchema] = BlockSchema(
         scalars=(),
         columns=(
-            ColumnSpec("device_ids", "str", csv_name="device_id"),
-            ColumnSpec("metric_names", "str", csv_name="metric_name"),
-            ColumnSpec("stages", "str", csv_name="stage"),
-            ColumnSpec("error_types", "str", csv_name="error_type"),
-            ColumnSpec("messages", "str", csv_name="message"),
-            ColumnSpec("provenances", "str", csv_name="provenance"),
+            ColumnSpec("device_ids", "str"),
+            ColumnSpec("metric_names", "str"),
+            ColumnSpec("stages", "str"),
+            ColumnSpec("error_types", "str"),
+            ColumnSpec("messages", "str"),
+            ColumnSpec("provenances", "str"),
         ),
     )
 

@@ -36,7 +36,6 @@ from ..network.cost import TelemetryCostAccountant
 from ..network.monitoring import DeploymentSpec
 from ..pipeline.events import reprobe_latency, resettle_latency
 from ..pipeline.policies import AdaptiveDualRatePolicy, PolicySuite
-from ..records import RecordStore
 from ..telemetry.source import TraceSource
 from .transforms import Scenario
 
@@ -193,11 +192,7 @@ def _adaptive_reaction(scenario: Scenario, source: TraceSource,
 
 
 def evaluate_cell(scenario: Scenario, fabric_name: str, source: TraceSource,
-                  accountant: TelemetryCostAccountant, suite: PolicySuite,
-                  *, metrics: Sequence[str] | None = None,
-                  limit_per_metric: int | None = None,
-                  chunk_size: int = 256, workers: int | None = None,
-                  store: RecordStore | None = None) -> MatrixCell:
+                  accountant: TelemetryCostAccountant, suite: PolicySuite) -> MatrixCell:
     """Survey one (scenario, fabric) cell and derive its verdict.
 
     ``source`` is the *un-transformed* fabric source; the scenario wraps
@@ -209,10 +204,7 @@ def evaluate_cell(scenario: Scenario, fabric_name: str, source: TraceSource,
             f"cell ({scenario.name} x {fabric_name}) has zero (metric, device) "
             "pairs; an empty cell has no cost-quality ordering to record")
     wrapped = scenario.wrap(source)
-    result: PolicySurveyResult = run_policy_survey(
-        wrapped, suite, accountant=accountant, metrics=metrics,
-        limit_per_metric=limit_per_metric, chunk_size=chunk_size,
-        workers=workers, store=store)
+    result: PolicySurveyResult = run_policy_survey(wrapped, suite, accountant=accountant)
     relative = result.relative_costs(FIXED)
     verdict, holds = _ordering_verdict(relative)
     rows = {str(row["policy"]): row for row in result.rows()}
@@ -237,25 +229,21 @@ def evaluate_cell(scenario: Scenario, fabric_name: str, source: TraceSource,
 
 
 def run_matrix(scenarios: Sequence[Scenario],
-               fabrics: Mapping[str, DeploymentSpec], suite: PolicySuite,
-               *, metrics: Sequence[str] | None = None,
-               limit_per_metric: int | None = None, chunk_size: int = 256,
-               workers: int | None = None,
-               store: RecordStore | None = None) -> MatrixResult:
+               fabrics: Mapping[str, DeploymentSpec], suite: PolicySuite) -> MatrixResult:
     """Run every (scenario, fabric) cell and collect the matrix.
 
     ``fabrics`` maps a display name to the :class:`DeploymentSpec` whose
     deployment (and hop-priced accountant) the cell runs on.  Cells are
     evaluated in declaration order -- scenarios outer, fabrics inner --
-    and the whole run is deterministic at any ``workers`` count because
-    both the survey records and the transforms are.
+    and the whole run is deterministic because both the survey records
+    and the transforms are.  Each cell is one in-process
+    ``run_policy_survey`` over every pair of its fabric, in the survey's
+    default slices, with no record store.
     """
     cells: list[MatrixCell] = []
     for scenario in scenarios:
         for fabric_name, spec in fabrics.items():
             source = spec.open()
-            cells.append(evaluate_cell(
-                scenario, fabric_name, source, source.accountant(), suite,
-                metrics=metrics, limit_per_metric=limit_per_metric,
-                chunk_size=chunk_size, workers=workers, store=store))
+            cells.append(evaluate_cell(scenario, fabric_name, source,
+                                       source.accountant(), suite))
     return MatrixResult(cells=tuple(cells))

@@ -71,10 +71,9 @@ import math
 import os
 import re
 import shutil
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (TYPE_CHECKING, Any, Callable, Iterator, Literal, Sequence)
+from typing import Any, Callable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -84,10 +83,6 @@ from ..records import FailureRecord, FailureRecordBlock, RecordSink
 from .measured import (MANIFEST_FORMAT, MANIFEST_NAME, TRACE_FORMATS,
                        MeasuredFleetDataset, _save_trace_csv, _save_trace_npz)
 from .source import TraceSource
-
-if TYPE_CHECKING:
-    from ..faults.execution import RetryPolicy
-
 __all__ = [
     "GNMI_FORMAT",
     "SNMP_FORMAT",
@@ -905,8 +900,6 @@ def ingest_dump(dump: Path | str | TelemetryDump, directory: Path | str,
                 on_error: Literal["raise", "quarantine"] = "raise",
                 failure_sink: RecordSink | None = None,
                 workers: int = 1,
-                retry: "RetryPolicy | None" = None,
-                retry_sleep: Callable[[float], None] = time.sleep,
                 ) -> MeasuredFleetDataset:
     """Stream one raw monitoring export into a measured-fleet directory.
 
@@ -965,12 +958,10 @@ def ingest_dump(dump: Path | str | TelemetryDump, directory: Path | str,
         ``(metric, device)`` key, and each shard runs its own
         accumulator + finishing pass with a ``memory_budget_samples /
         N`` budget.  The published directory is **byte-identical** to a
-        ``workers=1`` run for any worker count.
-    retry, retry_sleep:
-        Fault policy for the sharded pipeline's process pools (see
-        :func:`repro.faults.execution.run_batch_tasks`); ignored when
-        ``workers=1``.  ``retry_sleep`` is injectable so tests skip the
-        real backoff waits.
+        ``workers=1`` run for any worker count.  The sharded pipeline's
+        process pools retry transient failures and crashed workers under
+        the default :class:`~repro.faults.RetryPolicy` (see
+        :func:`repro.faults.execution.run_batch_tasks`).
 
     Raises
     ------
@@ -1023,7 +1014,7 @@ def ingest_dump(dump: Path | str | TelemetryDump, directory: Path | str,
             from .shard import _sharded_ingest_into
             failures, stats = _sharded_ingest_into(
                 dump, staging, staging / MANIFEST_NAME, memory_budget_samples,
-                min_samples, trace_format, on_error, workers, retry, retry_sleep)
+                min_samples, trace_format, on_error, workers)
     except BaseException:
         # A failed ingest (malformed dump, write error) only ever costs
         # the staging directory; the destination is untouched.

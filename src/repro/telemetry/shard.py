@@ -54,7 +54,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..faults.execution import BatchExecutionError, RetryPolicy, run_batch_tasks
+from ..faults.execution import BatchExecutionError, run_batch_tasks
 from ..records import FailureRecord
 from .ingest import (SNMP_FORMAT, IngestStats, PairAccumulator, ShardIngestStats,
                      TelemetryDump, UpdateBlock, _finish_pairs, _iter_update_blocks,
@@ -365,8 +365,7 @@ def _finish_shard(task: _ShardTask) -> _ShardResult:
 # Orchestration: plan -> parse -> shard -> merge
 # ----------------------------------------------------------------------
 def _run_phase(worker_fn: Callable[[Any], Any], tasks: list[Any], workers: int,
-               on_error: str, retry: RetryPolicy,
-               sleep: Callable[[float], None]) -> list[Any]:
+               on_error: str) -> list[Any]:
     """Drive one phase through the fault-isolated pool, in task order.
 
     ``raise`` mode surfaces the first failed task -- re-raised as a plain
@@ -378,8 +377,7 @@ def _run_phase(worker_fn: Callable[[Any], Any], tasks: list[Any], workers: int,
     deterministically, while a genuinely poisoned task fails the run.
     """
     results: list[Any] = []
-    for index, outcome in run_batch_tasks(worker_fn, tasks, workers,
-                                          retry=retry, sleep=sleep):
+    for index, outcome in run_batch_tasks(worker_fn, tasks, workers):
         if isinstance(outcome, BatchExecutionError):
             if on_error != "quarantine":
                 if outcome.error_type == "ValueError":
@@ -393,8 +391,6 @@ def _run_phase(worker_fn: Callable[[Any], Any], tasks: list[Any], workers: int,
 def _sharded_ingest_into(dump: TelemetryDump, staging: Path, manifest_path: Path,
                          memory_budget_samples: int, min_samples: int,
                          trace_format: str, on_error: str, workers: int,
-                         retry: RetryPolicy | None,
-                         sleep: Callable[[float], None],
                          ) -> tuple[list[FailureRecord], IngestStats]:
     """The ``workers > 1`` body of :func:`ingest_dump`: parse, shard, merge.
 
@@ -403,7 +399,6 @@ def _sharded_ingest_into(dump: TelemetryDump, staging: Path, manifest_path: Path
     and returns the quarantined parse failures in file order plus the run
     statistics.
     """
-    retry = retry if retry is not None else RetryPolicy()
     if dump.format == SNMP_FORMAT:
         header, metrics, data_start, first_line = _read_snmp_header(dump.path)
     else:
@@ -425,8 +420,7 @@ def _sharded_ingest_into(dump: TelemetryDump, staging: Path, manifest_path: Path
                    header=tuple(header) if header is not None else None,
                    metrics=tuple(metrics) if metrics is not None else None)
         for index, byte_range in enumerate(ranges)]
-    parse_results = _run_phase(_parse_range_worker, range_tasks, workers,
-                               on_error, retry, sleep)
+    parse_results = _run_phase(_parse_range_worker, range_tasks, workers, on_error)
     failures = [failure for result in parse_results for failure in result.failures]
     if sum(result.updates for result in parse_results) == 0:
         raise ValueError(f"{dump.path}: no telemetry updates found "
@@ -438,8 +432,7 @@ def _sharded_ingest_into(dump: TelemetryDump, staging: Path, manifest_path: Path
                    memory_budget_samples=max(2, memory_budget_samples // workers),
                    min_samples=min_samples, trace_format=trace_format)
         for shard in range(workers)]
-    shard_results = _run_phase(_finish_shard_worker, shard_tasks, workers,
-                               on_error, retry, sleep)
+    shard_results = _run_phase(_finish_shard_worker, shard_tasks, workers, on_error)
 
     # Deterministic merge: shard outputs interleave back into the global
     # canonical (metric, device) order, trace files are renumbered into

@@ -10,7 +10,6 @@ import pytest
 from repro.analysis.driver import run_slices
 from repro.analysis.policy_survey import run_policy_survey
 from repro.analysis.survey import run_survey
-from repro.faults import RetryPolicy
 from repro.pipeline.policies import PolicySuite
 from repro.records import MemoryRecordSink
 from repro.telemetry.dataset import DatasetConfig, FleetDataset
@@ -61,7 +60,7 @@ def test_salvage_reruns_a_failing_group_row_by_row(workers):
     result = KeyResult()
     run_slices(dataset, evaluator, result, metric_names=[metric], limit_per_metric=None,
                chunk_size=4, workers=workers, on_error="quarantine", store=None,
-               retry=RetryPolicy(), sleep=lambda delay: None)
+               sleep=lambda delay: None)
     assert [(f.metric_name, f.device_id, f.stage, f.error_type) for f in result.failures] \
         == [(*pairs[1].key, "evaluate-test", "FloatingPointError")]
     assert [key for block in result.blocks for key in block] == \
@@ -75,7 +74,7 @@ def test_raise_mode_propagates_the_evaluation_error():
     with pytest.raises(FloatingPointError, match="poisoned"):
         run_slices(dataset, evaluator, KeyResult(), metric_names=[metric],
                    limit_per_metric=None, chunk_size=4, workers=1, on_error="raise",
-                   store=None, retry=RetryPolicy(), sleep=lambda delay: None)
+                   store=None, sleep=lambda delay: None)
 
 
 @pytest.mark.parametrize("pipeline", ["run_survey", "run_policy_survey"])

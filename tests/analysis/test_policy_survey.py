@@ -162,41 +162,22 @@ class TestPolicyRecordBlockStorage:
         loaded = PolicyRecordBlock.load_rcb(tmp_path / "block.rcb")
         assert_policy_blocks_byte_identical([block], [loaded])
 
-    def test_csv_round_trip(self, block, tmp_path):
-        block.save_csv(tmp_path / "block.csv")
-        loaded = PolicyRecordBlock.load_csv(tmp_path / "block.csv")
-        assert_policy_blocks_byte_identical([block], [loaded])
-
     def test_empty_block_round_trip_keeps_scalars(self, tmp_path):
         empty = PolicyRecordBlock(
             metric_name="Temperature", policy_name="fixed", device_ids=[], samples=[],
             mean_rate_hz=[], nrmse=[], max_abs_error=[], hops=[], collection_cpu_us=[],
             transmission=[], storage_bytes=[], analysis=[], detected=[],
             detection_latency=[])
-        for fmt in ("rcb", "csv"):
-            path = tmp_path / f"block.{fmt}"
-            getattr(empty, f"save_{fmt}")(path)
-            loaded = getattr(PolicyRecordBlock, f"load_{fmt}")(path)
-            assert (loaded.metric_name, loaded.policy_name) == ("Temperature", "fixed")
-            assert len(loaded) == 0
+        empty.save_rcb(tmp_path / "block.rcb")
+        loaded = PolicyRecordBlock.load_rcb(tmp_path / "block.rcb")
+        assert (loaded.metric_name, loaded.policy_name) == ("Temperature", "fixed")
+        assert len(loaded) == 0
 
     def test_corrupt_files_raise_value_error(self, tmp_path):
         rcb = tmp_path / "records-00000.rcb"
         rcb.write_bytes(b"definitely not an rcb file")
         with pytest.raises(ValueError, match="corrupt or truncated record file"):
             PolicyRecordBlock.load_rcb(rcb)
-        empty_csv = tmp_path / "records-00000.csv"
-        empty_csv.write_text("")
-        with pytest.raises(ValueError, match="missing CSV header"):
-            PolicyRecordBlock.load_csv(empty_csv)
-
-    def test_truncated_csv_row_raises(self, block, tmp_path):
-        path = tmp_path / "records-00000.csv"
-        block.save_csv(path)
-        content = path.read_text()
-        path.write_text(content[: content.rstrip().rfind(",")])
-        with pytest.raises(ValueError, match="corrupt or truncated record file"):
-            PolicyRecordBlock.load_csv(path)
 
     def test_point_evaluation_views(self, block):
         views = list(block.to_evaluations())
@@ -306,30 +287,12 @@ class TestPolicyWorkerEquivalence:
         dataset, measured = fleet
         memory = run_policy_survey(dataset, fleet_suite, chunk_size=4)
         spilled = run_policy_survey(measured, fleet_suite, chunk_size=4, workers=2,
-                                    sink=SpillingRecordSink(tmp_path / "spool",
-                                                            fmt="rcb"))
+                                    sink=SpillingRecordSink(tmp_path / "spool"))
         assert_policy_blocks_byte_identical(memory.iter_blocks(), spilled.iter_blocks())
-        # Re-opened without naming the format: the directory's files decide.
         reopened = PolicySurveyResult(sink=SpillingRecordSink(tmp_path / "spool"))
-        assert reopened.sink.fmt == "rcb"
         assert reopened.rows() == memory.rows()
         assert reopened.relative_costs("fixed") == memory.relative_costs("fixed")
         assert reopened.policies() == memory.policies()
-
-    def test_csv_spill_round_trip(self, demo_spec, demo_accountant, demo_suite,
-                                  tmp_path):
-        source = demo_spec.open()
-        memory = run_policy_survey(source, demo_suite, accountant=demo_accountant,
-                                   metrics=["Temperature", "Link util"])
-        spilled = run_policy_survey(source, demo_suite, accountant=demo_accountant,
-                                    metrics=["Temperature", "Link util"],
-                                    sink=SpillingRecordSink(tmp_path / "spool",
-                                                            fmt="csv"))
-        assert_policy_blocks_byte_identical(memory.iter_blocks(), spilled.iter_blocks())
-        reopened = PolicySurveyResult(sink=SpillingRecordSink(tmp_path / "spool"))
-        assert reopened.sink.fmt == "csv"
-        assert_policy_blocks_byte_identical(memory.iter_blocks(), reopened.iter_blocks())
-
 
 # ----------------------------------------------------------------------
 # Quarantine mode (on_error="quarantine") under a seeded fault plan

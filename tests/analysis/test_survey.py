@@ -218,52 +218,22 @@ class TestColumnarStorage:
         loaded = RecordBlock.load_rcb(tmp_path / "block.rcb")
         assert_blocks_byte_identical([block], [loaded])
 
-    def test_block_csv_round_trip(self, survey, tmp_path):
-        block = next(iter(survey.iter_blocks()))
-        block.save_csv(tmp_path / "block.csv")
-        loaded = RecordBlock.load_csv(tmp_path / "block.csv")
-        assert_blocks_byte_identical([block], [loaded])
-
     @staticmethod
     def _empty_block(metric_name: str) -> RecordBlock:
         return RecordBlock(metric_name=metric_name, device_ids=[], current_rate=[],
                            nyquist_rate=[], reduction_ratio=[], category=[],
                            reliable=[], true_nyquist_rate=[], trace_duration=[])
 
-    @pytest.mark.parametrize("fmt", ["rcb", "csv"])
-    def test_empty_block_round_trip_keeps_metric(self, tmp_path, fmt):
-        """Regression: csv blocks stored the metric only per data row, so a
-        zero-row block came back with metric_name == ''."""
+    def test_empty_block_round_trip_keeps_metric(self, tmp_path):
+        """A zero-row block has no data row to carry its metric name; the
+        rcb header keeps it."""
         block = self._empty_block("Temperature")
-        path = tmp_path / f"block.{fmt}"
-        getattr(block, f"save_{fmt}")(path)
-        loaded = getattr(RecordBlock, f"load_{fmt}")(path)
+        path = tmp_path / "block.rcb"
+        block.save_rcb(path)
+        loaded = RecordBlock.load_rcb(path)
         assert loaded.metric_name == "Temperature"
         assert len(loaded) == 0
         assert_blocks_byte_identical([block], [loaded])
-
-    def test_load_csv_on_empty_file_raises_value_error(self, tmp_path):
-        """Regression: an empty file used to escape as a bare StopIteration
-        from next(reader)."""
-        path = tmp_path / "records-00000.csv"
-        path.write_text("")
-        with pytest.raises(ValueError, match=str(path)):
-            RecordBlock.load_csv(path)
-
-    def test_load_csv_on_truncated_header_raises_value_error(self, tmp_path):
-        path = tmp_path / "records-00000.csv"
-        path.write_text("metric_name,device_id\n")
-        with pytest.raises(ValueError, match="unexpected CSV header"):
-            RecordBlock.load_csv(path)
-
-    def test_load_csv_on_truncated_row_raises_value_error(self, survey, tmp_path):
-        block = next(iter(survey.iter_blocks()))
-        path = tmp_path / "records-00000.csv"
-        block.save_csv(path)
-        content = path.read_text()
-        path.write_text(content[: content.rstrip().rfind(",")])  # cut the last row short
-        with pytest.raises(ValueError, match="corrupt or truncated record file"):
-            RecordBlock.load_csv(path)
 
     def test_load_rcb_on_corrupt_file_raises_value_error(self, tmp_path):
         path = tmp_path / "records-00000.rcb"
@@ -278,26 +248,6 @@ class TestColumnarStorage:
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         with pytest.raises(ValueError, match="corrupt or truncated record file"):
             RecordBlock.load_rcb(path)
-
-    def test_legacy_csv_without_metric_comment_still_loads(self, survey, tmp_path):
-        """Spill files written before the metric comment line existed must
-        keep loading (metric recovered from the data rows)."""
-        block = next(iter(survey.iter_blocks()))
-        path = tmp_path / "records-00000.csv"
-        block.save_csv(path)
-        lines = path.read_text().splitlines(keepends=True)
-        assert lines[0].startswith("# metric=")
-        path.write_text("".join(lines[1:]))
-        loaded = RecordBlock.load_csv(path)
-        assert_blocks_byte_identical([block], [loaded])
-
-    def test_csv_spill_sink_row_count_skips_comment_line(self, survey, tmp_path):
-        block = next(iter(survey.iter_blocks()))
-        sink = SpillingRecordSink(tmp_path / "spool", fmt="csv")
-        sink.append(block)
-        reopened = SpillingRecordSink(tmp_path / "spool", fmt="csv")
-        assert reopened.rows == len(block)
-
 
 class TestParallelWorkers:
     def test_worker_count_invariance(self):
@@ -362,31 +312,12 @@ class TestSpillToDisk:
         """A spilled survey can be re-opened from its directory in a new result."""
         dataset = FleetDataset(DatasetConfig(pair_count=28, seed=5))
         original = run_survey(dataset, chunk_size=4,
-                              sink=SpillingRecordSink(tmp_path / "spool", fmt="rcb"))
-        # Re-opened without naming the format: the directory's files decide.
+                              sink=SpillingRecordSink(tmp_path / "spool"))
+        assert all(path.suffix == ".rcb" for path in original.sink.files)
         reopened = SurveyResult(sink=SpillingRecordSink(tmp_path / "spool"))
-        assert reopened.sink.fmt == "rcb"
         assert len(reopened) == len(original)
         assert reopened.metrics() == original.metrics()
         assert reopened.headline() == original.headline()
-
-    def test_csv_spill_format(self, tmp_path):
-        dataset = FleetDataset(DatasetConfig(pair_count=28, seed=5))
-        spilled = run_survey(dataset, chunk_size=4,
-                             sink=SpillingRecordSink(tmp_path / "spool", fmt="csv"))
-        memory = run_survey(dataset, chunk_size=4)
-        assert spilled.headline() == memory.headline()
-        assert all(path.suffix == ".csv" for path in spilled.sink.files)
-        reopened = SurveyResult(sink=SpillingRecordSink(tmp_path / "spool"))
-        assert reopened.sink.fmt == "csv"
-        assert len(reopened) == len(memory)
-        assert_blocks_byte_identical(reopened.iter_blocks(), memory.iter_blocks())
-
-    def test_rejects_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            SpillingRecordSink(tmp_path, fmt="parquet")  # type: ignore[arg-type]
-        with pytest.raises(ValueError, match="unknown spill format 'npz'"):
-            SpillingRecordSink(tmp_path, fmt="npz")  # type: ignore[arg-type]
 
     def test_run_survey_rejects_non_empty_sink(self, tmp_path):
         """Regression: re-running a survey into a used spill directory must

@@ -10,11 +10,13 @@ broadband) and assert rate equality plus identical reliability flags.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.batch import batch_estimate
-from repro.core.nyquist import NyquistEstimate, NyquistEstimator
+from repro.core.nyquist import NON_FINITE_REASON, NyquistEstimate, NyquistEstimator
 from repro.core.psd import batch_periodogram, batch_welch_psd, periodogram, welch_psd
 from repro.signals.spectrum import SpectrumBatch
 from repro.signals.timeseries import TimeSeries
@@ -259,3 +261,54 @@ class TestExactBatchEstimate:
             NyquistEstimator().estimate_rows(np.zeros(16), 1.0)
         with pytest.raises(ValueError):
             NyquistEstimator().estimate_rows(np.zeros((2, 16)), 0.0)
+
+
+#: The survey default takes the batched fast path; the short-window
+#: (Figure 7 / adaptive controller) configuration takes the generic one.
+ESTIMATORS = {"survey": NyquistEstimator(),
+              "short-window": NyquistEstimator(detrend=True, window="hann",
+                                               aliased_band_fraction=1.0)}
+
+
+def _estimate_one(estimator: NyquistEstimator, path: str, matrix: np.ndarray,
+                  interval: float) -> list[NyquistEstimate]:
+    if path == "estimate":
+        return [estimator.estimate(TimeSeries(row, interval)) for row in matrix]
+    return getattr(estimator, path)(matrix, interval)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteTraces:
+    """A nan or inf sample makes the energy total non-finite; every path
+    refuses the row instead of reporting a bottom-bin rate as reliable."""
+
+    @staticmethod
+    def _trace(bad: float) -> np.ndarray:
+        trace = np.sin(2 * np.pi * 3.0 * np.arange(41) / 41) \
+            + np.random.default_rng(5).normal(0.0, 0.01, 41)
+        trace[17] = bad
+        return trace
+
+    @pytest.mark.parametrize("config", list(ESTIMATORS))
+    @pytest.mark.parametrize("path", ["estimate", "estimate_batch", "estimate_rows"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_sample_is_refused(self, bad, path, config):
+        (estimate,) = _estimate_one(ESTIMATORS[config], path, self._trace(bad)[None, :], 60.0)
+        assert not estimate.reliable
+        assert estimate.reason == NON_FINITE_REASON
+        assert estimate.nyquist_rate == -1.0
+        assert math.isnan(estimate.reduction_ratio)
+        assert not estimate.oversampled
+
+    @pytest.mark.parametrize("config", list(ESTIMATORS))
+    @pytest.mark.parametrize("path", ["estimate_batch", "estimate_rows"])
+    def test_finite_rows_of_the_batch_are_unaffected(self, path, config):
+        estimator = ESTIMATORS[config]
+        clean = make_matrix(41, rows=6, seed=2)
+        mixed = clean.copy()
+        mixed[0] = self._trace(np.nan)
+        mixed[5] = self._trace(-np.inf)
+        expected = _estimate_one(estimator, path, clean, 60.0)
+        got = _estimate_one(estimator, path, mixed, 60.0)
+        assert [e.reason for e in (got[0], got[5])] == [NON_FINITE_REASON] * 2
+        assert repr(got[1:5]) == repr(expected[1:5])

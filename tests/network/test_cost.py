@@ -147,11 +147,12 @@ class TestDeploymentPricing:
     def test_every_point_is_priced_with_its_fabric_distance(self):
         deployment, accountant, graph = self.make_deployment()
         for point in deployment.points():
-            role = graph.nodes[point.node]["role"]
+            node = point.device.device_id
+            role = graph.nodes[node]["role"]
             expected_hops = {NodeRole.SPINE: 1, NodeRole.LEAF: 2,
                              NodeRole.SERVER: 3}[role]
-            assert accountant.hops(point.node) == expected_hops
-            cost = accountant.price_samples(point.node, 100)
+            assert accountant.hops(node) == expected_hops
+            cost = accountant.price_samples(node, 100)
             model = accountant.cost_model
             assert cost.transmission == pytest.approx(
                 100 * model.bytes_per_sample * expected_hops
@@ -161,20 +162,22 @@ class TestDeploymentPricing:
         deployment, accountant, graph = self.make_deployment()
         by_role: dict[str, float] = {}
         for point in deployment.points():
-            role = graph.nodes[point.node]["role"]
-            by_role.setdefault(role, accountant.price_samples(point.node, 1000).total)
+            node = point.device.device_id
+            role = graph.nodes[node]["role"]
+            by_role.setdefault(role, accountant.price_samples(node, 1000).total)
         assert by_role[NodeRole.SERVER] > by_role[NodeRole.LEAF] > by_role[NodeRole.SPINE]
 
     def test_deployment_point_block_pricing(self):
         """Vectorised pricing over a deployment's measurement points equals
         per-point scalar pricing, hop counts included."""
         deployment, accountant, _ = self.make_deployment()
-        points = deployment.points_for_metric("Temperature")
-        devices = [point.node for point in points]
+        points = [point for point in deployment.points()
+                  if point.metric.name == "Temperature"]
+        devices = [point.device.device_id for point in points]
         counts = np.arange(1, len(points) + 1) * 7
         priced = accountant.price_sample_block(devices, counts)
         totals = (priced["collection_cpu_us"] + priced["transmission"]
                   + priced["storage_bytes"] + priced["analysis"])
         for index, point in enumerate(points):
-            scalar = accountant.price_samples(point.node, int(counts[index]))
+            scalar = accountant.price_samples(devices[index], int(counts[index]))
             assert totals[index] == pytest.approx(scalar.total)

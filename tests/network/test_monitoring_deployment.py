@@ -9,6 +9,8 @@ from repro.network.monitoring import (DeploymentSpec, DeploymentTraceSource,
                                      MonitoringDeployment)
 from repro.network.topology import (FatTreeSpec, TopologySpec, WanRingSpec,
                                     build_leaf_spine, servers, switches)
+from repro.telemetry.dataset import TracePair
+from repro.telemetry.profiles import DeviceRole
 
 
 @pytest.fixture(scope="module")
@@ -30,14 +32,36 @@ class TestDeployment:
     def test_server_points_only_get_server_metrics(self, deployment):
         server_nodes = set(servers(deployment.topology))
         for point in deployment.points():
-            if point.node in server_nodes:
+            if point.device.device_id in server_nodes:
                 assert point.metric.name in deployment.server_metrics
 
-    def test_points_for_metric(self, deployment):
-        points = deployment.points_for_metric("Link util")
+    def test_pairs_for_metric(self, deployment):
+        points = DeploymentTraceSource(deployment).pairs_for_metric("Link util")
         assert points
         assert all(point.metric.name == "Link util" for point in points)
         assert len(points) == len(switches(deployment.topology))
+
+    def test_points_are_trace_pairs_keyed_metric_first(self, deployment):
+        """A point is a TracePair whose device is its node's profile, keyed
+        ``(metric, node)`` like every other pair."""
+        server_nodes = set(servers(deployment.topology))
+        nodes = set(switches(deployment.topology)) | server_nodes
+        for point in deployment.points():
+            node = point.device.device_id
+            assert isinstance(point, TracePair)
+            assert node in nodes
+            assert point.key == (point.metric.name, node)
+            assert (point.device.role == DeviceRole.SERVER) == (node in server_nodes)
+
+    def test_source_serves_the_deployment_points(self, deployment):
+        """The trace source regroups the deployment's own pairs by metric
+        instead of re-wrapping them."""
+        source = DeploymentTraceSource(deployment)
+        pairs = source.pairs()
+        assert sorted(map(id, pairs)) == sorted(map(id, deployment.points()))
+        order = source.metric_names()
+        assert [pair.metric.name for pair in pairs] == sorted(
+            (pair.metric.name for pair in pairs), key=order.index)
 
     def test_oversampled_trace_vs_production(self, deployment):
         pair = DeploymentTraceSource(deployment).pairs_for_metric("Temperature")[0]

@@ -279,3 +279,38 @@ class TestEstimateCommand:
     def test_estimate_missing_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["estimate", str(tmp_path / "nope.csv")]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timestamp, value", [
+        ("60", "nan"), ("60", "inf"), ("60", "-inf"), ("nan", "1.5"), ("inf", "1.5"),
+    ])
+    def test_estimate_rejects_non_finite_rows(self, tmp_path, capsys, timestamp, value):
+        """Regression: a nan or inf sample used to come back as a reliable
+        bottom-bin rate ("reduction ratio: 20.5x")."""
+        rows = [f"{60 * i},{np.sin(0.3 * i):.6f}" for i in range(41)]
+        rows[1] = f"{timestamp},{value}"
+        path = tmp_path / "trace.csv"
+        path.write_text("timestamp,value\n" + "\n".join(rows) + "\n")
+        assert main(["estimate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}, line 3: ")
+        assert "finite" in captured.err
+        assert "reduction ratio" not in captured.out
+
+
+class TestErrorContract:
+    """Every command reports a bad parameter as one ``error:`` line, exit 1."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["survey", "--pairs", "0"], "pair_count"),
+        (["export-fleet", "{tmp}/fleet", "--pairs", "0"], "pair_count"),
+        (["windowed", "--window-hours", "0"], "positive"),
+        (["windowed", "--step-minutes", "0"], "positive"),
+        (["adaptive", "--days", "0"], "positive"),
+    ], ids=["survey-pairs", "export-fleet-pairs", "windowed-window", "windowed-step",
+            "adaptive-days"])
+    def test_bad_parameter_is_one_error_line(self, tmp_path, capsys, argv, message):
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert err.count("\n") == 1

@@ -8,6 +8,10 @@ when a public top-level name appears as an ``ast.Name`` or
 and ``__all__`` strings are not uses: a re-export alone does not keep a
 symbol alive.  The match is by name, so a use of an unrelated attribute
 that happens to share the name also counts.
+
+The same scan, over ``tests/`` too, checks that every parameter of the
+pipeline entry points is passed by some call: an option no caller sets
+is a fixed value dressed up as a choice.
 """
 
 from __future__ import annotations
@@ -29,10 +33,14 @@ ALLOWED = {
 }
 
 
+def _trees(roots: tuple[Path, ...]) -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(), filename=str(path))
+            for root in roots for path in sorted(root.rglob("*.py"))}
+
+
 def _orphans() -> list[str]:
     """``module::name`` of every public top-level symbol with no use outside itself."""
-    trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for root in SCANNED for path in sorted(root.rglob("*.py"))}
+    trees = _trees(SCANNED)
     uses: dict[str, list[ast.AST]] = defaultdict(list)
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -65,3 +73,51 @@ def test_allow_list_names_live_orphans():
     """An allowed name must still be defined and still lack a library caller."""
     orphan_names = {orphan.rpartition("::")[2] for orphan in _orphans()}
     assert sorted(set(ALLOWED) - orphan_names) == []
+
+
+#: Entry points whose every parameter must be set by some caller.
+ENTRY_POINTS = ("run_survey", "run_policy_survey", "ingest_dump", "run_matrix",
+                "evaluate_cell", "run_windowed_survey", "SpillingRecordSink",
+                "faulty_export")
+
+
+def _parameters(definition: ast.FunctionDef | ast.ClassDef) -> list[str]:
+    """Parameter names of a function, or of a class's ``__init__`` minus ``self``."""
+    if isinstance(definition, ast.ClassDef):
+        definition = next(node for node in definition.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+        skip = 1
+    else:
+        skip = 0
+    arguments = definition.args
+    return [arg.arg for arg in [*arguments.posonlyargs, *arguments.args][skip:]
+            + arguments.kwonlyargs]
+
+
+def _unset_parameters() -> list[str]:
+    """``name(parameter)`` of every entry-point parameter no call passes."""
+    trees = _trees((*SCANNED, ROOT / "tests"))
+    parameters = {definition.name: _parameters(definition)
+                  for path, tree in trees.items() if path.is_relative_to(SRC)
+                  for definition in tree.body
+                  if isinstance(definition, (ast.FunctionDef, ast.ClassDef))
+                  and definition.name in ENTRY_POINTS}
+    assert sorted(parameters) == sorted(ENTRY_POINTS)
+    passed: dict[str, set[str]] = defaultdict(set)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name not in parameters:
+                continue
+            passed[name].update(parameters[name][:len(node.args)])
+            passed[name].update(keyword.arg for keyword in node.keywords if keyword.arg)
+    return [f"{name}({parameter})" for name, names in parameters.items()
+            for parameter in names if parameter not in passed[name]]
+
+
+def test_every_entry_point_option_has_a_caller():
+    """An option nothing sets is a default in disguise: fix the value instead."""
+    unset = _unset_parameters()
+    assert not unset, f"{len(unset)} option(s) no call sets: {unset}"

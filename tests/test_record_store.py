@@ -358,24 +358,6 @@ class TestSpillFileOrdering:
         assert sink.files[-1].name == "records-00012.rcb"
         assert [block.metric_name for block in sink.blocks()] == order + ["metric-12"]
 
-    def test_format_auto_detection(self, tmp_path):
-        from repro.analysis.survey import RecordBlock
-        sink = SpillingRecordSink(tmp_path / "spool", fmt="rcb")
-        sink.append(RecordBlock(
-            metric_name="Temperature",
-            device_ids=np.array(["tor-1"], dtype=np.str_),
-            current_rate=np.array([1.0]),
-            nyquist_rate=np.array([0.1]),
-            reduction_ratio=np.array([10.0]),
-            category=np.array([0]),
-            reliable=np.array([True]),
-            true_nyquist_rate=np.array([np.nan]),
-            trace_duration=np.array([86400.0]),
-        ))
-        reopened = SpillingRecordSink(tmp_path / "spool", fmt=None)
-        assert reopened.fmt == "rcb"
-        assert reopened.rows == 1
-
 
 # ----------------------------------------------------------------------
 def _lose_first_block(entry) -> None:

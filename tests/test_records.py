@@ -5,11 +5,10 @@ Both columnar block classes -- the Nyquist survey's
 :class:`~repro.pipeline.evaluation.PolicyRecordBlock` -- serialise through
 the one schema-driven implementation in :mod:`repro.records`
 (:class:`~repro.records.ColumnarBlock`).  These tests pin the shared
-contract once for all block types: lossless rcb/csv round trips (floats
-bit for bit, NaNs included), zero-row blocks keeping their block-level
-scalars, spill-file sniffing that tells the types apart, legacy csv files
-without the scalar comment lines, and loud ``ValueError``s naming the
-offending file on corruption.
+contract once for all block types: lossless rcb round trips (floats bit
+for bit, NaNs included), zero-row blocks keeping their block-level
+scalars, spill-file sniffing that tells the types apart, and loud
+``ValueError``s naming the offending file on corruption.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ def make_failure_block(rows: int = 3) -> FailureRecordBlock:
 
 
 def make_multiline_failure_block() -> FailureRecordBlock:
-    """Two failures, one whose message csv must quote across three lines."""
+    """Two failures, one whose message spans three lines."""
     return FailureRecordBlock.from_failures([
         FailureRecord(metric_name="Link util", device_id=f"tor-{i:04d}", stage="trace",
                       error_type="ValueError", message=message,
@@ -87,7 +86,7 @@ BLOCK_FACTORIES = {RecordBlock: make_record_block,
                    FailureRecordBlock: make_failure_block}
 
 #: What a spill directory must re-open losslessly: every block type, plus
-#: a failure message spanning lines (one csv row over several lines).
+#: a failure message spanning lines.
 SPILL_FACTORIES = {**{cls.__name__: factory for cls, factory in BLOCK_FACTORIES.items()},
                    "FailureRecordBlock-multiline": make_multiline_failure_block}
 
@@ -128,44 +127,17 @@ def empty_block(request):
 
 # ----------------------------------------------------------------------
 class TestRoundTrips:
-    @pytest.mark.parametrize("fmt", ["csv", "rcb"])
-    def test_round_trip_is_lossless(self, block, fmt, tmp_path):
-        path = tmp_path / f"block.{fmt}"
-        getattr(block, f"save_{fmt}")(path)
-        loaded = getattr(type(block), f"load_{fmt}")(path)
-        assert_blocks_equal(block, loaded)
+    def test_round_trip_is_lossless(self, block, tmp_path):
+        path = tmp_path / "block.rcb"
+        block.save_rcb(path)
+        assert_blocks_equal(block, type(block).load_rcb(path))
 
-    @pytest.mark.parametrize("fmt", ["csv", "rcb"])
-    def test_zero_row_block_keeps_scalars(self, empty_block, fmt, tmp_path):
-        path = tmp_path / f"empty.{fmt}"
-        getattr(empty_block, f"save_{fmt}")(path)
-        loaded = getattr(type(empty_block), f"load_{fmt}")(path)
+    def test_zero_row_block_keeps_scalars(self, empty_block, tmp_path):
+        path = tmp_path / "empty.rcb"
+        empty_block.save_rcb(path)
+        loaded = type(empty_block).load_rcb(path)
         assert len(loaded) == 0
         assert_blocks_equal(empty_block, loaded)
-
-    def test_legacy_csv_without_scalar_comments_loads(self, block, tmp_path):
-        # Files written before the comment lines existed start straight at
-        # the header; the scalars are then recovered from the data rows.
-        path = tmp_path / "block.csv"
-        block.save_csv(path)
-        lines = path.read_text().splitlines(keepends=True)
-        stripped = [line for line in lines if not line.startswith("#")]
-        legacy = tmp_path / "legacy.csv"
-        legacy.write_text("".join(stripped))
-        loaded = type(block).load_csv(legacy)
-        assert_blocks_equal(block, loaded)
-
-    def test_csv_is_the_documented_flat_layout(self, block, tmp_path):
-        path = tmp_path / "block.csv"
-        block.save_csv(path)
-        lines = path.read_text().splitlines()
-        schema = type(block)._SCHEMA
-        comments = [line for line in lines if line.startswith("#")]
-        assert comments == [f"{spec.comment_prefix}{getattr(block, spec.name)}"
-                            for spec in schema.scalars]
-        header = lines[len(comments)]
-        assert header == ",".join(schema.csv_header)
-
 
 class TestZeroCopyLoad:
     """An rcb load is one read: every column is a read-only view of one buffer."""
@@ -246,61 +218,17 @@ class TestCorruption:
         with pytest.raises(ValueError, match=str(path)):
             type(block).load_rcb(path)
 
-    def test_empty_csv_raises_value_error(self, block, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ValueError, match="missing CSV header"):
-            type(block).load_csv(path)
-
-    def test_wrong_csv_header_raises_value_error(self, block, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("what,is,this\n1,2,3\n")
-        with pytest.raises(ValueError, match="unexpected CSV header"):
-            type(block).load_csv(path)
-
-    def test_truncated_csv_row_names_file_and_row(self, block, tmp_path):
-        path = tmp_path / "block.csv"
-        block.save_csv(path)
-        lines = path.read_text().splitlines(keepends=True)
-        cells = lines[-1].split(",")
-        lines[-1] = ",".join(cells[: len(cells) // 2])
-        path.write_text("".join(lines))
-        with pytest.raises(ValueError, match=f"data row {len(block)}"):
-            type(block).load_csv(path)
-
-    def test_garbage_csv_cell_names_file_and_row(self, block, tmp_path):
-        schema = type(block)._SCHEMA
-        float_columns = [index for index, spec in enumerate(schema.columns)
-                         if spec.kind == "float"]
-        if not float_columns:
-            pytest.skip("all-string schema: every cell is a valid value")
-        path = tmp_path / "block.csv"
-        block.save_csv(path)
-        text = path.read_text()
-        # Corrupt the last float cell of the first data row.
-        lines = text.splitlines(keepends=True)
-        first_data = next(index for index, line in enumerate(lines)
-                          if not line.startswith("#")) + 1
-        cells = lines[first_data].rstrip("\r\n").split(",")
-        cells[float_columns[-1]] = "not-a-number"
-        lines[first_data] = ",".join(cells) + "\n"
-        path.write_text("".join(lines))
-        with pytest.raises(ValueError, match="data row 1"):
-            type(block).load_csv(path)
-
-
 class TestSniffing:
     def test_both_types_are_registered(self):
         registered = registered_block_types()
         assert RecordBlock in registered
         assert PolicyRecordBlock in registered
 
-    @pytest.mark.parametrize("fmt", ["csv", "rcb"])
-    def test_sniffing_tells_the_types_apart(self, spill_block, fmt, tmp_path):
+    def test_sniffing_tells_the_types_apart(self, spill_block, tmp_path):
         block = spill_block
-        sink = SpillingRecordSink(tmp_path / "spool", fmt=fmt)
+        sink = SpillingRecordSink(tmp_path / "spool")
         sink.append(block)
-        reopened = SpillingRecordSink(tmp_path / "spool", fmt=fmt)
+        reopened = SpillingRecordSink(tmp_path / "spool")
         assert reopened.rows == len(block)
         loaded = list(reopened.blocks())
         assert len(loaded) == 1
@@ -308,27 +236,20 @@ class TestSniffing:
         assert_blocks_equal(block, loaded[0])
         # The other registered types must NOT claim this file.
         for other in registered_block_types():
-            if other is type(block):
-                continue
-            if fmt == "rcb":
+            if other is not type(block):
                 assert not other.sniff_rcb(read_rcb_header(sink.files[0]))
-            else:
-                head = sink.files[0].read_text().splitlines()[:4]
-                assert not other.sniff_csv(head)
 
-    @pytest.mark.parametrize("fmt", ["csv", "rcb"])
-    def test_reopen_without_fmt_reads_the_files(self, spill_block, fmt, tmp_path):
-        """Re-opening a spill directory without naming its format reads its
-        files, and later appends continue the same file set."""
+    def test_reopen_reads_the_files(self, spill_block, tmp_path):
+        """Re-opening a spill directory reads its files, and later appends
+        continue the same file set."""
         block = spill_block
-        SpillingRecordSink(tmp_path / "spool", fmt=fmt).append(block)
+        SpillingRecordSink(tmp_path / "spool").append(block)
         reopened = SpillingRecordSink(tmp_path / "spool")
-        assert reopened.fmt == fmt
         assert reopened.rows == len(block)
         assert reopened.block_type is None
         reopened.append(block)
         assert [path.name for path in reopened.files] == [
-            f"records-00000.{fmt}", f"records-00001.{fmt}"]
+            "records-00000.rcb", "records-00001.rcb"]
         assert sorted(path.name for path in (tmp_path / "spool").iterdir()) == [
             path.name for path in reopened.files]
         again = SpillingRecordSink(tmp_path / "spool")
@@ -338,25 +259,22 @@ class TestSniffing:
         for each in loaded:
             assert_blocks_equal(block, each)
 
-    @pytest.mark.parametrize("present, fmt, match", [
-        (("rcb", "csv"), None, "mixes rcb and csv record files"),
-        (("rcb",), "csv", "holds rcb record files; cannot spill csv"),
-        (("npz",), None, "npz spill is no longer read"),
-    ], ids=["mixed-suffixes", "fmt-disagrees", "leftover-npz"])
-    def test_spill_directory_holds_one_format(self, present, fmt, match, tmp_path):
-        """A sink refuses a directory it would leave holding two formats."""
+    @pytest.mark.parametrize("retired", ["npz", "csv"])
+    def test_retired_spill_format_is_refused(self, retired, tmp_path):
+        """A directory holding npz or csv spill files raises, naming the
+        directory, and is left untouched -- even next to rcb files."""
         directory = tmp_path / "spool"
         directory.mkdir()
         block = make_record_block()
-        for index, suffix in enumerate(present):
-            path = directory / f"records-{index:05d}.{suffix}"
-            if suffix == "npz":
-                np.savez(path, device_ids=block.device_ids)
-            else:
-                getattr(block, f"save_{suffix}")(path)
+        block.save_rcb(directory / "records-00000.rcb")
+        leftover = directory / f"records-00001.{retired}"
+        if retired == "npz":
+            np.savez(leftover, device_ids=block.device_ids)
+        else:
+            leftover.write_text("metric_name,device_id\nTemperature,tor-0000\n")
         before = sorted(directory.iterdir())
-        with pytest.raises(ValueError, match=match) as error:
-            SpillingRecordSink(directory, fmt=fmt)
+        with pytest.raises(ValueError, match=f"{retired} spill is no longer read") as error:
+            SpillingRecordSink(directory)
         assert str(directory) in str(error.value)
         assert sorted(directory.iterdir()) == before
 
@@ -406,9 +324,9 @@ class TestSchemaValidation:
 
     def test_schema_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="duplicate"):
-            BlockSchema(scalars=(ScalarSpec("x", "x"),),
+            BlockSchema(scalars=(ScalarSpec("x"),),
                         columns=(ColumnSpec("x", "float"),))
 
     def test_schema_requires_a_column(self):
         with pytest.raises(ValueError, match="at least one column"):
-            BlockSchema(scalars=(ScalarSpec("x", "x"),), columns=())
+            BlockSchema(scalars=(ScalarSpec("x"),), columns=())
