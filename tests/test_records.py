@@ -7,11 +7,15 @@ the one schema-driven implementation in :mod:`repro.records`
 (:class:`~repro.records.ColumnarBlock`).  These tests pin the shared
 contract once for all block types: lossless rcb round trips (floats bit
 for bit, NaNs included), zero-row blocks keeping their block-level
-scalars, spill-file sniffing that tells the types apart, and loud
+scalars, spill-file sniffing that tells the types apart, the sinks'
+append order and one-block-type rule, and loud
 ``ValueError``s naming the offending file on corruption.
 """
 
 from __future__ import annotations
+
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -19,8 +23,9 @@ import pytest
 from repro.analysis.survey import RecordBlock
 from repro.pipeline.evaluation import PolicyRecordBlock
 from repro.records import (RCB_MAGIC, BlockSchema, ColumnSpec, FailureRecord,
-                           FailureRecordBlock, ScalarSpec, SpillingRecordSink,
-                           load_rcb_any, read_rcb_header, registered_block_types)
+                           FailureRecordBlock, MemoryRecordSink, ScalarSpec,
+                           SpillingRecordSink, load_rcb_any, read_rcb_header,
+                           registered_block_types)
 from repro.records.rcb import block_type_of
 
 # ----------------------------------------------------------------------
@@ -139,6 +144,13 @@ class TestRoundTrips:
         assert len(loaded) == 0
         assert_blocks_equal(empty_block, loaded)
 
+    def test_saving_twice_writes_identical_bytes(self, block, tmp_path):
+        block.save_rcb(tmp_path / "first.rcb")
+        block.save_rcb(tmp_path / "second.rcb")
+        assert ((tmp_path / "first.rcb").read_bytes()
+                == (tmp_path / "second.rcb").read_bytes())
+
+
 class TestZeroCopyLoad:
     """An rcb load is one read: every column is a read-only view of one buffer."""
 
@@ -200,8 +212,6 @@ class TestCorruption:
             type(block).load_rcb(path)
 
     def test_rcb_missing_member_raises_value_error(self, block, tmp_path):
-        import json
-        import struct
         path = tmp_path / "block.rcb"
         block.save_rcb(path)
         data = path.read_bytes()
@@ -217,6 +227,60 @@ class TestCorruption:
         path.write_bytes(data[:8] + raw + data[8 + header_len:])
         with pytest.raises(ValueError, match=str(path)):
             type(block).load_rcb(path)
+
+    def test_implausible_header_length_raises(self, tmp_path):
+        path = tmp_path / "block.rcb"
+        make_record_block().save_rcb(path)
+        data = bytearray(path.read_bytes())
+        data[4:8] = struct.pack("<I", 0xFFFFFFFF)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="implausible header length") as error:
+            RecordBlock.load_rcb(path)
+        assert str(path) in str(error.value)
+
+    def test_trailing_bytes_raise(self, tmp_path):
+        path = tmp_path / "block.rcb"
+        make_record_block().save_rcb(path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(ValueError, match=f"expected {size} bytes, found {size + 8}"):
+            RecordBlock.load_rcb(path)
+
+    @pytest.mark.parametrize("damage, reason", [
+        (lambda header: header.update(format="rcb/0"), "unknown format tag"),
+        (lambda header: header.pop("rows"), "header is missing 'rows'"),
+        (lambda header: header.update(data_bytes=-1), "bad data size -1"),
+        (lambda header: header.update(rows=-1), "bad row count -1"),
+        (lambda header: header.update(rows=header["rows"] + 1), "payload is"),
+        (lambda header: header["columns"][0].update(
+            dtype=header["columns"][0]["dtype"].replace("<", ">")), "is big-endian"),
+        (lambda header: header["columns"][-1].update(offset=header["data_bytes"]),
+         "lies outside the data section"),
+        (lambda header: header["columns"][0].pop("nbytes"), "bad column descriptor"),
+        (lambda header: header["scalars"].clear(), "missing scalar 'metric_name'"),
+    ], ids=["format-tag", "missing-key", "data-size", "row-count", "payload-size",
+            "big-endian", "outside-data", "column-descriptor", "missing-scalar"])
+    def test_damaged_header_raises_naming_path_and_reason(self, damage, reason, tmp_path):
+        path = tmp_path / "block.rcb"
+        make_record_block().save_rcb(path)
+        _rewrite_header(path, damage)
+        with pytest.raises(ValueError, match=reason) as error:
+            RecordBlock.load_rcb(path)
+        assert str(path) in str(error.value)
+
+
+def _rewrite_header(path, edit) -> None:
+    """Apply ``edit`` to the JSON header of ``path``, re-framing the file
+    so the data section again starts on the next 64-byte boundary."""
+    data = path.read_bytes()
+    (header_len,) = struct.unpack("<I", data[4:8])
+    header = json.loads(data[8:8 + header_len])
+    payload = data[-(-(8 + header_len) // 64) * 64:]
+    edit(header)
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    padding = b"\0" * (-(8 + len(raw)) % 64)
+    path.write_bytes(RCB_MAGIC + struct.pack("<I", len(raw)) + raw + padding + payload)
+
 
 class TestSniffing:
     def test_both_types_are_registered(self):
@@ -277,6 +341,49 @@ class TestSniffing:
             SpillingRecordSink(directory)
         assert str(directory) in str(error.value)
         assert sorted(directory.iterdir()) == before
+
+
+class TestSinks:
+    def test_memory_sink_streams_blocks_in_append_order(self):
+        sink = MemoryRecordSink()
+        blocks = [make_record_block(3), make_record_block(1)]
+        for block in blocks:
+            sink.append(block)
+        assert sink.rows == 4
+        assert list(sink.blocks()) == blocks
+
+    def test_fresh_spill_directory_is_empty(self, tmp_path):
+        sink = SpillingRecordSink(tmp_path / "spool")
+        assert (tmp_path / "spool").is_dir()
+        assert sink.rows == 0
+        assert sink.block_type is None
+        assert sink.files == []
+        assert list(sink.blocks()) == []
+
+    @pytest.mark.parametrize("reopen", [False, True], ids=["fresh", "reopened"])
+    def test_spill_refuses_a_second_block_type(self, reopen, tmp_path):
+        """A sink stores one block type; a foreign block raises and writes
+        no file, whether the type came from an append or a file header."""
+        sink = SpillingRecordSink(tmp_path / "spool")
+        sink.append(make_record_block())
+        if reopen:
+            sink = SpillingRecordSink(tmp_path / "spool")
+        before = sorted((tmp_path / "spool").iterdir())
+        with pytest.raises(ValueError, match="stores RecordBlock blocks; "
+                                             "cannot append a PolicyRecordBlock"):
+            sink.append(make_policy_block())
+        assert sorted((tmp_path / "spool").iterdir()) == before
+        assert sink.rows == len(make_record_block())
+
+    def test_appends_continue_after_the_highest_index(self, tmp_path):
+        directory = tmp_path / "spool"
+        directory.mkdir()
+        make_record_block().save_rcb(directory / "records-00007.rcb")
+        sink = SpillingRecordSink(directory)
+        sink.append(make_record_block(1))
+        assert [path.name for path in sink.files] == ["records-00007.rcb",
+                                                      "records-00008.rcb"]
+        assert sink.rows == 4
 
 
 class TestBlockTypeOf:
