@@ -232,7 +232,7 @@ def test_measured_vs_generated_throughput(output_dir, tmp_path):
         "trace_bytes": trace_bytes,
         "generated_pairs_per_second": MEASURED_PAIRS / generated_seconds,
         "measured_pairs_per_second": MEASURED_PAIRS / recorded_seconds,
-        "trace_format": "npz",
+        "trace_format": "rcb",
         "cpu_count": os.cpu_count(),
     })
     print(f"\n=== Measured vs generated survey ({MEASURED_PAIRS} pairs, workers=2) ===")

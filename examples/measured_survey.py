@@ -4,7 +4,7 @@ The paper's survey runs over *measured* production traces.  This example
 shows the full measured-data loop on a fleet you can regenerate anywhere:
 
 1. build a synthetic fleet and **export** it to a directory of per-pair
-   trace files (npz or csv) plus a ``manifest.json`` -- the stand-in for a
+   trace files (rcb or csv) plus a ``manifest.json`` -- the stand-in for a
    directory of recorded production telemetry;
 2. re-open that directory as a :class:`MeasuredFleetDataset` and run the
    exact same ``run_survey`` pipeline on it (batched engine, optional
@@ -41,7 +41,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--workers", type=int, default=2,
                         help="survey worker processes for the measured run")
-    parser.add_argument("--trace-format", choices=["npz", "csv"], default="npz",
+    parser.add_argument("--trace-format", choices=["rcb", "csv"], default="rcb",
                         help="per-pair trace file format")
     parser.add_argument("--dir", type=Path, default=None,
                         help="fleet directory (default: a fresh temp directory)")

@@ -173,7 +173,7 @@ class PolicySurveyResult(SliceResult):
 
         Reporting typically asks for ``rows()`` *and* ``relative_costs``;
         without the cache each call would re-stream (for a spilled run:
-        re-read and decompress) every block.
+        re-read) every block.
         """
         if self._totals_cache is not None and self._totals_cache[0] == self._sink.rows:
             return self._totals_cache[1]

@@ -24,7 +24,7 @@ Installed as ``repro-monitor`` (see pyproject) and runnable as
   table.  Same ``--workers`` / ``--chunk-size`` / ``--spill-dir``
   scaling as ``survey``.
 * ``export-fleet`` -- round-trip a synthetic fleet to a measured-trace
-  directory (one npz/csv file per (metric, device) pair plus
+  directory (one ``.rcb`` or ``.csv`` file per (metric, device) pair plus
   ``manifest.json``); ``survey --from-dir`` on the result reproduces the
   in-memory survey byte-identically.
 * ``ingest`` -- stream a raw monitoring export (gNMI-style JSON lines or
@@ -70,7 +70,7 @@ from .telemetry.dataset import DatasetConfig, FleetDataset
 from .telemetry.ingest import (DEFAULT_MEMORY_BUDGET_SAMPLES, EXPORT_FORMATS,
                                GNMI_FORMAT, export_gnmi_dump,
                                export_snmp_dump, ingest_dump, open_export)
-from .telemetry.measured import MeasuredFleetDataset, export_traces
+from .telemetry.measured import TRACE_FORMATS, MeasuredFleetDataset, export_traces
 from .telemetry.metrics import METRIC_CATALOG
 from .telemetry.models import generate_trace
 from .telemetry.profiles import DeviceProfile, DeviceRole, draw_metric_parameters
@@ -204,9 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--pairs", type=int, default=280,
                         help="number of (metric, device) pairs to export (default 280)")
     export.add_argument("--seed", type=int, default=7, help="dataset seed")
-    export.add_argument("--trace-format", choices=["npz", "csv"], default="npz",
-                        help="per-pair trace file format (default npz; csv files are "
-                             "timestamp,value rows readable by 'estimate')")
+    export.add_argument("--trace-format", choices=TRACE_FORMATS, default="rcb",
+                        help="per-pair trace file format (default rcb, binary and "
+                             "checksummed; csv files are timestamp,value rows "
+                             "readable by 'estimate')")
 
     ingest = subparsers.add_parser(
         "ingest",
@@ -235,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--min-samples", type=_positive_int, default=2,
                         help="skip pairs with fewer distinct-timestamp samples "
                              "than this (recorded in the manifest; default 2)")
-    ingest.add_argument("--trace-format", choices=["npz", "csv"], default="npz",
-                        help="per-pair trace file format of the ingested fleet")
+    ingest.add_argument("--trace-format", choices=TRACE_FORMATS, default="rcb",
+                        help="per-pair trace file format of the ingested fleet "
+                             "(default rcb; csv is human-readable)")
     ingest.add_argument("--on-error", choices=["raise", "quarantine"], default="raise",
                         help="'raise' (default) aborts on the first malformed line; "
                              "'quarantine' skips malformed lines, ingests every "

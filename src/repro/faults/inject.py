@@ -148,11 +148,12 @@ class FaultInjectingTraceSource(BaseTraceSource):
 # ----------------------------------------------------------------------
 def faulty_export(source: TraceSource, directory: Path | str,
                   plan: FaultPlan) -> "MeasuredFleetDataset":
-    """Export ``source`` to an npz measured-fleet directory, then damage it.
+    """Export ``source`` to an rcb measured-fleet directory, then damage it.
 
     Every pair the plan assigns ``corrupt-trace`` gets its trace file
     overwritten with garbage bytes; every ``truncated-trace`` pair's file
-    is cut to half its length.  Other kinds do not exist on disk and are
+    is cut to half its length (both fail the rcb size or checksum
+    checks).  Other kinds do not exist on disk and are
     skipped.  The manifest stays intact, so the returned
     :class:`MeasuredFleetDataset` opens fine and fails (loudly, naming
     the file) only when a damaged pair is actually loaded -- exactly how

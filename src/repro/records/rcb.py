@@ -27,7 +27,8 @@ one block of at most ``chunk_size`` rows and every consumer reads every
 column, so lazy paging would save nothing.  Writes are deterministic
 byte for byte (sorted JSON keys, zero padding), which is what lets CI
 compare a warm store rerun to a cold run with ``cmp``.  Any structural
-damage -- bad magic, unparseable header, payload size mismatch -- raises
+damage -- bad magic, unparseable header, payload size mismatch, a column
+stored under another dtype kind than its schema's -- raises
 ``ValueError`` naming the file.
 """
 
@@ -142,21 +143,26 @@ def _read_header(path: Path, handle: BinaryIO) -> tuple[dict, int]:
     rows = header["rows"]
     if not isinstance(rows, int) or rows < 0:
         raise _corrupt(path, f"bad row count {rows!r}")
+    if not isinstance(header["columns"], list) or not isinstance(header["scalars"], dict):
+        raise _corrupt(path, "'columns' must be a list and 'scalars' a mapping")
     for column in header["columns"]:
         try:
+            name = column["name"]
+            # A garbled dtype string can make numpy's parser raise
+            # SyntaxError as well as TypeError.
             dtype = np.dtype(column["dtype"])
-            if dtype.byteorder == ">":
-                raise _corrupt(path, f"column {column.get('name')!r} is big-endian")
-            if column["nbytes"] != rows * dtype.itemsize:
-                raise _corrupt(path, f"column {column.get('name')!r} payload is "
-                                     f"{column['nbytes']} bytes, expected "
-                                     f"{rows * dtype.itemsize}")
-            if (column["offset"] < 0
-                    or column["offset"] + column["nbytes"] > header["data_bytes"]):
-                raise _corrupt(path, f"column {column.get('name')!r} lies outside "
-                                     "the data section")
-        except (TypeError, KeyError) as error:
+            nbytes, offset = column["nbytes"], column["offset"]
+            wrong_size = nbytes != rows * dtype.itemsize
+            outside = offset < 0 or offset + nbytes > header["data_bytes"]
+        except (TypeError, KeyError, SyntaxError) as error:
             raise _corrupt(path, f"bad column descriptor: {error}") from error
+        if dtype.byteorder == ">":
+            raise _corrupt(path, f"column {name!r} is big-endian")
+        if wrong_size:
+            raise _corrupt(path, f"column {name!r} payload is {nbytes} bytes, "
+                                 f"expected {rows * dtype.itemsize}")
+        if outside:
+            raise _corrupt(path, f"column {name!r} lies outside the data section")
     return header, data_start
 
 
@@ -204,6 +210,9 @@ def _block_from(cls: type, path: Path, header: dict, data: bytes) -> Any:
         if column is None:
             raise _corrupt(path, f"missing column {spec.name!r}")
         dtype = np.dtype(column["dtype"])
+        if dtype.kind != np.dtype(spec.dtype).kind:
+            raise _corrupt(path, f"column {spec.name!r} is stored as {dtype.str}, "
+                                 f"not as {spec.kind}")
         if column["nbytes"] == 0:
             fields[spec.name] = np.empty(0, dtype=dtype)
         else:

@@ -81,7 +81,7 @@ from ..signals.timeseries import IrregularTimeSeries, TimeSeries
 from ..core.resampling import nearest_neighbor_resample
 from ..records import FailureRecord, FailureRecordBlock, RecordSink
 from .measured import (MANIFEST_FORMAT, MANIFEST_NAME, TRACE_FORMATS,
-                       MeasuredFleetDataset, _save_trace_csv, _save_trace_npz)
+                       MeasuredFleetDataset, _save_trace)
 from .source import TraceSource
 __all__ = [
     "GNMI_FORMAT",
@@ -820,7 +820,6 @@ def _finish_pairs(accumulator: PairAccumulator, root: Path, name_prefix: str,
     ``min_samples`` become skipped entries.  Shared by the serial ingest
     and each shard of the sharded one.
     """
-    save = _save_trace_npz if trace_format == "npz" else _save_trace_csv
     entries: list[dict] = []
     skipped: list[dict] = []
     for key in sorted(accumulator.keys()):
@@ -831,7 +830,7 @@ def _finish_pairs(accumulator: PairAccumulator, root: Path, name_prefix: str,
             skipped.append({"metric": metric, "device": device, **stats})
             continue
         file_name = f"{name_prefix}{len(entries):05d}.{trace_format}"
-        save(root / file_name, trace)
+        _save_trace(root / file_name, trace, trace_format)
         entries.append({"metric": metric, "device": device,
                         "interval": trace.interval, "length": len(trace),
                         "file": file_name, "ingest": stats})
@@ -893,10 +892,9 @@ class IngestStats:
 # The importer
 # ----------------------------------------------------------------------
 def ingest_dump(dump: Path | str | TelemetryDump, directory: Path | str,
-                fmt: str | None = None,
                 memory_budget_samples: int = DEFAULT_MEMORY_BUDGET_SAMPLES,
                 min_samples: int = 2,
-                trace_format: Literal["npz", "csv"] = "npz",
+                trace_format: Literal["rcb", "csv"] = "rcb",
                 on_error: Literal["raise", "quarantine"] = "raise",
                 failure_sink: RecordSink | None = None,
                 workers: int = 1,
@@ -906,9 +904,9 @@ def ingest_dump(dump: Path | str | TelemetryDump, directory: Path | str,
     Parameters
     ----------
     dump:
-        The export file (or an already-:func:`open_export`-ed dump); the
-        wire format is sniffed unless ``fmt`` names one of
-        :data:`EXPORT_FORMATS`.
+        The export file, whose wire format is sniffed, or a dump opened
+        with :func:`open_export` (which can name one of
+        :data:`EXPORT_FORMATS` outright).
     directory:
         Destination; must not already hold a measured fleet.  On success
         it contains one trace file per ingested pair plus a
@@ -937,7 +935,9 @@ def ingest_dump(dump: Path | str | TelemetryDump, directory: Path | str,
         recorded in the manifest) instead of producing degenerate traces;
         must be at least 2, since a lone sample has no interval.
     trace_format:
-        Per-pair trace file format (``npz`` default, or ``csv``).
+        Per-pair trace file format: ``rcb`` (default; one checksummed
+        :class:`~repro.telemetry.measured.TraceBlock` per pair) or ``csv``
+        (human-readable ``timestamp,value`` rows).
     on_error:
         ``"raise"`` (default) aborts on the first malformed line;
         ``"quarantine"`` skips malformed lines/rows, records each as a
@@ -974,9 +974,7 @@ def ingest_dump(dump: Path | str | TelemetryDump, directory: Path | str,
     ``ingest_stats`` attribute -- see :class:`IngestStats`.
     """
     if not isinstance(dump, TelemetryDump):
-        dump = open_export(dump, fmt)
-    elif fmt is not None and fmt != dump.format:
-        raise ValueError(f"dump was opened as {dump.format!r}; cannot re-read as {fmt!r}")
+        dump = open_export(dump)
     if trace_format not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format {trace_format!r}; "
                          f"choose one of {TRACE_FORMATS}")

@@ -20,15 +20,21 @@ Directory layout (written by ``FleetDataset.export(dir)`` or
                                # metrics (survey order), pairs: one entry
                                # of (metric, device, interval, length,
                                # true_nyquist_rate, file) per pair
-      traces/pair-00000.npz    # values + interval + start_time
-      traces/pair-00001.npz    # (or .csv: timestamp,value rows)
+      traces/pair-00000.rcb    # one TraceBlock: values + interval,
+      traces/pair-00001.rcb    # start_time, crc32 (or .csv: timestamp,value)
       ...
 
-Trace files are ``.npz`` (lossless float64, the default) or ``.csv``
-(``timestamp,value`` rows with full-precision ``repr`` floats, readable by
-``repro-monitor estimate``); both round-trip synthetic fleets to
-byte-identical survey records.  For genuinely measured data the manifest's
-``true_nyquist_rate`` entries are simply ``NaN`` (no ground truth).
+Trace files are ``.rcb`` (the default) or ``.csv``.  An rcb trace is one
+:class:`TraceBlock` in the record format of :mod:`repro.records`: raw
+little-endian float64 values read back with one read, plus a CRC-32 over
+the values and both scalars that :meth:`MeasuredFleetDataset.load`
+checks, so bit rot anywhere in the file fails loudly instead of loading
+a different trace.  csv traces are ``timestamp,value`` rows with
+full-precision ``repr`` floats, readable by ``repro-monitor estimate``.
+Both round-trip synthetic fleets to byte-identical survey records.  For
+genuinely measured data the manifest's ``true_nyquist_rate`` entries are
+simply ``NaN`` (no ground truth).  Fleets written with the retired npz
+trace format raise ``ValueError`` on open; re-export or re-ingest them.
 """
 
 from __future__ import annotations
@@ -36,13 +42,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Literal
+from typing import TYPE_CHECKING, ClassVar, Literal
 
 import numpy as np
 
+from ..records import BlockSchema, ColumnarBlock, ColumnSpec, ScalarSpec, register_block_type
 from ..signals.timeseries import TimeSeries
 from .metrics import METRIC_CATALOG, MetricFamily, MetricSpec
 from .source import BaseTraceSource, TraceSource
@@ -59,6 +66,7 @@ __all__ = [
     "MeasuredPair",
     "MeasuredSourceSpec",
     "MeasuredFleetDataset",
+    "TraceBlock",
     "export_traces",
 ]
 
@@ -69,7 +77,7 @@ MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "repro-measured-fleet/1"
 
 #: Supported per-pair trace file formats.
-TRACE_FORMATS: tuple[str, ...] = ("npz", "csv")
+TRACE_FORMATS: tuple[str, ...] = ("rcb", "csv")
 
 #: Sub-directory holding the per-pair trace files.
 _TRACE_DIR = "traces"
@@ -143,13 +151,52 @@ class MeasuredSourceSpec:
 # ----------------------------------------------------------------------
 # Per-pair trace file round trip
 # ----------------------------------------------------------------------
-def _save_trace_npz(path: Path, trace: TimeSeries) -> None:
-    np.savez_compressed(path, values=trace.values,
-                        interval=np.float64(trace.interval),
-                        start_time=np.float64(trace.start_time))
+@register_block_type
+@dataclass(frozen=True)
+class TraceBlock(ColumnarBlock):
+    """One recorded trace as an rcb block: its samples plus a checksum.
+
+    ``interval`` and ``start_time`` are exact ``repr`` floats.  ``crc32``
+    covers the values' bytes and both scalars, so a flipped bit anywhere
+    in the file that still parses is caught by :meth:`check`.
+    """
+
+    interval: str
+    start_time: str
+    crc32: str
+    values: np.ndarray
+
+    _SCHEMA: ClassVar[BlockSchema] = BlockSchema(
+        scalars=(ScalarSpec("interval"), ScalarSpec("start_time"), ScalarSpec("crc32")),
+        columns=(ColumnSpec("values", "float"),),
+    )
+
+    @staticmethod
+    def checksum(values: np.ndarray, interval: str, start_time: str) -> str:
+        crc = zlib.crc32(np.ascontiguousarray(values, dtype="<f8").tobytes())
+        return f"{zlib.crc32(f'{interval}|{start_time}'.encode(), crc):08x}"
+
+    @classmethod
+    def from_trace(cls, trace: TimeSeries) -> "TraceBlock":
+        interval, start_time = repr(float(trace.interval)), repr(float(trace.start_time))
+        return cls(interval=interval, start_time=start_time,
+                   crc32=cls.checksum(trace.values, interval, start_time),
+                   values=trace.values)
+
+    def check(self, path: Path) -> tuple[np.ndarray, float, float]:
+        """The verified ``(values, interval, start_time)``; ``ValueError`` naming ``path``."""
+        expected = self.checksum(self.values, self.interval, self.start_time)
+        if self.crc32 != expected:
+            raise ValueError(f"corrupt trace file {path}: crc32 {self.crc32!r} does not "
+                             f"match its contents ({expected!r})")
+        return self.values, float(self.interval), float(self.start_time)
 
 
-def _save_trace_csv(path: Path, trace: TimeSeries) -> None:
+def _save_trace(path: Path, trace: TimeSeries, fmt: str) -> None:
+    """Write one trace file in ``fmt`` (``rcb`` or ``csv``)."""
+    if fmt == "rcb":
+        TraceBlock.from_trace(trace).save_rcb(path)
+        return
     times = trace.times()
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
@@ -158,10 +205,19 @@ def _save_trace_csv(path: Path, trace: TimeSeries) -> None:
             writer.writerow((repr(float(times[index])), repr(float(trace.values[index]))))
 
 
-def _load_trace_npz(path: Path) -> tuple[np.ndarray, float, float]:
-    with path.open("rb") as handle, np.load(handle) as data:
-        return (np.asarray(data["values"], dtype=np.float64),
-                float(data["interval"]), float(data["start_time"]))
+def _load_trace(path: Path, fmt: str, interval: float) -> tuple[np.ndarray, float, float]:
+    """One trace file's ``(values, interval, start_time)``.
+
+    Any unreadable, truncated or checksum-failing file raises
+    ``ValueError`` naming ``path``.  A csv file carries no interval of its
+    own, so its timestamps are checked against ``interval`` instead.
+    """
+    try:
+        if fmt == "rcb":
+            return TraceBlock.load_rcb(path).check(path)
+        return _load_trace_csv(path, interval)
+    except (OSError, ValueError, IndexError) as error:
+        raise ValueError(f"corrupt or truncated trace file {path}: {error}") from error
 
 
 def _load_trace_csv(path: Path, interval: float) -> tuple[np.ndarray, float, float]:
@@ -191,7 +247,7 @@ def _load_trace_csv(path: Path, interval: float) -> tuple[np.ndarray, float, flo
 
 # ----------------------------------------------------------------------
 def export_traces(source: TraceSource, directory: Path | str,
-                  fmt: Literal["npz", "csv"] = "npz") -> Path:
+                  fmt: Literal["rcb", "csv"] = "rcb") -> Path:
     """Write every trace of ``source`` to ``directory`` and return the manifest path.
 
     The manifest records the pairs in ``source.traces()`` order (grouped
@@ -208,7 +264,6 @@ def export_traces(source: TraceSource, directory: Path | str,
                          f"({MANIFEST_NAME} exists); export needs a fresh directory")
     (directory / _TRACE_DIR).mkdir(parents=True, exist_ok=True)
 
-    save = _save_trace_npz if fmt == "npz" else _save_trace_csv
     metrics: list[str] = []
     entries: list[dict] = []
     for index, (pair, trace) in enumerate(source.traces()):
@@ -216,7 +271,7 @@ def export_traces(source: TraceSource, directory: Path | str,
         if metric_name not in metrics:
             metrics.append(metric_name)
         file_name = f"{_TRACE_DIR}/pair-{index:05d}.{fmt}"
-        save(directory / file_name, trace)
+        _save_trace(directory / file_name, trace, fmt)
         parameters = getattr(pair, "parameters", None)
         true_rate = float(getattr(parameters, "true_nyquist_rate", float("nan")))
         entries.append({"metric": metric_name, "device": device_id,
@@ -279,16 +334,27 @@ class MeasuredFleetDataset(BaseTraceSource):
         if format_tag != MANIFEST_FORMAT:
             raise ValueError(f"unsupported manifest format {format_tag!r} in "
                              f"{manifest_path} (expected {MANIFEST_FORMAT!r})")
+        if fmt == "npz":
+            raise ValueError(
+                f"{manifest_path} describes npz trace files, which are no longer "
+                "read; re-export the fleet ('repro-monitor export-fleet') or "
+                "re-ingest its dump ('repro-monitor ingest') into a fresh directory")
         if fmt not in TRACE_FORMATS:
             raise ValueError(f"unknown trace format {fmt!r} in {manifest_path}")
         self.fmt: str = fmt
         # The survey iterates the 'metrics' list, so any pair whose metric is
         # not on it would be silently dropped -- reject such manifests (and
-        # duplicates, which would survey pairs twice).
+        # duplicates of a metric or a pair, which would survey pairs twice).
         metric_set = set(self._metric_order)
         if len(metric_set) != len(self._metric_order):
             raise ValueError(f"corrupt manifest {manifest_path}: "
                              "duplicate names in the 'metrics' list")
+        seen: set[tuple[str, str]] = set()
+        for pair in self._pairs:
+            if pair.key in seen:
+                raise ValueError(f"corrupt manifest {manifest_path}: pair {pair.key} "
+                                 "is listed twice; surveys would count it twice")
+            seen.add(pair.key)
         unlisted = {pair.metric_name for pair in self._pairs} - metric_set
         if unlisted:
             raise ValueError(
@@ -341,14 +407,7 @@ class MeasuredFleetDataset(BaseTraceSource):
                 f"measured traces have a fixed recorded interval ({pair.interval} s); "
                 f"cannot serve interval={interval}")
         path = self.directory / pair.file
-        try:
-            if self.fmt == "npz":
-                values, file_interval, start_time = _load_trace_npz(path)
-            else:
-                values, file_interval, start_time = _load_trace_csv(path, pair.interval)
-        except (OSError, KeyError, ValueError, EOFError, IndexError,
-                zipfile.BadZipFile) as error:
-            raise ValueError(f"corrupt or truncated trace file {path}: {error}") from error
+        values, file_interval, start_time = _load_trace(path, self.fmt, pair.interval)
         if values.ndim != 1 or values.shape[0] != pair.length:
             raise ValueError(
                 f"trace file {path} holds {values.shape} samples but the manifest "

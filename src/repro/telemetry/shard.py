@@ -24,13 +24,16 @@ invariants rather than any merge-time cleverness:
 * the serial importer's output already depends only on the update set --
   pairs are finished in canonical ``(metric, device)`` order, each pair's
   samples are ``(timestamp, value)``-sorted with first-wins dedupe, and
-  trace files are written with deterministic compression.
+  rcb trace files are written byte-deterministically.
 
-Data moves between the two phases through compact ``.npz`` part files in
-the staging area (one per (range, shard, flush) triple), so peak memory
-in every stage stays bounded by ``memory_budget_samples``: range parsers
-flush their routing buffers at ``budget / ranges`` buffered samples, and
-every shard accumulator gets a ``budget / shards`` spill budget.
+Data moves between the two phases through ``.rcb`` part files
+(:class:`ShardPartBlock`) in the staging area, one per (range, shard,
+flush) triple, so peak memory in every stage stays bounded by
+``memory_budget_samples``: range parsers flush their routing buffers at
+``budget / ranges`` buffered samples, and every shard accumulator gets a
+``budget / shards`` spill budget.  Parts are scratch files that live
+only for one ingest, like the accumulator's raw spill, so they carry no
+checksum.
 
 Both phases run on :func:`repro.faults.execution.run_batch_tasks`, so a
 crashed worker rebuilds the pool and transient IO errors are retried with
@@ -45,22 +48,23 @@ the parent (deterministic salvage); only a repeat failure aborts.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 import numpy as np
 
 from ..faults.execution import BatchExecutionError, run_batch_tasks
-from ..records import FailureRecord
+from ..records import (BlockSchema, ColumnarBlock, ColumnSpec, FailureRecord, ScalarSpec,
+                       register_block_type)
 from .ingest import (SNMP_FORMAT, IngestStats, PairAccumulator, ShardIngestStats,
                      TelemetryDump, UpdateBlock, _finish_pairs, _iter_update_blocks,
                      _parse_failure_recorder, _read_snmp_header, _write_manifest)
 
-__all__ = ["ByteRange", "plan_byte_ranges", "shard_of_key"]
+__all__ = ["ByteRange", "ShardPartBlock", "plan_byte_ranges", "shard_of_key"]
 
 
 def shard_of_key(key: tuple[str, str], shards: int) -> int:
@@ -153,6 +157,28 @@ def plan_byte_ranges(path: Path | str, parts: int, data_start: int = 0,
 # ----------------------------------------------------------------------
 # Phase 1: parse byte ranges, route updates to per-shard part files
 # ----------------------------------------------------------------------
+@register_block_type
+@dataclass(frozen=True)
+class ShardPartBlock(ColumnarBlock):
+    """One flush of one shard's samples from one byte range.
+
+    ``pairs`` is the part's ``(metric, device)`` table as a JSON list of
+    two-element lists; each sample row carries its index into that table
+    in ``key`` and its timestamp and value in ``t`` and ``v``.
+    """
+
+    pairs: str
+    key: np.ndarray
+    t: np.ndarray
+    v: np.ndarray
+
+    _SCHEMA: ClassVar[BlockSchema] = BlockSchema(
+        scalars=(ScalarSpec("pairs"),),
+        columns=(ColumnSpec("key", "int"), ColumnSpec("t", "float"),
+                 ColumnSpec("v", "float")),
+    )
+
+
 class _ShardBuffer:
     """One shard's pending samples inside a range parser, key-table encoded."""
 
@@ -167,20 +193,25 @@ class _ShardBuffer:
     def append(self, key: tuple[str, str], times: np.ndarray,
                values: np.ndarray) -> None:
         index = self.ids.setdefault(key, len(self.ids))
-        self.keys.append(np.full(times.size, index, dtype=np.uint32))
+        self.keys.append(np.full(times.size, index, dtype=np.int64))
         self.times.append(times)
         self.values.append(values)
 
+    def block(self) -> ShardPartBlock:
+        return ShardPartBlock(pairs=json.dumps([list(key) for key in self.ids]),
+                              key=np.concatenate(self.keys),
+                              t=np.concatenate(self.times),
+                              v=np.concatenate(self.values))
+
 
 class _ShardPartWriter:
-    """Routes parsed update blocks to shards and flushes them as ``.npz`` part files.
+    """Routes parsed update blocks to shards and flushes them as ``.rcb`` part files.
 
     Each block group is routed with one ``shard_of_key`` hash.  A part
-    file holds one flush of one shard's samples from one range: unicode
-    key tables (``metric``/``device``), a ``key`` index column and the
-    ``t``/``v`` sample columns.  At most ``flush_budget`` samples are
-    buffered across all shards, so phase-1 memory is bounded (beyond the
-    block being routed) no matter how large the range is.
+    file is one :class:`ShardPartBlock`: one flush of one shard's samples
+    from one range.  At most ``flush_budget`` samples are buffered across
+    all shards, so phase-1 memory is bounded (beyond the block being
+    routed) no matter how large the range is.
     """
 
     def __init__(self, scratch_dir: Path, range_index: int, shards: int,
@@ -212,15 +243,9 @@ class _ShardPartWriter:
         for shard, buffer in enumerate(self._buffers):
             if not buffer.keys:
                 continue
-            part = (self.scratch_dir
-                    / f"part-r{self.range_index:04d}-s{shard:04d}"
-                      f"-c{self._chunks[shard]:05d}.npz")
-            np.savez(part,
-                     metric=np.asarray([key[0] for key in buffer.ids]),
-                     device=np.asarray([key[1] for key in buffer.ids]),
-                     key=np.concatenate(buffer.keys),
-                     t=np.concatenate(buffer.times),
-                     v=np.concatenate(buffer.values))
+            buffer.block().save_rcb(
+                self.scratch_dir / f"part-r{self.range_index:04d}-s{shard:04d}"
+                                   f"-c{self._chunks[shard]:05d}.rcb")
             self._chunks[shard] += 1
             self._buffers[shard] = _ShardBuffer()
         self._buffered = 0
@@ -264,7 +289,7 @@ def _parse_range(task: _RangeTask) -> _RangeResult:
     scratch = Path(task.scratch_dir)
     # A retried task starts clean: drop any part files a previous attempt
     # of this range managed to flush before failing.
-    for stale in sorted(scratch.glob(f"part-r{task.range_index:04d}-*.npz")):
+    for stale in sorted(scratch.glob(f"part-r{task.range_index:04d}-*.rcb")):
         stale.unlink()
     failures: list[FailureRecord] = []
     callback = _parse_failure_recorder(dump_path, failures) if task.quarantine else None
@@ -326,28 +351,19 @@ def _finish_shard(task: _ShardTask) -> _ShardResult:
     if acc_dir.exists():
         shutil.rmtree(acc_dir)
     out_dir.mkdir(parents=True)
-    parts = sorted(scratch.glob(f"part-r*-s{task.shard_index:04d}-c*.npz"))
+    parts = sorted(scratch.glob(f"part-r*-s{task.shard_index:04d}-c*.rcb"))
     with PairAccumulator(acc_dir, task.memory_budget_samples) as accumulator:
         for part_path in parts:
-            try:
-                with part_path.open("rb") as handle, np.load(handle) as data:
-                    metrics = data["metric"]
-                    devices = data["device"]
-                    key_index = np.asarray(data["key"], dtype=np.int64)
-                    times = np.asarray(data["t"], dtype=np.float64)
-                    values = np.asarray(data["v"], dtype=np.float64)
-            except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as error:
-                raise ValueError(
-                    f"corrupt or truncated shard part {part_path}: {error}") from error
-            order = np.argsort(key_index, kind="stable")
-            sorted_keys = key_index[order]
-            starts = np.searchsorted(sorted_keys, np.arange(len(metrics)))
-            ends = np.searchsorted(sorted_keys, np.arange(1, len(metrics) + 1))
-            for index in range(len(metrics)):
+            part = ShardPartBlock.load_rcb(part_path)
+            pairs = [(metric, device) for metric, device in json.loads(part.pairs)]
+            order = np.argsort(part.key, kind="stable")
+            sorted_keys = part.key[order]
+            starts = np.searchsorted(sorted_keys, np.arange(len(pairs)))
+            ends = np.searchsorted(sorted_keys, np.arange(1, len(pairs) + 1))
+            for index, pair in enumerate(pairs):
                 rows = order[starts[index]:ends[index]]
                 if rows.size:
-                    accumulator.extend((str(metrics[index]), str(devices[index])),
-                                       times[rows], values[rows])
+                    accumulator.extend(pair, part.t[rows], part.v[rows])
         # Canonical (metric, device) order within the shard; the parent's
         # merge interleaves the shards back into one globally sorted list.
         entries, skipped = _finish_pairs(accumulator, Path(task.out_dir),

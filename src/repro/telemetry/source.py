@@ -260,7 +260,7 @@ class BaseTraceSource(ABC):
 
     # ------------------------------------------------------------------
     def export(self, directory: Path | str,
-               fmt: Literal["npz", "csv"] = "npz") -> "MeasuredFleetDataset":
+               fmt: Literal["rcb", "csv"] = "rcb") -> "MeasuredFleetDataset":
         """Round-trip this source to a measured-trace directory on disk.
 
         Writes one trace file per pair plus a ``manifest.json`` of

@@ -242,6 +242,11 @@ class TestRoundTrip:
         assert ingested.fmt == "csv"
         assert_surveys_match(run_survey(fleet), run_survey(ingested))
 
+    def test_retired_npz_trace_format_is_refused(self, gnmi_dump, tmp_path):
+        with pytest.raises(ValueError, match=r"'npz'; choose one of \('rcb', 'csv'\)"):
+            ingest_dump(gnmi_dump, tmp_path / "fleet", trace_format="npz")  # type: ignore[arg-type]
+        assert not (tmp_path / "fleet").exists()
+
 
 # ----------------------------------------------------------------------
 class TestBoundedMemory:
@@ -454,7 +459,7 @@ class TestDifferentialCorruption:
         dump = tmp_path / "head.csv"
         dump.write_text("time,node,oid\n0,server,1\n")
         with pytest.raises(ValueError, match=r"head\.csv.*unrecognised|head\.csv, line 1"):
-            ingest_dump(dump, tmp_path / "fleet", fmt=SNMP_FORMAT)
+            ingest_dump(open_export(dump, SNMP_FORMAT), tmp_path / "fleet")
 
     def test_snmp_duplicate_column_rejected(self, tmp_path):
         dump = tmp_path / "dupe.csv"
@@ -592,7 +597,7 @@ class TestQuarantinedIngest:
                 else:
                     handle.write(line)
         # Line 1 may belong to the victim: name the format explicitly.
-        ingested = ingest_dump(dirty, tmp_path / "fleet", fmt=GNMI_FORMAT,
+        ingested = ingest_dump(open_export(dirty, GNMI_FORMAT), tmp_path / "fleet",
                                on_error="quarantine")
         for pair in ingested.pairs():
             if pair.key[1] == victim:
@@ -690,10 +695,10 @@ class TestAtomicIngest:
                                                           tmp_path):
         stale = tmp_path / "fleet.partial"
         (stale / "traces").mkdir(parents=True)
-        (stale / "traces" / "junk.npz").write_bytes(b"junk")
+        (stale / "traces" / "junk.rcb").write_bytes(b"junk")
         ingested = ingest_dump(gnmi_dump, tmp_path / "fleet")
         assert not stale.exists()
-        assert not any(p.name == "junk.npz"
+        assert not any(p.name == "junk.rcb"
                        for p in (tmp_path / "fleet" / "traces").iterdir())
         run_survey(ingested)  # publishes a coherent fleet
 
@@ -762,7 +767,7 @@ def assert_exact_against_per_line(dump: Path, tmp_path: Path, monkeypatch,
 
     monkeypatch.setattr(ingest_module, "_parse_canonical_gnmi_block", spy)
     sink = MemoryRecordSink()
-    ingest_dump(dump, tmp_path / "blocks", fmt=GNMI_FORMAT, on_error="quarantine",
+    ingest_dump(open_export(dump, GNMI_FORMAT), tmp_path / "blocks", on_error="quarantine",
                 failure_sink=sink)
     failures = [(f.error_type, f.message, f.provenance)
                 for block in sink.blocks() for f in block.failures()]
@@ -770,11 +775,12 @@ def assert_exact_against_per_line(dump: Path, tmp_path: Path, monkeypatch,
     assert any(accepted), "no block took the fast path"
     if failures:  # raise mode reports the first one, verbatim
         with pytest.raises(ValueError) as raised:
-            ingest_dump(dump, tmp_path / "raised", fmt=GNMI_FORMAT)
+            ingest_dump(open_export(dump, GNMI_FORMAT), tmp_path / "raised")
         assert str(raised.value) == failures[0][1]
     monkeypatch.setattr(ingest_module, "_parse_canonical_gnmi_block",
                         lambda text: None)
-    ingest_dump(dump, tmp_path / "per-line", fmt=GNMI_FORMAT, on_error="quarantine")
+    ingest_dump(open_export(dump, GNMI_FORMAT), tmp_path / "per-line",
+                on_error="quarantine")
     assert directory_bytes(tmp_path / "blocks") == directory_bytes(tmp_path / "per-line")
     return failures
 

@@ -10,8 +10,10 @@ import pytest
 
 from repro.analysis.survey import run_survey
 from repro.telemetry.dataset import DatasetConfig, FleetDataset
+from repro.signals.timeseries import TimeSeries
 from repro.telemetry.measured import (MANIFEST_FORMAT, MANIFEST_NAME, MeasuredFleetDataset,
-                                      MeasuredPair, MeasuredSourceSpec, export_traces)
+                                      MeasuredPair, MeasuredSourceSpec, TraceBlock,
+                                      export_traces)
 from repro.telemetry.metrics import METRIC_CATALOG
 from repro.telemetry.source import BaseTraceSource, TraceSource
 
@@ -32,10 +34,10 @@ class TestExport:
     def test_writes_manifest_and_one_file_per_pair(self, dataset, fleet_dir):
         manifest = json.loads((fleet_dir / MANIFEST_NAME).read_text())
         assert manifest["format"] == MANIFEST_FORMAT
-        assert manifest["trace_format"] == "npz"
+        assert manifest["trace_format"] == "rcb"
         assert manifest["trace_duration"] == dataset.config.trace_duration
         assert len(manifest["pairs"]) == len(dataset)
-        assert len(list((fleet_dir / "traces").glob("pair-*.npz"))) == len(dataset)
+        assert len(list((fleet_dir / "traces").glob("pair-*.rcb"))) == len(dataset)
 
     def test_manifest_preserves_survey_order(self, dataset, fleet_dir):
         manifest = json.loads((fleet_dir / MANIFEST_NAME).read_text())
@@ -47,9 +49,10 @@ class TestExport:
         with pytest.raises(ValueError, match="already holds"):
             export_traces(dataset, fleet_dir)
 
-    def test_rejects_unknown_trace_format(self, dataset, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            export_traces(dataset, tmp_path / "x", fmt="parquet")  # type: ignore[arg-type]
+    @pytest.mark.parametrize("fmt", ["parquet", "npz"])
+    def test_rejects_unknown_trace_format(self, dataset, tmp_path, fmt):
+        with pytest.raises(ValueError, match=r"choose one of \('rcb', 'csv'\)"):
+            export_traces(dataset, tmp_path / "x", fmt=fmt)  # type: ignore[arg-type]
 
     def test_export_method_returns_measured_dataset(self, dataset, tmp_path):
         measured = dataset.export(tmp_path / "fleet")
@@ -134,7 +137,7 @@ class TestMeasuredFleetDataset:
     def test_metric_property_falls_back_for_unknown_names(self):
         pair = MeasuredPair(metric_name="Custom sensor", device=None,  # type: ignore
                             parameters=None, interval=15.0, length=10,  # type: ignore
-                            file="traces/pair-00000.npz")
+                            file="traces/pair-00000.rcb")
         spec = pair.metric
         assert spec.name == "Custom sensor"
         assert spec.poll_interval == 15.0
@@ -152,7 +155,7 @@ class TestCorruption:
 
     def test_wrong_format_tag(self, tmp_path):
         (tmp_path / MANIFEST_NAME).write_text(json.dumps({
-            "format": "something-else/9", "trace_format": "npz",
+            "format": "something-else/9", "trace_format": "rcb",
             "trace_duration": 1.0, "metrics": [], "pairs": []}))
         with pytest.raises(ValueError, match="unsupported manifest format"):
             MeasuredFleetDataset(tmp_path)
@@ -162,10 +165,10 @@ class TestCorruption:
         with pytest.raises(ValueError, match="corrupt manifest"):
             MeasuredFleetDataset(tmp_path)
 
-    def test_truncated_npz_trace_file(self, dataset, tmp_path):
+    def test_garbage_trace_file(self, dataset, tmp_path):
         measured = dataset.export(tmp_path / "fleet")
         pair = measured.pairs()[0]
-        (tmp_path / "fleet" / pair.file).write_bytes(b"not an npz file")
+        (tmp_path / "fleet" / pair.file).write_bytes(b"not an rcb file")
         with pytest.raises(ValueError, match="corrupt or truncated trace file"):
             measured.load(pair)
 
@@ -179,19 +182,16 @@ class TestCorruption:
     def test_length_mismatch_against_manifest(self, dataset, tmp_path):
         measured = dataset.export(tmp_path / "fleet")
         pair = measured.pairs()[0]
-        np.savez_compressed(tmp_path / "fleet" / pair.file,
-                            values=np.zeros(3), interval=np.float64(pair.interval),
-                            start_time=np.float64(0.0))
+        TraceBlock.from_trace(TimeSeries(np.zeros(3), pair.interval)).save_rcb(
+            tmp_path / "fleet" / pair.file)
         with pytest.raises(ValueError, match="truncated or corrupt"):
             measured.load(pair)
 
     def test_interval_mismatch_against_manifest(self, dataset, tmp_path):
         measured = dataset.export(tmp_path / "fleet")
         pair = measured.pairs()[0]
-        np.savez_compressed(tmp_path / "fleet" / pair.file,
-                            values=np.zeros(pair.length),
-                            interval=np.float64(pair.interval * 2.0),
-                            start_time=np.float64(0.0))
+        TraceBlock.from_trace(TimeSeries(np.zeros(pair.length), pair.interval * 2.0)).save_rcb(
+            tmp_path / "fleet" / pair.file)
         with pytest.raises(ValueError, match="interval"):
             measured.load(pair)
 
@@ -226,6 +226,37 @@ class TestCorruption:
         (directory / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="silently drop"):
             MeasuredFleetDataset(directory)
+
+    def test_npz_fleet_asks_for_re_export(self, tmp_path):
+        """A fleet written with the retired npz trace format fails at open,
+        naming the manifest and how to rebuild the fleet."""
+        (tmp_path / "traces").mkdir()
+        (tmp_path / "traces" / "pair-00000.npz").write_bytes(b"PK\x03\x04")
+        manifest_path = tmp_path / MANIFEST_NAME
+        manifest_path.write_text(json.dumps({
+            "format": MANIFEST_FORMAT, "trace_format": "npz", "trace_duration": 3600.0,
+            "metrics": ["Temperature"],
+            "pairs": [{"metric": "Temperature", "device": "tor-0000", "interval": 300.0,
+                       "length": 12, "true_nyquist_rate": 0.001,
+                       "file": "traces/pair-00000.npz"}]}))
+        with pytest.raises(ValueError, match="npz trace files.*export-fleet.*re-ingest") \
+                as error:
+            MeasuredFleetDataset(tmp_path)
+        assert str(manifest_path) in str(error.value)
+
+    def test_duplicate_pair_is_rejected(self, dataset, tmp_path):
+        """A pair listed twice would be surveyed twice (one extra record)."""
+        directory = tmp_path / "fleet"
+        export_traces(dataset, directory)
+        manifest_path = directory / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["pairs"].insert(1, dict(manifest["pairs"][0]))
+        manifest_path.write_text(json.dumps(manifest))
+        first = manifest["pairs"][0]
+        with pytest.raises(ValueError, match="listed twice") as error:
+            MeasuredFleetDataset(directory)
+        assert str(manifest_path) in str(error.value)
+        assert repr((first["metric"], first["device"])) in str(error.value)
 
     def test_metrics_list_rejects_duplicates(self, dataset, tmp_path):
         directory = tmp_path / "fleet"
@@ -263,12 +294,12 @@ class TestNonFiniteSamples:
     @staticmethod
     def poison_value(directory, pair, fmt):
         path = directory / pair.file
-        if fmt == "npz":
-            with np.load(path) as data:
-                values = np.array(data["values"])
-                interval, start_time = data["interval"], data["start_time"]
+        if fmt == "rcb":
+            block = TraceBlock.load_rcb(path)
+            values = np.array(block.values)
             values[4] = np.nan
-            np.savez_compressed(path, values=values, interval=interval, start_time=start_time)
+            TraceBlock.from_trace(TimeSeries(values, float(block.interval),
+                                             start_time=float(block.start_time))).save_rcb(path)
         else:
             lines = path.read_text().splitlines()
             timestamp, _ = lines[5].split(",")
@@ -276,7 +307,7 @@ class TestNonFiniteSamples:
             path.write_text("\n".join(lines) + "\n")
         return path
 
-    @pytest.mark.parametrize("fmt", ["npz", "csv"])
+    @pytest.mark.parametrize("fmt", ["rcb", "csv"])
     def test_non_finite_value_raises_naming_the_file(self, small, tmp_path, fmt):
         measured = small.export(tmp_path / "fleet", fmt=fmt)
         path = self.poison_value(tmp_path / "fleet", measured.pairs()[0], fmt)
@@ -297,7 +328,7 @@ class TestNonFiniteSamples:
         with pytest.raises(ValueError, match=f"{path.name}.*non-finite timestamp at row 5"):
             measured.load(pair)
 
-    @pytest.mark.parametrize("fmt", ["npz", "csv"])
+    @pytest.mark.parametrize("fmt", ["rcb", "csv"])
     def test_quarantine_isolates_the_poisoned_pair(self, small, tmp_path, fmt):
         measured = small.export(tmp_path / "fleet", fmt=fmt)
         clean = run_survey(measured).records

@@ -25,7 +25,7 @@ from repro.cli import main
 from repro.faults import FaultPlan, corrupt_dump_lines
 from repro.records import MemoryRecordSink
 from repro.telemetry.dataset import DatasetConfig, FleetDataset
-from repro.telemetry.ingest import GNMI_FORMAT, PairAccumulator, ingest_dump
+from repro.telemetry.ingest import GNMI_FORMAT, PairAccumulator, ingest_dump, open_export
 from repro.telemetry.shard import ByteRange, plan_byte_ranges, shard_of_key
 
 INGEST_METRICS = ("Temperature", "Unicast bytes", "FCS errors")
@@ -203,7 +203,7 @@ class TestShardedQuarantine:
         for workers in (1, 2, 4):
             sink = MemoryRecordSink()
             out_dir = tmp_path / f"fleet-w{workers}"
-            ingest_dump(dirty, out_dir, fmt=GNMI_FORMAT, workers=workers,
+            ingest_dump(open_export(dirty, GNMI_FORMAT), out_dir, workers=workers,
                         on_error="quarantine", failure_sink=sink)
             failures = [f for block in sink.blocks() for f in block.failures()]
             # Quarantine provenance must name the absolute dump line no
@@ -221,7 +221,7 @@ class TestShardedQuarantine:
         dirty = tmp_path / "dirty.jsonl"
         corrupt_dump_lines(gnmi_dump, dirty, FaultPlan(malformed_line_every=41))
         with pytest.raises(ValueError, match="dirty.jsonl"):
-            ingest_dump(dirty, tmp_path / "fleet", fmt=GNMI_FORMAT, workers=3)
+            ingest_dump(open_export(dirty, GNMI_FORMAT), tmp_path / "fleet", workers=3)
         assert not (tmp_path / "fleet").exists()
 
     @pytest.mark.parametrize("dump_fixture", ["gnmi_dump", "snmp_dump"])

@@ -178,7 +178,7 @@ class TestExportFleetCommand:
         export_output = capsys.readouterr().out
         assert "Exported 28 metric-device pairs" in export_output
         assert (fleet_dir / "manifest.json").exists()
-        assert len(list((fleet_dir / "traces").glob("pair-*.npz"))) == 28
+        assert len(list((fleet_dir / "traces").glob("pair-*.rcb"))) == 28
 
         assert main(["survey", "--from-dir", str(fleet_dir), "--workers", "2"]) == 0
         measured_output = capsys.readouterr().out
@@ -209,7 +209,7 @@ class TestExportFleetCommand:
         fleet_dir = tmp_path / "fleet"
         assert main(["export-fleet", str(fleet_dir), "--pairs", "14"]) == 0
         capsys.readouterr()
-        next((fleet_dir / "traces").glob("pair-*.npz")).write_bytes(b"garbage")
+        next((fleet_dir / "traces").glob("pair-*.rcb")).write_bytes(b"garbage")
         assert main(["survey", "--from-dir", str(fleet_dir), "--workers", "2"]) == 1
         assert "corrupt or truncated trace file" in capsys.readouterr().err
 

@@ -1,10 +1,12 @@
 """Shared column-spec serialiser tests, parametrised over every block type.
 
-Both columnar block classes -- the Nyquist survey's
-:class:`~repro.analysis.survey.RecordBlock` and the policy survey's
-:class:`~repro.pipeline.evaluation.PolicyRecordBlock` -- serialise through
-the one schema-driven implementation in :mod:`repro.records`
-(:class:`~repro.records.ColumnarBlock`).  These tests pin the shared
+Every columnar block class -- the Nyquist survey's
+:class:`~repro.analysis.survey.RecordBlock`, the policy survey's
+:class:`~repro.pipeline.evaluation.PolicyRecordBlock`, quarantine
+failures, measured traces (:class:`~repro.telemetry.measured.TraceBlock`)
+and sharded-ingest parts (:class:`~repro.telemetry.shard.ShardPartBlock`)
+-- serialises through the one schema-driven implementation in
+:mod:`repro.records` (:class:`~repro.records.ColumnarBlock`).  These tests pin the shared
 contract once for all block types: lossless rcb round trips (floats bit
 for bit, NaNs included), zero-row blocks keeping their block-level
 scalars, spill-file sniffing that tells the types apart, the sinks'
@@ -27,6 +29,9 @@ from repro.records import (RCB_MAGIC, BlockSchema, ColumnSpec, FailureRecord,
                            SpillingRecordSink, load_rcb_any, read_rcb_header,
                            registered_block_types)
 from repro.records.rcb import block_type_of
+from repro.signals.timeseries import TimeSeries
+from repro.telemetry.measured import TraceBlock
+from repro.telemetry.shard import ShardPartBlock
 
 # ----------------------------------------------------------------------
 # One sample block per registered type (NaNs included to pin bit-exact
@@ -73,7 +78,7 @@ def make_failure_block(rows: int = 3) -> FailureRecordBlock:
                       stage=("trace", "estimate", "parse")[i % 3],
                       error_type="ValueError",
                       message=f"corrupt or truncated trace file #{i}",
-                      provenance=f"Link util[{i}] traces/{i}.npz")
+                      provenance=f"Link util[{i}] traces/{i}.rcb")
         for i in range(rows)])
 
 
@@ -82,13 +87,26 @@ def make_multiline_failure_block() -> FailureRecordBlock:
     return FailureRecordBlock.from_failures([
         FailureRecord(metric_name="Link util", device_id=f"tor-{i:04d}", stage="trace",
                       error_type="ValueError", message=message,
-                      provenance=f"Link util[{i}] traces/{i}.npz")
+                      provenance=f"Link util[{i}] traces/{i}.rcb")
         for i, message in enumerate(["line one\nline two\n# three", "one line"])])
+
+
+def make_trace_block(rows: int = 3) -> TraceBlock:
+    values = np.array([np.nan] + [0.1 * i for i in range(1, rows)])
+    return TraceBlock.from_trace(TimeSeries(values, 300.0, start_time=-1.5))
+
+
+def make_shard_part_block(rows: int = 3) -> ShardPartBlock:
+    return ShardPartBlock(pairs=json.dumps([["Temperature", "tor-0"], ["Link util", "tor-1"]]),
+                          key=np.arange(rows) % 2, t=np.linspace(0.0, 60.0, rows),
+                          v=np.array([np.nan] + [2.5 * i for i in range(1, rows)]))
 
 
 BLOCK_FACTORIES = {RecordBlock: make_record_block,
                    PolicyRecordBlock: make_policy_block,
-                   FailureRecordBlock: make_failure_block}
+                   FailureRecordBlock: make_failure_block,
+                   TraceBlock: make_trace_block,
+                   ShardPartBlock: make_shard_part_block}
 
 #: What a spill directory must re-open losslessly: every block type, plus
 #: a failure message spanning lines.
@@ -258,8 +276,13 @@ class TestCorruption:
          "lies outside the data section"),
         (lambda header: header["columns"][0].pop("nbytes"), "bad column descriptor"),
         (lambda header: header["scalars"].clear(), "missing scalar 'metric_name'"),
+        (lambda header: header["columns"][0].update(dtype=",f8"), "bad column descriptor"),
+        (lambda header: header["columns"][0].pop("name"), "bad column descriptor"),
+        (lambda header: header["columns"][1].update(dtype="<i8"), "stored as <i8, not as float"),
+        (lambda header: header.update(columns=7), "'columns' must be a list"),
     ], ids=["format-tag", "missing-key", "data-size", "row-count", "payload-size",
-            "big-endian", "outside-data", "column-descriptor", "missing-scalar"])
+            "big-endian", "outside-data", "column-descriptor", "missing-scalar",
+            "dtype-syntax", "column-name", "column-kind", "columns-type"])
     def test_damaged_header_raises_naming_path_and_reason(self, damage, reason, tmp_path):
         path = tmp_path / "block.rcb"
         make_record_block().save_rcb(path)
@@ -416,7 +439,11 @@ class TestBlockTypeOf:
 
 
 class TestSchemaValidation:
-    def test_mismatched_column_length_raises(self, block):
+    @pytest.mark.parametrize("cls", [cls for cls in BLOCK_FACTORIES
+                                     if len(cls._SCHEMA.columns) > 1],
+                             ids=lambda cls: cls.__name__)
+    def test_mismatched_column_length_raises(self, cls):
+        block = BLOCK_FACTORIES[cls]()
         schema = type(block)._SCHEMA
         fields = {spec.name: getattr(block, spec.name) for spec in schema.scalars}
         fields.update({spec.name: getattr(block, spec.name) for spec in schema.columns})
