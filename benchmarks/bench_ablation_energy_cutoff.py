@@ -7,12 +7,13 @@ performance gains but, in our experience, does not necessarily lead to a
 lower reconstruction error since the delta that is being captured is often
 just the noise."
 
-This bench sweeps the cut-off (and the include-DC switch called out in
-DESIGN.md) over a set of noisy temperature/link-utilisation traces and
-reports, for each setting, the median estimated rate, the median achievable
-reduction and the reconstruction error after a Nyquist round trip --
-verifying the paper's argument that the extra rate bought by a stricter
-cut-off does not buy lower error.
+This bench sweeps the cut-off (and the include-DC switch, whose rationale
+is the ``include_dc`` entry of the ``NyquistEstimator`` docstring) over a
+set of noisy temperature/link-utilisation traces and reports, for each
+setting, the median estimated rate, the median achievable reduction and
+the reconstruction error after a Nyquist round trip -- verifying the
+paper's argument that the extra rate bought by a stricter cut-off does not
+buy lower error.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ def test_ablation_energy_cutoff(benchmark, output_dir):
     # stricter threshold is largely noise/quantisation detail).
     assert no_dc[0.99]["median_nrmse"] < 0.06
     # Including the DC bin makes the cut-off collapse towards the lowest
-    # frequencies (the DESIGN.md rationale for excluding it).
+    # frequencies (why NyquistEstimator excludes it by default; see its
+    # ``include_dc`` docs).
     with_dc = {row["energy_fraction"]: row for row in rows if row["include_dc"]}
     assert with_dc[0.99]["median_nyquist_hz"] <= no_dc[0.99]["median_nyquist_hz"] + 1e-12

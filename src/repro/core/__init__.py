@@ -1,6 +1,6 @@
 """Core algorithms: the paper's primary contribution.
 
-* :mod:`repro.core.psd` -- spectral estimation (scalar and batched).
+* :mod:`repro.core.psd` -- the periodogram PSD (scalar and batched).
 * :mod:`repro.core.nyquist` -- the Section 3.2 Nyquist-rate estimator.
 * :mod:`repro.core.batch` -- the batched spectral engine: the same
   estimator over a ``(rows, n)`` trace matrix with vectorised numpy calls.
@@ -22,11 +22,11 @@ from .errors import ReconstructionError, compare, max_abs_error, nrmse, rmse
 from .ergodicity import (ErgodicityReport, ensemble_statistics, ergodicity_gap,
                          ergodicity_report, minimum_canary_size, time_statistics)
 from .nyquist import ALIASED_SENTINEL, NyquistEstimate, NyquistEstimator, estimate_nyquist_rate
-from .psd import batch_periodogram, batch_welch_psd, periodogram, welch_psd
+from .psd import batch_periodogram, periodogram
 from .quantization import UniformQuantizer
 from .reconstruction import RoundTripResult, nyquist_round_trip, reconstruct, upsample_to_length
-from .resampling import (downsample, fourier_resample, linear_resample,
-                         nearest_neighbor_resample, regularize, resample_to_rate)
+from .resampling import (downsample, fourier_resample, nearest_neighbor_resample, regularize,
+                         resample_to_rate)
 from .windowed import (FIGURE7_STEP_SECONDS, FIGURE7_WINDOW_SECONDS, WindowedEstimate,
                        rate_stability, windowed_nyquist_rates)
 
@@ -35,8 +35,7 @@ __all__ = [
     "ALIASED_SENTINEL", "NyquistEstimate", "NyquistEstimator",
     "estimate_nyquist_rate",
     # psd / batch
-    "periodogram", "welch_psd",
-    "batch_periodogram", "batch_welch_psd", "batch_estimate",
+    "periodogram", "batch_periodogram", "batch_estimate",
     # aliasing
     "AliasingVerdict", "DualRateAliasingDetector", "compare_spectra",
     # adaptive
@@ -47,7 +46,7 @@ __all__ = [
     "ReconstructionError", "compare", "rmse", "nrmse", "max_abs_error",
     # resampling
     "regularize", "nearest_neighbor_resample", "downsample", "resample_to_rate",
-    "fourier_resample", "linear_resample",
+    "fourier_resample",
     # quantization
     "UniformQuantizer",
     # windowed

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..signals.timeseries import TimeSeries
 from .aliasing import DualRateAliasingDetector
-from .nyquist import NyquistEstimate, NyquistEstimator
+from .nyquist import MIN_SAMPLES, NyquistEstimate, NyquistEstimator
 from .resampling import decimation_factor
 
 __all__ = [
@@ -252,11 +252,18 @@ class AdaptiveSamplingController:
     adaptation rules then run per row.  :meth:`run` is the one-row case
     and :meth:`process_window` the one-row, one-window case, so a trace
     gets the same decisions whether it is run alone or inside a batch.
+
+    Parameters
+    ----------
+    config:
+        Tuning knobs (:class:`ControllerConfig` defaults when omitted).
+        The controller builds its Nyquist estimator (``energy_fraction``
+        from the config, short-window detrend + Hann setup) and its
+        dual-rate detector (``dual_rate_ratio``, ``aliasing_threshold``)
+        from it.
     """
 
-    def __init__(self, config: ControllerConfig | None = None,
-                 estimator: NyquistEstimator | None = None,
-                 detector: DualRateAliasingDetector | None = None) -> None:
+    def __init__(self, config: ControllerConfig | None = None) -> None:
         self.config = config or ControllerConfig()
         # The controller estimates over short windows, where a slow trend
         # that does not complete a cycle leaks energy across the spectrum
@@ -267,10 +274,10 @@ class AdaptiveSamplingController:
         # eagerly and would boost the rate on every noisy window, and the
         # controller already carries its own aliasing safety net (the
         # dual-rate detector).
-        self.estimator = estimator or NyquistEstimator(
+        self.estimator = NyquistEstimator(
             energy_fraction=self.config.energy_fraction,
             detrend=True, window="hann", aliased_band_fraction=1.0)
-        self.detector = detector or DualRateAliasingDetector(
+        self.detector = DualRateAliasingDetector(
             rate_ratio=self.config.dual_rate_ratio,
             threshold=self.config.aliasing_threshold)
         self._state = self._initial_state()
@@ -311,15 +318,15 @@ class AdaptiveSamplingController:
     def minimum_viable_rate(self, window_duration: float) -> float:
         """Lowest rate at which one window still feeds the estimator and detector.
 
-        Both the Nyquist estimator and the dual-frequency detector need a
-        minimum number of samples to say anything; a controller that drops
-        below ``min_samples / window_duration`` blinds its own safety net,
-        so :meth:`run` never lets the rate fall below this floor.
+        Both the Nyquist estimator and the dual-frequency detector need
+        :data:`~repro.core.nyquist.MIN_SAMPLES` samples to say anything; a
+        controller that drops below ``MIN_SAMPLES / window_duration``
+        blinds its own safety net, so :meth:`run` never lets the rate fall
+        below this floor.
         """
         if window_duration <= 0:
             raise ValueError("window_duration must be positive")
-        needed = max(self.estimator.min_samples, self.detector.min_samples, 4)
-        return needed / window_duration
+        return MIN_SAMPLES / window_duration
 
     def _clamp(self, rate: float, ceiling: float) -> float:
         floor = max(self.config.min_rate, self._floor_rate)

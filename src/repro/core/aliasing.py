@@ -20,8 +20,8 @@ import numpy as np
 from ..signals.noise import noise_floor_estimates
 from ..signals.spectrum import Spectrum, SpectrumBatch
 from ..signals.timeseries import TimeSeries
+from .nyquist import MIN_SAMPLES
 from .psd import batch_periodogram
-from .resampling import linear_resample, resample_to_rate
 
 __all__ = [
     "AliasingVerdict",
@@ -63,32 +63,24 @@ class AliasingVerdict:
     fast_rate: float
     common_band_hz: float
 
-    @property
-    def margin(self) -> float:
-        """How far the discrepancy sits from the threshold (positive = aliased)."""
-        return self.discrepancy - self.threshold
 
-
-def compare_spectra(slow: Spectrum, fast: Spectrum,
-                    noise_quantile: float = 0.5) -> tuple[float, float]:
+def compare_spectra(slow: Spectrum, fast: Spectrum) -> tuple[float, float]:
     """Compare two PSDs over their common band.
 
     Returns ``(discrepancy, band_edge)`` where ``discrepancy`` is the mean
     absolute difference of the (energy-normalised) spectra over the band
-    ``(0, band_edge]``, after subtracting the estimated noise floor from
-    both.  Normalising by total in-band energy makes the number comparable
-    across metrics with wildly different magnitudes.  This is the one-row
-    case of :func:`compare_spectra_batch`.
+    ``(0, band_edge]``, after subtracting each spectrum's noise floor (its
+    median bin power) from it.  Normalising by total in-band energy makes
+    the number comparable across metrics with wildly different magnitudes.
+    This is the one-row case of :func:`compare_spectra_batch`.
     """
     discrepancy, band_edge = compare_spectra_batch(
         SpectrumBatch(slow.frequencies, slow.power[None, :], slow.sampling_rate),
-        SpectrumBatch(fast.frequencies, fast.power[None, :], fast.sampling_rate),
-        noise_quantile=noise_quantile)
+        SpectrumBatch(fast.frequencies, fast.power[None, :], fast.sampling_rate))
     return float(discrepancy[0]), band_edge
 
 
-def compare_spectra_batch(slow: SpectrumBatch, fast: SpectrumBatch,
-                          noise_quantile: float = 0.5) -> tuple[np.ndarray, float]:
+def compare_spectra_batch(slow: SpectrumBatch, fast: SpectrumBatch) -> tuple[np.ndarray, float]:
     """Row-wise :func:`compare_spectra`: row ``i`` of ``slow`` against row ``i`` of ``fast``.
 
     Both batches share their frequency grids across rows, so the common
@@ -111,8 +103,8 @@ def compare_spectra_batch(slow: SpectrumBatch, fast: SpectrumBatch,
     slow_power = slow_band.interpolate_power(grid)
     fast_power = fast_band.interpolate_power(grid)
 
-    slow_floor = noise_floor_estimates(slow_power, quantile=noise_quantile)
-    fast_floor = noise_floor_estimates(fast_power, quantile=noise_quantile)
+    slow_floor = noise_floor_estimates(slow_power)
+    fast_floor = noise_floor_estimates(fast_power)
     slow_clean = np.maximum(slow_power - slow_floor[:, None], 0.0)
     fast_clean = np.maximum(fast_power - fast_floor[:, None], 0.0)
 
@@ -141,31 +133,23 @@ class DualRateAliasingDetector:
         Discrepancy above which the verdict is "aliased".  The discrepancy
         is a total-variation style distance in [0, 1]; the default of 0.1
         tolerates noise and mild spectral-estimation differences.
-    noise_quantile:
-        Quantile of bin power used as the per-spectrum noise floor.
-    min_samples:
-        Minimum number of samples each probe stream must contain for the
-        comparison to mean anything; with fewer samples the verdict is
-        "not aliased" (insufficient evidence) rather than a coin flip on
-        two noisy two-bin spectra.
+
+    Each spectrum's noise floor is its median bin power.  A probe stream
+    shorter than :data:`~repro.core.nyquist.MIN_SAMPLES` samples gives
+    no evidence either way, so such a pair is reported "not aliased"
+    rather than decided by a coin flip on two noisy few-bin spectra.
     """
 
     def __init__(self, rate_ratio: float = DEFAULT_RATE_RATIO,
-                 threshold: float = 0.1,
-                 noise_quantile: float = 0.5,
-                 min_samples: int = 16) -> None:
+                 threshold: float = 0.1) -> None:
         if rate_ratio <= 1.0:
             raise ValueError("rate_ratio must be > 1")
         if math.isclose(rate_ratio, round(rate_ratio), abs_tol=1e-9):
             raise ValueError("rate_ratio must not be an integer (see §4.1)")
         if threshold <= 0:
             raise ValueError("threshold must be positive")
-        if min_samples < 4:
-            raise ValueError("min_samples must be >= 4")
         self.rate_ratio = rate_ratio
         self.threshold = threshold
-        self.noise_quantile = noise_quantile
-        self.min_samples = min_samples
 
     # ------------------------------------------------------------------
     def probe_rates(self, slow_rate: float) -> tuple[float, float]:
@@ -209,41 +193,11 @@ class DualRateAliasingDetector:
         if 1.0 / slow_interval >= 1.0 / fast_interval:
             slow, slow_interval, fast, fast_interval = fast, fast_interval, slow, slow_interval
         rows = slow.shape[0]
-        if slow.shape[1] < self.min_samples or fast.shape[1] < self.min_samples:
+        if slow.shape[1] < MIN_SAMPLES or fast.shape[1] < MIN_SAMPLES:
             # Not enough data to say anything: report "not aliased" with
             # zero confidence rather than raising, so the adaptive
             # controller can simply keep probing.
             return np.zeros(rows, dtype=bool), np.zeros(rows), 1.0 / slow_interval / 2.0
         discrepancy, band_edge = compare_spectra_batch(
-            batch_periodogram(slow, slow_interval), batch_periodogram(fast, fast_interval),
-            noise_quantile=self.noise_quantile)
+            batch_periodogram(slow, slow_interval), batch_periodogram(fast, fast_interval))
         return discrepancy > self.threshold, discrepancy, band_edge
-
-    def check_signal(self, reference: TimeSeries, candidate_rate: float) -> AliasingVerdict:
-        """Would sampling ``reference`` at ``candidate_rate`` alias?
-
-        ``reference`` must be a trace collected at a rate at least
-        ``rate_ratio`` times faster than ``candidate_rate`` (it plays the
-        role of the underlying signal).  The detector derives the two probe
-        streams from it without anti-alias filtering -- i.e. what two
-        independent slower pollers would have observed.  When the probe
-        rates do not divide the reference rate, the probe samples are read
-        off the reference by interpolation, which is a faithful stand-in as
-        long as the reference is sampled well above both probe rates.
-        """
-        slow_rate, fast_rate = self.probe_rates(candidate_rate)
-        if fast_rate > reference.sampling_rate + 1e-9:
-            raise ValueError(
-                f"reference trace at {reference.sampling_rate:g} Hz is too slow to "
-                f"emulate a {fast_rate:g} Hz probe")
-        slow = self._probe(reference, slow_rate)
-        fast = self._probe(reference, fast_rate)
-        return self.check_samples(slow, fast)
-
-    @staticmethod
-    def _probe(reference: TimeSeries, rate: float) -> TimeSeries:
-        """Emulate polling ``reference`` at ``rate`` (no anti-alias filtering)."""
-        ratio = reference.sampling_rate / rate
-        if abs(ratio - round(ratio)) < 1e-9:
-            return resample_to_rate(reference, rate, anti_alias=False)
-        return linear_resample(reference, rate)

@@ -16,9 +16,9 @@ performs every stage of the estimator as one vectorised numpy operation:
 Only the final wrap into per-trace :class:`~repro.core.nyquist.NyquistEstimate`
 objects is a Python loop, which is O(rows) rather than O(rows x n).
 
-The default survey configuration (rectangular-window periodogram PSD, DC
-excluded, ``flat_tolerance`` 0) takes a further-optimised fast path built
-on three algebraic shortcuts, none of which changes results:
+The default survey configuration (rectangular window, DC excluded) takes
+a further-optimised fast path built on three algebraic shortcuts, none of
+which changes results:
 
 * the energy comparison is done against per-row raw (unscaled) power --
   the cut-off index only depends on energy *ratios*, so the PSD
@@ -44,10 +44,9 @@ import math
 
 import numpy as np
 
-from ..signals.timeseries import TimeSeries
-from .nyquist import (ALIASED_SENTINEL, NON_FINITE_REASON, NyquistEstimate, NyquistEstimator,
-                      detrended)
-from .psd import batch_periodogram, batch_welch_psd, taper_energy, window_coefficients
+from .nyquist import (ALIASED_SENTINEL, MIN_SAMPLES, NON_FINITE_REASON, NyquistEstimate,
+                      NyquistEstimator, detrended)
+from .psd import batch_periodogram, taper_energy, window_coefficients
 
 __all__ = ["batch_estimate", "exact_batch_estimate"]
 
@@ -84,23 +83,9 @@ def _unreliable(estimator: NyquistEstimator, current_rate: float, reason: str) -
     )
 
 
-def _constant_mask(values: np.ndarray, estimator: NyquistEstimator) -> np.ndarray:
-    """Per-row version of ``NyquistEstimator._is_effectively_constant``."""
-    spread = np.ptp(values, axis=-1)
-    constant = spread == 0
-    if estimator.flat_tolerance > 0:
-        scale = np.abs(np.mean(values, axis=-1))
-        scale = np.where(scale == 0, 1.0, scale)
-        constant |= (spread / scale) < estimator.flat_tolerance
-    return constant
-
-
 def _remove_linear_trend_rows(values: np.ndarray) -> np.ndarray:
     """Subtract each row's least-squares line (vectorised ``detrend``)."""
-    n = values.shape[-1]
-    if n < 2:
-        return values
-    x = np.arange(n, dtype=np.float64)
+    x = np.arange(values.shape[-1], dtype=np.float64)
     x_centered = x - x.mean()
     denominator = float(np.sum(x_centered ** 2))
     row_means = np.mean(values, axis=-1, keepdims=True)
@@ -117,24 +102,18 @@ def _batch_power(values: np.ndarray, interval: float, estimator: NyquistEstimato
     left to the caller because the energy cut-off depends only on ratios.
     """
     n = values.shape[-1]
-    if estimator.psd_method == "periodogram":
-        if estimator.window == "rectangular":
-            tapered, taper_power = values, float(n)
-        else:
-            taper = window_coefficients(estimator.window, n)
-            tapered, taper_power = values * taper, taper_energy(taper)
-        power = np.abs(_rfft(tapered, fft_workers))
-        np.square(power, out=power)
-        if n % 2 == 0:
-            power[:, 1:-1] *= 2.0
-        else:
-            power[:, 1:] *= 2.0
-        return power, np.fft.rfftfreq(n, d=interval), n * taper_power
-    if estimator.psd_method == "welch":
-        window = estimator.window if estimator.window != "rectangular" else "hann"
-        batch = batch_welch_psd(values, interval, window=window)
-        return batch.power, batch.frequencies, 1.0
-    raise ValueError(f"unknown psd_method {estimator.psd_method!r}")
+    if estimator.window == "rectangular":
+        tapered, taper_power = values, float(n)
+    else:
+        taper = window_coefficients(estimator.window, n)
+        tapered, taper_power = values * taper, taper_energy(taper)
+    power = np.abs(_rfft(tapered, fft_workers))
+    np.square(power, out=power)
+    if n % 2 == 0:
+        power[:, 1:-1] *= 2.0
+    else:
+        power[:, 1:] *= 2.0
+    return power, np.fft.rfftfreq(n, d=interval), n * taper_power
 
 
 def _constant_estimate(estimator: NyquistEstimator, current_rate: float,
@@ -189,8 +168,6 @@ def _fast_batch_estimate(matrix: np.ndarray, interval: float, estimator: Nyquist
     band = power[:, 1:]
     freqs = np.fft.rfftfreq(n, d=interval)[1:]
     bins = freqs.size
-    if bins == 0:
-        return [_unreliable(estimator, current_rate, "no spectral energy") for _ in range(rows)]
 
     cumulative = np.cumsum(band, axis=-1)
     totals = cumulative[:, -1].copy()
@@ -281,8 +258,7 @@ def exact_batch_estimate(values: np.ndarray, interval: float,
     operation / last-axis reduction over a C-contiguous matrix (taper,
     ``rfft``, power, energy sums, cumulative energy), whose rows are bit
     for bit the one-dimensional results.  So row ``i`` of the result *is*
-    ``estimator.estimate(TimeSeries(values[i], interval))``.  Welch PSDs
-    run row by row through the scalar path.
+    ``estimator.estimate(TimeSeries(values[i], interval))``.
     """
     matrix = np.ascontiguousarray(values, dtype=np.float64)
     if matrix.ndim != 2:
@@ -291,13 +267,11 @@ def exact_batch_estimate(values: np.ndarray, interval: float,
         raise ValueError("interval must be positive")
     rows, n = matrix.shape
     current_rate = 1.0 / interval
-    if n < estimator.min_samples:
+    if n < MIN_SAMPLES:
         rate = current_rate if n else float("nan")
         return [_unreliable(estimator, rate, "trace too short") for _ in range(rows)]
-    if estimator.psd_method != "periodogram":
-        return [estimator.estimate(TimeSeries(row, interval)) for row in matrix]
 
-    constant = _constant_mask(matrix, estimator)
+    constant = np.ptp(matrix, axis=-1) == 0
     results: list[NyquistEstimate | None] = [None] * rows
     for index in np.flatnonzero(constant):
         results[index] = _constant_estimate(estimator, current_rate, n * interval)
@@ -317,7 +291,7 @@ def exact_batch_estimate(values: np.ndarray, interval: float,
             total = float(totals[position])
             if not math.isfinite(total):
                 results[index] = _unreliable(estimator, current_rate, NON_FINITE_REASON)
-            elif total <= 0 or spectra.bins == 0:
+            elif total <= 0:
                 results[index] = _unreliable(estimator, current_rate, "no spectral energy")
             else:
                 results[index] = estimator.estimate_from_cumulative(
@@ -341,17 +315,15 @@ def batch_estimate(values: np.ndarray, interval: float,
         The common sampling interval in seconds.
     estimator:
         Estimator configuration; defaults to the paper's 99 % settings.
-        Every knob (``energy_fraction``, ``include_dc``, ``psd_method``,
-        ``min_samples``, ``flat_tolerance``, ``aliased_band_fraction``,
-        ``detrend``, ``window``) is honoured.
+        Every knob (``energy_fraction``, ``include_dc``,
+        ``aliased_band_fraction``, ``detrend``, ``window``) is honoured.
     fft_workers:
         Number of pocketfft worker threads for the batched ``rfft``
         (scipy's ``workers=``, imported only when this is above 1;
-        ignored without scipy and for the Welch path).  Parallelism is
-        across rows, so the per-row results are unchanged; the default
-        (``None``) keeps the FFT single-threaded, which is right for 1-CPU
-        hosts and for surveys already parallelised across worker
-        *processes*.
+        ignored without scipy).  Parallelism is across rows, so the
+        per-row results are unchanged; the default (``None``) keeps the
+        FFT single-threaded, which is right for 1-CPU hosts and for
+        surveys already parallelised across worker *processes*.
 
     Returns
     -------
@@ -370,14 +342,14 @@ def batch_estimate(values: np.ndarray, interval: float,
         return []
     current_rate = 1.0 / interval
 
-    if n < estimator.min_samples:
+    if n < MIN_SAMPLES:
         return [_unreliable(estimator, current_rate, "trace too short") for _ in range(rows)]
+    # From here every row has at least MIN_SAMPLES // 2 non-DC bins.
 
-    if (estimator.psd_method == "periodogram" and estimator.window == "rectangular"
-            and not estimator.include_dc and estimator.flat_tolerance == 0):
+    if estimator.window == "rectangular" and not estimator.include_dc:
         return _fast_batch_estimate(matrix, interval, estimator, fft_workers)
 
-    constant = _constant_mask(matrix, estimator)
+    constant = np.ptp(matrix, axis=-1) == 0
     results: list[NyquistEstimate | None] = [None] * rows
     duration = n * interval
     for index in np.flatnonzero(constant):
@@ -391,17 +363,10 @@ def batch_estimate(values: np.ndarray, interval: float,
     if estimator.detrend:
         working_values = _remove_linear_trend_rows(working_values)
 
-    power, all_freqs, scale = _batch_power(working_values, interval, estimator, fft_workers)
-    if estimator.include_dc or (all_freqs.size and all_freqs[0] != 0.0):
-        band_power, freqs = power, all_freqs
-    else:
-        band_power, freqs = power[:, 1:], all_freqs[1:]
+    power, freqs, scale = _batch_power(working_values, interval, estimator, fft_workers)
+    if not estimator.include_dc:
+        power, freqs = power[:, 1:], freqs[1:]
     bins = freqs.size
-
-    if bins == 0:
-        for index in active:
-            results[index] = _unreliable(estimator, current_rate, "no spectral energy")
-        return results  # type: ignore[return-value]
 
     # Energy cut-off for the whole batch at once.  ``argmax`` of the >=
     # mask is ``searchsorted`` on each row's (non-decreasing) cumulative
@@ -409,8 +374,8 @@ def batch_estimate(values: np.ndarray, interval: float,
     # threshold fall through to the last bin, exactly like the scalar
     # clamp.  Comparing raw cumulative energy against a per-row target
     # avoids normalising the whole matrix.
-    totals = np.sum(band_power, axis=-1)
-    cumulative = np.cumsum(band_power, axis=-1)
+    totals = np.sum(power, axis=-1)
+    cumulative = np.cumsum(power, axis=-1)
     targets = (estimator.energy_fraction - 1e-12) * totals
     reached = cumulative >= targets[:, None]
     cutoff_index = np.where(reached.any(axis=-1), reached.argmax(axis=-1), bins - 1)
@@ -420,7 +385,7 @@ def batch_estimate(values: np.ndarray, interval: float,
     aliased = (cutoff_index >= bins - 1) | \
         (cutoff_frequencies > estimator.aliased_band_fraction * band_edge)
     captured_energy = cumulative[np.arange(active.size), cutoff_index]
-    resolution = float(freqs[1] - freqs[0]) if bins >= 2 else current_rate / 2.0
+    resolution = float(freqs[1] - freqs[0])
 
     for position, index in enumerate(active):
         raw_total = float(totals[position])

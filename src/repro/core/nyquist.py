@@ -25,13 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
-
 import numpy as np
 
 from ..signals.spectrum import Spectrum
 from ..signals.timeseries import IrregularTimeSeries, TimeSeries
-from .psd import WindowName, periodogram, welch_psd
+from .psd import WINDOW_NAMES, WindowName, periodogram
 from .resampling import regularize
 
 __all__ = [
@@ -40,6 +38,7 @@ __all__ = [
     "estimate_nyquist_rate",
     "ALIASED_SENTINEL",
     "NON_FINITE_REASON",
+    "MIN_SAMPLES",
     "DEFAULT_ENERGY_FRACTION",
     "DEFAULT_ALIASED_BAND_FRACTION",
 ]
@@ -53,6 +52,12 @@ ALIASED_SENTINEL: float = -1.0
 #: Its energy cut-off would otherwise land on the bottom bin and report
 #: the trace as massively over-sampled.
 NON_FINITE_REASON: str = "non-finite spectral energy"
+
+#: Fewest samples a trace (or probe stream) needs for a spectral verdict.
+#: Shorter traces are refused as unreliable ("trace too short") rather
+#: than producing a meaningless few-bin estimate; the dual-rate detector
+#: and the adaptive controller's rate floor use the same bound.
+MIN_SAMPLES: int = 16
 
 #: Default share of total (non-DC) energy that must be captured below the
 #: cut-off frequency.  This is the paper's 99 % knob.
@@ -108,11 +113,6 @@ class NyquistEstimate:
     reason: str = ""
 
     @property
-    def is_aliased_suspect(self) -> bool:
-        """True when the trace looked aliased (all bins needed for the cut-off)."""
-        return not self.reliable and self.reason == "all bins needed"
-
-    @property
     def reduction_ratio(self) -> float:
         """How much less often the metric could be sampled (current / Nyquist).
 
@@ -129,14 +129,18 @@ class NyquistEstimate:
         """True when the current rate exceeds the estimated Nyquist rate."""
         return self.reliable and self.current_rate > self.nyquist_rate
 
-    @property
-    def undersampled(self) -> bool:
-        """True when the current rate is below the estimated Nyquist rate."""
-        return self.reliable and self.current_rate < self.nyquist_rate
-
 
 class NyquistEstimator:
-    """Configurable implementation of the paper's Nyquist-rate estimator.
+    """The paper's Nyquist-rate estimator, in the setups the library runs.
+
+    The fleet survey uses the defaults (the plain periodogram with the
+    calibrated band rule); the adaptive controller and the Figure 7
+    windowed survey use ``detrend=True, window="hann",
+    aliased_band_fraction=1.0`` for short windows.  Traces shorter than
+    :data:`MIN_SAMPLES` are refused as unreliable, and a trace whose
+    samples are all equal is "constant": it gets a Nyquist rate of one
+    cycle per trace duration (the lowest rate observable from the data)
+    rather than a noise-driven estimate.
 
     Parameters
     ----------
@@ -148,18 +152,7 @@ class NyquistEstimator:
         sums "across all FFT bins"; we exclude DC by default because a
         constant offset carries no information about how fast a metric
         changes and would otherwise dominate the total for any metric with
-        a large mean (documented in DESIGN.md and ablated in the benches).
-    psd_method:
-        "periodogram" (single FFT, the paper's method) or "welch".
-    min_samples:
-        Traces shorter than this are rejected as unreliable rather than
-        producing a meaningless two-bin estimate.
-    flat_tolerance:
-        If the trace's peak-to-peak range divided by its absolute mean (or
-        1 if the mean is 0) is below this threshold the trace is considered
-        constant; constant traces get a Nyquist rate equal to one cycle per
-        trace duration (the lowest rate observable from the data) rather
-        than a noise-driven estimate.
+        a large mean (ablated in ``benchmarks/bench_ablation_energy_cutoff.py``).
     aliased_band_fraction:
         If the energy cut-off lands above this fraction of the measurable
         band edge (``sampling_rate / 2``), the trace is treated as
@@ -178,33 +171,28 @@ class NyquistEstimator:
         survey analyses full-day traces where leakage is minor); the
         adaptive controller turns it on because it works on short windows.
     window:
-        Taper applied before the FFT ("rectangular", "hann", "hamming",
-        "blackman").  A tapered window further reduces leakage at the cost
-        of a slightly wider main lobe.
+        Taper applied before the FFT: "rectangular" (the plain FFT) or
+        "hann", which further reduces leakage at the cost of a slightly
+        wider main lobe.  Any other name is refused here.
     """
+
+    #: Shortest trace the estimator accepts (:data:`MIN_SAMPLES`).
+    min_samples: int = MIN_SAMPLES
 
     def __init__(self,
                  energy_fraction: float = DEFAULT_ENERGY_FRACTION,
                  include_dc: bool = False,
-                 psd_method: Literal["periodogram", "welch"] = "periodogram",
-                 min_samples: int = 16,
-                 flat_tolerance: float = 0.0,
                  aliased_band_fraction: float = DEFAULT_ALIASED_BAND_FRACTION,
                  detrend: bool = False,
                  window: WindowName = "rectangular") -> None:
         if not 0 < energy_fraction <= 1:
             raise ValueError("energy_fraction must be in (0, 1]")
-        if min_samples < 4:
-            raise ValueError("min_samples must be >= 4")
-        if flat_tolerance < 0:
-            raise ValueError("flat_tolerance must be non-negative")
         if not 0 < aliased_band_fraction <= 1:
             raise ValueError("aliased_band_fraction must be in (0, 1]")
+        if window not in WINDOW_NAMES:
+            raise ValueError(f"unknown window {window!r}; choose from {list(WINDOW_NAMES)}")
         self.energy_fraction = energy_fraction
         self.include_dc = include_dc
-        self.psd_method = psd_method
-        self.min_samples = min_samples
-        self.flat_tolerance = flat_tolerance
         self.aliased_band_fraction = aliased_band_fraction
         self.detrend = detrend
         self.window = window
@@ -215,25 +203,22 @@ class NyquistEstimator:
         Two estimators with equal tokens produce byte-identical survey
         records for the same traces; any parameter change changes the
         token (and therefore every :class:`~repro.records.PairFingerprint`
-        built from it).
+        built from it).  The PSD method, the minimum length and the flat
+        tolerance were options once; the token still spells them as it did
+        then, so record stores filled back then keep hitting.
         """
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}"
-            for name in ("energy_fraction", "include_dc", "psd_method",
-                         "min_samples", "flat_tolerance",
-                         "aliased_band_fraction", "detrend", "window"))
-        return f"{type(self).__name__}({fields})"
+        fixed = f"psd_method='periodogram', min_samples={MIN_SAMPLES!r}, flat_tolerance=0.0"
+        return (f"{type(self).__name__}(energy_fraction={self.energy_fraction!r}, "
+                f"include_dc={self.include_dc!r}, {fixed}, "
+                f"aliased_band_fraction={self.aliased_band_fraction!r}, "
+                f"detrend={self.detrend!r}, window={self.window!r})")
 
     # ------------------------------------------------------------------
     def compute_spectrum(self, series: TimeSeries) -> Spectrum:
-        """PSD of ``series`` using the configured method."""
+        """Periodogram of ``series`` (detrended first when configured)."""
         if self.detrend:
             series = _remove_linear_trend(series)
-        if self.psd_method == "periodogram":
-            return periodogram(series, window=self.window)
-        if self.psd_method == "welch":
-            return welch_psd(series, window=self.window if self.window != "rectangular" else "hann")
-        raise ValueError(f"unknown psd_method {self.psd_method!r}")
+        return periodogram(series, window=self.window)
 
     def estimate(self, series: TimeSeries | IrregularTimeSeries) -> NyquistEstimate:
         """Run the estimator on a trace.
@@ -243,11 +228,11 @@ class NyquistEstimator:
         """
         if isinstance(series, IrregularTimeSeries):
             series = regularize(series)
-        if len(series) < self.min_samples:
+        if len(series) < MIN_SAMPLES:
             return self._unreliable(series.sampling_rate if len(series) else float("nan"),
                                     reason="trace too short")
 
-        if self._is_effectively_constant(series):
+        if series.value_range() == 0:
             # A constant metric needs (essentially) no sampling at all; we
             # report the lowest rate the trace itself can witness: one
             # sample per trace duration.
@@ -361,15 +346,6 @@ class NyquistEstimator:
         )
 
     # ------------------------------------------------------------------
-    def _is_effectively_constant(self, series: TimeSeries) -> bool:
-        spread = series.value_range()
-        if spread == 0:
-            return True
-        if self.flat_tolerance == 0:
-            return False
-        scale = abs(series.mean()) or 1.0
-        return spread / scale < self.flat_tolerance
-
     def _unreliable(self, current_rate: float, reason: str) -> NyquistEstimate:
         return NyquistEstimate(
             nyquist_rate=ALIASED_SENTINEL,
@@ -384,11 +360,9 @@ class NyquistEstimator:
 
 
 def estimate_nyquist_rate(series: TimeSeries | IrregularTimeSeries,
-                          energy_fraction: float = DEFAULT_ENERGY_FRACTION,
-                          include_dc: bool = False) -> NyquistEstimate:
+                          energy_fraction: float = DEFAULT_ENERGY_FRACTION) -> NyquistEstimate:
     """Convenience wrapper around :class:`NyquistEstimator` with default settings."""
-    estimator = NyquistEstimator(energy_fraction=energy_fraction, include_dc=include_dc)
-    return estimator.estimate(series)
+    return NyquistEstimator(energy_fraction=energy_fraction).estimate(series)
 
 
 def _remove_linear_trend(series: TimeSeries) -> TimeSeries:

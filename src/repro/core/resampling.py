@@ -30,7 +30,6 @@ __all__ = [
     "decimation_factor",
     "fourier_resample",
     "fourier_resample_matrix",
-    "linear_resample",
 ]
 
 
@@ -187,22 +186,3 @@ def fourier_resample_matrix(values: np.ndarray, target_length: int) -> np.ndarra
     if target_length > n and n % 2 == 0 and copy == spectrum.shape[1]:
         new_spectrum[:, copy - 1] *= 0.5
     return np.fft.irfft(new_spectrum, n=target_length, axis=-1) * (target_length / n)
-
-
-def linear_resample(series: TimeSeries, target_rate: float) -> TimeSeries:
-    """Resample onto a new regular grid by linear interpolation.
-
-    Cheaper and more robust to edge effects than Fourier interpolation but
-    not band-limited; used by the pipeline simulator when an application
-    only needs approximate values between polls.
-    """
-    if target_rate <= 0:
-        raise ValueError("target_rate must be positive")
-    if len(series) == 0:
-        raise ValueError("cannot resample an empty series")
-    new_interval = 1.0 / target_rate
-    n = max(int(round(series.duration / new_interval)), 1)
-    new_times = series.start_time + np.arange(n) * new_interval
-    old_times = series.times()
-    values = np.interp(new_times, old_times, series.values)
-    return TimeSeries(values, new_interval, start_time=series.start_time, name=series.name)

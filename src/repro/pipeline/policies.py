@@ -264,11 +264,12 @@ class NyquistStaticPolicy(SamplingPolicy):
         Fraction of the trace spent calibrating at the production rate.
     headroom:
         Multiplier (>= 1) applied to the estimated rate before polling.
+
+    The calibration runs the survey-default :class:`NyquistEstimator`.
     """
 
     def __init__(self, production_interval: float, calibration_fraction: float = 0.25,
-                 headroom: float = 1.2, estimator: NyquistEstimator | None = None,
-                 name: str | None = None) -> None:
+                 headroom: float = 1.2) -> None:
         if production_interval <= 0:
             raise ValueError("production_interval must be positive")
         if not 0 < calibration_fraction < 1:
@@ -278,8 +279,7 @@ class NyquistStaticPolicy(SamplingPolicy):
         self.production_interval = production_interval
         self.calibration_fraction = calibration_fraction
         self.headroom = headroom
-        self.estimator = estimator or NyquistEstimator()
-        self.name = name or "nyquist-static"
+        self.name = "nyquist-static"
 
     def collect(self, reference: TimeSeries) -> PolicyResult:
         production_rate = min(1.0 / self.production_interval, reference.sampling_rate)
@@ -288,7 +288,7 @@ class NyquistStaticPolicy(SamplingPolicy):
         remainder_window = reference.window(split_time, reference.end_time)
 
         calibration = resample_to_rate(calibration_window, production_rate, anti_alias=False)
-        estimate = self.estimator.estimate(calibration) if len(calibration) >= 2 else None
+        estimate = NyquistEstimator().estimate(calibration) if len(calibration) >= 2 else None
 
         if estimate is not None and estimate.reliable:
             target_rate = min(estimate.nyquist_rate * self.headroom, production_rate)
@@ -349,7 +349,7 @@ class NyquistStaticPolicy(SamplingPolicy):
         nyquist = np.full(rows, np.nan)
         reliable = np.zeros(rows, dtype=bool)
         if cal_m >= 2:
-            estimates = self.estimator.estimate_batch(calibration, cal_interval)
+            estimates = NyquistEstimator().estimate_batch(calibration, cal_interval)
             reliable = np.fromiter((e.reliable for e in estimates), bool, rows)
             nyquist = np.fromiter((e.nyquist_rate for e in estimates), np.float64, rows)
         target = np.where(reliable, np.minimum(nyquist * self.headroom, production_rate),
@@ -414,13 +414,12 @@ class AdaptiveDualRatePolicy(SamplingPolicy):
     """
 
     def __init__(self, window_duration: float = 6 * 3600.0,
-                 config: ControllerConfig | None = None,
-                 name: str | None = None) -> None:
+                 config: ControllerConfig | None = None) -> None:
         if window_duration <= 0:
             raise ValueError("window_duration must be positive")
         self.window_duration = window_duration
         self.config = config or ControllerConfig()
-        self.name = name or "adaptive-dual-rate"
+        self.name = "adaptive-dual-rate"
 
     def run_controller(self, reference: TimeSeries) -> AdaptiveRun:
         """Run a fresh controller over ``reference`` and return the full record.

@@ -31,8 +31,8 @@ def add_white_noise(series: TimeSeries, std: float,
     return series.with_values(noisy)
 
 
-def noise_floor_estimate(power: np.ndarray, quantile: float = 0.5) -> float:
-    """Estimate the noise floor of a PSD as a robust quantile of its bins.
+def noise_floor_estimate(power: np.ndarray) -> float:
+    """Estimate the noise floor of a PSD as the median of its bins.
 
     The dual-frequency aliasing detector (Section 4.1) needs a threshold
     below which spectral discrepancies are attributed to noise rather than
@@ -42,12 +42,12 @@ def noise_floor_estimate(power: np.ndarray, quantile: float = 0.5) -> float:
     array = np.asarray(power, dtype=np.float64)
     if array.size == 0:
         return 0.0
-    if not 0 <= quantile <= 1:
-        raise ValueError("quantile must be in [0, 1]")
-    return float(np.quantile(array, quantile))
+    # np.quantile rather than np.median: the two may differ in the last
+    # bit, and the recorded dual-rate verdicts come from this one.
+    return float(np.quantile(array, 0.5))
 
 
-def noise_floor_estimates(power: np.ndarray, quantile: float = 0.5) -> np.ndarray:
+def noise_floor_estimates(power: np.ndarray) -> np.ndarray:
     """Row-wise :func:`noise_floor_estimate` over a ``(rows, bins)`` PSD matrix.
 
     One ``np.quantile(axis=-1)`` call for the whole batch; each entry is
@@ -56,8 +56,6 @@ def noise_floor_estimates(power: np.ndarray, quantile: float = 0.5) -> np.ndarra
     array = np.asarray(power, dtype=np.float64)
     if array.ndim != 2:
         raise ValueError(f"power must be a (rows, bins) matrix, got shape {array.shape}")
-    if not 0 <= quantile <= 1:
-        raise ValueError("quantile must be in [0, 1]")
     if array.shape[1] == 0:
         return np.zeros(array.shape[0])
-    return np.quantile(array, quantile, axis=-1)
+    return np.quantile(array, 0.5, axis=-1)

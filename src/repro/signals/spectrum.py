@@ -1,17 +1,18 @@
 """Frequency-domain representation of a sampled signal.
 
-A :class:`Spectrum` is the output of the PSD estimators in
-:mod:`repro.core.psd` and the input of the Nyquist estimator and the
-aliasing detector.  It is a thin, immutable wrapper around two arrays
-(bin frequencies and per-bin power) plus the sampling rate that produced
-them, with the energy-accounting helpers the paper's Section 3.2 method
-needs.
+A :class:`Spectrum` is the output of :func:`repro.core.psd.periodogram`
+and the input of the Nyquist estimator and the aliasing detector.  It is
+a thin, immutable wrapper around two arrays (bin frequencies and per-bin
+power) plus the sampling rate that produced them, with a few
+energy-accounting and band helpers; the Section 3.2 cut-off search itself
+lives in :mod:`repro.core.nyquist`.
 
 :class:`SpectrumBatch` is the fleet-scale counterpart: one shared
 frequency grid and a 2-D power matrix holding the PSDs of many
-equal-length traces at once.  It is produced by the batched estimators in
-:mod:`repro.core.psd` (``batch_periodogram`` / ``batch_welch_psd``) and
-consumed by the batched Nyquist engine in :mod:`repro.core.batch`.
+equal-length traces at once.  It is produced by
+:func:`repro.core.psd.batch_periodogram` and consumed by the exact
+row-batched estimator in :mod:`repro.core.batch` and by the dual-rate
+spectrum comparison in :mod:`repro.core.aliasing`.
 """
 
 from __future__ import annotations
@@ -91,11 +92,6 @@ class Spectrum:
             return Spectrum(self.frequencies[1:], self.power[1:], self.sampling_rate)
         return self
 
-    def cumulative_energy(self, include_dc: bool = False) -> np.ndarray:
-        """Cumulative per-bin energy in ascending frequency order."""
-        spec = self if include_dc else self.without_dc()
-        return np.cumsum(spec.power)
-
     def energy_below(self, frequency: float, include_dc: bool = False) -> float:
         """Energy contained in bins at or below ``frequency``."""
         spec = self if include_dc else self.without_dc()
@@ -108,25 +104,6 @@ class Spectrum:
         if total <= 0:
             return 0.0
         return self.energy_below(frequency, include_dc=include_dc) / total
-
-    def energy_cutoff_frequency(self, fraction: float, include_dc: bool = False) -> float | None:
-        """The smallest bin frequency capturing ``fraction`` of the total energy.
-
-        Returns ``None`` when the spectrum has no energy at all.  This is
-        the inner loop of the Section 3.2 estimator: accumulate per-bin
-        power in ascending frequency order and stop at the first bin whose
-        cumulative share reaches ``fraction``.
-        """
-        if not 0 < fraction <= 1:
-            raise ValueError("fraction must be in (0, 1]")
-        spec = self if include_dc else self.without_dc()
-        total = float(np.sum(spec.power))
-        if total <= 0 or len(spec) == 0:
-            return None
-        cumulative = np.cumsum(spec.power) / total
-        index = int(np.searchsorted(cumulative, fraction - 1e-12))
-        index = min(index, len(spec) - 1)
-        return float(spec.frequencies[index])
 
     def dominant_frequency(self, include_dc: bool = False) -> float | None:
         """Frequency of the strongest bin (``None`` for an empty spectrum)."""
@@ -141,13 +118,6 @@ class Spectrum:
             raise ValueError("f_high must be >= f_low")
         mask = (self.frequencies >= f_low - 1e-15) & (self.frequencies <= f_high + 1e-15)
         return Spectrum(self.frequencies[mask], self.power[mask], self.sampling_rate)
-
-    def normalized(self) -> "Spectrum":
-        """Scale power so the (non-DC) bins sum to 1."""
-        total = self.total_energy(include_dc=False)
-        if total <= 0:
-            return self
-        return Spectrum(self.frequencies, self.power / total, self.sampling_rate)
 
     def interpolate_power(self, frequencies: Iterable[float]) -> np.ndarray:
         """Linearly interpolate the PSD at arbitrary frequencies.
@@ -249,11 +219,6 @@ class SpectrumBatch:
         if batch.bins == 0:
             return np.zeros(len(self))
         return np.sum(batch.power, axis=-1)
-
-    def cumulative_energy(self, include_dc: bool = False) -> np.ndarray:
-        """Per-row cumulative energy in ascending frequency order, shape ``(rows, bins)``."""
-        batch = self if include_dc else self.without_dc()
-        return np.cumsum(batch.power, axis=-1)
 
     def band(self, f_low: float, f_high: float) -> "SpectrumBatch":
         """Bin columns whose frequency lies in ``[f_low, f_high]`` (as :meth:`Spectrum.band`)."""

@@ -73,8 +73,8 @@ class MetricSpec:
 
 #: The 14 metric families of the paper's survey.  Poll intervals follow
 #: common production practice (SNMP counter scrapes every 30 s - 5 min,
-#: temperature every 5 min, path probing every minute); the exact values
-#: are substitution choices documented in DESIGN.md.
+#: temperature every 5 min, path probing every minute); the paper does not
+#: list its intervals, so the exact values are this reproduction's choice.
 METRIC_CATALOG: dict[str, MetricSpec] = {
     spec.name: spec
     for spec in [

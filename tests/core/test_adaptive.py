@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.adaptive import AdaptiveSamplingController, ControllerConfig, ControllerMode
+from repro.core.nyquist import MIN_SAMPLES, NyquistEstimator
 from repro.signals.generators import multi_tone
 from repro.signals.noise import add_white_noise
 from repro.signals.timeseries import TimeSeries
@@ -61,6 +62,16 @@ class TestControllerBehaviour:
         controller = AdaptiveSamplingController()
         floor = controller.minimum_viable_rate(3600.0)
         assert floor * 3600.0 >= controller.estimator.min_samples
+        assert floor == MIN_SAMPLES / 3600.0
+
+    def test_estimator_and_detector_come_from_the_config(self):
+        config = ControllerConfig(energy_fraction=0.95, dual_rate_ratio=1.3,
+                                  aliasing_threshold=0.2)
+        controller = AdaptiveSamplingController(config)
+        assert controller.estimator.cache_token() == NyquistEstimator(
+            energy_fraction=0.95, detrend=True, window="hann",
+            aliased_band_fraction=1.0).cache_token()
+        assert (controller.detector.rate_ratio, controller.detector.threshold) == (1.3, 0.2)
 
     def test_minimum_viable_rate_rejects_bad_window(self):
         with pytest.raises(ValueError):

@@ -6,15 +6,33 @@ import numpy as np
 import pytest
 
 from repro.core.aliasing import DualRateAliasingDetector, compare_spectra, compare_spectra_batch
+from repro.core.nyquist import MIN_SAMPLES
 from repro.core.psd import batch_periodogram, periodogram
+from repro.core.resampling import resample_to_rate
 from repro.signals.generators import multi_tone, sine
 from repro.signals.noise import add_white_noise, noise_floor_estimate
+from repro.signals.spectrum import Spectrum
 from repro.signals.timeseries import TimeSeries
 
 
 def sample_two_tone(rate: float, duration: float = 2.0):
     """Directly sample the 400+440 Hz continuous signal at the given rate."""
     return multi_tone([400.0, 440.0], duration, rate)
+
+
+def poll(reference: TimeSeries, rate: float) -> TimeSeries:
+    """What a poller at ``rate`` reads off ``reference`` (no anti-alias filter).
+
+    A rate that does not divide the reference rate reads its samples off
+    by linear interpolation, a faithful stand-in while the reference is
+    sampled well above the poller.
+    """
+    ratio = reference.sampling_rate / rate
+    if abs(ratio - round(ratio)) < 1e-9:
+        return resample_to_rate(reference, rate, anti_alias=False)
+    times = reference.start_time + np.arange(round(reference.duration * rate)) / rate
+    return TimeSeries(np.interp(times, reference.times(), reference.values), 1.0 / rate,
+                      start_time=reference.start_time)
 
 
 class TestDetectorConfiguration:
@@ -29,10 +47,6 @@ class TestDetectorConfiguration:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             DualRateAliasingDetector(threshold=0.0)
-
-    def test_rejects_bad_min_samples(self):
-        with pytest.raises(ValueError):
-            DualRateAliasingDetector(min_samples=1)
 
     def test_probe_rates(self):
         detector = DualRateAliasingDetector(rate_ratio=1.6)
@@ -56,7 +70,7 @@ class TestDetection:
         detector = DualRateAliasingDetector()
         verdict = detector.check_samples(sample_two_tone(600.0), sample_two_tone(960.0))
         assert verdict.aliased
-        assert verdict.margin > 0
+        assert verdict.discrepancy > verdict.threshold
 
     def test_aliasing_slightly_below_nyquist(self):
         detector = DualRateAliasingDetector()
@@ -70,7 +84,7 @@ class TestDetection:
         assert a.aliased == b.aliased
 
     def test_too_few_samples_returns_not_aliased(self):
-        detector = DualRateAliasingDetector(min_samples=16)
+        detector = DualRateAliasingDetector()
         verdict = detector.check_samples(sample_two_tone(600.0, duration=0.01),
                                          sample_two_tone(960.0, duration=0.01))
         assert not verdict.aliased
@@ -86,19 +100,28 @@ class TestDetection:
                                0.05, rng=rng)
         assert not detector.check_samples(slow, fast).aliased
 
-    def test_check_signal_from_reference(self, two_tone):
+    @pytest.mark.parametrize("candidate, aliased", [
+        (500.0, True), (600.0, True), (1000.0, False), (1100.0, False)])
+    def test_probes_polled_off_a_reference(self, two_tone, candidate, aliased):
+        """Both probe streams read off one 2 kHz reference of the 400+440 Hz
+        signal: below 880 Hz the slow probe folds the tones elsewhere."""
         detector = DualRateAliasingDetector()
-        assert detector.check_signal(two_tone, candidate_rate=600.0).aliased
-        assert not detector.check_signal(two_tone, candidate_rate=1000.0).aliased
+        slow_rate, fast_rate = detector.probe_rates(candidate)
+        verdict = detector.check_samples(poll(two_tone, slow_rate), poll(two_tone, fast_rate))
+        assert verdict.aliased == aliased
 
-    def test_check_signal_rejects_too_fast_candidate(self, two_tone):
+    def test_shortest_probes_that_give_a_verdict(self):
+        """Probe streams of MIN_SAMPLES samples are compared; one sample
+        fewer in either stream is no evidence ("not aliased", zero)."""
         detector = DualRateAliasingDetector()
-        with pytest.raises(ValueError):
-            detector.check_signal(two_tone, candidate_rate=1900.0)
-
-    def test_check_signal_with_defaults(self, two_tone):
-        assert DualRateAliasingDetector().check_signal(two_tone, 500.0).aliased
-        assert not DualRateAliasingDetector().check_signal(two_tone, 1100.0).aliased
+        fast_n, slow_n = 2 * MIN_SAMPLES, MIN_SAMPLES
+        fast = sample_two_tone(960.0, duration=fast_n / 960.0)
+        slow = sample_two_tone(600.0, duration=slow_n / 600.0)
+        assert (len(fast), len(slow)) == (fast_n, slow_n)
+        assert detector.check_samples(slow, fast).discrepancy > 0
+        short = TimeSeries(slow.values[:-1], slow.interval)
+        verdict = detector.check_samples(short, fast)
+        assert not verdict.aliased and verdict.discrepancy == 0.0
 
 
 class TestCompareSpectra:
@@ -113,6 +136,11 @@ class TestCompareSpectra:
         high = periodogram(sine(20.0, duration=10.0, sampling_rate=50.0))
         discrepancy, _ = compare_spectra(low, high)
         assert discrepancy > 0.9
+
+    def test_spectra_without_a_common_band_have_zero_discrepancy(self):
+        dc_only = Spectrum(np.array([0.0]), np.array([4.0]), 1.0)
+        two_bins = Spectrum(np.array([0.0, 0.5]), np.array([4.0, 1.0]), 1.0)
+        assert compare_spectra(dc_only, two_bins) == (0.0, 0.5)
 
     def test_amplitude_scaling_does_not_register(self, two_tone):
         spectrum = periodogram(two_tone)

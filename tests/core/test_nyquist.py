@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.nyquist import ALIASED_SENTINEL, NyquistEstimator, estimate_nyquist_rate
-from repro.core.psd import periodogram, welch_psd
+from repro.core.nyquist import (ALIASED_SENTINEL, MIN_SAMPLES, NyquistEstimator, detrended,
+                                estimate_nyquist_rate)
+from repro.core.psd import periodogram
 from repro.signals.spectrum import Spectrum
 from repro.signals.generators import constant, sine
 from repro.signals.noise import add_white_noise
@@ -89,8 +90,8 @@ class TestEstimatorOnKnownSignals:
 class TestEstimateProperties:
     def test_oversampled_flag(self, sine_1hz):
         estimate = estimate_nyquist_rate(sine_1hz)
+        assert estimate.reliable
         assert estimate.oversampled
-        assert not estimate.undersampled
 
     def test_reduction_ratio_matches_rates(self, sine_1hz):
         estimate = estimate_nyquist_rate(sine_1hz)
@@ -102,28 +103,25 @@ class TestEstimateProperties:
             estimate = estimate_nyquist_rate(series)
             assert estimate.nyquist_rate <= estimate.current_rate + 1e-9
 
-    def test_aliased_suspect_property(self, rng):
+    def test_broadband_trace_is_refused_as_aliased(self, rng):
         series = white_noise(100.0, 10.0, rng=rng)
         estimate = NyquistEstimator(aliased_band_fraction=0.9).estimate(series)
-        assert estimate.is_aliased_suspect
+        assert not estimate.reliable
+        assert estimate.reason == "all bins needed"
 
 
-class TestPowerSpectrumDispatch:
-    """``psd_method`` picks the spectrum the estimator reads."""
+class TestComputeSpectrum:
+    """The estimator reads the periodogram, detrended first when configured."""
 
-    def test_dispatch(self, sine_1hz):
-        by_periodogram = NyquistEstimator(psd_method="periodogram").compute_spectrum(sine_1hz)
-        np.testing.assert_array_equal(by_periodogram.power, periodogram(sine_1hz).power)
-        # Welch needs a taper: the rectangular default is replaced by Hann.
-        by_welch = NyquistEstimator(psd_method="welch").compute_spectrum(sine_1hz)
-        np.testing.assert_array_equal(by_welch.power, welch_psd(sine_1hz, window="hann").power)
+    def test_is_the_periodogram(self, sine_1hz):
+        spectrum = NyquistEstimator().compute_spectrum(sine_1hz)
+        np.testing.assert_array_equal(spectrum.power, periodogram(sine_1hz).power)
 
-    def test_unknown_method(self, sine_1hz):
-        estimator = NyquistEstimator(psd_method="magic")  # type: ignore[arg-type]
-        with pytest.raises(ValueError, match="magic"):
-            estimator.compute_spectrum(sine_1hz)
-        with pytest.raises(ValueError, match="magic"):
-            estimator.estimate_batch(sine_1hz.values[None, :], sine_1hz.interval)
+    def test_detrend_then_taper(self, sine_1hz):
+        ramped = sine_1hz.with_values(sine_1hz.values + 0.5 * np.arange(len(sine_1hz)))
+        spectrum = NyquistEstimator(detrend=True, window="hann").compute_spectrum(ramped)
+        expected = periodogram(ramped.with_values(detrended(ramped.values)), window="hann")
+        np.testing.assert_array_equal(spectrum.power, expected.power)
 
 
 class TestEstimatorConfiguration:
@@ -133,17 +131,25 @@ class TestEstimatorConfiguration:
         with pytest.raises(ValueError):
             NyquistEstimator(energy_fraction=1.5)
 
-    def test_rejects_bad_min_samples(self):
-        with pytest.raises(ValueError):
-            NyquistEstimator(min_samples=2)
+    @pytest.mark.parametrize("window", ["hanning", "hamming", "blackman", "Hann"])
+    def test_rejects_unknown_window_at_construction(self, window):
+        """An unknown taper fails when the estimator is built, not at its
+        first estimate, and the message names both supported windows."""
+        with pytest.raises(ValueError, match=r"\['rectangular', 'hann'\]") as error:
+            NyquistEstimator(window=window)  # type: ignore[arg-type]
+        assert repr(window) in str(error.value)
+
+    def test_shortest_accepted_trace(self):
+        assert NyquistEstimator.min_samples == MIN_SAMPLES == 16
+        values = np.sin(2 * np.pi * np.arange(MIN_SAMPLES) / 8.0)
+        accepted = NyquistEstimator().estimate(TimeSeries(values, 1.0))
+        refused = NyquistEstimator().estimate(TimeSeries(values[:-1], 1.0))
+        assert accepted.reason != "trace too short"
+        assert not refused.reliable and refused.reason == "trace too short"
 
     def test_rejects_bad_band_fraction(self):
         with pytest.raises(ValueError):
             NyquistEstimator(aliased_band_fraction=0.0)
-
-    def test_rejects_negative_flat_tolerance(self):
-        with pytest.raises(ValueError, match="flat_tolerance"):
-            NyquistEstimator(flat_tolerance=-0.1)
 
     def test_spectrum_without_energy_is_unreliable(self):
         silent = Spectrum(np.linspace(0.0, 5.0, 11), np.zeros(11), 10.0)
@@ -169,13 +175,6 @@ class TestEstimatorConfiguration:
         assert without_dc.nyquist_rate == pytest.approx(10.0, rel=0.1)
         assert with_dc.nyquist_rate < without_dc.nyquist_rate
 
-    def test_welch_method_works(self, rng):
-        series = add_white_noise(
-            sine(2.0, duration=60.0, sampling_rate=50.0, amplitude=4.0), 0.05, rng=rng)
-        estimate = NyquistEstimator(psd_method="welch").estimate(series)
-        assert estimate.reliable
-        assert estimate.nyquist_rate == pytest.approx(4.0, rel=0.5)
-
     def test_detrend_suppresses_leakage_from_trend(self):
         # A linear ramp plus a slow tone: without detrending the ramp's
         # leakage inflates the estimate.
@@ -188,11 +187,23 @@ class TestEstimatorConfiguration:
         assert detrended.nyquist_rate <= plain.nyquist_rate
         assert detrended.nyquist_rate == pytest.approx(0.02, rel=0.5)
 
-    def test_flat_tolerance_treats_tiny_variation_as_constant(self):
+    def test_only_an_exactly_flat_trace_is_constant(self):
         values = 100.0 + 0.0001 * np.sin(np.linspace(0, 20 * np.pi, 200))
-        series = TimeSeries(values, 1.0)
-        estimate = NyquistEstimator(flat_tolerance=0.001).estimate(series)
-        assert estimate.reason == "constant trace"
+        wobble = NyquistEstimator().estimate(TimeSeries(values, 1.0))
+        flat = NyquistEstimator().estimate(TimeSeries(np.full(200, 100.0), 1.0))
+        assert wobble.reliable and wobble.reason == ""
+        assert flat.reason == "constant trace"
+
+    @pytest.mark.parametrize("fraction, cutoff", [(0.5, 1.0), (0.9, 2.0), (0.98, 4.0),
+                                                  (0.99, None)])
+    def test_cutoff_search_on_a_known_spectrum(self, fraction, cutoff):
+        # Non-DC cumulative fractions: 0.8 @1Hz, 0.9 @2Hz, 0.95 @3Hz, 0.98 @4Hz,
+        # 1.0 @5Hz; needing the last bin is the "record -1" refusal.
+        spectrum = Spectrum(np.arange(6.0), np.array([100.0, 8.0, 1.0, 0.5, 0.3, 0.2]), 10.0)
+        estimate = NyquistEstimator(energy_fraction=fraction, aliased_band_fraction=1.0) \
+            .estimate_from_spectrum(spectrum)
+        assert estimate.cutoff_frequency == (pytest.approx(cutoff) if cutoff else None)
+        assert estimate.reliable == (cutoff is not None)
 
     def test_estimate_from_spectrum_direct(self, sine_1hz):
         estimator = NyquistEstimator()
@@ -209,3 +220,26 @@ class TestEstimatorConfiguration:
         assert not loose.reliable
         if strict.reliable:
             assert strict.reduction_ratio < 1.3
+
+
+class TestCacheToken:
+    """The token keys record stores: the setups the library runs must keep
+    the exact strings earlier releases wrote, retired options included."""
+
+    @pytest.mark.parametrize("estimator, token", [
+        (NyquistEstimator(),
+         "NyquistEstimator(energy_fraction=0.99, include_dc=False, psd_method='periodogram', "
+         "min_samples=16, flat_tolerance=0.0, aliased_band_fraction=0.9, detrend=False, "
+         "window='rectangular')"),
+        (NyquistEstimator(energy_fraction=0.95, include_dc=True),
+         "NyquistEstimator(energy_fraction=0.95, include_dc=True, psd_method='periodogram', "
+         "min_samples=16, flat_tolerance=0.0, aliased_band_fraction=0.9, detrend=False, "
+         "window='rectangular')"),
+        (NyquistEstimator(detrend=True, window="hann", aliased_band_fraction=1.0),
+         "NyquistEstimator(energy_fraction=0.99, include_dc=False, psd_method='periodogram', "
+         "min_samples=16, flat_tolerance=0.0, aliased_band_fraction=1.0, detrend=True, "
+         "window='hann')"),
+    ], ids=["survey", "include-dc", "short-window"])
+    def test_token_is_unchanged(self, estimator, token):
+        assert estimator.cache_token() == token
+

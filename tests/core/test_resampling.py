@@ -7,8 +7,8 @@ import pytest
 
 from repro.core.nyquist import estimate_nyquist_rate
 from repro.core.resampling import (decimation_factor, downsample, fourier_resample,
-                                   fourier_resample_matrix, linear_resample,
-                                   nearest_neighbor_resample, regularize, resample_to_rate)
+                                   fourier_resample_matrix, nearest_neighbor_resample,
+                                   regularize, resample_to_rate)
 from repro.signals.generators import multi_tone, sine
 from repro.signals.timeseries import IrregularTimeSeries, TimeSeries
 
@@ -228,23 +228,3 @@ class TestFourierResampleMatrix:
     def test_rejects_bad_input(self, values, target_length, message):
         with pytest.raises(ValueError, match=message):
             fourier_resample_matrix(values, target_length)
-
-
-class TestLinearResample:
-    def test_constant_signal(self):
-        series = TimeSeries(np.full(10, 4.0), 1.0)
-        resampled = linear_resample(series, 3.0)
-        np.testing.assert_allclose(resampled.values, 4.0)
-
-    def test_interpolates_between_samples(self):
-        series = TimeSeries([0.0, 10.0], 1.0)
-        resampled = linear_resample(series, 4.0)
-        np.testing.assert_allclose(resampled.values[:4], [0.0, 2.5, 5.0, 7.5])
-
-    def test_rejects_bad_rate(self, sine_1hz):
-        with pytest.raises(ValueError):
-            linear_resample(sine_1hz, -1.0)
-
-    def test_rejects_empty_series(self):
-        with pytest.raises(ValueError, match="empty"):
-            linear_resample(TimeSeries(np.empty(0), 1.0), 2.0)

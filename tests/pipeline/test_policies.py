@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.adaptive import AdaptiveSamplingController, ControllerMode
 from repro.core.errors import compare
 from repro.pipeline.policies import (AdaptiveDualRatePolicy, FixedRatePolicy,
-                                     NyquistStaticPolicy, PolicySuite, SamplingPolicy,
-                                     StaticPolicySuite)
+                                     NyquistStaticPolicy, PolicyBatchEvaluation, PolicySuite,
+                                     SamplingPolicy, StaticPolicySuite)
 from repro.signals.generators import multi_tone
 from repro.signals.noise import add_white_noise
 from repro.signals.timeseries import TimeSeries
@@ -184,12 +189,29 @@ class TestBatchEvaluation:
                 and decision.next_rate == decision.sampling_rate]
         assert held, "no window took the 'trace too short' hold"
 
-    def test_rejects_non_matrix_input(self):
+    @pytest.mark.parametrize("make_policy", [
+        lambda: FixedRatePolicy(30.0),
+        lambda: NyquistStaticPolicy(production_interval=30.0),
+        lambda: AdaptiveDualRatePolicy(),
+    ], ids=["fixed", "nyquist-static", "adaptive-dual-rate"])
+    def test_rejects_non_matrix_input(self, make_policy):
         with pytest.raises(ValueError, match="matrix"):
-            FixedRatePolicy(30.0).evaluate_batch(np.arange(10.0), 1.0)
-        with pytest.raises(ValueError, match="matrix"):
-            NyquistStaticPolicy(production_interval=30.0).evaluate_batch(
-                np.arange(10.0), 1.0)
+            make_policy().evaluate_batch(np.arange(10.0), 1.0)
+
+    @pytest.mark.parametrize("calibration_fraction, tail", [(0.9, 2), (0.95, 1), (0.99, 0)])
+    def test_static_short_tail_matches_row_loop(self, calibration_fraction, tail):
+        """A calibration prefix that leaves fewer than two samples is kept
+        as collected (one sample) or merged alone (none), as collect() does."""
+        rng = np.random.default_rng(3)
+        values = np.sin(2 * np.pi * np.arange(20) / 10.0) + 0.1 * rng.normal(size=(3, 20))
+        policy = NyquistStaticPolicy(production_interval=1.0,
+                                     calibration_fraction=calibration_fraction)
+        assert values.shape[1] - int(np.ceil(20 * calibration_fraction)) == tail
+        self.assert_matches_row_loop(policy, values, 1.0)
+
+    def test_batch_columns_must_share_the_row_count(self):
+        with pytest.raises(ValueError, match="'nrmse' must be 1-D with 2 rows"):
+            PolicyBatchEvaluation("p", np.ones(2), np.ones(2), np.ones(3), np.ones(2))
 
 
 class TestPolicySuite:
@@ -207,6 +229,14 @@ class TestPolicySuite:
     def test_measured_fleet_default_is_production_rate(self):
         policies = PolicySuite().build(reference_interval=30.0)
         assert policies[0].interval == pytest.approx(30.0)
+
+    @pytest.mark.parametrize("knobs, message", [
+        ({"adaptive_backoff": 0.5}, "adaptive_backoff"),
+        ({"adaptive_max_rate_factor": 0.0}, "adaptive_max_rate_factor"),
+    ])
+    def test_rejects_bad_adaptive_knobs(self, knobs, message):
+        with pytest.raises(ValueError, match=message):
+            PolicySuite(**knobs)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -249,3 +279,67 @@ class TestAdaptivePolicy:
     def test_samples_per_hour_property(self, reference):
         result = FixedRatePolicy(60.0).collect(reference)
         assert result.samples_per_hour == pytest.approx(60.0, rel=0.05)
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: One of each built-in policy, as an explicit policy list builds them.
+BUILT_IN = {
+    "fixed": "FixedRatePolicy(30.0, name='fixed')",
+    "nyquist-static": "NyquistStaticPolicy(production_interval=30.0)",
+    "adaptive-dual-rate": "AdaptiveDualRatePolicy(window_duration=2 * 3600.0)",
+}
+
+
+def run_fresh(script: str, *args: str) -> str:
+    """Run ``script`` in a new interpreter (its own hash seed and addresses)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+class TestCacheTokens:
+    """A policy's cache_token() is its record-store identity: it must not
+    depend on the process that computed it."""
+
+    @pytest.mark.parametrize("policy", list(BUILT_IN))
+    def test_token_is_the_same_in_two_fresh_interpreters(self, policy):
+        script = ("from repro.pipeline.policies import *\n"
+                  f"print({BUILT_IN[policy]}.cache_token())\n")
+        first, second = run_fresh(script), run_fresh(script)
+        assert " object at 0x" not in first
+        assert first == second
+
+    def test_explicit_policy_list_hits_a_store_filled_by_another_process(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from repro.analysis.policy_survey import run_policy_survey\n"
+            "from repro.pipeline.policies import *\n"
+            "from repro.records import RecordStore\n"
+            "from repro.telemetry.dataset import DatasetConfig, FleetDataset\n"
+            f"policies = [{', '.join(BUILT_IN.values())}]\n"
+            "source = FleetDataset(DatasetConfig(pair_count=12, seed=5, trace_duration=21600.0))\n"
+            "result = run_policy_survey(source, policies, store=RecordStore(sys.argv[1]),\n"
+            "                           chunk_size=4)\n"
+            "print(result.cache_hits, result.cache_misses)\n")
+        store = str(tmp_path / "store")
+        assert run_fresh(script, store) == "0 12"
+        assert run_fresh(script, store) == "12 0"
+
+    def test_suite_token_is_unchanged(self):
+        """Stores filled by earlier releases keep hitting for the default suite."""
+        assert PolicySuite().cache_token() == (
+            "PolicySuite(production_oversample=1.0, calibration_fraction=0.25, headroom=1.2, "
+            "adaptive_window=14400.0, adaptive_backoff=8.0, adaptive_max_rate_factor=1.0)")
+
+    def test_fixed_and_adaptive_list_token_is_unchanged(self):
+        """Lists without the static policy hit stores filled by earlier releases."""
+        suite = StaticPolicySuite((FixedRatePolicy(30.0, name="fixed"),
+                                   AdaptiveDualRatePolicy(window_duration=7200.0)))
+        assert suite.cache_token() == (
+            "StaticPolicySuite(FixedRatePolicy(interval=30.0, name='fixed'), "
+            "AdaptiveDualRatePolicy(config=ControllerConfig(initial_rate=0.0033333333333333335, "
+            "min_rate=1.1574074074074073e-05, max_rate=inf, probe_multiplier=2.0, "
+            "decrease_factor=0.5, headroom=1.2, memory_decay=0.9, dual_rate_ratio=1.6, "
+            "aliasing_threshold=0.1, energy_fraction=0.99, aliasing_check_interval=4), "
+            "name='adaptive-dual-rate', window_duration=7200.0))")

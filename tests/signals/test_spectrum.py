@@ -75,27 +75,6 @@ class TestEnergyAccounting:
         spectrum = Spectrum(np.empty(0), np.empty(0), 10.0)
         assert spectrum.energy_fraction_below(1.0) == 0.0
 
-    def test_cutoff_frequency_simple(self):
-        spectrum = make_spectrum()
-        # Non-DC cumulative fractions: 0.8 @1Hz, 0.9 @2Hz, 0.95 @3Hz, 0.98 @4Hz, 1.0 @5Hz.
-        assert spectrum.energy_cutoff_frequency(0.99) == pytest.approx(5.0)
-        assert spectrum.energy_cutoff_frequency(0.98) == pytest.approx(4.0)
-        assert spectrum.energy_cutoff_frequency(0.9) == pytest.approx(2.0)
-        assert spectrum.energy_cutoff_frequency(0.5) == pytest.approx(1.0)
-
-    def test_cutoff_frequency_zero_energy(self):
-        spectrum = Spectrum([0.0, 1.0], [0.0, 0.0], 10.0)
-        assert spectrum.energy_cutoff_frequency(0.99) is None
-
-    def test_cutoff_frequency_rejects_bad_fraction(self):
-        with pytest.raises(ValueError):
-            make_spectrum().energy_cutoff_frequency(0.0)
-        with pytest.raises(ValueError):
-            make_spectrum().energy_cutoff_frequency(1.5)
-
-    def test_cumulative_energy_monotone(self):
-        cumulative = make_spectrum().cumulative_energy()
-        assert np.all(np.diff(cumulative) >= 0)
 
 
 class TestSpectrumUtilities:
@@ -113,10 +92,6 @@ class TestSpectrumUtilities:
     def test_band_rejects_inverted_range(self):
         with pytest.raises(ValueError):
             make_spectrum().band(3.0, 1.0)
-
-    def test_normalized_sums_to_one(self):
-        normalized = make_spectrum().normalized()
-        assert normalized.total_energy() == pytest.approx(1.0)
 
     def test_interpolate_power(self):
         spectrum = Spectrum([0.0, 1.0, 2.0], [0.0, 2.0, 4.0], 10.0)
@@ -168,11 +143,8 @@ class TestSpectrumBatchRowHelpers:
     def test_energy_accounting_matches_rows(self, include_dc):
         batch = self.make_batch()
         totals = batch.total_energy(include_dc=include_dc)
-        cumulative = batch.cumulative_energy(include_dc=include_dc)
         for index, spectrum in enumerate(batch):
             assert totals[index] == pytest.approx(spectrum.total_energy(include_dc=include_dc))
-            np.testing.assert_allclose(cumulative[index],
-                                       spectrum.cumulative_energy(include_dc=include_dc))
 
     def test_without_dc_is_noop_when_no_dc_bin(self):
         batch = self.make_batch().without_dc()

@@ -79,8 +79,9 @@ def test_periodogram_energy_is_non_negative_and_finite(values, interval):
 def test_energy_cutoff_is_monotone_in_fraction(values, interval, fraction):
     series = TimeSeries(np.array(values), interval)
     spectrum = periodogram(series)
-    low = spectrum.energy_cutoff_frequency(fraction * 0.9)
-    high = spectrum.energy_cutoff_frequency(fraction)
+    low, high = (NyquistEstimator(energy_fraction=f, aliased_band_fraction=1.0)
+                 .estimate_from_spectrum(spectrum).cutoff_frequency
+                 for f in (fraction * 0.9, fraction))
     if low is not None and high is not None:
         assert high >= low
 

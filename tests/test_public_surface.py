@@ -11,7 +11,10 @@ that happens to share the name also counts.
 
 The same scan, over ``tests/`` too, checks that every parameter of the
 pipeline entry points is passed by some call: an option no caller sets
-is a fixed value dressed up as a choice.
+is a fixed value dressed up as a choice.  The spectral layer's classes
+and functions are held to a stricter rule: there only calls in ``src/``,
+``benchmarks/`` and ``examples/`` count, because a knob that only its
+own tests turn is a configuration the library never runs.
 """
 
 from __future__ import annotations
@@ -94,15 +97,15 @@ def _parameters(definition: ast.FunctionDef | ast.ClassDef) -> list[str]:
             + arguments.kwonlyargs]
 
 
-def _unset_parameters() -> list[str]:
-    """``name(parameter)`` of every entry-point parameter no call passes."""
-    trees = _trees((*SCANNED, ROOT / "tests"))
+def _unset_parameters(names: tuple[str, ...], roots: tuple[Path, ...]) -> list[str]:
+    """``name(parameter)`` of every parameter of ``names`` no call under ``roots`` passes."""
+    trees = _trees(roots)
     parameters = {definition.name: _parameters(definition)
                   for path, tree in trees.items() if path.is_relative_to(SRC)
                   for definition in tree.body
                   if isinstance(definition, (ast.FunctionDef, ast.ClassDef))
-                  and definition.name in ENTRY_POINTS}
-    assert sorted(parameters) == sorted(ENTRY_POINTS)
+                  and definition.name in names}
+    assert sorted(parameters) == sorted(names)
     passed: dict[str, set[str]] = defaultdict(set)
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -119,5 +122,19 @@ def _unset_parameters() -> list[str]:
 
 def test_every_entry_point_option_has_a_caller():
     """An option nothing sets is a default in disguise: fix the value instead."""
-    unset = _unset_parameters()
+    unset = _unset_parameters(ENTRY_POINTS, (*SCANNED, ROOT / "tests"))
     assert not unset, f"{len(unset)} option(s) no call sets: {unset}"
+
+
+#: The spectral layer (section 3.2 estimator, section 4 detector and
+#: controller, and the policies built on them).
+SPECTRAL = ("NyquistEstimator", "DualRateAliasingDetector", "AdaptiveSamplingController",
+            "NyquistStaticPolicy", "AdaptiveDualRatePolicy", "periodogram",
+            "batch_periodogram", "compare_spectra_batch", "noise_floor_estimates",
+            "estimate_nyquist_rate")
+
+
+def test_every_spectral_option_has_a_library_caller():
+    """A spectral knob only tests turn is a setup the library never runs."""
+    unset = _unset_parameters(SPECTRAL, SCANNED)
+    assert not unset, f"{len(unset)} spectral option(s) only tests pass: {unset}"

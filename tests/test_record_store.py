@@ -15,6 +15,7 @@ ordering regression (numeric file ordering past ten blocks).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -288,6 +289,29 @@ class TestPolicySurveyStore:
         store = RecordStore(tmp_path / "store")
         with pytest.raises(ValueError, match="cache_token"):
             run_policy_survey(source, HomegrownSuite(), store=store, chunk_size=8)
+
+
+    def test_default_suite_store_keys_are_unchanged(self, tmp_path):
+        """A store filled by an earlier release serves this suite's slices:
+        the digest over every published entry name is pinned."""
+        store = RecordStore(tmp_path / "store")
+        run_policy_survey(FleetDataset(self.FLEET), self.SUITE, store=store, chunk_size=8)
+        assert entry_names_digest(store) == \
+            "e2da994f12c92c798369331d0f9a985f289af5dae865dd57cb562a986c6da624"
+
+
+def entry_names_digest(store: RecordStore) -> str:
+    """sha256 over the store's entry names (their fingerprint digests), in order."""
+    names = "\n".join(entry.name for entry in store.entries())
+    return hashlib.sha256(names.encode("utf-8")).hexdigest()
+
+
+def test_default_survey_store_keys_are_unchanged(dataset, store):
+    """A store filled by an earlier release serves the default survey."""
+    run_survey(dataset, store=store, chunk_size=16)
+    assert len(list(store.entries())) == 14
+    assert entry_names_digest(store) == \
+        "ad976e8caa971a1d764bc61c2abeddfe5fa3572f58c0f22affe4916fb3f0bc63"
 
 
 # ----------------------------------------------------------------------
