@@ -10,8 +10,9 @@ deployment served through :class:`DeploymentTraceSource`, the three-policy
 
 * **pipeline** -- evaluation throughput in points/second, single-process
   vs ``workers=2`` (records must be byte-identical), plus the out-of-core
-  spill run; like the Nyquist survey bench, no worker speed-up is
-  asserted on 1-CPU hosts -- the numbers are recorded for multi-core runs.
+  spill run, with the host's ``cpu_count`` and platform/CPU model; like
+  the Nyquist survey bench, no worker speed-up is asserted on 1-CPU
+  hosts -- the numbers are recorded for multi-core runs.
 * **tradeoff** -- the relative-cost/quality table itself: the bench
   asserts the paper's ordering (fixed > Nyquist-static > adaptive total
   cost at bounded reconstruction error) so a regression in any layer of
@@ -24,6 +25,7 @@ Size via ``REPRO_BENCH_POLICY_LEAVES`` / ``REPRO_BENCH_POLICY_HOURS``
 from __future__ import annotations
 
 import os
+import platform
 import time
 
 import numpy as np
@@ -56,6 +58,18 @@ def _demo():
     source = spec.open()
     suite = PolicySuite(production_oversample=4.0, adaptive_window=4 * 3600.0)
     return source, source.accountant(), suite
+
+
+def _host() -> str:
+    """The measuring host: platform string and, on Linux, the CPU model."""
+    model = ""
+    try:
+        with open("/proc/cpuinfo") as cpuinfo:
+            model = next((line.split(":", 1)[1].strip() for line in cpuinfo
+                          if line.startswith("model name")), "")
+    except OSError:
+        pass
+    return f"{platform.platform()} {model}".strip()
 
 
 def test_policy_pipeline_workers_identical_records(output_dir, tmp_path):
@@ -97,6 +111,7 @@ def test_policy_pipeline_workers_identical_records(output_dir, tmp_path):
         "spill_files": len(spilled.sink.files),
         "spill_bytes": spill_bytes,
         "cpu_count": os.cpu_count(),
+        "host": _host(),
     }, path=BENCH_POLICIES_JSON)
     print(f"\n=== Policy survey pipeline ({points} points x 3 policies) ===")
     print(format_table([

@@ -84,10 +84,13 @@ def compare_spectra_batch(slow: SpectrumBatch, fast: SpectrumBatch) -> tuple[np.
     """Row-wise :func:`compare_spectra`: row ``i`` of ``slow`` against row ``i`` of ``fast``.
 
     Both batches share their frequency grids across rows, so the common
-    band and comparison grid are computed once; the noise floors are one
-    ``np.quantile(axis=-1)`` and every sum runs along the last axis of a
-    C-contiguous matrix, which keeps each row bit-for-bit equal to a
-    one-row comparison.  Returns ``(discrepancies, band_edge)``.
+    band and comparison grid are computed once.  The side whose own bins
+    are the grid is used as it is, since ``np.interp`` returns ``fp[j]``
+    at ``x == xp[j]``; only the other side is interpolated.  The noise
+    floors are one batched partition (:func:`noise_floor_estimates`)
+    and every sum runs along the last axis of a C-contiguous matrix,
+    which keeps each row bit-for-bit equal to a one-row comparison.
+    Returns ``(discrepancies, band_edge)``.
     """
     if len(slow) != len(fast):
         raise ValueError(f"row counts differ: {len(slow)} slow vs {len(fast)} fast spectra")
@@ -99,9 +102,12 @@ def compare_spectra_batch(slow: SpectrumBatch, fast: SpectrumBatch) -> tuple[np.
 
     # Compare on the coarser of the two grids so neither spectrum is
     # extrapolated beyond its resolution.
-    grid = slow_band.frequencies if slow_band.bins <= fast_band.bins else fast_band.frequencies
-    slow_power = slow_band.interpolate_power(grid)
-    fast_power = fast_band.interpolate_power(grid)
+    if slow_band.bins <= fast_band.bins:
+        slow_power = slow_band.power
+        fast_power = fast_band.interpolate_power(slow_band.frequencies)
+    else:
+        slow_power = slow_band.interpolate_power(fast_band.frequencies)
+        fast_power = fast_band.power
 
     slow_floor = noise_floor_estimates(slow_power)
     fast_floor = noise_floor_estimates(fast_power)

@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from .nyquist import (ALIASED_SENTINEL, MIN_SAMPLES, NON_FINITE_REASON, NyquistEstimate,
-                      NyquistEstimator, detrended)
+                      NyquistEstimator, detrended_rows)
 from .psd import batch_periodogram, taper_energy, window_coefficients
 
 __all__ = ["batch_estimate", "exact_batch_estimate"]
@@ -254,10 +254,15 @@ def exact_batch_estimate(values: np.ndarray, interval: float,
     detrend, deferred normalisation), which is fine for the survey but not
     for a feedback loop whose next sampling rate depends on the estimate.
     Here every step either runs per row exactly as the scalar path does
-    (the ``np.polyfit`` detrend, the cut-off search) or is an elementwise
+    (the cut-off search; the detrend's ``lstsq`` fit, one per row, with
+    the ``np.polyfit`` set-up shared across rows by
+    :func:`~repro.core.nyquist.detrended_rows`) or is an elementwise
     operation / last-axis reduction over a C-contiguous matrix (taper,
     ``rfft``, power, energy sums, cumulative energy), whose rows are bit
-    for bit the one-dimensional results.  So row ``i`` of the result *is*
+    for bit the one-dimensional results.  The spectra it derives (the
+    periodogram, the DC-free columns) skip the re-validation a
+    :class:`~repro.signals.spectrum.SpectrumBatch` built from outside
+    input gets, but stay C-contiguous.  So row ``i`` of the result *is*
     ``estimator.estimate(TimeSeries(values[i], interval))``.
     """
     matrix = np.ascontiguousarray(values, dtype=np.float64)
@@ -279,8 +284,7 @@ def exact_batch_estimate(values: np.ndarray, interval: float,
     if active.size:
         working = matrix[active]
         if estimator.detrend:
-            for row in working:
-                row[:] = detrended(row)
+            working = detrended_rows(working)
         spectra = batch_periodogram(working, interval, window=estimator.window)
         if not estimator.include_dc:
             spectra = spectra.without_dc()

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
 import numpy as np
 
 from ..signals.spectrum import Spectrum
@@ -373,15 +375,45 @@ def _remove_linear_trend(series: TimeSeries) -> TimeSeries:
 
 
 def detrended(values: np.ndarray) -> np.ndarray:
-    """``values`` minus its least-squares line, fitted with ``np.polyfit``.
+    """``values`` minus its least-squares line: the one-row case of :func:`detrended_rows`.
 
-    The one detrend both :meth:`NyquistEstimator.estimate` and
-    :meth:`NyquistEstimator.estimate_rows` apply.  It stays a per-trace
-    fit on purpose: one ``polyfit`` over a 2-D ``y`` solves all columns in
-    a single least-squares call and differs from per-trace fits in the
-    last bits, which would break the row-batched path's bit-for-bit
-    equality with the scalar one.
+    The detrend :meth:`NyquistEstimator.estimate` applies, bit for bit the
+    row :meth:`NyquistEstimator.estimate_rows` computes for the same trace.
     """
-    x = np.arange(values.shape[0], dtype=np.float64)
-    slope, intercept = np.polyfit(x, values, 1)
-    return values - (slope * x + intercept)
+    return detrended_rows(values[None, :])[0]
+
+
+@lru_cache(maxsize=64)
+def _trend_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``np.polyfit(x, y, 1)``'s set-up for ``x = arange(n)``: ``(x, lhs, scale, rcond)``.
+
+    The scaled Vandermonde matrix, its column scales and ``rcond`` depend
+    on the length alone, so they are built once per length (read-only,
+    since every caller shares them) with ``polyfit``'s own statements.
+    """
+    x = np.arange(n, dtype=np.float64)
+    lhs = np.vander(x, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    for array in (x, lhs, scale):
+        array.flags.writeable = False
+    return x, lhs, scale, n * np.finfo(np.float64).eps
+
+
+def detrended_rows(values: np.ndarray) -> np.ndarray:
+    """Each row of a ``(rows, n)`` matrix minus its own least-squares line.
+
+    Every row gets exactly ``np.polyfit(arange(n), row, 1)``: the same
+    scaled Vandermonde matrix, ``rcond`` and public
+    ``np.linalg.lstsq`` call per row, then the same unscaling, so a row's
+    bits equal the per-trace ``polyfit`` detrend.  Only the set-up is
+    shared across rows and calls.  The fit stays one ``lstsq`` per row on
+    purpose: one solve over a 2-D right-hand side (what a 2-D ``polyfit``
+    does) differs from per-row fits in the last bits, which would break
+    the row-batched estimator's bit-for-bit equality with the scalar one.
+    """
+    x, lhs, scale, rcond = _trend_basis(values.shape[-1])
+    coefficients = np.empty((values.shape[0], 2))
+    for index, row in enumerate(values + 0.0):  # polyfit's ``y + 0.0``
+        coefficients[index] = np.linalg.lstsq(lhs, row, rcond)[0] / scale
+    return values - (coefficients[:, :1] * x + coefficients[:, 1:])

@@ -20,6 +20,8 @@ leakage.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import Literal, get_args
 
 import numpy as np
@@ -43,14 +45,25 @@ WINDOW_NAMES: tuple[str, ...] = get_args(WindowName)
 
 
 def window_coefficients(name: WindowName, length: int) -> np.ndarray:
-    """Return the taper coefficients for the named window function."""
+    """Return the taper coefficients for the named window function.
+
+    The Hann taper is computed once per length and shared, so it comes
+    back read-only.
+    """
     if length < 1:
         raise ValueError("length must be >= 1")
     if name not in WINDOW_NAMES:
         raise ValueError(f"unknown window {name!r}; choose from {list(WINDOW_NAMES)}")
     if length == 1 or name == "rectangular":
         return np.ones(length)
-    return np.hanning(length)
+    return _hann(length)
+
+
+@lru_cache(maxsize=64)
+def _hann(length: int) -> np.ndarray:
+    taper = np.hanning(length)
+    taper.flags.writeable = False
+    return taper
 
 
 def taper_energy(taper: np.ndarray) -> float:
@@ -133,7 +146,9 @@ def batch_periodogram(values: np.ndarray, interval: float,
     -------
     SpectrumBatch
         ``rows`` one-sided PSDs of ``n // 2 + 1`` bins each, computed with
-        one ``rfft(axis=-1)`` call for the whole batch.
+        one ``rfft(axis=-1)`` call for the whole batch.  The power is a
+        fresh C-contiguous matrix of squared magnitudes, non-negative by
+        construction, so the batch skips the constructor's re-checks.
     """
     matrix = np.asarray(values, dtype=np.float64)
     if matrix.ndim != 2:
@@ -146,4 +161,7 @@ def batch_periodogram(values: np.ndarray, interval: float,
     taper = window_coefficients(window, n)
     power = _one_sided_psd(matrix, taper)
     freqs = np.fft.rfftfreq(n, d=interval)
-    return SpectrumBatch(freqs, power, 1.0 / interval)
+    sampling_rate = 1.0 / interval
+    if not math.isfinite(sampling_rate):
+        raise ValueError("sampling_rate must be positive and finite")
+    return SpectrumBatch._of_checked(freqs, power, sampling_rate)

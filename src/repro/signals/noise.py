@@ -38,24 +38,51 @@ def noise_floor_estimate(power: np.ndarray) -> float:
     below which spectral discrepancies are attributed to noise rather than
     to aliased signal components; the median bin power is a standard,
     outlier-robust choice because genuine signal components occupy few bins.
+    This is the one-row case of :func:`noise_floor_estimates`, so it
+    equals ``np.quantile(power, 0.5)`` bit for bit.
     """
     array = np.asarray(power, dtype=np.float64)
     if array.size == 0:
         return 0.0
-    # np.quantile rather than np.median: the two may differ in the last
-    # bit, and the recorded dual-rate verdicts come from this one.
-    return float(np.quantile(array, 0.5))
+    return float(noise_floor_estimates(array.reshape(1, -1))[0])
 
 
 def noise_floor_estimates(power: np.ndarray) -> np.ndarray:
     """Row-wise :func:`noise_floor_estimate` over a ``(rows, bins)`` PSD matrix.
 
-    One ``np.quantile(axis=-1)`` call for the whole batch; each entry is
-    bit-for-bit the scalar estimate of that row.
+    Each entry is ``np.quantile(row, 0.5)`` bit for bit, not
+    ``np.median(row)``: the two may differ in the last bit, and the
+    recorded dual-rate verdicts come from the quantile.  The quantile's
+    "linear" method is replayed step for step with one ``np.partition``
+    for the whole batch: the same partition indices (the two middle
+    order statistics ``k`` and ``k + 1`` plus the first and last bin,
+    which ``np.quantile`` adds), then its interpolation, ``a + (b - a) * 0``
+    for an odd bin count and ``b - (b - a) * 0.5`` for an even one (a
+    single bin interpolates with weight 1, ``b - (b - a) * 0``).  A row
+    holding a NaN yields NaN, as ``np.quantile`` does; an infinite middle
+    bin can yield NaN through ``(b - a) * 0``, also as it does.
     """
     array = np.asarray(power, dtype=np.float64)
     if array.ndim != 2:
         raise ValueError(f"power must be a (rows, bins) matrix, got shape {array.shape}")
-    if array.shape[1] == 0:
+    bins = array.shape[1]
+    if bins == 0:
         return np.zeros(array.shape[0])
-    return np.quantile(array, 0.5, axis=-1)
+    if bins == 1:
+        low = high = -1
+        weight = 1.0
+    else:
+        low = (bins - 1) // 2
+        high = low + 1
+        weight = 0.0 if bins % 2 else 0.5
+    ordered = np.partition(array, np.unique([0, -1, low, high]), axis=-1)
+    below, above = ordered[:, low], ordered[:, high]
+    step = above - below
+    if weight >= 0.5:
+        floors = above - step * (1.0 - weight)
+    else:
+        floors = below + step * weight
+    # np.partition sorts NaN last: such a row's floor is that NaN.
+    last = ordered[:, -1]
+    np.copyto(floors, last, where=np.isnan(last))
+    return floors

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -119,13 +119,13 @@ class Spectrum:
         mask = (self.frequencies >= f_low - 1e-15) & (self.frequencies <= f_high + 1e-15)
         return Spectrum(self.frequencies[mask], self.power[mask], self.sampling_rate)
 
-    def interpolate_power(self, frequencies: Iterable[float]) -> np.ndarray:
+    def interpolate_power(self, frequencies: np.ndarray | Sequence[float]) -> np.ndarray:
         """Linearly interpolate the PSD at arbitrary frequencies.
 
         Used by the dual-frequency aliasing detector to compare spectra
         computed at different resolutions on a common frequency grid.
         """
-        targets = np.asarray(list(frequencies), dtype=np.float64)
+        targets = np.asarray(frequencies, dtype=np.float64)
         if len(self) == 0:
             return np.zeros_like(targets)
         return np.interp(targets, self.frequencies, self.power, left=self.power[0], right=self.power[-1])
@@ -153,6 +153,15 @@ class SpectrumBatch:
         ``(rows, bins)`` matrix of per-bin power, one row per trace.
     sampling_rate:
         The common sampling rate of the time-domain signals.
+
+    The constructor checks its input and stores ``power`` as a fresh
+    C-contiguous float64 matrix with round-off negatives clipped to 0.
+    Batches derived inside the library -- :meth:`without_dc`,
+    :meth:`band` and :func:`repro.core.psd.batch_periodogram` -- skip
+    those full-matrix passes, because their power is already checked or
+    non-negative by construction; they still store a C-contiguous
+    matrix, which the row-batched reductions rely on for bit-for-bit
+    equality with the one-row results.
     """
 
     frequencies: np.ndarray
@@ -176,6 +185,23 @@ class SpectrumBatch:
             raise ValueError("sampling_rate must be positive and finite")
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "power", np.maximum(power, 0.0))
+
+    @classmethod
+    def _of_checked(cls, frequencies: np.ndarray, power: np.ndarray,
+                    sampling_rate: float) -> "SpectrumBatch":
+        """A batch over arrays that already pass every constructor check.
+
+        ``frequencies`` must be ascending float64, ``power`` a
+        C-contiguous float64 ``(rows, bins)`` matrix with no negative bin
+        (NaN allowed, as the constructor allows it), and
+        ``sampling_rate`` positive and finite.  Nothing is copied or
+        re-checked, so the caller vouches for all of it.
+        """
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "frequencies", frequencies)
+        object.__setattr__(batch, "power", power)
+        object.__setattr__(batch, "sampling_rate", sampling_rate)
+        return batch
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -210,7 +236,9 @@ class SpectrumBatch:
     def without_dc(self) -> "SpectrumBatch":
         """Return a copy with the DC bin column removed (if present)."""
         if self.bins and self.frequencies[0] == 0.0:
-            return SpectrumBatch(self.frequencies[1:], self.power[:, 1:], self.sampling_rate)
+            return SpectrumBatch._of_checked(self.frequencies[1:],
+                                             np.ascontiguousarray(self.power[:, 1:]),
+                                             self.sampling_rate)
         return self
 
     def total_energy(self, include_dc: bool = False) -> np.ndarray:
@@ -225,16 +253,18 @@ class SpectrumBatch:
         if f_high < f_low:
             raise ValueError("f_high must be >= f_low")
         mask = (self.frequencies >= f_low - 1e-15) & (self.frequencies <= f_high + 1e-15)
-        return SpectrumBatch(self.frequencies[mask], self.power[:, mask], self.sampling_rate)
+        return SpectrumBatch._of_checked(self.frequencies[mask],
+                                         np.compress(mask, self.power, axis=1),
+                                         self.sampling_rate)
 
-    def interpolate_power(self, frequencies: Iterable[float]) -> np.ndarray:
+    def interpolate_power(self, frequencies: np.ndarray | Sequence[float]) -> np.ndarray:
         """Row-wise :meth:`Spectrum.interpolate_power`, shape ``(rows, len(frequencies))``.
 
         ``np.interp`` is one-dimensional, so each row is interpolated with
         its own call -- the same call the scalar spectrum makes, which keeps
         every row bit-for-bit equal to the per-spectrum result.
         """
-        targets = np.asarray(list(frequencies), dtype=np.float64)
+        targets = np.asarray(frequencies, dtype=np.float64)
         result = np.zeros((len(self), targets.size))
         if self.bins == 0:
             return result

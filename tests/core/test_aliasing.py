@@ -234,3 +234,42 @@ class TestRowBatchedCheck:
         with pytest.raises(ValueError, match="row counts"):
             compare_spectra_batch(batch_periodogram(np.ones((2, 32)), 2.0),
                                   batch_periodogram(np.ones((3, 48)), 1.0))
+
+
+class TestInterpolationSkipOracle:
+    """compare_spectra_batch uses the grid side's own power uninterpolated.
+
+    The reference interpolates both sides onto the grid and takes
+    ``np.quantile`` floors, as the comparison was first written; the
+    discrepancies must be equal bit for bit whichever side is coarser.
+    """
+
+    @staticmethod
+    def reference(slow, fast) -> np.ndarray:
+        band_edge = min(slow.max_frequency, fast.max_frequency)
+        slow_band = slow.without_dc().band(0.0, band_edge)
+        fast_band = fast.without_dc().band(0.0, band_edge)
+        grid = slow_band.frequencies if slow_band.bins <= fast_band.bins else fast_band.frequencies
+        cleaned = []
+        for band in (slow_band, fast_band):
+            power = np.array([np.interp(grid, band.frequencies, row, left=row[0], right=row[-1])
+                              for row in band.power])
+            floor = np.quantile(power, 0.5, axis=-1)
+            cleaned.append(np.maximum(power - floor[:, None], 0.0))
+        slow_clean, fast_clean = cleaned
+        slow_total = np.sum(slow_clean, axis=-1)
+        fast_total = np.sum(fast_clean, axis=-1)
+        slow_norm = slow_clean / np.where(slow_total == 0, 1.0, slow_total)[:, None]
+        fast_norm = fast_clean / np.where(fast_total == 0, 1.0, fast_total)[:, None]
+        discrepancy = 0.5 * np.sum(np.abs(slow_norm - fast_norm), axis=-1)
+        return np.where(slow_total + fast_total <= 0, 0.0, discrepancy)
+
+    @pytest.mark.parametrize("slow_samples, fast_samples",
+                             [(48, 96), (64, 96), (400, 64), (33, 17)],
+                             ids=["slow-coarser", "equal-bins", "fast-coarser", "short"])
+    def test_equals_two_sided_interpolation(self, slow_samples, fast_samples):
+        rng = np.random.default_rng(slow_samples + fast_samples)
+        slow = batch_periodogram(rng.normal(size=(6, slow_samples)).cumsum(axis=1), 3.0)
+        fast = batch_periodogram(rng.normal(size=(6, fast_samples)).cumsum(axis=1), 2.0)
+        discrepancy, _ = compare_spectra_batch(slow, fast)
+        assert discrepancy.tobytes() == self.reference(slow, fast).tobytes()

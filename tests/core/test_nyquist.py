@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.nyquist import (ALIASED_SENTINEL, MIN_SAMPLES, NyquistEstimator, detrended,
-                                estimate_nyquist_rate)
+                                detrended_rows, estimate_nyquist_rate)
 from repro.core.psd import periodogram
 from repro.signals.spectrum import Spectrum
 from repro.signals.generators import constant, sine
@@ -220,6 +220,51 @@ class TestEstimatorConfiguration:
         assert not loose.reliable
         if strict.reliable:
             assert strict.reduction_ratio < 1.3
+
+
+def polyfit_detrended(values: np.ndarray) -> np.ndarray:
+    """The per-trace reference: ``values`` minus its ``np.polyfit`` line."""
+    x = np.arange(values.shape[0], dtype=np.float64)
+    slope, intercept = np.polyfit(x, values, 1)
+    return values - (slope * x + intercept)
+
+
+class TestDetrendOracle:
+    """The shared-set-up detrend is ``np.polyfit`` per row, bit for bit."""
+
+    @staticmethod
+    def rows(n: int) -> np.ndarray:
+        rng = np.random.default_rng(n)
+        x = np.arange(n, dtype=np.float64)
+        matrix = np.vstack([
+            3.0 * x + 2.0,                               # exact ramp
+            np.full(n, 5.0),                             # constant
+            1e300 * rng.normal(size=n),                  # huge magnitude
+            1e-300 * rng.normal(size=n),                 # tiny magnitude
+            rng.normal(size=n).cumsum() + 0.01 * x,      # random walk with a trend
+            rng.normal(size=n),
+            rng.normal(size=n),
+            rng.normal(size=n),
+        ])
+        matrix[5, n // 3] = np.nan
+        matrix[6, n // 2] = np.inf
+        matrix[7, 0] = -np.inf
+        return matrix
+
+    @pytest.mark.parametrize("n", [16, 17, 90, 576, 1440, 5760])
+    def test_rows_equal_per_row_polyfit(self, n):
+        matrix = self.rows(n)
+        batched = detrended_rows(matrix)
+        for index, row in enumerate(matrix):
+            expected = polyfit_detrended(row).tobytes()
+            assert batched[index].tobytes() == expected, f"row {index}"
+            assert detrended(row).tobytes() == expected, f"row {index}"
+
+    def test_strided_rows_and_empty_batch(self):
+        matrix = self.rows(180)
+        strided = detrended_rows(matrix[:, ::2])
+        assert strided.tobytes() == detrended_rows(np.array(matrix[:, ::2])).tobytes()
+        assert detrended_rows(np.empty((0, 32))).shape == (0, 32)
 
 
 class TestCacheToken:

@@ -34,6 +34,14 @@ class TestWindowCoefficients:
         with pytest.raises(ValueError):
             window_coefficients("hann", 0)
 
+    @pytest.mark.parametrize("length", [16, 17, 90])
+    def test_hann_is_shared_read_only(self, length):
+        taper = window_coefficients("hann", length)
+        assert taper.tobytes() == np.hanning(length).tobytes()
+        assert window_coefficients("hann", length) is taper
+        with pytest.raises(ValueError, match="read-only"):
+            taper[0] = 1.0
+
 
 class TestPeriodogram:
     def test_peak_at_tone_frequency(self):

@@ -54,3 +54,32 @@ class TestNoiseFloor:
         assert noise.noise_floor_estimates(np.empty((3, 0))).tolist() == [0.0, 0.0, 0.0]
         with pytest.raises(ValueError):
             noise.noise_floor_estimates(np.ones(4))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNoiseFloorOracle:
+    """The partition floors are ``np.quantile(..., 0.5, axis=-1)`` bit for bit."""
+
+    @staticmethod
+    def rows(bins: int) -> np.ndarray:
+        rng = np.random.default_rng(bins)
+        random = rng.exponential(size=(64, bins))
+        picks = np.array([0.0, -0.0, 1.0, 2.0, 2.0, np.inf, -np.inf, np.nan])
+        mixed = rng.choice(picks, size=(64, bins))
+        ties = np.vstack([np.full(bins, 3.0), np.zeros(bins), np.full(bins, np.inf),
+                          np.full(bins, -np.inf), np.full(bins, np.nan)])
+        return np.vstack([random, mixed, ties])
+
+    @pytest.mark.parametrize("bins", [1, 2, 3, 4, 31, 32])
+    def test_floors_equal_quantile(self, bins):
+        power = self.rows(bins)
+        expected = np.quantile(power, 0.5, axis=-1)
+        assert noise.noise_floor_estimates(power).tobytes() == expected.tobytes()
+        for row, floor in zip(power, expected):
+            assert np.float64(noise.noise_floor_estimate(row)).tobytes() == floor.tobytes()
+
+    def test_input_is_left_unsorted(self):
+        power = self.rows(9)
+        before = power.copy()
+        noise.noise_floor_estimates(power)
+        assert power.tobytes() == before.tobytes()

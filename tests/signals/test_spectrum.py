@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.psd import batch_periodogram
 from repro.signals.spectrum import Spectrum, SpectrumBatch
 
 
@@ -170,3 +171,57 @@ class TestSpectrumBatchConstruction:
     def test_rejects_malformed_batches(self, frequencies, power, fs, message):
         with pytest.raises(ValueError, match=message):
             SpectrumBatch(frequencies, power, fs)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestDerivedSpectra:
+    """Library-derived batches skip re-validation but equal the checked ones."""
+
+    @staticmethod
+    def periodograms(n: int, window: str) -> SpectrumBatch:
+        matrix = np.random.default_rng(n).normal(size=(5, n)).cumsum(axis=1)
+        matrix[3, n // 2] = np.nan  # a non-finite trace gives an all-NaN row
+        return batch_periodogram(matrix, 2.0, window=window)
+
+    @staticmethod
+    def assert_same(derived: SpectrumBatch, checked: SpectrumBatch) -> None:
+        assert derived.frequencies.tobytes() == checked.frequencies.tobytes()
+        assert derived.power.tobytes() == checked.power.tobytes()
+        assert derived.power.shape == checked.power.shape
+        assert derived.sampling_rate == checked.sampling_rate
+        assert derived.power.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [16, 17, 90])
+    @pytest.mark.parametrize("window", ["rectangular", "hann"])
+    def test_periodogram_without_dc_and_band(self, n, window):
+        batch = self.periodograms(n, window)
+        freqs, power, rate = batch.frequencies, batch.power, batch.sampling_rate
+        self.assert_same(batch, SpectrumBatch(freqs, power, rate))
+        self.assert_same(batch.without_dc(), SpectrumBatch(freqs[1:], power[:, 1:], rate))
+        for low, high in [(0.0, batch.max_frequency), (0.02, 0.1), (0.3, 0.3)]:
+            mask = (freqs >= low - 1e-15) & (freqs <= high + 1e-15)
+            self.assert_same(batch.band(low, high),
+                             SpectrumBatch(freqs[mask], power[:, mask], rate))
+        dc_free = batch.without_dc()
+        self.assert_same(dc_free.band(0.0, 0.2),
+                         SpectrumBatch(dc_free.frequencies[dc_free.frequencies <= 0.2],
+                                       dc_free.power[:, dc_free.frequencies <= 0.2], rate))
+
+    def test_constructor_copies_strided_power(self):
+        # Rejection of malformed input: TestSpectrumBatchConstruction.
+        power = np.random.default_rng(1).exponential(size=(3, 16))
+        batch = SpectrumBatch(np.arange(8.0), power[:, ::2], 4.0)
+        assert batch.power.flags.c_contiguous
+        assert batch.power.tobytes() == np.ascontiguousarray(power[:, ::2]).tobytes()
+
+    def test_periodogram_refuses_a_non_finite_rate(self):
+        with pytest.raises(ValueError, match="sampling_rate"):
+            batch_periodogram(np.ones((2, 16)), float("nan"))
+
+    def test_interpolate_power_takes_arrays_and_sequences(self):
+        batch = TestSpectrumBatchRowHelpers.make_batch()
+        grid = np.array([0.25, 1.5, 4.75, 7.0])
+        expected = batch.interpolate_power(list(grid))
+        for targets in (grid, tuple(grid), grid.tolist()):
+            assert batch.interpolate_power(targets).tobytes() == expected.tobytes()
+            assert batch.row(1).interpolate_power(targets).tobytes() == expected[1].tobytes()
