@@ -139,11 +139,14 @@ def _adaptive_reaction(scenario: Scenario, source: TraceSource,
                                                     tuple[tuple[float, float], ...]]:
     """Measure the controller's reaction to the scenario's regime shift.
 
-    Runs the suite's adaptive controller over the first transformed trace
-    of *every* metric (per-metric behaviour varies a lot: broadband pairs
-    sit pinned at the rate ceiling and can never re-probe) and scores the
+    Runs the adaptive controller over the first transformed trace of
+    *every* metric (per-metric behaviour varies a lot: broadband pairs sit
+    pinned at the rate ceiling and can never re-probe) and scores the
     :class:`~repro.core.adaptive.ModeTransition` streams against the known
-    shift time -- measured, not inferred from nrmse drift.
+    shift time -- measured, not inferred from nrmse drift.  Each metric's
+    controller is the one the survey runs on it: the suite's adaptive
+    policy built for that trace's interval, so its initial rate and rate
+    ceiling follow the metric's own production rate.
 
     Returns ``(shift time, mean re-probe latency, mean re-settle latency,
     fraction of measured pairs that re-probed, rate trajectory)``.  The
@@ -151,7 +154,6 @@ def _adaptive_reaction(scenario: Scenario, source: TraceSource,
     is the first reacting pair's (or the first pair's, when the scenario
     has no shift, in which case the latencies are ``None``).
     """
-    adaptive: AdaptiveDualRatePolicy | None = None
     shift: float | None = None
     reprobes: list[float] = []
     resettles: list[float] = []
@@ -162,9 +164,8 @@ def _adaptive_reaction(scenario: Scenario, source: TraceSource,
         if not selected:
             continue
         trace = source.load(selected[0])
-        if adaptive is None:
-            adaptive = next(policy for policy in suite.build(trace.interval)
-                            if isinstance(policy, AdaptiveDualRatePolicy))
+        adaptive = next(policy for policy in suite.build(trace.interval)
+                        if isinstance(policy, AdaptiveDualRatePolicy))
         run = adaptive.run_controller(trace)
         if not trajectory:
             trajectory = tuple((float(t), float(rate))

@@ -10,6 +10,7 @@ import pytest
 from repro.analysis.policy_survey import run_policy_survey
 from repro.network.monitoring import DeploymentSpec
 from repro.network.topology import TopologySpec
+from repro.pipeline.policies import AdaptiveDualRatePolicy
 from repro.scenarios import (DiurnalCycle, MatrixResult, RegimeShift, Scenario,
                              evaluate_cell, paper_suite)
 
@@ -104,3 +105,26 @@ class TestCellPayload:
         assert payload["verdict"]
         # The trajectory is a list of [time, rate] points.
         assert all(len(point) == 2 for point in payload["adaptive_rate_trajectory"])
+
+
+class TestAdaptiveReaction:
+    def test_each_metric_is_scored_on_the_controller_the_survey_runs(self, spec,
+                                                                      monkeypatch):
+        """The re-probe numbers must come from the adaptive policy the suite
+        builds for the metric's own interval, not the first metric's."""
+        seen: list[tuple[float, object]] = []
+        run_controller = AdaptiveDualRatePolicy.run_controller
+
+        def recording(policy, reference):
+            seen.append((reference.interval, policy.config))
+            return run_controller(policy, reference)
+
+        monkeypatch.setattr(AdaptiveDualRatePolicy, "run_controller", recording)
+        suite = paper_suite()
+        source = spec.open()
+        evaluate_cell(INCIDENT, "leaf-spine", source, source.accountant(), suite)
+        assert len({interval for interval, _ in seen}) > 1
+        for interval, config in seen:
+            built = next(policy for policy in suite.build(interval)
+                         if isinstance(policy, AdaptiveDualRatePolicy))
+            assert config == built.config
