@@ -126,10 +126,6 @@ class SliceResult:
         if failures:
             self._failure_sink.append(FailureRecordBlock.from_failures(failures))
 
-    def iter_failure_blocks(self) -> Iterator[FailureRecordBlock]:
-        """Stream the quarantined-failure chunks in survey order."""
-        return self._failure_sink.blocks()
-
     @property
     def failure_sink(self) -> RecordSink:
         return self._failure_sink

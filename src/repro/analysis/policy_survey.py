@@ -58,7 +58,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterator, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -162,11 +162,6 @@ class PolicySurveyResult(SliceResult):
         """Policy names present in the survey, in first-appearance order."""
         return list(self._policy_order)
 
-    def evaluations(self) -> Iterator[PointEvaluation]:
-        """Per-row view of the columnar store, materialised on demand."""
-        for block in self._sink.blocks():
-            yield from block.to_evaluations()
-
     # ------------------------------------------------------------------
     def _totals(self) -> dict[str, _PolicyTotals]:
         """Streamed per-policy totals, cached per sink state.
@@ -247,7 +242,7 @@ class CostQualityEvaluator(PolicySurveyResult):
     :class:`~repro.pipeline.evaluation.PolicyRecordBlock` per policy to
     ``sink`` (in-memory by default; pass an empty
     :class:`~repro.records.SpillingRecordSink` to stream rows to disk).
-    Every report -- ``rows``, ``relative_costs``, ``evaluations`` -- is
+    Every report -- ``rows``, ``relative_costs`` -- is
     the inherited :class:`PolicySurveyResult` one, and lists every policy
     from the start, in the order given.
     """

@@ -16,8 +16,9 @@ The pipeline is built for fleets far beyond the paper's 1613 pairs:
 * **Columnar storage.**  Survey outcomes are stored as struct-of-arrays
   :class:`RecordBlock` chunks rather than one Python object per pair, so
   every aggregation is a handful of vectorised numpy reductions streamed
-  block by block.  :class:`PairRecord` remains as a lazily materialised
-  per-pair view for API compatibility.
+  block by block.  :class:`PairRecord` is a lazily materialised per-pair
+  view (``SurveyResult.records``) for callers that want one object per
+  pair.
 * **Out-of-core results.**  A :class:`RecordSink` receives the blocks as
   they are produced; :class:`MemoryRecordSink` keeps them in RAM while
   :class:`SpillingRecordSink` streams each block to an ``.rcb`` file, so
@@ -57,7 +58,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -185,40 +186,6 @@ class RecordBlock(ColumnarBlock):
                 trace_duration=float(self.trace_duration[index]),
             )
 
-    @classmethod
-    def from_records(cls, metric_name: str, records: Sequence[PairRecord]) -> "RecordBlock":
-        """Pack per-pair records (all of one metric) into columnar form."""
-        rows = len(records)
-        return cls(
-            metric_name=metric_name,
-            device_ids=np.array([record.device_id for record in records], dtype=np.str_),
-            current_rate=np.fromiter((r.current_rate for r in records), np.float64, rows),
-            nyquist_rate=np.fromiter((r.nyquist_rate for r in records), np.float64, rows),
-            reduction_ratio=np.fromiter((r.reduction_ratio for r in records),
-                                        np.float64, rows),
-            category=np.fromiter((_CATEGORY_CODE[r.category] for r in records),
-                                 np.int8, rows),
-            reliable=np.fromiter((r.reliable for r in records), bool, rows),
-            true_nyquist_rate=np.fromiter((r.true_nyquist_rate for r in records),
-                                          np.float64, rows),
-            trace_duration=np.fromiter((r.trace_duration for r in records),
-                                       np.float64, rows),
-        )
-
-def _blocks_from_records(records: Iterable[PairRecord]) -> Iterator[RecordBlock]:
-    """Group an ordered record stream into per-metric-run columnar blocks."""
-    buffer: list[PairRecord] = []
-    current: str | None = None
-    for record in records:
-        if current is not None and record.metric_name != current:
-            yield RecordBlock.from_records(current, buffer)
-            buffer = []
-        current = record.metric_name
-        buffer.append(record)
-    if buffer:
-        assert current is not None
-        yield RecordBlock.from_records(current, buffer)
-
 
 class SurveyResult(SliceResult):
     """All pair records of one survey run, with figure-oriented aggregations.
@@ -232,24 +199,16 @@ class SurveyResult(SliceResult):
     ``cache_misses`` count the pairs of ``run_survey(store=...)``.
     """
 
-    def __init__(self, records: Iterable[PairRecord] | None = None,
-                 oversample_threshold: float = 1.25,
+    def __init__(self, oversample_threshold: float = 1.25,
                  sink: RecordSink | None = None,
                  failure_sink: RecordSink | None = None) -> None:
         self.oversample_threshold = oversample_threshold
         super().__init__(sink, failure_sink)
-        if records is not None:
-            for block in _blocks_from_records(records):
-                self.append_block(block)
 
     @property
     def records(self) -> list[PairRecord]:
         """Per-pair view of the columnar store, materialised on demand."""
         return [record for block in self._sink.blocks() for record in block.to_records()]
-
-    def records_for_metric(self, metric_name: str) -> list[PairRecord]:
-        return [record for block in self._sink.blocks() if block.metric_name == metric_name
-                for record in block.to_records()]
 
     # -------------------------- Figure 1 ------------------------------
     def oversampled_fraction_by_metric(self) -> dict[str, float]:

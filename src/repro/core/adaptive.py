@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -144,8 +144,9 @@ class WindowDecision:
 class ModeTransition:
     """One probe/steady mode change of the adaptive controller.
 
-    Emitted by :meth:`AdaptiveSamplingController.run` whenever processing
-    a window leaves the controller in a different mode than it entered
+    Emitted by :meth:`AdaptiveSamplingController.run` and
+    :meth:`~AdaptiveSamplingController.run_batch` whenever processing a
+    window leaves a row's controller in a different mode than it entered
     with.  The transition takes effect at the window's *end* (the next
     window is the first sampled under the new mode), so ``time`` is the
     earliest instant the behaviour change is observable.  These are the
@@ -192,26 +193,18 @@ class AdaptiveRun:
             return float("inf")
         return self.baseline_samples / collected
 
-    def inferred_rates(self) -> list[tuple[float, float]]:
-        """(window_start, inferred Nyquist rate) pairs -- the Figure 7 series."""
-        return [(decision.window_start, decision.nyquist_estimate)
-                for decision in self.decisions]
-
     def sampling_rates(self) -> list[tuple[float, float]]:
         """(window_start, rate the controller sampled at) pairs."""
         return [(decision.window_start, decision.sampling_rate)
                 for decision in self.decisions]
 
-    def reprobe_transitions(self) -> list[ModeTransition]:
-        """The steady -> probe transitions (aliasing re-detected mid-run)."""
-        return [t for t in self.transitions if t.kind == "re-probe"]
-
     def collected_series(self) -> TimeSeries:
         """All collected samples concatenated into one (possibly uneven-rate) view.
 
-        The concatenation keeps the coarsest common interval so downstream
-        code can reconstruct; windows sampled at different rates are first
-        aligned to the finest interval used anywhere in the run.
+        Windows sampled at different rates are aligned to the finest
+        interval used anywhere in the run: each sample of a coarser window
+        is repeated to fill its slots, so the result has one regular
+        interval that downstream code can reconstruct from.
         """
         if not self.collected:
             return TimeSeries(np.empty(0), self.reference.interval,
@@ -229,7 +222,7 @@ class AdaptiveRun:
 
 @dataclass
 class _RowState:
-    """Mutable per-trace state of the controller: one per row of a batch."""
+    """Mutable per-trace state of the controller: one per row of a run."""
 
     mode: ControllerMode
     current_rate: float
@@ -249,9 +242,13 @@ class AdaptiveSamplingController:
     estimate are matrix operations
     (:meth:`~repro.core.aliasing.DualRateAliasingDetector.check_rows`,
     :meth:`~repro.core.nyquist.NyquistEstimator.estimate_rows`); the
-    adaptation rules then run per row.  :meth:`run` is the one-row case
-    and :meth:`process_window` the one-row, one-window case, so a trace
-    gets the same decisions whether it is run alone or inside a batch.
+    adaptation rules then run per row.  :meth:`run` is the one-row case,
+    so a trace gets the same decisions whether it is run alone or inside
+    a batch.
+
+    The controller itself holds no run state: every run starts each row
+    in probe mode at ``config.initial_rate``, so one controller can serve
+    any number of runs and each gets the decisions a fresh one would.
 
     Parameters
     ----------
@@ -280,41 +277,8 @@ class AdaptiveSamplingController:
         self.detector = DualRateAliasingDetector(
             rate_ratio=self.config.dual_rate_ratio,
             threshold=self.config.aliasing_threshold)
-        self._state = self._initial_state()
-        self._floor_rate = self.config.min_rate
 
     # ------------------------------------------------------------------
-    def _initial_state(self) -> _RowState:
-        return _RowState(mode=ControllerMode.PROBE, current_rate=self.config.initial_rate)
-
-    @property
-    def mode(self) -> ControllerMode:
-        """Current operating mode (of the single-trace state :meth:`run` advances)."""
-        return self._state.mode
-
-    @mode.setter
-    def mode(self, mode: ControllerMode) -> None:
-        self._state.mode = mode
-
-    @property
-    def current_rate(self) -> float:
-        """Rate the next window will be sampled at (before clamping)."""
-        return self._state.current_rate
-
-    @current_rate.setter
-    def current_rate(self, rate: float) -> None:
-        self._state.current_rate = rate
-
-    @property
-    def remembered_max_rate(self) -> float:
-        """Decaying memory of the highest settled rate, used to re-ramp quickly."""
-        return self._state.remembered_max_rate
-
-    def reset(self) -> None:
-        """Return the controller to its initial state (keeps configuration)."""
-        self._state = self._initial_state()
-        self._floor_rate = self.config.min_rate
-
     def minimum_viable_rate(self, window_duration: float) -> float:
         """Lowest rate at which one window still feeds the estimator and detector.
 
@@ -328,36 +292,30 @@ class AdaptiveSamplingController:
             raise ValueError("window_duration must be positive")
         return MIN_SAMPLES / window_duration
 
-    def _clamp(self, rate: float, ceiling: float) -> float:
-        floor = max(self.config.min_rate, self._floor_rate)
-        return float(min(max(rate, floor), min(self.config.max_rate, ceiling)))
+    @staticmethod
+    def _clamp(rate: float, floor: float, top: float) -> float:
+        return float(min(max(rate, floor), top))
 
     # ------------------------------------------------------------------
-    def process_window(self, window: TimeSeries) -> WindowDecision:
-        """Decide what to collect for one window of the underlying signal.
-
-        ``window`` is the portion of the (high-rate) reference signal that
-        exists during this window; the controller only "sees" the samples
-        it chooses to collect from it.
-        """
-        if len(window) < 2:
-            raise ValueError("window must contain at least two reference samples")
-        return self._step([self._state], window.values[None, :], window.interval,
-                          window.start_time, window.end_time)[0][0]
-
     def _step(self, states: Sequence[_RowState], window: np.ndarray, interval: float,
-              window_start: float, window_end: float) -> list[tuple[WindowDecision, int]]:
+              floor: float, window_start: float,
+              window_end: float) -> list[tuple[WindowDecision, int]]:
         """Advance every row's controller by one window.
 
         ``window`` is the ``(rows, L)`` slice of the reference signal in
         this window, sampled every ``interval`` seconds; ``states[i]`` is
-        row ``i``'s controller state and is updated in place.  Returns per
-        row the window's decision and the decimation factor of the stream
-        the row collected (its primary, slow probe).
+        row ``i``'s controller state and is updated in place.  Rates are
+        clamped to ``[floor, top]``: ``floor`` is the run's lowest allowed
+        rate (``min_rate`` or the :meth:`minimum_viable_rate` of its
+        windows, whichever is higher) and ``top`` the lower of ``max_rate``
+        and the reference rate.  Returns per row the window's decision and
+        the decimation factor of the stream the row collected (its
+        primary, slow probe).
         """
         config = self.config
         ceiling = 1.0 / interval
-        rates = [self._clamp(state.current_rate, ceiling) for state in states]
+        top = min(config.max_rate, ceiling)
+        rates = [self._clamp(state.current_rate, floor, top) for state in states]
 
         # The dual-frequency check doubles measurement cost (§4.1), so in
         # steady mode it only runs every `aliasing_check_interval` windows;
@@ -392,7 +350,7 @@ class AdaptiveSamplingController:
                 state, rate, estimate = states[row], rates[row], estimates[position]
                 state.windows_since_check = 0 if fast_factor else state.windows_since_check + 1
                 row_aliased = bool(aliased[position])
-                next_rate = self._next_rate(state, rate, row_aliased, estimate, ceiling)
+                next_rate = self._next_rate(state, rate, row_aliased, estimate, floor, top)
                 results[row] = (WindowDecision(
                     window_start=window_start,
                     window_end=window_end,
@@ -409,7 +367,7 @@ class AdaptiveSamplingController:
         return [results[row] for row in range(len(states))]
 
     def _probe_toward(self, state: _RowState, proposed: float, rate: float,
-                      ceiling: float) -> float:
+                      floor: float, top: float) -> float:
         """Enter probe mode toward ``proposed`` -- unless we are already pinned.
 
         When the clamped proposal cannot exceed the current rate the
@@ -421,12 +379,12 @@ class AdaptiveSamplingController:
         in probe mode forever and its cost *exceeds* the fixed baseline
         it is supposed to undercut.
         """
-        clamped = self._clamp(proposed, ceiling)
+        clamped = self._clamp(proposed, floor, top)
         state.mode = ControllerMode.STEADY if clamped <= rate else ControllerMode.PROBE
         return clamped
 
     def _next_rate(self, state: _RowState, rate: float, aliased: bool,
-                   estimate: NyquistEstimate, ceiling: float) -> float:
+                   estimate: NyquistEstimate, floor: float, top: float) -> float:
         """Apply the §4.2 adaptation rules and return the next window's rate."""
         config = self.config
         if aliased or (estimate.reliable and estimate.nyquist_rate > rate):
@@ -435,19 +393,20 @@ class AdaptiveSamplingController:
             proposed = rate * config.probe_multiplier
             if state.remembered_max_rate > proposed:
                 proposed = state.remembered_max_rate
-            return self._probe_toward(state, proposed, rate, ceiling)
+            return self._probe_toward(state, proposed, rate, floor, top)
 
         if not estimate.reliable:
             if state.mode is ControllerMode.STEADY and estimate.reason == "trace too short":
                 # We already settled once and this window simply holds too
                 # few samples at the (low) steady rate to re-estimate; hold
                 # the rate rather than needlessly ramping back up.
-                return self._clamp(rate, ceiling)
+                return self._clamp(rate, floor, top)
             # Still probing and nothing observable yet (or the probe itself
             # looks aliased): keep increasing until the Nyquist rate becomes
             # observable.  The remembered maximum is only used when aliasing
             # is positively detected, not for mere lack of data.
-            return self._probe_toward(state, rate * config.probe_multiplier, rate, ceiling)
+            return self._probe_toward(state, rate * config.probe_multiplier, rate,
+                                      floor, top)
 
         # Clean estimate available: settle at Nyquist rate plus headroom.
         state.mode = ControllerMode.STEADY
@@ -458,67 +417,54 @@ class AdaptiveSamplingController:
             # The signal has quieted down a lot; decrease gradually rather
             # than jumping straight to the target so a transient lull does
             # not leave us wide open to aliasing.
-            return self._clamp(rate * config.decrease_factor, ceiling)
-        return self._clamp(target, ceiling)
+            return self._clamp(rate * config.decrease_factor, floor, top)
+        return self._clamp(target, floor, top)
 
     # ------------------------------------------------------------------
-    def run(self, reference: TimeSeries, window_duration: float,
-            step: float | None = None) -> AdaptiveRun:
+    def run(self, reference: TimeSeries, window_duration: float) -> AdaptiveRun:
         """Run the controller over ``reference`` in windows of ``window_duration`` seconds.
 
-        ``step`` defaults to ``window_duration`` (non-overlapping windows),
-        which is how the controller would run in production; Figure 7 uses
-        an overlapping window (6 h window, 5 min step) purely for analysis,
-        which :mod:`repro.core.windowed` provides.  The run continues from
-        (and advances) the controller's current state.
+        Windows do not overlap, which is how the controller would run in
+        production; Figure 7's overlapping window (6 h window, 5 min step)
+        is an analysis view that :mod:`repro.core.windowed` provides.  The
+        run starts in probe mode at ``config.initial_rate``.
         """
-        return self._run_rows([self._state], [reference], reference.values[None, :],
-                              window_duration, step)[0]
+        return self._run_rows([reference], reference.values[None, :], window_duration)[0]
 
     def run_batch(self, values: np.ndarray, interval: float,
                   window_duration: float) -> list[AdaptiveRun]:
         """Run the controller over every row of a ``(rows, n)`` reference matrix.
 
         All rows share one sampling ``interval`` (and start at time 0), so
-        they share every (non-overlapping) window's bounds and step through
-        the trace together.  Each row starts from a copy of the controller's
-        current state; that state and the rate floor are left untouched.
-        Row ``i``'s run equals ``run(TimeSeries(values[i], interval),
-        window_duration)`` on a controller in that state -- same decisions,
-        collected chunks and transitions.
+        they share every window's bounds and step through the trace
+        together.  Row ``i``'s run equals ``run(TimeSeries(values[i],
+        interval), window_duration)`` -- same decisions, collected chunks
+        and transitions.
         """
         matrix = np.asarray(values, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValueError(f"values must be a (rows, n) matrix, got shape {matrix.shape}")
-        references = [TimeSeries(row, interval) for row in matrix]
-        states = [replace(self._state) for _ in references]
-        floor_rate = self._floor_rate
-        try:
-            return self._run_rows(states, references, matrix, window_duration, None)
-        finally:
-            self._floor_rate = floor_rate
+        return self._run_rows([TimeSeries(row, interval) for row in matrix], matrix,
+                              window_duration)
 
-    def _run_rows(self, states: Sequence[_RowState], references: Sequence[TimeSeries],
-                  matrix: np.ndarray, window_duration: float,
-                  step: float | None) -> list[AdaptiveRun]:
-        """Step ``states`` through the windows of equal-shape ``references``."""
-        if window_duration <= 0:
-            raise ValueError("window_duration must be positive")
-        step = window_duration if step is None else step
-        if step <= 0:
-            raise ValueError("step must be positive")
-        self._floor_rate = self.minimum_viable_rate(window_duration)
+    def _run_rows(self, references: Sequence[TimeSeries], matrix: np.ndarray,
+                  window_duration: float) -> list[AdaptiveRun]:
+        """Step fresh per-row states through the windows of equal-shape ``references``."""
+        floor = max(self.config.min_rate, self.minimum_viable_rate(window_duration))
         runs = [AdaptiveRun(reference=reference) for reference in references]
         if not references:
             return runs
+        states = [_RowState(mode=ControllerMode.PROBE, current_rate=self.config.initial_rate)
+                  for _ in references]
         interval, start_time = references[0].interval, references[0].start_time
-        for first, stop in references[0].iter_window_bounds(window_duration, step):
+        for first, stop in references[0].iter_window_bounds(window_duration,
+                                                            window_duration):
             if stop - first < 2:
                 continue
             window_start = start_time + first * interval
             window_end = window_start + (stop - first) * interval
             modes_before = [state.mode for state in states]
-            steps = self._step(states, matrix[:, first:stop], interval,
+            steps = self._step(states, matrix[:, first:stop], interval, floor,
                                window_start, window_end)
             for run, state, mode_before, (decision, factor) in zip(runs, states, modes_before,
                                                                    steps):

@@ -32,6 +32,9 @@ __all__ = [
     "minimum_canary_size",
 ]
 
+#: Random device subsets :func:`minimum_canary_size` draws per candidate size.
+_CANARY_TRIALS = 20
+
 
 def _stack(fleet: Sequence[TimeSeries]) -> np.ndarray:
     """Stack a fleet of equal-length traces into a (devices, samples) matrix."""
@@ -44,17 +47,14 @@ def _stack(fleet: Sequence[TimeSeries]) -> np.ndarray:
     return np.vstack([series.values[:n] for series in fleet])
 
 
-def ensemble_statistics(fleet: Sequence[TimeSeries], at_index: int | None = None) -> dict[str, float]:
+def ensemble_statistics(fleet: Sequence[TimeSeries]) -> dict[str, float]:
     """Statistics across the fleet at one instant (a vertical slice).
 
-    ``at_index`` selects the sample index; by default the middle of the
-    traces is used (avoiding warm-up and tail effects).
+    The instant is the middle of the traces, away from warm-up and tail
+    effects.
     """
     matrix = _stack(fleet)
-    index = matrix.shape[1] // 2 if at_index is None else at_index
-    if not 0 <= index < matrix.shape[1]:
-        raise ValueError("at_index out of range")
-    column = matrix[:, index]
+    column = matrix[:, matrix.shape[1] // 2]
     return {
         "mean": float(np.mean(column)),
         "std": float(np.std(column)),
@@ -135,19 +135,16 @@ def ergodicity_report(fleet: Sequence[TimeSeries], device_index: int = 0,
 
 
 def minimum_canary_size(fleet: Sequence[TimeSeries], tolerance: float = 0.05,
-                        rng: np.random.Generator | None = None,
-                        trials: int = 20) -> int:
+                        rng: np.random.Generator | None = None) -> int:
     """Smallest random canary (subset of devices) whose mean tracks the fleet mean.
 
-    For each candidate size the fleet-instant mean of ``trials`` random
-    subsets is compared with the full-fleet mean; the size is accepted when
-    the *worst* relative deviation across trials is within ``tolerance``.
+    For each candidate size the fleet-instant mean of 20 random subsets is
+    compared with the full-fleet mean; the size is accepted when the
+    *worst* relative deviation across them is within ``tolerance``.
     Returns ``len(fleet)`` when no smaller canary suffices.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     rng = rng or np.random.default_rng(0)
     matrix = _stack(fleet)
     column = matrix[:, matrix.shape[1] // 2]
@@ -155,7 +152,7 @@ def minimum_canary_size(fleet: Sequence[TimeSeries], tolerance: float = 0.05,
     scale = max(abs(fleet_mean), 1e-12)
     for size in range(1, len(fleet)):
         worst = 0.0
-        for _ in range(trials):
+        for _ in range(_CANARY_TRIALS):
             subset = rng.choice(len(fleet), size=size, replace=False)
             deviation = abs(float(np.mean(column[subset])) - fleet_mean) / scale
             worst = max(worst, deviation)

@@ -77,10 +77,6 @@ class ReconstructionError:
     mean_abs: float
     samples_compared: int
 
-    def is_exact(self, tolerance: float = 1e-9) -> bool:
-        """True when the reconstruction matches the original to within ``tolerance``."""
-        return self.max_abs <= tolerance
-
     def __str__(self) -> str:
         return (f"L2={self.l2:.4g} RMSE={self.rmse:.4g} NRMSE={self.nrmse:.4g} "
                 f"max|e|={self.max_abs:.4g} over {self.samples_compared} samples")

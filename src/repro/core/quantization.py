@@ -62,9 +62,3 @@ class UniformQuantizer:
         distributed over one quantisation step.
         """
         return self.step / math.sqrt(12.0)
-
-    def levels(self) -> int | None:
-        """Number of representable levels when the quantiser is bounded."""
-        if self.minimum is None or self.maximum is None:
-            return None
-        return int(round((self.maximum - self.minimum) / self.step)) + 1

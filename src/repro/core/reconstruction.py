@@ -127,14 +127,15 @@ class RoundTripResult:
 def nyquist_round_trip(series: TimeSeries,
                        estimator: NyquistEstimator | None = None,
                        headroom: float = 1.0,
-                       quantizer: UniformQuantizer | None = None,
-                       anti_alias: bool = True) -> RoundTripResult:
+                       quantizer: UniformQuantizer | None = None) -> RoundTripResult:
     """Down-sample a trace to its estimated Nyquist rate and reconstruct it.
 
     This is the Figure 6 experiment as a single call: estimate the Nyquist
     rate, keep only samples at (headroom x) that rate, reconstruct with the
     low-pass interpolator (optionally re-quantising), and report the error
-    against the original.
+    against the original.  The down-sampling applies an anti-alias filter
+    first (an ideal re-sampler), because the paper's a-posteriori use case
+    re-samples already-collected data.
 
     Parameters
     ----------
@@ -142,12 +143,6 @@ def nyquist_round_trip(series: TimeSeries,
         Multiplier (>= 1) on the estimated Nyquist rate before
         down-sampling.  Operators keep headroom to be robust to rate drift;
         1.0 reproduces the paper's figure.
-    anti_alias:
-        Whether the down-sampling applies an anti-alias filter first
-        (ideal re-sampler) or plainly decimates (what a slower poller
-        produces).  Both are useful; the default matches the ideal
-        re-sampler because the paper's a-posteriori use case re-samples
-        already-collected data.
     """
     if headroom < 1.0:
         raise ValueError("headroom must be >= 1.0")
@@ -160,9 +155,9 @@ def nyquist_round_trip(series: TimeSeries,
         return RoundTripResult(series, series, series, estimate, error)
 
     target_rate = min(estimate.nyquist_rate * headroom, series.sampling_rate)
-    downsampled = resample_to_rate(series, target_rate, anti_alias=anti_alias)
+    downsampled = resample_to_rate(series, target_rate)
     if len(downsampled) < 2:
-        downsampled = downsample(series, max(len(series) // 2, 1), anti_alias=anti_alias)
+        downsampled = downsample(series, max(len(series) // 2, 1))
     reconstructed = reconstruct(downsampled, series.sampling_rate,
                                 cutoff_hz=estimate.cutoff_frequency,
                                 quantizer=quantizer)

@@ -33,26 +33,23 @@ __all__ = [
 ]
 
 
-def nearest_neighbor_resample(series: IrregularTimeSeries, interval: float,
-                              start_time: float | None = None,
-                              end_time: float | None = None) -> TimeSeries:
+def nearest_neighbor_resample(series: IrregularTimeSeries, interval: float) -> TimeSeries:
     """Re-sample an irregular trace onto a regular grid with nearest-neighbour values.
 
-    For every grid point the value of the closest-in-time raw sample is
-    used; this "adds values for missing samples based on nearby samples"
-    exactly as §3.2 describes and never invents values outside the observed
-    range (unlike linear interpolation on counters that reset).
+    The grid runs every ``interval`` seconds from the first to the last
+    raw timestamp.  For every grid point the value of the closest-in-time
+    raw sample is used; this "adds values for missing samples based on
+    nearby samples" exactly as §3.2 describes and never invents values
+    outside the observed range (unlike linear interpolation on counters
+    that reset).
     """
     if interval <= 0:
         raise ValueError("interval must be positive")
     clean = series.dedupe()
     if len(clean) == 0:
         raise ValueError("cannot resample an empty series")
-    t0 = clean.start_time if start_time is None else start_time
-    t1 = clean.end_time if end_time is None else end_time
-    if t1 < t0:
-        raise ValueError("end_time must be >= start_time")
-    n = max(int(math.floor((t1 - t0) / interval)) + 1, 1)
+    t0 = clean.start_time
+    n = max(int(math.floor((clean.end_time - t0) / interval)) + 1, 1)
     grid = t0 + np.arange(n) * interval
     # For each grid point find the closest raw timestamp.
     indices = np.searchsorted(clean.timestamps, grid)
@@ -65,14 +62,13 @@ def nearest_neighbor_resample(series: IrregularTimeSeries, interval: float,
     return TimeSeries(values, interval, start_time=t0, name=series.name)
 
 
-def regularize(series: IrregularTimeSeries, interval: float | None = None) -> TimeSeries:
+def regularize(series: IrregularTimeSeries) -> TimeSeries:
     """Pre-clean an irregular trace into a regular one (§3.2).
 
-    If ``interval`` is not given, the median observed inter-sample gap is
-    used as the nominal polling interval.
+    The median observed inter-sample gap is used as the nominal polling
+    interval.
     """
-    target = interval if interval is not None else series.median_interval()
-    return nearest_neighbor_resample(series, target)
+    return nearest_neighbor_resample(series, series.median_interval())
 
 
 def downsample(series: TimeSeries, factor: int, anti_alias: bool = True) -> TimeSeries:

@@ -78,14 +78,6 @@ class Fabric:
         """Neighbours of ``node`` in the order their edges were added."""
         return iter(self.adjacency[node])
 
-    def degree(self, node: str) -> int:
-        """Number of edges at ``node`` (a self-loop counts twice)."""
-        return len(self.adjacency[node]) + (node in self.adjacency[node])
-
-    def has_edge(self, u: str, v: str) -> bool:
-        """Whether ``u`` and ``v`` are joined by an edge."""
-        return u in self.adjacency and v in self.adjacency[u]
-
     def edges(self) -> Iterator[tuple[str, str, dict[str, Any]]]:
         """Every edge once, as ``(u, v, attrs)``, in node-then-neighbour order."""
         seen: set[str] = set()

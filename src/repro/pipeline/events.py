@@ -144,10 +144,6 @@ class DetectionOutcome:
     detected: bool
     latency: float
 
-    @property
-    def missed(self) -> bool:
-        return not self.detected
-
 
 def score_detection(policy_name: str, collected: TimeSeries, event: InjectedEvent,
                     detector: ThresholdDetector | None = None) -> DetectionOutcome:

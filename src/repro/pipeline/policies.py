@@ -70,13 +70,6 @@ class PolicyResult:
     mean_sampling_rate: float
     detail: dict[str, float]
 
-    @property
-    def samples_per_hour(self) -> float:
-        duration = self.reconstructed.duration
-        if duration <= 0:
-            return float("nan")
-        return self.samples_collected / (duration / 3600.0)
-
 
 @dataclass(frozen=True)
 class PolicyBatchEvaluation:

@@ -132,10 +132,6 @@ class StoreVerification:
     problems: tuple[str, ...]
     unverified: tuple[str, ...]
 
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
 
 class RecordStore:
     """A content-addressed, atomically-published cache of record blocks.

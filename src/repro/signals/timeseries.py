@@ -99,9 +99,6 @@ class TimeSeries:
         """Absolute timestamps of every sample."""
         return self.start_time + np.arange(len(self)) * self.interval
 
-    def is_empty(self) -> bool:
-        return len(self) == 0
-
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
@@ -162,14 +159,6 @@ class TimeSeries:
         if n < 0:
             raise ValueError("n must be non-negative")
         return TimeSeries(self.values[:n], self.interval, self.start_time, self.name)
-
-    def tail(self, n: int) -> "TimeSeries":
-        """Last ``n`` samples."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        start = self.start_time + max(len(self) - n, 0) * self.interval
-        return TimeSeries(self.values[len(self) - n:] if n else self.values[len(self):],
-                          self.interval, start, self.name)
 
     def segment(self, start_index: int, stop_index: int) -> "TimeSeries":
         """Samples ``[start_index, stop_index)`` as a new series."""
@@ -242,10 +231,6 @@ class TimeSeries:
             raise ValueError("decimation factor must be >= 1")
         return TimeSeries(self.values[::factor], self.interval * factor,
                           self.start_time, self.name)
-
-    def to_irregular(self) -> "IrregularTimeSeries":
-        """View this series as an irregular one with exact timestamps."""
-        return IrregularTimeSeries(self.times(), self.values, self.name)
 
     # ------------------------------------------------------------------
     # Arithmetic helpers
@@ -331,14 +316,6 @@ class IrregularTimeSeries:
         if positive.size == 0:
             raise ValueError("all samples share the same timestamp")
         return float(np.median(positive))
-
-    def is_regular(self, tolerance: float = 1e-6) -> bool:
-        """True if all gaps equal the median gap to within ``tolerance`` (relative)."""
-        gaps = self.intervals()
-        if gaps.size == 0:
-            return True
-        median = self.median_interval()
-        return bool(np.all(np.abs(gaps - median) <= tolerance * median))
 
     def dedupe(self) -> "IrregularTimeSeries":
         """Drop samples that repeat a timestamp (keeping the first occurrence)."""

@@ -394,8 +394,8 @@ class TestPolicyQuarantineEquivalence:
         assert_policy_blocks_byte_identical(quarantined_survey.iter_blocks(),
                                             pooled.iter_blocks())
         assert_failure_blocks_byte_identical(
-            quarantined_survey.iter_failure_blocks(),
-            pooled.iter_failure_blocks())
+            quarantined_survey.failure_sink.blocks(),
+            pooled.failure_sink.blocks())
 
     def test_spilling_sinks_byte_identical(self, chaotic, suite,
                                            quarantined_survey, tmp_path):
@@ -406,8 +406,8 @@ class TestPolicyQuarantineEquivalence:
         assert_policy_blocks_byte_identical(quarantined_survey.iter_blocks(),
                                             spilled.iter_blocks())
         assert_failure_blocks_byte_identical(
-            quarantined_survey.iter_failure_blocks(),
-            spilled.iter_failure_blocks())
+            quarantined_survey.failure_sink.blocks(),
+            spilled.failure_sink.blocks())
         reopened = PolicySurveyResult(
             failure_sink=SpillingRecordSink(tmp_path / "failures"))
         assert reopened.quarantined_count == quarantined_survey.quarantined_count

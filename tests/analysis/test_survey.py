@@ -124,7 +124,7 @@ class TestAggregations:
             rates = survey.nyquist_rates(metric)
             assert np.all(rates > 0)
             # Estimated rates never exceed the production sampling rate.
-            records = survey.records_for_metric(metric)
+            records = [record for record in survey.records if record.metric_name == metric]
             assert np.all(rates <= max(record.current_rate for record in records) + 1e-12)
 
     def test_heavy_tail_of_reduction_ratios(self, survey):
@@ -203,14 +203,6 @@ class TestColumnarStorage:
                 assert record.device_id == str(block.device_ids[offset])
                 assert record.nyquist_rate == block.nyquist_rate[offset]
                 index += 1
-
-    def test_survey_result_from_records_round_trip(self, survey):
-        rebuilt = SurveyResult(records=survey.records,
-                               oversample_threshold=survey.oversample_threshold)
-        assert len(rebuilt) == len(survey)
-        assert rebuilt.metrics() == survey.metrics()
-        assert rebuilt.headline() == survey.headline()
-        assert np.array_equal(rebuilt.reduction_ratios(), survey.reduction_ratios())
 
     def test_block_rcb_round_trip(self, survey, tmp_path):
         block = next(iter(survey.iter_blocks()))
@@ -615,8 +607,8 @@ class TestQuarantineEquivalence:
         assert_blocks_byte_identical(quarantined_survey.iter_blocks(),
                                      pooled.iter_blocks())
         assert_failure_blocks_byte_identical(
-            quarantined_survey.iter_failure_blocks(),
-            pooled.iter_failure_blocks())
+            quarantined_survey.failure_sink.blocks(),
+            pooled.failure_sink.blocks())
 
     def test_spilling_sinks_byte_identical(self, chaotic, quarantined_survey,
                                            tmp_path):
@@ -627,8 +619,8 @@ class TestQuarantineEquivalence:
         assert_blocks_byte_identical(quarantined_survey.iter_blocks(),
                                      spilled.iter_blocks())
         assert_failure_blocks_byte_identical(
-            quarantined_survey.iter_failure_blocks(),
-            spilled.iter_failure_blocks())
+            quarantined_survey.failure_sink.blocks(),
+            spilled.failure_sink.blocks())
         reopened = SurveyResult(
             failure_sink=SpillingRecordSink(tmp_path / "failures"))
         assert reopened.quarantined_count == quarantined_survey.quarantined_count

@@ -8,7 +8,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 import pytest
 
-from repro.analysis.survey import PairCategory, PairRecord, SurveyResult
+from repro.analysis.survey import _CATEGORY_CODE, PairCategory, RecordBlock, SurveyResult
 from repro.core.nyquist import NyquistEstimator
 from repro.signals.generators import multi_tone, sine
 from repro.signals.timeseries import TimeSeries
@@ -67,10 +67,15 @@ def small_dataset() -> FleetDataset:
 # ----------------------------------------------------------------------
 def scalar_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
                   oversample_threshold: float = 1.25) -> SurveyResult:
-    """The survey computed the reference way: ``estimator.estimate`` per trace."""
+    """The survey computed the reference way: ``estimator.estimate`` per trace.
+
+    Each metric's outcomes are packed into one :class:`RecordBlock`, so the
+    result aggregates through the same code as a batched survey.
+    """
     estimator = estimator or NyquistEstimator()
-    records = []
+    result = SurveyResult(oversample_threshold=oversample_threshold)
     for metric_name in dataset.metric_names():
+        rows = []
         for pair, trace in dataset.traces(metric_name):
             estimate = estimator.estimate(trace)
             if not estimate.reliable:
@@ -79,14 +84,23 @@ def scalar_survey(dataset: TraceSource, estimator: NyquistEstimator | None = Non
                 category = PairCategory.OVERSAMPLED
             else:
                 category = PairCategory.MARGINAL
-            records.append(PairRecord(
-                metric_name=metric_name, device_id=pair.device.device_id,
-                current_rate=trace.sampling_rate, nyquist_rate=estimate.nyquist_rate,
-                reduction_ratio=estimate.reduction_ratio, category=category,
-                reliable=estimate.reliable,
-                true_nyquist_rate=pair.parameters.true_nyquist_rate,
-                trace_duration=dataset.trace_duration))
-    return SurveyResult(records, oversample_threshold=oversample_threshold)
+            rows.append((pair.device.device_id, trace.sampling_rate, estimate.nyquist_rate,
+                         estimate.reduction_ratio, _CATEGORY_CODE[category],
+                         estimate.reliable, pair.parameters.true_nyquist_rate))
+        if not rows:
+            continue
+        devices, current, nyquist, ratio, category, reliable, true_nyquist = zip(*rows)
+        result.append_block(RecordBlock(
+            metric_name=metric_name,
+            device_ids=np.array(devices, dtype=np.str_),
+            current_rate=np.array(current, dtype=np.float64),
+            nyquist_rate=np.array(nyquist, dtype=np.float64),
+            reduction_ratio=np.array(ratio, dtype=np.float64),
+            category=np.array(category, dtype=np.int8),
+            reliable=np.array(reliable, dtype=bool),
+            true_nyquist_rate=np.array(true_nyquist, dtype=np.float64),
+            trace_duration=np.full(len(rows), dataset.trace_duration)))
+    return result
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.adaptive import AdaptiveSamplingController, ControllerConfig, ControllerMode
+from repro.core.adaptive import (AdaptiveRun, AdaptiveSamplingController, ControllerConfig,
+                                 ControllerMode)
 from repro.core.nyquist import MIN_SAMPLES, NyquistEstimator
 from repro.signals.generators import multi_tone
 from repro.signals.noise import add_white_noise
@@ -45,18 +46,15 @@ class TestControllerConfig:
 
 
 class TestControllerBehaviour:
-    def test_starts_in_probe_mode(self):
-        controller = AdaptiveSamplingController()
-        assert controller.mode is ControllerMode.PROBE
-        assert controller.current_rate == controller.config.initial_rate
-
-    def test_reset_restores_initial_state(self):
-        controller = AdaptiveSamplingController()
-        controller.current_rate = 123.0
-        controller.mode = ControllerMode.STEADY
-        controller.reset()
-        assert controller.mode is ControllerMode.PROBE
-        assert controller.current_rate == controller.config.initial_rate
+    def test_starts_in_probe_mode(self, rng):
+        config = ControllerConfig(initial_rate=1.0 / 120.0)
+        run = AdaptiveSamplingController(config).run(quiet_then_busy(rng=rng), 3600.0)
+        first = run.decisions[0]
+        assert first.sampling_rate == config.initial_rate
+        # Probing runs the dual-rate check, so the first window pays for
+        # more than the primary stream alone.
+        assert first.samples_collected > first.window_duration * config.initial_rate
+        assert run.transitions[0].from_mode is ControllerMode.PROBE
 
     def test_minimum_viable_rate(self):
         controller = AdaptiveSamplingController()
@@ -99,6 +97,16 @@ class TestControllerBehaviour:
         busy_rates = [d.sampling_rate for d in run.decisions if d.window_start >= 7 * 3600.0]
         assert max(busy_rates) > max(quiet_rates)
 
+    @pytest.mark.parametrize("window", [600.0, 3600.0])
+    def test_rate_never_falls_below_the_window_floor(self, rng, window):
+        # initial_rate and min_rate sit far below MIN_SAMPLES / window, so
+        # only the run's own window floor holds the rate up.
+        config = ControllerConfig(initial_rate=1e-5, min_rate=1e-6, max_rate=0.2)
+        run = AdaptiveSamplingController(config).run(quiet_then_busy(rng=rng), window)
+        floor = MIN_SAMPLES / window
+        assert run.decisions[0].sampling_rate == floor
+        assert min(decision.sampling_rate for decision in run.decisions) >= floor
+
     def test_collects_fewer_samples_than_reference(self, rng):
         reference = quiet_then_busy(rng=rng)
         config = ControllerConfig(initial_rate=1.0 / 900.0, max_rate=0.2)
@@ -120,19 +128,30 @@ class TestControllerBehaviour:
             assert decision.sampling_rate <= 0.05 + 1e-12
             assert decision.next_rate <= 0.05 + 1e-12
 
-    def test_inferred_rates_series_matches_decisions(self, rng):
-        reference = quiet_then_busy(rng=rng)
-        run = AdaptiveSamplingController().run(reference, window_duration=3600.0)
-        inferred = run.inferred_rates()
-        assert len(inferred) == len(run.decisions)
-        assert inferred[0][0] == run.decisions[0].window_start
-
     def test_collected_series_is_nonempty(self, rng):
         reference = quiet_then_busy(rng=rng)
         run = AdaptiveSamplingController().run(reference, window_duration=3600.0)
         collected = run.collected_series()
         assert len(collected) > 0
         assert collected.start_time == reference.start_time
+
+    def test_transitions_mark_every_mode_change_of_the_decisions(self, rng):
+        run = AdaptiveSamplingController().run(quiet_then_busy(rng=rng), 1800.0)
+        modes = [ControllerMode.PROBE] + [decision.mode for decision in run.decisions]
+        expected = [(decision.window_end, before, after)
+                    for decision, before, after in zip(run.decisions, modes, modes[1:])
+                    if after is not before]
+        assert expected
+        assert [(t.time, t.from_mode, t.to_mode) for t in run.transitions] == expected
+
+    def test_decisions_do_not_look_ahead(self, rng):
+        """An online controller: window k's decision uses no later samples."""
+        reference = quiet_then_busy(rng=rng)
+        full = AdaptiveSamplingController().run(reference, 3600.0)
+        window = int(3600.0 / reference.interval)
+        for windows in (1, 5, 9):
+            prefix = AdaptiveSamplingController().run(reference.head(windows * window), 3600.0)
+            assert repr(prefix.decisions) == repr(full.decisions[:windows])
 
     def test_memory_speeds_up_second_ramp(self, rng):
         # Two busy episodes: with memory the controller should reach a high
@@ -152,19 +171,13 @@ class TestControllerBehaviour:
         second_busy_peak = rates[(hours >= 10.0) & (hours < 12.0)].max()
         assert second_busy_peak >= first_busy_peak * 0.5
 
-    def test_window_shorter_than_two_samples_rejected(self):
-        controller = AdaptiveSamplingController()
-        with pytest.raises(ValueError):
-            controller.process_window(TimeSeries([1.0], 1.0))
+    def test_windows_shorter_than_two_samples_are_skipped(self):
+        run = AdaptiveSamplingController().run(TimeSeries([1.0, 2.0, 3.0], 1.0), 1.0)
+        assert run.decisions == [] and run.collected == []
 
     def test_run_rejects_bad_window(self, sine_1hz):
         with pytest.raises(ValueError):
             AdaptiveSamplingController().run(sine_1hz, window_duration=0.0)
-
-    @pytest.mark.parametrize("step", [0.0, -1.0])
-    def test_run_rejects_non_positive_step(self, sine_1hz, step):
-        with pytest.raises(ValueError, match="step"):
-            AdaptiveSamplingController().run(sine_1hz, window_duration=2.0, step=step)
 
     def test_steady_mode_checks_are_periodic(self, rng):
         reference = add_white_noise(
@@ -178,6 +191,30 @@ class TestControllerBehaviour:
         # Most steady windows should be cheap (single stream): their sample
         # count should be noticeably below the dual-stream windows'.
         assert len(steady) > 4
+
+
+class TestRunRecord:
+    def test_collected_series_keeps_the_finest_interval(self):
+        run = AdaptiveRun(reference=TimeSeries(np.zeros(8), 5.0, start_time=100.0),
+                          collected=[TimeSeries([1.0, 2.0], 10.0),
+                                     TimeSeries([], 5.0),
+                                     TimeSeries([3.0, 4.0], 5.0)])
+        series = run.collected_series()
+        assert (series.interval, series.start_time) == (5.0, 100.0)
+        np.testing.assert_array_equal(series.values, [1.0, 1.0, 2.0, 2.0, 3.0, 4.0])
+
+    def test_an_empty_run_collects_nothing(self):
+        reference = TimeSeries(np.zeros(8), 5.0, start_time=100.0)
+        run = AdaptiveRun(reference=reference)
+        series = run.collected_series()
+        assert len(series) == 0
+        assert (series.interval, series.start_time) == (5.0, 100.0)
+        assert run.cost_reduction == float("inf")
+
+    def test_sampling_rates_follow_the_decisions(self, rng):
+        run = AdaptiveSamplingController().run(quiet_then_busy(rng=rng), 3600.0)
+        assert run.sampling_rates() == [(decision.window_start, decision.sampling_rate)
+                                        for decision in run.decisions]
 
 
 class TestBatchStepper:
@@ -219,23 +256,40 @@ class TestBatchStepper:
         rates = np.array([[d.sampling_rate for d in run.decisions] for run in batched])
         assert any(len(set(column)) > 1 for column in rates.T)
 
-    def test_batch_leaves_controller_state_alone(self, rng):
+    def test_controller_holds_no_run_state(self, rng):
+        controller = AdaptiveSamplingController()
+        assert set(vars(controller)) == {"config", "estimator", "detector"}
+        controller.run_batch(self.references(rng), 5.0, 600.0)
+        controller.run(TimeSeries(self.references(rng)[0], 5.0), 3600.0)
+        assert set(vars(controller)) == {"config", "estimator", "detector"}
+
+    def test_a_second_run_repeats_the_first(self, rng):
+        reference = TimeSeries(self.references(rng)[0], 5.0)
+        controller = AdaptiveSamplingController()
+        first = controller.run(reference, 3600.0)
+        second = controller.run(reference, 3600.0)
+        assert first.transitions  # the run ends in another mode than it starts in
+        assert repr(second.decisions) == repr(first.decisions)
+        assert second.transitions == first.transitions
+
+    def test_each_run_has_its_own_window_floor(self, rng):
+        reference = TimeSeries(self.references(rng)[1], 5.0)
+        expected = AdaptiveSamplingController().run(reference, 3600.0)
+        controller = AdaptiveSamplingController()
+        controller.run(reference, 600.0)  # a run with a 6x higher floor first
+        assert repr(controller.run(reference, 3600.0).decisions) == repr(expected.decisions)
+
+    def test_batch_leaves_no_state_behind(self, rng):
         window = TimeSeries(self.references(rng)[0][:720], 5.0)
-        expected = AdaptiveSamplingController().process_window(window)
+        expected = AdaptiveSamplingController().run(window, 3600.0)
         controller = AdaptiveSamplingController()
         # A 600 s window needs a rate floor of 16/600 Hz, far above the
         # initial rate; the batch must not leave that floor behind for the
-        # controller's own next window.
+        # controller's next run.
         controller.run_batch(self.references(rng), 5.0, 600.0)
-        assert controller.mode is ControllerMode.PROBE
-        assert controller.current_rate == controller.config.initial_rate
-        assert repr(controller.process_window(window)) == repr(expected)
-
-    def test_run_advances_controller_state(self, rng):
-        controller = AdaptiveSamplingController()
-        run = controller.run(TimeSeries(self.references(rng)[0], 5.0), 3600.0)
-        assert controller.current_rate == run.decisions[-1].next_rate
-        assert controller.mode is run.decisions[-1].mode
+        after = controller.run(window, 3600.0)
+        assert len(after.decisions) == 1
+        assert repr(after.decisions) == repr(expected.decisions)
 
     def test_empty_and_bad_input(self):
         controller = AdaptiveSamplingController()

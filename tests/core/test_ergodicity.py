@@ -34,14 +34,11 @@ class TestStatistics:
         stats = ensemble_statistics(ergodic_fleet())
         assert set(stats) == {"mean", "std", "p50", "p95"}
 
-    def test_ensemble_statistics_at_index(self):
+    def test_ensemble_statistics_slice_the_middle_instant(self):
         fleet = ergodic_fleet()
-        assert ensemble_statistics(fleet, at_index=0)["mean"] == pytest.approx(
-            np.mean([series.values[0] for series in fleet]))
-
-    def test_ensemble_rejects_bad_index(self):
-        with pytest.raises(ValueError):
-            ensemble_statistics(ergodic_fleet(), at_index=10 ** 6)
+        middle = min(len(series) for series in fleet) // 2
+        assert ensemble_statistics(fleet)["mean"] == pytest.approx(
+            np.mean([series.values[middle] for series in fleet]))
 
     def test_ensemble_rejects_empty_fleet(self):
         with pytest.raises(ValueError):
@@ -111,10 +108,10 @@ class TestCanarySize:
         size = minimum_canary_size(fleet, tolerance=0.05, rng=np.random.default_rng(0))
         assert size > 3
 
+    def test_default_draws_are_reproducible(self):
+        fleet = non_ergodic_fleet(n_devices=30)
+        assert minimum_canary_size(fleet) == minimum_canary_size(fleet)
+
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             minimum_canary_size(ergodic_fleet(), tolerance=0.0)
-
-    def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError, match="trials"):
-            minimum_canary_size(ergodic_fleet(), trials=0)

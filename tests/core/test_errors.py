@@ -65,10 +65,6 @@ class TestCompareBundle:
         assert bundle.max_abs == pytest.approx(0.5)
         assert bundle.samples_compared == len(sine_1hz)
 
-    def test_is_exact(self, sine_1hz):
-        assert compare(sine_1hz, sine_1hz).is_exact()
-        assert not compare(sine_1hz, sine_1hz + 1.0).is_exact()
-
     def test_str_contains_metrics(self, sine_1hz):
         text = str(compare(sine_1hz, sine_1hz))
         assert "L2=" in text and "RMSE=" in text

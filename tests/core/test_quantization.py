@@ -32,10 +32,6 @@ class TestUniformQuantizer:
     def test_noise_std(self):
         assert UniformQuantizer(step=1.0).noise_std() == pytest.approx(1.0 / math.sqrt(12.0))
 
-    def test_levels(self):
-        assert UniformQuantizer(step=1.0, minimum=0.0, maximum=10.0).levels() == 11
-        assert UniformQuantizer(step=1.0).levels() is None
-
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             UniformQuantizer(step=0.0)

@@ -110,6 +110,18 @@ class TestNyquistRoundTrip:
         assert len(result.downsampled) == len(noise_trace)
         assert result.error.l2 == 0.0
 
+    def test_downsampling_is_anti_aliased(self, slow_metric_trace, rng):
+        series = slow_metric_trace.with_values(
+            slow_metric_trace.values + rng.normal(scale=0.5, size=len(slow_metric_trace)))
+        result = nyquist_round_trip(series)
+        assert result.estimate.reliable
+        target = min(result.estimate.nyquist_rate, series.sampling_rate)
+        filtered = resample_to_rate(series, target, anti_alias=True)
+        assert np.array_equal(result.downsampled.values, filtered.values)
+        # Plain decimation would keep the noise above the new Nyquist frequency.
+        decimated = resample_to_rate(series, target, anti_alias=False)
+        assert not np.array_equal(filtered.values, decimated.values)
+
     def test_summary_keys(self, slow_metric_trace):
         summary = nyquist_round_trip(slow_metric_trace).summary()
         for key in ("original_rate_hz", "nyquist_rate_hz", "downsampled_rate_hz",

@@ -16,7 +16,7 @@ from repro.signals.timeseries import IrregularTimeSeries, TimeSeries
 class TestNearestNeighbor:
     def test_recovers_regular_grid(self):
         series = sine(1.0, duration=10.0, sampling_rate=10.0)
-        irregular = series.to_irregular()
+        irregular = IrregularTimeSeries(series.times(), series.values)
         recovered = nearest_neighbor_resample(irregular, 0.1)
         assert recovered.interval == pytest.approx(0.1)
         np.testing.assert_allclose(recovered.values[:len(series)], series.values, atol=1e-9)
@@ -35,36 +35,31 @@ class TestNearestNeighbor:
         with pytest.raises(ValueError):
             nearest_neighbor_resample(IrregularTimeSeries([], []), 1.0)
 
+    def test_grid_runs_from_the_first_to_the_last_timestamp(self):
+        irregular = IrregularTimeSeries([2.0, 3.5, 6.0], [1.0, 2.0, 3.0])
+        regular = nearest_neighbor_resample(irregular, 1.0)
+        assert regular.start_time == 2.0
+        np.testing.assert_allclose(regular.values, [1.0, 2.0, 2.0, 3.0, 3.0])
+
     def test_rejects_bad_interval(self):
         irregular = IrregularTimeSeries([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             nearest_neighbor_resample(irregular, 0.0)
 
-    def test_explicit_time_bounds(self):
-        irregular = IrregularTimeSeries([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
-        regular = nearest_neighbor_resample(irregular, 1.0, start_time=1.0, end_time=2.0)
-        np.testing.assert_allclose(regular.values, [2.0, 3.0])
-        assert regular.start_time == 1.0
-
-    def test_rejects_inverted_time_bounds(self):
-        irregular = IrregularTimeSeries([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match="end_time"):
-            nearest_neighbor_resample(irregular, 1.0, start_time=2.0, end_time=1.0)
-
 
 class TestRegularize:
+    def test_duplicate_timestamps_do_not_shrink_the_interval(self):
+        irregular = IrregularTimeSeries([0.0, 0.0, 0.0, 10.0, 20.0], [1.0, 9.0, 9.0, 2.0, 3.0])
+        regular = regularize(irregular)
+        assert regular.interval == 10.0
+        np.testing.assert_array_equal(regular.values, [1.0, 2.0, 3.0])
+
     def test_uses_median_interval(self, rng):
         series = sine(0.5, duration=20.0, sampling_rate=5.0)
         timestamps = series.times() + rng.normal(scale=0.01, size=len(series))
         irregular = IrregularTimeSeries(np.sort(timestamps), series.values)
         regular = regularize(irregular)
         assert regular.interval == pytest.approx(0.2, rel=0.1)
-
-    def test_explicit_interval(self):
-        irregular = IrregularTimeSeries([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0])
-        regular = regularize(irregular, interval=0.5)
-        assert regular.interval == 0.5
-        assert len(regular) == 7
 
 
 def polling_artefacts(series: TimeSeries, rng: np.random.Generator,
@@ -91,7 +86,7 @@ class TestEndToEndCleaning:
 
     def test_regularize_recovers_signal(self, clean_trace, rng):
         messy = polling_artefacts(clean_trace, rng, drop_fraction=0.05, duplicate_fraction=0.02)
-        assert not messy.is_regular()
+        assert np.ptp(messy.intervals()) > 0  # dropped and duplicated polls
         recovered = regularize(messy)
         # Nearest-neighbour cleaning recovers the slow signal to within a
         # small fraction of its amplitude.

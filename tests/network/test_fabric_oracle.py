@@ -61,11 +61,10 @@ class TestFabricMatchesNetworkx:
         assert ours == theirs
         assert len(ours) == reference.number_of_edges() == sum(1 for _ in fabric.edges())
 
-    def test_same_neighbour_order_and_degree_per_node(self, name, monkeypatch):
+    def test_same_neighbour_order_per_node(self, name, monkeypatch):
         fabric, reference, _ = build_pair(SPECS[name], monkeypatch)
         for node in reference:
             assert list(fabric.neighbors(node)) == list(reference.neighbors(node))
-            assert fabric.degree(node) == reference.degree(node)
 
     def test_same_hop_counts_from_the_collector(self, name, monkeypatch):
         fabric, reference, collector = build_pair(SPECS[name], monkeypatch)

@@ -116,7 +116,7 @@ class TestColumnarStore:
         assert len(blocks) == 4  # 2 points x 2 policies, one 1-row block each
         assert evaluator.sink.rows == 4
         assert {block.policy_name for block in blocks} == {"baseline", "nyquist-static"}
-        baseline = [entry for entry in evaluator.evaluations()
+        baseline = [entry for block in blocks for entry in block.to_evaluations()
                     if entry.policy_name == "baseline"]
         assert [entry.point_name for entry in baseline] == ["dev-1", "dev-2"]
         assert evaluator.rows()[0]["samples"] == sum(

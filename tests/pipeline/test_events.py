@@ -79,7 +79,6 @@ class TestDetection:
         # A one-sample spike between two slow polls is invisible.
         if not outcome.detected:
             assert math.isinf(outcome.latency)
-            assert outcome.missed
 
     def test_empty_stream_misses(self, baseline_trace):
         from repro.signals.timeseries import TimeSeries
@@ -153,6 +152,3 @@ class TestModeTransitionScoring:
         latency = reprobe_latency(run.transitions, shift_time)
         assert latency is not None
         assert 0.0 <= latency <= trace.duration / 2
-        # The same stream is exposed on the run record.
-        assert run.reprobe_transitions() == [t for t in run.transitions
-                                             if t.kind == "re-probe"]

@@ -276,10 +276,6 @@ class TestAdaptivePolicy:
         with pytest.raises(ValueError):
             AdaptiveDualRatePolicy(window_duration=0.0)
 
-    def test_samples_per_hour_property(self, reference):
-        result = FixedRatePolicy(60.0).collect(reference)
-        assert result.samples_per_hour == pytest.approx(60.0, rel=0.05)
-
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 

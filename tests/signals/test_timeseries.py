@@ -51,7 +51,6 @@ class TestTimeSeriesConstruction:
     def test_empty_series(self):
         series = TimeSeries(np.empty(0), 1.0)
         assert len(series) == 0
-        assert series.is_empty()
         assert series.duration == 0.0
 
 
@@ -137,20 +136,15 @@ class TestTimeSeriesTransforms:
         assert clipped.min() == 1.0
         assert clipped.max() == 3.0
 
-    def test_head_and_tail(self):
-        series = make_series(6)
-        assert len(series.head(2)) == 2
-        tail = series.tail(2)
-        np.testing.assert_allclose(tail.values, [4.0, 5.0])
-        assert tail.start_time == pytest.approx(4.0)
+    def test_head(self):
+        series = make_series(6, start=3.0)
+        head = series.head(2)
+        np.testing.assert_allclose(head.values, [0.0, 1.0])
+        assert head.start_time == pytest.approx(3.0)
 
     def test_head_rejects_negative(self):
         with pytest.raises(ValueError):
             make_series(3).head(-1)
-
-    def test_tail_rejects_negative(self):
-        with pytest.raises(ValueError):
-            make_series(3).tail(-1)
 
     def test_segment(self):
         segment = make_series(10).segment(3, 6)
@@ -186,12 +180,6 @@ class TestTimeSeriesTransforms:
     def test_concatenate_rejects_different_interval(self):
         with pytest.raises(ValueError):
             make_series(3, interval=1.0).concatenate(make_series(3, interval=2.0))
-
-    def test_to_irregular_round_trip(self):
-        series = make_series(4, interval=2.0, start=1.0)
-        irregular = series.to_irregular()
-        assert isinstance(irregular, IrregularTimeSeries)
-        np.testing.assert_allclose(irregular.timestamps, [1.0, 3.0, 5.0, 7.0])
 
 
 class TestTimeSeriesArithmetic:
@@ -245,12 +233,6 @@ class TestIrregularTimeSeries:
     def test_median_interval_rejects_a_single_timestamp(self):
         with pytest.raises(ValueError, match="same timestamp"):
             IrregularTimeSeries([5.0, 5.0, 5.0], [1.0, 2.0, 3.0]).median_interval()
-
-    def test_is_regular(self):
-        regular = IrregularTimeSeries([0.0, 1.0, 2.0], [0.0] * 3)
-        jittered = IrregularTimeSeries([0.0, 1.5, 2.0], [0.0] * 3)
-        assert regular.is_regular()
-        assert not jittered.is_regular()
 
     def test_dedupe_keeps_first(self):
         series = IrregularTimeSeries([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 99.0, 2.0])

@@ -132,7 +132,7 @@ def test_quantization_error_bounded_by_half_step(values, interval, step):
 def test_compare_identical_series_is_exact(values, interval):
     series = TimeSeries(np.array(values), interval)
     error = compare(series, series)
-    assert error.is_exact()
+    assert error.max_abs == 0.0
     assert error.l2 == 0.0
 
 

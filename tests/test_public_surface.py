@@ -7,7 +7,8 @@ when a public top-level name appears as an ``ast.Name`` or
 ``ast.Attribute`` nowhere outside its own definition.  Import aliases
 and ``__all__`` strings are not uses: a re-export alone does not keep a
 symbol alive.  The match is by name, so a use of an unrelated attribute
-that happens to share the name also counts.
+that happens to share the name also counts.  The same use-scan holds the
+public methods and properties of ``src/`` classes to the same rule.
 
 The same scan, over ``tests/`` too, checks that every parameter of the
 pipeline entry points is passed by some call: an option no caller sets
@@ -41,9 +42,8 @@ def _trees(roots: tuple[Path, ...]) -> dict[Path, ast.Module]:
             for root in roots for path in sorted(root.rglob("*.py"))}
 
 
-def _orphans() -> list[str]:
-    """``module::name`` of every public top-level symbol with no use outside itself."""
-    trees = _trees(SCANNED)
+def _uses(trees: dict[Path, ast.Module]) -> dict[str, list[ast.AST]]:
+    """Every ``ast.Name`` and ``ast.Attribute`` node of ``trees``, by name."""
     uses: dict[str, list[ast.AST]] = defaultdict(list)
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -51,16 +51,28 @@ def _orphans() -> list[str]:
                 uses[node.id].append(node)
             elif isinstance(node, ast.Attribute):
                 uses[node.attr].append(node)
+    return uses
+
+
+def _is_orphan(definition: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef,
+               uses: dict[str, list[ast.AST]]) -> bool:
+    """Whether every use of ``definition``'s name lies inside ``definition`` itself."""
+    own = {id(node) for node in ast.walk(definition)}
+    return all(id(use) in own for use in uses[definition.name])
+
+
+def _orphans() -> list[str]:
+    """``module::name`` of every public top-level symbol with no use outside itself."""
+    trees = _trees(SCANNED)
+    uses = _uses(trees)
     orphans = []
     for path, tree in trees.items():
         if not path.is_relative_to(SRC):
             continue
         for definition in tree.body:
             if (isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not definition.name.startswith("_")):
-                own = {id(node) for node in ast.walk(definition)}
-                if all(id(use) in own for use in uses[definition.name]):
-                    orphans.append(f"{path.relative_to(SRC)}::{definition.name}")
+                    and not definition.name.startswith("_") and _is_orphan(definition, uses)):
+                orphans.append(f"{path.relative_to(SRC)}::{definition.name}")
     return orphans
 
 
@@ -76,6 +88,44 @@ def test_allow_list_names_live_orphans():
     """An allowed name must still be defined and still lack a library caller."""
     orphan_names = {orphan.rpartition("::")[2] for orphan in _orphans()}
     assert sorted(set(ALLOWED) - orphan_names) == []
+
+
+#: Public class members with no caller outside the tests, and why each stays.
+ALLOWED_MEMBERS = {
+    "TelemetryCostAccountant.price_samples":
+        "scalar reference that TestVectorisedPricing checks price_sample_block against",
+}
+
+
+def _member_orphans() -> list[str]:
+    """``module::Class.member`` of every public method or property with no use outside itself."""
+    trees = _trees(SCANNED)
+    uses = _uses(trees)
+    orphans = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(SRC):
+            continue
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for definition in cls.body:
+                if (isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not definition.name.startswith("_")
+                        and _is_orphan(definition, uses)):
+                    orphans.append(f"{path.relative_to(SRC)}::{cls.name}.{definition.name}")
+    return orphans
+
+
+def test_every_public_member_has_a_caller_outside_the_tests():
+    unexpected = [orphan for orphan in _member_orphans()
+                  if orphan.rpartition("::")[2] not in ALLOWED_MEMBERS]
+    assert not unexpected, (
+        f"{len(unexpected)} public member(s) only tests reach; delete them or add a "
+        f"caller: {unexpected}")
+
+
+def test_member_allow_list_names_live_orphans():
+    """An allowed member must still be defined and still lack a library caller."""
+    orphan_names = {orphan.rpartition("::")[2] for orphan in _member_orphans()}
+    assert sorted(set(ALLOWED_MEMBERS) - orphan_names) == []
 
 
 #: Entry points whose every parameter must be set by some caller.
@@ -127,11 +177,13 @@ def test_every_entry_point_option_has_a_caller():
 
 
 #: The spectral layer (section 3.2 estimator, section 4 detector and
-#: controller, and the policies built on them).
+#: controller, and the policies built on them) and the core helpers around
+#: it (trace cleaning, round trip, section 6 ergodicity).
 SPECTRAL = ("NyquistEstimator", "DualRateAliasingDetector", "AdaptiveSamplingController",
             "NyquistStaticPolicy", "AdaptiveDualRatePolicy", "periodogram",
             "batch_periodogram", "compare_spectra_batch", "noise_floor_estimates",
-            "estimate_nyquist_rate")
+            "estimate_nyquist_rate", "nyquist_round_trip", "regularize",
+            "nearest_neighbor_resample", "ensemble_statistics", "minimum_canary_size")
 
 
 def test_every_spectral_option_has_a_library_caller():

@@ -478,7 +478,6 @@ class TestStoreVerify:
 
     def test_clean_store_verifies_ok(self, populated):
         report = populated.verify()
-        assert report.ok
         assert report.entries > 0 and report.blocks >= report.entries
         assert report.problems == () and report.unverified == ()
 
@@ -488,7 +487,6 @@ class TestStoreVerify:
         raw[-1] ^= 0xFF
         victim.write_bytes(bytes(raw))
         report = populated.verify()
-        assert not report.ok
         assert len(report.problems) == 1
         assert str(victim) in report.problems[0]
         assert "bit rot" in report.problems[0]
@@ -497,7 +495,6 @@ class TestStoreVerify:
         entry = next(iter(populated.entries()))
         next(entry.glob("block-*.rcb")).unlink()
         report = populated.verify()
-        assert not report.ok
         assert any("declares" in problem and str(entry) in problem
                    for problem in report.problems)
 
@@ -509,7 +506,7 @@ class TestStoreVerify:
         del meta["block_digests"]
         meta_path.write_text(_json.dumps(meta))
         report = populated.verify()
-        assert report.ok  # legacy entries are a warning, not bit rot
+        assert report.problems == ()  # legacy entries are a warning, not bit rot
         assert len(report.unverified) == 1
         assert str(entry) in report.unverified[0]
 
