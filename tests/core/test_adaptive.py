@@ -263,21 +263,17 @@ class TestBatchStepper:
         controller.run(TimeSeries(self.references(rng)[0], 5.0), 3600.0)
         assert set(vars(controller)) == {"config", "estimator", "detector"}
 
-    def test_a_second_run_repeats_the_first(self, rng):
+    @pytest.mark.parametrize("earlier_window", [3600.0, 600.0])
+    def test_an_earlier_run_does_not_change_the_next(self, rng, earlier_window):
+        # The same run twice, and a run after one whose window floor is 6x higher.
         reference = TimeSeries(self.references(rng)[0], 5.0)
-        controller = AdaptiveSamplingController()
-        first = controller.run(reference, 3600.0)
-        second = controller.run(reference, 3600.0)
-        assert first.transitions  # the run ends in another mode than it starts in
-        assert repr(second.decisions) == repr(first.decisions)
-        assert second.transitions == first.transitions
-
-    def test_each_run_has_its_own_window_floor(self, rng):
-        reference = TimeSeries(self.references(rng)[1], 5.0)
         expected = AdaptiveSamplingController().run(reference, 3600.0)
+        assert expected.transitions  # the run ends in another mode than it starts in
         controller = AdaptiveSamplingController()
-        controller.run(reference, 600.0)  # a run with a 6x higher floor first
-        assert repr(controller.run(reference, 3600.0).decisions) == repr(expected.decisions)
+        controller.run(reference, earlier_window)
+        run = controller.run(reference, 3600.0)
+        assert repr(run.decisions) == repr(expected.decisions)
+        assert run.transitions == expected.transitions
 
     def test_batch_leaves_no_state_behind(self, rng):
         window = TimeSeries(self.references(rng)[0][:720], 5.0)
