@@ -84,12 +84,17 @@ def _unreliable(estimator: NyquistEstimator, current_rate: float, reason: str) -
 
 
 def _remove_linear_trend_rows(values: np.ndarray) -> np.ndarray:
-    """Subtract each row's least-squares line (vectorised ``detrend``)."""
+    """Subtract each row's least-squares line (vectorised ``detrend``).
+
+    The slope is a last-axis ``np.sum``, not a matrix product: BLAS
+    blocks ``@`` by row count, which would make a row's bits depend on
+    the size of the batch it arrives in.
+    """
     x = np.arange(values.shape[-1], dtype=np.float64)
     x_centered = x - x.mean()
     denominator = float(np.sum(x_centered ** 2))
     row_means = np.mean(values, axis=-1, keepdims=True)
-    slopes = (values - row_means) @ x_centered / denominator
+    slopes = np.sum((values - row_means) * x_centered, axis=-1) / denominator
     return values - row_means - slopes[:, None] * x_centered
 
 

@@ -331,3 +331,14 @@ def test_generic_path_batch_of_constant_rows(monkeypatch):
     batched = batch_estimate(np.full((3, 32), 5.0), 2.0, estimator=estimator)
     assert [e.reason for e in batched] == ["constant trace"] * 3
     assert repr(batched) == repr(expected)
+
+
+@pytest.mark.parametrize("config", list(ESTIMATORS))
+@pytest.mark.parametrize("rows, n", [(217, 720), (64, 97)])
+def test_row_bits_do_not_depend_on_the_batch_size(config, rows, n):
+    """A row's estimate is the same whether it arrives alone or in a batch."""
+    estimator = ESTIMATORS[config]
+    matrix = np.random.default_rng(rows).normal(size=(rows, n)).cumsum(axis=1)
+    batched = estimator.estimate_batch(matrix, 30.0)
+    alone = [estimator.estimate_batch(row[None, :], 30.0)[0] for row in matrix]
+    assert repr(batched) == repr(alone)
