@@ -520,7 +520,8 @@ def run_windowed_survey(dataset: TraceSource,
     This is the paper's continuous re-estimation loop at fleet scale: for
     each (metric, device) pair, slide the Figure 7 window over its trace,
     estimate the Nyquist rate in every position through the vectorised
-    windowed sweep (one ``rfft`` per pair for the whole sweep), and
+    windowed sweep (one ``rfft`` per pair for the whole sweep, on the
+    engine the survey uses), and
     summarise how much the rate drifts.  Pairs whose ``dynamic_range``
     exceeds 2x (``drifting``) are the ones a fixed sampling rate cannot
     serve -- the motivation for the Section 4 adaptive controller.

@@ -6,36 +6,40 @@ clock in Python overhead rather than in the FFT; this module instead
 accepts a ``(rows, n)`` matrix of equal-length, equal-interval traces and
 performs every stage of the estimator as one vectorised numpy operation:
 
-* constant-trace detection  -- per-row peak-to-peak over the matrix;
 * optional linear detrend   -- one closed-form least-squares fit per row;
+* optional taper            -- the Hann window multiplied into every row;
 * the PSD                   -- a single ``rfft(axis=-1)`` call for the
   whole batch (numpy's pocketfft; scipy's, threaded across rows, only
   when ``fft_workers > 1`` asks for it and scipy is installed);
-* the 99 % energy cut-off   -- ``np.cumsum`` + ``argmax`` over the batch.
+* the 99 % energy cut-off   -- ``np.cumsum`` + ``argmax`` over the batch;
+* constant-trace detection  -- the exact per-row peak-to-peak check.
 
 Only the final wrap into per-trace :class:`~repro.core.nyquist.NyquistEstimate`
 objects is a Python loop, which is O(rows) rather than O(rows x n).
 
-The default survey configuration (rectangular window, DC excluded) takes
-a further-optimised fast path built on three algebraic shortcuts, none of
-which changes results:
+One engine serves every DC-free setup the library runs -- the survey
+default (rectangular window) and the short-window detrend + Hann setup
+of Figure 7 -- and rests on three algebraic shortcuts, none of which
+changes a cut-off:
 
 * the energy comparison is done against per-row raw (unscaled) power --
   the cut-off index only depends on energy *ratios*, so the PSD
-  normalisation is applied afterwards to the handful of per-row scalars
-  that are reported;
+  normalisation (``n * n``, or ``n`` times the taper's energy) is applied
+  afterwards to the handful of per-row scalars that are reported;
 * the one-sided doubling of interior bins multiplies every compared bin
   by the same factor (odd ``n``) or is folded into the per-row energy
   target (even ``n``, where only the Nyquist bin is not doubled), so no
   full-matrix doubling pass is needed;
-* constant traces are detected lazily: a constant row's non-DC energy is
-  pure FFT round-off (~``(n*eps)^2`` relative to DC), so only rows whose
-  band energy is vanishingly small relative to their DC bin pay the exact
-  peak-to-peak check, instead of scanning the whole matrix up front.
+* without a taper, constant traces are detected lazily: a constant row's
+  non-DC energy is pure FFT round-off (~``(n*eps)^2`` relative to DC), so
+  only rows whose band energy is vanishingly small relative to their DC
+  bin pay the exact peak-to-peak check.
 
-The semantics match :meth:`NyquistEstimator.estimate` -- the scalar path
-is kept as the reference backend and the equivalence is enforced by
-``tests/core/test_batch.py``.
+The semantics match :meth:`NyquistEstimator.estimate` to rounding -- the
+scalar path is kept as the reference backend and the equivalence is
+enforced by ``tests/core/test_batch.py``.  Counting the DC bin, a setup
+the library never batches, runs :func:`exact_batch_estimate`, the scalar
+path's own arithmetic over a matrix.
 """
 
 from __future__ import annotations
@@ -98,29 +102,6 @@ def _remove_linear_trend_rows(values: np.ndarray) -> np.ndarray:
     return values - row_means - slopes[:, None] * x_centered
 
 
-def _batch_power(values: np.ndarray, interval: float, estimator: NyquistEstimator,
-                 fft_workers: int | None = None) -> tuple[np.ndarray, np.ndarray, float]:
-    """Raw one-sided power of every row plus the deferred normalisation.
-
-    Returns ``(power, frequencies, scale)`` where ``power / scale`` is the
-    physically normalised PSD the scalar path computes.  The division is
-    left to the caller because the energy cut-off depends only on ratios.
-    """
-    n = values.shape[-1]
-    if estimator.window == "rectangular":
-        tapered, taper_power = values, float(n)
-    else:
-        taper = window_coefficients(estimator.window, n)
-        tapered, taper_power = values * taper, taper_energy(taper)
-    power = np.abs(_rfft(tapered, fft_workers))
-    np.square(power, out=power)
-    if n % 2 == 0:
-        power[:, 1:-1] *= 2.0
-    else:
-        power[:, 1:] *= 2.0
-    return power, np.fft.rfftfreq(n, d=interval), n * taper_power
-
-
 def _constant_estimate(estimator: NyquistEstimator, current_rate: float,
                        duration: float) -> NyquistEstimate:
     # A constant metric needs (essentially) no sampling at all; report the
@@ -148,24 +129,30 @@ _CONSTANT_SUSPICION: float = 1e-16
 
 def _fast_batch_estimate(matrix: np.ndarray, interval: float, estimator: NyquistEstimator,
                          fft_workers: int | None = None) -> list[NyquistEstimate]:
-    """Hot path for the survey defaults: rectangular-window periodogram, DC excluded.
+    """The vectorised engine of every DC-free setup: plain or tapered, detrended or not.
 
-    Runs the FFT over every row up front (constant rows are found from
-    their vanishing band energy afterwards, avoiding a full-matrix
-    peak-to-peak pass) and never materialises a doubled or normalised
-    power matrix -- see the module docstring for why that is sound.  The
-    lazy constant check requires the rectangular window: a taper turns a
+    Runs the FFT over every row up front and never materialises a
+    doubled or normalised power matrix -- see the module docstring for why
+    that is sound.  A taper multiplies the (detrended) rows before the
+    ``rfft`` and sets the normalisation to ``n * taper_energy``.  The lazy
+    constant check requires the rectangular window: a taper turns a
     constant trace into a varying one whose leakage energy is *not*
-    round-off small, so tapered configurations use the generic path.
+    round-off small, so tapered batches check every row's peak-to-peak.
     """
     rows, n = matrix.shape
     current_rate = 1.0 / interval
     duration = n * interval
+    tapered = estimator.window != "rectangular"
 
     working_values = matrix
     if estimator.detrend:
         working_values = _remove_linear_trend_rows(working_values)
-    scale = float(n) * float(n)
+    if tapered:
+        taper = window_coefficients(estimator.window, n)
+        working_values = working_values * taper
+        scale = n * taper_energy(taper)
+    else:
+        scale = float(n) * float(n)
 
     power = np.abs(_rfft(working_values, fft_workers))
     np.square(power, out=power)
@@ -238,15 +225,18 @@ def _fast_batch_estimate(matrix: np.ndarray, interval: float, estimator: Nyquist
             reliable=True,
         ))
 
-    # Lazy constant detection: only rows whose band energy is round-off
-    # relative to DC pay the exact peak-to-peak check the scalar path
-    # applies up front.  ``matrix`` (not the detrended copy) is checked,
-    # matching the scalar order of operations.
-    suspicious = totals <= dc * _CONSTANT_SUSPICION
-    if suspicious.any():
-        for index in np.flatnonzero(suspicious):
-            if np.ptp(matrix[index]) == 0:
-                results[index] = _constant_estimate(estimator, current_rate, duration)
+    # Constant rows get the exact peak-to-peak check the scalar path
+    # applies up front, on ``matrix`` (not the detrended copy) to match
+    # its order of operations.  Without a taper only rows whose band
+    # energy is round-off relative to DC can be constant, so only they
+    # pay it.
+    if tapered:
+        constant = np.flatnonzero(np.ptp(matrix, axis=-1) == 0)
+    else:
+        suspects = np.flatnonzero(totals <= dc * _CONSTANT_SUSPICION)
+        constant = suspects[np.ptp(matrix[suspects], axis=-1) == 0]
+    for index in constant:
+        results[index] = _constant_estimate(estimator, current_rate, duration)
     return results
 
 
@@ -338,7 +328,8 @@ def batch_estimate(values: np.ndarray, interval: float,
     -------
     list[NyquistEstimate]
         One estimate per row, in row order, equal to what
-        ``estimator.estimate`` would return for each trace individually.
+        ``estimator.estimate`` would return for each trace individually
+        (to rounding; bit for bit with ``include_dc``).
     """
     estimator = estimator or NyquistEstimator()
     matrix = np.asarray(values, dtype=np.float64)
@@ -355,79 +346,6 @@ def batch_estimate(values: np.ndarray, interval: float,
         return [_unreliable(estimator, current_rate, "trace too short") for _ in range(rows)]
     # From here every row has at least MIN_SAMPLES // 2 non-DC bins.
 
-    if estimator.window == "rectangular" and not estimator.include_dc:
-        return _fast_batch_estimate(matrix, interval, estimator, fft_workers)
-
-    constant = np.ptp(matrix, axis=-1) == 0
-    results: list[NyquistEstimate | None] = [None] * rows
-    duration = n * interval
-    for index in np.flatnonzero(constant):
-        results[index] = _constant_estimate(estimator, current_rate, duration)
-
-    all_active = not constant.any()
-    active = np.arange(rows) if all_active else np.flatnonzero(~constant)
-    if active.size == 0:
-        return results  # type: ignore[return-value]
-    working_values = matrix if all_active else matrix[active]
-    if estimator.detrend:
-        working_values = _remove_linear_trend_rows(working_values)
-
-    power, freqs, scale = _batch_power(working_values, interval, estimator, fft_workers)
-    if not estimator.include_dc:
-        power, freqs = power[:, 1:], freqs[1:]
-    bins = freqs.size
-
-    # Energy cut-off for the whole batch at once.  ``argmax`` of the >=
-    # mask is ``searchsorted`` on each row's (non-decreasing) cumulative
-    # energy; rows where rounding keeps the captured share below the
-    # threshold fall through to the last bin, exactly like the scalar
-    # clamp.  Comparing raw cumulative energy against a per-row target
-    # avoids normalising the whole matrix.
-    totals = np.sum(power, axis=-1)
-    cumulative = np.cumsum(power, axis=-1)
-    targets = (estimator.energy_fraction - 1e-12) * totals
-    reached = cumulative >= targets[:, None]
-    cutoff_index = np.where(reached.any(axis=-1), reached.argmax(axis=-1), bins - 1)
-
-    band_edge = float(freqs[-1])
-    cutoff_frequencies = freqs[cutoff_index]
-    aliased = (cutoff_index >= bins - 1) | \
-        (cutoff_frequencies > estimator.aliased_band_fraction * band_edge)
-    captured_energy = cumulative[np.arange(active.size), cutoff_index]
-    resolution = float(freqs[1] - freqs[0])
-
-    for position, index in enumerate(active):
-        raw_total = float(totals[position])
-        if not math.isfinite(raw_total):
-            results[index] = _unreliable(estimator, current_rate, NON_FINITE_REASON)
-            continue
-        if raw_total <= 0:
-            results[index] = _unreliable(estimator, current_rate, "no spectral energy")
-            continue
-        if aliased[position]:
-            results[index] = NyquistEstimate(
-                nyquist_rate=ALIASED_SENTINEL,
-                cutoff_frequency=None,
-                current_rate=current_rate,
-                energy_fraction=estimator.energy_fraction,
-                captured_fraction=float(cumulative[position, -1]) / raw_total,
-                total_energy=raw_total / scale,
-                reliable=False,
-                reason="all bins needed",
-            )
-            continue
-        cutoff_frequency = float(cutoff_frequencies[position])
-        if cutoff_frequency <= 0:
-            # All interesting energy is in the first (lowest) bin; the best
-            # statement the data supports is "at most one cycle per trace".
-            cutoff_frequency = float(freqs[0]) or resolution
-        results[index] = NyquistEstimate(
-            nyquist_rate=2.0 * cutoff_frequency,
-            cutoff_frequency=cutoff_frequency,
-            current_rate=current_rate,
-            energy_fraction=estimator.energy_fraction,
-            captured_fraction=float(captured_energy[position]) / raw_total,
-            total_energy=raw_total / scale,
-            reliable=True,
-        )
-    return results  # type: ignore[return-value]
+    if estimator.include_dc:
+        return exact_batch_estimate(matrix, interval, estimator)
+    return _fast_batch_estimate(matrix, interval, estimator, fft_workers)

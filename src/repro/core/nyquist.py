@@ -13,12 +13,15 @@ The estimator:
 The 99 % cut-off is a noise/quantisation workaround; it is configurable and
 ablated in ``benchmarks/bench_ablation_energy_cutoff.py``.
 
-Two execution paths share these semantics: :meth:`NyquistEstimator.estimate`
-processes one trace at a time (the reference implementation), and
+Three execution paths share these semantics: :meth:`NyquistEstimator.estimate`
+processes one trace at a time (the reference implementation);
 :meth:`NyquistEstimator.estimate_batch` delegates to
 :mod:`repro.core.batch` to run the same steps over a whole ``(rows, n)``
 matrix of equal-length traces with single vectorised numpy calls -- the
-backend the fleet survey uses by default.
+engine of the fleet survey and the Figure 7 windowed sweep, equal to the
+reference to rounding; and :meth:`NyquistEstimator.estimate_rows` runs
+the reference's own arithmetic over a matrix, bit for bit, for the
+adaptive controller.
 """
 
 from __future__ import annotations
@@ -260,10 +263,10 @@ class NyquistEstimator:
         All rows must share one length and one sampling ``interval``
         (group heterogeneous fleets with
         :meth:`repro.telemetry.dataset.FleetDataset.trace_batches`).
-        Produces the same estimates as calling :meth:`estimate` on each
-        row individually, but computes the PSDs with a single
-        ``rfft(axis=-1)`` call and the energy cut-offs with one batched
-        ``cumsum``/``argmax`` -- see :mod:`repro.core.batch`.
+        Produces, to rounding, the estimates :meth:`estimate` gives each
+        row, but computes the PSDs with a single ``rfft(axis=-1)`` call
+        and the energy cut-offs with one batched ``cumsum``/``argmax`` --
+        see :mod:`repro.core.batch`.  A row's bits do not depend on the batch.
         ``fft_workers`` spreads that ``rfft`` over scipy pocketfft
         threads (row-parallel, so results are unchanged); scipy is
         optional and imported only then, and without it the request is
@@ -276,10 +279,10 @@ class NyquistEstimator:
     def estimate_rows(self, values: np.ndarray, interval: float) -> list[NyquistEstimate]:
         """Run :meth:`estimate` on every row of a ``(rows, n)`` matrix, bit for bit.
 
-        :meth:`estimate_batch` is the survey's engine and matches the
-        scalar path only to rounding; this is the batched form of the
-        scalar path itself, so every result is identical to
-        ``estimate(TimeSeries(row, interval))``.  See
+        :meth:`estimate_batch` is the survey's and the windowed sweep's
+        engine and matches the scalar path only to rounding; this is the
+        batched form of the scalar path itself, so every result is
+        identical to ``estimate(TimeSeries(row, interval))``.  See
         :func:`repro.core.batch.exact_batch_estimate`.
         """
         from .batch import exact_batch_estimate  # local import: batch builds on this module

@@ -10,12 +10,12 @@ the first place.
 The sweep gathers every window position into one
 ``(num_windows, window_len)`` matrix with
 :func:`numpy.lib.stride_tricks.sliding_window_view` and feeds it to
-:meth:`NyquistEstimator.estimate_batch` -- one ``rfft`` for the whole
-sweep instead of one per window, which is what makes continuous
-fleet-wide re-estimation (the Figure 7 loop run on every pair, forever)
-tractable.  Window positions whose sample count differs (ragged edges
-from non-integer window/step-to-interval ratios) are grouped by length
-and batched per group, so every position of
+:meth:`NyquistEstimator.estimate_batch`, the survey's vectorised engine
+-- one ``rfft`` for the whole sweep instead of one per window, which is
+what makes continuous fleet-wide re-estimation (the Figure 7 loop run on
+every pair, forever) tractable.  Window positions whose sample count
+differs (ragged edges from non-integer window/step-to-interval ratios)
+are grouped by length and batched per group, so every position of
 :meth:`TimeSeries.iter_windows` is analysed.  The per-window
 :meth:`NyquistEstimator.estimate` loop lives in the tests as the oracle
 the sweep must match (``tests/core/test_windowed.py``), and

@@ -72,13 +72,6 @@ class Spectrum:
         """The Nyquist frequency of the *measurement*, ``sampling_rate / 2``."""
         return self.sampling_rate / 2.0
 
-    @property
-    def resolution(self) -> float:
-        """Frequency spacing between adjacent bins."""
-        if len(self) < 2:
-            return self.max_frequency
-        return float(self.frequencies[1] - self.frequencies[0])
-
     def total_energy(self, include_dc: bool = False) -> float:
         """Sum of per-bin power (the paper's "total energy in the signal")."""
         if len(self) == 0:
@@ -217,13 +210,6 @@ class SpectrumBatch:
     def max_frequency(self) -> float:
         """The Nyquist frequency of the *measurement*, ``sampling_rate / 2``."""
         return self.sampling_rate / 2.0
-
-    @property
-    def resolution(self) -> float:
-        """Frequency spacing between adjacent bins."""
-        if self.bins < 2:
-            return self.max_frequency
-        return float(self.frequencies[1] - self.frequencies[0])
 
     def row(self, index: int) -> Spectrum:
         """The PSD of one trace as a scalar :class:`Spectrum`."""

@@ -22,7 +22,6 @@ class TestSpectrumConstruction:
         spectrum = make_spectrum()
         assert len(spectrum) == 6
         assert spectrum.max_frequency == pytest.approx(5.0)
-        assert spectrum.resolution == pytest.approx(1.0)
 
     def test_rejects_two_dimensional_input(self):
         with pytest.raises(ValueError, match="one-dimensional"):
@@ -151,10 +150,9 @@ class TestSpectrumBatchRowHelpers:
         batch = self.make_batch().without_dc()
         assert batch.without_dc() is batch
 
-    def test_resolution(self):
-        assert self.make_batch().resolution == 1.0
+    def test_single_bin_batch(self):
         single = SpectrumBatch(np.array([0.0]), np.ones((2, 1)), 10.0)
-        assert single.resolution == single.max_frequency == 5.0
+        assert single.max_frequency == 5.0
         assert single.total_energy().tolist() == [0.0, 0.0]
 
 
