@@ -128,10 +128,6 @@ class PairRecord:
     true_nyquist_rate: float
     trace_duration: float
 
-    @property
-    def oversampled(self) -> bool:
-        return self.category is PairCategory.OVERSAMPLED
-
 
 @register_block_type
 @dataclass(frozen=True)

@@ -129,11 +129,6 @@ class NyquistEstimate:
             return float("nan")
         return self.current_rate / self.nyquist_rate
 
-    @property
-    def oversampled(self) -> bool:
-        """True when the current rate exceeds the estimated Nyquist rate."""
-        return self.reliable and self.current_rate > self.nyquist_rate
-
 
 class NyquistEstimator:
     """The paper's Nyquist-rate estimator, in the setups the library runs.

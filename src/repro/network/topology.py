@@ -78,15 +78,6 @@ class Fabric:
         """Neighbours of ``node`` in the order their edges were added."""
         return iter(self.adjacency[node])
 
-    def edges(self) -> Iterator[tuple[str, str, dict[str, Any]]]:
-        """Every edge once, as ``(u, v, attrs)``, in node-then-neighbour order."""
-        seen: set[str] = set()
-        for node, neighbours in self.adjacency.items():
-            for neighbour, data in neighbours.items():
-                if neighbour not in seen:
-                    yield node, neighbour, data
-            seen.add(node)
-
     def __contains__(self, node: object) -> bool:
         return node in self.nodes
 

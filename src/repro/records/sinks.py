@@ -112,11 +112,6 @@ class SpillingRecordSink(RecordSink):
         self._rows = sum(int(read_rcb_header(path)["rows"]) for path in self._files)
 
     # ------------------------------------------------------------------
-    @property
-    def block_type(self) -> type | None:
-        """The block class this sink stores (None until known)."""
-        return self._block_type
-
     def _resolve_type(self) -> type:
         if self._block_type is None:
             if not self._files:

@@ -335,13 +335,6 @@ class Scenario:
                 return transform.shift_time(duration)
         return None
 
-    def blackout(self) -> BlackoutWindow | None:
-        """This scenario's blackout window, if it has one."""
-        for transform in self.transforms:
-            if isinstance(transform, BlackoutWindow):
-                return transform
-        return None
-
     def wrap(self, source: TraceSource) -> "ScenarioTraceSource":
         """Serve ``source`` with this scenario's transforms applied."""
         return ScenarioTraceSource(source, self.transforms)

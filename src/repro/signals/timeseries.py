@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -146,10 +146,6 @@ class TimeSeries:
     def detrend(self) -> "TimeSeries":
         """Return a copy with the mean removed."""
         return self.with_values(self.values - self.mean()) if len(self) else self
-
-    def map(self, func: Callable[[np.ndarray], np.ndarray]) -> "TimeSeries":
-        """Apply ``func`` to the value array and wrap the result."""
-        return self.with_values(np.asarray(func(self.values), dtype=np.float64))
 
     def clip(self, low: float | None = None, high: float | None = None) -> "TimeSeries":
         return self.with_values(np.clip(self.values, low, high))

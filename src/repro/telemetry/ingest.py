@@ -715,13 +715,6 @@ class PairAccumulator:
         """All (metric, device) keys seen so far, in first-seen order."""
         return list(self._index)
 
-    def sample_count(self, key: tuple[str, str]) -> int:
-        spilled = 0
-        path = self._scratch.get(key)
-        if path is not None:
-            spilled = path.stat().st_size // 16
-        return spilled + len(self._times.get(key, ()))
-
     def samples(self, key: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
         """One pair's accumulated (timestamps, values), in arrival order."""
         if key not in self._index:

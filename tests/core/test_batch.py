@@ -293,7 +293,6 @@ class TestNonFiniteTraces:
         assert estimate.reason == NON_FINITE_REASON
         assert estimate.nyquist_rate == -1.0
         assert math.isnan(estimate.reduction_ratio)
-        assert not estimate.oversampled
 
     @pytest.mark.parametrize("config", list(ESTIMATORS))
     @pytest.mark.parametrize("path", ["estimate_batch", "estimate_rows"])

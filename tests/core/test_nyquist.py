@@ -88,11 +88,6 @@ class TestEstimatorOnKnownSignals:
 
 
 class TestEstimateProperties:
-    def test_oversampled_flag(self, sine_1hz):
-        estimate = estimate_nyquist_rate(sine_1hz)
-        assert estimate.reliable
-        assert estimate.oversampled
-
     def test_reduction_ratio_matches_rates(self, sine_1hz):
         estimate = estimate_nyquist_rate(sine_1hz)
         assert estimate.reduction_ratio == pytest.approx(

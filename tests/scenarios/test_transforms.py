@@ -205,8 +205,3 @@ class TestScenario:
         assert incident.shift_time(1000.0) == pytest.approx(500.0)
         assert churn.shift_time(1000.0) == pytest.approx(250.0)
         assert calm.shift_time(1000.0) is None
-
-    def test_blackout_accessor(self):
-        window = BlackoutWindow(start_fraction=0.5, duration_fraction=0.1)
-        assert Scenario("b", (window,)).blackout() == window
-        assert Scenario("s").blackout() is None

@@ -127,10 +127,6 @@ class TestTimeSeriesTransforms:
         # original untouched (immutability)
         assert series.mean() == pytest.approx(2.0)
 
-    def test_map_applies_function(self):
-        doubled = make_series(3).map(lambda values: values * 2)
-        np.testing.assert_allclose(doubled.values, [0.0, 2.0, 4.0])
-
     def test_clip(self):
         clipped = make_series(5).clip(1.0, 3.0)
         assert clipped.min() == 1.0

@@ -7,8 +7,10 @@ when a public top-level name appears as an ``ast.Name`` or
 ``ast.Attribute`` nowhere outside its own definition.  Import aliases
 and ``__all__`` strings are not uses: a re-export alone does not keep a
 symbol alive.  The match is by name, so a use of an unrelated attribute
-that happens to share the name also counts.  The same use-scan holds the
-public methods and properties of ``src/`` classes to the same rule.
+that happens to share the name also counts.  The public methods and
+properties of ``src/`` classes are held to the same rule, except that
+only attribute uses and ``getattr`` name strings count: a bare name that
+matches a member is a local variable or parameter, not the member.
 
 The same scan, over ``tests/`` too, checks that every parameter of the
 pipeline entry points is passed by some call: an option no caller sets
@@ -54,6 +56,24 @@ def _uses(trees: dict[Path, ast.Module]) -> dict[str, list[ast.AST]]:
     return uses
 
 
+def _member_uses(trees: dict[Path, ast.Module]) -> dict[str, list[ast.AST]]:
+    """Every ``ast.Attribute`` node and ``getattr`` name string of ``trees``, by name.
+
+    Only these reach a method or property: a bare name that matches a
+    member is a local variable or parameter, not a use of the member.
+    """
+    uses: dict[str, list[ast.AST]] = defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                uses[node.attr].append(node)
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                  and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                  and isinstance(node.args[1].value, str)):
+                uses[node.args[1].value].append(node)
+    return uses
+
+
 def _is_orphan(definition: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef,
                uses: dict[str, list[ast.AST]]) -> bool:
     """Whether every use of ``definition``'s name lies inside ``definition`` itself."""
@@ -94,13 +114,15 @@ def test_allow_list_names_live_orphans():
 ALLOWED_MEMBERS = {
     "TelemetryCostAccountant.price_samples":
         "scalar reference that TestVectorisedPricing checks price_sample_block against",
+    "SliceResult.failure_sink":
+        "the quarantine store the byte-equivalence suites compare across workers and sinks",
 }
 
 
 def _member_orphans() -> list[str]:
     """``module::Class.member`` of every public method or property with no use outside itself."""
     trees = _trees(SCANNED)
-    uses = _uses(trees)
+    uses = _member_uses(trees)
     orphans = []
     for path, tree in trees.items():
         if not path.is_relative_to(SRC):

@@ -333,7 +333,6 @@ class TestSniffing:
         SpillingRecordSink(tmp_path / "spool").append(block)
         reopened = SpillingRecordSink(tmp_path / "spool")
         assert reopened.rows == len(block)
-        assert reopened.block_type is None
         reopened.append(block)
         assert [path.name for path in reopened.files] == [
             "records-00000.rcb", "records-00001.rcb"]
@@ -379,7 +378,6 @@ class TestSinks:
         sink = SpillingRecordSink(tmp_path / "spool")
         assert (tmp_path / "spool").is_dir()
         assert sink.rows == 0
-        assert sink.block_type is None
         assert sink.files == []
         assert list(sink.blocks()) == []
 
