@@ -123,7 +123,11 @@ class ControllerConfig:
 
 @dataclass(frozen=True)
 class WindowDecision:
-    """What the controller did for one time window."""
+    """What the controller did for one time window.
+
+    ``mode`` is the mode the window was sampled in; ``next_rate`` (and
+    the run's :class:`ModeTransition`, if any) says where it goes next.
+    """
 
     window_start: float
     window_end: float
@@ -350,11 +354,12 @@ class AdaptiveSamplingController:
                 state, rate, estimate = states[row], rates[row], estimates[position]
                 state.windows_since_check = 0 if fast_factor else state.windows_since_check + 1
                 row_aliased = bool(aliased[position])
+                mode = state.mode
                 next_rate = self._next_rate(state, rate, row_aliased, estimate, floor, top)
                 results[row] = (WindowDecision(
                     window_start=window_start,
                     window_end=window_end,
-                    mode=state.mode,
+                    mode=mode,
                     sampling_rate=rate,
                     samples_collected=samples_collected,
                     aliased=row_aliased,
@@ -463,15 +468,13 @@ class AdaptiveSamplingController:
                 continue
             window_start = start_time + first * interval
             window_end = window_start + (stop - first) * interval
-            modes_before = [state.mode for state in states]
             steps = self._step(states, matrix[:, first:stop], interval, floor,
                                window_start, window_end)
-            for run, state, mode_before, (decision, factor) in zip(runs, states, modes_before,
-                                                                   steps):
+            for run, state, (decision, factor) in zip(runs, states, steps):
                 run.decisions.append(decision)
-                if state.mode is not mode_before:
+                if state.mode is not decision.mode:
                     run.transitions.append(ModeTransition(
-                        time=window_end, from_mode=mode_before, to_mode=state.mode,
+                        time=window_end, from_mode=decision.mode, to_mode=state.mode,
                         window_start=window_start, window_end=window_end))
                 run.collected.append(TimeSeries(run.reference.values[first:stop:factor],
                                                 interval * factor, window_start,

@@ -54,7 +54,7 @@ class TestControllerBehaviour:
         # Probing runs the dual-rate check, so the first window pays for
         # more than the primary stream alone.
         assert first.samples_collected > first.window_duration * config.initial_rate
-        assert run.transitions[0].from_mode is ControllerMode.PROBE
+        assert first.mode is ControllerMode.PROBE
 
     def test_minimum_viable_rate(self):
         controller = AdaptiveSamplingController()
@@ -136,13 +136,19 @@ class TestControllerBehaviour:
         assert collected.start_time == reference.start_time
 
     def test_transitions_mark_every_mode_change_of_the_decisions(self, rng):
+        """A decision carries the mode its window was sampled in, so a
+        transition sits between two decisions whose modes differ."""
         run = AdaptiveSamplingController().run(quiet_then_busy(rng=rng), 1800.0)
-        modes = [ControllerMode.PROBE] + [decision.mode for decision in run.decisions]
-        expected = [(decision.window_end, before, after)
-                    for decision, before, after in zip(run.decisions, modes, modes[1:])
-                    if after is not before]
+        expected = [(decision.window_end, decision.mode, after.mode)
+                    for decision, after in zip(run.decisions, run.decisions[1:])
+                    if after.mode is not decision.mode]
         assert expected
-        assert [(t.time, t.from_mode, t.to_mode) for t in run.transitions] == expected
+        got = [(t.time, t.from_mode, t.to_mode) for t in run.transitions]
+        assert got[:len(expected)] == expected
+        # The last window's transition, if any, has no later decision to show it.
+        last = run.decisions[-1]
+        assert [entry[:2] for entry in got[len(expected):]] in (
+            [], [(last.window_end, last.mode)])
 
     def test_decisions_do_not_look_ahead(self, rng):
         """An online controller: window k's decision uses no later samples."""
