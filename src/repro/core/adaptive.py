@@ -123,11 +123,7 @@ class ControllerConfig:
 
 @dataclass(frozen=True)
 class WindowDecision:
-    """What the controller did for one time window.
-
-    ``mode`` is the mode the window was sampled in; ``next_rate`` (and
-    the run's :class:`ModeTransition`, if any) says where it goes next.
-    """
+    """What the controller did for one time window, sampled in ``mode``."""
 
     window_start: float
     window_end: float

@@ -37,9 +37,7 @@ changes a cut-off:
 
 The semantics match :meth:`NyquistEstimator.estimate` to rounding -- the
 scalar path is kept as the reference backend and the equivalence is
-enforced by ``tests/core/test_batch.py``.  Counting the DC bin, a setup
-the library never batches, runs :func:`exact_batch_estimate`, the scalar
-path's own arithmetic over a matrix.
+enforced by ``tests/core/test_batch.py``.
 """
 
 from __future__ import annotations
