@@ -9,17 +9,21 @@ ways of sampling every (metric, device) pair:
 * the Nyquist-static policy (calibrate once, then poll at the Nyquist rate),
 * the adaptive dual-frequency policy of Section 4.
 
-``run_policy_survey`` evaluates the whole fleet through the batched policy
-engine (one spectral-calibration call and one FFT reconstruction pair per
-trace batch), prices every point with the hop-weighted
+``run_policy_survey`` evaluates the whole fleet a trace batch at a time:
+each policy collects from the whole batch at once (one
+spectral-calibration call for the static policy, the controller stepping
+every row together) and every group of equal-shape collected streams is
+reconstructed with one FFT pair.  It prices every point with the hop-weighted
 collection/transmission/storage/analysis cost model, and scales exactly
 like the Nyquist survey: ``--workers`` fans the evaluation out to a
 process pool (byte-identical records) and ``--spill-dir`` streams the
 per-point record blocks to disk so memory stays bounded.
 
 For per-point event-detection scoring (injected fail-stop steps and the
-detection-latency columns), see ``repro.analysis.CostQualityEvaluator`` --
-the per-trace driver behind the same columnar records and rows.
+detection-latency columns), see ``repro.analysis.CostQualityEvaluator``:
+it runs the same policy collections on one trace at a time, scores the
+collected streams for detection and writes the same columnar records
+and rows.
 
 Run with:  python examples/cost_quality_tradeoff.py [--leaves N] [--workers N]
 """

@@ -31,10 +31,11 @@ pipeline offers:
   to ``workers=1`` because every mode works on the same ``chunk_size``
   pair slices.
 * **Vectorised hot loops.**  Policies are evaluated through
-  :meth:`~repro.pipeline.policies.SamplingPolicy.evaluate_batch`: the
-  fixed-rate baseline and the Nyquist-static policy run as a handful of
-  matrix operations (one ``estimate_batch`` calibration call, one batched
-  FFT reconstruction per decimation group); pricing is one vectorised
+  :meth:`~repro.pipeline.policies.SamplingPolicy.evaluate_batch`: each
+  policy collects from the whole batch at once (batched decimation, one
+  ``estimate_batch`` calibration call, the controller stepping every row
+  together) and every group of equal-shape collected streams is
+  reconstructed with one batched FFT pair; pricing is one vectorised
   :meth:`~repro.network.cost.TelemetryCostAccountant.price_sample_block`
   call per block.
 
@@ -47,9 +48,12 @@ the same topology, the survey prices every point with real fabric hop
 counts -- the end-to-end wiring of :mod:`repro.network`.
 
 :class:`CostQualityEvaluator` is the per-point driver on the same result
-type: it runs every policy on one reference trace at a time, scores
-injected-event detection, and appends the same blocks, so both drivers
-report through one :meth:`PolicySurveyResult.rows` format.
+type: it runs every policy's
+:meth:`~repro.pipeline.policies.SamplingPolicy.collect_batch` on one
+reference trace at a time (a one-row batch), scores the collection as
+the fleet survey does, scores injected-event detection on the same
+collected stream, and appends the same blocks, so both drivers report
+through one :meth:`PolicySurveyResult.rows` format.
 """
 
 from __future__ import annotations
@@ -62,13 +66,11 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from ..core.errors import compare
 from ..network.cost import TelemetryCostAccountant
 from ..pipeline.evaluation import (DETECTION_DETECTED, DETECTION_MISSED, DETECTION_UNSCORED,
                                    PointEvaluation, PolicyRecordBlock)
 from ..pipeline.events import InjectedEvent, ThresholdDetector, score_detection
-from ..pipeline.policies import (PolicyBatchEvaluation, PolicySuite, SamplingPolicy,
-                                 StaticPolicySuite)
+from ..pipeline.policies import PolicySuite, SamplingPolicy, StaticPolicySuite
 from ..records import RecordSink, RecordStore
 from ..signals.timeseries import TimeSeries
 from ..telemetry.source import TraceBatch, TraceSource
@@ -185,7 +187,8 @@ class PolicySurveyResult(SliceResult):
         mean/worst reconstruction nrmse, then the share of scored rows
         that detected their injected event and the mean latency of the
         detections.  Only :meth:`CostQualityEvaluator.evaluate_point`
-        scores detection; both detection columns are ``nan`` otherwise.
+        scores detection (the fleet survey keeps no collected stream);
+        both detection columns are ``nan`` otherwise.
         """
         rows = []
         for name, totals in self._totals().items():
@@ -236,9 +239,11 @@ class PolicySurveyResult(SliceResult):
 class CostQualityEvaluator(PolicySurveyResult):
     """Run several sampling policies over the same measurement points and compare them.
 
-    The per-point driver: :meth:`evaluate_point` runs every policy on one
-    reference trace (optionally carrying an injected event whose
-    detection it scores) and appends one 1-row
+    The per-point driver: :meth:`evaluate_point` runs every policy's one
+    collection method on one reference trace, scores the reconstruction
+    the way :meth:`~repro.pipeline.policies.SamplingPolicy.evaluate_batch`
+    does, scores an optional injected event against the collected stream,
+    and appends one 1-row
     :class:`~repro.pipeline.evaluation.PolicyRecordBlock` per policy to
     ``sink`` (in-memory by default; pass an empty
     :class:`~repro.records.SpillingRecordSink` to stream rows to disk).
@@ -266,20 +271,28 @@ class CostQualityEvaluator(PolicySurveyResult):
 
     def evaluate_point(self, point_name: str, metric_name: str, reference: TimeSeries,
                        event: InjectedEvent | None = None) -> list[PointEvaluation]:
-        """Run every policy on one measurement point's reference trace."""
+        """Run every policy on one measurement point's reference trace.
+
+        Each policy collects from the trace as a one-row batch and the
+        collection is scored exactly as the fleet survey scores a row;
+        with an ``event``, the same collected stream is also scored for
+        detection.
+        """
+        values = reference.values[None, :]
         results = []
         for policy in self._policies:
-            outcome = policy.collect(reference)
-            error = compare(reference, outcome.reconstructed)
-            evaluation = PolicyBatchEvaluation(
-                policy.name, [outcome.samples_collected], [outcome.mean_sampling_rate],
-                [error.nrmse], [error.max_abs])
+            collection = policy.collect_batch(values, reference.interval)
+            evaluation = collection.evaluate(policy.name, values, reference.interval)
             block = PolicyRecordBlock.from_batch(
                 metric_name, evaluation, [point_name],
                 self.accountant.price_sample_block([point_name],
-                                                   [outcome.samples_collected]))
+                                                   evaluation.samples_collected))
             if event is not None:
-                detection = score_detection(policy.name, outcome.collected, event,
+                # One row, so one group.
+                (_, stream, stream_interval), = collection.groups
+                collected = TimeSeries(stream[0], stream_interval,
+                                       start_time=reference.start_time)
+                detection = score_detection(policy.name, collected, event,
                                             detector=self.detector)
                 code = DETECTION_DETECTED if detection.detected else DETECTION_MISSED
                 block = dataclasses.replace(

@@ -5,9 +5,11 @@ Three operations from the paper live here:
 * **Pre-cleaning** (§3.2): "monitoring systems do not produce perfectly
   sampled signals ... we pre-clean the signal using nearest neighbor
   re-sampling" -- :func:`regularize`.
-* **Down-sampling** to a lower (e.g. Nyquist) rate, either by naive
-  decimation (what a poller that simply polls less often produces) or with
-  an anti-aliasing low-pass filter -- :func:`downsample`.
+* **Down-sampling** to a lower (e.g. Nyquist) rate with an anti-aliasing
+  low-pass filter -- :func:`downsample` and :func:`resample_to_rate`.
+  Naive decimation (what a poller that simply polls less often
+  produces) is :meth:`~repro.signals.timeseries.TimeSeries.decimate` by
+  a :func:`decimation_factor`.
 * **Up-sampling / reconstruction support** via Fourier interpolation --
   :func:`fourier_resample` (the heavy lifting for Figure 6 lives in
   :mod:`repro.core.reconstruction`).
@@ -71,32 +73,29 @@ def regularize(series: IrregularTimeSeries) -> TimeSeries:
     return nearest_neighbor_resample(series, series.median_interval())
 
 
-def downsample(series: TimeSeries, factor: int, anti_alias: bool = True) -> TimeSeries:
+def downsample(series: TimeSeries, factor: int) -> TimeSeries:
     """Reduce the sampling rate of ``series`` by an integer ``factor``.
 
-    With ``anti_alias=True`` a brick-wall low-pass at the *new* Nyquist
-    frequency is applied first, which is how an ideal re-sampler behaves.
-    With ``anti_alias=False`` the series is simply decimated -- this is
-    what a monitoring system does when it polls less often, and it is the
-    operation whose safety the Nyquist analysis establishes.
+    A brick-wall low-pass at the *new* Nyquist frequency is applied
+    first, which is how an ideal re-sampler behaves.  What a monitoring
+    system does when it polls less often -- the operation whose safety
+    the Nyquist analysis establishes -- is plain
+    :meth:`~repro.signals.timeseries.TimeSeries.decimate`.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
     if factor == 1 or len(series) == 0:
         return series
-    filtered = series
-    if anti_alias:
-        new_nyquist = series.sampling_rate / factor / 2.0
-        filtered = low_pass_fft(series, new_nyquist)
-    return filtered.decimate(factor)
+    new_nyquist = series.sampling_rate / factor / 2.0
+    return low_pass_fft(series, new_nyquist).decimate(factor)
 
 
 def decimation_factor(current_rate: float, target_rate: float) -> int:
     """The integer decimation step :func:`resample_to_rate` uses.
 
-    One shared definition keeps the scalar policy/resampling path and the
-    batched (matrix) policy evaluation on exactly the same sample grids: a
-    factor of 1 means "already at or below the target rate".
+    One shared definition keeps filtered re-sampling and the policies'
+    batched polling on exactly the same sample grids: a factor of 1 means
+    "already at or below the target rate".
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
@@ -105,9 +104,8 @@ def decimation_factor(current_rate: float, target_rate: float) -> int:
     return max(int(math.ceil(current_rate / target_rate - 1e-12)), 1)
 
 
-def resample_to_rate(series: TimeSeries, target_rate: float,
-                     anti_alias: bool = True) -> TimeSeries:
-    """Down-sample ``series`` to (approximately) ``target_rate`` samples/second.
+def resample_to_rate(series: TimeSeries, target_rate: float) -> TimeSeries:
+    """Anti-aliased down-sampling of ``series`` to (about) ``target_rate`` samples/second.
 
     The achievable rates are the original rate divided by an integer, so
     the result's rate is the largest such rate that does not exceed
@@ -120,7 +118,7 @@ def resample_to_rate(series: TimeSeries, target_rate: float,
     if target_rate >= series.sampling_rate or len(series) == 0:
         return series
     factor = decimation_factor(series.sampling_rate, target_rate)
-    return downsample(series, factor, anti_alias=anti_alias)
+    return downsample(series, factor)
 
 
 def fourier_resample(series: TimeSeries, target_length: int) -> TimeSeries:
@@ -160,7 +158,7 @@ def fourier_resample_matrix(values: np.ndarray, target_length: int) -> np.ndarra
     One ``rfft``/``irfft`` pair for the whole batch instead of one per
     trace; every row's result equals ``fourier_resample`` on that row
     (same transform lengths, same Nyquist-bin handling), which is what
-    lets the batched policy evaluation reproduce the scalar path.
+    lets the batched policy evaluation reproduce per-trace reconstruction.
     """
     if values.ndim != 2:
         raise ValueError(f"values must be a (rows, n) matrix, got shape {values.shape}")

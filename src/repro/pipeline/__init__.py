@@ -4,12 +4,12 @@ from .evaluation import PointEvaluation, PolicyRecordBlock
 from .events import (DetectionOutcome, EventKind, InjectedEvent, ModeTransition,
                      ThresholdDetector, inject_event, reprobe_latency,
                      resettle_latency, score_detection)
-from .policies import (AdaptiveDualRatePolicy, FixedRatePolicy, NyquistStaticPolicy,
-                       PolicyBatchEvaluation, PolicyResult, PolicySuite, SamplingPolicy,
+from .policies import (AdaptiveDualRatePolicy, Collection, FixedRatePolicy,
+                       NyquistStaticPolicy, PolicyBatchEvaluation, PolicySuite, SamplingPolicy,
                        StaticPolicySuite)
 
 __all__ = [
-    "SamplingPolicy", "PolicyResult", "PolicyBatchEvaluation", "FixedRatePolicy",
+    "SamplingPolicy", "Collection", "PolicyBatchEvaluation", "FixedRatePolicy",
     "NyquistStaticPolicy", "AdaptiveDualRatePolicy", "PolicySuite", "StaticPolicySuite",
     "EventKind", "InjectedEvent", "inject_event", "ThresholdDetector",
     "DetectionOutcome", "score_detection",

@@ -15,14 +15,18 @@ numpy reductions, exactly like the Nyquist survey's
 remains as a lazily materialised per-row view.
 
 Two drivers feed these blocks, both in :mod:`repro.analysis.policy_survey`
-and both reporting through its ``PolicySurveyResult``:
+and both reporting through its ``PolicySurveyResult``.  Both collect
+through each policy's one collection method
+(:meth:`~repro.pipeline.policies.SamplingPolicy.collect_batch`) and score
+the collection the same way, so they store the same rows:
 
 * :func:`~repro.analysis.policy_survey.run_policy_survey` -- the
   fleet-scale driver: batched policy evaluation over any trace source,
   multi-worker and out-of-core.
 * :class:`~repro.analysis.policy_survey.CostQualityEvaluator` -- the
-  per-point driver: runs every policy on one reference trace at a time
-  and also scores injected-event detection.
+  per-point driver: collects from one reference trace at a time (a
+  one-row batch) and also scores injected-event detection on the
+  collected stream.
 """
 
 from __future__ import annotations

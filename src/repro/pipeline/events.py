@@ -99,11 +99,12 @@ def inject_event(series: TimeSeries, kind: EventKind, start_time: float,
 
 
 class ThresholdDetector:
-    """Detect an event as the first collected sample exceeding a threshold.
+    """Detect an event as the first collected sample crossing a threshold.
 
     The threshold is expressed as ``baseline + k * sigma`` computed on the
     pre-event part of the collected stream, which is how simple production
-    alerting rules work.
+    alerting rules work.  A negative-magnitude event (a fail-stop that
+    drops the metric) crosses ``baseline - k * sigma`` downwards instead.
     """
 
     def __init__(self, sigma_multiplier: float = 4.0, min_threshold: float = 0.0) -> None:
@@ -125,15 +126,18 @@ class ThresholdDetector:
         else:
             baseline = float(collected.values[0])
             sigma = 0.0
-        threshold = baseline + max(self.sigma_multiplier * sigma, self.min_threshold,
-                                   0.5 * abs(event.magnitude))
+        margin = max(self.sigma_multiplier * sigma, self.min_threshold,
+                     0.5 * abs(event.magnitude))
         post_mask = times >= event.start_time
         post_times = times[post_mask]
         post_values = collected.values[post_mask]
-        exceeding = np.nonzero(post_values > threshold)[0]
-        if exceeding.size == 0:
+        if event.magnitude < 0:
+            crossing = np.nonzero(post_values < baseline - margin)[0]
+        else:
+            crossing = np.nonzero(post_values > baseline + margin)[0]
+        if crossing.size == 0:
             return None
-        return float(post_times[exceeding[0]])
+        return float(post_times[crossing[0]])
 
 
 @dataclass(frozen=True)

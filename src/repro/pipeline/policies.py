@@ -12,28 +12,17 @@ actually collects.  Three policies are provided:
   dual-frequency sampling, detect aliasing, settle at the Nyquist rate and
   keep adapting.
 
-Two execution paths share these semantics:
-
-* :meth:`SamplingPolicy.collect` runs a policy over one reference
-  :class:`~repro.signals.timeseries.TimeSeries` and returns a
-  :class:`PolicyResult` with the collected samples, a reconstruction of
-  the full-rate signal (the paper's low-pass interpolator) and
-  bookkeeping for cost accounting -- the reference implementation, and
-  the one event-detection scoring needs (it sees the collected stream).
-* :meth:`SamplingPolicy.evaluate_batch` runs a policy over a whole
-  ``(rows, n)`` matrix of equal-shape reference traces and returns
-  columnar per-trace outcome arrays (:class:`PolicyBatchEvaluation`).
-  Every built-in policy overrides it with a vectorised implementation:
-  :class:`FixedRatePolicy` and :class:`NyquistStaticPolicy` use batched
-  decimation, one ``estimate_batch`` call for the whole calibration
-  matrix and one FFT pair for all reconstructions;
-  :class:`AdaptiveDualRatePolicy` steps every row through the controller
-  one window at a time
-  (:meth:`~repro.core.adaptive.AdaptiveSamplingController.run_batch`),
-  with each window's probes checked and estimated as matrices.  The
-  row-loop default remains for custom policies and as the reference the
-  overrides are tested against.  This is the feed of the fleet-scale
-  policy survey (:func:`repro.analysis.policy_survey.run_policy_survey`).
+Each policy implements one method, :meth:`SamplingPolicy.collect_batch`:
+from a ``(rows, n)`` matrix of equal-shape reference traces it returns a
+:class:`Collection` -- every row's sample count (probe traffic included)
+and the collected streams, grouped by shared length and interval.  The
+shared :meth:`SamplingPolicy.evaluate_batch` reconstructs every group
+with one batched FFT pair (the paper's low-pass interpolator) and scores
+it against the reference (:meth:`Collection.evaluate`); it feeds the
+fleet policy survey (:func:`repro.analysis.policy_survey.run_policy_survey`).
+The per-point :class:`~repro.analysis.policy_survey.CostQualityEvaluator`
+scores a one-row collection the same way and hands its collected stream
+to event-detection scoring.
 
 :class:`PolicySuite` builds the paper's three-policy comparison for a
 metric's production interval, so fleets whose metrics poll at different
@@ -48,27 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.adaptive import AdaptiveRun, AdaptiveSamplingController, ControllerConfig
-from ..core.errors import compare, compare_batch
+from ..core.errors import compare_batch
 from ..core.nyquist import NyquistEstimator
-from ..core.reconstruction import reconstruct, reconstruct_batch
-from ..core.resampling import decimation_factor, resample_to_rate
+from ..core.reconstruction import reconstruct_batch
+from ..core.resampling import decimation_factor
 from ..signals.timeseries import TimeSeries
 
-__all__ = ["PolicyResult", "PolicyBatchEvaluation", "SamplingPolicy", "FixedRatePolicy",
+__all__ = ["Collection", "PolicyBatchEvaluation", "SamplingPolicy", "FixedRatePolicy",
            "NyquistStaticPolicy", "AdaptiveDualRatePolicy", "PolicySuite",
            "StaticPolicySuite"]
-
-
-@dataclass(frozen=True)
-class PolicyResult:
-    """What a sampling policy produced for one measurement point."""
-
-    policy_name: str
-    samples_collected: int
-    collected: TimeSeries
-    reconstructed: TimeSeries
-    mean_sampling_rate: float
-    detail: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -102,6 +79,56 @@ class PolicyBatchEvaluation:
         return int(self.samples_collected.shape[0])
 
 
+@dataclass(frozen=True)
+class Collection:
+    """What one policy collected from every row of a ``(rows, n)`` reference matrix.
+
+    ``samples_collected`` holds, per row, every sample the policy read,
+    probe traffic included: the row's cost.  ``groups`` holds the
+    collected streams of rows that share a length and an interval, as
+    ``(rows, matrix, interval)``: the row indices (``slice(None)`` when
+    the group is the whole batch, which spares copying the reference), the
+    rows' ``(len(rows), m)`` collected samples and the seconds between
+    two of them.  A stream
+    gathered at several rates is aligned to its finest interval (each
+    coarser sample repeated to fill its slots), so every stream is one
+    regular row that reconstruction can read.
+    """
+
+    samples_collected: np.ndarray
+    groups: tuple[tuple[np.ndarray | slice, np.ndarray, float], ...]
+
+    def evaluate(self, policy_name: str, values: np.ndarray,
+                 interval: float) -> PolicyBatchEvaluation:
+        """Reconstruct every group at the reference rate and score it against ``values``.
+
+        ``values`` and ``interval`` are the reference matrix the
+        collection was gathered from.  Each group is reconstructed with
+        one batched FFT pair and compared row by row; a stream of fewer
+        than two samples has nothing to reconstruct from and raises
+        rather than reporting a bogus-but-plausible error.
+        """
+        rows, n = values.shape
+        reference_rate = 1.0 / interval
+        nrmse = np.zeros(rows)
+        max_abs = np.zeros(rows)
+        for members, collected, collected_interval in self.groups:
+            if collected.shape[1] < 2:
+                raise ValueError(
+                    f"policy {policy_name!r} collected only {collected.shape[1]} sample(s) "
+                    f"per trace ({n} reference samples at {interval:g}s); at least 2 "
+                    "are needed to reconstruct")
+            reconstructed = reconstruct_batch(collected, collected_interval, reference_rate)
+            nrmse[members], max_abs[members] = compare_batch(values[members], reconstructed)
+        return PolicyBatchEvaluation(
+            policy_name=policy_name,
+            samples_collected=self.samples_collected,
+            mean_sampling_rate=self.samples_collected / (n * interval),
+            nrmse=nrmse,
+            max_abs_error=max_abs,
+        )
+
+
 class SamplingPolicy(abc.ABC):
     """Interface every sampling policy implements."""
 
@@ -121,13 +148,14 @@ class SamplingPolicy(abc.ABC):
         return f"{type(self).__name__}({fields})"
 
     @abc.abstractmethod
-    def collect(self, reference: TimeSeries) -> PolicyResult:
-        """Collect samples from the underlying signal ``reference``.
+    def collect_batch(self, values: np.ndarray, interval: float) -> Collection:
+        """Collect samples from every row of a ``(rows, n)`` reference matrix.
 
-        ``reference`` is a high-rate trace standing in for the continuous
-        underlying metric; a policy may only *read* the samples it decides
-        to collect, and its ``samples_collected`` must reflect every sample
-        it read (including probe traffic).
+        Each row is a high-rate trace, sampled every ``interval`` seconds
+        from time 0, standing in for the continuous underlying metric.  A
+        policy may only *read* the samples it decides to collect, and its
+        ``samples_collected`` must count every sample it read (including
+        probe traffic).
         """
 
     def evaluate_batch(self, values: np.ndarray, interval: float) -> PolicyBatchEvaluation:
@@ -137,59 +165,10 @@ class SamplingPolicy(abc.ABC):
         fleets with :meth:`~repro.telemetry.source.BaseTraceSource.trace_batches`).
         Returns columnar per-row outcomes: samples collected, achieved
         mean rate, and the reconstruction error against the reference.
-
-        The default implementation loops :meth:`collect` row by row: it
-        serves custom policies and is the reference the built-in
-        policies' batched overrides reproduce without per-trace Python
-        overhead.
         """
         if values.ndim != 2:
             raise ValueError(f"values must be a (rows, n) matrix, got shape {values.shape}")
-        rows = values.shape[0]
-        samples = np.zeros(rows, dtype=np.int64)
-        mean_rate = np.zeros(rows)
-        nrmse = np.zeros(rows)
-        max_abs = np.zeros(rows)
-        for index in range(rows):
-            reference = TimeSeries(values[index], interval)
-            outcome = self.collect(reference)
-            error = compare(reference, outcome.reconstructed)
-            samples[index] = outcome.samples_collected
-            mean_rate[index] = outcome.mean_sampling_rate
-            nrmse[index] = error.nrmse
-            max_abs[index] = error.max_abs
-        return PolicyBatchEvaluation(self.name, samples, mean_rate, nrmse, max_abs)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _require_two_samples(name: str, reference: TimeSeries, collected: TimeSeries) -> None:
-        if len(collected) < 2:
-            # A policy that collected fewer than two samples has no signal
-            # to reconstruct from; silently reporting a constant (formerly
-            # 0.0 for an empty stream) produced a bogus-but-plausible
-            # nrmse that skewed whole-fleet quality aggregates.
-            raise ValueError(
-                f"policy {name!r} collected only {len(collected)} sample(s) from "
-                f"{reference.name or 'the reference trace'} "
-                f"({len(reference)} samples over {reference.duration:g}s); "
-                "at least 2 are needed to reconstruct")
-
-    @staticmethod
-    def _finish(name: str, reference: TimeSeries, collected: TimeSeries,
-                samples_collected: int, detail: dict[str, float] | None = None) -> PolicyResult:
-        """Shared epilogue: reconstruct at the reference rate and bundle the result."""
-        SamplingPolicy._require_two_samples(name, reference, collected)
-        reconstructed = reconstruct(collected, reference.sampling_rate)
-        duration = reference.duration
-        mean_rate = samples_collected / duration if duration > 0 else float("nan")
-        return PolicyResult(
-            policy_name=name,
-            samples_collected=samples_collected,
-            collected=collected,
-            reconstructed=reconstructed,
-            mean_sampling_rate=mean_rate,
-            detail=dict(detail or {}),
-        )
+        return self.collect_batch(values, interval).evaluate(self.name, values, interval)
 
 
 class FixedRatePolicy(SamplingPolicy):
@@ -208,42 +187,14 @@ class FixedRatePolicy(SamplingPolicy):
         self.interval = interval
         self.name = name or f"fixed@{interval:g}s"
 
-    def collect(self, reference: TimeSeries) -> PolicyResult:
-        rate = min(1.0 / self.interval, reference.sampling_rate)
-        collected = resample_to_rate(reference, rate, anti_alias=False)
-        return self._finish(self.name, reference, collected, len(collected),
-                            detail={"rate_hz": rate})
-
-    def evaluate_batch(self, values: np.ndarray, interval: float) -> PolicyBatchEvaluation:
-        """Vectorised path: one decimation + one batched FFT reconstruction.
-
-        Every row polls at the same fixed rate, so the whole batch shares
-        one decimation factor and one reconstruction shape -- the entire
-        evaluation is three matrix operations.
-        """
-        if values.ndim != 2:
-            raise ValueError(f"values must be a (rows, n) matrix, got shape {values.shape}")
-        rows, n = values.shape
+    def collect_batch(self, values: np.ndarray, interval: float) -> Collection:
+        """Every row polls at the same rate: one decimation for the whole batch."""
+        rows = values.shape[0]
         reference_rate = 1.0 / interval
-        rate = min(1.0 / self.interval, reference_rate)
-        factor = decimation_factor(reference_rate, rate)
+        factor = decimation_factor(reference_rate, min(1.0 / self.interval, reference_rate))
         collected = values[:, ::factor]
-        m = collected.shape[1]
-        if m < 2:
-            raise ValueError(
-                f"policy {self.name!r} collected only {m} sample(s) per trace "
-                f"({n} reference samples at {interval:g}s); at least 2 are needed "
-                "to reconstruct")
-        reconstructed = reconstruct_batch(collected, interval * factor, reference_rate)
-        nrmse, max_abs = compare_batch(values, reconstructed)
-        duration = n * interval
-        return PolicyBatchEvaluation(
-            policy_name=self.name,
-            samples_collected=np.full(rows, m, dtype=np.int64),
-            mean_sampling_rate=np.full(rows, m / duration),
-            nrmse=nrmse,
-            max_abs_error=max_abs,
-        )
+        return Collection(np.full(rows, collected.shape[1], dtype=np.int64),
+                          ((slice(None), collected, interval * factor),))
 
 
 class NyquistStaticPolicy(SamplingPolicy):
@@ -274,64 +225,24 @@ class NyquistStaticPolicy(SamplingPolicy):
         self.headroom = headroom
         self.name = "nyquist-static"
 
-    def collect(self, reference: TimeSeries) -> PolicyResult:
-        production_rate = min(1.0 / self.production_interval, reference.sampling_rate)
-        split_time = reference.start_time + reference.duration * self.calibration_fraction
-        calibration_window = reference.window(reference.start_time, split_time)
-        remainder_window = reference.window(split_time, reference.end_time)
+    def collect_batch(self, values: np.ndarray, interval: float) -> Collection:
+        """One ``estimate_batch`` calibration for the whole batch.
 
-        calibration = resample_to_rate(calibration_window, production_rate, anti_alias=False)
-        estimate = NyquistEstimator().estimate(calibration) if len(calibration) >= 2 else None
-
-        if estimate is not None and estimate.reliable:
-            target_rate = min(estimate.nyquist_rate * self.headroom, production_rate)
-        else:
-            # Calibration could not produce a usable rate: fall back to the
-            # production rate (no saving, no loss).
-            target_rate = production_rate
-        steady = resample_to_rate(remainder_window, target_rate, anti_alias=False) \
-            if len(remainder_window) >= 2 else remainder_window
-
-        # The calibration prefix and the steady-state suffix were collected
-        # at different rates; merge them into one stream at the finest
-        # common interval (the calibration interval) for reconstruction.
-        if len(steady):
-            repeat = max(int(round(steady.interval / calibration.interval)), 1)
-            merged_values = np.concatenate([calibration.values,
-                                            np.repeat(steady.values, repeat)])
-        else:
-            merged_values = calibration.values
-        collected = TimeSeries(merged_values, calibration.interval,
-                               start_time=reference.start_time, name=reference.name)
-
-        samples = len(calibration) + len(steady)
-        detail = {
-            "calibration_samples": float(len(calibration)),
-            "steady_samples": float(len(steady)),
-            "target_rate_hz": float(target_rate),
-            "nyquist_rate_hz": float(estimate.nyquist_rate) if estimate and estimate.reliable else float("nan"),
-        }
-        return self._finish(self.name, reference, collected, samples, detail)
-
-    def evaluate_batch(self, values: np.ndarray, interval: float) -> PolicyBatchEvaluation:
-        """Vectorised path: one ``estimate_batch`` calibration for the whole batch.
-
-        The calibration prefix of every row is estimated with a single
-        batched spectral call, rows are then grouped by their resulting
-        steady-state decimation factor, and each group's merged
-        calibration + steady stream is reconstructed with one batched FFT
-        pair.  Numbers match :meth:`collect` row for row.
+        Every row polls its calibration prefix at the production rate and
+        the prefixes are estimated with a single batched spectral call.
+        Each row then polls the rest of its trace at its estimated rate
+        (plus headroom), or stays at the production rate when the estimate
+        is unreliable: no saving, no loss.  Rows are grouped by their
+        steady-state decimation factor, and each group's calibration and
+        steady samples are merged at the calibration interval.
         """
-        if values.ndim != 2:
-            raise ValueError(f"values must be a (rows, n) matrix, got shape {values.shape}")
         rows, n = values.shape
         reference_rate = 1.0 / interval
         production_rate = min(1.0 / self.production_interval, reference_rate)
         duration = n * interval
 
-        # Calibration prefix: same index arithmetic as TimeSeries.window on
-        # a start_time-0 trace, then the same decimation resample_to_rate
-        # would apply.
+        # Calibration prefix: the samples before duration * fraction,
+        # polled at the production rate.
         cal_stop = min(max(int(np.ceil(duration * self.calibration_fraction / interval)),
                            0), n)
         factor_c = decimation_factor(reference_rate, production_rate)
@@ -356,39 +267,27 @@ class NyquistStaticPolicy(SamplingPolicy):
             factor_s = np.where(target >= reference_rate, 1,
                                 np.maximum(raw, 1)).astype(np.int64)
         else:
-            # Too short to resample: the scalar path keeps the remainder
-            # as-is at the reference interval.
+            # Too short to resample: the remainder is kept as-is at the
+            # reference interval.
             factor_s = np.ones(rows, dtype=np.int64)
 
         samples = np.zeros(rows, dtype=np.int64)
-        nrmse = np.zeros(rows)
-        max_abs = np.zeros(rows)
+        groups = []
         for factor in np.unique(factor_s):
             group = np.nonzero(factor_s == factor)[0]
             steady = remainder[group, ::factor] if rem_m >= 2 else remainder[group]
             steady_interval = interval * factor if rem_m >= 2 else interval
             steady_m = steady.shape[1]
             if steady_m:
+                # Merge the two rates at the finer calibration interval.
                 repeat = max(int(round(steady_interval / cal_interval)), 1)
                 merged = np.concatenate(
                     [calibration[group], np.repeat(steady, repeat, axis=1)], axis=1)
             else:
                 merged = calibration[group]
-            if merged.shape[1] < 2:
-                raise ValueError(
-                    f"policy {self.name!r} collected only {merged.shape[1]} sample(s) "
-                    f"per trace ({n} reference samples at {interval:g}s); at least 2 "
-                    "are needed to reconstruct")
-            reconstructed = reconstruct_batch(merged, cal_interval, reference_rate)
-            nrmse[group], max_abs[group] = compare_batch(values[group], reconstructed)
+            groups.append((group, merged, cal_interval))
             samples[group] = cal_m + steady_m
-        return PolicyBatchEvaluation(
-            policy_name=self.name,
-            samples_collected=samples,
-            mean_sampling_rate=samples / duration,
-            nrmse=nrmse,
-            max_abs_error=max_abs,
-        )
+        return Collection(samples, tuple(groups))
 
 
 class AdaptiveDualRatePolicy(SamplingPolicy):
@@ -420,64 +319,35 @@ class AdaptiveDualRatePolicy(SamplingPolicy):
         This is the policy's underlying state-machine run, including the
         probe/settle :class:`~repro.core.adaptive.ModeTransition` stream
         (``run.transitions``) that re-probe latency after a regime shift
-        is measured from.  :meth:`collect` uses exactly this run, so the
-        transitions correspond sample-for-sample to the policy's cost.
+        is measured from.  It is the one-row case of the run
+        :meth:`collect_batch` makes, so the transitions correspond
+        sample-for-sample to the policy's cost.
         """
         return AdaptiveSamplingController(config=self.config).run(reference,
                                                                   self.window_duration)
 
-    def evaluate_batch(self, values: np.ndarray, interval: float) -> PolicyBatchEvaluation:
-        """Batch-synchronous path: all rows step through the controller together.
+    def collect_batch(self, values: np.ndarray, interval: float) -> Collection:
+        """Batch-synchronous collection: all rows step through the controller together.
 
         One :meth:`~repro.core.adaptive.AdaptiveSamplingController.run_batch`
         runs the rows' controllers window by window (the same stepper
-        :meth:`run_controller` uses with one row); rows whose collected
-        streams share a length and interval are then reconstructed with
-        one batched FFT pair.  Numbers match :meth:`collect` row for row,
-        bit for bit.
+        :meth:`run_controller` uses with one row); each row's cost is
+        every sample its controller read, probes included, and rows whose
+        collected streams share a length and interval form one group.
         """
-        if values.ndim != 2:
-            raise ValueError(f"values must be a (rows, n) matrix, got shape {values.shape}")
-        rows, n = values.shape
         runs = AdaptiveSamplingController(config=self.config).run_batch(
             values, interval, self.window_duration)
-        reference_rate = 1.0 / interval
-        groups: dict[tuple[int, float], list[int]] = {}
-        collected: list[TimeSeries] = []
-        for index, run in enumerate(runs):
-            series = run.collected_series()
-            self._require_two_samples(self.name, run.reference, series)
-            collected.append(series)
-            groups.setdefault((len(series), series.interval), []).append(index)
-        nrmse = np.zeros(rows)
-        max_abs = np.zeros(rows)
-        for (_, collected_interval), members in groups.items():
-            reconstructed = reconstruct_batch(
-                np.vstack([collected[index].values for index in members]),
-                collected_interval, reference_rate)
-            nrmse[members], max_abs[members] = compare_batch(values[members], reconstructed)
-        samples = np.fromiter((run.total_samples_collected for run in runs), np.int64, rows)
-        return PolicyBatchEvaluation(
-            policy_name=self.name,
-            samples_collected=samples,
-            mean_sampling_rate=samples / (n * interval),
-            nrmse=nrmse,
-            max_abs_error=max_abs,
-        )
-
-    def collect(self, reference: TimeSeries) -> PolicyResult:
-        run: AdaptiveRun = self.run_controller(reference)
-        collected = run.collected_series()
-        samples = run.total_samples_collected
-        rates = [decision.sampling_rate for decision in run.decisions]
-        detail = {
-            "windows": float(len(run.decisions)),
-            "mean_rate_hz": float(np.mean(rates)) if rates else float("nan"),
-            "max_rate_hz": float(np.max(rates)) if rates else float("nan"),
-            "min_rate_hz": float(np.min(rates)) if rates else float("nan"),
-            "aliased_windows": float(sum(decision.aliased for decision in run.decisions)),
-        }
-        return self._finish(self.name, reference, collected, samples, detail)
+        streams = [run.collected_series() for run in runs]
+        members: dict[tuple[int, float], list[int]] = {}
+        for index, series in enumerate(streams):
+            members.setdefault((len(series), series.interval), []).append(index)
+        groups = tuple((np.array(rows),
+                        np.vstack([streams[index].values for index in rows]),
+                        collected_interval)
+                       for (_, collected_interval), rows in members.items())
+        samples = np.fromiter((run.total_samples_collected for run in runs), np.int64,
+                              len(runs))
+        return Collection(samples, groups)
 
 
 # ----------------------------------------------------------------------

@@ -167,16 +167,6 @@ class TimeSeries:
                           self.start_time + start_index * self.interval,
                           self.name)
 
-    def window(self, t_start: float, t_stop: float) -> "TimeSeries":
-        """Samples whose timestamps fall in ``[t_start, t_stop)``."""
-        if t_stop < t_start:
-            raise ValueError("t_stop must be >= t_start")
-        first = int(math.ceil((t_start - self.start_time) / self.interval))
-        last = int(math.ceil((t_stop - self.start_time) / self.interval))
-        first = max(first, 0)
-        last = max(last, first)
-        return self.segment(first, last)
-
     def iter_window_bounds(self, window: float, step: float) -> Iterator[tuple[int, int]]:
         """Sample-index bounds ``(first, stop)`` of every moving-window position.
 
@@ -319,11 +309,6 @@ class IrregularTimeSeries:
             return self
         keep = np.concatenate([[True], np.diff(self.timestamps) > 0])
         return IrregularTimeSeries(self.timestamps[keep], self.values[keep], self.name)
-
-    def window(self, t_start: float, t_stop: float) -> "IrregularTimeSeries":
-        """Samples whose timestamps fall in ``[t_start, t_stop)``."""
-        mask = (self.timestamps >= t_start) & (self.timestamps < t_stop)
-        return IrregularTimeSeries(self.timestamps[mask], self.values[mask], self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = f" name={self.name!r}" if self.name else ""

@@ -8,7 +8,7 @@ import pytest
 from repro.core.aliasing import DualRateAliasingDetector, compare_spectra, compare_spectra_batch
 from repro.core.nyquist import MIN_SAMPLES
 from repro.core.psd import batch_periodogram, periodogram
-from repro.core.resampling import resample_to_rate
+from repro.core.resampling import decimation_factor
 from repro.signals.generators import multi_tone, sine
 from repro.signals.noise import add_white_noise, noise_floor_estimate
 from repro.signals.spectrum import Spectrum
@@ -29,7 +29,7 @@ def poll(reference: TimeSeries, rate: float) -> TimeSeries:
     """
     ratio = reference.sampling_rate / rate
     if abs(ratio - round(ratio)) < 1e-9:
-        return resample_to_rate(reference, rate, anti_alias=False)
+        return reference.decimate(decimation_factor(reference.sampling_rate, rate))
     times = reference.start_time + np.arange(round(reference.duration * rate)) / rate
     return TimeSeries(np.interp(times, reference.times(), reference.values), 1.0 / rate,
                       start_time=reference.start_time)

@@ -9,7 +9,7 @@ from repro.core.nyquist import NyquistEstimator
 from repro.core.quantization import UniformQuantizer
 from repro.core.reconstruction import (nyquist_round_trip, reconstruct, reconstruct_batch,
                                        upsample_to_length)
-from repro.core.resampling import resample_to_rate
+from repro.core.resampling import decimation_factor, resample_to_rate
 from repro.signals.generators import constant, multi_tone, sine
 from repro.signals.timeseries import TimeSeries
 
@@ -37,7 +37,7 @@ class TestUpsample:
 
 class TestReconstruct:
     def test_round_trip_at_original_rate(self, two_tone):
-        downsampled = resample_to_rate(two_tone, 1000.0, anti_alias=True)
+        downsampled = resample_to_rate(two_tone, 1000.0)
         reconstructed = reconstruct(downsampled, two_tone.sampling_rate)
         assert reconstructed.sampling_rate == pytest.approx(two_tone.sampling_rate)
         assert abs(len(reconstructed) - len(two_tone)) <= 2
@@ -116,10 +116,10 @@ class TestNyquistRoundTrip:
         result = nyquist_round_trip(series)
         assert result.estimate.reliable
         target = min(result.estimate.nyquist_rate, series.sampling_rate)
-        filtered = resample_to_rate(series, target, anti_alias=True)
+        filtered = resample_to_rate(series, target)
         assert np.array_equal(result.downsampled.values, filtered.values)
         # Plain decimation would keep the noise above the new Nyquist frequency.
-        decimated = resample_to_rate(series, target, anti_alias=False)
+        decimated = series.decimate(decimation_factor(series.sampling_rate, target))
         assert not np.array_equal(filtered.values, decimated.values)
 
     def test_summary_keys(self, slow_metric_trace):

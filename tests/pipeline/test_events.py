@@ -8,15 +8,20 @@ import numpy as np
 import pytest
 
 from repro.core.adaptive import ControllerMode
-from repro.core.resampling import resample_to_rate
+from repro.core.resampling import decimation_factor
 from repro.pipeline.events import (EventKind, ModeTransition, ThresholdDetector,
                                    inject_event, reprobe_latency, resettle_latency,
                                    score_detection)
 from repro.pipeline.policies import AdaptiveDualRatePolicy
 from repro.scenarios import RegimeShift
-from repro.signals.generators import sine
+from repro.signals.generators import multi_tone, sine
 from repro.signals.timeseries import TimeSeries
 from repro.signals.noise import add_white_noise
+
+
+def poll(series: TimeSeries, rate: float) -> TimeSeries:
+    """What a poller at ``rate`` reads off ``series``: plain decimation."""
+    return series.decimate(decimation_factor(series.sampling_rate, rate))
 
 
 @pytest.fixture
@@ -66,7 +71,7 @@ class TestDetection:
 
     def test_downsampled_stream_detects_later(self, baseline_trace):
         modified, event = inject_event(baseline_trace, EventKind.STEP, 10000.0, magnitude=15.0)
-        slow = resample_to_rate(modified, 1.0 / 1800.0, anti_alias=False)
+        slow = poll(modified, 1.0 / 1800.0)
         fast_outcome = score_detection("fast", modified, event)
         slow_outcome = score_detection("slow", slow, event)
         assert slow_outcome.detected
@@ -74,11 +79,22 @@ class TestDetection:
 
     def test_spike_can_be_missed_by_slow_sampling(self, baseline_trace):
         modified, event = inject_event(baseline_trace, EventKind.SPIKE, 10001.0, magnitude=40.0)
-        slow = resample_to_rate(modified, 1.0 / 3600.0, anti_alias=False)
+        slow = poll(modified, 1.0 / 3600.0)
         outcome = score_detection("slow", slow, event)
         # A one-sample spike between two slow polls is invisible.
         if not outcome.detected:
             assert math.isinf(outcome.latency)
+
+    @pytest.mark.parametrize("magnitude", [20.0, -20.0], ids=["rise", "drop"])
+    def test_step_is_detected_in_either_direction(self, magnitude):
+        """A fail-stop that drops the metric is an event too: the detector
+        compares in the direction of the event's magnitude."""
+        trace = multi_tone([1.0 / 3600.0], duration=43200.0, sampling_rate=1.0 / 30.0,
+                           amplitudes=[1.0], offset=40.0)
+        modified, event = inject_event(trace, EventKind.STEP, 30000.0, magnitude)
+        outcome = score_detection("full", modified, event)
+        assert outcome.detected
+        assert outcome.latency == 0.0
 
     def test_empty_stream_misses(self, baseline_trace):
         from repro.signals.timeseries import TimeSeries
@@ -90,8 +106,10 @@ class TestDetection:
         with pytest.raises(ValueError):
             ThresholdDetector(sigma_multiplier=0.0)
 
-    def test_detection_time_none_when_event_below_threshold(self, baseline_trace):
-        modified, event = inject_event(baseline_trace, EventKind.STEP, 10000.0, magnitude=0.01)
+    @pytest.mark.parametrize("magnitude", [0.01, -0.01], ids=["rise", "drop"])
+    def test_detection_time_none_when_event_below_threshold(self, baseline_trace, magnitude):
+        modified, event = inject_event(baseline_trace, EventKind.STEP, 10000.0,
+                                       magnitude=magnitude)
         detector = ThresholdDetector(sigma_multiplier=10.0, min_threshold=5.0)
         assert detector.detection_time(modified, event) is None
 

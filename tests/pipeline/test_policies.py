@@ -10,14 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.analysis.policy_survey import CostQualityEvaluator
 from repro.core.adaptive import AdaptiveSamplingController, ControllerMode
-from repro.core.errors import compare
 from repro.pipeline.policies import (AdaptiveDualRatePolicy, FixedRatePolicy,
                                      NyquistStaticPolicy, PolicyBatchEvaluation, PolicySuite,
                                      SamplingPolicy, StaticPolicySuite)
 from repro.signals.generators import multi_tone
 from repro.signals.noise import add_white_noise
 from repro.signals.timeseries import TimeSeries
+from policy_oracle import evaluate_rows
 
 
 @pytest.fixture(scope="module")
@@ -29,19 +30,23 @@ def reference():
     return add_white_noise(trace, 0.05, rng=rng)
 
 
+def evaluate_one(policy: SamplingPolicy, reference: TimeSeries) -> PolicyBatchEvaluation:
+    """``evaluate_batch`` on the one-row matrix of ``reference``."""
+    return policy.evaluate_batch(reference.values[None, :], reference.interval)
+
+
 class TestFixedRatePolicy:
     def test_collects_at_requested_rate(self, reference):
-        result = FixedRatePolicy(30.0).collect(reference)
-        assert result.samples_collected == pytest.approx(43200.0 / 30.0, rel=0.01)
-        assert result.mean_sampling_rate == pytest.approx(1.0 / 30.0, rel=0.01)
+        result = evaluate_one(FixedRatePolicy(30.0), reference)
+        assert result.samples_collected[0] == pytest.approx(43200.0 / 30.0, rel=0.01)
+        assert result.mean_sampling_rate[0] == pytest.approx(1.0 / 30.0, rel=0.01)
 
     def test_reconstruction_quality_good_when_oversampled(self, reference):
-        result = FixedRatePolicy(30.0).collect(reference)
-        assert compare(reference, result.reconstructed).nrmse < 0.05
+        assert evaluate_one(FixedRatePolicy(30.0), reference).nrmse[0] < 0.05
 
     def test_rate_capped_at_reference_rate(self, reference):
-        result = FixedRatePolicy(1.0).collect(reference)
-        assert result.samples_collected <= len(reference)
+        result = evaluate_one(FixedRatePolicy(1.0), reference)
+        assert result.samples_collected[0] <= len(reference)
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
@@ -53,18 +58,13 @@ class TestFixedRatePolicy:
 
 class TestNyquistStaticPolicy:
     def test_cheaper_than_baseline(self, reference):
-        baseline = FixedRatePolicy(30.0).collect(reference)
-        static = NyquistStaticPolicy(production_interval=30.0).collect(reference)
-        assert static.samples_collected < baseline.samples_collected
+        baseline = evaluate_one(FixedRatePolicy(30.0), reference)
+        static = evaluate_one(NyquistStaticPolicy(production_interval=30.0), reference)
+        assert static.samples_collected[0] < baseline.samples_collected[0]
 
     def test_reconstruction_still_reasonable(self, reference):
-        static = NyquistStaticPolicy(production_interval=30.0).collect(reference)
-        assert compare(reference, static.reconstructed).nrmse < 0.25
-
-    def test_detail_fields(self, reference):
-        result = NyquistStaticPolicy(production_interval=30.0).collect(reference)
-        assert result.detail["calibration_samples"] > 0
-        assert result.detail["target_rate_hz"] > 0
+        static = evaluate_one(NyquistStaticPolicy(production_interval=30.0), reference)
+        assert static.nrmse[0] < 0.25
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -81,8 +81,9 @@ class TestFinishGuard:
         silently reconstruct a constant (0.0 for an empty stream),
         producing a bogus nrmse; it must now fail loudly."""
         short = TimeSeries(np.arange(20, dtype=float), interval=1.0, name="short")
+        evaluator = CostQualityEvaluator([FixedRatePolicy(100.0)])
         with pytest.raises(ValueError, match="collected only 1 sample"):
-            FixedRatePolicy(100.0).collect(short)
+            evaluator.evaluate_point("short", "metric", short)
 
     def test_batch_path_raises_too(self):
         values = np.arange(40, dtype=float).reshape(2, 20)
@@ -98,8 +99,16 @@ ADAPTIVE_POLICIES = [
 ]
 
 
+#: One of each built-in policy collection, both adaptive controllers included.
+ALL_POLICIES = [
+    lambda: FixedRatePolicy(30.0),
+    lambda: NyquistStaticPolicy(production_interval=30.0),
+    *ADAPTIVE_POLICIES,
+]
+
+
 class TestBatchEvaluation:
-    """evaluate_batch (vectorised) must reproduce the scalar collect path."""
+    """evaluate_batch (vectorised) must reproduce the scalar reference collections."""
 
     @pytest.fixture(scope="class")
     def batch(self):
@@ -135,12 +144,28 @@ class TestBatchEvaluation:
     def assert_matches_row_loop(policy: SamplingPolicy, values: np.ndarray,
                                 interval: float) -> None:
         vectorised = policy.evaluate_batch(values, interval)
-        # The base-class default runs collect() row by row -- the scalar
-        # reference the vectorised overrides must reproduce, bit for bit.
-        reference = SamplingPolicy.evaluate_batch(policy, values, interval)
+        # The oracle collects, reconstructs and compares one row at a
+        # time with the scalar helpers; the batch must match it bit for bit.
+        reference = evaluate_rows(policy, values, interval)
         for column in ("samples_collected", "mean_sampling_rate", "nrmse", "max_abs_error"):
             assert np.array_equal(getattr(vectorised, column), getattr(reference, column),
                                   equal_nan=True), column
+
+    @staticmethod
+    def assert_rows_evaluate_alone(policy: SamplingPolicy, values: np.ndarray,
+                                   interval: float) -> None:
+        """N-row evaluate_batch equals N one-row calls: no group leaks across rows."""
+        collection = policy.collect_batch(values, interval)
+        everyone = np.arange(values.shape[0])
+        members = np.sort(np.concatenate([everyone[rows] for rows, _, _ in collection.groups]))
+        assert np.array_equal(members, everyone)
+        together = policy.evaluate_batch(values, interval)
+        for index in range(values.shape[0]):
+            alone = policy.evaluate_batch(values[index:index + 1], interval)
+            for column in ("samples_collected", "mean_sampling_rate", "nrmse",
+                           "max_abs_error"):
+                assert np.array_equal(getattr(together, column)[index:index + 1],
+                                      getattr(alone, column), equal_nan=True), (index, column)
 
     @pytest.mark.parametrize("make_policy", [
         lambda: FixedRatePolicy(30.0),
@@ -198,16 +223,24 @@ class TestBatchEvaluation:
         with pytest.raises(ValueError, match="matrix"):
             make_policy().evaluate_batch(np.arange(10.0), 1.0)
 
+    @pytest.mark.parametrize("fixture", ["batch", "coarse_batch"])
+    @pytest.mark.parametrize("make_policy", ALL_POLICIES,
+                             ids=["fixed", "nyquist-static", "adaptive", "adaptive-suite"])
+    def test_rows_evaluate_as_if_alone(self, request, fixture, make_policy):
+        values, interval = request.getfixturevalue(fixture)
+        self.assert_rows_evaluate_alone(make_policy(), values, interval)
+
     @pytest.mark.parametrize("calibration_fraction, tail", [(0.9, 2), (0.95, 1), (0.99, 0)])
     def test_static_short_tail_matches_row_loop(self, calibration_fraction, tail):
         """A calibration prefix that leaves fewer than two samples is kept
-        as collected (one sample) or merged alone (none), as collect() does."""
+        as collected (one sample) or merged alone (none), as the oracle does."""
         rng = np.random.default_rng(3)
         values = np.sin(2 * np.pi * np.arange(20) / 10.0) + 0.1 * rng.normal(size=(3, 20))
         policy = NyquistStaticPolicy(production_interval=1.0,
                                      calibration_fraction=calibration_fraction)
         assert values.shape[1] - int(np.ceil(20 * calibration_fraction)) == tail
         self.assert_matches_row_loop(policy, values, 1.0)
+        self.assert_rows_evaluate_alone(policy, values, 1.0)
 
     def test_batch_columns_must_share_the_row_count(self):
         with pytest.raises(ValueError, match="'nrmse' must be 1-D with 2 rows"):
@@ -263,14 +296,14 @@ class TestPolicySuite:
 class TestAdaptivePolicy:
     def test_runs_and_reports_windows(self, reference):
         policy = AdaptiveDualRatePolicy(window_duration=2 * 3600.0)
-        result = policy.collect(reference)
-        assert result.detail["windows"] == 6
-        assert result.samples_collected > 0
+        run = policy.run_controller(reference)
+        assert len(run.decisions) == 6
+        assert run.total_samples_collected > 0
 
     def test_cheaper_than_baseline_on_slow_signal(self, reference):
-        baseline = FixedRatePolicy(30.0).collect(reference)
-        adaptive = AdaptiveDualRatePolicy(window_duration=2 * 3600.0).collect(reference)
-        assert adaptive.samples_collected < baseline.samples_collected
+        baseline = evaluate_one(FixedRatePolicy(30.0), reference)
+        adaptive = evaluate_one(AdaptiveDualRatePolicy(window_duration=2 * 3600.0), reference)
+        assert adaptive.samples_collected[0] < baseline.samples_collected[0]
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):

@@ -83,20 +83,6 @@ class TestTimeSeriesTiming:
         series = make_series(3).shift_time(5.0)
         assert series.start_time == 5.0
 
-    def test_window_selects_half_open_interval(self):
-        series = make_series(10)
-        window = series.window(2.0, 5.0)
-        np.testing.assert_allclose(window.values, [2.0, 3.0, 4.0])
-        assert window.start_time == pytest.approx(2.0)
-
-    def test_window_outside_range_is_empty(self):
-        series = make_series(5)
-        assert len(series.window(100.0, 200.0)) == 0
-
-    def test_window_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            make_series(5).window(3.0, 1.0)
-
     def test_iter_windows_covers_series(self):
         series = make_series(10)
         windows = list(series.iter_windows(5.0, 5.0))
@@ -235,11 +221,6 @@ class TestIrregularTimeSeries:
         deduped = series.dedupe()
         assert len(deduped) == 3
         assert 99.0 not in deduped.values
-
-    def test_window(self):
-        series = IrregularTimeSeries([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0])
-        window = series.window(1.0, 3.0)
-        np.testing.assert_allclose(window.values, [1.0, 2.0])
 
     def test_duration(self):
         series = IrregularTimeSeries([5.0, 15.0], [0.0, 1.0])

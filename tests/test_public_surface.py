@@ -205,7 +205,8 @@ SPECTRAL = ("NyquistEstimator", "DualRateAliasingDetector", "AdaptiveSamplingCon
             "NyquistStaticPolicy", "AdaptiveDualRatePolicy", "periodogram",
             "batch_periodogram", "compare_spectra_batch", "noise_floor_estimates",
             "estimate_nyquist_rate", "nyquist_round_trip", "regularize",
-            "nearest_neighbor_resample", "ensemble_statistics", "minimum_canary_size")
+            "nearest_neighbor_resample", "resample_to_rate", "downsample",
+            "ensemble_statistics", "minimum_canary_size")
 
 
 def test_every_spectral_option_has_a_library_caller():
