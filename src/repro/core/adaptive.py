@@ -240,11 +240,12 @@ class AdaptiveSamplingController:
     aliasing check).  Within a window, rows that probe at the same
     decimation factors form one group whose dual-rate check and Nyquist
     estimate are matrix operations
-    (:meth:`~repro.core.aliasing.DualRateAliasingDetector.check_rows`,
-    :meth:`~repro.core.nyquist.NyquistEstimator.estimate_rows`); the
-    adaptation rules then run per row.  :meth:`run` is the one-row case,
-    so a trace gets the same decisions whether it is run alone or inside
-    a batch.
+    (:meth:`~repro.core.aliasing.DualRateAliasingDetector.check_rows` and
+    :meth:`~repro.core.nyquist.NyquistEstimator.estimate_batch`, the
+    survey's vectorised engine, whose row bits do not depend on the
+    batch); the adaptation rules then run per row.  :meth:`run` is the
+    one-row case, so a trace gets the same decisions whether it is run
+    alone or inside a batch.
 
     The controller itself holds no run state: every run starts each row
     in probe mode at ``config.initial_rate``, so one controller can serve
@@ -339,12 +340,12 @@ class AdaptiveSamplingController:
                 aliased, discrepancy, _ = self.detector.check_rows(
                     slow, interval * slow_factor, fast, interval * fast_factor)
                 samples_collected = slow.shape[1] + fast.shape[1]
-                estimates = self.estimator.estimate_rows(fast, interval * fast_factor)
+                estimates = self.estimator.estimate_batch(fast, interval * fast_factor)
             else:
                 aliased = np.zeros(len(members), dtype=bool)
                 discrepancy = np.zeros(len(members))
                 samples_collected = slow.shape[1]
-                estimates = self.estimator.estimate_rows(slow, interval * slow_factor)
+                estimates = self.estimator.estimate_batch(slow, interval * slow_factor)
 
             for position, row in enumerate(members):
                 state, rate, estimate = states[row], rates[row], estimates[position]

@@ -19,8 +19,8 @@ objects is a Python loop, which is O(rows) rather than O(rows x n).
 
 One engine serves every DC-free setup the library runs -- the survey
 default (rectangular window) and the short-window detrend + Hann setup
-of Figure 7 -- and rests on three algebraic shortcuts, none of which
-changes a cut-off:
+of the Figure 7 sweep and the adaptive controller -- and rests on three
+algebraic shortcuts, none of which changes a cut-off:
 
 * the energy comparison is done against per-row raw (unscaled) power --
   the cut-off index only depends on energy *ratios*, so the PSD
@@ -36,8 +36,11 @@ changes a cut-off:
   bin pay the exact peak-to-peak check.
 
 The semantics match :meth:`NyquistEstimator.estimate` to rounding -- the
-scalar path is kept as the reference backend and the equivalence is
-enforced by ``tests/core/test_batch.py``.
+scalar path is kept as the reference and the equivalence is enforced by
+``tests/core/test_batch.py``.  A row's bits depend neither on the batch
+it arrives in nor on the input's memory layout.  Setups that count the
+DC bin (``include_dc``, which no library code batches) run the scalar
+path row by row instead.
 """
 
 from __future__ import annotations
@@ -46,11 +49,12 @@ import math
 
 import numpy as np
 
+from ..signals.timeseries import TimeSeries
 from .nyquist import (ALIASED_SENTINEL, MIN_SAMPLES, NON_FINITE_REASON, NyquistEstimate,
-                      NyquistEstimator, detrended_rows)
-from .psd import batch_periodogram, taper_energy, window_coefficients
+                      NyquistEstimator)
+from .psd import taper_energy, window_coefficients
 
-__all__ = ["batch_estimate", "exact_batch_estimate"]
+__all__ = ["batch_estimate"]
 
 
 def _rfft(values: np.ndarray, fft_workers: int | None = None) -> np.ndarray:
@@ -238,64 +242,6 @@ def _fast_batch_estimate(matrix: np.ndarray, interval: float, estimator: Nyquist
     return results
 
 
-def exact_batch_estimate(values: np.ndarray, interval: float,
-                         estimator: NyquistEstimator) -> list[NyquistEstimate]:
-    """The scalar estimator's own arithmetic, run over every row of a trace matrix.
-
-    :func:`batch_estimate` is faster but equal to
-    :meth:`NyquistEstimator.estimate` only to rounding (closed-form
-    detrend, deferred normalisation), which is fine for the survey but not
-    for a feedback loop whose next sampling rate depends on the estimate.
-    Here every step either runs per row exactly as the scalar path does
-    (the cut-off search; the detrend's ``lstsq`` fit, one per row, with
-    the ``np.polyfit`` set-up shared across rows by
-    :func:`~repro.core.nyquist.detrended_rows`) or is an elementwise
-    operation / last-axis reduction over a C-contiguous matrix (taper,
-    ``rfft``, power, energy sums, cumulative energy), whose rows are bit
-    for bit the one-dimensional results.  The spectra it derives (the
-    periodogram, the DC-free columns) skip the re-validation a
-    :class:`~repro.signals.spectrum.SpectrumBatch` built from outside
-    input gets, but stay C-contiguous.  So row ``i`` of the result *is*
-    ``estimator.estimate(TimeSeries(values[i], interval))``.
-    """
-    matrix = np.ascontiguousarray(values, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError(f"values must be a 2-D (rows, samples) matrix, got shape {matrix.shape}")
-    if interval <= 0:
-        raise ValueError("interval must be positive")
-    rows, n = matrix.shape
-    current_rate = 1.0 / interval
-    if n < MIN_SAMPLES:
-        rate = current_rate if n else float("nan")
-        return [_unreliable(estimator, rate, "trace too short") for _ in range(rows)]
-
-    constant = np.ptp(matrix, axis=-1) == 0
-    results: list[NyquistEstimate | None] = [None] * rows
-    for index in np.flatnonzero(constant):
-        results[index] = _constant_estimate(estimator, current_rate, n * interval)
-    active = np.flatnonzero(~constant)
-    if active.size:
-        working = matrix[active]
-        if estimator.detrend:
-            working = detrended_rows(working)
-        spectra = batch_periodogram(working, interval, window=estimator.window)
-        if not estimator.include_dc:
-            spectra = spectra.without_dc()
-        totals = np.sum(spectra.power, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cumulative = np.cumsum(spectra.power, axis=-1) / totals[:, None]
-        for position, index in enumerate(active):
-            total = float(totals[position])
-            if not math.isfinite(total):
-                results[index] = _unreliable(estimator, current_rate, NON_FINITE_REASON)
-            elif total <= 0:
-                results[index] = _unreliable(estimator, current_rate, "no spectral energy")
-            else:
-                results[index] = estimator.estimate_from_cumulative(
-                    spectra.frequencies, cumulative[position], total, current_rate)
-    return results  # type: ignore[return-value]
-
-
 def batch_estimate(values: np.ndarray, interval: float,
                    estimator: NyquistEstimator | None = None,
                    fft_workers: int | None = None) -> list[NyquistEstimate]:
@@ -309,7 +255,7 @@ def batch_estimate(values: np.ndarray, interval: float,
         heterogeneous fleets with
         :meth:`repro.telemetry.dataset.FleetDataset.trace_batches`).
     interval:
-        The common sampling interval in seconds.
+        The common sampling interval in seconds (positive and finite).
     estimator:
         Estimator configuration; defaults to the paper's 99 % settings.
         Every knob (``energy_fraction``, ``include_dc``,
@@ -327,23 +273,25 @@ def batch_estimate(values: np.ndarray, interval: float,
     list[NyquistEstimate]
         One estimate per row, in row order, equal to what
         ``estimator.estimate`` would return for each trace individually
-        (to rounding; bit for bit with ``include_dc``).
+        (to rounding; bit for bit with ``include_dc``, which runs the
+        scalar path per row).
     """
     estimator = estimator or NyquistEstimator()
-    matrix = np.asarray(values, dtype=np.float64)
+    matrix = np.ascontiguousarray(values, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError(f"values must be a 2-D (rows, samples) matrix, got shape {matrix.shape}")
-    if interval <= 0:
-        raise ValueError("interval must be positive")
+    if not (math.isfinite(interval) and interval > 0):
+        raise ValueError(f"interval must be a positive finite number, got {interval}")
     rows, n = matrix.shape
     if rows == 0:
         return []
     current_rate = 1.0 / interval
 
     if n < MIN_SAMPLES:
-        return [_unreliable(estimator, current_rate, "trace too short") for _ in range(rows)]
+        rate = current_rate if n else float("nan")  # an empty trace has no rate, as in estimate
+        return [_unreliable(estimator, rate, "trace too short") for _ in range(rows)]
     # From here every row has at least MIN_SAMPLES // 2 non-DC bins.
 
     if estimator.include_dc:
-        return exact_batch_estimate(matrix, interval, estimator)
+        return [estimator.estimate(TimeSeries(row, interval)) for row in matrix]
     return _fast_batch_estimate(matrix, interval, estimator, fft_workers)

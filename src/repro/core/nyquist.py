@@ -13,22 +13,19 @@ The estimator:
 The 99 % cut-off is a noise/quantisation workaround; it is configurable and
 ablated in ``benchmarks/bench_ablation_energy_cutoff.py``.
 
-Three execution paths share these semantics: :meth:`NyquistEstimator.estimate`
-processes one trace at a time (the reference implementation);
+Two execution paths share these semantics: :meth:`NyquistEstimator.estimate`
+processes one trace at a time (the reference implementation), and
 :meth:`NyquistEstimator.estimate_batch` delegates to
 :mod:`repro.core.batch` to run the same steps over a whole ``(rows, n)``
 matrix of equal-length traces with single vectorised numpy calls -- the
-engine of the fleet survey and the Figure 7 windowed sweep, equal to the
-reference to rounding; and :meth:`NyquistEstimator.estimate_rows` runs
-the reference's own arithmetic over a matrix, bit for bit, for the
-adaptive controller.
+engine of the fleet survey, the Figure 7 windowed sweep and the adaptive
+controller, equal to the reference to rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -261,28 +258,15 @@ class NyquistEstimator:
         Produces, to rounding, the estimates :meth:`estimate` gives each
         row, but computes the PSDs with a single ``rfft(axis=-1)`` call
         and the energy cut-offs with one batched ``cumsum``/``argmax`` --
-        see :mod:`repro.core.batch`.  A row's bits do not depend on the batch.
-        ``fft_workers`` spreads that ``rfft`` over scipy pocketfft
-        threads (row-parallel, so results are unchanged); scipy is
-        optional and imported only then, and without it the request is
-        ignored.
+        see :mod:`repro.core.batch`.  A row's bits depend neither on the
+        batch nor on the matrix's memory layout.  ``fft_workers`` spreads
+        that ``rfft`` over scipy pocketfft threads (row-parallel, so
+        results are unchanged); scipy is optional and imported only then,
+        and without it the request is ignored.
         """
         from .batch import batch_estimate  # local import: batch builds on this module
 
         return batch_estimate(values, interval, estimator=self, fft_workers=fft_workers)
-
-    def estimate_rows(self, values: np.ndarray, interval: float) -> list[NyquistEstimate]:
-        """Run :meth:`estimate` on every row of a ``(rows, n)`` matrix, bit for bit.
-
-        :meth:`estimate_batch` is the survey's and the windowed sweep's
-        engine and matches the scalar path only to rounding; this is the
-        batched form of the scalar path itself, so every result is
-        identical to ``estimate(TimeSeries(row, interval))``.  See
-        :func:`repro.core.batch.exact_batch_estimate`.
-        """
-        from .batch import exact_batch_estimate  # local import: batch builds on this module
-
-        return exact_batch_estimate(values, interval, estimator=self)
 
     def estimate_from_spectrum(self, spectrum: Spectrum,
                                current_rate: float | None = None) -> NyquistEstimate:
@@ -294,17 +278,8 @@ class NyquistEstimator:
             return self._unreliable(rate, reason=NON_FINITE_REASON)
         if total <= 0 or len(working) == 0:
             return self._unreliable(rate, reason="no spectral energy")
-        return self.estimate_from_cumulative(working.frequencies,
-                                             np.cumsum(working.power) / total, total, rate)
-
-    def estimate_from_cumulative(self, frequencies: np.ndarray, cumulative: np.ndarray,
-                                 total: float, current_rate: float) -> NyquistEstimate:
-        """Run steps (b)-(d) on one PSD's normalised cumulative energy.
-
-        ``frequencies`` are the bins that take part in the energy
-        accounting (DC already dropped unless ``include_dc``),
-        ``cumulative`` is their cumulative power divided by ``total`` (> 0).
-        """
+        frequencies = working.frequencies
+        cumulative = np.cumsum(working.power) / total
         bins = len(frequencies)
         cutoff_index = int(np.searchsorted(cumulative, self.energy_fraction - 1e-12))
         cutoff_index = min(cutoff_index, bins - 1)
@@ -319,7 +294,7 @@ class NyquistEstimator:
             return NyquistEstimate(
                 nyquist_rate=ALIASED_SENTINEL,
                 cutoff_frequency=None,
-                current_rate=current_rate,
+                current_rate=rate,
                 energy_fraction=self.energy_fraction,
                 captured_fraction=float(cumulative[-1]),
                 total_energy=total,
@@ -338,7 +313,7 @@ class NyquistEstimator:
         return NyquistEstimate(
             nyquist_rate=nyquist_rate,
             cutoff_frequency=cutoff_frequency,
-            current_rate=current_rate,
+            current_rate=rate,
             energy_fraction=self.energy_fraction,
             captured_fraction=float(cumulative[cutoff_index]),
             total_energy=total,
@@ -373,45 +348,6 @@ def _remove_linear_trend(series: TimeSeries) -> TimeSeries:
 
 
 def detrended(values: np.ndarray) -> np.ndarray:
-    """``values`` minus its least-squares line: the one-row case of :func:`detrended_rows`.
-
-    The detrend :meth:`NyquistEstimator.estimate` applies, bit for bit the
-    row :meth:`NyquistEstimator.estimate_rows` computes for the same trace.
-    """
-    return detrended_rows(values[None, :])[0]
-
-
-@lru_cache(maxsize=64)
-def _trend_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """``np.polyfit(x, y, 1)``'s set-up for ``x = arange(n)``: ``(x, lhs, scale, rcond)``.
-
-    The scaled Vandermonde matrix, its column scales and ``rcond`` depend
-    on the length alone, so they are built once per length (read-only,
-    since every caller shares them) with ``polyfit``'s own statements.
-    """
-    x = np.arange(n, dtype=np.float64)
-    lhs = np.vander(x, 2)
-    scale = np.sqrt((lhs * lhs).sum(axis=0))
-    lhs /= scale
-    for array in (x, lhs, scale):
-        array.flags.writeable = False
-    return x, lhs, scale, n * np.finfo(np.float64).eps
-
-
-def detrended_rows(values: np.ndarray) -> np.ndarray:
-    """Each row of a ``(rows, n)`` matrix minus its own least-squares line.
-
-    Every row gets exactly ``np.polyfit(arange(n), row, 1)``: the same
-    scaled Vandermonde matrix, ``rcond`` and public
-    ``np.linalg.lstsq`` call per row, then the same unscaling, so a row's
-    bits equal the per-trace ``polyfit`` detrend.  Only the set-up is
-    shared across rows and calls.  The fit stays one ``lstsq`` per row on
-    purpose: one solve over a 2-D right-hand side (what a 2-D ``polyfit``
-    does) differs from per-row fits in the last bits, which would break
-    the row-batched estimator's bit-for-bit equality with the scalar one.
-    """
-    x, lhs, scale, rcond = _trend_basis(values.shape[-1])
-    coefficients = np.empty((values.shape[0], 2))
-    for index, row in enumerate(values + 0.0):  # polyfit's ``y + 0.0``
-        coefficients[index] = np.linalg.lstsq(lhs, row, rcond)[0] / scale
-    return values - (coefficients[:, :1] * x + coefficients[:, 1:])
+    """``values`` minus its least-squares line (``np.polyfit`` of degree 1)."""
+    x = np.arange(values.shape[-1], dtype=np.float64)
+    return values - np.polyval(np.polyfit(x, values, 1), x)

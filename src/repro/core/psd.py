@@ -5,17 +5,18 @@ total energy in the signal -- the sum of the PSD across all FFT bins".
 :func:`periodogram` implements that single-FFT estimate and returns a
 :class:`repro.signals.Spectrum`, which the Nyquist estimator consumes.
 
-The survey runs the same estimate over thousands of traces at once, so it
-also exists in batched form: :func:`batch_periodogram` takes a
-``(rows, n)`` matrix of equal-length traces and computes every row's PSD
-with a single ``np.fft.rfft(axis=-1)`` call, returning a
+The dual-rate aliasing detector compares the spectra of many probe
+streams at once, so the plain-FFT estimate also exists in batched form:
+:func:`batch_periodogram` takes a ``(rows, n)`` matrix of equal-length
+traces and computes every row's PSD with a single
+``np.fft.rfft(axis=-1)`` call, returning a
 :class:`repro.signals.SpectrumBatch`.  Both share the same normalisation
-helper, so a batch row is numerically the same PSD the scalar estimator
-would produce for that trace.
+helper, so a batch row is numerically the same PSD :func:`periodogram`
+produces for that trace.
 
-Two tapers are supported: the plain FFT (``"rectangular"``, the paper's
-method) and ``"hann"``, which the short-window estimators use to curb
-leakage.
+:func:`periodogram` supports two tapers: the plain FFT
+(``"rectangular"``, the paper's method) and ``"hann"``, which the
+short-window estimators use to curb leakage.
 """
 
 from __future__ import annotations
@@ -129,9 +130,11 @@ def periodogram(series: TimeSeries, window: WindowName = "rectangular") -> Spect
     return Spectrum(freqs, power, series.sampling_rate)
 
 
-def batch_periodogram(values: np.ndarray, interval: float,
-                      window: WindowName = "rectangular") -> SpectrumBatch:
-    """Single-FFT PSDs of a whole batch of equal-length traces.
+def batch_periodogram(values: np.ndarray, interval: float) -> SpectrumBatch:
+    """Single-FFT (rectangular-window) PSDs of a whole batch of equal-length traces.
+
+    The spectra the dual-rate aliasing detector compares; the batched
+    Nyquist estimator (:mod:`repro.core.batch`) runs its own FFT.
 
     Parameters
     ----------
@@ -139,8 +142,6 @@ def batch_periodogram(values: np.ndarray, interval: float,
         ``(rows, n)`` matrix; each row is one trace of ``n`` samples.
     interval:
         The common sampling interval of every row, in seconds.
-    window:
-        As for :func:`periodogram`.
 
     Returns
     -------
@@ -158,8 +159,7 @@ def batch_periodogram(values: np.ndarray, interval: float,
     n = matrix.shape[-1]
     if n < 2:
         raise ValueError("need at least two samples per trace to compute a periodogram")
-    taper = window_coefficients(window, n)
-    power = _one_sided_psd(matrix, taper)
+    power = _one_sided_psd(matrix, window_coefficients("rectangular", n))
     freqs = np.fft.rfftfreq(n, d=interval)
     sampling_rate = 1.0 / interval
     if not math.isfinite(sampling_rate):

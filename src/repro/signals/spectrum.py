@@ -10,8 +10,7 @@ lives in :mod:`repro.core.nyquist`.
 :class:`SpectrumBatch` is the fleet-scale counterpart: one shared
 frequency grid and a 2-D power matrix holding the PSDs of many
 equal-length traces at once.  It is produced by
-:func:`repro.core.psd.batch_periodogram` and consumed by the exact
-row-batched estimator in :mod:`repro.core.batch` and by the dual-rate
+:func:`repro.core.psd.batch_periodogram` and consumed by the dual-rate
 spectrum comparison in :mod:`repro.core.aliasing`.
 """
 

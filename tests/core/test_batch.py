@@ -47,14 +47,13 @@ def assert_equivalent(scalar: NyquistEstimate, batched: NyquistEstimate) -> None
 
 class TestBatchedPsd:
     @pytest.mark.parametrize("n", [16, 17, 128, 129])
-    @pytest.mark.parametrize("window", ["rectangular", "hann"])
-    def test_batch_periodogram_matches_scalar_rows(self, n, window):
+    def test_batch_periodogram_matches_scalar_rows(self, n):
         matrix = make_matrix(n)
-        batch = batch_periodogram(matrix, interval=2.0, window=window)
+        batch = batch_periodogram(matrix, interval=2.0)
         assert isinstance(batch, SpectrumBatch)
         assert len(batch) == matrix.shape[0]
         for index in range(matrix.shape[0]):
-            scalar = periodogram(TimeSeries(matrix[index], 2.0), window=window)
+            scalar = periodogram(TimeSeries(matrix[index], 2.0))
             np.testing.assert_allclose(batch.row(index).power, scalar.power, atol=1e-12)
             np.testing.assert_allclose(batch.frequencies, scalar.frequencies)
 
@@ -90,6 +89,19 @@ class TestBatchEstimateEquivalence:
             scalar = estimator.estimate(TimeSeries(matrix[index], 30.0))
             assert_equivalent(scalar, batched[index])
 
+    @pytest.mark.parametrize("n", [16, 17, 96, 241])
+    @pytest.mark.parametrize("window", ["rectangular", "hann"])
+    @pytest.mark.parametrize("detrend", [False, True])
+    def test_strict_aliasing_rule_and_lengths(self, n, window, detrend):
+        """The adaptive controller's strict "all bins needed" rule, down to
+        the shortest window it estimates."""
+        estimator = NyquistEstimator(window=window, detrend=detrend, aliased_band_fraction=1.0)
+        matrix = make_matrix(n, rows=10, seed=n)
+        batched = batch_estimate(matrix, 30.0, estimator=estimator)
+        for index in range(matrix.shape[0]):
+            scalar = estimator.estimate(TimeSeries(matrix[index], 30.0))
+            assert_equivalent(scalar, batched[index])
+
     @pytest.mark.parametrize("window", ["rectangular", "hann"])
     @pytest.mark.parametrize("energy_fraction", [0.5, 0.9, 0.99, 1.0])
     def test_energy_fractions(self, energy_fraction, window):
@@ -106,22 +118,23 @@ class TestBatchEstimateEquivalence:
     def test_every_dc_free_setup_takes_the_vectorised_engine(self, monkeypatch, window,
                                                              detrend, include_dc):
         """DC-free setups (tapered or not, detrended or not) take the vectorised
-        engine; counting the DC bin takes the scalar path's exact arithmetic."""
+        engine; counting the DC bin runs the scalar path row by row."""
         calls = []
 
-        def counting(name):
-            inner = getattr(batch_module, name)
+        def counting(owner, name):
+            inner = getattr(owner, name)
 
             def counted(*args, **kwargs):
                 calls.append(name)
                 return inner(*args, **kwargs)
-            return counted
+            monkeypatch.setattr(owner, name, counted)
 
-        for name in ("_fast_batch_estimate", "exact_batch_estimate"):
-            monkeypatch.setattr(batch_module, name, counting(name))
         estimator = NyquistEstimator(window=window, detrend=detrend, include_dc=include_dc)
-        batch_estimate(make_matrix(64), 1.0, estimator=estimator)
-        assert calls == ["exact_batch_estimate" if include_dc else "_fast_batch_estimate"]
+        counting(batch_module, "_fast_batch_estimate")
+        counting(estimator, "estimate")
+        matrix = make_matrix(64)
+        batch_estimate(matrix, 1.0, estimator=estimator)
+        assert calls == (["estimate"] * len(matrix) if include_dc else ["_fast_batch_estimate"])
 
     def test_near_constant_rows(self):
         """Only an exactly constant row is "constant"; a tiny wobble is a trace."""
@@ -210,52 +223,65 @@ class TestBatchEstimateEquivalence:
                 assert_equivalent(scalar, batched[index])
 
 
-class TestExactBatchEstimate:
-    """``estimate_rows`` is the scalar estimator run over a matrix: bit for bit."""
+class TestEstimateBatchInput:
+    """What ``estimate_batch`` accepts, and what a row's bits do not depend on."""
 
     @staticmethod
-    def assert_identical(matrix: np.ndarray, interval: float,
-                         estimator: NyquistEstimator) -> None:
-        rows = estimator.estimate_rows(matrix, interval)
+    def assert_scalar(matrix: np.ndarray, interval: float,
+                      estimator: NyquistEstimator) -> None:
+        rows = estimator.estimate_batch(matrix, interval)
         assert len(rows) == matrix.shape[0]
         for index, estimate in enumerate(rows):
             # repr compares every field exactly (and NaN equal to NaN).
             assert repr(estimate) == repr(estimator.estimate(TimeSeries(matrix[index], interval)))
 
-    @pytest.mark.parametrize("n", [16, 17, 96, 241])
-    @pytest.mark.parametrize("window", ["rectangular", "hann"])
-    @pytest.mark.parametrize("detrend", [False, True])
-    def test_matches_scalar_bit_for_bit(self, n, window, detrend):
-        estimator = NyquistEstimator(window=window, detrend=detrend,
-                                     aliased_band_fraction=1.0)
-        self.assert_identical(make_matrix(n, rows=10, seed=n), 30.0, estimator)
-
-    def test_dc_and_energy_fraction(self):
+    def test_counting_dc_is_the_scalar_path_bit_for_bit(self):
         matrix = make_matrix(120, rows=12, seed=3)
         matrix[5] = 100.0 + 1e-9 * np.arange(120)  # nearly flat, but not constant
         for estimator in (NyquistEstimator(include_dc=True),
-                          NyquistEstimator(detrend=True),
-                          NyquistEstimator(energy_fraction=0.5, window="hann")):
-            self.assert_identical(matrix, 7.5, estimator)
+                          NyquistEstimator(include_dc=True, detrend=True, window="hann")):
+            self.assert_scalar(matrix, 7.5, estimator)
 
     def test_short_and_empty(self):
         estimator = NyquistEstimator()
-        self.assert_identical(np.zeros((3, 15)), 1.0, estimator)
-        assert estimator.estimate_rows(np.empty((0, 64)), 1.0) == []
+        self.assert_scalar(np.zeros((3, 15)), 1.0, estimator)
+        self.assert_scalar(np.empty((3, 0)), 1.0, estimator)
+        assert estimator.estimate_batch(np.empty((0, 64)), 1.0) == []
 
     def test_strided_input(self):
         """Decimated (non-contiguous) views give the same answers as copies."""
         matrix = make_matrix(400, rows=6, seed=9)
-        estimator = NyquistEstimator(detrend=True, window="hann")
-        strided = estimator.estimate_rows(matrix[:, ::3], 3.0)
-        copied = estimator.estimate_rows(np.array(matrix[:, ::3]), 3.0)
+        estimator = ESTIMATORS["short-window"]
+        strided = estimator.estimate_batch(matrix[:, ::3], 3.0)
+        copied = estimator.estimate_batch(np.array(matrix[:, ::3]), 3.0)
         assert repr(strided) == repr(copied)
+
+    @pytest.mark.parametrize("config", ["survey", "short-window"])
+    @pytest.mark.parametrize("step", [1, 3, 7])
+    def test_fortran_ordered_input(self, config, step):
+        """A column-major matrix gives the bits of its row-major copy."""
+        estimator = ESTIMATORS[config]
+        for seed in range(5):
+            matrix = np.random.default_rng(seed).normal(size=(9, 1440)).cumsum(axis=1)
+            rows = np.array(matrix[:, ::step])
+            column_major = np.asfortranarray(rows)
+            assert repr(estimator.estimate_batch(column_major, 60.0 * step)) \
+                == repr(estimator.estimate_batch(rows, 60.0 * step)), f"seed {seed}"
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            NyquistEstimator().estimate_rows(np.zeros(16), 1.0)
+            NyquistEstimator().estimate_batch(np.zeros(16), 1.0)
         with pytest.raises(ValueError):
-            NyquistEstimator().estimate_rows(np.zeros((2, 16)), 0.0)
+            NyquistEstimator().estimate_batch(np.zeros((2, 16)), 0.0)
+
+    @pytest.mark.parametrize("interval", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_a_non_finite_interval(self, interval):
+        """The batch refuses what the scalar path's TimeSeries refuses."""
+        matrix = make_matrix(64)
+        with pytest.raises(ValueError, match="interval must be a positive finite number"):
+            TimeSeries(matrix[0], interval)
+        with pytest.raises(ValueError, match="interval must be a positive finite number"):
+            ESTIMATORS["short-window"].estimate_batch(matrix, interval)
 
 
 #: The survey default and the short-window (Figure 7 / adaptive
@@ -285,7 +311,7 @@ class TestNonFiniteTraces:
         return trace
 
     @pytest.mark.parametrize("config", list(ESTIMATORS))
-    @pytest.mark.parametrize("path", ["estimate", "estimate_batch", "estimate_rows"])
+    @pytest.mark.parametrize("path", ["estimate", "estimate_batch"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_sample_is_refused(self, bad, path, config):
         (estimate,) = _estimate_one(ESTIMATORS[config], path, self._trace(bad)[None, :], 60.0)
@@ -295,7 +321,7 @@ class TestNonFiniteTraces:
         assert math.isnan(estimate.reduction_ratio)
 
     @pytest.mark.parametrize("config", list(ESTIMATORS))
-    @pytest.mark.parametrize("path", ["estimate_batch", "estimate_rows"])
+    @pytest.mark.parametrize("path", ["estimate_batch"])
     def test_finite_rows_of_the_batch_are_unaffected(self, path, config):
         estimator = ESTIMATORS[config]
         clean = make_matrix(41, rows=6, seed=2)
@@ -309,7 +335,7 @@ class TestNonFiniteTraces:
 
 
 @pytest.mark.parametrize("window", ["rectangular", "hann"])
-@pytest.mark.parametrize("path", ["estimate", "estimate_batch", "estimate_rows"])
+@pytest.mark.parametrize("path", ["estimate", "estimate_batch"])
 def test_dc_dominated_trace_reports_one_cycle_per_trace(path, window):
     """With the DC bin counted, a large offset puts the cut-off on the DC bin;
     every path then reports the lowest rate the trace can witness."""
@@ -327,7 +353,7 @@ def test_tapered_batch_of_constant_rows(detrend):
     """Tapered constant rows leak energy that is not round-off small; the
     exact peak-to-peak check still reports every one as constant."""
     estimator = NyquistEstimator(window="hann", detrend=detrend)
-    expected = estimator.estimate_rows(np.full((3, 32), 5.0), 2.0)
+    expected = [estimator.estimate(TimeSeries(row, 2.0)) for row in np.full((3, 32), 5.0)]
     batched = batch_estimate(np.full((3, 32), 5.0), 2.0, estimator=estimator)
     assert [e.reason for e in batched] == ["constant trace"] * 3
     assert repr(batched) == repr(expected)

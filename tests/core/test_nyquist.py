@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.nyquist import (ALIASED_SENTINEL, MIN_SAMPLES, NyquistEstimator, detrended,
-                                detrended_rows, estimate_nyquist_rate)
+                                estimate_nyquist_rate)
 from repro.core.psd import periodogram
 from repro.signals.spectrum import Spectrum
 from repro.signals.generators import constant, sine
@@ -225,7 +225,7 @@ def polyfit_detrended(values: np.ndarray) -> np.ndarray:
 
 
 class TestDetrendOracle:
-    """The shared-set-up detrend is ``np.polyfit`` per row, bit for bit."""
+    """The estimator's detrend is the per-trace ``np.polyfit`` line, bit for bit."""
 
     @staticmethod
     def rows(n: int) -> np.ndarray:
@@ -248,18 +248,8 @@ class TestDetrendOracle:
 
     @pytest.mark.parametrize("n", [16, 17, 90, 576, 1440, 5760])
     def test_rows_equal_per_row_polyfit(self, n):
-        matrix = self.rows(n)
-        batched = detrended_rows(matrix)
-        for index, row in enumerate(matrix):
-            expected = polyfit_detrended(row).tobytes()
-            assert batched[index].tobytes() == expected, f"row {index}"
-            assert detrended(row).tobytes() == expected, f"row {index}"
-
-    def test_strided_rows_and_empty_batch(self):
-        matrix = self.rows(180)
-        strided = detrended_rows(matrix[:, ::2])
-        assert strided.tobytes() == detrended_rows(np.array(matrix[:, ::2])).tobytes()
-        assert detrended_rows(np.empty((0, 32))).shape == (0, 32)
+        for index, row in enumerate(self.rows(n)):
+            assert detrended(row).tobytes() == polyfit_detrended(row).tobytes(), f"row {index}"
 
 
 class TestCacheToken:

@@ -96,11 +96,6 @@ class TestDegenerateTaperedWindow:
         with pytest.raises(ValueError, match="window"):
             periodogram(TimeSeries([1.0, 2.0], 1.0), window="hann")
 
-    def test_batch_periodogram_length_two_hann_raises(self):
-        from repro.core.psd import batch_periodogram
-        with pytest.raises(ValueError, match="window"):
-            batch_periodogram(np.ones((3, 2)), 1.0, window="hann")
-
     def test_rectangular_length_two_still_works(self):
         spectrum = periodogram(TimeSeries([1.0, 2.0], 1.0), window="rectangular")
         assert np.all(np.isfinite(spectrum.power))
