@@ -223,6 +223,17 @@ class TestBatchEstimateEquivalence:
                 assert_equivalent(scalar, batched[index])
 
 
+#: The survey default and the short-window (Figure 7 / adaptive
+#: controller) configuration: the two setups the library runs.
+ESTIMATORS = {"survey": NyquistEstimator(),
+              "short-window": NyquistEstimator(detrend=True, window="hann",
+                                               aliased_band_fraction=1.0)}
+
+#: Every path of ``estimate_batch``: the two setups on the vectorised
+#: engine, and counting the DC bin, which runs the scalar path row by row.
+BATCH_SETUPS = {**ESTIMATORS, "counting-dc": NyquistEstimator(include_dc=True)}
+
+
 class TestEstimateBatchInput:
     """What ``estimate_batch`` accepts, and what a row's bits do not depend on."""
 
@@ -256,11 +267,11 @@ class TestEstimateBatchInput:
         copied = estimator.estimate_batch(np.array(matrix[:, ::3]), 3.0)
         assert repr(strided) == repr(copied)
 
-    @pytest.mark.parametrize("config", ["survey", "short-window"])
+    @pytest.mark.parametrize("config", list(BATCH_SETUPS))
     @pytest.mark.parametrize("step", [1, 3, 7])
     def test_fortran_ordered_input(self, config, step):
         """A column-major matrix gives the bits of its row-major copy."""
-        estimator = ESTIMATORS[config]
+        estimator = BATCH_SETUPS[config]
         for seed in range(5):
             matrix = np.random.default_rng(seed).normal(size=(9, 1440)).cumsum(axis=1)
             rows = np.array(matrix[:, ::step])
@@ -274,21 +285,15 @@ class TestEstimateBatchInput:
         with pytest.raises(ValueError):
             NyquistEstimator().estimate_batch(np.zeros((2, 16)), 0.0)
 
+    @pytest.mark.parametrize("config", list(BATCH_SETUPS))
     @pytest.mark.parametrize("interval", [np.nan, np.inf], ids=["nan", "inf"])
-    def test_rejects_a_non_finite_interval(self, interval):
+    def test_rejects_a_non_finite_interval(self, interval, config):
         """The batch refuses what the scalar path's TimeSeries refuses."""
         matrix = make_matrix(64)
         with pytest.raises(ValueError, match="interval must be a positive finite number"):
             TimeSeries(matrix[0], interval)
         with pytest.raises(ValueError, match="interval must be a positive finite number"):
-            ESTIMATORS["short-window"].estimate_batch(matrix, interval)
-
-
-#: The survey default and the short-window (Figure 7 / adaptive
-#: controller) configuration: the two setups the library runs.
-ESTIMATORS = {"survey": NyquistEstimator(),
-              "short-window": NyquistEstimator(detrend=True, window="hann",
-                                               aliased_band_fraction=1.0)}
+            BATCH_SETUPS[config].estimate_batch(matrix, interval)
 
 
 def _estimate_one(estimator: NyquistEstimator, path: str, matrix: np.ndarray,
@@ -310,20 +315,20 @@ class TestNonFiniteTraces:
         trace[17] = bad
         return trace
 
-    @pytest.mark.parametrize("config", list(ESTIMATORS))
+    @pytest.mark.parametrize("config", list(BATCH_SETUPS))
     @pytest.mark.parametrize("path", ["estimate", "estimate_batch"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_sample_is_refused(self, bad, path, config):
-        (estimate,) = _estimate_one(ESTIMATORS[config], path, self._trace(bad)[None, :], 60.0)
+        (estimate,) = _estimate_one(BATCH_SETUPS[config], path, self._trace(bad)[None, :], 60.0)
         assert not estimate.reliable
         assert estimate.reason == NON_FINITE_REASON
         assert estimate.nyquist_rate == -1.0
         assert math.isnan(estimate.reduction_ratio)
 
-    @pytest.mark.parametrize("config", list(ESTIMATORS))
+    @pytest.mark.parametrize("config", list(BATCH_SETUPS))
     @pytest.mark.parametrize("path", ["estimate_batch"])
     def test_finite_rows_of_the_batch_are_unaffected(self, path, config):
-        estimator = ESTIMATORS[config]
+        estimator = BATCH_SETUPS[config]
         clean = make_matrix(41, rows=6, seed=2)
         mixed = clean.copy()
         mixed[0] = self._trace(np.nan)

@@ -251,6 +251,15 @@ class TestDetrendOracle:
         for index, row in enumerate(self.rows(n)):
             assert detrended(row).tobytes() == polyfit_detrended(row).tobytes(), f"row {index}"
 
+    def test_strided_rows_and_empty_batch(self):
+        """A decimated view detrends to the bits of its copy, and a detrending
+        estimator given no rows returns no estimates."""
+        for index, row in enumerate(self.rows(180)[:, ::2]):
+            assert detrended(row).tobytes() == polyfit_detrended(np.array(row)).tobytes(), \
+                f"row {index}"
+        estimator = NyquistEstimator(detrend=True, window="hann")
+        assert estimator.estimate_batch(np.empty((0, 32)), 1.0) == []
+
 
 class TestCacheToken:
     """The token keys record stores: the setups the library runs must keep

@@ -100,6 +100,13 @@ class TestDegenerateTaperedWindow:
         spectrum = periodogram(TimeSeries([1.0, 2.0], 1.0), window="rectangular")
         assert np.all(np.isfinite(spectrum.power))
 
+    def test_batch_periodogram_length_two_still_works(self):
+        from repro.core.psd import batch_periodogram
+        batch = batch_periodogram(np.array([[1.0, 2.0], [3.0, -1.0]]), 1.0)
+        for index, row in enumerate(([1.0, 2.0], [3.0, -1.0])):
+            expected = periodogram(TimeSeries(row, 1.0), window="rectangular")
+            np.testing.assert_allclose(batch.row(index).power, expected.power, atol=1e-12)
+
     def test_longer_tapered_windows_unaffected(self):
         series = sine(1.0, duration=0.5, sampling_rate=16.0)
         spectrum = periodogram(series, window="hann")
