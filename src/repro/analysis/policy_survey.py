@@ -68,7 +68,7 @@ import numpy as np
 
 from ..network.cost import TelemetryCostAccountant
 from ..pipeline.evaluation import (DETECTION_DETECTED, DETECTION_MISSED, DETECTION_UNSCORED,
-                                   PointEvaluation, PolicyRecordBlock)
+                                   PolicyRecordBlock)
 from ..pipeline.events import InjectedEvent, ThresholdDetector, score_detection
 from ..pipeline.policies import PolicySuite, SamplingPolicy, StaticPolicySuite
 from ..records import RecordSink, RecordStore
@@ -270,16 +270,15 @@ class CostQualityEvaluator(PolicySurveyResult):
         self.detector = detector or ThresholdDetector()
 
     def evaluate_point(self, point_name: str, metric_name: str, reference: TimeSeries,
-                       event: InjectedEvent | None = None) -> list[PointEvaluation]:
+                       event: InjectedEvent | None = None) -> None:
         """Run every policy on one measurement point's reference trace.
 
-        Each policy collects from the trace as a one-row batch and the
+        Appends one 1-row block per policy.  Each policy collects from the trace as a one-row batch and the
         collection is scored exactly as the fleet survey scores a row;
         with an ``event``, the same collected stream is also scored for
         detection.
         """
         values = reference.values[None, :]
-        results = []
         for policy in self._policies:
             collection = policy.collect_batch(values, reference.interval)
             evaluation = collection.evaluate(policy.name, values, reference.interval)
@@ -299,8 +298,6 @@ class CostQualityEvaluator(PolicySurveyResult):
                     block, detected=np.array([code], dtype=np.int8),
                     detection_latency=np.array([detection.latency]))
             self.append_block(block)
-            results.extend(block.to_evaluations())
-        return results
 
 
 # ----------------------------------------------------------------------

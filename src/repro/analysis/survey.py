@@ -72,6 +72,7 @@ from ..telemetry.source import TraceBatch, TraceSource
 from .driver import OnError, SliceResult, check_run_options, run_slices
 
 __all__ = [
+    "OVERSAMPLE_THRESHOLD",
     "PairCategory",
     "PairRecord",
     "RecordBlock",
@@ -89,6 +90,12 @@ __all__ = [
 #: included in a CDF: an aliased trace's Nyquist rate is at least its
 #: sampling rate, so no reduction is achievable.
 UNRELIABLE_RATIO: float = 1.0
+
+#: Reduction ratio above which a pair counts as over-sampled.  The paper's
+#: wording is simply "higher than their Nyquist rate"; a small margin
+#: keeps borderline pairs -- whose estimate sits within estimation noise
+#: of the sampling rate itself -- out of the over-sampled bucket.
+OVERSAMPLE_THRESHOLD: float = 1.25
 
 
 class PairCategory(enum.Enum):
@@ -194,12 +201,6 @@ class SurveyResult(SliceResult):
     per-pair :class:`PairRecord` list on demand.  ``cache_hits`` /
     ``cache_misses`` count the pairs of ``run_survey(store=...)``.
     """
-
-    def __init__(self, oversample_threshold: float = 1.25,
-                 sink: RecordSink | None = None,
-                 failure_sink: RecordSink | None = None) -> None:
-        self.oversample_threshold = oversample_threshold
-        super().__init__(sink, failure_sink)
 
     @property
     def records(self) -> list[PairRecord]:
@@ -336,7 +337,6 @@ class SurveyResult(SliceResult):
 # ----------------------------------------------------------------------
 def _block_from_estimates(metric_name: str, pairs: Sequence[TracePair],
                           estimates: Sequence[NyquistEstimate], current_rate: float,
-                          oversample_threshold: float,
                           trace_duration: float) -> RecordBlock:
     """Compact one batch's estimates into a columnar block (classification included)."""
     rows = len(pairs)
@@ -346,7 +346,7 @@ def _block_from_estimates(metric_name: str, pairs: Sequence[TracePair],
     # Vectorised _classify: refused -> suspect; reliable with headroom ->
     # oversampled; the rest (including nan ratios) -> marginal.
     category = np.where(~reliable, _SUSPECT_CODE,
-                        np.where(ratio > oversample_threshold, _OVERSAMPLED_CODE,
+                        np.where(ratio > OVERSAMPLE_THRESHOLD, _OVERSAMPLED_CODE,
                                  _MARGINAL_CODE)).astype(np.int8)
     return RecordBlock(
         metric_name=metric_name,
@@ -367,7 +367,6 @@ class _SurveyEvaluator:
     """The survey's per-batch step for the slice driver: estimate, classify, compact."""
 
     estimator: NyquistEstimator
-    oversample_threshold: float
     fft_workers: int | None
     trace_duration: float
 
@@ -375,19 +374,19 @@ class _SurveyEvaluator:
     stage: ClassVar[str] = "estimate"
 
     def params_token(self) -> str:
+        # The threshold stays in the token, spelled as before, so stores
+        # filled by earlier releases keep hitting.
         return (f"{self.estimator.cache_token()}|"
-                f"oversample_threshold={self.oversample_threshold!r}")
+                f"oversample_threshold={OVERSAMPLE_THRESHOLD!r}")
 
     def evaluate(self, metric_name: str, batch: TraceBatch) -> list[RecordBlock]:
         estimates = self.estimator.estimate_batch(batch.values, batch.interval,
                                                   fft_workers=self.fft_workers)
         return [_block_from_estimates(metric_name, batch.pairs, estimates,
-                                      batch.sampling_rate, self.oversample_threshold,
-                                      self.trace_duration)]
+                                      batch.sampling_rate, self.trace_duration)]
 
 
 def run_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
-               oversample_threshold: float = 1.25,
                metrics: Sequence[str] | None = None,
                limit_per_metric: int | None = None,
                chunk_size: int = 1024,
@@ -400,6 +399,9 @@ def run_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
                retry_sleep: Callable[[float], None] = time.sleep) -> SurveyResult:
     """Run the Section 3.2 analysis over a whole dataset.
 
+    A pair counts as over-sampled when its estimate is reliable and its
+    reduction ratio exceeds :data:`OVERSAMPLE_THRESHOLD`.
+
     Parameters
     ----------
     dataset:
@@ -410,12 +412,6 @@ def run_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
         byte-identically to the in-memory dataset it came from).
     estimator:
         Nyquist estimator; defaults to the paper's 99 % configuration.
-    oversample_threshold:
-        Reduction ratio above which a pair counts as over-sampled.  The
-        paper's wording is simply "higher than their Nyquist rate"; a small
-        margin (default 1.25x) keeps borderline pairs -- whose estimate sits
-        within estimation noise of the sampling rate itself -- out of the
-        over-sampled bucket.
     metrics:
         Restrict the survey to these metrics (default: all in the dataset).
     limit_per_metric:
@@ -473,13 +469,10 @@ def run_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
         exponential backoff), in multi-worker runs in both error modes
         and in sequential quarantine runs.
     """
-    if oversample_threshold < 1:
-        raise ValueError("oversample_threshold must be >= 1")
     check_run_options("run_survey", SurveyResult, workers, on_error, sink, failure_sink)
-    result = SurveyResult(oversample_threshold=oversample_threshold, sink=sink,
-                          failure_sink=failure_sink)
-    evaluator = _SurveyEvaluator(estimator or NyquistEstimator(), oversample_threshold,
-                                 fft_workers, dataset.trace_duration)
+    result = SurveyResult(sink=sink, failure_sink=failure_sink)
+    evaluator = _SurveyEvaluator(estimator or NyquistEstimator(), fft_workers,
+                                 dataset.trace_duration)
     run_slices(dataset, evaluator, result, metric_names=metrics,
                limit_per_metric=limit_per_metric, chunk_size=chunk_size, workers=workers,
                on_error=on_error, store=store, sleep=retry_sleep)

@@ -18,7 +18,7 @@ from .adaptive import (AdaptiveRun, AdaptiveSamplingController, ControllerConfig
                        ControllerMode, ModeTransition, WindowDecision)
 from .batch import batch_estimate
 from .aliasing import AliasingVerdict, DualRateAliasingDetector, compare_spectra
-from .errors import ReconstructionError, compare, max_abs_error, nrmse, rmse
+from .errors import ReconstructionError, compare
 from .ergodicity import (ErgodicityReport, ensemble_statistics, ergodicity_gap,
                          ergodicity_report, minimum_canary_size, time_statistics)
 from .nyquist import ALIASED_SENTINEL, NyquistEstimate, NyquistEstimator, estimate_nyquist_rate
@@ -43,7 +43,7 @@ __all__ = [
     "AdaptiveRun", "WindowDecision", "ModeTransition",
     # reconstruction / errors
     "RoundTripResult", "nyquist_round_trip", "reconstruct", "upsample_to_length",
-    "ReconstructionError", "compare", "rmse", "nrmse", "max_abs_error",
+    "ReconstructionError", "compare",
     # resampling
     "regularize", "nearest_neighbor_resample", "downsample", "resample_to_rate",
     "fourier_resample",

@@ -135,10 +135,6 @@ class WindowDecision:
     nyquist_estimate: float
     next_rate: float
 
-    @property
-    def window_duration(self) -> float:
-        return self.window_end - self.window_start
-
 
 @dataclass(frozen=True)
 class ModeTransition:

@@ -17,9 +17,6 @@ from ..signals.timeseries import TimeSeries
 
 __all__ = [
     "ReconstructionError",
-    "rmse",
-    "nrmse",
-    "max_abs_error",
     "compare",
     "compare_batch",
 ]
@@ -37,33 +34,6 @@ def _aligned_values(original: TimeSeries, reconstructed: TimeSeries) -> tuple[np
     if n == 0:
         raise ValueError("cannot compare empty series")
     return original.values[:n], reconstructed.values[:n]
-
-
-def rmse(original: TimeSeries, reconstructed: TimeSeries) -> float:
-    """Root-mean-square error per sample."""
-    a, b = _aligned_values(original, reconstructed)
-    return float(np.sqrt(np.mean((a - b) ** 2)))
-
-
-def nrmse(original: TimeSeries, reconstructed: TimeSeries) -> float:
-    """RMSE normalised by the original's peak-to-peak range.
-
-    Returns 0 for a perfect reconstruction and ``nan`` when the original
-    trace is constant (the range is zero, so normalisation is undefined --
-    but then rmse itself is already interpretable).
-    """
-    a, b = _aligned_values(original, reconstructed)
-    value_range = float(np.max(a) - np.min(a))
-    error = float(np.sqrt(np.mean((a - b) ** 2)))
-    if value_range == 0:
-        return 0.0 if error == 0 else float("nan")
-    return error / value_range
-
-
-def max_abs_error(original: TimeSeries, reconstructed: TimeSeries) -> float:
-    """Largest per-sample absolute deviation."""
-    a, b = _aligned_values(original, reconstructed)
-    return float(np.max(np.abs(a - b)))
 
 
 @dataclass(frozen=True)
@@ -89,7 +59,7 @@ def compare_batch(original: np.ndarray,
     The batched counterpart of :func:`compare` for the policy pipeline's
     hot loop: rows are trimmed to the common column count (the same
     overlapping-prefix convention as :func:`_aligned_values`) and the
-    normalisation follows :func:`nrmse` exactly -- a constant row yields 0
+    normalisation follows :func:`compare` exactly -- a constant row yields 0
     for a perfect reconstruction and ``nan`` otherwise.
     """
     if original.ndim != 2 or reconstructed.ndim != 2:

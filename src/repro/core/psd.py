@@ -154,14 +154,14 @@ def batch_periodogram(values: np.ndarray, interval: float) -> SpectrumBatch:
     matrix = np.asarray(values, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError(f"values must be a 2-D (rows, samples) matrix, got shape {matrix.shape}")
-    if interval <= 0:
-        raise ValueError("interval must be positive")
+    if not (math.isfinite(interval) and interval > 0):
+        raise ValueError(f"interval must be a positive finite number, got {interval}")
+    sampling_rate = 1.0 / interval
+    if not math.isfinite(sampling_rate):
+        raise ValueError("sampling_rate must be positive and finite")
     n = matrix.shape[-1]
     if n < 2:
         raise ValueError("need at least two samples per trace to compute a periodogram")
     power = _one_sided_psd(matrix, window_coefficients("rectangular", n))
     freqs = np.fft.rfftfreq(n, d=interval)
-    sampling_rate = 1.0 / interval
-    if not math.isfinite(sampling_rate):
-        raise ValueError("sampling_rate must be positive and finite")
     return SpectrumBatch._of_checked(freqs, power, sampling_rate)

@@ -1,4 +1,4 @@
-"""Quantisation: uniform quantisers and quantisation-noise accounting.
+"""Quantisation: uniform quantisers.
 
 Section 4.3 of the paper: "In practice, measurement readings are quantized
 ... Such quantization adds noise which in the frequency domain appears at
@@ -54,11 +54,3 @@ class UniformQuantizer:
     def apply_series(self, series: TimeSeries) -> TimeSeries:
         """Quantise a whole time series."""
         return series.with_values(self.apply(series.values))
-
-    def noise_std(self) -> float:
-        """Standard deviation of the quantisation error, ``step / sqrt(12)``.
-
-        The classic uniform-error model: the rounding error is uniformly
-        distributed over one quantisation step.
-        """
-        return self.step / math.sqrt(12.0)

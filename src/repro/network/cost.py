@@ -63,47 +63,13 @@ class CostModel:
 
 @dataclass
 class CostBreakdown:
-    """Accumulated cost of a monitoring run, by component."""
+    """The priced cost of collecting some samples, by component."""
 
     samples: int = 0
     collection_cpu_us: float = 0.0
     transmission: float = 0.0
     storage_bytes: float = 0.0
     analysis: float = 0.0
-
-    @property
-    def total(self) -> float:
-        """A single scalar combining all components (unit-weighted sum)."""
-        return (self.collection_cpu_us + self.transmission
-                + self.storage_bytes + self.analysis)
-
-    def add(self, other: "CostBreakdown") -> "CostBreakdown":
-        """Accumulate another breakdown into this one (returns self)."""
-        self.samples += other.samples
-        self.collection_cpu_us += other.collection_cpu_us
-        self.transmission += other.transmission
-        self.storage_bytes += other.storage_bytes
-        self.analysis += other.analysis
-        return self
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "samples": float(self.samples),
-            "collection_cpu_us": self.collection_cpu_us,
-            "transmission": self.transmission,
-            "storage_bytes": self.storage_bytes,
-            "analysis": self.analysis,
-            "total": self.total,
-        }
-
-    def relative_to(self, baseline: "CostBreakdown") -> dict[str, float]:
-        """Each component as a fraction of ``baseline`` (nan when baseline is 0)."""
-        result = {}
-        ours = self.as_dict()
-        theirs = baseline.as_dict()
-        for key, value in ours.items():
-            result[key] = value / theirs[key] if theirs[key] else float("nan")
-        return result
 
 
 class TelemetryCostAccountant:

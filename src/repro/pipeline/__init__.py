@@ -1,6 +1,6 @@
 """Monitoring pipeline: sampling policies, event injection and cost/quality evaluation."""
 
-from .evaluation import PointEvaluation, PolicyRecordBlock
+from .evaluation import PolicyRecordBlock
 from .events import (DetectionOutcome, EventKind, InjectedEvent, ModeTransition,
                      ThresholdDetector, inject_event, reprobe_latency,
                      resettle_latency, score_detection)
@@ -14,5 +14,5 @@ __all__ = [
     "EventKind", "InjectedEvent", "inject_event", "ThresholdDetector",
     "DetectionOutcome", "score_detection",
     "ModeTransition", "reprobe_latency", "resettle_latency",
-    "PointEvaluation", "PolicyRecordBlock",
+    "PolicyRecordBlock",
 ]

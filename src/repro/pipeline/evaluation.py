@@ -11,8 +11,7 @@ chunk behind the shared :class:`~repro.records.RecordSink` abstraction --
 so fleet-scale runs stream their results to disk
 (:class:`~repro.records.SpillingRecordSink`) and aggregate with vectorised
 numpy reductions, exactly like the Nyquist survey's
-:class:`~repro.analysis.survey.RecordBlock`.  :class:`PointEvaluation`
-remains as a lazily materialised per-row view.
+:class:`~repro.analysis.survey.RecordBlock`.
 
 Two drivers feed these blocks, both in :mod:`repro.analysis.policy_survey`
 and both reporting through its ``PolicySurveyResult``.  Both collect
@@ -32,39 +31,14 @@ the collection the same way, so they store the same rows:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..network.cost import CostBreakdown
 from ..records import BlockSchema, ColumnarBlock, ColumnSpec, ScalarSpec, register_block_type
-from .events import DetectionOutcome
 from .policies import PolicyBatchEvaluation
 
-__all__ = ["PointEvaluation", "PolicyRecordBlock"]
-
-
-@dataclass(frozen=True)
-class PointEvaluation:
-    """One (policy, measurement point) outcome.
-
-    A per-row *view*: evaluations are stored columnarly in
-    :class:`PolicyRecordBlock` arrays and materialised into these objects
-    on demand.
-    """
-
-    policy_name: str
-    point_name: str
-    metric_name: str
-    samples_collected: int
-    cost: CostBreakdown
-    nrmse: float
-    max_abs_error: float
-    detection: DetectionOutcome | None
-
-    @property
-    def detected(self) -> bool | None:
-        return None if self.detection is None else self.detection.detected
+__all__ = ["PolicyRecordBlock"]
 
 
 #: Codes of the int8 ``detected`` column.
@@ -123,12 +97,6 @@ class PolicyRecordBlock(ColumnarBlock):
     detected: np.ndarray
     detection_latency: np.ndarray
 
-    @property
-    def total_cost(self) -> np.ndarray:
-        """Per-row unit-weighted cost total (the :attr:`CostBreakdown.total` sum)."""
-        return (self.collection_cpu_us + self.transmission
-                + self.storage_bytes + self.analysis)
-
     # ------------------------------------------------------------------
     @classmethod
     def from_batch(cls, metric_name: str, evaluation: PolicyBatchEvaluation,
@@ -159,31 +127,3 @@ class PolicyRecordBlock(ColumnarBlock):
             detected=np.full(rows, DETECTION_UNSCORED, dtype=np.int8),
             detection_latency=np.full(rows, np.nan),
         )
-
-    def to_evaluations(self) -> Iterator[PointEvaluation]:
-        """Materialise one :class:`PointEvaluation` view per row."""
-        for index in range(len(self)):
-            code = int(self.detected[index])
-            detection = None
-            if code != DETECTION_UNSCORED:
-                detection = DetectionOutcome(
-                    policy_name=self.policy_name,
-                    detected=code == DETECTION_DETECTED,
-                    latency=float(self.detection_latency[index]),
-                )
-            yield PointEvaluation(
-                policy_name=self.policy_name,
-                point_name=str(self.device_ids[index]),
-                metric_name=self.metric_name,
-                samples_collected=int(self.samples[index]),
-                cost=CostBreakdown(
-                    samples=int(self.samples[index]),
-                    collection_cpu_us=float(self.collection_cpu_us[index]),
-                    transmission=float(self.transmission[index]),
-                    storage_bytes=float(self.storage_bytes[index]),
-                    analysis=float(self.analysis[index]),
-                ),
-                nrmse=float(self.nrmse[index]),
-                max_abs_error=float(self.max_abs_error[index]),
-                detection=detection,
-            )

@@ -49,10 +49,6 @@ class InjectedEvent:
     magnitude: float
     duration: float
 
-    @property
-    def end_time(self) -> float:
-        return self.start_time + self.duration
-
 
 def inject_event(series: TimeSeries, kind: EventKind, start_time: float,
                  magnitude: float, duration: float | None = None,

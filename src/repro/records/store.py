@@ -175,9 +175,6 @@ class RecordStore:
         digest = fingerprint.digest
         return self.directory / "objects" / digest[:2] / digest
 
-    def __contains__(self, fingerprint: PairFingerprint) -> bool:
-        return (self._entry_dir(fingerprint) / "meta.json").exists()
-
     def get(self, fingerprint: PairFingerprint) -> list[Any] | None:
         """The slice's blocks, or None on a miss.
 
@@ -263,14 +260,6 @@ class RecordStore:
                 for shard in sorted(objects.iterdir())
                 for entry in sorted(shard.iterdir())
                 if (entry / "meta.json").exists()]
-
-    @property
-    def rows(self) -> int:
-        """Total record rows published in the store."""
-        total = 0
-        for entry in self.entries():
-            total += int(json.loads((entry / "meta.json").read_text())["rows"])
-        return total
 
     # ------------------------------------------------------------------
     def verify(self) -> StoreVerification:

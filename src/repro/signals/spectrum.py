@@ -226,13 +226,6 @@ class SpectrumBatch:
                                              self.sampling_rate)
         return self
 
-    def total_energy(self, include_dc: bool = False) -> np.ndarray:
-        """Per-row sum of bin power (the paper's "total energy"), shape ``(rows,)``."""
-        batch = self if include_dc else self.without_dc()
-        if batch.bins == 0:
-            return np.zeros(len(self))
-        return np.sum(batch.power, axis=-1)
-
     def band(self, f_low: float, f_high: float) -> "SpectrumBatch":
         """Bin columns whose frequency lies in ``[f_low, f_high]`` (as :meth:`Spectrum.band`)."""
         if f_high < f_low:

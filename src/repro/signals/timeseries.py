@@ -118,14 +118,6 @@ class TimeSeries:
         """Peak-to-peak range of the samples (0 for an empty series)."""
         return self.max() - self.min() if len(self) else 0.0
 
-    def energy(self) -> float:
-        """Total signal energy, ``sum(x[n] ** 2)``."""
-        return float(np.sum(self.values ** 2))
-
-    def power(self) -> float:
-        """Mean signal power, ``energy / n``."""
-        return self.energy() / len(self) if len(self) else 0.0
-
     # ------------------------------------------------------------------
     # Transformations (all return new TimeSeries)
     # ------------------------------------------------------------------
@@ -138,17 +130,6 @@ class TimeSeries:
 
     def with_name(self, name: str) -> "TimeSeries":
         return TimeSeries(self.values, self.interval, self.start_time, name)
-
-    def shift_time(self, offset: float) -> "TimeSeries":
-        """Return a copy whose start time is shifted by ``offset`` seconds."""
-        return TimeSeries(self.values, self.interval, self.start_time + offset, self.name)
-
-    def detrend(self) -> "TimeSeries":
-        """Return a copy with the mean removed."""
-        return self.with_values(self.values - self.mean()) if len(self) else self
-
-    def clip(self, low: float | None = None, high: float | None = None) -> "TimeSeries":
-        return self.with_values(np.clip(self.values, low, high))
 
     def head(self, n: int) -> "TimeSeries":
         """First ``n`` samples."""
@@ -218,30 +199,6 @@ class TimeSeries:
         return TimeSeries(self.values[::factor], self.interval * factor,
                           self.start_time, self.name)
 
-    # ------------------------------------------------------------------
-    # Arithmetic helpers
-    # ------------------------------------------------------------------
-    def __add__(self, other: "TimeSeries | float") -> "TimeSeries":
-        if isinstance(other, TimeSeries):
-            self._check_compatible(other)
-            return self.with_values(self.values + other.values)
-        return self.with_values(self.values + float(other))
-
-    def __sub__(self, other: "TimeSeries | float") -> "TimeSeries":
-        if isinstance(other, TimeSeries):
-            self._check_compatible(other)
-            return self.with_values(self.values - other.values)
-        return self.with_values(self.values - float(other))
-
-    def __mul__(self, scalar: float) -> "TimeSeries":
-        return self.with_values(self.values * float(scalar))
-
-    def _check_compatible(self, other: "TimeSeries") -> None:
-        if len(other) != len(self):
-            raise ValueError("series lengths differ")
-        if not math.isclose(other.interval, self.interval, rel_tol=1e-9):
-            raise ValueError("series intervals differ")
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = f" name={self.name!r}" if self.name else ""
         return (f"TimeSeries(n={len(self)}, interval={self.interval:g}s, "
@@ -284,10 +241,6 @@ class IrregularTimeSeries:
     @property
     def end_time(self) -> float:
         return float(self.timestamps[-1]) if len(self) else 0.0
-
-    @property
-    def duration(self) -> float:
-        return self.end_time - self.start_time
 
     def intervals(self) -> np.ndarray:
         """Gaps between consecutive samples."""

@@ -9,7 +9,7 @@ from .ingest import (EXPORT_FORMATS, GNMI_FORMAT, METRIC_PATHS, SNMP_FORMAT,
 from .measured import (MeasuredDevice, MeasuredFleetDataset, MeasuredPair,
                        MeasuredParameters, MeasuredSourceSpec, export_traces)
 from .metrics import (FIGURE4_METRICS, FIGURE5_ORDER, METRIC_CATALOG, MetricFamily,
-                      MetricSpec, metric_names)
+                      MetricSpec)
 from .models import generate_trace
 from .profiles import DeviceProfile, DeviceRole, MetricParameters, draw_metric_parameters
 from .source import BaseTraceSource, TraceSource, WorkerSpec
@@ -27,7 +27,7 @@ __all__ = [
     "open_export", "sniff_format", "ingest_dump",
     "export_gnmi_dump", "export_snmp_dump",
     "build_fleet", "DEFAULT_ROLE_MIX",
-    "METRIC_CATALOG", "MetricSpec", "MetricFamily", "metric_names",
+    "METRIC_CATALOG", "MetricSpec", "MetricFamily",
     "FIGURE4_METRICS", "FIGURE5_ORDER",
     "DeviceProfile", "DeviceRole", "MetricParameters", "draw_metric_parameters",
     "generate_trace",

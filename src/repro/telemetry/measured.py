@@ -51,7 +51,6 @@ import numpy as np
 
 from ..records import BlockSchema, ColumnarBlock, ColumnSpec, ScalarSpec, register_block_type
 from ..signals.timeseries import TimeSeries
-from .metrics import METRIC_CATALOG, MetricFamily, MetricSpec
 from .source import BaseTraceSource, TraceSource
 
 if TYPE_CHECKING:
@@ -121,21 +120,6 @@ class MeasuredPair:
     @property
     def key(self) -> tuple[str, str]:
         return (self.metric_name, self.device.device_id)
-
-    @property
-    def metric(self) -> MetricSpec:
-        """The catalogue spec for this metric, or a minimal stand-in.
-
-        Measured data may carry metric names outside the synthetic
-        catalogue; those get a generic gauge spec whose polling interval
-        is the recorded one.
-        """
-        spec = METRIC_CATALOG.get(self.metric_name)
-        if spec is not None:
-            return spec
-        return MetricSpec(self.metric_name, MetricFamily.GAUGE,
-                          poll_interval=self.interval, quantization_step=1.0,
-                          minimum=None, maximum=None, units="", typical_level=0.0)
 
 
 @dataclass(frozen=True)

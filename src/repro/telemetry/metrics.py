@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-__all__ = ["MetricFamily", "MetricSpec", "METRIC_CATALOG", "metric_names"]
+__all__ = ["MetricFamily", "MetricSpec", "METRIC_CATALOG"]
 
 
 class MetricFamily(enum.Enum):
@@ -137,8 +137,3 @@ FIGURE4_METRICS: tuple[str, ...] = (
     "Lossy paths", "Memory usage", "Multicast bytes", "Multicast drops",
     "Peak egress BW", "Peak ingress BW", "Temperature", "Unicast bytes",
 )
-
-
-def metric_names() -> list[str]:
-    """All metric names in the catalogue."""
-    return list(METRIC_CATALOG)

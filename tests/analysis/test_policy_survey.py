@@ -179,16 +179,6 @@ class TestPolicyRecordBlockStorage:
         with pytest.raises(ValueError, match="corrupt or truncated record file"):
             PolicyRecordBlock.load_rcb(rcb)
 
-    def test_point_evaluation_views(self, block):
-        views = list(block.to_evaluations())
-        assert len(views) == len(block)
-        for index, view in enumerate(views):
-            assert view.policy_name == block.policy_name
-            assert view.metric_name == block.metric_name
-            assert view.samples_collected == int(block.samples[index])
-            assert view.cost.transmission == pytest.approx(block.transmission[index])
-            assert view.detection is None  # fleet survey does not score events
-
 
 class TestPerPointDriverAgreement:
     """CostQualityEvaluator (one trace at a time, scalar ``collect``) and
@@ -370,22 +360,22 @@ class TestPolicyQuarantineEquivalence:
 
     def test_healthy_evaluations_byte_identical_to_clean_run(
             self, clean_survey, quarantined_survey, faulty_keys):
-        def views(result):
-            return {(v.policy_name, v.metric_name, v.point_name): v
+        columns = [spec.name for spec in PolicyRecordBlock._SCHEMA.columns
+                   if spec.name != "device_ids"]
+
+        def rows(result):
+            return {(block.policy_name, block.metric_name, str(device)):
+                    [getattr(block, column)[index] for column in columns]
                     for block in result.iter_blocks()
-                    for v in block.to_evaluations()}
-        clean, salvaged = views(clean_survey), views(quarantined_survey)
+                    for index, device in enumerate(block.device_ids)}
+        clean, salvaged = rows(clean_survey), rows(quarantined_survey)
         assert set(clean) - set(salvaged) == {
             (policy, metric, device)
             for policy in clean_survey.policies()
             for metric, device in faulty_keys}
-        for key, view in salvaged.items():
-            twin = clean[key]
-            assert view.samples_collected == twin.samples_collected
-            for field in ("nrmse", "max_abs_error"):
-                assert np.array_equal(getattr(view, field), getattr(twin, field),
-                                      equal_nan=True), (key, field)
-            assert view.cost == twin.cost
+        for key, row in salvaged.items():
+            for column, value, twin in zip(columns, row, clean[key]):
+                assert np.array_equal(value, twin, equal_nan=True), (key, column)
 
     def test_worker_counts_byte_identical(self, chaotic, suite,
                                           quarantined_survey):

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.analysis.survey import (PairCategory, RecordBlock,
-                                   SpillingRecordSink, SurveyResult, run_survey,
-                                   run_windowed_survey)
+from repro.analysis.survey import (OVERSAMPLE_THRESHOLD, PairCategory, RecordBlock,
+                                   SpillingRecordSink, SurveyResult, _block_from_estimates,
+                                   run_survey, run_windowed_survey)
 from repro.core.nyquist import DEFAULT_ALIASED_BAND_FRACTION, NyquistEstimator
 from repro.faults import BatchExecutionError, FaultInjectingTraceSource, FaultPlan
 from repro.telemetry.dataset import DatasetConfig, FleetDataset
@@ -55,11 +56,6 @@ class TestRunSurvey:
         dataset = FleetDataset(DatasetConfig(pair_count=84, seed=5))
         result = run_survey(dataset, metrics=["Temperature", "Link util"])
         assert set(result.metrics()) == {"Temperature", "Link util"}
-
-    def test_rejects_bad_threshold(self):
-        dataset = FleetDataset(DatasetConfig(pair_count=14, seed=5))
-        with pytest.raises(ValueError):
-            run_survey(dataset, oversample_threshold=0.5)
 
 
 class TestAggregations:
@@ -151,7 +147,7 @@ class TestAggregations:
             if record.category is PairCategory.ALIASED_SUSPECT:
                 assert not record.reliable
             if record.category is PairCategory.OVERSAMPLED:
-                assert record.reduction_ratio > survey.oversample_threshold
+                assert record.reduction_ratio > OVERSAMPLE_THRESHOLD
 
     def test_backend_equivalence(self, survey_oracle):
         """The batched survey must reproduce the per-trace reference estimator."""
@@ -186,6 +182,24 @@ class TestAggregations:
             key = (record.metric_name, record.device_id)
             if record.reliable and key in strict_rates:
                 assert strict_rates[key] >= record.nyquist_rate - 1e-12
+
+
+class TestOversampleThreshold:
+    """Only a reliable pair whose ratio exceeds the threshold is over-sampled."""
+
+    @pytest.mark.parametrize("ratio, reliable, category", [
+        (1.0, True, PairCategory.MARGINAL),
+        (OVERSAMPLE_THRESHOLD, True, PairCategory.MARGINAL),
+        (float(np.nextafter(OVERSAMPLE_THRESHOLD, np.inf)), True, PairCategory.OVERSAMPLED),
+        (8.0, False, PairCategory.ALIASED_SUSPECT),
+    ], ids=["no-headroom", "at-threshold", "just-above", "unreliable"])
+    def test_classification(self, ratio, reliable, category):
+        pair = SimpleNamespace(device=SimpleNamespace(device_id="dev"),
+                               parameters=SimpleNamespace(true_nyquist_rate=0.001))
+        estimate = SimpleNamespace(nyquist_rate=0.001, reduction_ratio=ratio, reliable=reliable)
+        block = _block_from_estimates("Temperature", [pair], [estimate], 1 / 300, 86400.0)
+        record, = block.to_records()
+        assert record.category is category
 
 
 class TestColumnarStorage:

@@ -8,7 +8,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 import pytest
 
-from repro.analysis.survey import _CATEGORY_CODE, PairCategory, RecordBlock, SurveyResult
+from repro.analysis.survey import (_CATEGORY_CODE, OVERSAMPLE_THRESHOLD, PairCategory, RecordBlock,
+                                   SurveyResult)
 from repro.core.nyquist import NyquistEstimator
 from repro.signals.generators import multi_tone, sine
 from repro.signals.timeseries import TimeSeries
@@ -65,22 +66,22 @@ def small_dataset() -> FleetDataset:
 # ----------------------------------------------------------------------
 # Per-trace survey oracle
 # ----------------------------------------------------------------------
-def scalar_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
-                  oversample_threshold: float = 1.25) -> SurveyResult:
+def scalar_survey(dataset: TraceSource,
+                  estimator: NyquistEstimator | None = None) -> SurveyResult:
     """The survey computed the reference way: ``estimator.estimate`` per trace.
 
     Each metric's outcomes are packed into one :class:`RecordBlock`, so the
     result aggregates through the same code as a batched survey.
     """
     estimator = estimator or NyquistEstimator()
-    result = SurveyResult(oversample_threshold=oversample_threshold)
+    result = SurveyResult()
     for metric_name in dataset.metric_names():
         rows = []
         for pair, trace in dataset.traces(metric_name):
             estimate = estimator.estimate(trace)
             if not estimate.reliable:
                 category = PairCategory.ALIASED_SUSPECT
-            elif estimate.reduction_ratio > oversample_threshold:
+            elif estimate.reduction_ratio > OVERSAMPLE_THRESHOLD:
                 category = PairCategory.OVERSAMPLED
             else:
                 category = PairCategory.MARGINAL

@@ -53,7 +53,8 @@ class TestControllerBehaviour:
         assert first.sampling_rate == config.initial_rate
         # Probing runs the dual-rate check, so the first window pays for
         # more than the primary stream alone.
-        assert first.samples_collected > first.window_duration * config.initial_rate
+        duration = first.window_end - first.window_start
+        assert first.samples_collected > duration * config.initial_rate
         assert first.mode is ControllerMode.PROBE
 
     def test_minimum_viable_rate(self):

@@ -60,8 +60,10 @@ class TestBatchedPsd:
     @pytest.mark.parametrize("values, interval, message", [
         (np.zeros((2, 3, 4)), 1.0, "2-D"),
         (np.zeros((2, 8)), 0.0, "interval"),
+        (np.zeros((2, 8)), float("nan"), "interval must be a positive finite number"),
+        (np.zeros((2, 8)), float("inf"), "interval must be a positive finite number"),
         (np.zeros((2, 1)), 1.0, "two samples"),
-    ], ids=["not-a-matrix", "zero-interval", "one-sample"])
+    ], ids=["not-a-matrix", "zero-interval", "nan-interval", "inf-interval", "one-sample"])
     def test_batch_periodogram_rejects_bad_input(self, values, interval, message):
         with pytest.raises(ValueError, match=message):
             batch_periodogram(values, interval)

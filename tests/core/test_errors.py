@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.errors import compare, compare_batch, max_abs_error, nrmse, rmse
+from repro.core.errors import compare, compare_batch
 from repro.signals.timeseries import TimeSeries
 
 
@@ -17,32 +17,33 @@ def series(values, interval=1.0):
 
 class TestMetrics:
     def test_identical_series_all_zero(self, sine_1hz):
-        assert compare(sine_1hz, sine_1hz).l2 == 0.0
-        assert rmse(sine_1hz, sine_1hz) == 0.0
-        assert nrmse(sine_1hz, sine_1hz) == 0.0
-        assert max_abs_error(sine_1hz, sine_1hz) == 0.0
-        assert compare(sine_1hz, sine_1hz).mean_abs == 0.0
+        bundle = compare(sine_1hz, sine_1hz)
+        assert bundle.l2 == 0.0
+        assert bundle.rmse == 0.0
+        assert bundle.nrmse == 0.0
+        assert bundle.max_abs == 0.0
+        assert bundle.mean_abs == 0.0
 
     def test_l2_distance_known_value(self):
         assert compare(series([0.0, 0.0]), series([3.0, 4.0])).l2 == pytest.approx(5.0)
 
     def test_rmse_known_value(self):
-        assert rmse(series([0.0, 0.0]), series([2.0, 2.0])) == pytest.approx(2.0)
+        assert compare(series([0.0, 0.0]), series([2.0, 2.0])).rmse == pytest.approx(2.0)
 
     def test_nrmse_normalises_by_range(self):
         original = series([0.0, 10.0])
         shifted = series([1.0, 11.0])
-        assert nrmse(original, shifted) == pytest.approx(0.1)
+        assert compare(original, shifted).nrmse == pytest.approx(0.1)
 
     def test_nrmse_constant_original(self):
         flat = series([5.0, 5.0])
-        assert nrmse(flat, flat) == 0.0
-        assert math.isnan(nrmse(flat, series([5.0, 6.0])))
+        assert compare(flat, flat).nrmse == 0.0
+        assert math.isnan(compare(flat, series([5.0, 6.0])).nrmse)
 
     def test_max_and_mean_abs(self):
         original = series([0.0, 0.0, 0.0])
         other = series([1.0, -2.0, 0.5])
-        assert max_abs_error(original, other) == 2.0
+        assert compare(original, other).max_abs == 2.0
         assert compare(original, other).mean_abs == pytest.approx(3.5 / 3.0)
 
     def test_length_mismatch_compares_overlap(self):
@@ -57,11 +58,12 @@ class TestMetrics:
 
 class TestCompareBundle:
     def test_bundle_matches_individual_metrics(self, sine_1hz):
-        other = sine_1hz + 0.5
+        other = sine_1hz.with_values(sine_1hz.values + 0.5)
         bundle = compare(sine_1hz, other)
-        assert bundle.l2 == pytest.approx(np.linalg.norm(sine_1hz.values - other.values))
-        assert bundle.rmse == pytest.approx(rmse(sine_1hz, other))
-        assert bundle.nrmse == pytest.approx(nrmse(sine_1hz, other))
+        diff = sine_1hz.values - other.values
+        assert bundle.l2 == pytest.approx(np.linalg.norm(diff))
+        assert bundle.rmse == pytest.approx(np.sqrt(np.mean(diff ** 2)))
+        assert bundle.nrmse == pytest.approx(bundle.rmse / np.ptp(sine_1hz.values))
         assert bundle.max_abs == pytest.approx(0.5)
         assert bundle.samples_compared == len(sine_1hz)
 

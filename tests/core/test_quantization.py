@@ -29,9 +29,6 @@ class TestUniformQuantizer:
         assert quantized.interval == sine_1hz.interval
         assert np.max(np.abs(quantized.values - sine_1hz.values)) <= 0.125 + 1e-12
 
-    def test_noise_std(self):
-        assert UniformQuantizer(step=1.0).noise_std() == pytest.approx(1.0 / math.sqrt(12.0))
-
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             UniformQuantizer(step=0.0)
@@ -63,7 +60,7 @@ class TestUniformQuantizer:
         series = TimeSeries(values, 1.0)
         quantized = UniformQuantizer(1.0).apply_series(series)
         empirical = float(np.std(series.values - quantized.values))
-        assert empirical == pytest.approx(UniformQuantizer(1.0).noise_std(), rel=0.05)
+        assert empirical == pytest.approx(1.0 / math.sqrt(12.0), rel=0.05)
 
     def test_finer_step_gives_smaller_error(self):
         series = sine(1.0, 10.0, 50.0, amplitude=10.0)
@@ -71,4 +68,4 @@ class TestUniformQuantizer:
         coarse = compare(series, UniformQuantizer(5.0).apply_series(series))
         assert fine.rmse < coarse.rmse
         # A fine step stays within the uniform-error model's RMS.
-        assert fine.rmse == pytest.approx(UniformQuantizer(0.01).noise_std(), rel=0.1)
+        assert fine.rmse == pytest.approx(0.01 / math.sqrt(12.0), rel=0.1)

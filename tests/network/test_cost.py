@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
-from repro.network.cost import CostBreakdown, CostModel, TelemetryCostAccountant
+from repro.network.cost import CostModel, TelemetryCostAccountant
 from repro.network.monitoring import MonitoringDeployment
 from repro.network.topology import (NodeRole, TopologySpec, attach_collector,
                                     build_leaf_spine)
+
+
+def total(cost) -> float:
+    """Unit-weighted sum of a priced cost's components."""
+    return cost.collection_cpu_us + cost.transmission + cost.storage_bytes + cost.analysis
 
 
 class TestCostModel:
@@ -22,36 +25,6 @@ class TestCostModel:
             CostModel(bytes_per_sample=-1.0)
         with pytest.raises(ValueError):
             CostModel(analysis_cost_per_sample=-0.5)
-
-
-class TestCostBreakdown:
-    def test_total_is_sum_of_components(self):
-        breakdown = CostBreakdown(samples=10, collection_cpu_us=1.0, transmission=2.0,
-                                  storage_bytes=3.0, analysis=4.0)
-        assert breakdown.total == pytest.approx(10.0)
-
-    def test_add_accumulates(self):
-        total = CostBreakdown()
-        total.add(CostBreakdown(samples=5, storage_bytes=10.0))
-        total.add(CostBreakdown(samples=3, storage_bytes=20.0))
-        assert total.samples == 8
-        assert total.storage_bytes == 30.0
-
-    def test_as_dict_keys(self):
-        keys = set(CostBreakdown().as_dict())
-        assert {"samples", "collection_cpu_us", "transmission", "storage_bytes",
-                "analysis", "total"} == keys
-
-    def test_relative_to(self):
-        baseline = CostBreakdown(samples=10, storage_bytes=100.0)
-        half = CostBreakdown(samples=5, storage_bytes=50.0)
-        relative = half.relative_to(baseline)
-        assert relative["samples"] == pytest.approx(0.5)
-        assert relative["storage_bytes"] == pytest.approx(0.5)
-
-    def test_relative_to_zero_baseline_is_nan(self):
-        relative = CostBreakdown().relative_to(CostBreakdown())
-        assert math.isnan(relative["total"])
 
 
 class TestAccountant:
@@ -75,7 +48,7 @@ class TestAccountant:
         accountant, _, _ = self.make_accountant()
         one = accountant.price_samples("leaf-0", 100)
         two = accountant.price_samples("leaf-0", 200)
-        assert two.total == pytest.approx(2 * one.total)
+        assert total(two) == pytest.approx(2 * total(one))
 
     def test_price_components(self):
         model = CostModel(bytes_per_sample=10.0, collection_cpu_us=1.0,
@@ -164,7 +137,7 @@ class TestDeploymentPricing:
         for point in deployment.points():
             node = point.device.device_id
             role = graph.nodes[node]["role"]
-            by_role.setdefault(role, accountant.price_samples(node, 1000).total)
+            by_role.setdefault(role, total(accountant.price_samples(node, 1000)))
         assert by_role[NodeRole.SERVER] > by_role[NodeRole.LEAF] > by_role[NodeRole.SPINE]
 
     def test_deployment_point_block_pricing(self):
@@ -180,4 +153,4 @@ class TestDeploymentPricing:
                   + priced["storage_bytes"] + priced["analysis"])
         for index, point in enumerate(points):
             scalar = accountant.price_samples(devices[index], int(counts[index]))
-            assert totals[index] == pytest.approx(scalar.total)
+            assert totals[index] == pytest.approx(total(scalar))

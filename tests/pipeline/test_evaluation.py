@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis.policy_survey import CostQualityEvaluator, PolicySurveyResult
 from repro.network.cost import TelemetryCostAccountant
+from repro.pipeline.evaluation import DETECTION_UNSCORED
 from repro.pipeline.events import EventKind, inject_event
 from repro.pipeline.policies import FixedRatePolicy, NyquistStaticPolicy
 from repro.records import SpillingRecordSink
@@ -37,11 +38,12 @@ class TestEvaluator:
             CostQualityEvaluator([FixedRatePolicy(30.0, name="x"),
                                   FixedRatePolicy(60.0, name="x")])
 
-    def test_evaluate_point_produces_one_result_per_policy(self, reference):
+    def test_evaluate_point_appends_one_row_per_policy(self, reference):
         evaluator = make_evaluator()
-        results = evaluator.evaluate_point("dev-1", "Link util", reference)
-        assert len(results) == 2
-        assert {r.policy_name for r in results} == {"baseline", "nyquist-static"}
+        evaluator.evaluate_point("dev-1", "Link util", reference)
+        blocks = list(evaluator.iter_blocks())
+        assert [block.policy_name for block in blocks] == ["baseline", "nyquist-static"]
+        assert all(block.device_ids.tolist() == ["dev-1"] for block in blocks)
 
     def test_rows_aggregate_over_points(self, reference):
         evaluator = make_evaluator()
@@ -69,8 +71,8 @@ class TestEvaluator:
         modified, event = inject_event(reference, EventKind.STEP,
                                        reference.start_time + 0.7 * reference.duration,
                                        magnitude=30.0)
-        results = evaluator.evaluate_point("dev-1", "Link util", modified, event)
-        assert all(result.detection is not None for result in results)
+        evaluator.evaluate_point("dev-1", "Link util", modified, event)
+        assert all(block.detected[0] != DETECTION_UNSCORED for block in evaluator.iter_blocks())
         row = evaluator.rows()[0]
         assert row["policy"] == "baseline"
         assert row["detection_rate"] == 1.0
@@ -116,9 +118,9 @@ class TestColumnarStore:
         assert len(blocks) == 4  # 2 points x 2 policies, one 1-row block each
         assert evaluator.sink.rows == 4
         assert {block.policy_name for block in blocks} == {"baseline", "nyquist-static"}
-        baseline = [entry for block in blocks for entry in block.to_evaluations()
-                    if entry.policy_name == "baseline"]
-        assert [entry.point_name for entry in baseline] == ["dev-1", "dev-2"]
+        baseline = [str(device) for block in blocks if block.policy_name == "baseline"
+                    for device in block.device_ids]
+        assert baseline == ["dev-1", "dev-2"]
         assert evaluator.rows()[0]["samples"] == sum(
             int(block.samples.sum()) for block in blocks
             if block.policy_name == "baseline")
@@ -136,17 +138,6 @@ class TestColumnarStore:
             assert left.keys() == right.keys()
             for key in left:
                 assert left[key] == pytest.approx(right[key], nan_ok=True), key
-
-    def test_detection_round_trips_through_blocks(self, reference):
-        evaluator = make_evaluator()
-        modified, event = inject_event(reference, EventKind.STEP,
-                                       reference.start_time + 0.7 * reference.duration,
-                                       magnitude=30.0)
-        results = evaluator.evaluate_point("dev-1", "Link util", modified, event)
-        rebuilt = [entry for block in evaluator.iter_blocks()
-                   for entry in block.to_evaluations()]
-        assert [entry.detection for entry in rebuilt] == \
-            [result.detection for result in results]
 
 
 class TestRelativeCostGuards:

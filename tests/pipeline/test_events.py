@@ -50,7 +50,7 @@ class TestInjectEvent:
         times = baseline_trace.times()
         assert not np.any(changed[times < 10000.0])
         assert np.any(changed[(times >= 10000.0) & (times < 13000.0)])
-        assert event.end_time == pytest.approx(13000.0)
+        assert event.start_time + event.duration == pytest.approx(13000.0)
 
     def test_rejects_event_outside_trace(self, baseline_trace):
         with pytest.raises(ValueError):

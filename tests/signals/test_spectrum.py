@@ -139,13 +139,6 @@ class TestSpectrumBatchRowHelpers:
         for index, spectrum in enumerate(rows):
             np.testing.assert_array_equal(spectrum.power, batch.power[index])
 
-    @pytest.mark.parametrize("include_dc", [False, True])
-    def test_energy_accounting_matches_rows(self, include_dc):
-        batch = self.make_batch()
-        totals = batch.total_energy(include_dc=include_dc)
-        for index, spectrum in enumerate(batch):
-            assert totals[index] == pytest.approx(spectrum.total_energy(include_dc=include_dc))
-
     def test_without_dc_is_noop_when_no_dc_bin(self):
         batch = self.make_batch().without_dc()
         assert batch.without_dc() is batch
@@ -153,7 +146,7 @@ class TestSpectrumBatchRowHelpers:
     def test_single_bin_batch(self):
         single = SpectrumBatch(np.array([0.0]), np.ones((2, 1)), 10.0)
         assert single.max_frequency == 5.0
-        assert single.total_energy().tolist() == [0.0, 0.0]
+        assert single.without_dc().bins == 0
 
 
 class TestSpectrumBatchConstruction:
@@ -213,7 +206,8 @@ class TestDerivedSpectra:
 
     def test_periodogram_refuses_a_non_finite_rate(self):
         with pytest.raises(ValueError, match="sampling_rate"):
-            batch_periodogram(np.ones((2, 16)), float("nan"))
+            # A subnormal interval is finite and positive, but its rate is not.
+            batch_periodogram(np.ones((2, 16)), 5e-324)
 
     def test_interpolate_power_takes_arrays_and_sequences(self):
         batch = TestSpectrumBatchRowHelpers.make_batch()

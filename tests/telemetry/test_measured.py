@@ -12,9 +12,7 @@ from repro.analysis.survey import run_survey
 from repro.telemetry.dataset import DatasetConfig, FleetDataset
 from repro.signals.timeseries import TimeSeries
 from repro.telemetry.measured import (MANIFEST_FORMAT, MANIFEST_NAME, MeasuredFleetDataset,
-                                      MeasuredPair, MeasuredSourceSpec, TraceBlock,
-                                      export_traces)
-from repro.telemetry.metrics import METRIC_CATALOG
+                                      MeasuredSourceSpec, TraceBlock, export_traces)
 from repro.telemetry.source import BaseTraceSource, TraceSource
 
 
@@ -128,19 +126,6 @@ class TestMeasuredFleetDataset:
             list(measured.traces(offset=len(measured)))
         with pytest.raises(ValueError, match="past the end"):
             list(measured.trace_batches("Temperature", offset=10 ** 6))
-
-    def test_metric_property_uses_catalogue(self, fleet_dir):
-        measured = MeasuredFleetDataset(fleet_dir)
-        pair = measured.pairs()[0]
-        assert pair.metric is METRIC_CATALOG[pair.metric_name]
-
-    def test_metric_property_falls_back_for_unknown_names(self):
-        pair = MeasuredPair(metric_name="Custom sensor", device=None,  # type: ignore
-                            parameters=None, interval=15.0, length=10,  # type: ignore
-                            file="traces/pair-00000.rcb")
-        spec = pair.metric
-        assert spec.name == "Custom sensor"
-        assert spec.poll_interval == 15.0
 
 
 class TestCorruption:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.telemetry.metrics import (FIGURE4_METRICS, FIGURE5_ORDER, METRIC_CATALOG,
-                                     MetricFamily, metric_names)
+                                     MetricFamily)
 
 
 class TestCatalog:
@@ -42,9 +42,6 @@ class TestCatalog:
     def test_figure4_metrics_are_a_subset(self):
         assert set(FIGURE4_METRICS) <= set(METRIC_CATALOG)
         assert len(FIGURE4_METRICS) == 12
-
-    def test_metric_names_helper(self):
-        assert sorted(metric_names()) == sorted(METRIC_CATALOG)
 
     def test_catalog_lookup(self):
         assert METRIC_CATALOG["Temperature"].units == "degC"

@@ -3,14 +3,18 @@
 A top-level function or class in ``src/`` earns its place by being used
 somewhere in the library, a benchmark or an example.  This test parses
 ``src/``, ``benchmarks/`` and ``examples/`` with :mod:`ast` and fails
-when a public top-level name appears as an ``ast.Name`` or
-``ast.Attribute`` nowhere outside its own definition.  Import aliases
-and ``__all__`` strings are not uses: a re-export alone does not keep a
-symbol alive.  The match is by name, so a use of an unrelated attribute
-that happens to share the name also counts.  The public methods and
-properties of ``src/`` classes are held to the same rule, except that
-only attribute uses and ``getattr`` name strings count: a bare name that
-matches a member is a local variable or parameter, not the member.
+when a public top-level name is loaded nowhere outside its own
+definition.  A load counts only when the using file binds the name to
+that definition: by its own module, by an import, or by a chain of
+package re-exports; ``pkg.mod.name`` counts through the module bindings
+of ``pkg``.  A local variable, a dataclass field or another module's
+function that shares the name is not a use, and neither are import
+statements or ``__all__`` strings: a re-export alone does not keep a
+symbol alive.  The public methods and properties of ``src/`` classes are held
+to a looser rule, since the receiver's type is unknown: any attribute
+use or ``getattr`` name string that matches counts, except an attribute
+of a module (``np.clip``).  A bare name that matches a member is a local
+variable or parameter, not the member.
 
 The same scan, over ``tests/`` too, checks that every parameter of the
 pipeline entry points is passed by some call: an option no caller sets
@@ -26,6 +30,8 @@ import ast
 from collections import defaultdict
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 SCANNED = (SRC, ROOT / "benchmarks", ROOT / "examples")
@@ -34,6 +40,7 @@ ALLOWED = {
     "noise_floor_estimate": "scalar reference that noise_floor_estimates is tested bit for bit against",
     "compare_spectra": "one-row entry point of the dual-rate (section 4.1) spectrum comparison",
     "sine": "fixture generator of many test files",
+    "constant": "fixture generator of many test files",
     "faulty_export": "fault fixture of the chaos layer's tests",
     "export_backfill_dump": "fault fixture of the scenario layer's tests",
 }
@@ -44,29 +51,134 @@ def _trees(roots: tuple[Path, ...]) -> dict[Path, ast.Module]:
             for root in roots for path in sorted(root.rglob("*.py"))}
 
 
-def _uses(trees: dict[Path, ast.Module]) -> dict[str, list[ast.AST]]:
-    """Every ``ast.Name`` and ``ast.Attribute`` node of ``trees``, by name."""
-    uses: dict[str, list[ast.AST]] = defaultdict(list)
-    for tree in trees.values():
+def _module_name(path: Path, src: Path) -> str | None:
+    """Dotted name of a module under ``src`` (a package is its ``__init__``), else None."""
+    if not path.is_relative_to(src):
+        return None
+    parts = path.relative_to(src).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+#: A name's binding: ``("def", module, name)`` for a top-level function or
+#: class of ``src/``, ``("module", dotted)`` for a module, or
+#: ``("from", module, name)`` for an import not yet followed.
+Binding = tuple[str, ...]
+
+
+class _Bindings:
+    """What each scanned file binds its names to, with re-export chains followed.
+
+    A file binds its own top-level definitions (``src/`` modules only) and
+    every name its imports introduce, wherever the import statement sits.
+    ``from m import n`` is followed through ``m``'s own bindings, so a
+    package ``__init__`` that re-exports ``n`` resolves to the definition,
+    and ``m.n`` resolves to the submodule ``n`` when ``m`` binds no such
+    name.  Names of modules outside ``src/`` stay unresolved.
+    """
+
+    def __init__(self, trees: dict[Path, ast.Module], src: Path) -> None:
+        self.files = {path: self._file_bindings(tree, path.name, _module_name(path, src))
+                      for path, tree in trees.items()}
+        self.modules = {_module_name(path, src): table for path, table in self.files.items()
+                        if path.is_relative_to(src)}
+
+    @staticmethod
+    def _file_bindings(tree: ast.Module, filename: str,
+                       module: str | None) -> dict[str, Binding]:
+        table: dict[str, Binding] = {}
+        if module is not None:
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    table[node.name] = ("def", module, node.name)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                uses[node.id].append(node)
-            elif isinstance(node, ast.Attribute):
-                uses[node.attr].append(node)
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        table[alias.asname] = ("module", alias.name)
+                    else:
+                        top = alias.name.partition(".")[0]
+                        table[top] = ("module", top)
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    if module is None:
+                        continue
+                    package = module.split(".")
+                    if filename != "__init__.py":
+                        package.pop()
+                    package = package[:len(package) - node.level + 1]
+                    base = ".".join([*package, *([node.module] if node.module else [])])
+                for alias in node.names:
+                    if alias.name != "*":
+                        table[alias.asname or alias.name] = ("from", base, alias.name)
+        return table
+
+    def _attribute(self, module: str, name: str) -> Binding | None:
+        """The unfollowed binding of ``module.name`` (None outside ``src/``)."""
+        if module not in self.modules:
+            return None
+        binding = self.modules[module].get(name)
+        if binding is None and f"{module}.{name}" in self.modules:
+            binding = ("module", f"{module}.{name}")
+        return binding
+
+    def follow(self, binding: Binding | None) -> Binding | None:
+        """``binding`` with every import followed to a definition or module."""
+        seen = set()
+        while binding is not None and binding[0] == "from":
+            if binding in seen:
+                return None
+            seen.add(binding)
+            binding = self._attribute(binding[1], binding[2])
+        return binding
+
+    def resolve(self, node: ast.AST, table: dict[str, Binding]) -> Binding | None:
+        """What a ``Name`` or module-rooted ``Attribute`` chain loads, if known."""
+        if isinstance(node, ast.Name):
+            return self.follow(table.get(node.id))
+        if isinstance(node, ast.Attribute):
+            base = self.resolve(node.value, table)
+            if base is not None and base[0] == "module":
+                return self.follow(self._attribute(base[1], node.attr))
+        return None
+
+
+def _uses(trees: dict[Path, ast.Module],
+          bindings: _Bindings) -> dict[tuple[str, str], list[ast.AST]]:
+    """Every load of a ``src/`` top-level definition, by ``(module, name)``.
+
+    A ``Name`` counts when its file binds that name to the definition; an
+    ``Attribute`` counts when it reaches the definition through module
+    bindings (``pkg.mod.name``).
+    """
+    uses: dict[tuple[str, str], list[ast.AST]] = defaultdict(list)
+    for path, tree in trees.items():
+        table = bindings.files[path]
+        for node in ast.walk(tree):
+            if ((isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+                    or isinstance(node, ast.Attribute)):
+                binding = bindings.resolve(node, table)
+                if binding is not None and binding[0] == "def":
+                    uses[(binding[1], binding[2])].append(node)
     return uses
 
 
-def _member_uses(trees: dict[Path, ast.Module]) -> dict[str, list[ast.AST]]:
+def _member_uses(trees: dict[Path, ast.Module],
+                 bindings: _Bindings) -> dict[str, list[ast.AST]]:
     """Every ``ast.Attribute`` node and ``getattr`` name string of ``trees``, by name.
 
     Only these reach a method or property: a bare name that matches a
-    member is a local variable or parameter, not a use of the member.
+    member is a local variable or parameter, not a use of the member, and
+    an attribute of a module (``np.clip``) is not a member either.
     """
     uses: dict[str, list[ast.AST]] = defaultdict(list)
-    for tree in trees.values():
+    for path, tree in trees.items():
+        table = bindings.files[path]
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
-                uses[node.attr].append(node)
+                base = bindings.resolve(node.value, table)
+                if base is None or base[0] != "module":
+                    uses[node.attr].append(node)
             elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
                   and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
                   and isinstance(node.args[1].value, str)):
@@ -75,24 +187,26 @@ def _member_uses(trees: dict[Path, ast.Module]) -> dict[str, list[ast.AST]]:
 
 
 def _is_orphan(definition: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef,
-               uses: dict[str, list[ast.AST]]) -> bool:
-    """Whether every use of ``definition``'s name lies inside ``definition`` itself."""
+               uses: list[ast.AST]) -> bool:
+    """Whether every one of ``uses`` lies inside ``definition`` itself."""
     own = {id(node) for node in ast.walk(definition)}
-    return all(id(use) in own for use in uses[definition.name])
+    return all(id(use) in own for use in uses)
 
 
-def _orphans() -> list[str]:
-    """``module::name`` of every public top-level symbol with no use outside itself."""
-    trees = _trees(SCANNED)
-    uses = _uses(trees)
+def _orphans(roots: tuple[Path, ...] = SCANNED, src: Path = SRC) -> list[str]:
+    """``module::name`` of every public top-level symbol of ``src`` with no use outside itself."""
+    trees = _trees(roots)
+    uses = _uses(trees, _Bindings(trees, src))
     orphans = []
     for path, tree in trees.items():
-        if not path.is_relative_to(SRC):
+        module = _module_name(path, src)
+        if module is None:
             continue
         for definition in tree.body:
             if (isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not definition.name.startswith("_") and _is_orphan(definition, uses)):
-                orphans.append(f"{path.relative_to(SRC)}::{definition.name}")
+                    and not definition.name.startswith("_")
+                    and _is_orphan(definition, uses[(module, definition.name)])):
+                orphans.append(f"{path.relative_to(src)}::{definition.name}")
     return orphans
 
 
@@ -119,20 +233,20 @@ ALLOWED_MEMBERS = {
 }
 
 
-def _member_orphans() -> list[str]:
+def _member_orphans(roots: tuple[Path, ...] = SCANNED, src: Path = SRC) -> list[str]:
     """``module::Class.member`` of every public method or property with no use outside itself."""
-    trees = _trees(SCANNED)
-    uses = _member_uses(trees)
+    trees = _trees(roots)
+    uses = _member_uses(trees, _Bindings(trees, src))
     orphans = []
     for path, tree in trees.items():
-        if not path.is_relative_to(SRC):
+        if not path.is_relative_to(src):
             continue
         for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
             for definition in cls.body:
                 if (isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not definition.name.startswith("_")
-                        and _is_orphan(definition, uses)):
-                    orphans.append(f"{path.relative_to(SRC)}::{cls.name}.{definition.name}")
+                        and _is_orphan(definition, uses[definition.name])):
+                    orphans.append(f"{path.relative_to(src)}::{cls.name}.{definition.name}")
     return orphans
 
 
@@ -213,3 +327,67 @@ def test_every_spectral_option_has_a_library_caller():
     """A spectral knob only tests turn is a setup the library never runs."""
     unset = _unset_parameters(SPECTRAL, SCANNED)
     assert not unset, f"{len(unset)} spectral option(s) only tests pass: {unset}"
+
+
+#: ``pkg/mod.py`` of the resolution fixtures: one function, one class.
+FIXTURE_MODULE = "def target():\n    pass\n\n\nclass Box:\n    def clip(self):\n        pass\n"
+
+
+def _scan(tmp_path: Path, files: dict[str, str]) -> tuple[list[str], list[str]]:
+    """Orphans and member orphans of ``pkg`` under ``tmp_path/src`` given extra ``files``."""
+    layout = {"src/pkg/__init__.py": "", "src/pkg/mod.py": FIXTURE_MODULE, **files}
+    for name, text in layout.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    src, examples = tmp_path / "src", tmp_path / "examples"
+    examples.mkdir(exist_ok=True)
+    return _orphans((src, examples), src), _member_orphans((src, examples), src)
+
+
+class TestNameResolution:
+    """The scans count a load only where the file binds the name to the definition."""
+
+    @pytest.mark.parametrize("files", [
+        {"examples/use.py": "from pkg.mod import target\ntarget()\n"},
+        {"examples/use.py": "from pkg.mod import target as run\nrun()\n"},
+        {"src/pkg/__init__.py": "from .mod import target\n",
+         "examples/use.py": "from pkg import target\ntarget()\n"},
+        {"examples/use.py": "import pkg.mod\npkg.mod.target()\n"},
+        {"examples/use.py": "import pkg.mod as m\nm.target()\n"},
+        {"examples/use.py": "from pkg import mod\nmod.target()\n"},
+        {"src/pkg/other.py": "from .mod import target\n\n\ndef run():\n    target()\n",
+         "examples/use.py": "from pkg.other import run\nrun()\n"},
+        {"src/pkg/mod.py": FIXTURE_MODULE + "\n\ndef run():\n    target()\n",
+         "examples/use.py": "from pkg.mod import run\nrun()\n"},
+    ], ids=["import", "alias", "re-export", "module-path", "module-alias", "submodule",
+            "relative-import", "own-module"])
+    def test_bound_load_is_a_use(self, tmp_path, files):
+        orphans, _ = _scan(tmp_path, files)
+        assert "pkg/mod.py::target" not in orphans
+
+    @pytest.mark.parametrize("files", [
+        {"examples/use.py": "target = 1\nprint(target)\n"},
+        {"examples/use.py": "def show(box):\n    return box.target\n"},
+        {"src/pkg/other.py": "def target():\n    pass\n",
+         "examples/use.py": "from pkg.other import target\ntarget()\n"},
+        {"src/pkg/__init__.py": "from .mod import target\n\n__all__ = ['target']\n"},
+        {"src/pkg/mod.py": FIXTURE_MODULE.replace("    pass\n", "    return target()\n", 1)},
+        {"src/pkg/a.py": "from .b import target\n", "src/pkg/b.py": "from .a import target\n",
+         "examples/use.py": "from pkg.a import target\ntarget()\n"},
+    ], ids=["local-variable", "attribute-of-a-value", "same-name-elsewhere",
+            "re-export-only", "recursion-only", "import-cycle"])
+    def test_unbound_load_is_not_a_use(self, tmp_path, files):
+        orphans, _ = _scan(tmp_path, files)
+        assert "pkg/mod.py::target" in orphans
+
+    @pytest.mark.parametrize("use, orphan", [
+        ("def run(box):\n    box.clip()\n", False),
+        ("def run(box):\n    return getattr(box, 'clip')\n", False),
+        ("import numpy as np\nnp.clip([1.0], 0.0, 0.5)\n", True),
+        ("from pkg import mod\nprint(mod.clip)\n", True),
+        ("clip = 1\nprint(clip)\n", True),
+    ], ids=["attribute", "getattr", "numpy-function", "repro-module-attribute",
+            "bare-name"])
+    def test_member_uses(self, tmp_path, use, orphan):
+        _, member_orphans = _scan(tmp_path, {"examples/use.py": use})
+        assert ("pkg/mod.py::Box.clip" in member_orphans) is orphan

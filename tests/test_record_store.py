@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.policy_survey import run_policy_survey
-from repro.analysis.survey import run_survey
+from repro.analysis.survey import _SurveyEvaluator, run_survey
 from repro.core.nyquist import NyquistEstimator
 from repro.faults import FaultInjectingTraceSource, FaultPlan
 from repro.pipeline.policies import PolicySuite
@@ -48,6 +48,12 @@ def block_payloads(blocks) -> list:
                   for spec in schema.columns),
         ))
     return payloads
+
+
+def stored_rows(store: RecordStore) -> int:
+    """Record rows published in ``store``, as its entries' metadata declares."""
+    return sum(int(json.loads((entry / "meta.json").read_text())["rows"])
+               for entry in store.entries())
 
 
 @pytest.fixture()
@@ -86,13 +92,11 @@ class TestRecordStoreDirectory:
         fingerprint = fingerprint_slice("survey", dataset, blocks[0].metric_name,
                                         0, 4, 4, "params")
         assert store.get(fingerprint) is None
-        assert fingerprint not in store
         store.put(fingerprint, blocks)
         store.put(fingerprint, blocks)  # second publish is a no-op
-        assert fingerprint in store
         loaded = store.get(fingerprint)
         assert block_payloads(loaded) == block_payloads(blocks)
-        assert store.rows == len(blocks[0])
+        assert stored_rows(store) == len(blocks[0])
 
     def test_fingerprint_digest_is_stable_and_sensitive(self):
         base = dict(kind="survey", metric_name="Temperature", offset=0, limit=4,
@@ -157,11 +161,11 @@ class TestSurveyStoreEquivalence:
         assert changed.cache_hits == 0
         assert changed.cache_misses == len(dataset.pairs())
 
-    def test_oversample_threshold_change_invalidates(self, dataset, store):
-        run_survey(dataset, store=store, chunk_size=4)
-        changed = run_survey(dataset, store=store, chunk_size=4,
-                             oversample_threshold=2.0)
-        assert changed.cache_hits == 0
+    def test_survey_params_token_is_unchanged(self):
+        """Stores filled while the threshold was an option keep hitting."""
+        evaluator = _SurveyEvaluator(NyquistEstimator(), None, 86400.0)
+        assert evaluator.params_token() == (
+            f"{NyquistEstimator().cache_token()}|oversample_threshold=1.25")
 
     def test_chunk_size_change_invalidates(self, dataset, store):
         run_survey(dataset, store=store, chunk_size=4)
@@ -236,7 +240,7 @@ class TestQuarantinedSlicesNeverCached:
 
     def test_no_store_entry_covers_a_faulty_pair(self, chaotic, store, dataset):
         run_survey(chaotic, store=store, chunk_size=4, on_error="quarantine")
-        cached_rows = store.rows
+        cached_rows = stored_rows(store)
         total = len(dataset.pairs())
         faulty = sum(1 for pair in dataset.pairs() if self.PLAN.affects(*pair.key))
         # Every slice containing a faulty pair stayed out of the store,
