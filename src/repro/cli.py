@@ -48,6 +48,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -507,7 +508,7 @@ def _command_ingest(args: argparse.Namespace) -> int:
     print(f"  peak in-memory accumulator: {stats.peak_buffered_samples} samples "
           f"(budget {stats.memory_budget_samples}); "
           f"{stats.spilled_samples} samples spilled to scratch in "
-          f"{stats.spill_writes} writes")
+          f"{stats.spill_writes} per-pair segments")
     if summary["pairs_skipped"]:
         print(f"  skipped {len(summary['pairs_skipped'])} pairs below "
               f"--min-samples {args.min_samples}:")
@@ -676,12 +677,21 @@ def main(argv: list[str] | None = None) -> int:
         "store": _command_store,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown
+        return code
     except (ValueError, BatchExecutionError) as error:
         # Bad parameters (``--pairs 0``), malformed or corrupt input named by
         # file and line (possibly wrapped with its batch spec by a pooled
         # run), a used destination or spill directory: one line, no traceback.
         print(f"error: {error}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader left (``| head -1``): exit 1 without a traceback, and
+        # send the unflushed rest to devnull so shutdown's flush cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -25,11 +25,11 @@ see :meth:`TelemetryDump.updates`): about :data:`BLOCK_BYTES` of text at a
 time, each block's updates grouped per pair.
 
 The importer *streams* with bounded memory: a :class:`PairAccumulator`
-buffers per-pair samples and, once its in-memory budget is hit, spills the
-largest partial series to per-pair scratch files (the spill idiom of
-:mod:`repro.records`, applied to raw samples).  Timestamps in real exports
-are irregular -- jittered, duplicated, out of order -- so each pair is
-finished through the irregular-trace machinery
+buffers per-pair samples as float64 chunks and, once its in-memory budget
+is hit, spills the largest partial series to one append-only scratch log
+(the spill idiom of :mod:`repro.records`, applied to raw samples).
+Timestamps in real exports are irregular -- jittered, duplicated, out of
+order -- so each pair is finished through the irregular-trace machinery
 (:class:`~repro.signals.timeseries.IrregularTimeSeries` ordering/dedupe +
 nearest-neighbour regularisation onto the pair's dominant interval, §3.2's
 pre-cleaning); the observed gap/jitter statistics are recorded per pair in
@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import io
 import json
 import math
 import os
@@ -255,52 +256,62 @@ def _parse_gnmi_line(stripped: str, path: Path, line_number: int) -> RawUpdate:
     return RawUpdate(timestamp, device, metric_from_path(token), value)
 
 
-# The one line shape export_gnmi_dump writes: JSON-grammar numbers (the
-# lookahead forbids leading zeros) and names without quotes, escapes or
-# control characters, so each name is its own JSON value verbatim and the
-# device/path pair is captured as one string split at _NAME_SEPARATOR.
-# [0-9], not \d, which also matches non-ASCII digits; the possessive
-# quantifiers only skip backtracking that could never succeed.
-_JSON_NUMBER = r"(-?(?!0[0-9])[0-9]++(?:\.[0-9]++)?+(?:[eE][-+]?+[0-9]++)?+)"
-_PLAIN_STRING = r'[^"\\\x00-\x1f]*+'
+# The one line shape export_gnmi_dump writes, scanned with single-character
+# negated classes (sre runs each as a tight loop): a number group runs to
+# the field's terminator, and the device/path pair is captured as one
+# string split at _NAME_SEPARATOR.  The groups check no grammar, so
+# _parse_canonical_gnmi_block holds every distinct literal to the JSON
+# number grammar and every distinct name to the plain-string rule.
 _NAME_SEPARATOR = '", "path": "'
 _CANONICAL_GNMI_LINE = re.compile(
-    r'^\{"timestamp": ' + _JSON_NUMBER
-    + r', "device": "(' + _PLAIN_STRING + _NAME_SEPARATOR + _PLAIN_STRING
-    + r')", "value": ' + _JSON_NUMBER + r'\}\r?$', re.MULTILINE)
+    r'^\{"timestamp": ([^,]*+), "device": "([^"]*+' + _NAME_SEPARATOR
+    + r'[^"]*+)", "value": ([^}]*+)\}\r?$', re.MULTILINE)
+# JSON's number grammar (no leading zeros, no bare "." or "+"); [0-9], not
+# \d, which also matches non-ASCII digits.
+_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][-+]?+[0-9]++)?+")
+# A quoted name is its own JSON value verbatim unless it holds an escape or
+# a control character (a quote already ends the name group).
+_UNPLAIN_NAME_CHAR = re.compile(r"[\\\x00-\x1f]")
 
 
-def _json_numbers(literals: Sequence[str]) -> np.ndarray:
-    """JSON number literals as float64, bit-equal to ``float(json.loads(literal))``.
+def _json_number_column(literals: Sequence[str]) -> np.ndarray | None:
+    """Number literals as float64, bit-equal to ``float(json.loads(literal))``.
 
-    ``float`` of the literal correctly rounds the same decimal value that
-    json's int-then-float path rounds, so the two agree on every literal
-    except the integer ``-0``: json reads the int 0, hence ``+0.0``.
-    (An integer past float range is ``inf`` here; callers reject it.)
+    ``None`` unless every literal is a JSON number.  Each distinct literal
+    is checked and converted once.  ``float`` of a literal correctly
+    rounds the same decimal value that json's int-then-float path rounds,
+    so the two agree on every literal except the integer ``-0``: json
+    reads the int 0, hence ``+0.0``.  (An integer past float range is
+    ``inf`` here; callers reject it.)
     """
-    numbers = np.fromiter(map(float, literals), dtype=np.float64, count=len(literals))
-    for index in np.flatnonzero(np.signbit(numbers) & (numbers == 0.0)):
-        if literals[index] == "-0":
-            numbers[index] = 0.0
-    return numbers
+    numbers: dict[str, float] = dict.fromkeys(literals, 0.0)
+    if not all(map(_JSON_NUMBER.fullmatch, numbers)):
+        return None
+    for literal in numbers:
+        numbers[literal] = 0.0 if literal == "-0" else float(literal)
+    return np.fromiter(map(numbers.__getitem__, literals), dtype=np.float64,
+                       count=len(literals))
 
 
-def _parse_canonical_gnmi_block(text: str) -> UpdateBlock | None:
-    """The gNMI fast path: one regex pass over a block of canonical lines.
+def _parse_canonical_gnmi_block(text: str, lines: int) -> UpdateBlock | None:
+    """The gNMI fast path: one regex pass over a block of ``lines`` canonical lines.
 
     Returns ``None`` -- the caller re-parses the block line by line --
-    unless every line matched :data:`_CANONICAL_GNMI_LINE` (so a blank
-    line also sends the block to the fallback), every number is finite
-    and every name is non-empty after ``str.strip()``.  An accepted block
-    holds exactly what :func:`_parse_gnmi_line` would have produced.
+    unless each of the ``lines`` lines matched :data:`_CANONICAL_GNMI_LINE`
+    on its own (so a blank line, or a group running across a newline,
+    also sends the block to the fallback), every number literal follows
+    the JSON grammar and is finite, and every name is plain and non-empty
+    after ``str.strip()``.  An accepted block holds exactly what
+    :func:`_parse_gnmi_line` would have produced.
     """
     rows = _CANONICAL_GNMI_LINE.findall(text)
-    if not rows or len(rows) != text.count("\n") + int(not text.endswith("\n")):
+    if not rows or len(rows) != lines:
         return None
     stamp_literals, names, value_literals = zip(*rows)
-    times = _json_numbers(stamp_literals)
-    values = _json_numbers(value_literals)
-    if not (np.isfinite(times).all() and np.isfinite(values).all()):
+    times = _json_number_column(stamp_literals)
+    values = _json_number_column(value_literals)
+    if (times is None or values is None
+            or not (np.isfinite(times).all() and np.isfinite(values).all())):
         return None
     raw_ids = {raw: index for index, raw in enumerate(dict.fromkeys(names))}
     raw_of_line = np.fromiter(map(raw_ids.__getitem__, names), dtype=np.intp,
@@ -310,6 +321,8 @@ def _parse_canonical_gnmi_block(text: str) -> UpdateBlock | None:
     key_ids: dict[tuple[str, str], int] = {}
     key_of_raw = np.empty(len(raw_ids), dtype=np.intp)
     for raw_index, raw in enumerate(raw_ids):
+        if _UNPLAIN_NAME_CHAR.search(raw):
+            return None
         device, token = (name.strip() for name in raw.split(_NAME_SEPARATOR))
         if not token or not device:
             return None
@@ -322,14 +335,14 @@ def _parse_canonical_gnmi_block(text: str) -> UpdateBlock | None:
                                  np.split(values[order], bounds))))
 
 
-def _parse_gnmi_block(text: str, path: Path, first_line: int,
+def _parse_gnmi_block(text: str, path: Path, first_line: int, lines: int,
                       record_failure: FailureCallback | None) -> UpdateBlock:
-    """Parse one block of gNMI JSON lines: the fast path, else line by line.
+    """Parse one block of ``lines`` gNMI JSON lines: the fast path, else line by line.
 
     The fallback runs every line through :func:`_parse_gnmi_line`, so error
     text, line numbers and quarantine provenance are the per-line reader's.
     """
-    block = _parse_canonical_gnmi_block(text)
+    block = _parse_canonical_gnmi_block(text, lines)
     if block is not None:
         return block
     builder = _BlockBuilder()
@@ -510,12 +523,14 @@ def _iter_update_blocks(path: Path, start: int, end: int, first_line: int,
     """
     line_number = first_line
     for text in _iter_text_blocks(path, start, end):
+        newlines = text.count("\n")
         if columns is None:
-            block = _parse_gnmi_block(text, path, line_number, record_failure)
+            lines = newlines + int(not text.endswith("\n"))
+            block = _parse_gnmi_block(text, path, line_number, lines, record_failure)
         else:
             block = _parse_snmp_block(text, path, line_number, columns,
                                       record_failure)
-        line_number += text.count("\n")
+        line_number += newlines
         if block:
             yield block
 
@@ -619,17 +634,23 @@ def open_export(path: Path | str, fmt: str | None = None) -> TelemetryDump:
 class PairAccumulator:
     """Per-pair (timestamp, value) buffers with an overall in-memory budget.
 
-    ``extend`` appends a pair's samples to its buffer.  Whenever the total
-    buffered sample count reaches ``memory_budget_samples``, the largest
-    buffers are spilled -- appended to one little-endian float64
-    ``(timestamp, value)`` scratch file per pair -- until at most half the
-    budget remains buffered, so peak accumulator memory is bounded by the
-    budget no matter how many pairs interleave in the stream or how long
-    it runs.  ``samples()`` merges a pair's scratch file with its live
-    buffer back into arrays (in arrival order; callers sort).
+    ``extend`` appends a pair's samples to its buffer, a list of float64
+    chunks; each chunk is a copy, so a buffer never pins the (larger)
+    arrays its samples were sliced from.  Whenever the total buffered
+    sample count reaches ``memory_budget_samples``, the largest buffers
+    are spilled until at most half the budget remains buffered, so peak
+    accumulator memory is bounded by the budget no matter how many pairs
+    interleave in the stream or how long it runs.
+
+    All spills go to one append-only scratch log, opened on the first
+    spill and held until :meth:`close`: each spill round is one write of
+    every spilled pair's segment (its timestamps, then its values), and a
+    per-pair ``(offset, count)`` segment index finds them again.
+    ``samples()`` reads a pair's segments back in order, then its live
+    chunks (in arrival order; callers sort).
     """
 
-    _SCRATCH_SUFFIX = ".f8"
+    _LOG_NAME = "spill.f8"
 
     def __init__(self, scratch_dir: Path | str,
                  memory_budget_samples: int = DEFAULT_MEMORY_BUDGET_SAMPLES) -> None:
@@ -638,10 +659,14 @@ class PairAccumulator:
         self.scratch_dir = Path(scratch_dir)
         self.scratch_dir.mkdir(parents=True, exist_ok=True)
         self.memory_budget_samples = int(memory_budget_samples)
-        self._times: dict[tuple[str, str], list[float]] = {}
-        self._values: dict[tuple[str, str], list[float]] = {}
-        self._scratch: dict[tuple[str, str], Path] = {}
-        self._index: dict[tuple[str, str], int] = {}
+        # Per pair, in first-seen order: buffered sample count, live
+        # (times, values) chunks and spilled (offset, count) log segments.
+        self._buffered: dict[tuple[str, str], int] = {}
+        self._chunks: dict[tuple[str, str], list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._segments: dict[tuple[str, str], list[tuple[int, int]]] = {}
+        self._log_path = self.scratch_dir / self._LOG_NAME
+        self._log: io.BufferedRandom | None = None
+        self._log_size = 0  # float64 items written to the log
         self.buffered_samples = 0
         self.peak_buffered_samples = 0
         self.spilled_samples = 0
@@ -661,20 +686,21 @@ class PairAccumulator:
         chunk_values = np.asarray(values, dtype=np.float64)
         if chunk_times.shape != chunk_values.shape or chunk_times.ndim != 1:
             raise ValueError("times and values must be equal-length 1-D arrays")
-        buffered_times = self._times.get(key)
-        if buffered_times is None:
-            self._index[key] = len(self._index)
-            buffered_times = self._times[key] = []
-            self._values[key] = []
-        buffered_values = self._values[key]
+        chunks = self._chunks.get(key)
+        if chunks is None:
+            chunks = self._chunks[key] = []
+            self._buffered[key] = 0
+            self._segments[key] = []
         position = 0
         count = int(chunk_times.size)
         while position < count:
             room = max(1, self.memory_budget_samples - self.buffered_samples)
             take = min(count - position, room)
-            buffered_times.extend(chunk_times[position:position + take].tolist())
-            buffered_values.extend(chunk_values[position:position + take].tolist())
-            position += take
+            end = position + take
+            chunks.append((chunk_times[position:end].copy(),
+                           chunk_values[position:end].copy()))
+            position = end
+            self._buffered[key] += take
             self.buffered_samples += take
             self.total_samples += take
             if self.buffered_samples > self.peak_buffered_samples:
@@ -683,59 +709,73 @@ class PairAccumulator:
                 self._spill_down_to(self.memory_budget_samples // 2)
 
     def _spill_down_to(self, target: int) -> None:
-        # Largest buffers first: fewest files touched per spill round, and
-        # each pair's scratch file grows in few big appends.
-        for key in sorted(self._times, key=lambda k: len(self._times[k]), reverse=True):
+        # Largest buffers first: the fewest pairs leave memory per round.
+        # The round's segments are written to the log in one append.
+        pieces: list[np.ndarray] = []
+        for key in sorted(self._buffered, key=self._buffered.__getitem__, reverse=True):
             if self.buffered_samples <= target:
                 break
-            self._spill_pair(key)
-
-    def _spill_pair(self, key: tuple[str, str]) -> None:
-        times = self._times[key]
-        count = len(times)
-        if count == 0:
-            return
-        path = self._scratch.get(key)
-        if path is None:
-            path = self.scratch_dir / f"pair-{self._index[key]:06d}{self._SCRATCH_SUFFIX}"
-            self._scratch[key] = path
-        chunk = np.empty((count, 2), dtype="<f8")
-        chunk[:, 0] = times
-        chunk[:, 1] = self._values[key]
-        with path.open("ab") as handle:
-            handle.write(chunk.tobytes())
-        times.clear()
-        self._values[key].clear()
-        self.buffered_samples -= count
-        self.spilled_samples += count
-        self.spill_writes += 1
+            count = self._buffered[key]
+            if count == 0:
+                continue
+            chunks = self._chunks[key]
+            pieces.extend(times for times, _ in chunks)
+            pieces.extend(values for _, values in chunks)
+            self._segments[key].append((self._log_size, count))
+            self._log_size += 2 * count
+            chunks.clear()
+            self._buffered[key] = 0
+            self.buffered_samples -= count
+            self.spilled_samples += count
+            self.spill_writes += 1
+        if pieces:
+            if self._log is None:
+                self._log = self._log_path.open("w+b")
+            self._log.seek(0, os.SEEK_END)
+            self._log.write(np.concatenate(pieces).data)
 
     # ------------------------------------------------------------------
     def keys(self) -> list[tuple[str, str]]:
         """All (metric, device) keys seen so far, in first-seen order."""
-        return list(self._index)
+        return list(self._buffered)
 
     def samples(self, key: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
         """One pair's accumulated (timestamps, values), in arrival order."""
-        if key not in self._index:
+        if key not in self._buffered:
             raise KeyError(key)
-        buffered_times = np.asarray(self._times[key], dtype=np.float64)
-        buffered_values = np.asarray(self._values[key], dtype=np.float64)
-        path = self._scratch.get(key)
-        if path is None:
-            return buffered_times, buffered_values
-        raw = np.fromfile(path, dtype="<f8")
-        if raw.size % 2:
-            raise ValueError(f"corrupt ingest scratch file {path}: odd sample count")
-        spilled = raw.reshape(-1, 2)
-        return (np.concatenate([spilled[:, 0], buffered_times]),
-                np.concatenate([spilled[:, 1], buffered_values]))
+        segments = self._segments[key]
+        total = self._buffered[key] + sum(count for _, count in segments)
+        times = np.empty(total, dtype=np.float64)
+        values = np.empty(total, dtype=np.float64)
+        position = 0
+        for offset, count in segments:
+            end = position + count
+            self._read_log(offset, times[position:end])
+            self._read_log(offset + count, values[position:end])
+            position = end
+        for chunk_times, chunk_values in self._chunks[key]:
+            end = position + chunk_times.size
+            times[position:end] = chunk_times
+            values[position:end] = chunk_values
+            position = end
+        return times, values
+
+    def _read_log(self, offset: int, out: np.ndarray) -> None:
+        """Fill ``out`` from the log's float64 items starting at ``offset``."""
+        assert self._log is not None  # a segment exists only once the log is open
+        self._log.seek(offset * out.itemsize)
+        if self._log.readinto(out.data) != out.nbytes:
+            raise ValueError(f"truncated ingest scratch log {self._log_path}: "
+                             "a spilled segment runs past its end")
 
     def close(self) -> None:
-        """Delete all scratch files (the accumulator is unusable afterwards)."""
-        self._times.clear()
-        self._values.clear()
-        self._scratch.clear()
+        """Close and delete the scratch log (the accumulator is unusable afterwards)."""
+        if self._log is not None:
+            self._log.close()
+            self._log = None
+        self._buffered.clear()
+        self._chunks.clear()
+        self._segments.clear()
         shutil.rmtree(self.scratch_dir, ignore_errors=True)
 
     def __enter__(self) -> "PairAccumulator":
@@ -869,6 +909,10 @@ class IngestStats:
     largest *per-shard* accumulator peak (each shard gets
     ``memory_budget_samples / workers``) and ``shards`` carries the
     per-shard breakdown; serial runs leave ``shards`` empty.
+
+    ``spill_writes`` counts per-pair spill segments: a spill round that
+    moves three pairs to the scratch log is one write of three segments
+    and counts 3.
     """
 
     workers: int
@@ -920,9 +964,8 @@ def ingest_dump(dump: Path | str | TelemetryDump, directory: Path | str,
         reclaimed by the next attempt).
     memory_budget_samples:
         Peak samples buffered in memory across all pairs (16 bytes each);
-        the :class:`PairAccumulator` spills partial series to scratch
-        files past it, so arbitrarily large dumps ingest in bounded
-        memory.
+        the :class:`PairAccumulator` spills partial series to a scratch
+        log past it, so arbitrarily large dumps ingest in bounded memory.
     min_samples:
         Pairs with fewer *distinct-timestamp* samples are skipped (and
         recorded in the manifest) instead of producing degenerate traces;

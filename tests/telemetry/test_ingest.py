@@ -21,6 +21,7 @@ Three layers of guarantees are pinned here:
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from pathlib import Path
@@ -194,7 +195,7 @@ class TestRoundTrip:
         manifest = json.loads((tmp_path / "fleet" / "manifest.json").read_text())
         summary = manifest["ingest"]
         assert summary["format"] == GNMI_FORMAT
-        assert summary["updates"] == sum(1 for _ in gnmi_dump.open())
+        assert summary["updates"] == gnmi_dump.read_bytes().count(b"\n")
         assert summary["pairs_skipped"] == []
         for entry in manifest["pairs"]:
             stats = entry["ingest"]
@@ -288,6 +289,89 @@ class TestBoundedMemory:
     def test_accumulator_rejects_tiny_budget(self, tmp_path):
         with pytest.raises(ValueError, match="memory_budget_samples"):
             PairAccumulator(tmp_path / "scratch", memory_budget_samples=1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_accumulator_matches_list_reference(self, tmp_path, seed):
+        # Random chunk sizes (empty ones and ones past the budget among
+        # them) over interleaved pairs, with reads mid-stream: every
+        # pair's samples equal plain list accumulation, spilled or not.
+        rng = np.random.default_rng(seed)
+        budget = int(rng.choice([2, 3, 16, 64, 1000]))
+        keys = [("m", f"d{index}") for index in range(int(rng.integers(1, 6)))]
+        reference: dict[tuple[str, str], tuple[list[float], list[float]]] = {}
+        with PairAccumulator(tmp_path / "scratch", budget) as accumulator:
+            for step in range(60):
+                key = keys[int(rng.integers(len(keys)))]
+                count = int(rng.integers(0, 2 * budget + 2))
+                times, values = rng.normal(size=count), rng.normal(size=count)
+                accumulator.extend(key, times, values)
+                reference.setdefault(key, ([], []))
+                reference[key][0].extend(times.tolist())
+                reference[key][1].extend(values.tolist())
+                assert accumulator.buffered_samples <= budget
+                if step % 17 == 0:
+                    read = accumulator.samples(key)
+                    assert read[0].tobytes() == np.array(reference[key][0]).tobytes()
+            assert accumulator.keys() == list(reference)
+            for key, (times, values) in reference.items():
+                read_times, read_values = accumulator.samples(key)
+                assert read_times.tobytes() == np.array(times, dtype=np.float64).tobytes()
+                assert read_values.tobytes() == np.array(values, dtype=np.float64).tobytes()
+            total = sum(len(times) for times, _ in reference.values())
+            assert accumulator.total_samples == total
+            assert accumulator.spilled_samples + accumulator.buffered_samples == total
+
+    def test_accumulator_buffers_copies(self, tmp_path):
+        # A buffer holds its own copy: writing to the array a chunk was
+        # sliced from does not change the buffered samples.
+        times, values = np.arange(6.0), np.arange(6.0) * 2
+        with PairAccumulator(tmp_path / "scratch", memory_budget_samples=100) as accumulator:
+            accumulator.extend(("m", "d"), times[:3], values[:3])
+            times[:], values[:] = -1.0, -1.0
+            read_times, read_values = accumulator.samples(("m", "d"))
+        assert list(read_times) == [0.0, 1.0, 2.0]
+        assert list(read_values) == [0.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize("budget, counters", [
+        (64, (1512, 64, 1488, 38)),
+        (128, (1512, 128, 1440, 24)),
+        (4096, (1512, 1512, 0, 0)),
+    ])
+    def test_ingest_counters_are_pinned(self, gnmi_dump, tmp_path, budget, counters):
+        # (updates, peak_buffered_samples, spilled_samples, spill_writes):
+        # the spill policy (largest buffers first, down to half the
+        # budget) and its per-pair segment count, fixed.
+        stats = ingest_dump(gnmi_dump, tmp_path / "fleet",
+                            memory_budget_samples=budget).ingest_stats
+        assert (stats.updates, stats.peak_buffered_samples, stats.spilled_samples,
+                stats.spill_writes) == counters
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    def test_failed_ingest_closes_its_spill_log(self, large_gnmi_lines, tmp_path,
+                                                monkeypatch):
+        # The malformed line is in the last block, past many spills, so the
+        # log is open when the ingest raises; a leaked handle raises
+        # ResourceWarning inside its finaliser once collected.
+        lines = list(large_gnmi_lines)
+        lines[-2] = "not json\n"
+        dump = tmp_path / "broken.jsonl"
+        dump.write_text("".join(lines))
+        spills: list[int] = []
+
+        class Recording(PairAccumulator):
+            def close(self) -> None:
+                spills.append(self.spill_writes)
+                super().close()
+
+        monkeypatch.setattr(ingest_module, "PairAccumulator", Recording)
+        with pytest.raises(ValueError, match=f"{dump}, line {len(lines) - 1}:"):
+            ingest_dump(dump, tmp_path / "fleet", memory_budget_samples=64)
+        gc.collect()
+        assert spills and spills[0] > 0
+        assert not list(tmp_path.rglob(".ingest-scratch"))
+        assert not (tmp_path / "fleet").exists()
+        assert not (tmp_path / "fleet.partial").exists()
 
 
 # ----------------------------------------------------------------------
@@ -760,8 +844,8 @@ def assert_exact_against_per_line(dump: Path, tmp_path: Path, monkeypatch,
     fast_path = ingest_module._parse_canonical_gnmi_block
     accepted: list[bool] = []
 
-    def spy(text: str):
-        block = fast_path(text)
+    def spy(text: str, lines: int):
+        block = fast_path(text, lines)
         accepted.append(block is not None)
         return block
 
@@ -778,7 +862,7 @@ def assert_exact_against_per_line(dump: Path, tmp_path: Path, monkeypatch,
             ingest_dump(open_export(dump, GNMI_FORMAT), tmp_path / "raised")
         assert str(raised.value) == failures[0][1]
     monkeypatch.setattr(ingest_module, "_parse_canonical_gnmi_block",
-                        lambda text: None)
+                        lambda text, lines: None)
     ingest_dump(open_export(dump, GNMI_FORMAT), tmp_path / "per-line",
                 on_error="quarantine")
     assert directory_bytes(tmp_path / "blocks") == directory_bytes(tmp_path / "per-line")
@@ -880,3 +964,91 @@ class TestBlockReaderExactness:
         trace = fleet.load(zero)
         assert trace.start_time == 100.0 and trace.interval == 100.0
         assert list(np.signbit(trace.values)) == [False, True] * 4
+
+
+def per_line_block(text: str) -> dict:
+    """``text`` parsed line by line with ``_parse_gnmi_line``; raises on a bad line."""
+    groups: dict = {}
+    for line_number, line in enumerate(text.split("\n"), start=1):
+        if line.strip():
+            update = _parse_gnmi_line(line.strip(), Path("block.jsonl"), line_number)
+            times, values = groups.setdefault(update.key, ([], []))
+            times.append(update.timestamp)
+            values.append(update.value)
+    return {key: (np.array(times, dtype=np.float64), np.array(values, dtype=np.float64))
+            for key, (times, values) in groups.items()}
+
+
+def base_lines() -> list[str]:
+    """A small canonical block: three interleaved pairs, four polls each."""
+    return [canonical(f"{60.0 * poll}", device, "/interfaces/interface/state/utilization",
+                      f"{poll}.25") + "\n"
+            for poll in range(4) for device in ("a", "b", "c")]
+
+
+def mutate_field(field: str, literal: str) -> str:
+    """Line 4 of the base block with its ``field`` number replaced by ``literal``."""
+    parts = {"timestamp": "60.0", "device": "a",
+             "path": "/interfaces/interface/state/utilization", "value": "1.25"}
+    parts[field] = literal
+    return canonical(parts["timestamp"], parts["device"], parts["path"],
+                     parts["value"]) + "\n"
+
+
+#: (mutation id, the mutated line 4, whether the fast path accepts its block).
+SCAN_MUTATIONS = [
+    *[(f"{field}-{name}", mutate_field(field, literal), accepted)
+      for field in ("timestamp", "value")
+      for name, literal, accepted in [
+          ("leading-zero", "01", False), ("plus", "+1", False),
+          ("bare-fraction", ".5", False), ("bare-point", "1.", False),
+          ("minus-zero", "-0", True), ("exponent", "1E2", True),
+          ("30-digit-integer", "123456789012345678901234567890", True),
+          ("inner-space", "1 0", False), ("digit-underscore", "1_0", False),
+          ("nan", "NaN", False), ("overflow", "1e400", False)]],
+    ("backslash-in-name", mutate_field("device", "a\\\\b"), False),
+    ("unicode-escape-in-name", mutate_field("device", "\\u0061"), False),
+    ("control-byte-in-name", mutate_field("device", "a\x01b"), False),
+    ("non-ascii-name", mutate_field("device", "d\u00e9vice-\u2028"), True),
+    ("escaped-quote-in-name", mutate_field("path", 'a\\"b'), False),
+    ("raw-quote-in-name", mutate_field("device", 'a"b'), False),
+    ("device-and-path-swapped",
+     '{"timestamp": 60.0, "path": "/x", "device": "a", "value": 1.0}\n', False),
+    ("blank-line", "\n", False),
+    ("whitespace-name", mutate_field("device", "  "), False),
+    ("crlf", mutate_field("value", "7.5").replace("\n", "\r\n"), True),
+    ("number-group-across-newline",
+     mutate_field("timestamp", "1\n20.0"), False),
+    ("name-group-across-newline",
+     mutate_field("device", "a\nb"), False),
+]
+
+
+class TestCanonicalScanDifferential:
+    """Mutated canonical lines: the fast path equals the per-line parser or falls back."""
+
+    @pytest.mark.parametrize("line, accepted",
+                             [(line, accepted) for _, line, accepted in SCAN_MUTATIONS],
+                             ids=[name for name, _, _ in SCAN_MUTATIONS])
+    @pytest.mark.parametrize("trailing_newline", [True, False])
+    def test_accepted_blocks_equal_the_per_line_parser(self, line, accepted,
+                                                       trailing_newline):
+        lines = base_lines()
+        lines[4] = line
+        text = "".join(lines)
+        if not trailing_newline:
+            text = text.rstrip("\n")
+        lines_in_block = text.count("\n") + int(not text.endswith("\n"))
+        block = ingest_module._parse_canonical_gnmi_block(text, lines_in_block)
+        try:
+            reference = per_line_block(text)
+        except ValueError:
+            reference = None
+        assert (block is not None) == accepted
+        if block is None:
+            return
+        assert reference is not None, "accepted a block the per-line parser rejects"
+        assert list(block) == list(reference)
+        for key, (times, values) in reference.items():
+            assert block[key][0].tobytes() == times.tobytes()
+            assert block[key][1].tobytes() == values.tobytes()

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -314,3 +319,19 @@ class TestErrorContract:
         assert err.startswith("error: ")
         assert message in err
         assert err.count("\n") == 1
+
+    def test_closed_stdout_exits_quietly(self):
+        # The reader of a pipe leaves before the command prints (the end
+        # of ``repro-monitor survey | head -1``): exit 1, no traceback.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "survey", "--pairs", "56"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert result.stderr == ""
