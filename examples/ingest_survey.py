@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.analysis import format_table, run_survey
 from repro.telemetry import (DatasetConfig, FleetDataset, GNMI_FORMAT, SNMP_FORMAT,
-                             ingest_dump)
+                             export_gnmi_dump, export_snmp_dump, ingest_dump)
 
 
 def main() -> None:
@@ -64,10 +64,8 @@ def main() -> None:
     print(f"Fabricating a {args.wire} dump from {args.pairs} pairs "
           f"({args.duration_hours:g} h each)...")
     start = time.perf_counter()
-    if args.wire == GNMI_FORMAT:
-        fleet.export_gnmi_dump(dump)
-    else:
-        fleet.export_snmp_dump(dump)
+    exporter = export_gnmi_dump if args.wire == GNMI_FORMAT else export_snmp_dump
+    exporter(fleet, dump)
     with dump.open() as handle:
         lines = sum(1 for _ in handle)
     print(f"  {dump}: {lines} lines ({dump.stat().st_size / 2 ** 20:.1f} MiB) "

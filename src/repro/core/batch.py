@@ -50,6 +50,7 @@ import math
 import numpy as np
 
 from ..signals.timeseries import TimeSeries
+from . import scratch
 from .nyquist import (ALIASED_SENTINEL, MIN_SAMPLES, NON_FINITE_REASON, NyquistEstimate,
                       NyquistEstimator)
 from .psd import taper_energy, window_coefficients
@@ -64,7 +65,9 @@ def _rfft(values: np.ndarray, fft_workers: int | None = None) -> np.ndarray:
     parallelises the batch across rows without changing any row's result;
     scipy is imported only then, and without scipy the request is ignored.
     numpy's ``rfft`` equals scipy's bit for bit (both are pocketfft), so
-    the single-threaded default never pays scipy's import.
+    the single-threaded default never pays scipy's import.  The numpy
+    spectrum is written into the ``"spectrum"`` scratch buffer; scipy's
+    ``rfft`` takes no output array, so the threaded one is a fresh array.
     """
     if fft_workers is not None and fft_workers > 1:
         try:
@@ -73,7 +76,9 @@ def _rfft(values: np.ndarray, fft_workers: int | None = None) -> np.ndarray:
             pass
         else:
             return scipy_rfft(values, axis=-1, workers=fft_workers)
-    return np.fft.rfft(values, axis=-1)
+    rows, n = values.shape
+    return np.fft.rfft(values, axis=-1,
+                       out=scratch.borrow("spectrum", (rows, n // 2 + 1), np.complex128))
 
 
 def _unreliable(estimator: NyquistEstimator, current_rate: float, reason: str) -> NyquistEstimate:
@@ -156,14 +161,16 @@ def _fast_batch_estimate(matrix: np.ndarray, interval: float, estimator: Nyquist
     else:
         scale = float(n) * float(n)
 
-    power = np.abs(_rfft(working_values, fft_workers))
+    spectrum = _rfft(working_values, fft_workers)
+    power = np.abs(spectrum, out=scratch.borrow("power", spectrum.shape, np.float64))
     np.square(power, out=power)
     dc = power[:, 0]
     band = power[:, 1:]
     freqs = np.fft.rfftfreq(n, d=interval)[1:]
     bins = freqs.size
 
-    cumulative = np.cumsum(band, axis=-1)
+    cumulative = np.cumsum(band, axis=-1,
+                           out=scratch.borrow("cumulative", band.shape, np.float64))
     totals = cumulative[:, -1].copy()
 
     # One-sided doubling, folded into per-row scalars: for odd n every

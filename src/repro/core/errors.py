@@ -18,7 +18,6 @@ from ..signals.timeseries import TimeSeries
 __all__ = [
     "ReconstructionError",
     "compare",
-    "compare_batch",
 ]
 
 
@@ -46,40 +45,6 @@ class ReconstructionError:
     max_abs: float
     mean_abs: float
     samples_compared: int
-
-    def __str__(self) -> str:
-        return (f"L2={self.l2:.4g} RMSE={self.rmse:.4g} NRMSE={self.nrmse:.4g} "
-                f"max|e|={self.max_abs:.4g} over {self.samples_compared} samples")
-
-
-def compare_batch(original: np.ndarray,
-                  reconstructed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise ``(nrmse, max_abs)`` between two ``(rows, n)`` value matrices.
-
-    The batched counterpart of :func:`compare` for the policy pipeline's
-    hot loop: rows are trimmed to the common column count (the same
-    overlapping-prefix convention as :func:`_aligned_values`) and the
-    normalisation follows :func:`compare` exactly -- a constant row yields 0
-    for a perfect reconstruction and ``nan`` otherwise.
-    """
-    if original.ndim != 2 or reconstructed.ndim != 2:
-        raise ValueError("compare_batch expects (rows, n) matrices")
-    if original.shape[0] != reconstructed.shape[0]:
-        raise ValueError("row counts differ")
-    n = min(original.shape[1], reconstructed.shape[1])
-    if n == 0:
-        raise ValueError("cannot compare empty series")
-    a = original[:, :n]
-    diff = a - reconstructed[:, :n]
-    rmse_rows = np.sqrt(np.mean(diff ** 2, axis=1))
-    value_range = np.max(a, axis=1) - np.min(a, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nrmse_rows = np.where(
-            value_range == 0,
-            np.where(rmse_rows == 0, 0.0, np.nan),
-            rmse_rows / np.where(value_range == 0, 1.0, value_range))
-    max_abs_rows = np.max(np.abs(diff), axis=1)
-    return nrmse_rows, max_abs_rows
 
 
 def compare(original: TimeSeries, reconstructed: TimeSeries) -> ReconstructionError:

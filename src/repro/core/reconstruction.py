@@ -16,15 +16,15 @@ import numpy as np
 
 from ..signals.filters import low_pass_fft
 from ..signals.timeseries import TimeSeries
+from . import scratch
 from .errors import ReconstructionError, compare
 from .nyquist import NyquistEstimate, NyquistEstimator
 from .quantization import UniformQuantizer
-from .resampling import (downsample, fourier_resample, fourier_resample_matrix,
-                         resample_to_rate)
+from .resampling import downsample, fourier_resample, resample_to_rate
 
 __all__ = [
     "reconstruct",
-    "reconstruct_batch",
+    "reconstruction_error_batch",
     "upsample_to_length",
     "RoundTripResult",
     "nyquist_round_trip",
@@ -73,24 +73,70 @@ def reconstruct(downsampled: TimeSeries, original_rate: float,
                       start_time=downsampled.start_time, name=downsampled.name)
 
 
-def reconstruct_batch(values: np.ndarray, interval: float,
-                      original_rate: float) -> np.ndarray:
-    """Row-wise :func:`reconstruct` over a ``(rows, m)`` matrix of collected samples.
+def reconstruction_error_batch(reference: np.ndarray, collected: np.ndarray,
+                               collected_interval: float,
+                               reference_interval: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``(nrmse, max_abs)`` of each collected row's reconstruction against ``reference``.
 
-    Every row is a down-sampled trace at ``interval`` seconds per sample;
-    the result holds each row's band-limited reconstruction at
-    ``original_rate``, computed with one batched FFT pair.  The target
-    length matches the scalar path exactly (``round(duration *
-    original_rate)``), so a row of the result equals ``reconstruct`` on
-    that row's :class:`~repro.signals.timeseries.TimeSeries`.
+    Row ``i`` of the ``(rows, m)`` matrix ``collected`` is a down-sampled
+    trace at ``collected_interval`` seconds per sample; it is
+    reconstructed at the reference rate with the band-limited
+    interpolator of :func:`reconstruct` (same target length, same
+    halved Nyquist bin when up-sampling an even-length row) and scored
+    against row ``i`` of the ``(rows, n)`` ``reference`` as
+    :func:`~repro.core.errors.compare` does: over the common prefix, with
+    a constant reference row giving 0 for a perfect reconstruction and
+    ``nan`` otherwise.
+
+    The whole group costs one ``rfft``/``irfft`` pair.  The
+    reconstruction and its error live in a scratch buffer
+    (:mod:`repro.core.scratch`), so a loop over many same-shape groups
+    allocates no ``(rows, n)`` matrix; neither input is written to.
     """
-    if original_rate <= 0:
-        raise ValueError("original_rate must be positive")
-    if values.ndim != 2:
-        raise ValueError(f"values must be a (rows, m) matrix, got shape {values.shape}")
-    duration = values.shape[1] * interval
-    target_length = max(int(round(duration * original_rate)), 1)
-    return fourier_resample_matrix(values, target_length)
+    if reference.ndim != 2 or collected.ndim != 2:
+        raise ValueError(f"reference and collected must be (rows, n) matrices, got shapes "
+                         f"{reference.shape} and {collected.shape}")
+    rows, m = collected.shape
+    if reference.shape[0] != rows:
+        raise ValueError(f"row counts differ: {reference.shape[0]} reference vs {rows} "
+                         "collected")
+    if m == 0:
+        raise ValueError("cannot reconstruct empty rows")
+    if reference_interval <= 0:
+        raise ValueError("reference_interval must be positive")
+    target = max(int(round(m * collected_interval * (1.0 / reference_interval))), 1)
+    n = min(reference.shape[1], target)
+    if n == 0:
+        raise ValueError("cannot compare empty series")
+
+    buffer = scratch.borrow("reconstruction", (rows, target), np.float64)
+    if target == m:
+        reconstructed = collected
+    else:
+        spectrum = np.fft.rfft(collected, axis=-1,
+                               out=scratch.borrow("spectrum", (rows, m // 2 + 1), np.complex128))
+        # When up-sampling an even-length row, its Nyquist bin holds the
+        # folded sum of the +/- Nyquist components; halving it keeps the
+        # interpolation real-valued and energy-preserving.  ``irfft``
+        # zero-pads (or crops) the spectrum to the target length itself.
+        if target > m and m % 2 == 0:
+            spectrum[:, -1] *= 0.5
+        reconstructed = np.fft.irfft(spectrum, n=target, axis=-1, out=buffer)
+        reconstructed *= target / m
+
+    # Score in place: ``abs`` then ``square`` gives the bits of ``diff ** 2``.
+    a = reference[:, :n]
+    diff = np.subtract(a, reconstructed[:, :n], out=buffer[:, :n])
+    np.abs(diff, out=diff)
+    max_abs = np.max(diff, axis=1)
+    np.square(diff, out=diff)
+    rmse = np.sqrt(np.mean(diff, axis=1))
+    value_range = np.max(a, axis=1) - np.min(a, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nrmse = np.where(value_range == 0,
+                         np.where(rmse == 0, 0.0, np.nan),
+                         rmse / np.where(value_range == 0, 1.0, value_range))
+    return nrmse, max_abs
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ __all__ = [
     "resample_to_rate",
     "decimation_factor",
     "fourier_resample",
-    "fourier_resample_matrix",
 ]
 
 
@@ -151,32 +150,3 @@ def fourier_resample(series: TimeSeries, target_length: int) -> TimeSeries:
     new_interval = series.duration / target_length
     return TimeSeries(values, new_interval, start_time=series.start_time, name=series.name)
 
-
-def fourier_resample_matrix(values: np.ndarray, target_length: int) -> np.ndarray:
-    """Row-wise :func:`fourier_resample` over a ``(rows, n)`` matrix.
-
-    One ``rfft``/``irfft`` pair for the whole batch instead of one per
-    trace; every row's result equals ``fourier_resample`` on that row
-    (same transform lengths, same Nyquist-bin handling), which is what
-    lets the batched policy evaluation reproduce per-trace reconstruction.
-    """
-    if values.ndim != 2:
-        raise ValueError(f"values must be a (rows, n) matrix, got shape {values.shape}")
-    n = values.shape[1]
-    if target_length < 1:
-        raise ValueError("target_length must be >= 1")
-    if n == 0:
-        raise ValueError("cannot resample empty rows")
-    if target_length == n:
-        return values
-    spectrum = np.fft.rfft(values, axis=-1)
-    target_bins = target_length // 2 + 1
-    new_spectrum = np.zeros((values.shape[0], target_bins), dtype=np.complex128)
-    copy = min(spectrum.shape[1], target_bins)
-    new_spectrum[:, :copy] = spectrum[:, :copy]
-    # Same even-length Nyquist-bin split as the scalar interpolator: the
-    # folded +/- Nyquist components are halved so the up-sampled rows stay
-    # real-valued and energy-preserving.
-    if target_length > n and n % 2 == 0 and copy == spectrum.shape[1]:
-        new_spectrum[:, copy - 1] *= 0.5
-    return np.fft.irfft(new_spectrum, n=target_length, axis=-1) * (target_length / n)

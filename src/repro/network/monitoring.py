@@ -113,9 +113,6 @@ class MonitoringDeployment:
             points.append(TracePair(spec, profile, params))
         return points
 
-    def __len__(self) -> int:
-        return len(self.points())
-
 
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)

@@ -16,10 +16,13 @@ Each policy implements one method, :meth:`SamplingPolicy.collect_batch`:
 from a ``(rows, n)`` matrix of equal-shape reference traces it returns a
 :class:`Collection` -- every row's sample count (probe traffic included)
 and the collected streams, grouped by shared length and interval.  The
-shared :meth:`SamplingPolicy.evaluate_batch` reconstructs every group
-with one batched FFT pair (the paper's low-pass interpolator) and scores
-it against the reference (:meth:`Collection.evaluate`); it feeds the
-fleet policy survey (:func:`repro.analysis.policy_survey.run_policy_survey`).
+shared :meth:`SamplingPolicy.evaluate_batch` scores every group with one
+:func:`~repro.core.reconstruction.reconstruction_error_batch` call: one
+batched FFT pair (the paper's low-pass interpolator), scored against the
+reference inside a reused scratch buffer, so no reconstruction or error
+matrix is allocated per batch (:meth:`Collection.evaluate`).  It feeds
+the fleet policy survey
+(:func:`repro.analysis.policy_survey.run_policy_survey`).
 The per-point :class:`~repro.analysis.policy_survey.CostQualityEvaluator`
 scores a one-row collection the same way and hands its collected stream
 to event-detection scoring.
@@ -37,9 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.adaptive import AdaptiveRun, AdaptiveSamplingController, ControllerConfig
-from ..core.errors import compare_batch
 from ..core.nyquist import NyquistEstimator
-from ..core.reconstruction import reconstruct_batch
+from ..core.reconstruction import reconstruction_error_batch
 from ..core.resampling import decimation_factor
 from ..signals.timeseries import TimeSeries
 
@@ -89,10 +91,11 @@ class Collection:
     ``(rows, matrix, interval)``: the row indices (``slice(None)`` when
     the group is the whole batch, which spares copying the reference), the
     rows' ``(len(rows), m)`` collected samples and the seconds between
-    two of them.  A stream
-    gathered at several rates is aligned to its finest interval (each
-    coarser sample repeated to fill its slots), so every stream is one
-    regular row that reconstruction can read.
+    two of them.  The matrix may be a view of the reference (a policy
+    that keeps every sample collects ``values`` itself); scoring never
+    writes to it.  A stream gathered at several rates is aligned to its
+    finest interval (each coarser sample repeated to fill its slots), so
+    every stream is one regular row that reconstruction can read.
     """
 
     samples_collected: np.ndarray
@@ -103,13 +106,15 @@ class Collection:
         """Reconstruct every group at the reference rate and score it against ``values``.
 
         ``values`` and ``interval`` are the reference matrix the
-        collection was gathered from.  Each group is reconstructed with
-        one batched FFT pair and compared row by row; a stream of fewer
-        than two samples has nothing to reconstruct from and raises
-        rather than reporting a bogus-but-plausible error.
+        collection was gathered from.  Each group is one
+        :func:`~repro.core.reconstruction.reconstruction_error_batch`
+        call, which reconstructs its rows with one batched FFT pair and
+        scores them row by row in a scratch buffer; only the per-row
+        ``nrmse`` and max-abs errors come back.  A stream of fewer than
+        two samples has nothing to reconstruct from and raises rather
+        than reporting a bogus-but-plausible error.
         """
         rows, n = values.shape
-        reference_rate = 1.0 / interval
         nrmse = np.zeros(rows)
         max_abs = np.zeros(rows)
         for members, collected, collected_interval in self.groups:
@@ -118,8 +123,8 @@ class Collection:
                     f"policy {policy_name!r} collected only {collected.shape[1]} sample(s) "
                     f"per trace ({n} reference samples at {interval:g}s); at least 2 "
                     "are needed to reconstruct")
-            reconstructed = reconstruct_batch(collected, collected_interval, reference_rate)
-            nrmse[members], max_abs[members] = compare_batch(values[members], reconstructed)
+            nrmse[members], max_abs[members] = reconstruction_error_batch(
+                values[members], collected, collected_interval, interval)
         return PolicyBatchEvaluation(
             policy_name=policy_name,
             samples_collected=self.samples_collected,

@@ -66,11 +66,6 @@ class Spectrum:
     def __len__(self) -> int:
         return int(self.frequencies.shape[0])
 
-    @property
-    def max_frequency(self) -> float:
-        """The Nyquist frequency of the *measurement*, ``sampling_rate / 2``."""
-        return self.sampling_rate / 2.0
-
     def total_energy(self, include_dc: bool = False) -> float:
         """Sum of per-bin power (the paper's "total energy in the signal")."""
         if len(self) == 0:
@@ -124,7 +119,7 @@ class Spectrum:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Spectrum(bins={len(self)}, fs={self.sampling_rate:g}Hz, "
-                f"fmax={self.max_frequency:g}Hz)")
+                f"fmax={self.sampling_rate / 2.0:g}Hz)")
 
 
 @dataclass(frozen=True)

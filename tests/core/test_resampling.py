@@ -7,10 +7,10 @@ import pytest
 
 from repro.core.nyquist import estimate_nyquist_rate
 from repro.core.resampling import (decimation_factor, downsample, fourier_resample,
-                                   fourier_resample_matrix, nearest_neighbor_resample,
-                                   regularize, resample_to_rate)
+                                   nearest_neighbor_resample, regularize, resample_to_rate)
 from repro.signals.generators import multi_tone, sine
 from repro.signals.timeseries import IrregularTimeSeries, TimeSeries
+from reconstruction_oracle import fourier_resample_matrix
 
 
 class TestNearestNeighbor:

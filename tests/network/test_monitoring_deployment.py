@@ -24,7 +24,7 @@ class TestDeployment:
         topology = deployment.topology
         expected = (len(switches(topology)) * len(deployment.switch_metrics)
                     + len(servers(topology)) * len(deployment.server_metrics))
-        assert len(deployment) == expected
+        assert len(deployment.points()) == expected
 
     def test_points_are_cached(self, deployment):
         assert deployment.points() is deployment.points()

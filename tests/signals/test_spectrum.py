@@ -21,7 +21,7 @@ class TestSpectrumConstruction:
     def test_basic(self):
         spectrum = make_spectrum()
         assert len(spectrum) == 6
-        assert spectrum.max_frequency == pytest.approx(5.0)
+        assert "fmax=5Hz" in repr(spectrum)
 
     def test_rejects_two_dimensional_input(self):
         with pytest.raises(ValueError, match="one-dimensional"):

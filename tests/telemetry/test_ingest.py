@@ -38,8 +38,8 @@ from repro.telemetry import ingest as ingest_module
 from repro.telemetry.dataset import DatasetConfig, FleetDataset
 from repro.telemetry.ingest import (BLOCK_BYTES, GNMI_FORMAT, METRIC_PATHS,
                                     SNMP_FORMAT, PairAccumulator, _parse_gnmi_line,
-                                    ingest_dump, metric_from_path, open_export,
-                                    sniff_format)
+                                    export_snmp_dump, ingest_dump, metric_from_path,
+                                    open_export, sniff_format)
 from repro.telemetry.measured import MeasuredFleetDataset
 
 #: Small, fast fleet shared by the suite: three families (gauge, counter,
@@ -60,7 +60,7 @@ def gnmi_dump(fleet, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def snmp_dump(fleet, tmp_path_factory):
-    return fleet.export_snmp_dump(tmp_path_factory.mktemp("dumps") / "fleet.csv")
+    return export_snmp_dump(fleet, tmp_path_factory.mktemp("dumps") / "fleet.csv")
 
 
 def assert_same_fleet(a: MeasuredFleetDataset, b: MeasuredFleetDataset,

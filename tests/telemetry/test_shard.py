@@ -25,7 +25,8 @@ from repro.cli import main
 from repro.faults import FaultPlan, corrupt_dump_lines
 from repro.records import MemoryRecordSink
 from repro.telemetry.dataset import DatasetConfig, FleetDataset
-from repro.telemetry.ingest import GNMI_FORMAT, PairAccumulator, ingest_dump, open_export
+from repro.telemetry.ingest import (GNMI_FORMAT, PairAccumulator, export_snmp_dump,
+                                    ingest_dump, open_export)
 from repro.telemetry.shard import ByteRange, plan_byte_ranges, shard_of_key
 
 INGEST_METRICS = ("Temperature", "Unicast bytes", "FCS errors")
@@ -44,7 +45,7 @@ def gnmi_dump(fleet, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def snmp_dump(fleet, tmp_path_factory):
-    return fleet.export_snmp_dump(tmp_path_factory.mktemp("dumps") / "fleet.csv")
+    return export_snmp_dump(fleet, tmp_path_factory.mktemp("dumps") / "fleet.csv")
 
 
 def directory_bytes(directory: Path) -> dict[str, bytes]:

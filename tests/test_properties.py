@@ -60,7 +60,7 @@ def test_periodogram_energy_is_non_negative_and_finite(values, interval):
     spectrum = periodogram(series)
     assert np.all(spectrum.power >= 0)
     assert np.all(np.isfinite(spectrum.power))
-    assert spectrum.max_frequency == pytest.approx(series.sampling_rate / 2.0)
+    assert spectrum.frequencies[-1] <= series.sampling_rate / 2.0 * (1 + 1e-12)
 
 
 @FAST
