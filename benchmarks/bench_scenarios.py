@@ -18,9 +18,9 @@ The bench asserts the matrix's two load-bearing rows: the stationary
 leaf-spine cell must reproduce the paper ordering, and every flap-churn
 cell must invert the adaptive leg (direction asserted, not magnitude).
 
-Size via ``REPRO_BENCH_SCENARIO_SMOKE=1`` (CI: the reduced 2x2
-stationary/flap-churn x leaf-spine/wan-ring grid) and
-``REPRO_BENCH_SCENARIO_HOURS`` (trace length; default 12).
+The full 7x3 matrix takes a few seconds; CI runs it and compares every
+cell with the committed ``BENCH_scenarios.json``.  The trace length is
+``REPRO_BENCH_SCENARIO_HOURS`` (default 12).
 """
 
 from __future__ import annotations
@@ -31,13 +31,9 @@ import time
 from repro.analysis.reporting import format_table, write_csv
 from repro.scenarios import run_matrix
 from repro.scenarios.matrix import ADAPTIVE, NYQUIST_STATIC
-from repro.scenarios.presets import (default_fabrics, default_scenarios, paper_suite,
-                                     smoke_fabrics, smoke_scenarios)
+from repro.scenarios.presets import default_fabrics, default_scenarios, paper_suite
 
 from conftest import BENCH_SCENARIOS_JSON, update_bench_json
-
-#: CI smoke switch: the reduced 2x2 grid instead of the full matrix.
-SCENARIO_SMOKE = os.environ.get("REPRO_BENCH_SCENARIO_SMOKE", "0") == "1"
 
 #: Reference trace length in hours.
 SCENARIO_HOURS = float(os.environ.get("REPRO_BENCH_SCENARIO_HOURS", "12"))
@@ -45,12 +41,8 @@ SCENARIO_HOURS = float(os.environ.get("REPRO_BENCH_SCENARIO_HOURS", "12"))
 
 def test_scenario_matrix(output_dir):
     """Every (scenario x fabric) cell surveyed, verdicts recorded and pinned."""
-    if SCENARIO_SMOKE:
-        scenarios = smoke_scenarios()
-        fabrics = smoke_fabrics(hours=SCENARIO_HOURS)
-    else:
-        scenarios = default_scenarios()
-        fabrics = default_fabrics(hours=SCENARIO_HOURS)
+    scenarios = default_scenarios()
+    fabrics = default_fabrics(hours=SCENARIO_HOURS)
     suite = paper_suite()
 
     start = time.perf_counter()
@@ -88,13 +80,11 @@ def test_scenario_matrix(output_dir):
         assert not churn.holds_paper_ordering, churn.verdict
         assert churn.relative_costs[ADAPTIVE] >= churn.relative_costs[NYQUIST_STATIC]
     # Every shifted scenario records a measured (or explicitly
-    # unmeasurable) reaction; the full matrix's incident row must
-    # actually measure one.
-    if not SCENARIO_SMOKE:
-        incident = result.cell("incident", "leaf-spine")
-        assert incident.shift_time_s is not None
-        assert incident.reprobe_latency_s is not None
-        assert incident.reprobe_latency_s > 0.0
+    # unmeasurable) reaction; the incident row must actually measure one.
+    incident = result.cell("incident", "leaf-spine")
+    assert incident.shift_time_s is not None
+    assert incident.reprobe_latency_s is not None
+    assert incident.reprobe_latency_s > 0.0
 
     update_bench_json("cells", result.to_payload(), path=BENCH_SCENARIOS_JSON)
     update_bench_json("summary", {
@@ -104,5 +94,4 @@ def test_scenario_matrix(output_dir):
         "inversions": [cell.key for cell in result.inversions()],
         "seconds": seconds,
         "cells_per_second": len(result.cells) / seconds,
-        "smoke": SCENARIO_SMOKE,
     }, path=BENCH_SCENARIOS_JSON)

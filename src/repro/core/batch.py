@@ -35,6 +35,15 @@ algebraic shortcuts, none of which changes a cut-off:
   only rows whose band energy is vanishingly small relative to their DC
   bin pay the exact peak-to-peak check.
 
+Everything that depends only on the batch's shape -- the detrend's
+centred index axis and its squared sum, the taper and its scale, and the
+frequency axis -- is built once per ``n`` (or ``(n, interval)``, or
+``(window, n)``) by a small ``lru_cache`` helper and shared read-only, so
+a one-row call, which the adaptive controller makes for every window,
+pays for its FFT and reductions rather than for rebuilding its axes.
+Each cached array is the same expression on the same operands as before,
+so no result changes by a bit.
+
 The semantics match :meth:`NyquistEstimator.estimate` to rounding -- the
 scalar path is kept as the reference and the equivalence is enforced by
 ``tests/core/test_batch.py``.  A row's bits depend neither on the batch
@@ -46,6 +55,7 @@ path row by row instead.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,7 +63,7 @@ from ..signals.timeseries import TimeSeries
 from . import scratch
 from .nyquist import (ALIASED_SENTINEL, MIN_SAMPLES, NON_FINITE_REASON, NyquistEstimate,
                       NyquistEstimator)
-from .psd import taper_energy, window_coefficients
+from .psd import WindowName, _rfft_frequencies, taper_energy, window_coefficients
 
 __all__ = ["batch_estimate"]
 
@@ -94,18 +104,36 @@ def _unreliable(estimator: NyquistEstimator, current_rate: float, reason: str) -
     )
 
 
+@lru_cache(maxsize=32)
+def _detrend_axis(n: int) -> tuple[np.ndarray, float]:
+    """The centred sample index ``0..n-1`` and its squared sum, read-only."""
+    x = np.arange(n, dtype=np.float64)
+    x_centered = x - x.mean()
+    x_centered.flags.writeable = False
+    return x_centered, float(np.sum(x_centered ** 2))
+
+
+@lru_cache(maxsize=32)
+def _taper_and_scale(window: WindowName, n: int) -> tuple[np.ndarray, float]:
+    """The read-only taper of ``window`` at length ``n`` and its PSD scale ``n * energy``."""
+    taper = window_coefficients(window, n)
+    scale = n * taper_energy(taper)
+    taper.flags.writeable = False
+    return taper, scale
+
+
 def _remove_linear_trend_rows(values: np.ndarray) -> np.ndarray:
     """Subtract each row's least-squares line (vectorised ``detrend``).
 
-    The slope is a last-axis ``np.sum``, not a matrix product: BLAS
+    The slope is a last-axis ``add.reduce``, not a matrix product: BLAS
     blocks ``@`` by row count, which would make a row's bits depend on
-    the size of the batch it arrives in.
+    the size of the batch it arrives in.  ``add.reduce`` and ``/ n`` are
+    what ``np.sum`` and ``np.mean`` run, without their dispatch.
     """
-    x = np.arange(values.shape[-1], dtype=np.float64)
-    x_centered = x - x.mean()
-    denominator = float(np.sum(x_centered ** 2))
-    row_means = np.mean(values, axis=-1, keepdims=True)
-    slopes = np.sum((values - row_means) * x_centered, axis=-1) / denominator
+    n = values.shape[-1]
+    x_centered, denominator = _detrend_axis(n)
+    row_means = np.add.reduce(values, axis=-1, keepdims=True) / n
+    slopes = np.add.reduce((values - row_means) * x_centered, axis=-1) / denominator
     return values - row_means - slopes[:, None] * x_centered
 
 
@@ -155,9 +183,8 @@ def _fast_batch_estimate(matrix: np.ndarray, interval: float, estimator: Nyquist
     if estimator.detrend:
         working_values = _remove_linear_trend_rows(working_values)
     if tapered:
-        taper = window_coefficients(estimator.window, n)
+        taper, scale = _taper_and_scale(estimator.window, n)
         working_values = working_values * taper
-        scale = n * taper_energy(taper)
     else:
         scale = float(n) * float(n)
 
@@ -166,7 +193,7 @@ def _fast_batch_estimate(matrix: np.ndarray, interval: float, estimator: Nyquist
     np.square(power, out=power)
     dc = power[:, 0]
     band = power[:, 1:]
-    freqs = np.fft.rfftfreq(n, d=interval)[1:]
+    freqs = _rfft_frequencies(n, interval)[1:]
     bins = freqs.size
 
     cumulative = np.cumsum(band, axis=-1,

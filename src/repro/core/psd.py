@@ -10,8 +10,8 @@ streams at once, so the plain-FFT estimate also exists in batched form:
 :func:`batch_periodogram` takes a ``(rows, n)`` matrix of equal-length
 traces and computes every row's PSD with a single
 ``np.fft.rfft(axis=-1)`` call, returning a
-:class:`repro.signals.SpectrumBatch`.  Both share the same normalisation
-helper, so a batch row is numerically the same PSD :func:`periodogram`
+:class:`repro.signals.SpectrumBatch`.  Both apply the same normalisation
+and doubling, so a batch row is bit for bit the PSD :func:`periodogram`
 produces for that trace.
 
 :func:`periodogram` supports two tapers: the plain FFT
@@ -65,6 +65,14 @@ def _hann(length: int) -> np.ndarray:
     taper = np.hanning(length)
     taper.flags.writeable = False
     return taper
+
+
+@lru_cache(maxsize=64)
+def _rfft_frequencies(n: int, interval: float) -> np.ndarray:
+    """``np.fft.rfftfreq(n, d=interval)``, computed once per shape and read-only."""
+    freqs = np.fft.rfftfreq(n, d=interval)
+    freqs.flags.writeable = False
+    return freqs
 
 
 def taper_energy(taper: np.ndarray) -> float:
@@ -150,6 +158,13 @@ def batch_periodogram(values: np.ndarray, interval: float) -> SpectrumBatch:
         one ``rfft(axis=-1)`` call for the whole batch.  The power is a
         fresh C-contiguous matrix of squared magnitudes, non-negative by
         construction, so the batch skips the constructor's re-checks.
+        The frequency axis is shared by every batch of the same
+        ``(n, interval)`` and is read-only.
+
+    The rectangular window is applied implicitly: multiplying by its ones
+    and normalising by their energy (exactly ``n``) are exact no-ops, so
+    each row's PSD is ``|rfft(row)|**2 / (n * n)`` with the one-sided
+    doubling, bit for bit what :func:`periodogram` returns for that row.
     """
     matrix = np.asarray(values, dtype=np.float64)
     if matrix.ndim != 2:
@@ -162,6 +177,9 @@ def batch_periodogram(values: np.ndarray, interval: float) -> SpectrumBatch:
     n = matrix.shape[-1]
     if n < 2:
         raise ValueError("need at least two samples per trace to compute a periodogram")
-    power = _one_sided_psd(matrix, window_coefficients("rectangular", n))
-    freqs = np.fft.rfftfreq(n, d=interval)
-    return SpectrumBatch._of_checked(freqs, power, sampling_rate)
+    power = np.abs(np.fft.rfft(matrix, axis=-1)) ** 2 / (n * float(n))
+    if n % 2 == 0:
+        power[:, 1:-1] *= 2.0
+    else:
+        power[:, 1:] *= 2.0
+    return SpectrumBatch._of_checked(_rfft_frequencies(n, interval), power, sampling_rate)

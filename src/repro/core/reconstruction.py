@@ -125,17 +125,22 @@ def reconstruction_error_batch(reference: np.ndarray, collected: np.ndarray,
         reconstructed *= target / m
 
     # Score in place: ``abs`` then ``square`` gives the bits of ``diff ** 2``.
+    # The reductions are the ufunc ``reduce`` calls ``np.max``/``np.mean``
+    # run (``mean`` is ``add.reduce / n``), without their dispatch.
     a = reference[:, :n]
     diff = np.subtract(a, reconstructed[:, :n], out=buffer[:, :n])
     np.abs(diff, out=diff)
-    max_abs = np.max(diff, axis=1)
+    max_abs = np.maximum.reduce(diff, axis=1)
     np.square(diff, out=diff)
-    rmse = np.sqrt(np.mean(diff, axis=1))
-    value_range = np.max(a, axis=1) - np.min(a, axis=1)
+    rmse = np.sqrt(np.add.reduce(diff, axis=1) / n)
+    value_range = np.maximum.reduce(a, axis=1) - np.minimum.reduce(a, axis=1)
+    flat = value_range == 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        nrmse = np.where(value_range == 0,
-                         np.where(rmse == 0, 0.0, np.nan),
-                         rmse / np.where(value_range == 0, 1.0, value_range))
+        if flat.any():
+            nrmse = np.where(flat, np.where(rmse == 0, 0.0, np.nan),
+                             rmse / np.where(flat, 1.0, value_range))
+        else:
+            nrmse = rmse / value_range
     return nrmse, max_abs
 
 

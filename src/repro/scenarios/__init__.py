@@ -21,8 +21,7 @@ This package turns "scenario diversity" into a harness:
 from .backfill import export_backfill_dump
 from .matrix import (ADAPTIVE, FIXED, NYQUIST_STATIC, MatrixCell, MatrixResult,
                      evaluate_cell, run_matrix)
-from .presets import (DEFAULT_BLACKOUT, default_fabrics, default_scenarios, paper_suite,
-                      smoke_fabrics, smoke_scenarios)
+from .presets import DEFAULT_BLACKOUT, default_fabrics, default_scenarios, paper_suite
 from .transforms import (BlackoutWindow, CounterPathology, DiurnalCycle, FlappingRegime,
                          RegimeShift, Scenario, ScenarioSourceSpec, ScenarioTraceSource,
                          ScenarioTransform, apply_transforms)
@@ -35,6 +34,5 @@ __all__ = [
     "export_backfill_dump",
     "FIXED", "NYQUIST_STATIC", "ADAPTIVE",
     "MatrixCell", "MatrixResult", "evaluate_cell", "run_matrix",
-    "DEFAULT_BLACKOUT", "paper_suite", "default_scenarios", "smoke_scenarios",
-    "default_fabrics", "smoke_fabrics",
+    "DEFAULT_BLACKOUT", "paper_suite", "default_scenarios", "default_fabrics",
 ]

@@ -36,7 +36,7 @@ from .transforms import (BlackoutWindow, CounterPathology, DiurnalCycle, Flappin
                          RegimeShift, Scenario)
 
 __all__ = ["TRACE_HOURS", "ADAPTIVE_WINDOW_S", "DEFAULT_BLACKOUT", "paper_suite",
-           "default_scenarios", "smoke_scenarios", "default_fabrics", "smoke_fabrics"]
+           "default_scenarios", "default_fabrics"]
 
 #: Trace length (hours) every preset deployment serves.
 TRACE_HOURS = 12.0
@@ -79,16 +79,6 @@ def default_scenarios() -> list[Scenario]:
     ]
 
 
-def smoke_scenarios() -> list[Scenario]:
-    """The reduced 2-scenario axis for the CI smoke job.
-
-    One cell that must hold (``stationary``) and one that must invert
-    (``flap-churn``) -- the two verdicts the matrix exists to separate.
-    """
-    keep = {"stationary", "flap-churn"}
-    return [scenario for scenario in default_scenarios() if scenario.name in keep]
-
-
 def _deploy(topology: FabricSpec, *, hours: float) -> DeploymentSpec:
     return DeploymentSpec(topology=topology, trace_duration=hours * 3600.0,
                           seed=11, oversample_factor=4.0)
@@ -104,12 +94,3 @@ def default_fabrics(*, hours: float = TRACE_HOURS) -> dict[str, DeploymentSpec]:
                                         servers_per_site=2), hours=hours),
     }
 
-
-def smoke_fabrics(*, hours: float = TRACE_HOURS) -> dict[str, DeploymentSpec]:
-    """The reduced 2-fabric axis for the CI smoke job.
-
-    Leaf-spine (the paper's fabric) plus the WAN ring (asymmetric hop
-    pricing) -- the fat-tree column adds pairs, not behaviour.
-    """
-    fabrics = default_fabrics(hours=hours)
-    return {name: fabrics[name] for name in ("leaf-spine", "wan-ring")}

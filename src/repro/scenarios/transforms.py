@@ -24,6 +24,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Sequence
 
 import numpy as np
@@ -38,6 +39,40 @@ __all__ = ["ScenarioTransform", "DiurnalCycle", "RegimeShift", "FlappingRegime",
            "ScenarioTraceSource", "apply_transforms"]
 
 _TWO_PI = 2.0 * math.pi
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+# Per-shape constants of the periodic transforms.  Everything below depends
+# only on the transform's parameters and the trace's ``(rows, interval)``,
+# so it is built once per shape and shared read-only; each is the exact
+# expression ``apply`` used to evaluate per pair, so no result changes.
+@lru_cache(maxsize=32)
+def _diurnal_carrier(transform: "DiurnalCycle", rows: int, interval: float) -> np.ndarray:
+    t = np.arange(rows) * interval
+    return _read_only(_TWO_PI * t / transform.period)
+
+
+@lru_cache(maxsize=32)
+def _regime_carrier(transform: "RegimeShift", rows: int, interval: float) -> np.ndarray:
+    shift = int(round(transform.shift_fraction * rows))
+    frequency = transform.frequency_fraction / (2.0 * interval)
+    t = np.arange(shift, rows) * interval
+    return _read_only(_TWO_PI * frequency * t)
+
+
+@lru_cache(maxsize=32)
+def _flap_carrier_and_duty(transform: "FlappingRegime", rows: int,
+                           interval: float) -> tuple[np.ndarray, np.ndarray]:
+    onset = int(round(transform.onset_fraction * rows))
+    frequency = transform.frequency_fraction / (2.0 * interval)
+    t = np.arange(onset, rows) * interval
+    active = ((t - onset * interval) % transform.period) < transform.duty * transform.period
+    # A float 0/1 factor multiplies to the same bits as the bool mask.
+    return _read_only(_TWO_PI * frequency * t), _read_only(active.astype(np.float64))
 
 
 class ScenarioTransform(abc.ABC):
@@ -85,9 +120,8 @@ class DiurnalCycle(ScenarioTransform):
               device_id: str) -> np.ndarray:
         phase = _TWO_PI * (stable_digest(self.seed, "diurnal-phase", metric_name,
                                          device_id) / 2.0 ** 64)
-        t = np.arange(values.shape[0]) * interval
-        return values * (1.0 + self.amplitude * np.sin(_TWO_PI * t / self.period
-                                                       + phase))
+        carrier = _diurnal_carrier(self, values.shape[0], interval)
+        return values * (1.0 + self.amplitude * np.sin(carrier + phase))
 
 
 @dataclass(frozen=True)
@@ -141,9 +175,8 @@ class RegimeShift(ScenarioTransform):
             base = 1.0
         phase = _TWO_PI * (stable_digest(self.seed, "regime-phase", metric_name,
                                          device_id) / 2.0 ** 64)
-        frequency = self.frequency_fraction / (2.0 * interval)
-        t = np.arange(shift, rows) * interval
-        out[shift:] += self.amplitude * base * np.sin(_TWO_PI * frequency * t + phase)
+        carrier = _regime_carrier(self, rows, interval)
+        out[shift:] += self.amplitude * base * np.sin(carrier + phase)
         return out
 
 
@@ -161,6 +194,11 @@ class FlappingRegime(ScenarioTransform):
     the onset keeps polling at its one cheap settled rate and simply eats
     the reconstruction error.  Cells built on this scenario are where the
     paper's adaptive-cheapest leg is *expected* to invert.
+
+    The carrier ``2*pi*f*t`` and the duty factor (1.0 inside a flap, 0.0
+    outside) depend only on the trace's ``(rows, interval)``, so they are
+    built once per shape and shared; per pair only the spread, the phase
+    digest and ``sin(carrier + phase)`` are computed.
     """
 
     onset_fraction: float = 0.3
@@ -198,11 +236,8 @@ class FlappingRegime(ScenarioTransform):
             base = 1.0
         phase = _TWO_PI * (stable_digest(self.seed, "flap-phase", metric_name,
                                          device_id) / 2.0 ** 64)
-        frequency = self.frequency_fraction / (2.0 * interval)
-        t = np.arange(onset, rows) * interval
-        active = ((t - onset * interval) % self.period) < self.duty * self.period
-        out[onset:] += (self.amplitude * base
-                        * np.sin(_TWO_PI * frequency * t + phase) * active)
+        carrier, duty = _flap_carrier_and_duty(self, rows, interval)
+        out[onset:] += self.amplitude * base * np.sin(carrier + phase) * duty
         return out
 
 

@@ -41,7 +41,7 @@ def generate_peak_bandwidth_trace(spec: MetricSpec, params: MetricParameters,
     diurnal_amplitude = params.amplitude * 0.5 if params.bandwidth_hz >= 1.0 / 86400.0 else 0.0
     phase = float(rng.uniform(0.0, 2.0 * np.pi))
     baseline = (params.level
-                + diurnal_component(times, diurnal_amplitude, phase=phase)
+                + diurnal_component(n, interval, diurnal_amplitude, phase=phase)
                 + band_limited_component(n, interval, params.bandwidth_hz,
                                          params.amplitude * 0.5, rng))
 

@@ -14,9 +14,11 @@ Every model composes the same ingredients:
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
+from ...core.psd import _rfft_frequencies
 from ...signals.timeseries import TimeSeries
 from ..metrics import MetricSpec
 from ..profiles import MetricParameters
@@ -32,11 +34,30 @@ __all__ = [
 
 
 def time_grid(duration: float, interval: float) -> np.ndarray:
-    """Timestamps (relative to the trace start) for a trace of ``duration`` seconds."""
+    """Timestamps (relative to the trace start) for a trace of ``duration`` seconds.
+
+    The grid is shared by every trace of the same shape, so it is read-only.
+    """
     if duration <= 0 or interval <= 0:
         raise ValueError("duration and interval must be positive")
-    n = max(int(round(duration / interval)), 2)
-    return np.arange(n) * interval
+    return _time_grid(max(int(round(duration / interval)), 2), interval)
+
+
+@lru_cache(maxsize=32)
+def _time_grid(n: int, interval: float) -> np.ndarray:
+    times = np.arange(n) * interval
+    times.flags.writeable = False
+    return times
+
+
+@lru_cache(maxsize=32)
+def _diurnal_base(n: int, interval: float, day_seconds: float) -> tuple[np.ndarray, np.ndarray]:
+    """The diurnal phase ramp ``2*pi*t/day`` on the ``(n, interval)`` grid and its double."""
+    base = 2.0 * math.pi * _time_grid(n, interval) / day_seconds
+    double = 2.0 * base
+    base.flags.writeable = False
+    double.flags.writeable = False
+    return base, double
 
 
 def band_limited_component(n: int, interval: float, bandwidth_hz: float,
@@ -53,7 +74,7 @@ def band_limited_component(n: int, interval: float, bandwidth_hz: float,
         raise ValueError("need at least two samples")
     if amplitude < 0:
         raise ValueError("amplitude must be non-negative")
-    freqs = np.fft.rfftfreq(n, d=interval)
+    freqs = _rfft_frequencies(n, interval)
     spectrum = np.zeros(freqs.shape, dtype=np.complex128)
     in_band = (freqs > 0) & (freqs <= bandwidth_hz)
     if not np.any(in_band) and len(freqs) > 1:
@@ -82,13 +103,17 @@ def broadband_component(n: int, amplitude: float, rng: np.random.Generator) -> n
     return rng.normal(scale=amplitude, size=n)
 
 
-def diurnal_component(times: np.ndarray, amplitude: float,
+def diurnal_component(n: int, interval: float, amplitude: float,
                       phase: float = 0.0, day_seconds: float = 86400.0) -> np.ndarray:
-    """A day/night cycle with a mild second harmonic (the load backbone)."""
+    """A day/night cycle with a mild second harmonic (the load backbone).
+
+    Sampled on the :func:`time_grid` of ``n`` samples ``interval`` seconds
+    apart; the phase ramp is built once per grid.
+    """
     if amplitude < 0:
         raise ValueError("amplitude must be non-negative")
-    base = 2.0 * math.pi * times / day_seconds
-    return amplitude * (np.sin(base + phase) + 0.25 * np.sin(2.0 * base + phase))
+    base, double = _diurnal_base(n, interval, day_seconds)
+    return amplitude * (np.sin(base + phase) + 0.25 * np.sin(double + phase))
 
 
 def _grid_is_exact(n: int, interval: float) -> bool:

@@ -26,14 +26,13 @@ def generate_counter_trace(spec: MetricSpec, params: MetricParameters,
                            device_name: str = "") -> TimeSeries:
     """Generate one traffic-volume counter trace (bytes per interval)."""
     rng = rng or np.random.default_rng(params.seed)
-    times = time_grid(duration, interval)
-    n = times.shape[0]
+    n = time_grid(duration, interval).shape[0]
 
     diurnal_amplitude = 0.5 if params.bandwidth_hz >= 1.0 / 86400.0 else 0.0
     phase = float(rng.uniform(0.0, 2.0 * np.pi))
     # Multiplicative structure: the counter scales with load, it does not
     # add to it.  The modulation is kept above -0.9 so volumes stay positive.
-    modulation = (diurnal_component(times, diurnal_amplitude, phase=phase)
+    modulation = (diurnal_component(n, interval, diurnal_amplitude, phase=phase)
                   + band_limited_component(n, interval, params.bandwidth_hz, 0.4, rng))
     if params.broadband:
         modulation = modulation + broadband_component(n, 0.5, rng)

@@ -40,8 +40,7 @@ def generate_gauge_trace(spec: MetricSpec, params: MetricParameters,
         something much smaller to produce a ground-truth reference).
     """
     rng = rng or np.random.default_rng(params.seed)
-    times = time_grid(duration, interval)
-    n = times.shape[0]
+    n = time_grid(duration, interval).shape[0]
 
     # The diurnal cycle only belongs in the signal when the device's
     # bandwidth actually extends up to (or beyond) one cycle per day;
@@ -50,7 +49,7 @@ def generate_gauge_trace(spec: MetricSpec, params: MetricParameters,
     diurnal_amplitude = params.amplitude * 0.6 if params.bandwidth_hz >= 1.0 / 86400.0 else 0.0
     phase = float(rng.uniform(0.0, 2.0 * np.pi))
     values = np.full(n, params.level)
-    values = values + diurnal_component(times, diurnal_amplitude, phase=phase)
+    values = values + diurnal_component(n, interval, diurnal_amplitude, phase=phase)
     values = values + band_limited_component(n, interval, params.bandwidth_hz,
                                              params.amplitude * 0.4 if diurnal_amplitude else params.amplitude,
                                              rng)

@@ -91,8 +91,7 @@ def generate_path_count_trace(spec: MetricSpec, params: MetricParameters,
     the same either way.
     """
     rng = rng or np.random.default_rng(params.seed)
-    times = time_grid(duration, interval)
-    n = times.shape[0]
+    n = time_grid(duration, interval).shape[0]
 
     mean_count = max(params.level, 1.0)
     # Per-step transition probability: a path changes state roughly once

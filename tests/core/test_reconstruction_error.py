@@ -9,6 +9,8 @@ the kernel writes to neither input.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,21 @@ def test_constant_rows_score_zero_or_nan():
     nrmse, _ = assert_kernel_matches_oracle(reference, collected, 4.0)
     assert nrmse[0] == 0.0 and nrmse[2] == 0.0
     assert np.isnan(nrmse[1])
+
+
+def test_non_finite_rows_without_a_flat_row_match_the_oracle(rng):
+    # No reference row is flat, so the kernel divides by the range
+    # directly; NaN and +-inf rows must still score as the oracle does,
+    # and quietly.
+    reference = smooth_rows(rng, 5, 256)
+    reference[1, 17] = np.nan
+    reference[2, 3] = np.inf
+    reference[3, 200] = -np.inf
+    reference[4, ::5] = -0.0
+    collected = smooth_rows(rng, 5, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_kernel_matches_oracle(reference, collected, 4.0)
 
 
 def test_exact_copy_scores_zero_without_writing_to_a_view_of_the_reference(rng):
