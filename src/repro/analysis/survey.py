@@ -65,8 +65,8 @@ import numpy as np
 from ..core.nyquist import NyquistEstimate, NyquistEstimator
 from ..core.windowed import (FIGURE7_STEP_SECONDS, FIGURE7_WINDOW_SECONDS, rate_stability,
                              windowed_nyquist_rates)
-from ..records import (BlockSchema, ColumnarBlock, ColumnSpec, MemoryRecordSink, RecordSink,
-                       RecordStore, ScalarSpec, SpillingRecordSink, register_block_type)
+from ..records import (ColumnarBlock, MemoryRecordSink, RecordSink, RecordStore,
+                       SpillingRecordSink, column, register_block_type)
 from ..telemetry.dataset import TracePair
 from ..telemetry.source import TraceBatch, TraceSource
 from .driver import OnError, SliceResult, check_run_options, run_slices
@@ -146,32 +146,19 @@ class RecordBlock(ColumnarBlock):
     single scalar rather than a per-row column.  Blocks are the unit of
     spilling and of the record store: each one round-trips losslessly
     through ``.rcb`` behind the sink layer of :mod:`repro.records`, with
-    the layout (and hence the on-disk format) declared once in
-    ``_SCHEMA``.
+    the layout (and hence the on-disk format) declared once, by the
+    fields below.
     """
 
-    _SCHEMA = BlockSchema(
-        scalars=(ScalarSpec("metric_name"),),
-        columns=(
-            ColumnSpec("device_ids", "str"),
-            ColumnSpec("current_rate", "float"),
-            ColumnSpec("nyquist_rate", "float"),
-            ColumnSpec("reduction_ratio", "float"),
-            ColumnSpec("category", "int8"),
-            ColumnSpec("reliable", "bool"),
-            ColumnSpec("true_nyquist_rate", "float"),
-            ColumnSpec("trace_duration", "float"),
-        ))
-
     metric_name: str
-    device_ids: np.ndarray
-    current_rate: np.ndarray
-    nyquist_rate: np.ndarray
-    reduction_ratio: np.ndarray
-    category: np.ndarray
-    reliable: np.ndarray
-    true_nyquist_rate: np.ndarray
-    trace_duration: np.ndarray
+    device_ids: np.ndarray = column("str")
+    current_rate: np.ndarray = column("float")
+    nyquist_rate: np.ndarray = column("float")
+    reduction_ratio: np.ndarray = column("float")
+    category: np.ndarray = column("int8")
+    reliable: np.ndarray = column("bool")
+    true_nyquist_rate: np.ndarray = column("float")
+    trace_duration: np.ndarray = column("float")
 
     # ------------------------------------------------------------------
     def to_records(self) -> Iterator[PairRecord]:

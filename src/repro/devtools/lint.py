@@ -31,10 +31,6 @@ RL004   picklable-worker-specs  Classes returned by ``worker_spec()`` cross
                                 process boundaries; storing lambdas, local
                                 closures or open handles in them breaks the
                                 multi-worker survey at pickle time.
-RL005   schema-completeness     Every :class:`~repro.records.ColumnarBlock`
-                                subclass must be a registered dataclass whose
-                                fields match its ``BlockSchema`` exactly, or
-                                spill files silently lose columns.
 RL006   deterministic-iteration Record-emitting modules must not iterate
                                 set/dict accumulators without ``sorted(...)``:
                                 output order would depend on hash seeds or
@@ -54,6 +50,10 @@ RL008   content-addressed-keys  Store/cache modules must derive cache keys
                                 instead of on the inputs.
 ======  ======================  ==============================================
 
+Rule ids are never renumbered: RL005 (schema-completeness) was retired
+once each block's dataclass fields became its only layout declaration,
+and its id stays unused.
+
 Suppression: append ``# repro-lint: disable=RL001`` (comma-separate for
 several rules, bare ``disable`` for all) to the offending line.  Use it
 only with a justification comment -- the analyser exists to make silent
@@ -67,8 +67,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import dataclasses
-import inspect
 import io
 import re
 import sys
@@ -84,7 +82,6 @@ __all__ = [
     "rule_catalogue",
     "lint_paths",
     "lint_sources",
-    "check_block_schemas",
     "find_repo_root",
     "main",
 ]
@@ -102,7 +99,6 @@ IO_MODULES = frozenset({
     "src/repro/telemetry/measured.py",
     "src/repro/telemetry/ingest.py",
     "src/repro/telemetry/shard.py",
-    "src/repro/scenarios/backfill.py",
 })
 
 #: Modules whose code computes cache/store keys; RL008's hashed-content-
@@ -594,70 +590,6 @@ class PicklableWorkerSpecs(Rule):
 
 
 # ----------------------------------------------------------------------
-# RL005 schema-completeness (import-time introspection)
-# ----------------------------------------------------------------------
-def check_block_schemas(block_classes: Sequence[type] | None = None
-                        ) -> list[Violation]:
-    """RL005: every ColumnarBlock subclass is a registered dataclass whose
-    fields match its declared ``BlockSchema`` exactly.
-
-    This check is introspective rather than syntactic: it imports the
-    block modules and compares ``dataclasses.fields`` against
-    ``_SCHEMA.member_names``, so a drifting schema fails even when the
-    drift spans files.  ``block_classes`` overrides discovery (used by
-    the self-tests to check deliberately broken classes).
-    """
-    from ..records import ColumnarBlock, _ensure_registry, registered_block_types
-
-    def _location(cls: type) -> tuple[str, int]:
-        try:
-            path = inspect.getsourcefile(cls) or "<unknown>"
-            line = inspect.getsourcelines(cls)[1]
-        except (OSError, TypeError):
-            path, line = "<unknown>", 1
-        return path, line
-
-    def _subclasses(cls: type) -> Iterator[type]:
-        for sub in cls.__subclasses__():
-            yield sub
-            yield from _subclasses(sub)
-
-    if block_classes is None:
-        _ensure_registry()
-        block_classes = list(_subclasses(ColumnarBlock))
-
-    violations: list[Violation] = []
-
-    def report(cls: type, message: str) -> None:
-        path, line = _location(cls)
-        violations.append(Violation(rule="RL005", path=path, line=line, col=0,
-                                    message=message))
-
-    for cls in block_classes:
-        schema = getattr(cls, "_SCHEMA", None)
-        if schema is None:
-            report(cls, f"block class {cls.__name__} declares no _SCHEMA; "
-                        "spill files cannot round-trip it")
-            continue
-        if not dataclasses.is_dataclass(cls):
-            report(cls, f"block class {cls.__name__} is not a dataclass; the "
-                        "schema-driven serialiser requires dataclass fields")
-            continue
-        fields = tuple(field.name for field in dataclasses.fields(cls))
-        members = tuple(schema.member_names)
-        if fields != members:
-            report(cls, f"block class {cls.__name__} fields {fields} do not "
-                        f"match its BlockSchema members {members}; spill "
-                        "round trips would drop or misplace columns")
-        if (fields == members and cls not in registered_block_types()
-                and cls.__module__.startswith("repro.")):
-            report(cls, f"block class {cls.__name__} is not registered via "
-                        "register_block_type; spill directories holding it "
-                        "cannot be re-opened by sniffing")
-    return violations
-
-
-# ----------------------------------------------------------------------
 # RL006 deterministic-iteration
 # ----------------------------------------------------------------------
 def _is_empty_accumulator(value: ast.expr | None) -> bool:
@@ -871,8 +803,7 @@ class ContentAddressedKeys(Rule):
         return wrapped
 
 
-#: The registered rules, in id order.  RL005 is import-time introspection
-#: (see :func:`check_block_schemas`) and runs when ``src/repro`` is linted.
+#: The registered rules, in id order.
 RULES: tuple[Rule, ...] = (
     NoUnseededRandomness(),
     NoWallclockInLibrary(),
@@ -885,12 +816,8 @@ RULES: tuple[Rule, ...] = (
 
 
 def rule_catalogue() -> list[tuple[str, str, str]]:
-    """(id, name, rationale) triples for every rule, RL005 included."""
-    triples = [(rule.id, rule.name, rule.rationale) for rule in RULES]
-    triples.append(("RL005", "schema-completeness",
-                    "ColumnarBlock subclasses must be registered dataclasses "
-                    "whose fields match their BlockSchema exactly"))
-    return sorted(triples)
+    """(id, name, rationale) triples for every rule, in id order."""
+    return sorted((rule.id, rule.name, rule.rationale) for rule in RULES)
 
 
 # ----------------------------------------------------------------------
@@ -909,8 +836,7 @@ def lint_sources(sources: Mapping[str, str],
 
     The path classifies each file (library / CLI / IO module / record
     module), exactly as on disk; the self-tests use virtual paths to
-    place fixture snippets in any zone.  RL005 is not run here (it is
-    introspective, not per-source); call :func:`check_block_schemas`.
+    place fixture snippets in any zone.
     """
     files = [_parse_source(path, text) for path, text in sorted(sources.items())]
     context = ProjectContext(spec_class_names=_spec_class_names(files))
@@ -957,17 +883,11 @@ def _collect_files(root: Path, paths: Sequence[Path]) -> dict[str, str]:
 
 
 def lint_paths(paths: Sequence[Path], root: Path | None = None,
-               select: Sequence[str] | None = None,
-               import_checks: bool = True) -> list[Violation]:
-    """Lint files/directories on disk; adds RL005 when src/repro is in scope."""
+               select: Sequence[str] | None = None) -> list[Violation]:
+    """Lint files/directories on disk."""
     root = root if root is not None else find_repo_root(
         paths[0] if paths else None)
-    sources = _collect_files(root, paths)
-    violations = lint_sources(sources, select=select)
-    lints_library = any(rel.startswith("src/repro/") for rel in sources)
-    if import_checks and lints_library and (select is None or "RL005" in select):
-        violations.extend(check_block_schemas())
-    return violations
+    return lint_sources(_collect_files(root, paths), select=select)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -976,8 +896,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="repro-lint",
         description="Static analysis of this repository's own invariants "
                     "(seeded RNG, no wall clock in the library, error and "
-                    "iteration discipline, picklable worker specs, complete "
-                    "block schemas).")
+                    "iteration discipline, picklable worker specs, "
+                    "content-addressed cache keys).")
     parser.add_argument("paths", nargs="*", type=Path,
                         help="files or directories to lint (default: the "
                              "repository's src/, tests/, benchmarks/ and "
@@ -989,8 +909,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="comma-separated rule ids to run (default: all)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
-    parser.add_argument("--no-import-checks", action="store_true",
-                        help="skip the import-time RL005 schema check")
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -1004,8 +922,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         paths = list(args.paths) if args.paths else [
             root / part for part in DEFAULT_ROOTS if (root / part).is_dir()]
         select = args.select.split(",") if args.select else None
-        violations = lint_paths(paths, root=root, select=select,
-                                import_checks=not args.no_import_checks)
+        violations = lint_paths(paths, root=root, select=select)
     except (ValueError, SyntaxError) as error:
         print(f"repro-lint: error: {error}", file=sys.stderr)
         return 2

@@ -13,9 +13,8 @@ Two halves, both built for reproducibility:
 * :mod:`repro.faults.inject` -- wrappers that apply a plan:
   :class:`FaultInjectingTraceSource` (any :class:`TraceSource`, faults
   injected at ``load``/``trace_batches`` time, with a picklable worker
-  spec so multi-worker surveys inject identically), :func:`faulty_export`
-  (damage trace files on disk) and :func:`corrupt_dump_lines` (mangle a
-  telemetry dump).
+  spec so multi-worker surveys inject identically) and
+  :func:`corrupt_dump_lines` (mangle a telemetry dump).
 * :mod:`repro.faults.execution` -- the fault-isolation half:
   :class:`RetryPolicy` (bounded retry, deterministic backoff),
   :class:`BatchExecutionError` (picklable, batch-spec-naming wrapper for
@@ -27,7 +26,7 @@ Two halves, both built for reproducibility:
 from .execution import (RETRYABLE_EXCEPTIONS, BatchExecutionError, RetryPolicy,
                         run_batch_tasks)
 from .inject import (FaultInjectingSourceSpec, FaultInjectingTraceSource,
-                     corrupt_dump_lines, faulty_export)
+                     corrupt_dump_lines)
 from .plan import (DATA_FAULT_KINDS, FAULT_KINDS, RAISING_FAULT_KINDS, FaultPlan,
                    stable_digest)
 
@@ -39,7 +38,6 @@ __all__ = [
     "stable_digest",
     "FaultInjectingSourceSpec",
     "FaultInjectingTraceSource",
-    "faulty_export",
     "corrupt_dump_lines",
     "RetryPolicy",
     "BatchExecutionError",

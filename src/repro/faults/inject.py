@@ -7,12 +7,8 @@ the returned trace) and its worker crashes at ``trace_batches`` time.  Its
 worker spec wraps the inner source's spec, so a multi-worker survey
 injects the same faults in every worker process.
 
-:func:`faulty_export` produces the on-disk variant: a measured-fleet
-directory whose affected pairs' trace files are truncated or overwritten
-with garbage -- the recorded-telemetry corruption the ROADMAP's failure
-menu asks for.  :func:`corrupt_dump_lines` mangles a raw telemetry dump
-(gNMI JSON-lines or SNMP CSV) so the streaming importer meets malformed
-lines mid-stream.
+:func:`corrupt_dump_lines` mangles a raw telemetry dump (gNMI JSON-lines
+or SNMP CSV) so the streaming importer meets malformed lines mid-stream.
 """
 
 from __future__ import annotations
@@ -21,18 +17,15 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import Any, Iterator
 
 from ..signals.distortions import apply_data_fault
 from ..signals.timeseries import TimeSeries
-from ..telemetry.source import BaseTraceSource, TraceBatch, TraceSource, WorkerSpec
+from ..telemetry.source import DelegatingTraceSource, TraceBatch, TraceSource, WorkerSpec
 from .plan import FaultPlan
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..telemetry.measured import MeasuredFleetDataset
-
 __all__ = ["FaultInjectingSourceSpec", "FaultInjectingTraceSource",
-           "faulty_export", "corrupt_dump_lines"]
+           "corrupt_dump_lines"]
 
 
 @dataclass(frozen=True)
@@ -51,7 +44,7 @@ class FaultInjectingSourceSpec:
         return FaultInjectingTraceSource(self.inner.open(), self.plan)
 
 
-class FaultInjectingTraceSource(BaseTraceSource):
+class FaultInjectingTraceSource(DelegatingTraceSource):
     """A :class:`TraceSource` decorator that injects a plan's faults.
 
     Pair tables, metric order and trace shapes are the inner source's;
@@ -72,28 +65,21 @@ class FaultInjectingTraceSource(BaseTraceSource):
     * ``plan.crash_slices`` kill the *worker process* the first time it
       serves that (metric, offset) slice -- only ever inside a pool
       worker, never the parent.
+
+    The content token folds the plan into the inner token, so a
+    :class:`~repro.records.RecordStore` misses when either the inner
+    trace or the plan changes.
     """
 
     def __init__(self, inner: TraceSource, plan: FaultPlan) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.plan = plan
-
-    # ------------------------- delegation -----------------------------
-    def pairs(self) -> Sequence:
-        return self.inner.pairs()
-
-    def pairs_for_metric(self, metric_name: str) -> Sequence:
-        return self.inner.pairs_for_metric(metric_name)
-
-    def metric_names(self) -> list[str]:
-        return self.inner.metric_names()
-
-    @property
-    def trace_duration(self) -> float:
-        return self.inner.trace_duration
 
     def worker_spec(self) -> FaultInjectingSourceSpec:
         return FaultInjectingSourceSpec(self.inner.worker_spec(), self.plan)
+
+    def _token_part(self) -> str:
+        return f"faults={self.plan!r}"
 
     # ------------------------- fault injection ------------------------
     def load(self, pair: Any) -> TimeSeries:
@@ -144,38 +130,8 @@ class FaultInjectingTraceSource(BaseTraceSource):
 
 
 # ----------------------------------------------------------------------
-# On-disk fault injection
+# Dump fault injection
 # ----------------------------------------------------------------------
-def faulty_export(source: TraceSource, directory: Path | str,
-                  plan: FaultPlan) -> "MeasuredFleetDataset":
-    """Export ``source`` to an rcb measured-fleet directory, then damage it.
-
-    Every pair the plan assigns ``corrupt-trace`` gets its trace file
-    overwritten with garbage bytes; every ``truncated-trace`` pair's file
-    is cut to half its length (both fail the rcb size or checksum
-    checks).  Other kinds do not exist on disk and are
-    skipped.  The manifest stays intact, so the returned
-    :class:`MeasuredFleetDataset` opens fine and fails (loudly, naming
-    the file) only when a damaged pair is actually loaded -- exactly how
-    real bit rot presents.
-    """
-    from ..telemetry.measured import MeasuredFleetDataset, export_traces
-    directory = Path(directory)
-    export_traces(source, directory)
-    dataset = MeasuredFleetDataset(directory)
-    for pair in dataset.pairs():
-        kind = plan.kind_for(pair.metric_name, pair.device.device_id)
-        if kind not in ("corrupt-trace", "truncated-trace"):
-            continue
-        path = directory / pair.file
-        if kind == "corrupt-trace":
-            path.write_bytes(b"\x00garbage injected by FaultPlan\xff" * 8)
-        else:
-            payload = path.read_bytes()
-            path.write_bytes(payload[:max(len(payload) // 2, 1)])
-    return dataset
-
-
 def corrupt_dump_lines(src: Path | str, dst: Path | str, plan: FaultPlan) -> list[int]:
     """Copy a telemetry dump, mangling every Nth data line; return their numbers.
 

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..records import BlockSchema, ColumnarBlock, ColumnSpec, ScalarSpec, register_block_type
+from ..records import ColumnarBlock, column, register_block_type
 from .policies import PolicyBatchEvaluation
 
 __all__ = ["PolicyRecordBlock"]
@@ -61,41 +61,23 @@ class PolicyRecordBlock(ColumnarBlock):
     included), and the optional event-detection outcome.  Blocks are the
     unit of spilling: each round-trips losslessly through ``.rcb`` behind
     the sink layer of :mod:`repro.records`, with the layout (and hence the
-    on-disk format) declared once in ``_SCHEMA``.
+    on-disk format) declared once, by the fields below.
     """
-
-    _SCHEMA = BlockSchema(
-        scalars=(ScalarSpec("metric_name"),
-                 ScalarSpec("policy_name")),
-        columns=(
-            ColumnSpec("device_ids", "str"),
-            ColumnSpec("samples", "int"),
-            ColumnSpec("mean_rate_hz", "float"),
-            ColumnSpec("nrmse", "float"),
-            ColumnSpec("max_abs_error", "float"),
-            ColumnSpec("hops", "int"),
-            ColumnSpec("collection_cpu_us", "float"),
-            ColumnSpec("transmission", "float"),
-            ColumnSpec("storage_bytes", "float"),
-            ColumnSpec("analysis", "float"),
-            ColumnSpec("detected", "int8"),
-            ColumnSpec("detection_latency", "float"),
-        ))
 
     metric_name: str
     policy_name: str
-    device_ids: np.ndarray
-    samples: np.ndarray
-    mean_rate_hz: np.ndarray
-    nrmse: np.ndarray
-    max_abs_error: np.ndarray
-    hops: np.ndarray
-    collection_cpu_us: np.ndarray
-    transmission: np.ndarray
-    storage_bytes: np.ndarray
-    analysis: np.ndarray
-    detected: np.ndarray
-    detection_latency: np.ndarray
+    device_ids: np.ndarray = column("str")
+    samples: np.ndarray = column("int")
+    mean_rate_hz: np.ndarray = column("float")
+    nrmse: np.ndarray = column("float")
+    max_abs_error: np.ndarray = column("float")
+    hops: np.ndarray = column("int")
+    collection_cpu_us: np.ndarray = column("float")
+    transmission: np.ndarray = column("float")
+    storage_bytes: np.ndarray = column("float")
+    analysis: np.ndarray = column("float")
+    detected: np.ndarray = column("int8")
+    detection_latency: np.ndarray = column("float")
 
     # ------------------------------------------------------------------
     @classmethod

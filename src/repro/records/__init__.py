@@ -10,9 +10,10 @@ record-producing pipeline only has to define its block class.
 
 Layout:
 
-* :mod:`repro.records.blocks` -- :class:`BlockSchema`-driven
-  serialisation (:class:`ColumnarBlock`), the quarantine failure records
-  and the block-type registry.
+* :mod:`repro.records.blocks` -- dataclass-driven serialisation
+  (:class:`ColumnarBlock`: a block's fields, scalars and
+  :func:`column` arrays, are its only layout declaration), the
+  quarantine failure records and the block-type registry.
 * :mod:`repro.records.rcb` -- the ``.rcb`` binary block format: a load
   is one read, with columns as zero-copy views of that buffer; writes
   are deterministic byte for byte.  The record store keeps its blocks in
@@ -25,8 +26,7 @@ Layout:
   incremental reruns, keyed by :class:`PairFingerprint`.
 """
 
-from .blocks import (BlockSchema, ColumnarBlock, ColumnSpec, FailureRecord,
-                     FailureRecordBlock, ScalarSpec, _ensure_registry,
+from .blocks import (ColumnarBlock, FailureRecord, FailureRecordBlock, column,
                      register_block_type, registered_block_types)
 from .rcb import RCB_FORMAT, RCB_MAGIC, load_rcb_any, read_rcb_header
 from .sinks import MemoryRecordSink, RecordSink, SpillingRecordSink
@@ -34,9 +34,7 @@ from .store import (STORE_SCHEMA_VERSION, PairFingerprint, RecordStore,
                     StoreVerification, fingerprint_slice)
 
 __all__ = [
-    "ColumnSpec",
-    "ScalarSpec",
-    "BlockSchema",
+    "column",
     "ColumnarBlock",
     "FailureRecord",
     "FailureRecordBlock",

@@ -1,29 +1,29 @@
-"""Column-spec-driven block serialisation and the block-type registry.
+"""Dataclass-driven block serialisation and the block-type registry.
 
-A block class participates by subclassing :class:`ColumnarBlock` with a
-:class:`BlockSchema` (``_SCHEMA``) describing its block-level scalars and
-per-row columns -- the schema drives one shared implementation of the
-``save_rcb``/``load_rcb`` round trip, the ``sniff_rcb`` classmethod a
-spill directory is re-opened with, and the dtype/shape validation of
-``__post_init__`` -- and by registering via :func:`register_block_type`.
-The first schema column doubles as the block's row counter (the existing
-block types lead with ``device_ids``), so adding a new record-producing
-pipeline is a schema declaration plus whatever view/constructor helpers
-it wants.
+A block class participates by being a frozen dataclass that subclasses
+:class:`ColumnarBlock` and is decorated with :func:`register_block_type`.
+Its fields are its only layout declaration: plain ``str`` fields are
+block-level scalars and ``column(kind)`` fields are per-row columns.
+Registration derives ``_SCHEMA`` from the fields (scalars, then columns,
+each in declaration order), and that schema drives one shared
+implementation of the ``save_rcb``/``load_rcb`` round trip and the
+dtype/shape validation of ``__post_init__``.  The first column doubles as
+the block's row counter (the existing block types lead with
+``device_ids``), so adding a new record-producing pipeline is a
+dataclass declaration plus whatever view/constructor helpers it wants.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, ClassVar, Iterator, Literal, Mapping, Self, Sequence
+from typing import Any, ClassVar, Iterator, Literal, Self, Sequence, TypeVar
 
 import numpy as np
 
 __all__ = [
-    "ColumnSpec",
-    "ScalarSpec",
-    "BlockSchema",
+    "column",
     "ColumnarBlock",
     "FailureRecord",
     "FailureRecordBlock",
@@ -33,8 +33,10 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Column-spec-driven block serialisation
+# Dataclass-driven block serialisation
 # ----------------------------------------------------------------------
+ColumnKind = Literal["float", "int", "int8", "bool", "str"]
+
 #: Supported column kinds and their numpy dtypes.
 _COLUMN_DTYPES = {
     "float": np.float64,
@@ -45,17 +47,24 @@ _COLUMN_DTYPES = {
 }
 
 
+def column(kind: ColumnKind) -> Any:
+    """A per-row column field of a block dataclass; ``kind`` selects the dtype.
+
+    Written ``nrmse: np.ndarray = column("float")``.  The field carries
+    its kind in its metadata, where :func:`register_block_type` reads it.
+    """
+    if kind not in _COLUMN_DTYPES:
+        raise ValueError(f"unknown column kind {kind!r}; "
+                         f"choose one of {sorted(_COLUMN_DTYPES)}")
+    return dataclasses.field(metadata={"kind": kind})
+
+
 @dataclass(frozen=True)
 class ColumnSpec:
-    """One per-row column of a columnar record block; ``kind`` selects the dtype."""
+    """One per-row column of a registered block (derived from its field)."""
 
     name: str
-    kind: Literal["float", "int", "int8", "bool", "str"]
-
-    def __post_init__(self) -> None:
-        if self.kind not in _COLUMN_DTYPES:
-            raise ValueError(f"unknown column kind {self.kind!r}; "
-                             f"choose one of {sorted(_COLUMN_DTYPES)}")
+    kind: ColumnKind
 
     @property
     def dtype(self) -> type:
@@ -75,7 +84,7 @@ class ScalarSpec:
 
 @dataclass(frozen=True)
 class BlockSchema:
-    """Declarative layout of one columnar block type.
+    """Layout of one registered block type, derived from its dataclass fields.
 
     An rcb header's members are the scalars followed by the columns, by
     ``name``.  The first column is the reference every other column's row
@@ -85,33 +94,31 @@ class BlockSchema:
     scalars: tuple[ScalarSpec, ...]
     columns: tuple[ColumnSpec, ...]
 
-    def __post_init__(self) -> None:
-        if not self.columns:
-            raise ValueError("a block schema needs at least one column")
-        names = [spec.name for spec in self.scalars] + [spec.name for spec in self.columns]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate field names in block schema: {names}")
-
-    @property
-    def member_names(self) -> tuple[str, ...]:
-        return (*(spec.name for spec in self.scalars),
-                *(spec.name for spec in self.columns))
-
 
 class ColumnarBlock:
     """Shared machinery of every columnar record block (mixin).
 
-    Subclasses are frozen dataclasses whose fields are the schema's
-    scalars (strings) followed by its columns (1-D arrays); ``_SCHEMA``
-    drives validation, the rcb round trip and spill-file sniffing.
-    Blocks loaded from ``.rcb`` files hold read-only zero-copy views of
-    one read buffer per file, and keep no file descriptor open.
+    Subclasses are frozen dataclasses registered with
+    :func:`register_block_type`: their ``str`` fields are block-level
+    scalars and their ``column(kind)`` fields 1-D arrays.  The derived
+    ``_SCHEMA`` drives validation and the rcb round trip.  Blocks loaded
+    from ``.rcb`` files hold read-only zero-copy views of one read buffer
+    per file, and keep no file descriptor open.
     """
 
     _SCHEMA: ClassVar[BlockSchema]
 
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        # Only reached by subclasses that are not dataclasses (a dataclass
+        # generates its own __init__).
+        raise TypeError(f"{type(self).__name__} is not a dataclass; block types are "
+                        "frozen dataclasses decorated with @register_block_type")
+
     def __post_init__(self) -> None:
-        schema = self._SCHEMA
+        schema = type(self).__dict__.get("_SCHEMA")
+        if schema is None:
+            raise TypeError(f"{type(self).__name__} is not a registered block type; "
+                            "decorate it with @register_block_type")
         for spec in schema.columns:
             object.__setattr__(self, spec.name,
                                np.asarray(getattr(self, spec.name), dtype=spec.dtype))
@@ -137,42 +144,50 @@ class ColumnarBlock:
         from .rcb import read_rcb
         return read_rcb(cls, path)
 
-    # ---------------------- spill-type sniffing ------------------------
-    @classmethod
-    def sniff_rcb(cls, header: Mapping[str, Any]) -> bool:
-        """True when a parsed rcb header describes exactly this schema."""
-        members = (set(header.get("scalars", {}))
-                   | {column["name"] for column in header.get("columns", ())})
-        return members == set(cls._SCHEMA.member_names)
-
 
 #: Block classes that spill files may contain, in registration order.
 #: Populated by :func:`register_block_type` when the defining modules are
 #: imported (``repro``'s package init imports them all).
-_BLOCK_TYPES: list[type] = []
+_BLOCK_TYPES: list[type[ColumnarBlock]] = []
+
+_BlockT = TypeVar("_BlockT", bound=ColumnarBlock)
 
 
-def register_block_type(cls: type) -> type:
-    """Class decorator: make ``cls`` discoverable when re-opening spill files."""
+def register_block_type(cls: type[_BlockT]) -> type[_BlockT]:
+    """Class decorator: derive ``cls._SCHEMA`` from its fields and make
+    ``cls`` the block type that rcb headers naming it load as.
+
+    ``cls`` must be a :class:`ColumnarBlock` dataclass with at least one
+    ``column(kind)`` field; every other field is a ``str`` scalar.
+    """
+    if not (isinstance(cls, type) and issubclass(cls, ColumnarBlock)
+            and dataclasses.is_dataclass(cls)):
+        raise TypeError(f"register_block_type needs a ColumnarBlock dataclass, got {cls!r}")
+    fields = dataclasses.fields(cls)
+    columns = tuple(ColumnSpec(field.name, field.metadata["kind"])
+                    for field in fields if "kind" in field.metadata)
+    if not columns:
+        raise ValueError(f"register_block_type: {cls.__name__} declares no column(...) field")
+    cls._SCHEMA = BlockSchema(
+        scalars=tuple(ScalarSpec(field.name) for field in fields
+                      if "kind" not in field.metadata),
+        columns=columns)
     if cls not in _BLOCK_TYPES:
         _BLOCK_TYPES.append(cls)
     return cls
 
 
-def registered_block_types() -> Sequence[type]:
-    """The registered block classes (mainly for diagnostics and tests)."""
-    return tuple(_BLOCK_TYPES)
+def registered_block_types() -> Sequence[type[ColumnarBlock]]:
+    """The registered block classes, in registration order.
 
-
-def _ensure_registry() -> None:
-    """Import the built-in block-type modules so sniffing can see them.
-
-    ``repro.records`` deliberately does not import the block modules at
-    module level (they import *this* package); the lazy import here only
-    runs when a caller re-opens a spill directory without naming a type.
+    Imports the built-in block modules first: ``repro.records``
+    deliberately does not import them at module level (they import *this*
+    package), so a caller re-opening a spill directory without naming a
+    type still sees every built-in block type.
     """
     from ..analysis import survey as _survey  # noqa: F401
     from ..pipeline import evaluation as _evaluation  # noqa: F401
+    return tuple(_BLOCK_TYPES)
 
 
 # ----------------------------------------------------------------------
@@ -224,24 +239,12 @@ class FailureRecordBlock(ColumnarBlock):
     the schema and is the row counter of spill files.
     """
 
-    device_ids: np.ndarray
-    metric_names: np.ndarray
-    stages: np.ndarray
-    error_types: np.ndarray
-    messages: np.ndarray
-    provenances: np.ndarray
-
-    _SCHEMA: ClassVar[BlockSchema] = BlockSchema(
-        scalars=(),
-        columns=(
-            ColumnSpec("device_ids", "str"),
-            ColumnSpec("metric_names", "str"),
-            ColumnSpec("stages", "str"),
-            ColumnSpec("error_types", "str"),
-            ColumnSpec("messages", "str"),
-            ColumnSpec("provenances", "str"),
-        ),
-    )
+    device_ids: np.ndarray = column("str")
+    metric_names: np.ndarray = column("str")
+    stages: np.ndarray = column("str")
+    error_types: np.ndarray = column("str")
+    messages: np.ndarray = column("str")
+    provenances: np.ndarray = column("str")
 
     @classmethod
     def from_failures(cls, failures: Sequence[FailureRecord]) -> Self:

@@ -170,7 +170,7 @@ def read_rcb_header(path: Path) -> dict:
     """Parse (and structurally validate) just the JSON header of ``path``.
 
     Cheap -- one small read plus an ``fstat`` -- so sinks use it to count rows
-    and sniff block types without touching the column payloads.
+    and read block types without touching the column payloads.
     """
     path = Path(path)
     try:
@@ -228,24 +228,20 @@ def read_rcb(cls: type, path: Path) -> Any:
 
 
 def block_type_of(path: Path, header: dict) -> type:
-    """The registered block class a parsed rcb header describes.
+    """The registered block class a parsed rcb header names in ``block_type``.
 
-    Matches by the header's ``block_type`` name first, falling back to
-    member sniffing for files written by a renamed class, and raises
-    ``ValueError`` naming ``path`` when nothing claims it.
+    Raises ``ValueError`` naming ``path`` when no registered class has
+    that name.
     """
-    from .blocks import _BLOCK_TYPES, _ensure_registry
-    _ensure_registry()
-    for cls in _BLOCK_TYPES:
+    from .blocks import registered_block_types
+    block_types = registered_block_types()
+    for cls in block_types:
         if cls.__name__ == header["block_type"]:
             return cls
-    for cls in _BLOCK_TYPES:
-        if cls.sniff_rcb(header):
-            return cls
     raise ValueError(
-        f"spill file {path} does not match any registered record block type "
-        f"({[cls.__name__ for cls in _BLOCK_TYPES]}); the file is corrupt or "
-        "from an incompatible version")
+        f"spill file {path} has block type {header['block_type']!r}, which does not "
+        f"match any registered record block type ({[cls.__name__ for cls in block_types]}); "
+        "the file is corrupt or from an incompatible version")
 
 
 def load_rcb_any(path: Path) -> Any:

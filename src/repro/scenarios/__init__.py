@@ -9,16 +9,12 @@ This package turns "scenario diversity" into a harness:
   counter wraps/reboots promoted from the chaos layer, blackout windows
   with late backfill) plus :class:`ScenarioTraceSource`, which serves any
   :class:`~repro.telemetry.source.TraceSource` under a transform stack.
-* :mod:`repro.scenarios.backfill` -- the arrival-order half of a
-  partition: gNMI dumps whose blackout-window updates arrive late and
-  out of order, leaning on the importer's set-determinism.
 * :mod:`repro.scenarios.matrix` -- the (scenario x fabric x policy)
   harness: every cell surveyed with ``run_policy_survey``, hop-priced on
   its own fabric, with an ordering verdict and the adaptive controller's
   measured re-probe latency.
 """
 
-from .backfill import export_backfill_dump
 from .matrix import (ADAPTIVE, FIXED, NYQUIST_STATIC, MatrixCell, MatrixResult,
                      evaluate_cell, run_matrix)
 from .presets import DEFAULT_BLACKOUT, default_fabrics, default_scenarios, paper_suite
@@ -31,7 +27,6 @@ __all__ = [
     "CounterPathology",
     "BlackoutWindow", "Scenario", "ScenarioSourceSpec", "ScenarioTraceSource",
     "apply_transforms",
-    "export_backfill_dump",
     "FIXED", "NYQUIST_STATIC", "ADAPTIVE",
     "MatrixCell", "MatrixResult", "evaluate_cell", "run_matrix",
     "DEFAULT_BLACKOUT", "paper_suite", "default_scenarios", "default_fabrics",

@@ -44,7 +44,7 @@ TRACE_HOURS = 12.0
 #: The adaptive controller's re-estimation window (seconds).
 ADAPTIVE_WINDOW_S = 4 * 3600.0
 
-#: The blackout window shared by the scenario and its backfill dumps.
+#: The blackout window of the ``blackout`` scenario.
 DEFAULT_BLACKOUT = BlackoutWindow(start_fraction=0.5, duration_fraction=0.15)
 
 

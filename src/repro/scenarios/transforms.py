@@ -32,7 +32,7 @@ import numpy as np
 from ..faults.plan import stable_digest
 from ..signals.distortions import apply_data_fault, blackout_backfill, window_bounds
 from ..signals.timeseries import TimeSeries
-from ..telemetry.source import BaseTraceSource, TraceSource, WorkerSpec
+from ..telemetry.source import DelegatingTraceSource, TraceSource, WorkerSpec
 
 __all__ = ["ScenarioTransform", "DiurnalCycle", "RegimeShift", "FlappingRegime",
            "CounterPathology", "BlackoutWindow", "Scenario", "ScenarioSourceSpec",
@@ -298,9 +298,10 @@ class BlackoutWindow(ScenarioTransform):
     not a per-device hiccup): samples in ``[start_fraction, start_fraction
     + duration_fraction)`` of the trace are flattened to the last value
     seen before the gap.  The arrival-order half of the story -- those
-    samples reaching ingest late and out of order -- is
-    :func:`repro.scenarios.backfill.export_backfill_dump`, which defers
-    exactly this window's updates to the end of the dump.
+    samples reaching ingest late and out of order -- is not modelled by
+    the library: the importer's output depends only on the update set,
+    and the scenario tests pin that with dumps whose blackout-window
+    updates arrive last.
     """
 
     start_fraction: float = 0.5
@@ -319,11 +320,6 @@ class BlackoutWindow(ScenarioTransform):
         start = int(self.start_fraction * rows)
         width = max(1, int(self.duration_fraction * rows))
         return window_bounds(rows, start, width)
-
-    def time_bounds(self, duration: float) -> tuple[float, float]:
-        """``[start, stop)`` of the window in seconds for a ``duration``-s trace."""
-        return (self.start_fraction * duration,
-                (self.start_fraction + self.duration_fraction) * duration)
 
     def apply(self, values: np.ndarray, interval: float, metric_name: str,
               device_id: str) -> np.ndarray:
@@ -392,7 +388,7 @@ class ScenarioSourceSpec:
         return ScenarioTraceSource(self.inner.open(), self.transforms)
 
 
-class ScenarioTraceSource(BaseTraceSource):
+class ScenarioTraceSource(DelegatingTraceSource):
     """A :class:`TraceSource` decorator applying a scenario transform stack.
 
     Pair tables, metric order, durations and trace shapes are the inner
@@ -404,28 +400,14 @@ class ScenarioTraceSource(BaseTraceSource):
 
     def __init__(self, inner: TraceSource,
                  transforms: Sequence[ScenarioTransform]) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.transforms = tuple(transforms)
-
-    # ------------------------- delegation -----------------------------
-    def pairs(self) -> Sequence:
-        return self.inner.pairs()
-
-    def pairs_for_metric(self, metric_name: str) -> Sequence:
-        return self.inner.pairs_for_metric(metric_name)
-
-    def metric_names(self) -> list[str]:
-        return self.inner.metric_names()
-
-    @property
-    def trace_duration(self) -> float:
-        return self.inner.trace_duration
 
     def worker_spec(self) -> ScenarioSourceSpec:
         return ScenarioSourceSpec(self.inner.worker_spec(), self.transforms)
 
-    def pair_content_token(self, pair: Any) -> str:
-        return f"{self.inner.pair_content_token(pair)}|scenario={self.transforms!r}"
+    def _token_part(self) -> str:
+        return f"scenario={self.transforms!r}"
 
     # ------------------------- transformation -------------------------
     def load(self, pair: Any) -> TimeSeries:

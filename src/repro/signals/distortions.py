@@ -62,7 +62,8 @@ def blackout_backfill(values: np.ndarray, start: int, width: int) -> np.ndarray:
     backfilled with the last value seen before the gap (the
     "cache-to-the-future" archive shape).  The arrival-order half of the
     scenario -- those samples reaching ingest *late*, out of order --
-    lives in :mod:`repro.scenarios.backfill`.
+    changes nothing, because ingest output depends only on the update
+    set; the scenario tests pin that with late-backfill dumps.
     """
     start, stop = window_bounds(values.shape[0], start, width)
     out = values.copy()

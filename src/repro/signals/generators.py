@@ -1,9 +1,9 @@
 """Synthetic signal generators.
 
-These are the building blocks both for the unit tests (signals whose
-Nyquist rate is known analytically, e.g. pure tones) and for the
-illustrative experiments of the paper (Figures 2 and 3 use the
-superposition of two sine waves at 400 Hz and 440 Hz).
+Multi-tone signals have an analytically known Nyquist rate, so they are
+the reference workload of the estimator tests and the illustrative
+signal of the paper (Figures 2 and 3 use the superposition of two sine
+waves at 400 Hz and 440 Hz).
 
 All generators return :class:`repro.signals.TimeSeries` instances.
 """
@@ -18,8 +18,6 @@ import numpy as np
 from .timeseries import TimeSeries
 
 __all__ = [
-    "constant",
-    "sine",
     "multi_tone",
     "two_tone_figure3",
 ]
@@ -34,24 +32,6 @@ def _time_axis(duration: float, sampling_rate: float) -> tuple[np.ndarray, float
     interval = 1.0 / sampling_rate
     n = max(int(round(duration * sampling_rate)), 1)
     return np.arange(n) * interval, interval
-
-
-def constant(value: float, duration: float, sampling_rate: float,
-             name: str = "constant") -> TimeSeries:
-    """A flat signal.  Its Nyquist rate is (arbitrarily close to) zero."""
-    times, interval = _time_axis(duration, sampling_rate)
-    return TimeSeries(np.full(times.shape, float(value)), interval, name=name)
-
-
-def sine(frequency: float, duration: float, sampling_rate: float,
-         amplitude: float = 1.0, phase: float = 0.0, offset: float = 0.0,
-         name: str = "sine") -> TimeSeries:
-    """A single sinusoid; its Nyquist rate is exactly ``2 * frequency``."""
-    if frequency < 0:
-        raise ValueError("frequency must be non-negative")
-    times, interval = _time_axis(duration, sampling_rate)
-    values = offset + amplitude * np.sin(2 * math.pi * frequency * times + phase)
-    return TimeSeries(values, interval, name=name)
 
 
 def multi_tone(frequencies: Sequence[float], duration: float, sampling_rate: float,

@@ -45,11 +45,11 @@ import json
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, ClassVar, Literal
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
-from ..records import BlockSchema, ColumnarBlock, ColumnSpec, ScalarSpec, register_block_type
+from ..records import ColumnarBlock, column, register_block_type
 from ..signals.timeseries import TimeSeries
 from .source import BaseTraceSource, TraceSource
 
@@ -148,12 +148,7 @@ class TraceBlock(ColumnarBlock):
     interval: str
     start_time: str
     crc32: str
-    values: np.ndarray
-
-    _SCHEMA: ClassVar[BlockSchema] = BlockSchema(
-        scalars=(ScalarSpec("interval"), ScalarSpec("start_time"), ScalarSpec("crc32")),
-        columns=(ColumnSpec("values", "float"),),
-    )
+    values: np.ndarray = column("float")
 
     @staticmethod
     def checksum(values: np.ndarray, interval: str, start_time: str) -> str:

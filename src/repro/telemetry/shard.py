@@ -53,13 +53,12 @@ import os
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, ClassVar
+from typing import Any, Callable
 
 import numpy as np
 
 from ..faults.execution import BatchExecutionError, run_batch_tasks
-from ..records import (BlockSchema, ColumnarBlock, ColumnSpec, FailureRecord, ScalarSpec,
-                       register_block_type)
+from ..records import ColumnarBlock, FailureRecord, column, register_block_type
 from .ingest import (SNMP_FORMAT, IngestStats, PairAccumulator, ShardIngestStats,
                      TelemetryDump, UpdateBlock, _finish_pairs, _iter_update_blocks,
                      _parse_failure_recorder, _read_snmp_header, _write_manifest)
@@ -168,15 +167,9 @@ class ShardPartBlock(ColumnarBlock):
     """
 
     pairs: str
-    key: np.ndarray
-    t: np.ndarray
-    v: np.ndarray
-
-    _SCHEMA: ClassVar[BlockSchema] = BlockSchema(
-        scalars=(ScalarSpec("pairs"),),
-        columns=(ColumnSpec("key", "int"), ColumnSpec("t", "float"),
-                 ColumnSpec("v", "float")),
-    )
+    key: np.ndarray = column("int")
+    t: np.ndarray = column("float")
+    v: np.ndarray = column("float")
 
 
 class _ShardBuffer:

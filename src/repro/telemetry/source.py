@@ -13,7 +13,9 @@ through ``run_survey(workers=N, sink=...)`` unchanged.
 batched spectral engine feeds on, and ``export`` (round-trip any source to
 a measured-trace directory).  Concrete sources only implement the pair
 table, the per-pair loader, and a picklable ``worker_spec`` that the
-multi-worker survey ships to its process pool.
+multi-worker survey ships to its process pool.  :class:`DelegatingTraceSource`
+is the base of source decorators (fault injection, scenario transforms)
+that serve another source's pairs with changed traces.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (measured imports sou
     from .measured import MeasuredFleetDataset
 
 __all__ = ["TraceBatch", "TraceSource", "WorkerSpec", "BaseTraceSource",
-           "batch_offsets"]
+           "DelegatingTraceSource", "batch_offsets"]
 
 
 def batch_offsets(source: "TraceSource", metric_name: str,
@@ -284,3 +286,38 @@ class BaseTraceSource(ABC):
         """
         from .ingest import export_gnmi_dump
         return export_gnmi_dump(self, path, metrics=metrics)
+
+
+class DelegatingTraceSource(BaseTraceSource):
+    """Base of :class:`TraceSource` decorators: another source's pairs, changed traces.
+
+    Pair tables, metric order and the trace duration are the inner
+    source's.  Subclasses implement ``load``, ``worker_spec`` and
+    ``_token_part``.  A pair's content token is the inner source's token
+    plus that part, so a :class:`~repro.records.RecordStore` keys a
+    wrapped pair on the inner trace's content (a measured fleet hashes its
+    file bytes) and on what the wrapper does to it.
+    """
+
+    def __init__(self, inner: TraceSource) -> None:
+        self.inner = inner
+
+    def pairs(self) -> Sequence:
+        return self.inner.pairs()
+
+    def pairs_for_metric(self, metric_name: str) -> Sequence:
+        return self.inner.pairs_for_metric(metric_name)
+
+    def metric_names(self) -> list[str]:
+        return self.inner.metric_names()
+
+    @property
+    def trace_duration(self) -> float:
+        return self.inner.trace_duration
+
+    def pair_content_token(self, pair: Any) -> str:
+        return f"{self.inner.pair_content_token(pair)}|{self._token_part()}"
+
+    @abstractmethod
+    def _token_part(self) -> str:
+        """What this wrapper does to every trace, as a content-token suffix."""

@@ -11,13 +11,14 @@ import pytest
 from repro.analysis.survey import (_CATEGORY_CODE, OVERSAMPLE_THRESHOLD, PairCategory, RecordBlock,
                                    SurveyResult)
 from repro.core.nyquist import NyquistEstimator
-from repro.signals.generators import multi_tone, sine
+from repro.signals.generators import multi_tone
 from repro.signals.timeseries import TimeSeries
 from repro.telemetry.dataset import DatasetConfig, FleetDataset
 from repro.telemetry.measured import MeasuredFleetDataset
 from repro.telemetry.metrics import METRIC_CATALOG
 from repro.telemetry.profiles import DeviceProfile, DeviceRole, draw_metric_parameters
 from repro.telemetry.source import BaseTraceSource, TraceSource
+from signal_helpers import sine
 
 
 @pytest.fixture

@@ -9,10 +9,11 @@ from repro.core.aliasing import DualRateAliasingDetector, compare_spectra, compa
 from repro.core.nyquist import MIN_SAMPLES
 from repro.core.psd import batch_periodogram, periodogram
 from repro.core.resampling import decimation_factor
-from repro.signals.generators import multi_tone, sine
+from repro.signals.generators import multi_tone
 from repro.signals.noise import add_white_noise, noise_floor_estimate
 from repro.signals.spectrum import Spectrum
 from repro.signals.timeseries import TimeSeries
+from signal_helpers import sine
 
 
 def sample_two_tone(rate: float, duration: float = 2.0):

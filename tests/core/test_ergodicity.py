@@ -7,8 +7,8 @@ import pytest
 
 from repro.core.ergodicity import (ensemble_statistics, ergodicity_gap, ergodicity_report,
                                    minimum_canary_size, time_statistics)
-from repro.signals.generators import sine
 from repro.signals.timeseries import TimeSeries
+from signal_helpers import sine
 
 
 def ergodic_fleet(n_devices=20, n_samples=500, rng=None):

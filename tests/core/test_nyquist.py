@@ -11,10 +11,9 @@ from repro.core.nyquist import (ALIASED_SENTINEL, MIN_SAMPLES, NyquistEstimator,
                                 estimate_nyquist_rate)
 from repro.core.psd import periodogram
 from repro.signals.spectrum import Spectrum
-from repro.signals.generators import constant, sine
 from repro.signals.noise import add_white_noise
 from repro.signals.timeseries import IrregularTimeSeries, TimeSeries
-from signal_helpers import band_limited_noise, white_noise
+from signal_helpers import band_limited_noise, constant, sine, white_noise
 
 
 class TestEstimatorOnKnownSignals:

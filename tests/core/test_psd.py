@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.psd import WINDOW_NAMES, periodogram, window_coefficients
-from repro.signals.generators import constant, sine
 from repro.signals.timeseries import TimeSeries
+from signal_helpers import constant, sine
 
 
 class TestWindowCoefficients:

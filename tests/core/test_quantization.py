@@ -9,8 +9,8 @@ import pytest
 
 from repro.core.errors import compare
 from repro.core.quantization import UniformQuantizer
-from repro.signals.generators import sine
 from repro.signals.timeseries import TimeSeries
+from signal_helpers import sine
 
 
 class TestUniformQuantizer:

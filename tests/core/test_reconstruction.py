@@ -9,8 +9,9 @@ from repro.core.nyquist import NyquistEstimator
 from repro.core.quantization import UniformQuantizer
 from repro.core.reconstruction import nyquist_round_trip, reconstruct, upsample_to_length
 from repro.core.resampling import decimation_factor, resample_to_rate
-from repro.signals.generators import constant, multi_tone, sine
+from repro.signals.generators import multi_tone
 from repro.signals.timeseries import TimeSeries
+from signal_helpers import constant, sine
 from reconstruction_oracle import reconstruct_batch
 
 

@@ -8,8 +8,9 @@ import pytest
 from repro.core.nyquist import estimate_nyquist_rate
 from repro.core.resampling import (decimation_factor, downsample, fourier_resample,
                                    nearest_neighbor_resample, regularize, resample_to_rate)
-from repro.signals.generators import multi_tone, sine
+from repro.signals.generators import multi_tone
 from repro.signals.timeseries import IrregularTimeSeries, TimeSeries
+from signal_helpers import sine
 from reconstruction_oracle import fourier_resample_matrix
 
 

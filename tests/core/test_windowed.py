@@ -10,7 +10,8 @@ import pytest
 from repro.core.nyquist import NyquistEstimator
 from repro.core.windowed import (FIGURE7_STEP_SECONDS, FIGURE7_WINDOW_SECONDS,
                                  WindowedEstimate, rate_stability, windowed_nyquist_rates)
-from repro.signals.generators import multi_tone, sine
+from repro.signals.generators import multi_tone
+from signal_helpers import sine
 
 
 def scalar_windowed_rates(series, window_seconds, step_seconds, estimator=None):

@@ -1,6 +1,6 @@
 """Self-tests of ``repro-lint``: every rule fires, passes and suppresses.
 
-Three layers:
+Two layers:
 
 * **Fixture matrix** -- for each syntactic rule (RL001-RL004, RL006,
   RL007) a
@@ -9,8 +9,6 @@ Three layers:
   comment on the offending line.  Snippets are linted under *virtual*
   repo-relative paths so the zone scoping (library vs CLI vs IO module
   vs record module) is exercised exactly as on disk.
-* **RL005 introspection** -- deliberately broken block classes handed to
-  :func:`~repro.devtools.lint.check_block_schemas` directly.
 * **End to end** -- the analyser over this repository's own ``src/``,
   ``tests/``, ``benchmarks/`` and ``examples/`` trees reports *zero*
   violations, and the ``main()`` entry point exits 0/1/2 as documented.
@@ -23,11 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.lint import (DEFAULT_ROOTS, RULES, Violation,
-                                 check_block_schemas, find_repo_root,
-                                 lint_paths, lint_sources, main,
-                                 rule_catalogue)
-from repro.analysis.survey import RecordBlock
+from repro.devtools.lint import (DEFAULT_ROOTS, RULES, Violation, find_repo_root,
+                                 lint_paths, lint_sources, main, rule_catalogue)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -377,54 +372,14 @@ def test_worker_spec_names_resolve_across_files() -> None:
 
 
 # ----------------------------------------------------------------------
-# RL005: introspective schema completeness
-# ----------------------------------------------------------------------
-def test_rl005_passes_on_real_block_types() -> None:
-    assert check_block_schemas() == []
-
-
-def test_rl005_missing_schema() -> None:
-    class NoSchema:
-        pass
-
-    violations = check_block_schemas(block_classes=[NoSchema])
-    assert rule_ids(violations) == ["RL005"]
-    assert "no _SCHEMA" in violations[0].message
-
-
-def test_rl005_not_a_dataclass() -> None:
-    class NotADataclass:
-        _SCHEMA = RecordBlock._SCHEMA
-
-    violations = check_block_schemas(block_classes=[NotADataclass])
-    assert rule_ids(violations) == ["RL005"]
-    assert "not a dataclass" in violations[0].message
-
-
-def test_rl005_field_schema_drift() -> None:
-    @dataclasses.dataclass
-    class Drifted:
-        _SCHEMA = RecordBlock._SCHEMA
-        metric_name: str  # the real schema has many more members
-
-    violations = check_block_schemas(block_classes=[Drifted])
-    assert rule_ids(violations) == ["RL005"]
-    assert "do not match" in violations[0].message
-
-
-def test_rl005_registered_real_class_is_clean() -> None:
-    assert check_block_schemas(block_classes=[RecordBlock]) == []
-
-
-# ----------------------------------------------------------------------
 # Catalogue, rendering, entry point, end to end
 # ----------------------------------------------------------------------
-def test_rule_catalogue_lists_all_eight_rules() -> None:
+def test_rule_catalogue_lists_every_rule_without_renumbering() -> None:
+    """RL005 is retired; the other ids keep their numbers."""
     triples = rule_catalogue()
     assert [rule_id for rule_id, _, _ in triples] == [
-        "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007", "RL008"]
-    assert {rule.id for rule in RULES} == set(
-        rule_id for rule_id, _, _ in triples) - {"RL005"}
+        "RL001", "RL002", "RL003", "RL004", "RL006", "RL007", "RL008"]
+    assert [rule.id for rule in RULES] == [rule_id for rule_id, _, _ in triples]
     for _, name, rationale in triples:
         assert name and rationale
 
@@ -444,9 +399,10 @@ def test_find_repo_root_walks_up_to_pyproject() -> None:
 def test_main_list_rules(capsys: pytest.CaptureFixture[str]) -> None:
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005",
-                    "RL006", "RL007"):
+    for rule_id in ("RL001", "RL002", "RL003", "RL004",
+                    "RL006", "RL007", "RL008"):
         assert rule_id in out
+    assert "RL005" not in out
 
 
 def test_main_reports_violations_with_exit_1(
@@ -455,8 +411,7 @@ def test_main_reports_violations_with_exit_1(
     bad = tmp_path / "src" / "repro" / "core" / "bad.py"
     bad.parent.mkdir(parents=True)
     bad.write_text("import numpy as np\nx = np.random.normal(size=3)\n")
-    code = main(["--root", str(tmp_path), "--no-import-checks",
-                 str(tmp_path / "src")])
+    code = main(["--root", str(tmp_path), str(tmp_path / "src")])
     captured = capsys.readouterr()
     assert code == 1
     assert "src/repro/core/bad.py:2:4: RL001" in captured.out
@@ -470,8 +425,8 @@ def test_main_select_narrows_rules(tmp_path: Path,
     bad.parent.mkdir(parents=True)
     bad.write_text("import time\nimport numpy as np\n"
                    "x = np.random.normal(size=3)\nstamp = time.time()\n")
-    code = main(["--root", str(tmp_path), "--no-import-checks",
-                 "--select", "RL002", str(tmp_path / "src")])
+    code = main(["--root", str(tmp_path), "--select", "RL002",
+                 str(tmp_path / "src")])
     captured = capsys.readouterr()
     assert code == 1
     assert "RL002" in captured.out and "RL001" not in captured.out
@@ -496,4 +451,4 @@ def test_repository_is_clean_end_to_end(
 
 def test_lint_paths_on_single_file() -> None:
     target = REPO_ROOT / "src" / "repro" / "devtools" / "lint.py"
-    assert lint_paths([target], root=REPO_ROOT, import_checks=False) == []
+    assert lint_paths([target], root=REPO_ROOT) == []

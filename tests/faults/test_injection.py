@@ -7,8 +7,9 @@ import pickle
 import numpy as np
 import pytest
 
+from disk_faults import faulty_export
 from repro.faults import (FaultInjectingSourceSpec, FaultInjectingTraceSource,
-                          FaultPlan, corrupt_dump_lines, faulty_export)
+                          FaultPlan, corrupt_dump_lines)
 from repro.telemetry.dataset import DatasetConfig, FleetDataset
 from repro.telemetry.ingest import export_gnmi_dump, export_snmp_dump
 from repro.telemetry.measured import MeasuredFleetDataset

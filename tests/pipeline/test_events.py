@@ -14,9 +14,10 @@ from repro.pipeline.events import (EventKind, ModeTransition, ThresholdDetector,
                                    score_detection)
 from repro.pipeline.policies import AdaptiveDualRatePolicy
 from repro.scenarios import RegimeShift
-from repro.signals.generators import multi_tone, sine
+from repro.signals.generators import multi_tone
 from repro.signals.timeseries import TimeSeries
 from repro.signals.noise import add_white_noise
+from signal_helpers import sine
 
 
 def poll(series: TimeSeries, rate: float) -> TimeSeries:

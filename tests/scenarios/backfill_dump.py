@@ -14,6 +14,10 @@ on the update *set*) is exactly what makes late backfill safe -- ingesting
 an in-order dump, a late-backfill dump, or an arbitrarily shuffled dump of
 the same fleet produces byte-identical directories.  The scenario suite
 pins that property with hypothesis-driven shuffles.
+
+Tests import it as ``from backfill_dump import export_backfill_dump``;
+pytest puts this directory on ``sys.path`` because the test modules next
+to it live here.
 """
 
 from __future__ import annotations
@@ -23,12 +27,10 @@ import json
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
-from ..signals.timeseries import TimeSeries
-from ..telemetry.ingest import path_for_metric
-from ..telemetry.source import TraceSource
-from .transforms import BlackoutWindow
-
-__all__ = ["export_backfill_dump"]
+from repro.scenarios import BlackoutWindow
+from repro.signals.timeseries import TimeSeries
+from repro.telemetry.ingest import path_for_metric
+from repro.telemetry.source import TraceSource
 
 
 def _update_lines(order: int, pair: Any,
@@ -53,8 +55,9 @@ def export_backfill_dump(source: TraceSource, path: Path | str,
     """Write ``source`` as a gNMI dump whose blackout window arrives late.
 
     Updates outside the blackout window are emitted globally time-ordered
-    (the normal append-only log); updates whose timestamp falls inside
-    ``blackout.time_bounds(trace duration)`` are held back and appended
+    (the normal append-only log); updates whose offset into the trace
+    falls inside the blackout window's ``[start, stop)`` fraction of the
+    trace duration are held back and appended
     after the entire in-order stream, themselves time-ordered -- the
     buffered site draining once the partition heals.  Returns the dump
     path and how many updates arrived late.
@@ -71,7 +74,8 @@ def export_backfill_dump(source: TraceSource, path: Path | str,
     order = 0
     for metric_name in metric_names:
         for pair, trace in source.traces(metric_name):
-            start, stop = blackout.time_bounds(trace.duration)
+            start = blackout.start_fraction * trace.duration
+            stop = (blackout.start_fraction + blackout.duration_fraction) * trace.duration
             updates = list(_update_lines(order, pair, trace))
             live = [u for u in updates if not start <= u[0] - trace.start_time < stop]
             late = [u for u in updates if start <= u[0] - trace.start_time < stop]

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from backfill_dump import export_backfill_dump
 from repro.network.monitoring import DeploymentSpec
 from repro.network.topology import TopologySpec
-from repro.scenarios import BlackoutWindow, export_backfill_dump
+from repro.scenarios import BlackoutWindow
 from repro.telemetry.ingest import export_gnmi_dump, ingest_dump
 
 

@@ -1,4 +1,4 @@
-"""Noise generators used only as test input.
+"""Signal generators used only as test input: tones, flat lines and noise.
 
 Tests import these as ``from signal_helpers import ...``; pytest puts
 ``tests/`` on ``sys.path`` because that is where the root ``conftest.py``
@@ -7,9 +7,30 @@ lives.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from repro.signals.generators import _time_axis
 from repro.signals.timeseries import TimeSeries
+
+
+def constant(value: float, duration: float, sampling_rate: float,
+             name: str = "constant") -> TimeSeries:
+    """A flat signal.  Its Nyquist rate is (arbitrarily close to) zero."""
+    times, interval = _time_axis(duration, sampling_rate)
+    return TimeSeries(np.full(times.shape, float(value)), interval, name=name)
+
+
+def sine(frequency: float, duration: float, sampling_rate: float,
+         amplitude: float = 1.0, phase: float = 0.0, offset: float = 0.0,
+         name: str = "sine") -> TimeSeries:
+    """A single sinusoid; its Nyquist rate is exactly ``2 * frequency``."""
+    if frequency < 0:
+        raise ValueError("frequency must be non-negative")
+    times, interval = _time_axis(duration, sampling_rate)
+    values = offset + amplitude * np.sin(2 * math.pi * frequency * times + phase)
+    return TimeSeries(values, interval, name=name)
 
 
 def white_noise(duration: float, sampling_rate: float, std: float = 1.0,

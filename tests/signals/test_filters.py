@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.signals import filters
-from repro.signals.generators import multi_tone, sine
+from repro.signals.generators import multi_tone
 from repro.signals.timeseries import TimeSeries
+from signal_helpers import sine
 
 
 class TestFftFilters:

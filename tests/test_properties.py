@@ -17,10 +17,11 @@ from repro.core.nyquist import NyquistEstimator, estimate_nyquist_rate
 from repro.core.psd import periodogram
 from repro.core.quantization import UniformQuantizer
 from repro.core.resampling import downsample, fourier_resample, regularize
-from repro.signals.generators import multi_tone, sine
+from repro.signals.generators import multi_tone
 from repro.signals.timeseries import IrregularTimeSeries, TimeSeries
 from repro.telemetry.dataset import DatasetConfig, FleetDataset
 from repro.telemetry.ingest import export_gnmi_dump, export_snmp_dump, ingest_dump
+from signal_helpers import sine
 
 # FFT-heavy properties: keep example counts modest so the suite stays fast.
 FAST = settings(max_examples=25, deadline=None,

@@ -39,10 +39,6 @@ SCANNED = (SRC, ROOT / "benchmarks", ROOT / "examples")
 ALLOWED = {
     "noise_floor_estimate": "scalar reference that noise_floor_estimates is tested bit for bit against",
     "compare_spectra": "one-row entry point of the dual-rate (section 4.1) spectrum comparison",
-    "sine": "fixture generator of many test files",
-    "constant": "fixture generator of many test files",
-    "faulty_export": "fault fixture of the chaos layer's tests",
-    "export_backfill_dump": "fault fixture of the scenario layer's tests",
 }
 
 
@@ -266,8 +262,7 @@ def test_member_allow_list_names_live_orphans():
 
 #: Entry points whose every parameter must be set by some caller.
 ENTRY_POINTS = ("run_survey", "run_policy_survey", "ingest_dump", "run_matrix",
-                "evaluate_cell", "run_windowed_survey", "SpillingRecordSink",
-                "faulty_export")
+                "evaluate_cell", "run_windowed_survey", "SpillingRecordSink")
 
 
 def _parameters(definition: ast.FunctionDef | ast.ClassDef) -> list[str]:

@@ -29,6 +29,7 @@ from repro.analysis.survey import _SurveyEvaluator, run_survey
 from repro.core.nyquist import NyquistEstimator
 from repro.faults import FaultInjectingTraceSource, FaultPlan
 from repro.pipeline.policies import PolicySuite
+from repro.scenarios import DiurnalCycle, ScenarioTraceSource
 from repro.records import (PairFingerprint, RecordStore, SpillingRecordSink,
                            fingerprint_slice, load_rcb_any)
 from repro.telemetry.dataset import DatasetConfig, FleetDataset
@@ -180,23 +181,26 @@ class TestSurveyStoreEquivalence:
 
 
 # ----------------------------------------------------------------------
+def rerecord_one_trace(measured) -> None:
+    """Re-record one Temperature trace of ``measured`` with different contents
+    (another device's trace of the same metric keeps the manifest valid)."""
+    pairs = measured.pairs_for_metric("Temperature")
+    victim_path = measured.directory / pairs[0].file
+    donor_path = measured.directory / pairs[1].file
+    assert victim_path.read_bytes() != donor_path.read_bytes()
+    victim_path.write_bytes(donor_path.read_bytes())
+
+
 class TestMeasuredFleetContentInvalidation:
+    FLEET = DatasetConfig(pair_count=14, seed=5, metrics=("Temperature", "Link util"))
+
     def test_rewritten_trace_file_invalidates_its_slice(self, tmp_path):
-        fleet = FleetDataset(DatasetConfig(pair_count=14, seed=5,
-                                           metrics=("Temperature", "Link util")))
-        measured = fleet.export(tmp_path / "fleet")
+        measured = FleetDataset(self.FLEET).export(tmp_path / "fleet")
         store = RecordStore(tmp_path / "store")
         cold = run_survey(measured, store=store, chunk_size=4)
         assert cold.cache_misses == 14
 
-        # Re-record one Temperature trace with different contents (another
-        # device's trace of the same metric keeps the manifest valid).
-        pairs = measured.pairs_for_metric("Temperature")
-        victim, donor = pairs[0], pairs[1]
-        victim_path = measured.directory / victim.file
-        donor_path = measured.directory / donor.file
-        assert victim_path.read_bytes() != donor_path.read_bytes()
-        victim_path.write_bytes(donor_path.read_bytes())
+        rerecord_one_trace(measured)
 
         warm = run_survey(measured, store=store, chunk_size=4)
         # Only the slice holding the rewritten file misses; everything
@@ -206,6 +210,32 @@ class TestMeasuredFleetContentInvalidation:
         # And the recomputed records reflect the new trace bytes.
         fresh = run_survey(measured, chunk_size=4)
         assert block_payloads(warm.iter_blocks()) == block_payloads(fresh.iter_blocks())
+
+    @pytest.mark.parametrize("wrap", [
+        lambda source: FaultInjectingTraceSource(source, FaultPlan(fraction=0.0)),
+        lambda source: ScenarioTraceSource(source, (DiurnalCycle(),)),
+    ], ids=["faults", "scenario"])
+    def test_wrapped_source_keys_on_the_inner_content(self, wrap, tmp_path):
+        """A wrapper's content token extends the measured fleet's file hash,
+        so re-recording a trace misses through the wrapper too."""
+        measured = FleetDataset(self.FLEET).export(tmp_path / "fleet")
+        store = RecordStore(tmp_path / "store")
+        run_survey(wrap(measured), store=store, chunk_size=4)
+        rerecord_one_trace(measured)
+        warm = run_survey(wrap(measured), store=store, chunk_size=4)
+        assert 0 < warm.cache_misses <= 4
+        assert warm.cache_hits == 14 - warm.cache_misses
+        fresh = run_survey(wrap(measured), chunk_size=4)
+        assert block_payloads(warm.iter_blocks()) == block_payloads(fresh.iter_blocks())
+
+    def test_wrapper_parameters_enter_the_token(self, tmp_path):
+        measured = FleetDataset(self.FLEET).export(tmp_path / "fleet")
+        pair = measured.pairs()[0]
+        plain = measured.pair_content_token(pair)
+        tokens = {FaultInjectingTraceSource(measured, FaultPlan(seed=seed))
+                  .pair_content_token(pair) for seed in (0, 1)}
+        assert len(tokens) == 2
+        assert all(token.startswith(f"{plain}|faults=") for token in tokens)
 
 
 # ----------------------------------------------------------------------

@@ -6,28 +6,29 @@ Every columnar block class -- the Nyquist survey's
 failures, measured traces (:class:`~repro.telemetry.measured.TraceBlock`)
 and sharded-ingest parts (:class:`~repro.telemetry.shard.ShardPartBlock`)
 -- serialises through the one schema-driven implementation in
-:mod:`repro.records` (:class:`~repro.records.ColumnarBlock`).  These tests pin the shared
-contract once for all block types: lossless rcb round trips (floats bit
-for bit, NaNs included), zero-row blocks keeping their block-level
-scalars, spill-file sniffing that tells the types apart, the sinks'
-append order and one-block-type rule, and loud
-``ValueError``s naming the offending file on corruption.
+:mod:`repro.records` (:class:`~repro.records.ColumnarBlock`), with the
+schema derived from the block's dataclass fields.  These tests pin the
+shared contract once for all block types: lossless rcb round trips
+(floats bit for bit, NaNs included), zero-row blocks keeping their
+block-level scalars, spill directories re-opening as the block type
+their headers name, the sinks' append order and one-block-type rule,
+and loud ``ValueError``s naming the offending file on corruption.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
 from repro.analysis.survey import RecordBlock
 from repro.pipeline.evaluation import PolicyRecordBlock
-from repro.records import (RCB_MAGIC, BlockSchema, ColumnSpec, FailureRecord,
-                           FailureRecordBlock, MemoryRecordSink, ScalarSpec,
-                           SpillingRecordSink, load_rcb_any, read_rcb_header,
-                           registered_block_types)
+from repro.records import (RCB_MAGIC, ColumnarBlock, FailureRecord, FailureRecordBlock,
+                           MemoryRecordSink, SpillingRecordSink, column, load_rcb_any,
+                           read_rcb_header, register_block_type, registered_block_types)
 from repro.records.rcb import block_type_of
 from repro.signals.timeseries import TimeSeries
 from repro.telemetry.measured import TraceBlock
@@ -321,10 +322,6 @@ class TestSniffing:
         assert len(loaded) == 1
         assert type(loaded[0]) is type(block)
         assert_blocks_equal(block, loaded[0])
-        # The other registered types must NOT claim this file.
-        for other in registered_block_types():
-            if other is not type(block):
-                assert not other.sniff_rcb(read_rcb_header(sink.files[0]))
 
     def test_reopen_reads_the_files(self, spill_block, tmp_path):
         """Re-opening a spill directory reads its files, and later appends
@@ -421,19 +418,28 @@ class TestBlockTypeOf:
         assert header["block_type"] == type(block).__name__
         assert block_type_of(tmp_path / "block.rcb", header) is type(block)
 
-    def test_renamed_class_falls_back_to_sniffing(self, block, tmp_path):
-        header = self._header(block, tmp_path)
-        header["block_type"] = "RenamedBlock"
-        assert block_type_of(tmp_path / "block.rcb", header) is type(block)
-
     def test_unclaimed_header_raises_value_error_naming_path(self, tmp_path):
         header = self._header(make_record_block(), tmp_path)
         header["block_type"] = "RenamedBlock"
-        header["columns"] = header["columns"][1:]
         path = tmp_path / "block.rcb"
         with pytest.raises(ValueError, match="does not match any registered") as error:
             block_type_of(path, header)
         assert str(path) in str(error.value)
+
+    def test_unknown_block_type_is_not_guessed_from_members(self, block, tmp_path):
+        """A file names its type once, in ``block_type``: a file whose
+        members match a registered type but whose name does not raises
+        ``ValueError`` naming the file, both on a direct load and on
+        re-opening its spill directory."""
+        path = tmp_path / "spool" / "records-00000.rcb"
+        path.parent.mkdir()
+        block.save_rcb(path)
+        _rewrite_header(path, lambda header: header.update(block_type="RenamedBlock"))
+        with pytest.raises(ValueError, match="'RenamedBlock'") as error:
+            load_rcb_any(path)
+        assert str(path) in str(error.value)
+        with pytest.raises(ValueError, match=str(path)):
+            list(SpillingRecordSink(path.parent).blocks())
 
 
 class TestSchemaValidation:
@@ -452,13 +458,53 @@ class TestSchemaValidation:
 
     def test_schema_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown column kind"):
-            ColumnSpec("x", "complex")
-
-    def test_schema_rejects_duplicate_names(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            BlockSchema(scalars=(ScalarSpec("x"),),
-                        columns=(ColumnSpec("x", "float"),))
+            column("complex")
 
     def test_schema_requires_a_column(self):
-        with pytest.raises(ValueError, match="at least one column"):
-            BlockSchema(scalars=(ScalarSpec("x"),), columns=())
+        @dataclass(frozen=True)
+        class ScalarsOnly(ColumnarBlock):
+            name: str
+
+        with pytest.raises(ValueError, match="register_block_type.*no column"):
+            register_block_type(ScalarsOnly)
+        assert ScalarsOnly not in registered_block_types()
+
+
+class TestDerivedSchema:
+    """A block's dataclass fields are its only layout declaration."""
+
+    def test_schema_is_scalars_then_columns_with_their_kinds(self):
+        schema = PolicyRecordBlock._SCHEMA
+        assert [spec.name for spec in schema.scalars] == ["metric_name", "policy_name"]
+        assert [(spec.name, spec.kind) for spec in schema.columns][:3] == [
+            ("device_ids", "str"), ("samples", "int"), ("mean_rate_hz", "float")]
+        assert [spec.name for spec in (*schema.scalars, *schema.columns)] == [
+            field.name for field in fields(PolicyRecordBlock)]
+
+    def test_unregistered_block_fails_at_first_construction(self):
+        @dataclass(frozen=True)
+        class Unregistered(ColumnarBlock):
+            values: np.ndarray = column("float")
+
+        with pytest.raises(TypeError, match="register_block_type"):
+            Unregistered(values=np.zeros(2))
+
+    def test_subclass_of_a_registered_block_must_register_itself(self):
+        @dataclass(frozen=True)
+        class Derived(TraceBlock):
+            pass
+
+        block = make_trace_block()
+        with pytest.raises(TypeError, match="register_block_type"):
+            Derived(interval=block.interval, start_time=block.start_time,
+                    crc32=block.crc32, values=block.values)
+
+    def test_non_dataclass_block_fails_at_registration_and_construction(self):
+        class NotADataclass(ColumnarBlock):
+            pass
+
+        with pytest.raises(TypeError, match="register_block_type"):
+            register_block_type(NotADataclass)
+        with pytest.raises(TypeError, match="register_block_type"):
+            NotADataclass()
+        assert NotADataclass not in registered_block_types()
