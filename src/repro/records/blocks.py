@@ -160,6 +160,14 @@ def register_block_type(cls: type[_BlockT]) -> type[_BlockT]:
     ``cls`` must be a :class:`ColumnarBlock` dataclass with at least one
     ``column(kind)`` field; every other field is a ``str`` scalar.
     """
+    cls._SCHEMA = _derived_schema(cls)
+    if cls not in _BLOCK_TYPES:
+        _BLOCK_TYPES.append(cls)
+    return cls
+
+
+def _derived_schema(cls: type) -> BlockSchema:
+    """The scalars, then the columns, of a block dataclass, in field order."""
     if not (isinstance(cls, type) and issubclass(cls, ColumnarBlock)
             and dataclasses.is_dataclass(cls)):
         raise TypeError(f"register_block_type needs a ColumnarBlock dataclass, got {cls!r}")
@@ -168,13 +176,9 @@ def register_block_type(cls: type[_BlockT]) -> type[_BlockT]:
                     for field in fields if "kind" in field.metadata)
     if not columns:
         raise ValueError(f"register_block_type: {cls.__name__} declares no column(...) field")
-    cls._SCHEMA = BlockSchema(
-        scalars=tuple(ScalarSpec(field.name) for field in fields
-                      if "kind" not in field.metadata),
-        columns=columns)
-    if cls not in _BLOCK_TYPES:
-        _BLOCK_TYPES.append(cls)
-    return cls
+    return BlockSchema(scalars=tuple(ScalarSpec(field.name) for field in fields
+                                     if "kind" not in field.metadata),
+                       columns=columns)
 
 
 def registered_block_types() -> Sequence[type[ColumnarBlock]]:
