@@ -67,7 +67,7 @@ def main() -> None:
                                workers=args.workers, sink=sink)
 
     print(f"Evaluated {len(source)} measurement points on a "
-          f"{len(source.deployment.topology)}-node leaf-spine fabric "
+          f"{len(source.topology)}-node leaf-spine fabric "
           f"(collector at {source.collector})\n")
     print(format_table(result.rows()))
     print()

@@ -127,8 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "reruns: slices already computed from identical "
                              "traces and parameters are served from DIR as "
                              ".rcb blocks, misses are written back")
-    survey.add_argument("--no-store", action="store_true",
-                        help="ignore --store and recompute everything")
     survey.add_argument("--from-dir", type=Path, default=None, metavar="FLEET_DIR",
                         help="survey a measured fleet: a directory of recorded per-pair "
                              "trace files + manifest.json (see 'export-fleet'); "
@@ -179,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     policies.add_argument("--store", type=Path, default=None, metavar="DIR",
                           help="content-addressed record store for incremental "
                                "reruns (same semantics as survey --store)")
-    policies.add_argument("--no-store", action="store_true",
-                          help="ignore --store and recompute everything")
     policies.add_argument("--csv-dir", type=Path, default=None,
                           help="directory to write the cost/quality table CSV into")
     policies.add_argument("--from-dir", type=Path, default=None, metavar="FLEET_DIR",
@@ -340,7 +336,7 @@ def _command_survey(args: argparse.Namespace) -> int:
     failure_sink = (SpillingRecordSink(args.spill_dir / "failures")
                     if args.spill_dir is not None and args.on_error == "quarantine"
                     else None)
-    store = RecordStore(args.store) if args.store is not None and not args.no_store else None
+    store = RecordStore(args.store) if args.store is not None else None
     result = run_survey(dataset, estimator=estimator,
                         limit_per_metric=args.limit_per_metric,
                         workers=args.workers, fft_workers=args.fft_workers,
@@ -417,7 +413,7 @@ def _command_policies(args: argparse.Namespace) -> int:
         source = spec.open()
         accountant = source.accountant()
         print("Deployed monitoring on a "
-              f"{len(source.deployment.topology)}-node leaf-spine fabric "
+              f"{len(source.topology)}-node leaf-spine fabric "
               f"({len(source)} measurement points, collector at {source.collector})\n")
     if args.metrics is not None:
         unknown = sorted(set(args.metrics) - set(source.metric_names()))
@@ -432,7 +428,7 @@ def _command_policies(args: argparse.Namespace) -> int:
     failure_sink = (SpillingRecordSink(args.spill_dir / "failures")
                     if args.spill_dir is not None and args.on_error == "quarantine"
                     else None)
-    store = RecordStore(args.store) if args.store is not None and not args.no_store else None
+    store = RecordStore(args.store) if args.store is not None else None
     result = run_policy_survey(source, suite, accountant=accountant,
                                metrics=args.metrics,
                                limit_per_metric=args.limit_per_metric,

@@ -66,9 +66,14 @@ class FaultInjectingTraceSource(DelegatingTraceSource):
       serves that (metric, offset) slice -- only ever inside a pool
       worker, never the parent.
 
-    The content token folds the plan into the inner token, so a
+    The content token folds into the inner token the plan fields that
+    decide which pair gets which data fault and where (``seed``,
+    ``fraction``, ``kinds``, ``blackout_fraction``), so a
     :class:`~repro.records.RecordStore` misses when either the inner
-    trace or the plan changes.
+    trace or a served distortion changes.  ``state_dir``,
+    ``io_error_opens``, ``malformed_line_every`` and ``crash_slices``
+    stay out: a pair they touch either serves its inner trace or fails,
+    and failed slices are never cached.
     """
 
     def __init__(self, inner: TraceSource, plan: FaultPlan) -> None:
@@ -79,7 +84,9 @@ class FaultInjectingTraceSource(DelegatingTraceSource):
         return FaultInjectingSourceSpec(self.inner.worker_spec(), self.plan)
 
     def _token_part(self) -> str:
-        return f"faults={self.plan!r}"
+        plan = self.plan
+        return (f"faults=seed={plan.seed!r},fraction={plan.fraction!r},"
+                f"kinds={plan.kinds!r},blackout_fraction={plan.blackout_fraction!r}")
 
     # ------------------------- fault injection ------------------------
     def load(self, pair: Any) -> TimeSeries:

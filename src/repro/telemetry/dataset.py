@@ -174,18 +174,12 @@ class FleetDataset(BaseTraceSource):
                 f"{pair.parameters!r}")
 
     # ------------------------------------------------------------------
-    def load(self, pair: TracePair, interval: float | None = None) -> TimeSeries:
-        """Generate the trace for one pair.
-
-        ``interval`` defaults to the metric's production polling interval
-        (what today's monitoring system collects); pass a smaller value to
-        obtain a higher-rate reference trace for the same underlying
-        parameters.
-        """
+    def load(self, pair: TracePair) -> TimeSeries:
+        """Generate the trace for one pair at the metric's production
+        polling interval (what today's monitoring system collects)."""
         rng = np.random.default_rng(pair.parameters.seed)
         return generate_trace(pair.metric, pair.parameters, self.config.trace_duration,
-                              interval=interval, rng=rng,
-                              device_name=pair.device.device_id)
+                              rng=rng, device_name=pair.device.device_id)
 
     def metric_names(self) -> list[str]:
         """Metrics included in this dataset."""

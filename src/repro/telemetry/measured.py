@@ -379,12 +379,8 @@ class MeasuredFleetDataset(BaseTraceSource):
                 f"{pair.interval!r}|{pair.length}|sha256:{digest.hexdigest()}")
 
     # ------------------------------------------------------------------
-    def load(self, pair: MeasuredPair, interval: float | None = None) -> TimeSeries:
+    def load(self, pair: MeasuredPair) -> TimeSeries:
         """Read one pair's recorded trace, validated against the manifest."""
-        if interval is not None and interval != pair.interval:
-            raise ValueError(
-                f"measured traces have a fixed recorded interval ({pair.interval} s); "
-                f"cannot serve interval={interval}")
         path = self.directory / pair.file
         values, file_interval, start_time = _load_trace(path, self.fmt, pair.interval)
         if values.ndim != 1 or values.shape[0] != pair.length:

@@ -9,8 +9,8 @@ from repro.analysis.policy_survey import (CostQualityEvaluator, PolicySurveyResu
                                           run_policy_survey)
 from repro.faults import BatchExecutionError, FaultInjectingTraceSource, FaultPlan
 from repro.network.cost import TelemetryCostAccountant
-from repro.network.monitoring import DeploymentSpec, DeploymentTraceSource, MonitoringDeployment
-from repro.network.topology import TopologySpec, build_leaf_spine
+from repro.network.monitoring import DeploymentSpec
+from repro.network.topology import TopologySpec
 from repro.pipeline.evaluation import DETECTION_UNSCORED, PolicyRecordBlock
 from repro.pipeline.policies import FixedRatePolicy, NyquistStaticPolicy, PolicySuite
 from repro.records import SpillingRecordSink
@@ -44,8 +44,7 @@ def demo_spec() -> DeploymentSpec:
 
 @pytest.fixture(scope="module")
 def demo_accountant(demo_spec) -> TelemetryCostAccountant:
-    graph, collector = demo_spec.build_topology()
-    return TelemetryCostAccountant(topology=graph, collector=collector)
+    return demo_spec.open().accountant()
 
 
 @pytest.fixture(scope="module")
@@ -143,13 +142,6 @@ class TestRunPolicySurvey:
             run_policy_survey(demo_spec.open(), demo_suite, accountant=demo_accountant,
                               metrics=["Temperature"],
                               sink=SpillingRecordSink(tmp_path / "spool"))
-
-    def test_hand_built_deployment_needs_spec_for_workers(self):
-        graph = build_leaf_spine(TopologySpec(num_spines=1, num_leaves=1,
-                                              servers_per_leaf=0))
-        source = DeploymentTraceSource(MonitoringDeployment(graph, trace_duration=7200.0))
-        with pytest.raises(ValueError, match="spec"):
-            source.worker_spec()
 
 
 class TestPolicyRecordBlockStorage:

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from repro.network.cost import CostModel, TelemetryCostAccountant
-from repro.network.monitoring import MonitoringDeployment
-from repro.network.topology import (NodeRole, TopologySpec, attach_collector,
-                                    build_leaf_spine)
+from repro.network.monitoring import DeploymentSpec
+from repro.network.topology import NodeRole, TopologySpec, attach_collector
 
 
 def total(cost) -> float:
@@ -29,7 +28,7 @@ class TestCostModel:
 
 class TestAccountant:
     def make_accountant(self):
-        graph = build_leaf_spine(TopologySpec(num_spines=2, num_leaves=2, servers_per_leaf=2))
+        graph = TopologySpec(num_spines=2, num_leaves=2, servers_per_leaf=2).build()
         collector = attach_collector(graph)
         return TelemetryCostAccountant(topology=graph, collector=collector), graph, collector
 
@@ -67,7 +66,7 @@ class TestAccountant:
             accountant.price_samples("leaf-0", -1)
 
     def test_collector_must_exist(self):
-        graph = build_leaf_spine()
+        graph = TopologySpec().build()
         with pytest.raises(ValueError):
             TelemetryCostAccountant(topology=graph, collector="missing")
 
@@ -81,7 +80,7 @@ class TestAccountant:
 
 class TestVectorisedPricing:
     def make_accountant(self):
-        graph = build_leaf_spine(TopologySpec(num_spines=2, num_leaves=2, servers_per_leaf=2))
+        graph = TopologySpec(num_spines=2, num_leaves=2, servers_per_leaf=2).build()
         collector = attach_collector(graph)
         return TelemetryCostAccountant(topology=graph, collector=collector)
 
@@ -107,19 +106,17 @@ class TestVectorisedPricing:
 
 
 class TestDeploymentPricing:
-    """Satellite coverage: hop-weighted pricing through a real
-    MonitoringDeployment topology (previously only exercised indirectly)."""
+    """Hop-weighted pricing through a real deployment's own fabric."""
 
     def make_deployment(self):
-        graph = build_leaf_spine(TopologySpec(num_spines=2, num_leaves=2,
-                                              servers_per_leaf=2))
-        collector = attach_collector(graph)
-        deployment = MonitoringDeployment(graph, trace_duration=7200.0, seed=3)
-        return deployment, TelemetryCostAccountant(topology=graph, collector=collector), graph
+        source = DeploymentSpec(topology=TopologySpec(num_spines=2, num_leaves=2,
+                                                      servers_per_leaf=2),
+                                trace_duration=7200.0, seed=3).open()
+        return source, source.accountant(), source.topology
 
     def test_every_point_is_priced_with_its_fabric_distance(self):
         deployment, accountant, graph = self.make_deployment()
-        for point in deployment.points():
+        for point in deployment.pairs():
             node = point.device.device_id
             role = graph.nodes[node]["role"]
             expected_hops = {NodeRole.SPINE: 1, NodeRole.LEAF: 2,
@@ -134,7 +131,7 @@ class TestDeploymentPricing:
     def test_server_points_cost_more_than_spine_points(self):
         deployment, accountant, graph = self.make_deployment()
         by_role: dict[str, float] = {}
-        for point in deployment.points():
+        for point in deployment.pairs():
             node = point.device.device_id
             role = graph.nodes[node]["role"]
             by_role.setdefault(role, total(accountant.price_samples(node, 1000)))
@@ -144,7 +141,7 @@ class TestDeploymentPricing:
         """Vectorised pricing over a deployment's measurement points equals
         per-point scalar pricing, hop counts included."""
         deployment, accountant, _ = self.make_deployment()
-        points = [point for point in deployment.points()
+        points = [point for point in deployment.pairs()
                   if point.metric.name == "Temperature"]
         devices = [point.device.device_id for point in points]
         counts = np.arange(1, len(points) + 1) * 7

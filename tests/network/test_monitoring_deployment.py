@@ -5,82 +5,78 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.network.monitoring import (DeploymentSpec, DeploymentTraceSource,
-                                     MonitoringDeployment)
-from repro.network.topology import (FatTreeSpec, TopologySpec, WanRingSpec,
-                                    build_leaf_spine, servers, switches)
+from repro.network.monitoring import _SERVER_METRICS, _SWITCH_METRICS, DeploymentSpec
+from repro.network.topology import FatTreeSpec, TopologySpec, WanRingSpec, servers, switches
 from repro.telemetry.dataset import TracePair
 from repro.telemetry.profiles import DeviceRole
 
+SPEC = DeploymentSpec(topology=TopologySpec(num_spines=2, num_leaves=2, servers_per_leaf=2),
+                      trace_duration=21600.0, seed=3)
+
 
 @pytest.fixture(scope="module")
-def deployment():
-    topology = build_leaf_spine(TopologySpec(num_spines=2, num_leaves=2, servers_per_leaf=2))
-    return MonitoringDeployment(topology, trace_duration=21600.0, seed=3)
+def source():
+    return SPEC.open()
 
 
 class TestDeployment:
-    def test_point_count(self, deployment):
-        topology = deployment.topology
-        expected = (len(switches(topology)) * len(deployment.switch_metrics)
-                    + len(servers(topology)) * len(deployment.server_metrics))
-        assert len(deployment.points()) == expected
+    def test_point_count(self, source):
+        topology = source.topology
+        expected = (len(switches(topology)) * len(_SWITCH_METRICS)
+                    + len(servers(topology)) * len(_SERVER_METRICS))
+        assert len(source.pairs()) == expected
 
-    def test_points_are_cached(self, deployment):
-        assert deployment.points() is deployment.points()
+    def test_points_are_cached(self, source):
+        assert source.pairs() is source.pairs()
 
-    def test_server_points_only_get_server_metrics(self, deployment):
-        server_nodes = set(servers(deployment.topology))
-        for point in deployment.points():
+    def test_server_points_only_get_server_metrics(self, source):
+        server_nodes = set(servers(source.topology))
+        for point in source.pairs():
             if point.device.device_id in server_nodes:
-                assert point.metric.name in deployment.server_metrics
+                assert point.metric.name in _SERVER_METRICS
 
-    def test_pairs_for_metric(self, deployment):
-        points = DeploymentTraceSource(deployment).pairs_for_metric("Link util")
+    def test_pairs_for_metric(self, source):
+        points = source.pairs_for_metric("Link util")
         assert points
         assert all(point.metric.name == "Link util" for point in points)
-        assert len(points) == len(switches(deployment.topology))
+        assert len(points) == len(switches(source.topology))
 
-    def test_points_are_trace_pairs_keyed_metric_first(self, deployment):
+    def test_points_are_trace_pairs_keyed_metric_first(self, source):
         """A point is a TracePair whose device is its node's profile, keyed
         ``(metric, node)`` like every other pair."""
-        server_nodes = set(servers(deployment.topology))
-        nodes = set(switches(deployment.topology)) | server_nodes
-        for point in deployment.points():
+        server_nodes = set(servers(source.topology))
+        nodes = set(switches(source.topology)) | server_nodes
+        for point in source.pairs():
             node = point.device.device_id
             assert isinstance(point, TracePair)
             assert node in nodes
             assert point.key == (point.metric.name, node)
             assert (point.device.role == DeviceRole.SERVER) == (node in server_nodes)
 
-    def test_source_serves_the_deployment_points(self, deployment):
-        """The trace source regroups the deployment's own pairs by metric
-        instead of re-wrapping them."""
-        source = DeploymentTraceSource(deployment)
-        pairs = source.pairs()
-        assert sorted(map(id, pairs)) == sorted(map(id, deployment.points()))
-        order = source.metric_names()
-        assert [pair.metric.name for pair in pairs] == sorted(
-            (pair.metric.name for pair in pairs), key=order.index)
+    def test_pairs_are_grouped_by_metric_in_survey_order(self, source):
+        """``pairs()`` is the per-metric lists concatenated in metric order."""
+        grouped = [pair for name in source.metric_names()
+                   for pair in source.pairs_for_metric(name)]
+        assert grouped == source.pairs()
 
-    def test_oversampled_trace_vs_production(self, deployment):
-        pair = DeploymentTraceSource(deployment).pairs_for_metric("Temperature")[0]
-        reference = DeploymentTraceSource(deployment, 4.0).load(pair)
-        production = DeploymentTraceSource(deployment, 1.0).load(pair)
+    def test_oversampled_trace_vs_production(self, source):
+        pair = source.pairs_for_metric("Temperature")[0]
+        reference = source.load(pair)
+        production = DeploymentSpec(topology=SPEC.topology, trace_duration=SPEC.trace_duration,
+                                    seed=SPEC.seed, oversample_factor=1.0).open().load(pair)
         assert reference.sampling_rate == pytest.approx(production.sampling_rate * 4.0)
         assert len(reference) == pytest.approx(4 * len(production), abs=4)
 
-    def test_source_rejects_bad_factor(self, deployment):
+    def test_spec_rejects_bad_factor(self):
         with pytest.raises(ValueError):
-            DeploymentTraceSource(deployment, oversample_factor=0.5)
+            DeploymentSpec(oversample_factor=0.5)
 
-    def test_traces_are_deterministic(self, deployment):
-        source = DeploymentTraceSource(deployment, 1.0)
+    def test_traces_are_deterministic(self, source):
         pair = source.pairs()[0]
-        np.testing.assert_allclose(source.load(pair).values, source.load(pair).values)
+        np.testing.assert_array_equal(source.load(pair).values, SPEC.open().load(pair).values)
 
-    def test_traces_limit(self, deployment):
-        pairs = list(DeploymentTraceSource(deployment).traces("Link util", limit=2))
+    def test_traces_limit(self, source):
+        pairs = list(source.traces("Link util", limit=2))
         assert len(pairs) == 2
         for pair, trace in pairs:
             assert pair.metric.name == "Link util"

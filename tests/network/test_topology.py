@@ -1,12 +1,11 @@
-"""Unit tests for the datacenter topology builders."""
+"""Unit tests for the fabric specs' ``build()`` recipes and the collector."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.network.topology import (Fabric, FatTreeSpec, NodeRole, TopologySpec,
-                                    WanRingSpec, attach_collector, build_fat_tree,
-                                    build_leaf_spine, build_wan_ring, hop_counts, servers,
+                                    WanRingSpec, attach_collector, hop_counts, servers,
                                     switches)
 
 
@@ -24,29 +23,24 @@ def roles(graph) -> dict[str, str]:
 
 class TestLeafSpine:
     def test_node_counts(self):
-        graph = build_leaf_spine(TopologySpec(num_spines=4, num_leaves=8, servers_per_leaf=16))
+        graph = TopologySpec(num_spines=4, num_leaves=8, servers_per_leaf=16).build()
         assert len(switches(graph)) == 12
         assert len(servers(graph)) == 8 * 16
 
     def test_full_bipartite_fabric(self):
         spec = TopologySpec(num_spines=3, num_leaves=5, servers_per_leaf=0)
-        graph = build_leaf_spine(spec)
+        graph = spec.build()
         for leaf in (n for n, d in graph.nodes.items() if d["role"] == NodeRole.LEAF):
             spine_neighbors = [n for n in graph.neighbors(leaf)
                                if graph.nodes[n]["role"] == NodeRole.SPINE]
             assert len(spine_neighbors) == 3
 
     def test_connected(self):
-        graph = build_leaf_spine()
+        graph = TopologySpec().build()
         assert is_connected(graph)
 
-    def test_edges_have_capacity(self):
-        graph = build_leaf_spine()
-        for neighbours in graph.adjacency.values():
-            assert all(data["capacity_gbps"] > 0 for data in neighbours.values())
-
     def test_servers_attach_to_one_leaf(self):
-        graph = build_leaf_spine(TopologySpec(num_spines=2, num_leaves=2, servers_per_leaf=3))
+        graph = TopologySpec(num_spines=2, num_leaves=2, servers_per_leaf=3).build()
         for server in servers(graph):
             assert len(graph.adjacency[server]) == 1
 
@@ -54,12 +48,12 @@ class TestLeafSpine:
         with pytest.raises(ValueError):
             TopologySpec(num_spines=0)
         with pytest.raises(ValueError):
-            TopologySpec(leaf_uplink_gbps=-1.0)
+            TopologySpec(servers_per_leaf=-1)
 
 
 class TestFatTree:
     def test_k4_counts(self):
-        graph = build_fat_tree(4)
+        graph = FatTreeSpec(k=4).build()
         by_node = roles(graph)
         assert sum(1 for role in by_node.values() if role == NodeRole.CORE) == 4
         assert sum(1 for role in by_node.values() if role == NodeRole.AGGREGATION) == 8
@@ -67,17 +61,14 @@ class TestFatTree:
         assert sum(1 for role in by_node.values() if role == NodeRole.SERVER) == 16
 
     def test_k4_is_connected(self):
-        assert is_connected(build_fat_tree(4))
+        assert is_connected(FatTreeSpec(k=4).build())
 
     def test_server_count_scales_with_k(self):
-        assert len(servers(build_fat_tree(6))) == 6 ** 3 // 4
+        assert len(servers(FatTreeSpec(k=6).build())) == 6 ** 3 // 4
 
-    def test_rejects_odd_k(self):
-        with pytest.raises(ValueError):
-            build_fat_tree(3)
 
     def test_core_connectivity(self):
-        graph = build_fat_tree(4)
+        graph = FatTreeSpec(k=4).build()
         # Each aggregation switch connects to k/2 cores.
         aggs = [n for n, d in graph.nodes.items() if d["role"] == NodeRole.AGGREGATION]
         for agg in aggs:
@@ -87,42 +78,35 @@ class TestFatTree:
 
 class TestCollector:
     def test_attach_to_spines_by_default(self):
-        graph = build_leaf_spine(TopologySpec(num_spines=3, num_leaves=4, servers_per_leaf=1))
+        graph = TopologySpec(num_spines=3, num_leaves=4, servers_per_leaf=1).build()
         collector = attach_collector(graph)
         assert graph.nodes[collector]["role"] == NodeRole.COLLECTOR
         assert len(graph.adjacency[collector]) == 3
 
     def test_attach_explicit_points(self):
-        graph = build_leaf_spine()
+        graph = TopologySpec().build()
         collector = attach_collector(graph, attachment_points=["leaf-0"])
         assert list(graph.neighbors(collector)) == ["leaf-0"]
 
-    def test_attach_duplicate_name_rejected(self):
-        graph = build_leaf_spine()
-        attach_collector(graph, name="c0")
+    def test_attach_twice_rejected(self):
+        graph = TopologySpec().build()
+        assert attach_collector(graph) == "collector-0"
         with pytest.raises(ValueError):
-            attach_collector(graph, name="c0")
+            attach_collector(graph)
 
     def test_attach_unknown_point_rejected(self):
-        graph = build_leaf_spine()
+        graph = TopologySpec().build()
         with pytest.raises(ValueError):
             attach_collector(graph, attachment_points=["nope"])
 
     def test_collector_reaches_every_device(self):
-        graph = build_leaf_spine()
+        graph = TopologySpec().build()
         collector = attach_collector(graph)
         lengths = hop_counts(graph, collector)
         assert set(lengths) == set(graph.nodes)
 
 
 class TestFatTreeSpec:
-    def test_build_matches_builder(self):
-        spec = FatTreeSpec(k=4, server_link_gbps=10.0, fabric_link_gbps=40.0)
-        graph = spec.build()
-        reference = build_fat_tree(4, server_link_gbps=10.0, fabric_link_gbps=40.0)
-        assert list(graph) == list(reference)
-        assert list(graph.adjacency.items()) == list(reference.adjacency.items())
-
     def test_smallest_legal_arity(self):
         graph = FatTreeSpec(k=2).build()
         assert is_connected(graph)
@@ -130,7 +114,6 @@ class TestFatTreeSpec:
 
     @pytest.mark.parametrize("kwargs", [
         {"k": 0}, {"k": 3}, {"k": -4},
-        {"server_link_gbps": 0.0}, {"fabric_link_gbps": -1.0},
     ])
     def test_spec_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -140,7 +123,7 @@ class TestFatTreeSpec:
 class TestWanRing:
     def test_sites_form_a_ring_of_gateways(self):
         spec = WanRingSpec(num_sites=4, routers_per_site=2, servers_per_site=1)
-        graph = build_wan_ring(spec)
+        graph = spec.build()
         gateways = [f"pop-{site}-0" for site in range(4)]
         for site, gateway in enumerate(gateways):
             assert gateways[(site + 1) % 4] in graph.adjacency[gateway]
@@ -149,7 +132,7 @@ class TestWanRing:
     def test_single_site_ring_is_degenerate_but_valid(self):
         """A one-site 'ring' must not self-loop: one PoP, zero transit hops."""
         spec = WanRingSpec(num_sites=1, routers_per_site=1, servers_per_site=2)
-        graph = build_wan_ring(spec)
+        graph = spec.build()
         assert not any(node in graph.adjacency[node] for node in graph)
         assert is_connected(graph)
         assert len(servers(graph)) == 2
@@ -157,8 +140,8 @@ class TestWanRing:
 
     def test_single_device_deployment(self):
         """The smallest fabric of all: one router, nothing else."""
-        graph = build_wan_ring(WanRingSpec(num_sites=1, routers_per_site=1,
-                                           servers_per_site=0))
+        graph = WanRingSpec(num_sites=1, routers_per_site=1,
+                                           servers_per_site=0).build()
         assert list(graph) == ["pop-0-0"]
         assert graph.adjacency == {"pop-0-0": {}}
 
@@ -166,7 +149,7 @@ class TestWanRing:
         """The point of the WAN column: distance to the collector depends on
         ring position, unlike the leaf-spine fabrics."""
         spec = WanRingSpec(num_sites=4, routers_per_site=1, servers_per_site=1)
-        graph = build_wan_ring(spec)
+        graph = spec.build()
         collector = attach_collector(graph, [spec.gateway()])
         lengths = hop_counts(graph, collector)
         pop_hops = [lengths[f"pop-{site}-0"] for site in range(4)]
@@ -176,14 +159,13 @@ class TestWanRing:
         assert len(set(pop_hops)) > 1
 
     def test_servers_round_robin_across_site_routers(self):
-        graph = build_wan_ring(WanRingSpec(num_sites=1, routers_per_site=2,
-                                           servers_per_site=4))
+        graph = WanRingSpec(num_sites=1, routers_per_site=2,
+                                           servers_per_site=4).build()
         for index in range(4):
             assert f"pop-0-{index % 2}" in graph.adjacency[f"server-0-{index}"]
 
     @pytest.mark.parametrize("kwargs", [
         {"num_sites": 0}, {"routers_per_site": 0}, {"servers_per_site": -1},
-        {"collector_site": 6}, {"collector_site": -1}, {"ring_link_gbps": 0.0},
     ])
     def test_spec_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -193,7 +175,7 @@ class TestWanRing:
 class TestFabric:
     def test_nodes_and_neighbours_keep_insertion_order(self):
         graph = Fabric()
-        graph.add_edge("b", "a", capacity_gbps=1.0)
+        graph.add_edge("b", "a")
         graph.add_node("c", role="x")
         graph.add_edge("b", "c")
         assert list(graph) == ["b", "a", "c"]
@@ -201,17 +183,16 @@ class TestFabric:
         assert list(graph.neighbors("a")) == ["b"]
         assert len(graph) == 3 and "c" in graph and "z" not in graph
 
-    def test_readding_updates_attributes_in_place(self):
+    def test_readding_keeps_positions(self):
         graph = Fabric()
         graph.add_node("a", role="leaf")
-        graph.add_edge("a", "b", capacity_gbps=1.0)
-        graph.add_node("a", pod=2)
-        graph.add_edge("b", "a", capacity_gbps=5.0)
-        assert graph.nodes["a"] == {"role": "leaf", "pod": 2}
-        assert graph.adjacency == {"a": {"b": {"capacity_gbps": 5.0}},
-                                   "b": {"a": {"capacity_gbps": 5.0}}}
-        assert graph.adjacency["a"]["b"] is graph.adjacency["b"]["a"]
-        assert list(graph.neighbors("a")) == ["b"] and list(graph.neighbors("b")) == ["a"]
+        graph.add_edge("a", "b")
+        graph.add_edge("a", "c")
+        graph.add_node("a", role="spine")
+        graph.add_edge("b", "a")
+        assert graph.nodes["a"] == {"role": "spine"}
+        assert list(graph) == ["a", "b", "c"]
+        assert list(graph.neighbors("a")) == ["b", "c"] and list(graph.neighbors("b")) == ["a"]
 
     def test_self_loop_is_its_own_neighbour(self):
         graph = Fabric()

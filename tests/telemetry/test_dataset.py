@@ -78,11 +78,6 @@ class TestFleetDataset:
         trace = small_dataset.load(pair)
         assert trace.interval == pair.metric.poll_interval
 
-    def test_load_with_custom_interval(self, small_dataset):
-        pair = small_dataset.pairs()[0]
-        trace = small_dataset.load(pair, interval=pair.metric.poll_interval / 2.0)
-        assert trace.interval == pair.metric.poll_interval / 2.0
-
     def test_traces_filter_by_metric(self, small_dataset):
         traces = list(small_dataset.traces("Temperature"))
         assert traces

@@ -104,12 +104,6 @@ class TestMeasuredFleetDataset:
             assert batch_a.interval == batch_b.interval
             assert np.array_equal(batch_a.values, batch_b.values)
 
-    def test_load_rejects_interval_override(self, fleet_dir):
-        measured = MeasuredFleetDataset(fleet_dir)
-        pair = measured.pairs()[0]
-        with pytest.raises(ValueError, match="fixed recorded interval"):
-            measured.load(pair, interval=pair.interval / 2.0)
-
     def test_worker_spec_reopens_directory(self, fleet_dir):
         measured = MeasuredFleetDataset(fleet_dir)
         spec = measured.worker_spec()

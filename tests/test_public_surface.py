@@ -266,11 +266,18 @@ ENTRY_POINTS = ("run_survey", "run_policy_survey", "ingest_dump", "run_matrix",
 
 
 def _parameters(definition: ast.FunctionDef | ast.ClassDef) -> list[str]:
-    """Parameter names of a function, or of a class's ``__init__`` minus ``self``."""
+    """Parameter names of a function, or of a class's ``__init__`` minus ``self``.
+
+    A class without its own ``__init__`` (a dataclass) has its annotated
+    fields as parameters.
+    """
     if isinstance(definition, ast.ClassDef):
-        definition = next(node for node in definition.body
-                          if isinstance(node, ast.FunctionDef) and node.name == "__init__")
-        skip = 1
+        init = next((node for node in definition.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "__init__"), None)
+        if init is None:
+            return [node.target.id for node in definition.body
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+        definition, skip = init, 1
     else:
         skip = 0
     arguments = definition.args
@@ -305,6 +312,18 @@ def test_every_entry_point_option_has_a_caller():
     """An option nothing sets is a default in disguise: fix the value instead."""
     unset = _unset_parameters(ENTRY_POINTS, (*SCANNED, ROOT / "tests"))
     assert not unset, f"{len(unset)} option(s) no call sets: {unset}"
+
+
+#: The network layer's fabric and deployment recipes: the cost model reads
+#: only a fabric's adjacency and node roles, so a knob no caller sets is
+#: data the library writes and never reads.
+NETWORK = ("DeploymentSpec", "TopologySpec", "FatTreeSpec", "WanRingSpec", "attach_collector")
+
+
+def test_every_network_knob_has_a_library_caller():
+    """A fabric or deployment knob only tests turn is a configuration the library never runs."""
+    unset = _unset_parameters(NETWORK, SCANNED)
+    assert not unset, f"{len(unset)} network option(s) no library call sets: {unset}"
 
 
 #: The spectral layer (section 3.2 estimator, section 4 detector and

@@ -15,6 +15,7 @@ ordering regression (numeric file ordering past ten blocks).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -236,6 +237,37 @@ class TestMeasuredFleetContentInvalidation:
                   .pair_content_token(pair) for seed in (0, 1)}
         assert len(tokens) == 2
         assert all(token.startswith(f"{plain}|faults=") for token in tokens)
+
+    def test_fault_token_holds_only_what_changes_a_served_trace(self, tmp_path):
+        """Bookkeeping fields (``state_dir``, retry and crash drills) stay out
+        of the token; each field that places a data fault is in it."""
+        measured = FleetDataset(self.FLEET).export(tmp_path / "fleet")
+        pair = measured.pairs()[0]
+        base = FaultPlan(seed=3, fraction=0.5, kinds=("io-error", "counter-wrap"),
+                         state_dir=str(tmp_path / "a"))
+
+        def token(plan: FaultPlan) -> str:
+            return FaultInjectingTraceSource(measured, plan).pair_content_token(pair)
+
+        bookkeeping = dataclasses.replace(
+            base, state_dir=str(tmp_path / "b"), io_error_opens=2,
+            malformed_line_every=7, crash_slices=(("Link util", 0),))
+        assert token(bookkeeping) == token(base)
+        for change in ({"seed": 4}, {"fraction": 0.25}, {"kinds": ("counter-wrap",)},
+                       {"blackout_fraction": 0.3}):
+            assert token(dataclasses.replace(base, **change)) != token(base), change
+
+    def test_fresh_state_dir_rerun_is_all_hits(self, tmp_path, dataset, store):
+        def chaotic(state_dir: str) -> FaultInjectingTraceSource:
+            return FaultInjectingTraceSource(dataset, FaultPlan(
+                seed=3, fraction=0.3, kinds=("counter-wrap", "blackout"),
+                state_dir=state_dir))
+
+        cold = run_survey(chaotic(str(tmp_path / "first")), store=store, chunk_size=4)
+        assert cold.cache_misses == len(dataset.pairs())
+        warm = run_survey(chaotic(str(tmp_path / "second")), store=store, chunk_size=4)
+        assert (warm.cache_hits, warm.cache_misses) == (len(dataset.pairs()), 0)
+        assert block_payloads(warm.iter_blocks()) == block_payloads(cold.iter_blocks())
 
 
 # ----------------------------------------------------------------------
