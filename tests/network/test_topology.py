@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.network.topology import (Fabric, FatTreeSpec, NodeRole, TopologySpec,
@@ -48,6 +50,8 @@ class TestLeafSpine:
         with pytest.raises(ValueError):
             TopologySpec(num_spines=0)
         with pytest.raises(ValueError):
+            TopologySpec(num_leaves=0)
+        with pytest.raises(ValueError):
             TopologySpec(servers_per_leaf=-1)
 
 
@@ -66,6 +70,10 @@ class TestFatTree:
     def test_server_count_scales_with_k(self):
         assert len(servers(FatTreeSpec(k=6).build())) == 6 ** 3 // 4
 
+    def test_rejects_odd_k(self):
+        for k in (3, 5, 7):
+            with pytest.raises(ValueError, match="even"):
+                FatTreeSpec(k=k)
 
     def test_core_connectivity(self):
         graph = FatTreeSpec(k=4).build()
@@ -99,11 +107,42 @@ class TestCollector:
         with pytest.raises(ValueError):
             attach_collector(graph, attachment_points=["nope"])
 
+    def test_attach_defaults_to_first_switch_without_a_core_tier(self):
+        """A WAN ring has no spine/core tier: the default is its first switch."""
+        spec = WanRingSpec(num_sites=3, routers_per_site=2, servers_per_site=1)
+        graph = spec.build()
+        collector = attach_collector(graph)
+        assert list(graph.neighbors(collector)) == [spec.gateway()]
+
+    def test_attach_without_switches_rejected(self):
+        graph = Fabric()
+        graph.add_node("server-0", role=NodeRole.SERVER)
+        with pytest.raises(ValueError, match="no attachment points"):
+            attach_collector(graph)
+        with pytest.raises(ValueError, match="no attachment points"):
+            attach_collector(graph, attachment_points=[])
+        assert list(graph) == ["server-0"]
+
     def test_collector_reaches_every_device(self):
         graph = TopologySpec().build()
         collector = attach_collector(graph)
         lengths = hop_counts(graph, collector)
         assert set(lengths) == set(graph.nodes)
+
+
+@pytest.mark.parametrize("spec", [
+    TopologySpec(num_spines=2, num_leaves=3, servers_per_leaf=2),
+    FatTreeSpec(k=4),
+    WanRingSpec(num_sites=4, routers_per_site=2, servers_per_site=3),
+], ids=["leaf-spine", "fat-tree", "wan-ring"])
+def test_spec_builds_the_same_fabric_after_pickling(spec):
+    """Workers receive the pickled spec; its build() must match the caller's."""
+    clone = pickle.loads(pickle.dumps(spec))
+    assert clone == spec
+    graph, rebuilt = spec.build(), clone.build()
+    assert list(rebuilt.nodes.items()) == list(graph.nodes.items())
+    assert [list(rebuilt.neighbors(node)) for node in rebuilt] == \
+        [list(graph.neighbors(node)) for node in graph]
 
 
 class TestFatTreeSpec:
