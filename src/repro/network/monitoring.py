@@ -32,8 +32,7 @@ from ..telemetry.models import generate_trace
 from ..telemetry.profiles import DeviceProfile, DeviceRole, draw_metric_parameters
 from ..telemetry.source import BaseTraceSource
 from .cost import TelemetryCostAccountant
-from .topology import (FabricSpec, NodeRole, TopologySpec, WanRingSpec, attach_collector,
-                       servers, switches)
+from .topology import FabricSpec, NodeRole, TopologySpec, attach_collector, servers, switches
 
 __all__ = ["DeploymentSpec", "DeploymentTraceSource"]
 
@@ -126,9 +125,7 @@ class DeploymentTraceSource(BaseTraceSource):
     def __init__(self, spec: DeploymentSpec) -> None:
         self.spec = spec
         self.topology = spec.topology.build()
-        attachment = ([spec.topology.gateway()] if isinstance(spec.topology, WanRingSpec)
-                      else None)
-        self.collector = attach_collector(self.topology, attachment)
+        self.collector = attach_collector(self.topology)
         self._pairs: list[TracePair] | None = None
         self._by_metric: dict[str, list[TracePair]] = {}
 

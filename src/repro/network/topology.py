@@ -213,7 +213,8 @@ class WanRingSpec:
     """Parameters of a WAN ring: sites of PoP routers joined in a cycle.
 
     Unlike the datacenter fabrics, a WAN ring has no central tier to hang
-    a collector from: the collector lives at site 0, so devices at the far
+    a collector from: :func:`attach_collector` puts it on the first
+    switch, site 0's gateway ``pop-0-0``, so devices at the far
     side of the ring pay up to ``num_sites // 2`` more transit hops per
     sample than local ones.
 
@@ -267,10 +268,6 @@ class WanRingSpec:
                 graph.add_edge(gateway, gateways[(site + 1) % self.num_sites])
         return graph
 
-    def gateway(self) -> str:
-        """Name of site 0's ring gateway router, where the collector attaches."""
-        return "pop-0-0"
-
 
 #: Any frozen fabric spec with a ``build()`` method.
 FabricSpec = TopologySpec | FatTreeSpec | WanRingSpec
@@ -288,26 +285,22 @@ def servers(graph: Fabric) -> list[str]:
             if data.get("role") == NodeRole.SERVER]
 
 
-def attach_collector(graph: Fabric, attachment_points: list[str] | None = None) -> str:
+def attach_collector(graph: Fabric) -> str:
     """Attach the telemetry collector node ``collector-0`` to the fabric.
 
-    By default the collector attaches to every spine/core switch (a
-    centrally reachable placement); pass explicit ``attachment_points`` for
-    other placements.  Returns the collector node name.
+    The collector attaches to every spine/core switch (a centrally
+    reachable placement); a fabric without that tier, like a WAN ring,
+    gets it on its first switch.  Returns the collector node name.
     """
     name = "collector-0"
     if name in graph:
         raise ValueError(f"node {name!r} already exists")
-    if attachment_points is None:
-        attachment_points = [node for node, data in graph.nodes.items()
-                             if data.get("role") in (NodeRole.SPINE, NodeRole.CORE)]
-        if not attachment_points:
-            attachment_points = switches(graph)[:1]
+    attachment_points = [node for node, data in graph.nodes.items()
+                         if data.get("role") in (NodeRole.SPINE, NodeRole.CORE)]
+    if not attachment_points:
+        attachment_points = switches(graph)[:1]
     if not attachment_points:
         raise ValueError("no attachment points available for the collector")
-    missing = [node for node in attachment_points if node not in graph]
-    if missing:
-        raise ValueError(f"attachment points not in graph: {missing}")
     graph.add_node(name, role=NodeRole.COLLECTOR)
     for node in attachment_points:
         graph.add_edge(name, node)

@@ -34,14 +34,13 @@ SPECS = {
 
 def build_pair(spec, monkeypatch):
     """``spec`` built as a Fabric and, replaying the same calls, as an nx.Graph."""
-    attachment = [spec.gateway()] if isinstance(spec, WanRingSpec) else None
     fabric = spec.build()
-    fabric_collector = attach_collector(fabric, attachment)
+    fabric_collector = attach_collector(fabric)
     with monkeypatch.context() as patch:
         patch.setattr(topology, "Fabric", nx.Graph)
         reference = spec.build()
     assert isinstance(reference, nx.Graph)
-    reference_collector = attach_collector(reference, attachment)
+    reference_collector = attach_collector(reference)
     assert fabric_collector == reference_collector
     return fabric, reference, fabric_collector
 

@@ -5,13 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.network.monitoring import _SERVER_METRICS, _SWITCH_METRICS, DeploymentSpec
+from repro.network.monitoring import DeploymentSpec
 from repro.network.topology import FatTreeSpec, TopologySpec, WanRingSpec, servers, switches
 from repro.telemetry.dataset import TracePair
 from repro.telemetry.profiles import DeviceRole
 
 SPEC = DeploymentSpec(topology=TopologySpec(num_spines=2, num_leaves=2, servers_per_leaf=2),
                       trace_duration=21600.0, seed=3)
+SERVER_METRICS = {"5-pct CPU util", "Memory usage", "Temperature"}
+
+
+def metrics_by_node(source):
+    by_node: dict[str, list[str]] = {}
+    for pair in source.pairs():
+        by_node.setdefault(pair.device.device_id, []).append(pair.metric.name)
+    return by_node
 
 
 @pytest.fixture(scope="module")
@@ -21,10 +29,17 @@ def source():
 
 class TestDeployment:
     def test_point_count(self, source):
-        topology = source.topology
-        expected = (len(switches(topology)) * len(_SWITCH_METRICS)
-                    + len(servers(topology)) * len(_SERVER_METRICS))
-        assert len(source.pairs()) == expected
+        """Every switch carries the same 12 metrics and every server the same 3, once each."""
+        by_node = metrics_by_node(source)
+        assert list(by_node) == switches(source.topology) + servers(source.topology)
+        switch_metrics = by_node[switches(source.topology)[0]]
+        assert len(switch_metrics) == len(set(switch_metrics)) == 12
+        for node in switches(source.topology):
+            assert sorted(by_node[node]) == sorted(switch_metrics)
+        for node in servers(source.topology):
+            assert sorted(by_node[node]) == sorted(SERVER_METRICS)
+        assert len(source.pairs()) == (12 * len(switches(source.topology))
+                                       + 3 * len(servers(source.topology)))
 
     def test_points_are_cached(self, source):
         assert source.pairs() is source.pairs()
@@ -33,7 +48,7 @@ class TestDeployment:
         server_nodes = set(servers(source.topology))
         for point in source.pairs():
             if point.device.device_id in server_nodes:
-                assert point.metric.name in _SERVER_METRICS
+                assert point.metric.name in SERVER_METRICS
 
     def test_pairs_for_metric(self, source):
         points = source.pairs_for_metric("Link util")
@@ -107,6 +122,14 @@ class TestFabricDeployments:
         near = accountant.price_samples("pop-0-0", 1000)
         far = accountant.price_samples("pop-2-0", 1000)
         assert far.transmission == 3 * near.transmission
+
+    def test_wan_ring_collector_hangs_off_site_zero_gateway(self):
+        spec = DeploymentSpec(
+            topology=WanRingSpec(num_sites=3, routers_per_site=2, servers_per_site=1),
+            trace_duration=3600.0, seed=7, oversample_factor=2.0)
+        source = spec.open()
+        assert source.collector == "collector-0"
+        assert list(source.topology.neighbors(source.collector)) == ["pop-0-0"]
 
     def test_single_device_wan_deployment_serves_pairs(self):
         """One router, no servers: degenerate but fully functional."""
