@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis import format_table
-from repro.core import AdaptiveSamplingController, ControllerConfig, compare, reconstruct
+from repro.core import ControllerConfig
+from repro.pipeline import AdaptiveDualRatePolicy
 from repro.signals import TimeSeries
 from repro.signals.generators import multi_tone
 from repro.signals.noise import add_white_noise
@@ -52,8 +53,8 @@ def main() -> None:
         headroom=1.3,
         aliasing_check_interval=2,      # dual-frequency check every other window
     )
-    controller = AdaptiveSamplingController(config)
-    run = controller.run(reference, window_duration=3600.0)
+    policy = AdaptiveDualRatePolicy(window_duration=3600.0, config=config)
+    run = policy.run_controller(reference)
 
     rows = [{
         "hour": f"{decision.window_start / 3600.0:04.1f}",
@@ -75,9 +76,9 @@ def main() -> None:
     print(f"Adaptive controller collected:                     {run.total_samples_collected} samples/day")
     print(f"Saving: {fixed_samples / max(run.total_samples_collected, 1):.1f}x")
 
-    reconstruction = reconstruct(run.collected_series(), reference.sampling_rate)
-    error = compare(reference, reconstruction)
-    print(f"Reconstruction NRMSE against the full-rate reference: {error.nrmse:.3f}")
+    # The policy scores its collected stream the way the fleet policy survey does.
+    evaluation = policy.evaluate_batch(reference.values[None, :], reference.interval)
+    print(f"Reconstruction NRMSE against the full-rate reference: {evaluation.nrmse[0]:.3f}")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ pipeline offers:
   :meth:`~repro.pipeline.policies.SamplingPolicy.evaluate_batch`: each
   policy collects from the whole batch at once (batched decimation, one
   ``estimate_batch`` calibration call, the controller stepping every row
-  together) and every group of equal-shape collected streams is
+  together) and every group of equal-shape laid-out streams is
   reconstructed with one batched FFT pair; pricing is one vectorised
   :meth:`~repro.network.cost.TelemetryCostAccountant.price_sample_block`
   call per block.
@@ -52,7 +52,7 @@ type: it runs every policy's
 :meth:`~repro.pipeline.policies.SamplingPolicy.collect_batch` on one
 reference trace at a time (a one-row batch), scores the collection as
 the fleet survey does, scores injected-event detection on the same
-collected stream, and appends the same blocks, so both drivers report
+laid-out stream, and appends the same blocks, so both drivers report
 through one :meth:`PolicySurveyResult.rows` format.
 """
 
@@ -242,7 +242,7 @@ class CostQualityEvaluator(PolicySurveyResult):
     The per-point driver: :meth:`evaluate_point` runs every policy's one
     collection method on one reference trace, scores the reconstruction
     the way :meth:`~repro.pipeline.policies.SamplingPolicy.evaluate_batch`
-    does, scores an optional injected event against the collected stream,
+    does, scores an optional injected event against the laid-out stream,
     and appends one 1-row
     :class:`~repro.pipeline.evaluation.PolicyRecordBlock` per policy to
     ``sink`` (in-memory by default; pass an empty
@@ -273,10 +273,10 @@ class CostQualityEvaluator(PolicySurveyResult):
                        event: InjectedEvent | None = None) -> None:
         """Run every policy on one measurement point's reference trace.
 
-        Appends one 1-row block per policy.  Each policy collects from the trace as a one-row batch and the
-        collection is scored exactly as the fleet survey scores a row;
-        with an ``event``, the same collected stream is also scored for
-        detection.
+        Appends one 1-row block per policy.  Each policy collects from
+        the trace as a one-row batch and the collection is scored exactly
+        as the fleet survey scores a row; with an ``event``, the same
+        laid-out stream is also scored for detection.
         """
         values = reference.values[None, :]
         for policy in self._policies:
@@ -288,7 +288,7 @@ class CostQualityEvaluator(PolicySurveyResult):
                                                    evaluation.samples_collected))
             if event is not None:
                 # One row, so one group.
-                (_, stream, stream_interval), = collection.groups
+                (_, stream, stream_interval), = collection.streams(values, reference.interval)
                 collected = TimeSeries(stream[0], stream_interval,
                                        start_time=reference.start_time)
                 detection = score_detection(policy.name, collected, event,

@@ -393,9 +393,20 @@ def _print_store_summary(store, directory, result) -> None:
           f"cache, {result.cache_misses} recomputed ({percent:.0f}% hits)")
 
 
+def _check_window_fits(trace: str, trace_hours: float, window: str, window_hours: float) -> None:
+    """Reject a trace shorter than one adaptation window, named by its options."""
+    if 0 < trace_hours < window_hours:
+        raise ValueError(f"{trace} is shorter than one {window} {window_hours:g} window; the "
+                         "adaptive controller samples whole windows only and would collect "
+                         "nothing")
+
+
 def _command_policies(args: argparse.Namespace) -> int:
     if args.from_dir is not None:
         source = MeasuredFleetDataset(args.from_dir)
+        hours = source.trace_duration / 3600.0
+        _check_window_fits(f"the {hours:g} h trace of --from-dir {args.from_dir}", hours,
+                           "--adaptive-window-hours", args.adaptive_window_hours)
         oversample = args.oversample if args.oversample is not None else 1.0
         if oversample < 1:
             raise ValueError("--oversample must be >= 1")
@@ -404,6 +415,8 @@ def _command_policies(args: argparse.Namespace) -> int:
               f"({len(source)} recorded pairs)\n")
     else:
         oversample = args.oversample if args.oversample is not None else 4.0
+        _check_window_fits(f"--duration-hours {args.duration_hours:g}", args.duration_hours,
+                           "--adaptive-window-hours", args.adaptive_window_hours)
         spec = DeploymentSpec(
             topology=TopologySpec(num_spines=args.spines, num_leaves=args.leaves,
                                   servers_per_leaf=args.servers_per_leaf),
@@ -562,6 +575,8 @@ def _command_adaptive(args: argparse.Namespace) -> int:
     spec = METRIC_CATALOG[args.metric]
     device = DeviceProfile(device_id="demo-device", role=DeviceRole.TOR_SWITCH, seed=args.seed)
     duration = args.days * 86400.0
+    _check_window_fits(f"--days {args.days:g}", args.days * 24.0,
+                       "--window-hours", args.window_hours)
     params = draw_metric_parameters(spec, device, duration, broadband_fraction=0.0,
                                     rng=np.random.default_rng(args.seed))
     reference = generate_trace(spec, params, duration, interval=spec.poll_interval / 4.0,

@@ -164,22 +164,20 @@ class ModeTransition:
 
 @dataclass
 class AdaptiveRun:
-    """Full record of an adaptive-sampling run over a reference trace."""
+    """Full record of an adaptive-sampling run over a ``baseline_samples``-long trace.
 
-    reference: TimeSeries
+    ``segments`` holds each window's primary (slow probe) samples as ``(start, stop, stride)``.
+    """
+
+    baseline_samples: int
     decisions: list[WindowDecision] = field(default_factory=list)
-    collected: list[TimeSeries] = field(default_factory=list)
+    segments: list[tuple[int, int, int]] = field(default_factory=list)
     transitions: list[ModeTransition] = field(default_factory=list)
 
     @property
     def total_samples_collected(self) -> int:
         """Samples the adaptive system actually collected (its cost)."""
         return sum(decision.samples_collected for decision in self.decisions)
-
-    @property
-    def baseline_samples(self) -> int:
-        """Samples the existing (full-rate) system collects over the same span."""
-        return len(self.reference)
 
     @property
     def cost_reduction(self) -> float:
@@ -193,27 +191,6 @@ class AdaptiveRun:
         """(window_start, rate the controller sampled at) pairs."""
         return [(decision.window_start, decision.sampling_rate)
                 for decision in self.decisions]
-
-    def collected_series(self) -> TimeSeries:
-        """All collected samples concatenated into one (possibly uneven-rate) view.
-
-        Windows sampled at different rates are aligned to the finest
-        interval used anywhere in the run: each sample of a coarser window
-        is repeated to fill its slots, so the result has one regular
-        interval that downstream code can reconstruct from.
-        """
-        if not self.collected:
-            return TimeSeries(np.empty(0), self.reference.interval,
-                              self.reference.start_time, self.reference.name)
-        finest = min(chunk.interval for chunk in self.collected if len(chunk))
-        pieces: list[np.ndarray] = []
-        for chunk in self.collected:
-            if len(chunk) == 0:
-                continue
-            repeat = max(int(round(chunk.interval / finest)), 1)
-            pieces.append(np.repeat(chunk.values, repeat))
-        values = np.concatenate(pieces) if pieces else np.empty(0)
-        return TimeSeries(values, finest, self.reference.start_time, self.reference.name)
 
 
 @dataclass
@@ -427,7 +404,8 @@ class AdaptiveSamplingController:
         is an analysis view that :mod:`repro.core.windowed` provides.  The
         run starts in probe mode at ``config.initial_rate``.
         """
-        return self._run_rows([reference], reference.values[None, :], window_duration)[0]
+        return self._run_rows(reference.values[None, :], reference.interval,
+                              reference.start_time, window_duration)[0]
 
     def run_batch(self, values: np.ndarray, interval: float,
                   window_duration: float) -> list[AdaptiveRun]:
@@ -436,27 +414,27 @@ class AdaptiveSamplingController:
         All rows share one sampling ``interval`` (and start at time 0), so
         they share every window's bounds and step through the trace
         together.  Row ``i``'s run equals ``run(TimeSeries(values[i],
-        interval), window_duration)`` -- same decisions, collected chunks
-        and transitions.
+        interval), window_duration)`` -- same decisions, segments and
+        transitions.
         """
         matrix = np.asarray(values, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValueError(f"values must be a (rows, n) matrix, got shape {matrix.shape}")
-        return self._run_rows([TimeSeries(row, interval) for row in matrix], matrix,
-                              window_duration)
+        return self._run_rows(matrix, interval, 0.0, window_duration)
 
-    def _run_rows(self, references: Sequence[TimeSeries], matrix: np.ndarray,
+    def _run_rows(self, matrix: np.ndarray, interval: float, start_time: float,
                   window_duration: float) -> list[AdaptiveRun]:
-        """Step fresh per-row states through the windows of equal-shape ``references``."""
+        """Step fresh per-row states through the windows of a ``(rows, n)`` matrix."""
         floor = max(self.config.min_rate, self.minimum_viable_rate(window_duration))
-        runs = [AdaptiveRun(reference=reference) for reference in references]
-        if not references:
+        rows, n = matrix.shape
+        runs = [AdaptiveRun(baseline_samples=n) for _ in range(rows)]
+        if not rows:
             return runs
         states = [_RowState(mode=ControllerMode.PROBE, current_rate=self.config.initial_rate)
-                  for _ in references]
-        interval, start_time = references[0].interval, references[0].start_time
-        for first, stop in references[0].iter_window_bounds(window_duration,
-                                                            window_duration):
+                  for _ in range(rows)]
+        # Row 0 stands for every row here: they share length, interval and start.
+        timeline = TimeSeries(matrix[0], interval, start_time)
+        for first, stop in timeline.iter_window_bounds(window_duration, window_duration):
             if stop - first < 2:
                 continue
             window_start = start_time + first * interval
@@ -469,7 +447,5 @@ class AdaptiveSamplingController:
                     run.transitions.append(ModeTransition(
                         time=window_end, from_mode=decision.mode, to_mode=state.mode,
                         window_start=window_start, window_end=window_end))
-                run.collected.append(TimeSeries(run.reference.values[first:stop:factor],
-                                                interval * factor, window_start,
-                                                run.reference.name))
+                run.segments.append((first, stop, factor))
         return runs

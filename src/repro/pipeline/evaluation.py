@@ -25,7 +25,7 @@ the collection the same way, so they store the same rows:
 * :class:`~repro.analysis.policy_survey.CostQualityEvaluator` -- the
   per-point driver: collects from one reference trace at a time (a
   one-row batch) and also scores injected-event detection on the
-  collected stream.
+  laid-out stream (:meth:`~repro.pipeline.policies.Collection.streams`).
 """
 
 from __future__ import annotations

@@ -15,16 +15,15 @@ actually collects.  Three policies are provided:
 Each policy implements one method, :meth:`SamplingPolicy.collect_batch`:
 from a ``(rows, n)`` matrix of equal-shape reference traces it returns a
 :class:`Collection` -- every row's sample count (probe traffic included)
-and the collected streams, grouped by shared length and interval.  The
-shared :meth:`SamplingPolicy.evaluate_batch` scores every group with one
-:func:`~repro.core.reconstruction.reconstruction_error_batch` call: one
-batched FFT pair (the paper's low-pass interpolator), scored against the
-reference inside a reused scratch buffer, so no reconstruction or error
-matrix is allocated per batch (:meth:`Collection.evaluate`).  It feeds
-the fleet policy survey
+and the reference samples in its stream as ``(start, stop, stride)``
+runs: one for fixed-rate polling, a calibration and a steady run for
+Nyquist-static, one per controller window for adaptive.  The shared
+:meth:`SamplingPolicy.evaluate_batch` reconstructs and scores every group
+of equal-shape streams (:meth:`Collection.streams`) with one batched FFT
+pair (:meth:`Collection.evaluate`).  It feeds the fleet policy survey
 (:func:`repro.analysis.policy_survey.run_policy_survey`).
 The per-point :class:`~repro.analysis.policy_survey.CostQualityEvaluator`
-scores a one-row collection the same way and hands its collected stream
+scores a one-row collection the same way and hands its laid-out stream
 to event-detection scoring.
 
 :class:`PolicySuite` builds the paper's three-policy comparison for a
@@ -36,6 +35,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -81,43 +81,83 @@ class PolicyBatchEvaluation:
         return int(self.samples_collected.shape[0])
 
 
+def _lay_out(values: np.ndarray, members: np.ndarray | slice,
+             runs: tuple[tuple[int, int, int], ...], interval: float) -> tuple[np.ndarray, float]:
+    """Rows ``members`` sharing ``runs``, laid out by :class:`Collection`'s rule."""
+    runs = tuple(run for run in runs if run[1] > run[0])
+    stream_interval = interval * min((stride for _, _, stride in runs), default=1)
+    pieces = []
+    for start, stop, stride in runs:
+        piece = values[members, start:stop:stride]
+        repeat = max(int(round((interval * stride) / stream_interval)), 1)
+        pieces.append(piece if repeat == 1 else np.repeat(piece, repeat, axis=1))
+    if len(pieces) == 1:
+        return pieces[0], stream_interval
+    return np.concatenate(pieces or [values[members, :0]], axis=1), stream_interval
+
+
 @dataclass(frozen=True)
 class Collection:
     """What one policy collected from every row of a ``(rows, n)`` reference matrix.
 
     ``samples_collected`` holds, per row, every sample the policy read,
-    probe traffic included: the row's cost.  ``groups`` holds the
-    collected streams of rows that share a length and an interval, as
-    ``(rows, matrix, interval)``: the row indices (``slice(None)`` when
-    the group is the whole batch, which spares copying the reference), the
-    rows' ``(len(rows), m)`` collected samples and the seconds between
-    two of them.  The matrix may be a view of the reference (a policy
-    that keeps every sample collects ``values`` itself); scoring never
-    writes to it.  A stream gathered at several rates is aligned to its
-    finest interval (each coarser sample repeated to fill its slots), so
-    every stream is one regular row that reconstruction can read.
+    probe traffic included: the row's cost.  ``runs`` lists, per row and
+    in time order, the reference samples in its stream: run ``(start,
+    stop, stride)`` reads ``values[row, start:stop:stride]`` (probe
+    samples that only fed a decision are paid for, not listed).  A row
+    is laid out as one regular stream on its grid, the finest stride
+    among its non-empty runs: each run's samples are repeated
+    ``max(int(round((interval * stride) / (interval * grid))), 1)`` times
+    and the stream is sampled every ``interval * grid`` seconds.
     """
 
     samples_collected: np.ndarray
-    groups: tuple[tuple[np.ndarray | slice, np.ndarray, float], ...]
+    runs: tuple[tuple[tuple[int, int, int], ...], ...]
+
+    def streams(self, values: np.ndarray,
+                interval: float) -> Iterator[tuple[np.ndarray | slice, np.ndarray, float]]:
+        """Every row's stream laid out on reference ``values``, grouped by length and interval.
+
+        Yields ``(members, matrix, stream_interval)``: the rows
+        (``slice(None)`` when the group holds every row), their streams
+        and the seconds between two samples.  A one-run matrix is a view
+        of ``values``; callers must not write to it.
+        """
+        layouts: dict[tuple, list[int]] = {}
+        for row, runs in enumerate(self.runs):
+            layouts.setdefault(runs, []).append(row)
+        groups: dict[tuple[int, float], list[tuple[np.ndarray | slice, np.ndarray]]] = {}
+        for runs, rows in layouts.items():
+            members = slice(None) if len(rows) == len(self.runs) else np.array(rows)
+            matrix, stream_interval = _lay_out(values, members, runs, interval)
+            groups.setdefault((matrix.shape[1], stream_interval), []).append((members, matrix))
+        for (_, stream_interval), parts in groups.items():
+            if len(parts) == 1:
+                (members, matrix), = parts
+            else:
+                members = np.concatenate([rows for rows, _ in parts])
+                matrix = np.concatenate([matrix for _, matrix in parts])
+                if members.size == len(self.runs):
+                    matrix, members = matrix[np.argsort(members)], slice(None)
+            yield members, matrix, stream_interval
 
     def evaluate(self, policy_name: str, values: np.ndarray,
                  interval: float) -> PolicyBatchEvaluation:
         """Reconstruct every group at the reference rate and score it against ``values``.
 
         ``values`` and ``interval`` are the reference matrix the
-        collection was gathered from.  Each group is one
-        :func:`~repro.core.reconstruction.reconstruction_error_batch`
-        call, which reconstructs its rows with one batched FFT pair and
-        scores them row by row in a scratch buffer; only the per-row
-        ``nrmse`` and max-abs errors come back.  A stream of fewer than
-        two samples has nothing to reconstruct from and raises rather
-        than reporting a bogus-but-plausible error.
+        collection was gathered from.  Each group of :meth:`streams` is
+        one :func:`~repro.core.reconstruction.reconstruction_error_batch`
+        call: one batched FFT pair (the paper's low-pass interpolator),
+        scored row by row in a reused scratch buffer, so no reconstruction
+        or error matrix is allocated.  A stream of fewer than two samples
+        has nothing to reconstruct from and raises rather than reporting
+        a bogus-but-plausible error.
         """
         rows, n = values.shape
         nrmse = np.zeros(rows)
         max_abs = np.zeros(rows)
-        for members, collected, collected_interval in self.groups:
+        for members, collected, collected_interval in self.streams(values, interval):
             if collected.shape[1] < 2:
                 raise ValueError(
                     f"policy {policy_name!r} collected only {collected.shape[1]} sample(s) "
@@ -194,12 +234,11 @@ class FixedRatePolicy(SamplingPolicy):
 
     def collect_batch(self, values: np.ndarray, interval: float) -> Collection:
         """Every row polls at the same rate: one decimation for the whole batch."""
-        rows = values.shape[0]
+        rows, n = values.shape
         reference_rate = 1.0 / interval
         factor = decimation_factor(reference_rate, min(1.0 / self.interval, reference_rate))
-        collected = values[:, ::factor]
-        return Collection(np.full(rows, collected.shape[1], dtype=np.int64),
-                          ((slice(None), collected, interval * factor),))
+        return Collection(np.full(rows, len(range(0, n, factor)), dtype=np.int64),
+                          (((0, n, factor),),) * rows)
 
 
 class NyquistStaticPolicy(SamplingPolicy):
@@ -237,9 +276,8 @@ class NyquistStaticPolicy(SamplingPolicy):
         the prefixes are estimated with a single batched spectral call.
         Each row then polls the rest of its trace at its estimated rate
         (plus headroom), or stays at the production rate when the estimate
-        is unreliable: no saving, no loss.  Rows are grouped by their
-        steady-state decimation factor, and each group's calibration and
-        steady samples are merged at the calibration interval.
+        is unreliable: no saving, no loss.  A remainder under two samples
+        is read at the calibration stride (its one sample, or none).
         """
         rows, n = values.shape
         reference_rate = 1.0 / interval
@@ -253,46 +291,28 @@ class NyquistStaticPolicy(SamplingPolicy):
         factor_c = decimation_factor(reference_rate, production_rate)
         calibration = values[:, :cal_stop:factor_c]
         cal_m = calibration.shape[1]
-        cal_interval = interval * factor_c
 
         nyquist = np.full(rows, np.nan)
         reliable = np.zeros(rows, dtype=bool)
         if cal_m >= 2:
-            estimates = NyquistEstimator().estimate_batch(calibration, cal_interval)
+            estimates = NyquistEstimator().estimate_batch(calibration, interval * factor_c)
             reliable = np.fromiter((e.reliable for e in estimates), bool, rows)
             nyquist = np.fromiter((e.nyquist_rate for e in estimates), np.float64, rows)
         target = np.where(reliable, np.minimum(nyquist * self.headroom, production_rate),
                           production_rate)
 
-        remainder = values[:, cal_stop:]
-        rem_m = remainder.shape[1]
+        rem_m = n - cal_stop
         if rem_m >= 2:
             with np.errstate(divide="ignore"):
                 raw = np.ceil(reference_rate / target - 1e-12)
             factor_s = np.where(target >= reference_rate, 1,
                                 np.maximum(raw, 1)).astype(np.int64)
         else:
-            # Too short to resample: the remainder is kept as-is at the
-            # reference interval.
-            factor_s = np.ones(rows, dtype=np.int64)
-
-        samples = np.zeros(rows, dtype=np.int64)
-        groups = []
-        for factor in np.unique(factor_s):
-            group = np.nonzero(factor_s == factor)[0]
-            steady = remainder[group, ::factor] if rem_m >= 2 else remainder[group]
-            steady_interval = interval * factor if rem_m >= 2 else interval
-            steady_m = steady.shape[1]
-            if steady_m:
-                # Merge the two rates at the finer calibration interval.
-                repeat = max(int(round(steady_interval / cal_interval)), 1)
-                merged = np.concatenate(
-                    [calibration[group], np.repeat(steady, repeat, axis=1)], axis=1)
-            else:
-                merged = calibration[group]
-            groups.append((group, merged, cal_interval))
-            samples[group] = cal_m + steady_m
-        return Collection(samples, tuple(groups))
+            factor_s = np.full(rows, factor_c, dtype=np.int64)
+        steady_m = -(-rem_m // factor_s)  # ceil(rem_m / factor_s)
+        return Collection(cal_m + steady_m,
+                          tuple(((0, cal_stop, factor_c), (cal_stop, n, factor))
+                                for factor in factor_s.tolist()))
 
 
 class AdaptiveDualRatePolicy(SamplingPolicy):
@@ -337,22 +357,14 @@ class AdaptiveDualRatePolicy(SamplingPolicy):
         One :meth:`~repro.core.adaptive.AdaptiveSamplingController.run_batch`
         runs the rows' controllers window by window (the same stepper
         :meth:`run_controller` uses with one row); each row's cost is
-        every sample its controller read, probes included, and rows whose
-        collected streams share a length and interval form one group.
+        every sample its controller read, probes included, and its runs
+        are the run's per-window ``segments``.
         """
         runs = AdaptiveSamplingController(config=self.config).run_batch(
             values, interval, self.window_duration)
-        streams = [run.collected_series() for run in runs]
-        members: dict[tuple[int, float], list[int]] = {}
-        for index, series in enumerate(streams):
-            members.setdefault((len(series), series.interval), []).append(index)
-        groups = tuple((np.array(rows),
-                        np.vstack([streams[index].values for index in rows]),
-                        collected_interval)
-                       for (_, collected_interval), rows in members.items())
         samples = np.fromiter((run.total_samples_collected for run in runs), np.int64,
                               len(runs))
-        return Collection(samples, groups)
+        return Collection(samples, tuple(tuple(run.segments) for run in runs))
 
 
 # ----------------------------------------------------------------------

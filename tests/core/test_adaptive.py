@@ -9,6 +9,7 @@ import pytest
 from repro.core.adaptive import (AdaptiveRun, AdaptiveSamplingController, ControllerConfig,
                                  ControllerMode)
 from repro.core.nyquist import MIN_SAMPLES, NyquistEstimator
+from repro.core.resampling import decimation_factor
 from repro.signals.generators import multi_tone
 from repro.signals.noise import add_white_noise
 from repro.signals.timeseries import TimeSeries
@@ -129,12 +130,17 @@ class TestControllerBehaviour:
             assert decision.sampling_rate <= 0.05 + 1e-12
             assert decision.next_rate <= 0.05 + 1e-12
 
-    def test_collected_series_is_nonempty(self, rng):
+    def test_segments_read_each_window_at_its_primary_stride(self, rng):
         reference = quiet_then_busy(rng=rng)
-        run = AdaptiveSamplingController().run(reference, window_duration=3600.0)
-        collected = run.collected_series()
-        assert len(collected) > 0
-        assert collected.start_time == reference.start_time
+        controller = AdaptiveSamplingController()
+        run = controller.run(reference, window_duration=3600.0)
+        window = int(3600.0 / reference.interval)
+        assert [(start, stop) for start, stop, _ in run.segments] == [
+            (k * window, (k + 1) * window) for k in range(12)]
+        for (_, _, stride), decision in zip(run.segments, run.decisions):
+            slow_rate, _ = controller.detector.probe_rates(decision.sampling_rate)
+            assert stride == decimation_factor(reference.sampling_rate, slow_rate)
+        assert len({stride for _, _, stride in run.segments}) > 1
 
     def test_transitions_mark_every_mode_change_of_the_decisions(self, rng):
         """A decision carries the mode its window was sampled in, so a
@@ -180,7 +186,7 @@ class TestControllerBehaviour:
 
     def test_windows_shorter_than_two_samples_are_skipped(self):
         run = AdaptiveSamplingController().run(TimeSeries([1.0, 2.0, 3.0], 1.0), 1.0)
-        assert run.decisions == [] and run.collected == []
+        assert run.decisions == [] and run.segments == []
 
     def test_run_rejects_bad_window(self, sine_1hz):
         with pytest.raises(ValueError):
@@ -201,21 +207,9 @@ class TestControllerBehaviour:
 
 
 class TestRunRecord:
-    def test_collected_series_keeps_the_finest_interval(self):
-        run = AdaptiveRun(reference=TimeSeries(np.zeros(8), 5.0, start_time=100.0),
-                          collected=[TimeSeries([1.0, 2.0], 10.0),
-                                     TimeSeries([], 5.0),
-                                     TimeSeries([3.0, 4.0], 5.0)])
-        series = run.collected_series()
-        assert (series.interval, series.start_time) == (5.0, 100.0)
-        np.testing.assert_array_equal(series.values, [1.0, 1.0, 2.0, 2.0, 3.0, 4.0])
-
     def test_an_empty_run_collects_nothing(self):
-        reference = TimeSeries(np.zeros(8), 5.0, start_time=100.0)
-        run = AdaptiveRun(reference=reference)
-        series = run.collected_series()
-        assert len(series) == 0
-        assert (series.interval, series.start_time) == (5.0, 100.0)
+        run = AdaptiveRun(baseline_samples=8)
+        assert run.segments == [] and run.total_samples_collected == 0
         assert run.cost_reduction == float("inf")
 
     def test_sampling_rates_follow_the_decisions(self, rng):
@@ -254,10 +248,8 @@ class TestBatchStepper:
             # repr compares every decision field exactly, NaN estimates included.
             assert repr(run.decisions) == repr(single.decisions)
             assert run.transitions == single.transitions
-            assert len(run.collected) == len(single.collected)
-            for ours, theirs in zip(run.collected, single.collected):
-                assert np.array_equal(ours.values, theirs.values)
-                assert (ours.interval, ours.start_time) == (theirs.interval, theirs.start_time)
+            assert run.segments == single.segments
+            assert run.baseline_samples == single.baseline_samples == len(row)
         # The batch really did split: rows sampled at different rates in
         # the same window, so the stepper evaluated several rate groups.
         rates = np.array([[d.sampling_rate for d in run.decisions] for run in batched])
@@ -301,3 +293,6 @@ class TestBatchStepper:
             controller.run_batch(np.zeros(100), 5.0, 3600.0)
         with pytest.raises(ValueError):
             controller.run_batch(np.zeros((2, 100)), 5.0, 0.0)
+        for interval in (0.0, -5.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="interval"):
+                controller.run_batch(np.zeros((2, 100)), interval, 3600.0)

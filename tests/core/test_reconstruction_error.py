@@ -115,12 +115,16 @@ def test_non_contiguous_inputs(rng):
 def test_collection_groups_match_oracle(rng, members):
     values = smooth_rows(rng, 6, 1466 * 4)
     before = values.copy()
+    n = values.shape[1]
     if members == "slice":
+        strides = [4] * 6
         groups = ((slice(None), values[:, ::4], 4.0),)
     else:
+        strides = [16, 4, 4, 16, 16, 4]
         groups = ((np.array([0, 3, 4]), values[[0, 3, 4], ::16], 16.0),
                   (np.array([1, 2, 5]), values[[1, 2, 5], ::4], 4.0))
-    evaluation = Collection(np.full(6, 10, dtype=np.int64), groups).evaluate("p", values, 1.0)
+    runs = tuple(((0, n, stride),) for stride in strides)
+    evaluation = Collection(np.full(6, 10, dtype=np.int64), runs).evaluate("p", values, 1.0)
     expected_nrmse = np.zeros(6)
     expected_max_abs = np.zeros(6)
     for rows, collected, collected_interval in groups:

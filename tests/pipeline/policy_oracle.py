@@ -7,6 +7,13 @@ time-window split with one scalar ``NyquistEstimator.estimate``, a fresh
 controller run -- so the batched path has an independent reference to be
 checked against bit for bit.
 
+The multi-rate merges are kept here as they were written before the
+library described its streams as runs on the reference grid
+(``Collection.streams``): the Nyquist-static ``np.repeat`` merge and the
+adaptive run's per-window merge (:func:`merge_windows`).  They never
+call the library's layout, so the laid-out streams are checked against
+an independent copy of the rule, byte for byte.
+
 Tests import these as ``from policy_oracle import ...``; pytest puts this
 directory on ``sys.path`` for the test modules beside it.
 """
@@ -68,10 +75,33 @@ def collect_nyquist_static(policy: NyquistStaticPolicy,
     return len(calibration) + len(steady), collected
 
 
+def merge_windows(chunks: list[TimeSeries], reference: TimeSeries) -> TimeSeries:
+    """Per-window chunks concatenated into one regular stream.
+
+    Windows sampled at different rates are aligned to the finest
+    interval used anywhere in the run: each sample of a coarser window
+    is repeated to fill its slots.
+    """
+    if not chunks:
+        return TimeSeries(np.empty(0), reference.interval, reference.start_time, reference.name)
+    finest = min(chunk.interval for chunk in chunks if len(chunk))
+    pieces: list[np.ndarray] = []
+    for chunk in chunks:
+        if len(chunk) == 0:
+            continue
+        repeat = max(int(round(chunk.interval / finest)), 1)
+        pieces.append(np.repeat(chunk.values, repeat))
+    values = np.concatenate(pieces) if pieces else np.empty(0)
+    return TimeSeries(values, finest, reference.start_time, reference.name)
+
+
 def collect_adaptive(policy: AdaptiveDualRatePolicy,
                      reference: TimeSeries) -> tuple[int, TimeSeries]:
     run = policy.run_controller(reference)
-    return run.total_samples_collected, run.collected_series()
+    chunks = [TimeSeries(reference.values[start:stop:stride], reference.interval * stride,
+                         reference.start_time + start * reference.interval, reference.name)
+              for start, stop, stride in run.segments]
+    return run.total_samples_collected, merge_windows(chunks, reference)
 
 
 def collect(policy: SamplingPolicy, reference: TimeSeries) -> tuple[int, TimeSeries]:

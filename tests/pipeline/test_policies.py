@@ -12,13 +12,13 @@ import pytest
 
 from repro.analysis.policy_survey import CostQualityEvaluator
 from repro.core.adaptive import AdaptiveSamplingController, ControllerMode
-from repro.pipeline.policies import (AdaptiveDualRatePolicy, FixedRatePolicy,
+from repro.pipeline.policies import (AdaptiveDualRatePolicy, Collection, FixedRatePolicy,
                                      NyquistStaticPolicy, PolicyBatchEvaluation, PolicySuite,
                                      SamplingPolicy, StaticPolicySuite)
 from repro.signals.generators import multi_tone
 from repro.signals.noise import add_white_noise
 from repro.signals.timeseries import TimeSeries
-from policy_oracle import evaluate_rows
+from policy_oracle import collect, evaluate_rows
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +91,39 @@ class TestFinishGuard:
             FixedRatePolicy(100.0).evaluate_batch(values, 1.0)
 
 
+class TestCollectionStreams:
+    def test_coarser_runs_repeat_on_the_finest_stride(self):
+        """An empty run is skipped, and its stride does not set the grid."""
+        values = np.arange(12.0)[None, :]
+        collection = Collection(np.array([5]), (((0, 4, 4), (4, 4, 1), (4, 10, 2)),))
+        (members, matrix, stream_interval), = collection.streams(values, 5.0)
+        assert members == slice(None) and stream_interval == 10.0
+        np.testing.assert_array_equal(matrix, [[0.0, 0.0, 4.0, 6.0, 8.0]])
+
+    def test_a_row_without_runs_streams_nothing_at_the_reference_interval(self):
+        collection = Collection(np.array([0]), ((),))
+        (_, matrix, stream_interval), = collection.streams(np.zeros((1, 8)), 5.0)
+        assert matrix.shape == (1, 0) and stream_interval == 5.0
+
+    def test_one_run_without_repeat_is_a_view_of_the_reference(self):
+        values = np.arange(40.0).reshape(4, 10)
+        (members, matrix, stream_interval), = FixedRatePolicy(3.0).collect_batch(
+            values, 1.0).streams(values, 1.0)
+        assert members == slice(None) and stream_interval == 3.0
+        assert np.shares_memory(matrix, values)
+        np.testing.assert_array_equal(matrix, values[:, ::3])
+
+    def test_rows_of_one_shape_share_a_group_in_row_order(self):
+        """Two layouts of equal length and grid are scored as one group."""
+        values = np.arange(24.0).reshape(2, 12)
+        collection = Collection(np.array([4, 4]), (((0, 6, 2), (6, 12, 4)),
+                                                   ((0, 6, 4), (6, 12, 2))))
+        (members, matrix, stream_interval), = collection.streams(values, 1.0)
+        assert members == slice(None) and stream_interval == 2.0
+        np.testing.assert_array_equal(matrix, [[0, 2, 4, 6, 6, 10, 10],
+                                               [12, 12, 16, 16, 18, 20, 22]])
+
+
 #: The adaptive policy under its default controller and under the paper
 #: suite's (start 8x below production, ceiling at production).
 ADAPTIVE_POLICIES = [
@@ -157,7 +190,8 @@ class TestBatchEvaluation:
         """N-row evaluate_batch equals N one-row calls: no group leaks across rows."""
         collection = policy.collect_batch(values, interval)
         everyone = np.arange(values.shape[0])
-        members = np.sort(np.concatenate([everyone[rows] for rows, _, _ in collection.groups]))
+        members = np.sort(np.concatenate([everyone[rows] for rows, _, _
+                                          in collection.streams(values, interval)]))
         assert np.array_equal(members, everyone)
         together = policy.evaluate_batch(values, interval)
         for index in range(values.shape[0]):
@@ -166,6 +200,56 @@ class TestBatchEvaluation:
                            "max_abs_error"):
                 assert np.array_equal(getattr(together, column)[index:index + 1],
                                       getattr(alone, column), equal_nan=True), (index, column)
+
+    @staticmethod
+    def assert_streams_match_oracle(policy: SamplingPolicy, values: np.ndarray,
+                                    interval: float) -> None:
+        """Every row's laid-out stream is the oracle's merged stream, byte for byte."""
+        collection = policy.collect_batch(values, interval)
+        everyone = np.arange(values.shape[0])
+        seen = []
+        for members, matrix, stream_interval in collection.streams(values, interval):
+            assert matrix.shape[0] == everyone[members].size
+            for position, row in enumerate(everyone[members]):
+                samples, expected = collect(policy, TimeSeries(values[row], interval))
+                assert collection.samples_collected[row] == samples, row
+                assert matrix[position].tobytes() == expected.values.tobytes(), row
+                assert stream_interval == expected.interval, row
+                seen.append(row)
+        assert sorted(seen) == everyone.tolist()
+
+    @pytest.mark.parametrize("fixture", ["batch", "coarse_batch"])
+    @pytest.mark.parametrize("make_policy", ALL_POLICIES,
+                             ids=["fixed", "nyquist-static", "adaptive", "adaptive-suite"])
+    def test_streams_match_the_oracle_merge(self, request, fixture, make_policy):
+        values, interval = request.getfixturevalue(fixture)
+        self.assert_streams_match_oracle(make_policy(), values, interval)
+
+    @pytest.mark.parametrize("interval", [7.3, 2.7])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_tiny_trace_streams_match_the_oracle_merge(self, n, interval):
+        """Two-sample windows leave a one-sample tail at n = 3 and 5, and the
+        static remainder is a single sample at n = 2."""
+        rng = np.random.default_rng(n)
+        values = 40.0 + rng.normal(size=(3, n))
+        suite = PolicySuite(production_oversample=3.0, adaptive_window=2 * interval)
+        for policy in suite.build(interval):
+            self.assert_streams_match_oracle(policy, values, interval)
+
+    @pytest.mark.parametrize("interval", [7.3, 2.7])
+    def test_odd_interval_streams_match_the_oracle_merge(self, interval):
+        """Strides that do not nest, and a 5000 s window that does not divide the trace."""
+        rng = np.random.default_rng(31)
+        duration = 8 * 3600.0
+        rows = [add_white_noise(multi_tone([1.0 / (1800.0 * (k + 1)), 1.0 / 600.0],
+                                           duration=duration, sampling_rate=1.0 / interval,
+                                           amplitudes=[8.0, 1.0 + k], offset=40.0),
+                                0.05, rng=rng).values for k in range(4)]
+        values = np.vstack([*rows, 40.0 + 8.0 * rng.normal(size=rows[0].size)])
+        assert (values.shape[1] * interval) % 5000.0 > 0
+        suite = PolicySuite(production_oversample=4.0, adaptive_window=5000.0)
+        for policy in suite.build(interval):
+            self.assert_streams_match_oracle(policy, values, interval)
 
     @pytest.mark.parametrize("make_policy", [
         lambda: FixedRatePolicy(30.0),

@@ -144,6 +144,30 @@ class TestPoliciesCommand:
         assert relative["fixed"] == 1.0
         assert relative["nyquist-static"] < 1.0
 
+    def test_policies_reject_a_trace_shorter_than_one_window(self, capsys):
+        """Regression: a 3 h trace under a 4 h window built the fabric, ran two
+        policies and then failed with "collected only 0 sample(s)"."""
+        assert main(["policies", "--leaves", "2", "--servers-per-leaf", "1",
+                     "--duration-hours", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --duration-hours 3 ")
+        assert "--adaptive-window-hours 4" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_policies_reject_a_measured_fleet_shorter_than_one_window(self, tmp_path,
+                                                                     capsys):
+        fleet_dir = tmp_path / "fleet"
+        assert main(["export-fleet", str(fleet_dir), "--pairs", "14", "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert main(["policies", "--from-dir", str(fleet_dir),
+                     "--adaptive-window-hours", "48"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--from-dir {fleet_dir}" in captured.err
+        assert "--adaptive-window-hours 48" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_policies_from_missing_dir_fails_cleanly(self, tmp_path, capsys):
         assert main(["policies", "--from-dir", str(tmp_path / "nope")]) == 1
         assert "manifest.json" in capsys.readouterr().err
@@ -243,6 +267,16 @@ class TestAdaptiveCommand:
         assert "Adaptive controller collected" in output
         assert "Nyquist round trip" in output
 
+    def test_adaptive_rejects_a_window_longer_than_the_trace(self, capsys):
+        """Regression: a 4.8 h trace under a 6 h window exited 0 with an
+        empty decision table and "infx fewer" samples."""
+        assert main(["adaptive", "--days", "0.2", "--window-hours", "6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --days 0.2 ")
+        assert "--window-hours 6" in captured.err
+        assert captured.err.count("\n") == 1
+
 
 class TestEstimateCommand:
     def test_estimate_from_csv(self, tmp_path, capsys):
@@ -311,8 +345,10 @@ class TestErrorContract:
         (["windowed", "--window-hours", "0"], "positive"),
         (["windowed", "--step-minutes", "0"], "positive"),
         (["adaptive", "--days", "0"], "positive"),
+        (["policies", "--duration-hours", "3"], "--adaptive-window-hours"),
+        (["adaptive", "--days", "0.2", "--window-hours", "6"], "--window-hours"),
     ], ids=["survey-pairs", "export-fleet-pairs", "windowed-window", "windowed-step",
-            "adaptive-days"])
+            "adaptive-days", "policies-short-trace", "adaptive-short-trace"])
     def test_bad_parameter_is_one_error_line(self, tmp_path, capsys, argv, message):
         assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
         err = capsys.readouterr().err
