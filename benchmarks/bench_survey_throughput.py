@@ -6,6 +6,10 @@ three levels and records every number in ``BENCH_survey.json`` (see
 ``conftest.update_bench_json``) so the perf trajectory is tracked across
 PRs:
 
+* **source** -- synthetic trace generation alone
+  (:meth:`FleetDataset.load` over ``THROUGHPUT_PAIRS`` default-config
+  pairs, best of three), in total and per metric family; generation is
+  most of an end-to-end survey job.
 * **engine** -- the Section 3.2 estimator over pre-materialised trace
   matrices, scalar (:meth:`NyquistEstimator.estimate` per trace) vs
   batched (:meth:`NyquistEstimator.estimate_batch` per chunk); asserts
@@ -69,6 +73,38 @@ def _best_of(callable_, repeats: int = 3) -> tuple[float, object]:
         result = callable_()
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+def test_generation_throughput():
+    """Trace generation alone: pairs/s over the whole fleet and per metric family."""
+    dataset = FleetDataset(DatasetConfig(pair_count=THROUGHPUT_PAIRS, seed=7))
+    pairs = dataset.pairs()
+    families: dict[str, list] = {}
+    for pair in pairs:
+        families.setdefault(pair.metric.family.value, []).append(pair)
+
+    def generate(selected):
+        return lambda: [dataset.load(pair) for pair in selected]
+
+    seconds, _ = _best_of(generate(pairs))
+    family_seconds = {family: _best_of(generate(selected))[0]
+                      for family, selected in families.items()}
+    rows = [{"family": family, "pairs": len(families[family]),
+             "seconds": family_seconds[family],
+             "pairs_per_second": len(families[family]) / family_seconds[family]}
+            for family in sorted(families)]
+    rows.append({"family": "all", "pairs": len(pairs), "seconds": seconds,
+                 "pairs_per_second": len(pairs) / seconds})
+    update_bench_json("source", {
+        "pairs": len(pairs),
+        "pairs_per_second": len(pairs) / seconds,
+        "families": {row["family"]: {"pairs": row["pairs"],
+                                     "pairs_per_second": row["pairs_per_second"]}
+                     for row in rows[:-1]},
+        "cpu_count": os.cpu_count(),
+    })
+    print(f"\n=== Trace generation throughput ({len(pairs)} pairs) ===")
+    print(format_table(rows))
 
 
 def test_batched_engine_speedup(output_dir):

@@ -276,19 +276,21 @@ class CostQualityEvaluator(PolicySurveyResult):
         Appends one 1-row block per policy.  Each policy collects from
         the trace as a one-row batch and the collection is scored exactly
         as the fleet survey scores a row; with an ``event``, the same
-        laid-out stream is also scored for detection.
+        laid-out stream is also scored for detection.  The stream is laid
+        out once for both.
         """
         values = reference.values[None, :]
         for policy in self._policies:
             collection = policy.collect_batch(values, reference.interval)
-            evaluation = collection.evaluate(policy.name, values, reference.interval)
+            streams = list(collection.streams(values, reference.interval))
+            evaluation = collection.score(policy.name, values, reference.interval, streams)
             block = PolicyRecordBlock.from_batch(
                 metric_name, evaluation, [point_name],
                 self.accountant.price_sample_block([point_name],
                                                    evaluation.samples_collected))
             if event is not None:
                 # One row, so one group.
-                (_, stream, stream_interval), = collection.streams(values, reference.interval)
+                (_, stream, stream_interval), = streams
                 collected = TimeSeries(stream[0], stream_interval,
                                        start_time=reference.start_time)
                 detection = score_detection(policy.name, collected, event,

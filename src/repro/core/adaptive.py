@@ -420,6 +420,8 @@ class AdaptiveSamplingController:
         matrix = np.asarray(values, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValueError(f"values must be a (rows, n) matrix, got shape {matrix.shape}")
+        if not (math.isfinite(interval) and interval > 0):
+            raise ValueError(f"interval must be a positive finite number, got {interval}")
         return self._run_rows(matrix, interval, 0.0, window_duration)
 
     def _run_rows(self, matrix: np.ndarray, interval: float, start_time: float,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from ..signals.noise import noise_floor_estimates
 from ..signals.spectrum import Spectrum, SpectrumBatch
 from ..signals.timeseries import TimeSeries
 from .nyquist import MIN_SAMPLES
-from .psd import batch_periodogram
+from .psd import _rfft_frequencies, batch_periodogram
 
 __all__ = [
     "AliasingVerdict",
@@ -95,10 +96,40 @@ def compare_spectra_batch(slow: SpectrumBatch, fast: SpectrumBatch) -> tuple[np.
     if len(slow) != len(fast):
         raise ValueError(f"row counts differ: {len(slow)} slow vs {len(fast)} fast spectra")
     band_edge = min(slow.max_frequency, fast.max_frequency)
-    slow_band = slow.without_dc().band(0.0, band_edge)
-    fast_band = fast.without_dc().band(0.0, band_edge)
+    return _compare_bands(slow.without_dc().band(0.0, band_edge),
+                          fast.without_dc().band(0.0, band_edge)), band_edge
+
+
+@lru_cache(maxsize=64)
+def _common_band_columns(slow_n: int, slow_interval: float, fast_n: int,
+                         fast_interval: float) -> tuple[slice, slice, float]:
+    """The columns :func:`compare_spectra_batch` keeps of two periodogram grids.
+
+    For the :func:`~repro.core.psd.batch_periodogram` grids of
+    ``(slow_n, slow_interval)`` and ``(fast_n, fast_interval)``, returns
+    each grid's ``without_dc().band(0.0, band_edge)`` columns and the
+    band edge.  A grid ascends from 0 Hz, so the columns are one range.
+    """
+    grids = [SpectrumBatch._of_checked(_rfft_frequencies(n, interval),
+                                       np.empty((0, n // 2 + 1)), 1.0 / interval)
+             for n, interval in ((slow_n, slow_interval), (fast_n, fast_interval))]
+    band_edge = min(grid.max_frequency for grid in grids)
+    slow_cols, fast_cols = (slice(1, 1 + grid.without_dc().band(0.0, band_edge).bins)
+                            for grid in grids)
+    return slow_cols, fast_cols, band_edge
+
+
+def _band_columns(spectra: SpectrumBatch, columns: slice) -> SpectrumBatch:
+    """The batch restricted to one range of its bin columns."""
+    return SpectrumBatch._of_checked(spectra.frequencies[columns],
+                                     np.ascontiguousarray(spectra.power[:, columns]),
+                                     spectra.sampling_rate)
+
+
+def _compare_bands(slow_band: SpectrumBatch, fast_band: SpectrumBatch) -> np.ndarray:
+    """Row-wise discrepancies of two batches already cut to their common DC-less band."""
     if slow_band.bins == 0 or fast_band.bins == 0:
-        return np.zeros(len(slow)), band_edge
+        return np.zeros(len(slow_band))
 
     # Compare on the coarser of the two grids so neither spectrum is
     # extrapolated beyond its resolution.
@@ -122,7 +153,7 @@ def compare_spectra_batch(slow: SpectrumBatch, fast: SpectrumBatch) -> tuple[np.
     slow_norm = slow_clean / np.where(slow_total == 0, 1.0, slow_total)[:, None]
     fast_norm = fast_clean / np.where(fast_total == 0, 1.0, fast_total)[:, None]
     discrepancy = 0.5 * np.sum(np.abs(slow_norm - fast_norm), axis=-1)
-    return np.where(slow_total + fast_total <= 0, 0.0, discrepancy), band_edge
+    return np.where(slow_total + fast_total <= 0, 0.0, discrepancy)
 
 
 class DualRateAliasingDetector:
@@ -190,7 +221,8 @@ class DualRateAliasingDetector:
         Row ``i`` of ``slow`` (sampled every ``slow_interval`` s) and row
         ``i`` of ``fast`` are two probe streams of the same signal.  Each
         stream's periodograms are one ``rfft(axis=-1)``; the comparison is
-        :func:`compare_spectra_batch`.  Returns ``(aliased, discrepancy,
+        :func:`compare_spectra_batch`'s, on the common-band columns cached
+        per pair of probe shapes.  Returns ``(aliased, discrepancy,
         band_edge)`` with one verdict per row.
         """
         if slow.ndim != 2 or fast.ndim != 2 or slow.shape[0] != fast.shape[0]:
@@ -204,6 +236,9 @@ class DualRateAliasingDetector:
             # zero confidence rather than raising, so the adaptive
             # controller can simply keep probing.
             return np.zeros(rows, dtype=bool), np.zeros(rows), 1.0 / slow_interval / 2.0
-        discrepancy, band_edge = compare_spectra_batch(
-            batch_periodogram(slow, slow_interval), batch_periodogram(fast, fast_interval))
+        slow_cols, fast_cols, band_edge = _common_band_columns(
+            slow.shape[1], slow_interval, fast.shape[1], fast_interval)
+        discrepancy = _compare_bands(
+            _band_columns(batch_periodogram(slow, slow_interval), slow_cols),
+            _band_columns(batch_periodogram(fast, fast_interval), fast_cols))
         return discrepancy > self.threshold, discrepancy, band_edge

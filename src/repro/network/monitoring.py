@@ -169,8 +169,7 @@ class DeploymentTraceSource(BaseTraceSource):
             metric = METRIC_CATALOG[name]
             params = draw_metric_parameters(
                 metric, profile, self.spec.trace_duration,
-                broadband_fraction=_BROADBAND_FRACTION,
-                rng=np.random.default_rng(profile.metric_seed(name)))
+                broadband_fraction=_BROADBAND_FRACTION)
             pairs.append(TracePair(metric, profile, params))
         return pairs
 

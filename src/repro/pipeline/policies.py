@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -146,8 +146,18 @@ class Collection:
         """Reconstruct every group at the reference rate and score it against ``values``.
 
         ``values`` and ``interval`` are the reference matrix the
-        collection was gathered from.  Each group of :meth:`streams` is
-        one :func:`~repro.core.reconstruction.reconstruction_error_batch`
+        collection was gathered from; :meth:`score` scores its
+        :meth:`streams`.
+        """
+        return self.score(policy_name, values, interval, self.streams(values, interval))
+
+    def score(self, policy_name: str, values: np.ndarray, interval: float,
+              streams: Iterable[tuple[np.ndarray | slice, np.ndarray, float]],
+              ) -> PolicyBatchEvaluation:
+        """Score ``streams``, this collection's :meth:`streams` of ``values``.
+
+        Each group is one
+        :func:`~repro.core.reconstruction.reconstruction_error_batch`
         call: one batched FFT pair (the paper's low-pass interpolator),
         scored row by row in a reused scratch buffer, so no reconstruction
         or error matrix is allocated.  A stream of fewer than two samples
@@ -157,7 +167,7 @@ class Collection:
         rows, n = values.shape
         nrmse = np.zeros(rows)
         max_abs = np.zeros(rows)
-        for members, collected, collected_interval in self.streams(values, interval):
+        for members, collected, collected_interval in streams:
             if collected.shape[1] < 2:
                 raise ValueError(
                     f"policy {policy_name!r} collected only {collected.shape[1]} sample(s) "

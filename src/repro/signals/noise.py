@@ -8,6 +8,8 @@ and the aliasing detector (Section 4.1) a noise-floor estimate.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .timeseries import TimeSeries
@@ -68,14 +70,8 @@ def noise_floor_estimates(power: np.ndarray) -> np.ndarray:
     bins = array.shape[1]
     if bins == 0:
         return np.zeros(array.shape[0])
-    if bins == 1:
-        low = high = -1
-        weight = 1.0
-    else:
-        low = (bins - 1) // 2
-        high = low + 1
-        weight = 0.0 if bins % 2 else 0.5
-    ordered = np.partition(array, np.unique([0, -1, low, high]), axis=-1)
+    kth, low, high, weight = _median_plan(bins)
+    ordered = np.partition(array, kth, axis=-1)
     below, above = ordered[:, low], ordered[:, high]
     step = above - below
     if weight >= 0.5:
@@ -86,3 +82,22 @@ def noise_floor_estimates(power: np.ndarray) -> np.ndarray:
     last = ordered[:, -1]
     np.copyto(floors, last, where=np.isnan(last))
     return floors
+
+
+@lru_cache(maxsize=64)
+def _median_plan(bins: int) -> tuple[np.ndarray, int, int, float]:
+    """``np.quantile``'s partition indices, middle pair and weight for ``bins`` bins.
+
+    The indices are the sorted ``np.unique([0, -1, low, high])``, shared
+    read-only by every call with the same bin count.
+    """
+    if bins == 1:
+        low = high = -1
+        weight = 1.0
+    else:
+        low = (bins - 1) // 2
+        high = low + 1
+        weight = 0.0 if bins % 2 else 0.5
+    kth = np.unique([0, -1, low, high])
+    kth.flags.writeable = False
+    return kth, low, high, weight

@@ -118,6 +118,7 @@ class FleetDataset(BaseTraceSource):
 
     def __post_init__(self) -> None:
         self._pairs: list[TracePair] | None = None
+        self._by_metric: dict[str, list[TracePair]] = {}
 
     # ------------------------------------------------------------------
     def _pair_counts_per_metric(self) -> dict[str, int]:
@@ -137,26 +138,26 @@ class FleetDataset(BaseTraceSource):
         counts = self._pair_counts_per_metric()
         fleet = build_fleet(max(counts.values()) if counts else 1, seed=self.config.seed)
         rng = np.random.default_rng(self.config.seed + 1)
-        pairs: list[TracePair] = []
+        by_metric: dict[str, list[TracePair]] = {}
         for metric_name in self.config.metrics:
             spec = METRIC_CATALOG[metric_name]
             count = counts[metric_name]
             # Each metric is monitored on its own subset of the fleet: the
             # first `count` devices in a metric-specific random order.
             order = rng.permutation(len(fleet))[:count]
-            for device_index in order:
-                device = fleet[int(device_index)]
-                params = draw_metric_parameters(
+            by_metric[metric_name] = [
+                TracePair(spec, device, draw_metric_parameters(
                     spec, device, self.config.trace_duration,
-                    broadband_fraction=self.config.broadband_fraction,
-                    rng=np.random.default_rng(device.metric_seed(metric_name)))
-                pairs.append(TracePair(spec, device, params))
-        self._pairs = pairs
-        return pairs
+                    broadband_fraction=self.config.broadband_fraction))
+                for device in (fleet[int(index)] for index in order)]
+        self._by_metric = by_metric
+        self._pairs = [pair for pairs in by_metric.values() for pair in pairs]
+        return self._pairs
 
     def pairs_for_metric(self, metric_name: str) -> list[TracePair]:
         """All pairs belonging to one metric family."""
-        return [pair for pair in self.pairs() if pair.metric.name == metric_name]
+        self.pairs()
+        return list(self._by_metric.get(metric_name, []))
 
     @property
     def trace_duration(self) -> float:

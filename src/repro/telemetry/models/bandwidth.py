@@ -40,16 +40,18 @@ def generate_peak_bandwidth_trace(spec: MetricSpec, params: MetricParameters,
 
     diurnal_amplitude = params.amplitude * 0.5 if params.bandwidth_hz >= 1.0 / 86400.0 else 0.0
     phase = float(rng.uniform(0.0, 2.0 * np.pi))
-    baseline = (params.level
-                + diurnal_component(n, interval, diurnal_amplitude, phase=phase)
-                + band_limited_component(n, interval, params.bandwidth_hz,
-                                         params.amplitude * 0.5, rng))
+    values = np.full(n, params.level)
+    # A zero-amplitude cycle adds +-0.0 to a positive level: skipping it
+    # leaves every byte as it is.
+    if diurnal_amplitude:
+        values += diurnal_component(n, interval, diurnal_amplitude, phase=phase)
+    values += band_limited_component(n, interval, params.bandwidth_hz,
+                                     params.amplitude * 0.5, rng)
 
     # Burst periods: the per-interval max rises while a heavy flow (or a
     # burst of flows) is active, then falls back.  The rise/fall happens on
     # the device's characteristic time scale so the trace stays band-limited
     # at the device's bandwidth parameter.
-    values = baseline.copy()
     expected_bursts = params.burst_rate_per_day * duration / 86400.0
     burst_count = int(rng.poisson(max(expected_bursts, 0.0)))
     sigma = max(1.0 / (2.0 * np.pi * params.bandwidth_hz), 2.0 * interval)
@@ -58,6 +60,6 @@ def generate_peak_bandwidth_trace(spec: MetricSpec, params: MetricParameters,
                         scale=params.amplitude, low=0.5, high=2.0, rng=rng)
 
     if params.broadband:
-        values = values + np.abs(broadband_component(n, params.amplitude, rng))
+        values += np.abs(broadband_component(n, params.amplitude, rng))
 
     return finalize_trace(values, spec, params, interval, rng, device_name)

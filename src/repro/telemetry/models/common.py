@@ -60,6 +60,15 @@ def _diurnal_base(n: int, interval: float, day_seconds: float) -> tuple[np.ndarr
     return base, double
 
 
+@lru_cache(maxsize=32)
+def _band_weights(n: int, interval: float) -> np.ndarray:
+    """The 1/f weights ``1 / sqrt(f / f[1])`` of every non-DC bin of the ``(n, interval)`` grid."""
+    freqs = _rfft_frequencies(n, interval)[1:]
+    weights = 1.0 / np.sqrt(freqs / freqs[0])
+    weights.flags.writeable = False
+    return weights
+
+
 def band_limited_component(n: int, interval: float, bandwidth_hz: float,
                            amplitude: float, rng: np.random.Generator) -> np.ndarray:
     """Random variation confined (almost) entirely below ``bandwidth_hz``.
@@ -69,30 +78,32 @@ def band_limited_component(n: int, interval: float, bandwidth_hz: float,
     cycle per trace produce *some* slow variation (their estimated Nyquist
     rate then bottoms out at the trace's frequency resolution, which is the
     best any trace-driven estimator can do).
+
+    The frequency grid ascends from 0, so the in-band bins are always the
+    prefix ``1..count`` of the non-DC bins; ``count`` is one
+    ``searchsorted`` on the shared grid.
     """
     if n < 2:
         raise ValueError("need at least two samples")
     if amplitude < 0:
         raise ValueError("amplitude must be non-negative")
-    freqs = _rfft_frequencies(n, interval)
-    spectrum = np.zeros(freqs.shape, dtype=np.complex128)
-    in_band = (freqs > 0) & (freqs <= bandwidth_hz)
-    if not np.any(in_band) and len(freqs) > 1:
-        in_band[1] = True
-    count = int(np.count_nonzero(in_band))
-    if count == 0 or amplitude == 0:
+    if amplitude == 0:
         return np.zeros(n)
+    freqs = _rfft_frequencies(n, interval)
+    # A bandwidth below the first non-DC bin (or NaN) still populates bin 1.
+    count = (int(np.searchsorted(freqs, bandwidth_hz, side="right")) - 1
+             if bandwidth_hz >= freqs[1] else 1)
     # 1/f-flavoured weighting inside the band makes the variation look like
     # real operational metrics (most energy at the slowest scales) while
     # still placing measurable energy near the band edge.
-    band_freqs = freqs[in_band]
-    weights = 1.0 / np.sqrt(band_freqs / band_freqs[0])
     phases = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    spectrum[in_band] = weights * np.exp(1j * phases)
+    spectrum = np.zeros(freqs.shape, dtype=np.complex128)
+    spectrum[1:count + 1] = _band_weights(n, interval)[:count] * np.exp(1j * phases)
     values = np.fft.irfft(spectrum, n=n)
     peak = float(np.max(np.abs(values)))
     if peak > 0:
-        values = values / peak * amplitude
+        values /= peak
+        values *= amplitude
     return values
 
 
@@ -171,13 +182,33 @@ def add_gaussian_pulses(values: np.ndarray, times: np.ndarray, interval: float,
 def finalize_trace(values: np.ndarray, spec: MetricSpec, params: MetricParameters,
                    interval: float, rng: np.random.Generator,
                    device_name: str = "") -> TimeSeries:
-    """Apply measurement noise, physical bounds and quantisation; wrap as a TimeSeries."""
-    noisy = values + rng.normal(scale=params.noise_std, size=values.shape[0]) \
-        if params.noise_std > 0 else values
-    if spec.minimum is not None or spec.maximum is not None:
-        noisy = np.clip(noisy, spec.minimum, spec.maximum)
-    quantized = np.round(noisy / spec.quantization_step) * spec.quantization_step
-    if spec.minimum is not None or spec.maximum is not None:
-        quantized = np.clip(quantized, spec.minimum, spec.maximum)
+    """Apply measurement noise, physical bounds and quantisation; wrap as a TimeSeries.
+
+    Every step writes into one fresh array (``values`` is left as it is)
+    through the ufuncs ``np.clip`` and ``np.round`` dispatch to, so the
+    bytes are theirs: ``np.clip`` with one bound unset is ``np.maximum`` /
+    ``np.minimum``, and ``np.round`` to zero decimals is ``np.rint``.
+    """
+    if params.noise_std > 0:
+        out = rng.normal(scale=params.noise_std, size=values.shape[0])
+        out += values
+    else:
+        out = np.array(values, dtype=np.float64)
+    _bound(out, spec)
+    step = spec.quantization_step
+    np.divide(out, step, out=out)
+    np.rint(out, out=out)
+    np.multiply(out, step, out=out)
+    _bound(out, spec)
     name = f"{spec.name}@{device_name}" if device_name else spec.name
-    return TimeSeries(quantized, interval, name=name)
+    return TimeSeries(out, interval, name=name)
+
+
+def _bound(values: np.ndarray, spec: MetricSpec) -> None:
+    """Clip ``values`` in place to the metric's physical range, if it has one."""
+    if spec.minimum is not None and spec.maximum is not None:
+        np.clip(values, spec.minimum, spec.maximum, out=values)
+    elif spec.minimum is not None:
+        np.maximum(values, spec.minimum, out=values)
+    elif spec.maximum is not None:
+        np.minimum(values, spec.maximum, out=values)

@@ -32,12 +32,16 @@ def generate_counter_trace(spec: MetricSpec, params: MetricParameters,
     phase = float(rng.uniform(0.0, 2.0 * np.pi))
     # Multiplicative structure: the counter scales with load, it does not
     # add to it.  The modulation is kept above -0.9 so volumes stay positive.
-    modulation = (diurnal_component(n, interval, diurnal_amplitude, phase=phase)
-                  + band_limited_component(n, interval, params.bandwidth_hz, 0.4, rng))
+    # A zero-amplitude cycle is skipped: adding +-0.0 can only flip the
+    # sign of a zero, which ``1.0 + modulation`` erases.
+    modulation = band_limited_component(n, interval, params.bandwidth_hz, 0.4, rng)
+    if diurnal_amplitude:
+        modulation += diurnal_component(n, interval, diurnal_amplitude, phase=phase)
     if params.broadband:
-        modulation = modulation + broadband_component(n, 0.5, rng)
-    modulation = np.maximum(modulation, -0.9)
-    values = params.level * (1.0 + modulation)
+        modulation += broadband_component(n, 0.5, rng)
+    np.maximum(modulation, -0.9, out=modulation)
+    modulation += 1.0
+    values = params.level * modulation
 
     # Occasional traffic surges (bulk transfers, re-replication).  Surges
     # ramp up and down over a time scale tied to the device's bandwidth so

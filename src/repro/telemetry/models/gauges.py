@@ -49,13 +49,16 @@ def generate_gauge_trace(spec: MetricSpec, params: MetricParameters,
     diurnal_amplitude = params.amplitude * 0.6 if params.bandwidth_hz >= 1.0 / 86400.0 else 0.0
     phase = float(rng.uniform(0.0, 2.0 * np.pi))
     values = np.full(n, params.level)
-    values = values + diurnal_component(n, interval, diurnal_amplitude, phase=phase)
-    values = values + band_limited_component(n, interval, params.bandwidth_hz,
-                                             params.amplitude * 0.4 if diurnal_amplitude else params.amplitude,
-                                             rng)
+    # A zero-amplitude cycle adds +-0.0 to a positive level: skipping it
+    # leaves every byte as it is.
+    if diurnal_amplitude:
+        values += diurnal_component(n, interval, diurnal_amplitude, phase=phase)
+    values += band_limited_component(n, interval, params.bandwidth_hz,
+                                     params.amplitude * 0.4 if diurnal_amplitude else params.amplitude,
+                                     rng)
     if params.broadband:
         # Fast, unresolved fluctuations (e.g. a fan-speed control loop or a
         # noisy sensor) that make the trace look aliased at any realistic
         # polling rate.
-        values = values + broadband_component(n, params.amplitude * 0.8, rng)
+        values += broadband_component(n, params.amplitude * 0.8, rng)
     return finalize_trace(values, spec, params, interval, rng, device_name)

@@ -130,12 +130,16 @@ def draw_metric_parameters(spec: MetricSpec, profile: DeviceProfile,
     broadband_fraction:
         Probability that the pair is broadband (will look aliased to the
         estimator); the paper reports ~11 % of pairs in that category.
+    rng:
+        The draws' generator; defaults to one seeded with the pair's
+        ``metric_seed``, which is also the returned trace seed.
     """
     if trace_duration <= 0:
         raise ValueError("trace_duration must be positive")
     if not 0 <= broadband_fraction <= 1:
         raise ValueError("broadband_fraction must be in [0, 1]")
-    rng = rng or np.random.default_rng(profile.metric_seed(spec.name))
+    seed = profile.metric_seed(spec.name)
+    rng = rng or np.random.default_rng(seed)
 
     # The measurable band of the production poller tops out at half its
     # polling rate; the lowest frequency a trace of this length can show is
@@ -169,5 +173,5 @@ def draw_metric_parameters(spec: MetricSpec, profile: DeviceProfile,
         noise_std=noise_std,
         broadband=broadband,
         burst_rate_per_day=burst_rate,
-        seed=profile.metric_seed(spec.name),
+        seed=seed,
     )

@@ -289,6 +289,8 @@ class TestBatchStepper:
     def test_empty_and_bad_input(self):
         controller = AdaptiveSamplingController()
         assert controller.run_batch(np.empty((0, 100)), 5.0, 3600.0) == []
+        with pytest.raises(ValueError, match="interval"):
+            controller.run_batch(np.empty((0, 100)), float("nan"), 3600.0)
         with pytest.raises(ValueError, match="matrix"):
             controller.run_batch(np.zeros(100), 5.0, 3600.0)
         with pytest.raises(ValueError):

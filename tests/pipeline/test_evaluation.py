@@ -8,6 +8,7 @@ import pytest
 from repro.analysis.policy_survey import CostQualityEvaluator, PolicySurveyResult
 from repro.network.cost import TelemetryCostAccountant
 from repro.pipeline.evaluation import DETECTION_UNSCORED
+from repro.pipeline import policies as policies_module
 from repro.pipeline.events import EventKind, inject_event
 from repro.pipeline.policies import FixedRatePolicy, NyquistStaticPolicy
 from repro.records import SpillingRecordSink
@@ -77,6 +78,23 @@ class TestEvaluator:
         assert row["policy"] == "baseline"
         assert row["detection_rate"] == 1.0
         assert row["mean_detection_latency_s"] >= 0.0
+
+    def test_event_point_lays_out_each_stream_once(self, reference, monkeypatch):
+        """Scoring and detection share one layout per policy."""
+        calls = []
+        lay_out = policies_module._lay_out
+
+        def counting_lay_out(*args):
+            calls.append(args)
+            return lay_out(*args)
+
+        monkeypatch.setattr(policies_module, "_lay_out", counting_lay_out)
+        evaluator = make_evaluator()
+        modified, event = inject_event(reference, EventKind.STEP,
+                                       reference.start_time + 0.7 * reference.duration,
+                                       magnitude=30.0)
+        evaluator.evaluate_point("dev-1", "Link util", modified, event)
+        assert len(calls) == 2  # one per policy
 
     def test_detection_unscored_without_event(self, reference):
         evaluator = make_evaluator()

@@ -1,8 +1,10 @@
 """The per-shape constants equal the expressions they replace, bit for bit.
 
 Arrays that depend only on a trace's shape -- time grids, frequency
-axes, the detrend axis, tapers, scenario carriers and duty factors --
-are built once per shape by small ``lru_cache`` helpers and shared.
+axes, the detrend axis, tapers, scenario carriers and duty factors, the
+generators' 1/f band weights, the dual-rate check's common-band columns
+and the noise floor's partition indices -- are built once per shape by
+small ``lru_cache`` helpers and shared.
 Each result here is compared by ``tobytes()`` with the un-hoisted
 expression it replaced, over odd and even lengths (down to two samples
 and ``MIN_SAMPLES``), a dyadic and a non-dyadic interval, and rows of
@@ -12,19 +14,25 @@ cache must stay within its ``maxsize``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from repro.core import batch, psd
+from repro.core import aliasing, batch, psd
+from repro.core.aliasing import DualRateAliasingDetector, compare_spectra_batch
 from repro.core.nyquist import MIN_SAMPLES
 from repro.core.psd import batch_periodogram, taper_energy
 from repro.faults import stable_digest
 from repro.scenarios import transforms
 from repro.scenarios.transforms import DiurnalCycle, FlappingRegime, RegimeShift
+from repro.signals import noise
+from repro.telemetry.metrics import METRIC_CATALOG
 from repro.telemetry.models import common
-from repro.telemetry.models.common import diurnal_component, time_grid
+from repro.telemetry.models.common import (band_limited_component, diurnal_component,
+                                           finalize_trace, time_grid)
+from repro.telemetry.profiles import MetricParameters
 
 LENGTHS = [2, 3, MIN_SAMPLES, MIN_SAMPLES + 1, 480, 721]
 INTERVALS = [7.5, 30.0 / 7.0]
@@ -117,6 +125,45 @@ def reference_flapping_regime(transform: FlappingRegime, values: np.ndarray,
     return out
 
 
+def reference_band_limited(n: int, interval: float, bandwidth_hz: float,
+                           amplitude: float, rng: np.random.Generator) -> np.ndarray:
+    freqs = np.fft.rfftfreq(n, d=interval)
+    spectrum = np.zeros(freqs.shape, dtype=np.complex128)
+    in_band = (freqs > 0) & (freqs <= bandwidth_hz)
+    if not np.any(in_band) and len(freqs) > 1:
+        in_band[1] = True
+    count = int(np.count_nonzero(in_band))
+    if count == 0 or amplitude == 0:
+        return np.zeros(n)
+    band_freqs = freqs[in_band]
+    weights = 1.0 / np.sqrt(band_freqs / band_freqs[0])
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=count)
+    spectrum[in_band] = weights * np.exp(1j * phases)
+    values = np.fft.irfft(spectrum, n=n)
+    peak = float(np.max(np.abs(values)))
+    if peak > 0:
+        values = values / peak * amplitude
+    return values
+
+
+def reference_finalize(values: np.ndarray, spec, params: MetricParameters,
+                       rng: np.random.Generator) -> np.ndarray:
+    noisy = values + rng.normal(scale=params.noise_std, size=values.shape[0]) \
+        if params.noise_std > 0 else values
+    if spec.minimum is not None or spec.maximum is not None:
+        noisy = np.clip(noisy, spec.minimum, spec.maximum)
+    quantized = np.round(noisy / spec.quantization_step) * spec.quantization_step
+    if spec.minimum is not None or spec.maximum is not None:
+        quantized = np.clip(quantized, spec.minimum, spec.maximum)
+    return quantized
+
+
+def reference_common_band(slow, fast):
+    band_edge = min(slow.max_frequency, fast.max_frequency)
+    return (slow.without_dc().band(0.0, band_edge), fast.without_dc().band(0.0, band_edge),
+            band_edge)
+
+
 # --- Results equal the un-hoisted expressions -------------------------
 
 @pytest.mark.parametrize("interval", INTERVALS)
@@ -198,6 +245,94 @@ def test_periodic_transforms_match_the_unhoisted_apply(rng, transform, reference
                      reference(transform, zeros, interval))
 
 
+@pytest.mark.parametrize("amplitude", [0.0, 1.5])
+@pytest.mark.parametrize("bandwidth", [-1.0, 0.0, 1e-9, 2e-3, 0.05, 1.0, math.inf, math.nan])
+@pytest.mark.parametrize("interval", INTERVALS)
+@pytest.mark.parametrize("n", LENGTHS)
+def test_band_limited_component_matches_the_masked_spectrum(n, interval, bandwidth, amplitude):
+    got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+    got = band_limited_component(n, interval, bandwidth, amplitude, got_rng)
+    want = reference_band_limited(n, interval, bandwidth, amplitude, want_rng)
+    assert same_bits(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("interval", INTERVALS)
+@pytest.mark.parametrize("n", LENGTHS)
+def test_band_weights_match_the_inverse_sqrt(n, interval):
+    freqs = np.fft.rfftfreq(n, d=interval)[1:]
+    assert same_bits(common._band_weights(n, interval), 1.0 / np.sqrt(freqs / freqs[0]))
+
+
+BOUNDS = [(0.0, 100.0), (10.0, 95.0), (0.0, None), (None, 40.0), (None, None)]
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.3])
+@pytest.mark.parametrize("bounds", BOUNDS, ids=[repr(b) for b in BOUNDS])
+@pytest.mark.parametrize("step", [1.0, 0.5, 0.1])
+def test_finalize_trace_matches_clip_and_round(rng, step, bounds, noise_std):
+    spec = dataclasses.replace(METRIC_CATALOG["Temperature"], quantization_step=step,
+                               minimum=bounds[0], maximum=bounds[1])
+    params = MetricParameters(bandwidth_hz=1e-3, level=40.0, amplitude=30.0,
+                              noise_std=noise_std, broadband=False,
+                              burst_rate_per_day=1.0, seed=1)
+    values = rng.normal(size=721) * 60.0 + 40.0
+    values[::5] = -0.0
+    values[3::7] = 0.05
+    before = values.copy()
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = finalize_trace(values, spec, params, 30.0, got_rng, "d")
+    assert same_bits(values, before)
+    assert same_bits(got.values, reference_finalize(values, spec, params, want_rng))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+PROBE_SHAPES = [(48, 3.0, 96, 2.0), (64, 3.0, 96, 2.0), (400, 3.0, 64, 2.0),
+                (33, 3.0, 17, 2.0), (MIN_SAMPLES, 48.0, MIN_SAMPLES + 1, 30.0),
+                (45, 30.0 / 7.0, 72, 7.5 / 2.8)]
+
+
+@pytest.mark.parametrize("slow_n, slow_interval, fast_n, fast_interval", PROBE_SHAPES)
+def test_common_band_columns_match_the_band_masks(slow_n, slow_interval, fast_n,
+                                                   fast_interval):
+    slow = batch_periodogram(np.ones((1, slow_n)), slow_interval)
+    fast = batch_periodogram(np.ones((1, fast_n)), fast_interval)
+    slow_cols, fast_cols, band_edge = aliasing._common_band_columns(
+        slow_n, slow_interval, fast_n, fast_interval)
+    want_slow, want_fast, want_edge = reference_common_band(slow, fast)
+    assert band_edge == want_edge
+    assert same_bits(slow.frequencies[slow_cols], want_slow.frequencies)
+    assert same_bits(fast.frequencies[fast_cols], want_fast.frequencies)
+
+
+@pytest.mark.parametrize("slow_n, slow_interval, fast_n, fast_interval", PROBE_SHAPES)
+def test_check_rows_matches_compare_spectra_batch(slow_n, slow_interval, fast_n,
+                                                  fast_interval):
+    rng = np.random.default_rng(slow_n + fast_n)
+    slow = rng.normal(size=(6, slow_n)).cumsum(axis=1)
+    fast = rng.normal(size=(6, fast_n)).cumsum(axis=1)
+    slow[4] = 0.0
+    aliased, discrepancy, band_edge = DualRateAliasingDetector().check_rows(
+        slow, slow_interval, fast, fast_interval)
+    want, want_edge = compare_spectra_batch(batch_periodogram(slow, slow_interval),
+                                            batch_periodogram(fast, fast_interval))
+    assert same_bits(discrepancy, want) and band_edge == want_edge
+
+
+@pytest.mark.parametrize("bins", [1, 2, 3, 4, 5, 64, 65])
+def test_median_plan_matches_the_quantile_indices(rng, bins):
+    kth, low, high, weight = noise._median_plan(bins)
+    want_low = -1 if bins == 1 else (bins - 1) // 2
+    want_high = -1 if bins == 1 else want_low + 1
+    assert (low, high) == (want_low, want_high)
+    assert same_bits(kth, np.unique([0, -1, want_low, want_high]))
+    assert weight == (1.0 if bins == 1 else 0.0 if bins % 2 else 0.5)
+    power = rng.exponential(size=(5, bins))
+    power[1, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert same_bits(noise.noise_floor_estimates(power), np.quantile(power, 0.5, axis=-1))
+
+
 # --- Cached arrays are shared read-only, caches stay bounded ----------
 
 def cached_arrays(n: int, interval: float) -> list[np.ndarray]:
@@ -208,6 +343,8 @@ def cached_arrays(n: int, interval: float) -> list[np.ndarray]:
         batch._taper_and_scale("hann", n)[0],
         common._time_grid(n, interval),
         *common._diurnal_base(n, interval, 86400.0),
+        common._band_weights(n, interval),
+        noise._median_plan(n)[0],
         transforms._diurnal_carrier(DIURNAL, n, interval),
         transforms._regime_carrier(REGIME, n, interval),
         *transforms._flap_carrier_and_duty(FLAP, n, interval),
@@ -225,10 +362,12 @@ def test_cached_arrays_are_read_only(interval):
 
 def test_caches_stay_within_maxsize():
     caches = [psd._rfft_frequencies, psd._hann, batch._detrend_axis, batch._taper_and_scale,
-              common._time_grid, common._diurnal_base, transforms._diurnal_carrier,
+              common._time_grid, common._diurnal_base, common._band_weights,
+              noise._median_plan, aliasing._common_band_columns, transforms._diurnal_carrier,
               transforms._regime_carrier, transforms._flap_carrier_and_duty]
     for n in range(MIN_SAMPLES, MIN_SAMPLES + 200):
         cached_arrays(n, 7.5)
+        aliasing._common_band_columns(n, 12.0, n + 7, 7.5)
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
