@@ -7,8 +7,8 @@ import pytest
 
 from repro.analysis.policy_survey import CostQualityEvaluator, PolicySurveyResult
 from repro.network.cost import TelemetryCostAccountant
-from repro.pipeline.evaluation import DETECTION_UNSCORED
 from repro.pipeline import policies as policies_module
+from repro.pipeline.evaluation import DETECTION_UNSCORED
 from repro.pipeline.events import EventKind, inject_event
 from repro.pipeline.policies import FixedRatePolicy, NyquistStaticPolicy
 from repro.records import SpillingRecordSink
