@@ -343,6 +343,30 @@ def test_every_spectral_option_has_a_library_caller():
     assert not unset, f"{len(unset)} spectral option(s) only tests pass: {unset}"
 
 
+#: The policy experiment (section 4.2 controller, the three-policy suite,
+#: the per-point evaluator and event scoring): its tuning guidance is fixed
+#: in the library, so a knob only tests turn is a comparison it never runs.
+POLICY = ("ControllerConfig", "PolicySuite", "FixedRatePolicy", "CostQualityEvaluator",
+          "score_detection")
+
+
+def test_every_policy_knob_has_a_library_caller():
+    """A controller, suite or detection knob only tests turn is a setup the library never runs."""
+    unset = _unset_parameters(POLICY, SCANNED)
+    assert not unset, f"{len(unset)} policy option(s) no library call sets: {unset}"
+
+
+#: Signal, fleet and reporting helpers the benches and examples build on.
+HELPERS = ("multi_tone", "diurnal_component", "ascii_cdf", "ascii_bar_chart", "write_csv",
+           "build_fleet")
+
+
+def test_every_helper_option_has_a_library_caller():
+    """A helper option only tests pass is a default the library always takes."""
+    unset = _unset_parameters(HELPERS, SCANNED)
+    assert not unset, f"{len(unset)} helper option(s) no library call sets: {unset}"
+
+
 #: ``pkg/mod.py`` of the resolution fixtures: one function, one class.
 FIXTURE_MODULE = "def target():\n    pass\n\n\nclass Box:\n    def clip(self):\n        pass\n"
 
