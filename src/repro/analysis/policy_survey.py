@@ -39,10 +39,9 @@ pipeline offers:
   :meth:`~repro.network.cost.TelemetryCostAccountant.price_sample_block`
   call per block.
 
-Policies are specified as a :class:`~repro.pipeline.policies.PolicySuite`
-(rates derived per metric from the production interval -- the right choice
-for fleets whose metrics poll at different rates) or an explicit policy
-sequence applied to every metric.  With a
+Policies are specified as a :class:`~repro.pipeline.policies.PolicySuite`:
+rates are derived per metric from the production interval, since a
+fleet's metrics poll at different rates.  With a
 :class:`~repro.network.DeploymentTraceSource` and an accountant built on
 the same topology, the survey prices every point with real fabric hop
 counts -- the end-to-end wiring of :mod:`repro.network`.
@@ -69,8 +68,8 @@ import numpy as np
 from ..network.cost import TelemetryCostAccountant
 from ..pipeline.evaluation import (DETECTION_DETECTED, DETECTION_MISSED, DETECTION_UNSCORED,
                                    PolicyRecordBlock)
-from ..pipeline.events import InjectedEvent, ThresholdDetector, score_detection
-from ..pipeline.policies import PolicySuite, SamplingPolicy, StaticPolicySuite
+from ..pipeline.events import InjectedEvent, score_detection
+from ..pipeline.policies import PolicySuite, SamplingPolicy
 from ..records import RecordSink, RecordStore
 from ..signals.timeseries import TimeSeries
 from ..telemetry.source import TraceBatch, TraceSource
@@ -245,29 +244,22 @@ class CostQualityEvaluator(PolicySurveyResult):
     does, scores an optional injected event against the laid-out stream,
     and appends one 1-row
     :class:`~repro.pipeline.evaluation.PolicyRecordBlock` per policy to
-    ``sink`` (in-memory by default; pass an empty
-    :class:`~repro.records.SpillingRecordSink` to stream rows to disk).
-    Every report -- ``rows``, ``relative_costs`` -- is
+    an in-memory sink.  Every report -- ``rows``, ``relative_costs`` -- is
     the inherited :class:`PolicySurveyResult` one, and lists every policy
     from the start, in the order given.
     """
 
     def __init__(self, policies: Sequence[SamplingPolicy],
-                 accountant: TelemetryCostAccountant | None = None,
-                 detector: ThresholdDetector | None = None,
-                 sink: RecordSink | None = None) -> None:
+                 accountant: TelemetryCostAccountant | None = None) -> None:
         if not policies:
             raise ValueError("need at least one policy")
         names = [policy.name for policy in policies]
         if len(set(names)) != len(names):
             raise ValueError("policy names must be unique")
-        check_run_options("CostQualityEvaluator", PolicySurveyResult, None, "raise",
-                          sink, None)
-        super().__init__(sink)
+        super().__init__()
         self._policy_order = names
         self._policies = list(policies)
         self.accountant = accountant or TelemetryCostAccountant()
-        self.detector = detector or ThresholdDetector()
 
     def evaluate_point(self, point_name: str, metric_name: str, reference: TimeSeries,
                        event: InjectedEvent | None = None) -> None:
@@ -293,8 +285,7 @@ class CostQualityEvaluator(PolicySurveyResult):
                 (_, stream, stream_interval), = streams
                 collected = TimeSeries(stream[0], stream_interval,
                                        start_time=reference.start_time)
-                detection = score_detection(policy.name, collected, event,
-                                            detector=self.detector)
+                detection = score_detection(policy.name, collected, event)
                 code = DETECTION_DETECTED if detection.detected else DETECTION_MISSED
                 block = dataclasses.replace(
                     block, detected=np.array([code], dtype=np.int8),
@@ -303,20 +294,11 @@ class CostQualityEvaluator(PolicySurveyResult):
 
 
 # ----------------------------------------------------------------------
-def _coerce_suite(
-        policies: PolicySuite | StaticPolicySuite | Sequence[SamplingPolicy],
-) -> PolicySuite | StaticPolicySuite:
-    """Accept a suite or an explicit policy sequence."""
-    if hasattr(policies, "build"):
-        return policies
-    return StaticPolicySuite(tuple(policies))
-
-
 @dataclass(frozen=True)
 class _PolicyEvaluator:
     """The policy survey's per-batch step for the slice driver: evaluate and price."""
 
-    suite: PolicySuite | StaticPolicySuite
+    suite: PolicySuite
     accountant: TelemetryCostAccountant
 
     kind: ClassVar[str] = "policy"
@@ -343,7 +325,7 @@ class _PolicyEvaluator:
 
 
 def run_policy_survey(source: TraceSource,
-                      policies: PolicySuite | StaticPolicySuite | Sequence[SamplingPolicy],
+                      policies: PolicySuite,
                       accountant: TelemetryCostAccountant | None = None,
                       metrics: Sequence[str] | None = None,
                       limit_per_metric: int | None = None,
@@ -368,9 +350,8 @@ def run_policy_survey(source: TraceSource,
         fabric.  The source's traces are the *references* the policies
         sample from.
     policies:
-        A :class:`~repro.pipeline.policies.PolicySuite` (per-metric
-        policies derived from the production rate) or an explicit policy
-        sequence applied to every metric.
+        A :class:`~repro.pipeline.policies.PolicySuite`: per-metric
+        policies derived from the production rate.
     accountant:
         Prices each point's collected samples; build it on the same
         topology as a deployment source so transmission is weighted by
@@ -417,8 +398,7 @@ def run_policy_survey(source: TraceSource,
     check_run_options("run_policy_survey", PolicySurveyResult, workers, on_error, sink,
                       failure_sink)
     result = PolicySurveyResult(sink=sink, failure_sink=failure_sink)
-    evaluator = _PolicyEvaluator(_coerce_suite(policies),
-                                 accountant or TelemetryCostAccountant())
+    evaluator = _PolicyEvaluator(policies, accountant or TelemetryCostAccountant())
     run_slices(source, evaluator, result, metric_names=metrics,
                limit_per_metric=limit_per_metric, chunk_size=chunk_size, workers=workers,
                on_error=on_error, store=store, sleep=retry_sleep)

@@ -113,8 +113,14 @@ def format_table(rows: Sequence[Mapping[str, object]], columns: Sequence[str] | 
     return "\n".join([header, separator, body])
 
 
-def ascii_bar_chart(values: Mapping[str, float], width: int = 40,
-                    maximum: float | None = None) -> str:
+#: Bar length of :func:`ascii_bar_chart` at the maximum, in characters.
+_BAR_WIDTH = 40
+
+#: Plot size of :func:`ascii_cdf`, in characters.
+_CDF_WIDTH, _CDF_HEIGHT = 50, 12
+
+
+def ascii_bar_chart(values: Mapping[str, float], maximum: float | None = None) -> str:
     """Render a labelled horizontal bar chart (used for Figure 1)."""
     if not values:
         return "(no data)"
@@ -125,25 +131,28 @@ def ascii_bar_chart(values: Mapping[str, float], width: int = 40,
     label_width = max(len(label) for label in numeric)
     lines = []
     for label, value in numeric.items():
-        filled = int(round(width * min(value / top, 1.0)))
+        filled = int(round(_BAR_WIDTH * min(value / top, 1.0)))
         bar = "#" * filled
-        lines.append(f"{label.ljust(label_width)} | {bar.ljust(width)} {values[label]:.3g}")
+        lines.append(f"{label.ljust(label_width)} | {bar.ljust(_BAR_WIDTH)} {values[label]:.3g}")
     return "\n".join(lines)
 
 
-def ascii_cdf(values: Iterable[float], width: int = 50, height: int = 12,
-              log_x: bool = True) -> str:
-    """Render a rough ASCII CDF (used for the Figure 4 panels)."""
+def ascii_cdf(values: Iterable[float]) -> str:
+    """Render a rough ASCII CDF (used for the Figure 4 panels).
+
+    The x axis is log10 when some value is positive, linear otherwise.
+    """
+    width, height = _CDF_WIDTH, _CDF_HEIGHT
     array = np.asarray(list(values), dtype=np.float64)
     array = array[~np.isnan(array)]
     if array.size == 0:
         return "(no data)"
     xs, ys = empirical_cdf(array)
     positive = xs[xs > 0]
-    if log_x and positive.size:
+    log_x = bool(positive.size)
+    if log_x:
         x_low, x_high = math.log10(positive[0]), math.log10(positive[-1] + 1e-12)
     else:
-        log_x = False
         x_low, x_high = float(xs[0]), float(xs[-1])
     if x_high <= x_low:
         x_high = x_low + 1.0
@@ -160,15 +169,18 @@ def ascii_cdf(values: Iterable[float], width: int = 50, height: int = 12,
     return "\n".join(lines + [axis])
 
 
-def write_csv(path: str | Path, rows: Sequence[Mapping[str, object]],
-              columns: Sequence[str] | None = None) -> Path:
-    """Write dict rows to a CSV file (creating parent directories)."""
+def write_csv(path: str | Path, rows: Sequence[Mapping[str, object]]) -> Path:
+    """Write dict rows to a CSV file (creating parent directories).
+
+    The columns are the first row's keys, in order; a later row's missing
+    key writes an empty field and its extra keys are dropped.
+    """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     if not rows:
         target.write_text("")
         return target
-    columns = list(columns) if columns is not None else list(rows[0].keys())
+    columns = list(rows[0].keys())
     with target.open("w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()

@@ -402,19 +402,23 @@ def _check_window_fits(trace: str, trace_hours: float, window: str, window_hours
 
 
 def _command_policies(args: argparse.Namespace) -> int:
+    default_oversample = 1.0 if args.from_dir is not None else 4.0
+    oversample = args.oversample if args.oversample is not None else default_oversample
+    if not (math.isfinite(oversample) and oversample >= 1):
+        raise ValueError(f"--oversample must be a finite number >= 1, got {oversample:g}")
+    # Built first, so a bad window or calibration option fails before any trace loads.
+    suite = PolicySuite(production_oversample=oversample,
+                        calibration_fraction=args.calibration_fraction,
+                        adaptive_window=args.adaptive_window_hours * 3600.0)
     if args.from_dir is not None:
         source = MeasuredFleetDataset(args.from_dir)
         hours = source.trace_duration / 3600.0
         _check_window_fits(f"the {hours:g} h trace of --from-dir {args.from_dir}", hours,
                            "--adaptive-window-hours", args.adaptive_window_hours)
-        oversample = args.oversample if args.oversample is not None else 1.0
-        if oversample < 1:
-            raise ValueError("--oversample must be >= 1")
         accountant = TelemetryCostAccountant()
         print(f"Evaluating policies on measured fleet from {args.from_dir} "
               f"({len(source)} recorded pairs)\n")
     else:
-        oversample = args.oversample if args.oversample is not None else 4.0
         _check_window_fits(f"--duration-hours {args.duration_hours:g}", args.duration_hours,
                            "--adaptive-window-hours", args.adaptive_window_hours)
         spec = DeploymentSpec(
@@ -434,9 +438,6 @@ def _command_policies(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"{'--metrics needs at least one name' if not args.metrics else f'unknown metrics {unknown}'}; "
                 f"this fleet serves {source.metric_names()}")
-    suite = PolicySuite(production_oversample=oversample,
-                        calibration_fraction=args.calibration_fraction,
-                        adaptive_window=args.adaptive_window_hours * 3600.0)
     sink = SpillingRecordSink(args.spill_dir) if args.spill_dir is not None else None
     failure_sink = (SpillingRecordSink(args.spill_dir / "failures")
                     if args.spill_dir is not None and args.on_error == "quarantine"

@@ -37,6 +37,9 @@ from .nyquist import MIN_SAMPLES, NyquistEstimate, NyquistEstimator
 from .resampling import decimation_factor
 
 __all__ = [
+    "MIN_RATE",
+    "DECREASE_FACTOR",
+    "MEMORY_DECAY",
     "ControllerMode",
     "ControllerConfig",
     "WindowDecision",
@@ -53,34 +56,41 @@ class ControllerMode(enum.Enum):
     STEADY = "steady"
 
 
+#: Hard floor (Hz) on the rate the controller may choose: one sample a day.
+MIN_RATE: float = 1.0 / 86400.0
+
+#: Multiplicative decrease applied in steady mode when the estimated
+#: Nyquist rate falls well below the current rate.
+DECREASE_FACTOR: float = 0.5
+
+#: Per-window decay applied to the remembered maximum Nyquist rate (§4.2
+#: "remember previous maximum Nyquist rates to ramp up more quickly").
+MEMORY_DECAY: float = 0.9
+
+
 @dataclass(frozen=True)
 class ControllerConfig:
     """Tuning knobs of the adaptive controller (paper-guided defaults).
+
+    The rest of the §4.2 guidance is fixed: the rate floor
+    (:data:`MIN_RATE`), the steady-mode decrease (:data:`DECREASE_FACTOR`),
+    the memory of previous maxima (:data:`MEMORY_DECAY`), and the
+    default dual-rate detector and energy cut-off.
 
     Attributes
     ----------
     initial_rate:
         Sampling rate (Hz) the controller starts probing at.
-    min_rate / max_rate:
-        Hard bounds on the rate the controller may choose.  ``max_rate``
+    max_rate:
+        Hard upper bound on the rate the controller may choose.  It
         defaults to infinity and is clamped to the reference trace's rate
         at run time (you cannot sample faster than the signal exists).
     probe_multiplier:
         Multiplicative increase applied while aliasing persists (§4.2
         "multiplicatively increase the measurement rate").
-    decrease_factor:
-        Multiplicative decrease applied in steady mode when the estimated
-        Nyquist rate falls well below the current rate.
     headroom:
         Safety margin (>= 1) applied to the estimated Nyquist rate when
         settling ("maintaining ample headroom may be helpful").
-    memory_decay:
-        Per-window decay applied to the remembered maximum Nyquist rate;
-        1.0 means "never forget", 0 disables memory.
-    dual_rate_ratio:
-        f1/f2 ratio used by the aliasing detector.
-    energy_fraction:
-        Energy threshold handed to the Nyquist estimator.
     aliasing_check_interval:
         In steady mode, run the (costly) dual-frequency aliasing check only
         every this many windows; in between, only the primary stream is
@@ -91,32 +101,20 @@ class ControllerConfig:
     """
 
     initial_rate: float = 1.0 / 300.0
-    min_rate: float = 1.0 / 86400.0
     max_rate: float = math.inf
     probe_multiplier: float = 2.0
-    decrease_factor: float = 0.5
     headroom: float = 1.2
-    memory_decay: float = 0.9
-    dual_rate_ratio: float = 1.6
-    aliasing_threshold: float = 0.1
-    energy_fraction: float = 0.99
     aliasing_check_interval: int = 4
 
     def __post_init__(self) -> None:
         if self.initial_rate <= 0:
             raise ValueError("initial_rate must be positive")
-        if self.min_rate <= 0:
-            raise ValueError("min_rate must be positive")
-        if self.max_rate <= self.min_rate:
-            raise ValueError("max_rate must exceed min_rate")
+        if self.max_rate <= MIN_RATE:
+            raise ValueError(f"max_rate must exceed the rate floor {MIN_RATE:g} Hz")
         if self.probe_multiplier <= 1:
             raise ValueError("probe_multiplier must be > 1")
-        if not 0 < self.decrease_factor < 1:
-            raise ValueError("decrease_factor must be in (0, 1)")
         if self.headroom < 1:
             raise ValueError("headroom must be >= 1")
-        if not 0 <= self.memory_decay <= 1:
-            raise ValueError("memory_decay must be in [0, 1]")
         if self.aliasing_check_interval < 1:
             raise ValueError("aliasing_check_interval must be >= 1")
 
@@ -228,10 +226,9 @@ class AdaptiveSamplingController:
     ----------
     config:
         Tuning knobs (:class:`ControllerConfig` defaults when omitted).
-        The controller builds its Nyquist estimator (``energy_fraction``
-        from the config, short-window detrend + Hann setup) and its
-        dual-rate detector (``dual_rate_ratio``, ``aliasing_threshold``)
-        from it.
+        The controller builds its Nyquist estimator (the default energy
+        cut-off, short-window detrend + Hann setup) and the default
+        dual-rate detector itself.
     """
 
     def __init__(self, config: ControllerConfig | None = None) -> None:
@@ -245,12 +242,9 @@ class AdaptiveSamplingController:
         # eagerly and would boost the rate on every noisy window, and the
         # controller already carries its own aliasing safety net (the
         # dual-rate detector).
-        self.estimator = NyquistEstimator(
-            energy_fraction=self.config.energy_fraction,
-            detrend=True, window="hann", aliased_band_fraction=1.0)
-        self.detector = DualRateAliasingDetector(
-            rate_ratio=self.config.dual_rate_ratio,
-            threshold=self.config.aliasing_threshold)
+        self.estimator = NyquistEstimator(detrend=True, window="hann",
+                                          aliased_band_fraction=1.0)
+        self.detector = DualRateAliasingDetector()
 
     # ------------------------------------------------------------------
     def minimum_viable_rate(self, window_duration: float) -> float:
@@ -280,7 +274,7 @@ class AdaptiveSamplingController:
         this window, sampled every ``interval`` seconds; ``states[i]`` is
         row ``i``'s controller state and is updated in place.  Rates are
         clamped to ``[floor, top]``: ``floor`` is the run's lowest allowed
-        rate (``min_rate`` or the :meth:`minimum_viable_rate` of its
+        rate (:data:`MIN_RATE` or the :meth:`minimum_viable_rate` of its
         windows, whichever is higher) and ``top`` the lower of ``max_rate``
         and the reference rate.  Returns per row the window's decision and
         the decimation factor of the stream the row collected (its
@@ -386,13 +380,12 @@ class AdaptiveSamplingController:
         # Clean estimate available: settle at Nyquist rate plus headroom.
         state.mode = ControllerMode.STEADY
         target = estimate.nyquist_rate * config.headroom
-        state.remembered_max_rate = max(state.remembered_max_rate * config.memory_decay,
-                                        target)
-        if target < rate * config.decrease_factor:
+        state.remembered_max_rate = max(state.remembered_max_rate * MEMORY_DECAY, target)
+        if target < rate * DECREASE_FACTOR:
             # The signal has quieted down a lot; decrease gradually rather
             # than jumping straight to the target so a transient lull does
             # not leave us wide open to aliasing.
-            return self._clamp(rate * config.decrease_factor, floor, top)
+            return self._clamp(rate * DECREASE_FACTOR, floor, top)
         return self._clamp(target, floor, top)
 
     # ------------------------------------------------------------------
@@ -427,7 +420,7 @@ class AdaptiveSamplingController:
     def _run_rows(self, matrix: np.ndarray, interval: float, start_time: float,
                   window_duration: float) -> list[AdaptiveRun]:
         """Step fresh per-row states through the windows of a ``(rows, n)`` matrix."""
-        floor = max(self.config.min_rate, self.minimum_viable_rate(window_duration))
+        floor = max(MIN_RATE, self.minimum_viable_rate(window_duration))
         rows, n = matrix.shape
         runs = [AdaptiveRun(baseline_samples=n) for _ in range(rows)]
         if not rows:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["FAULT_KINDS", "RAISING_FAULT_KINDS", "DATA_FAULT_KINDS", "FaultPlan",
-           "stable_digest"]
+           "stable_digest", "pair_kind", "pair_rng"]
 
 
 def stable_digest(seed: int, *parts: str) -> int:
@@ -38,6 +38,29 @@ def stable_digest(seed: int, *parts: str) -> int:
     """
     payload = ":".join((str(seed), *parts)).encode()
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
+
+
+def pair_kind(seed: int, fraction: float, kinds: tuple[str, ...], metric_name: str,
+              device_id: str) -> str | None:
+    """The kind a ``(metric, device)`` pair draws from ``kinds``, or ``None`` if unaffected.
+
+    The pair's digest places it uniformly in ``[0, 1)``: the first
+    ``fraction`` of that range is affected, split evenly over ``kinds``.
+    The one assignment rule of :class:`FaultPlan` and
+    :class:`~repro.scenarios.transforms.CounterPathology`.
+    """
+    if not kinds or fraction == 0.0:
+        return None
+    position = stable_digest(seed, "pair", metric_name, device_id) / 2.0 ** 64
+    if position >= fraction:
+        return None
+    index = int(position / fraction * len(kinds))
+    return kinds[min(index, len(kinds) - 1)]
+
+
+def pair_rng(seed: int, metric_name: str, device_id: str) -> np.random.Generator:
+    """Seeded generator for a pair's fault placement (window positions)."""
+    return np.random.default_rng(stable_digest(seed, "rng", metric_name, device_id))
 
 #: Fault kinds that make the affected pair *fail to load* (quarantine
 #: candidates): an unreadable/corrupt trace file, a file cut short, and a
@@ -119,27 +142,17 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # Pure per-pair assignment
     # ------------------------------------------------------------------
-    def _digest(self, *parts: str) -> int:
-        """Stable 64-bit digest of ``(seed, *parts)`` -- the plan's only RNG root."""
-        return stable_digest(self.seed, *parts)
-
     def kind_for(self, metric_name: str, device_id: str) -> str | None:
-        """The fault this pair suffers, or ``None`` for a healthy pair."""
-        if not self.kinds or self.fraction == 0.0:
-            return None
-        position = self._digest("pair", metric_name, device_id) / 2.0 ** 64
-        if position >= self.fraction:
-            return None
-        index = int(position / self.fraction * len(self.kinds))
-        return self.kinds[min(index, len(self.kinds) - 1)]
+        """The fault this pair suffers, or ``None`` for a healthy pair (:func:`pair_kind`)."""
+        return pair_kind(self.seed, self.fraction, self.kinds, metric_name, device_id)
 
     def affects(self, metric_name: str, device_id: str) -> bool:
         """True when this pair is on the fault list."""
         return self.kind_for(metric_name, device_id) is not None
 
     def rng_for(self, metric_name: str, device_id: str) -> np.random.Generator:
-        """Seeded generator for this pair's fault placement (window positions)."""
-        return np.random.default_rng(self._digest("rng", metric_name, device_id))
+        """Seeded generator for this pair's fault placement (:func:`pair_rng`)."""
+        return pair_rng(self.seed, metric_name, device_id)
 
     def corrupts_line(self, line_number: int) -> bool:
         """True when 1-based data line ``line_number`` of a dump gets mangled."""

@@ -20,6 +20,7 @@ rebuilds the same source deterministically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -99,8 +100,12 @@ class DeploymentSpec:
     oversample_factor: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.oversample_factor < 1:
-            raise ValueError("oversample_factor must be >= 1")
+        if not (math.isfinite(self.trace_duration) and self.trace_duration > 0):
+            raise ValueError("trace_duration must be a positive finite number, "
+                             f"got {self.trace_duration}")
+        if not (math.isfinite(self.oversample_factor) and self.oversample_factor >= 1):
+            raise ValueError("oversample_factor must be a finite number >= 1, "
+                             f"got {self.oversample_factor}")
 
     def open(self) -> "DeploymentTraceSource":
         """Materialise the trace source this spec describes (the WorkerSpec hook)."""

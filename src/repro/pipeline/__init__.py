@@ -2,17 +2,14 @@
 
 from .evaluation import PolicyRecordBlock
 from .events import (DetectionOutcome, EventKind, InjectedEvent, ModeTransition,
-                     ThresholdDetector, inject_event, reprobe_latency,
-                     resettle_latency, score_detection)
+                     inject_event, reprobe_latency, resettle_latency, score_detection)
 from .policies import (AdaptiveDualRatePolicy, Collection, FixedRatePolicy,
-                       NyquistStaticPolicy, PolicyBatchEvaluation, PolicySuite, SamplingPolicy,
-                       StaticPolicySuite)
+                       NyquistStaticPolicy, PolicyBatchEvaluation, PolicySuite, SamplingPolicy)
 
 __all__ = [
     "SamplingPolicy", "Collection", "PolicyBatchEvaluation", "FixedRatePolicy",
-    "NyquistStaticPolicy", "AdaptiveDualRatePolicy", "PolicySuite", "StaticPolicySuite",
-    "EventKind", "InjectedEvent", "inject_event", "ThresholdDetector",
-    "DetectionOutcome", "score_detection",
+    "NyquistStaticPolicy", "AdaptiveDualRatePolicy", "PolicySuite",
+    "EventKind", "InjectedEvent", "inject_event", "DetectionOutcome", "score_detection",
     "ModeTransition", "reprobe_latency", "resettle_latency",
     "PolicyRecordBlock",
 ]

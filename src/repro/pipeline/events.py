@@ -27,8 +27,7 @@ import numpy as np
 from ..core.adaptive import ModeTransition
 from ..signals.timeseries import TimeSeries
 
-__all__ = ["EventKind", "InjectedEvent", "inject_event", "ThresholdDetector",
-           "DetectionOutcome", "score_detection", "ModeTransition",
+__all__ = ["EventKind", "InjectedEvent", "inject_event", "DetectionOutcome", "score_detection", "ModeTransition",
            "reprobe_latency", "resettle_latency"]
 
 
@@ -94,46 +93,42 @@ def inject_event(series: TimeSeries, kind: EventKind, start_time: float,
     return series.with_values(values), event
 
 
-class ThresholdDetector:
-    """Detect an event as the first collected sample crossing a threshold.
+#: An event is detected once a collected sample leaves ``baseline +- k * sigma``
+#: of the pre-event stream (or half the event's magnitude, if wider).
+_SIGMA_MULTIPLIER: float = 4.0
 
-    The threshold is expressed as ``baseline + k * sigma`` computed on the
-    pre-event part of the collected stream, which is how simple production
-    alerting rules work.  A negative-magnitude event (a fail-stop that
-    drops the metric) crosses ``baseline - k * sigma`` downwards instead.
+
+def _detection_time(collected: TimeSeries, event: InjectedEvent) -> float | None:
+    """Time at which the event becomes visible in ``collected`` (None = missed).
+
+    The first collected sample crossing a threshold, which is how simple
+    production alerting rules work: ``baseline + k * sigma`` computed on
+    the pre-event part of the stream.  A negative-magnitude event (a
+    fail-stop that drops the metric) crosses ``baseline - k * sigma``
+    downwards instead.
     """
-
-    def __init__(self, sigma_multiplier: float = 4.0, min_threshold: float = 0.0) -> None:
-        if sigma_multiplier <= 0:
-            raise ValueError("sigma_multiplier must be positive")
-        self.sigma_multiplier = sigma_multiplier
-        self.min_threshold = min_threshold
-
-    def detection_time(self, collected: TimeSeries, event: InjectedEvent) -> float | None:
-        """Time at which the event becomes visible in ``collected`` (None = missed)."""
-        if len(collected) == 0:
-            return None
-        times = collected.times()
-        pre_mask = times < event.start_time
-        pre_values = collected.values[pre_mask]
-        if pre_values.size >= 2:
-            baseline = float(np.mean(pre_values))
-            sigma = float(np.std(pre_values))
-        else:
-            baseline = float(collected.values[0])
-            sigma = 0.0
-        margin = max(self.sigma_multiplier * sigma, self.min_threshold,
-                     0.5 * abs(event.magnitude))
-        post_mask = times >= event.start_time
-        post_times = times[post_mask]
-        post_values = collected.values[post_mask]
-        if event.magnitude < 0:
-            crossing = np.nonzero(post_values < baseline - margin)[0]
-        else:
-            crossing = np.nonzero(post_values > baseline + margin)[0]
-        if crossing.size == 0:
-            return None
-        return float(post_times[crossing[0]])
+    if len(collected) == 0:
+        return None
+    times = collected.times()
+    pre_mask = times < event.start_time
+    pre_values = collected.values[pre_mask]
+    if pre_values.size >= 2:
+        baseline = float(np.mean(pre_values))
+        sigma = float(np.std(pre_values))
+    else:
+        baseline = float(collected.values[0])
+        sigma = 0.0
+    margin = max(_SIGMA_MULTIPLIER * sigma, 0.5 * abs(event.magnitude))
+    post_mask = times >= event.start_time
+    post_times = times[post_mask]
+    post_values = collected.values[post_mask]
+    if event.magnitude < 0:
+        crossing = np.nonzero(post_values < baseline - margin)[0]
+    else:
+        crossing = np.nonzero(post_values > baseline + margin)[0]
+    if crossing.size == 0:
+        return None
+    return float(post_times[crossing[0]])
 
 
 @dataclass(frozen=True)
@@ -145,11 +140,10 @@ class DetectionOutcome:
     latency: float
 
 
-def score_detection(policy_name: str, collected: TimeSeries, event: InjectedEvent,
-                    detector: ThresholdDetector | None = None) -> DetectionOutcome:
+def score_detection(policy_name: str, collected: TimeSeries,
+                    event: InjectedEvent) -> DetectionOutcome:
     """Score one policy's collected stream against one injected event."""
-    detector = detector or ThresholdDetector()
-    when = detector.detection_time(collected, event)
+    when = _detection_time(collected, event)
     if when is None:
         return DetectionOutcome(policy_name, detected=False, latency=math.inf)
     return DetectionOutcome(policy_name, detected=True,

@@ -34,6 +34,7 @@ rates can be evaluated with one configuration object.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -46,8 +47,29 @@ from ..core.resampling import decimation_factor
 from ..signals.timeseries import TimeSeries
 
 __all__ = ["Collection", "PolicyBatchEvaluation", "SamplingPolicy", "FixedRatePolicy",
-           "NyquistStaticPolicy", "AdaptiveDualRatePolicy", "PolicySuite",
-           "StaticPolicySuite"]
+           "NyquistStaticPolicy", "AdaptiveDualRatePolicy", "PolicySuite", "HEADROOM",
+           "ADAPTIVE_BACKOFF", "ADAPTIVE_MAX_RATE_FACTOR"]
+
+#: Margin the Nyquist-static policy and the suite's controller apply to an
+#: estimated Nyquist rate (§4.2 "maintaining ample headroom may be helpful").
+HEADROOM: float = 1.2
+
+#: The suite's adaptive controller starts probing at ``production_rate /
+#: ADAPTIVE_BACKOFF``, so it has to earn its way up.
+ADAPTIVE_BACKOFF: float = 8.0
+
+#: The suite's adaptive rate ceiling, as a multiple of the production rate.
+#: 1.0 holds the controller to today's polling rate: the cost comparison of
+#: the paper's title is about spending *less* than the fixed baseline, so a
+#: broadband (already-aliased) metric should cost at most what it costs
+#: today rather than ramping to the full reference rate.
+ADAPTIVE_MAX_RATE_FACTOR: float = 1.0
+
+
+def _require_positive(name: str, value: float) -> None:
+    """Raise unless ``value`` is a positive finite number (NaN and inf included)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a positive finite number, got {value}")
 
 
 @dataclass(frozen=True)
@@ -190,18 +212,6 @@ class SamplingPolicy(abc.ABC):
     #: Human-readable policy name used in reports.
     name: str = "policy"
 
-    def cache_token(self) -> str:
-        """Canonical parameter string for content-addressed record caching.
-
-        The default serialises every instance attribute in sorted order,
-        which is exact for the built-in policies (their attributes are
-        floats, strings and frozen dataclasses).  Policies holding
-        attributes without deterministic reprs must override this.
-        """
-        fields = ", ".join(f"{key}={value!r}"
-                           for key, value in sorted(vars(self).items()))
-        return f"{type(self).__name__}({fields})"
-
     @abc.abstractmethod
     def collect_batch(self, values: np.ndarray, interval: float) -> Collection:
         """Collect samples from every row of a ``(rows, n)`` reference matrix.
@@ -237,8 +247,7 @@ class FixedRatePolicy(SamplingPolicy):
     """
 
     def __init__(self, interval: float, name: str | None = None) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+        _require_positive("interval", interval)
         self.interval = interval
         self.name = name or f"fixed@{interval:g}s"
 
@@ -260,23 +269,18 @@ class NyquistStaticPolicy(SamplingPolicy):
         Interval used during the calibration prefix (today's rate).
     calibration_fraction:
         Fraction of the trace spent calibrating at the production rate.
-    headroom:
-        Multiplier (>= 1) applied to the estimated rate before polling.
 
-    The calibration runs the survey-default :class:`NyquistEstimator`.
+    The calibration runs the survey-default :class:`NyquistEstimator`, and
+    the estimated rate is polled with :data:`HEADROOM`.
     """
 
-    def __init__(self, production_interval: float, calibration_fraction: float = 0.25,
-                 headroom: float = 1.2) -> None:
-        if production_interval <= 0:
-            raise ValueError("production_interval must be positive")
+    def __init__(self, production_interval: float,
+                 calibration_fraction: float = 0.25) -> None:
+        _require_positive("production_interval", production_interval)
         if not 0 < calibration_fraction < 1:
             raise ValueError("calibration_fraction must be in (0, 1)")
-        if headroom < 1:
-            raise ValueError("headroom must be >= 1")
         self.production_interval = production_interval
         self.calibration_fraction = calibration_fraction
-        self.headroom = headroom
         self.name = "nyquist-static"
 
     def collect_batch(self, values: np.ndarray, interval: float) -> Collection:
@@ -308,7 +312,7 @@ class NyquistStaticPolicy(SamplingPolicy):
             estimates = NyquistEstimator().estimate_batch(calibration, interval * factor_c)
             reliable = np.fromiter((e.reliable for e in estimates), bool, rows)
             nyquist = np.fromiter((e.nyquist_rate for e in estimates), np.float64, rows)
-        target = np.where(reliable, np.minimum(nyquist * self.headroom, production_rate),
+        target = np.where(reliable, np.minimum(nyquist * HEADROOM, production_rate),
                           production_rate)
 
         rem_m = n - cal_stop
@@ -334,16 +338,16 @@ class AdaptiveDualRatePolicy(SamplingPolicy):
         Adaptation window in seconds (the controller re-evaluates its rate
         once per window).
     config:
-        Controller configuration; the initial rate defaults to the
-        production rate divided by ``initial_backoff`` so the controller
-        has to *earn* its way up via probing rather than starting from the
+        Controller configuration (:class:`ControllerConfig` defaults when
+        omitted).  :class:`PolicySuite` starts the controller
+        :data:`ADAPTIVE_BACKOFF` times below the production rate so it has
+        to *earn* its way up via probing rather than starting from the
         over-sampled default.
     """
 
     def __init__(self, window_duration: float = 6 * 3600.0,
                  config: ControllerConfig | None = None) -> None:
-        if window_duration <= 0:
-            raise ValueError("window_duration must be positive")
+        _require_positive("window_duration", window_duration)
         self.window_duration = window_duration
         self.config = config or ControllerConfig()
         self.name = "adaptive-dual-rate"
@@ -398,39 +402,27 @@ class PolicySuite:
         polls (the ``oversample_factor`` the trace source was built with).
         1.0 means the traces *are* the production stream -- the right
         setting for measured fleets recorded at today's rates.
-    calibration_fraction / headroom:
+    calibration_fraction:
         Passed to :class:`NyquistStaticPolicy`.
     adaptive_window:
         Adaptation window of :class:`AdaptiveDualRatePolicy`, in seconds.
-    adaptive_backoff:
-        The adaptive controller starts probing at ``production_rate /
-        adaptive_backoff`` so it has to earn its way up.
-    adaptive_max_rate_factor:
-        Rate ceiling of the adaptive controller, as a multiple of the
-        production rate.  The default (1.0) holds the controller to
-        today's polling rate: the cost comparison of the paper's title is
-        about spending *less* than the fixed baseline, so a broadband
-        (already-aliased) metric should cost at most what it costs today
-        rather than ramping to the full reference rate.  Raise it to let
-        the controller probe above production (the §4.1 aliasing hunt).
+
+    Both rate-setting policies settle with :data:`HEADROOM`; the adaptive
+    controller starts at ``production_rate / ADAPTIVE_BACKOFF`` and is
+    capped at ``production_rate * ADAPTIVE_MAX_RATE_FACTOR``.
     """
 
     production_oversample: float = 1.0
     calibration_fraction: float = 0.25
-    headroom: float = 1.2
     adaptive_window: float = 4 * 3600.0
-    adaptive_backoff: float = 8.0
-    adaptive_max_rate_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.production_oversample < 1:
-            raise ValueError("production_oversample must be >= 1")
-        if self.adaptive_window <= 0:
-            raise ValueError("adaptive_window must be positive")
-        if self.adaptive_backoff < 1:
-            raise ValueError("adaptive_backoff must be >= 1")
-        if self.adaptive_max_rate_factor <= 0:
-            raise ValueError("adaptive_max_rate_factor must be positive")
+        if not (math.isfinite(self.production_oversample) and self.production_oversample >= 1):
+            raise ValueError("production_oversample must be a finite number >= 1, "
+                             f"got {self.production_oversample}")
+        if not 0 < self.calibration_fraction < 1:
+            raise ValueError("calibration_fraction must be in (0, 1)")
+        _require_positive("adaptive_window", self.adaptive_window)
 
     def build(self, reference_interval: float) -> list[SamplingPolicy]:
         """The three policies for traces sampled every ``reference_interval`` s."""
@@ -441,49 +433,24 @@ class PolicySuite:
         return [
             FixedRatePolicy(production_interval, name="fixed"),
             NyquistStaticPolicy(production_interval=production_interval,
-                                calibration_fraction=self.calibration_fraction,
-                                headroom=self.headroom),
+                                calibration_fraction=self.calibration_fraction),
             AdaptiveDualRatePolicy(
                 window_duration=self.adaptive_window,
                 config=ControllerConfig(
-                    initial_rate=production_rate / self.adaptive_backoff,
-                    max_rate=production_rate * self.adaptive_max_rate_factor,
-                    headroom=self.headroom)),
+                    initial_rate=production_rate / ADAPTIVE_BACKOFF,
+                    max_rate=production_rate * ADAPTIVE_MAX_RATE_FACTOR,
+                    headroom=HEADROOM)),
         ]
-
-    def cache_token(self) -> str:
-        """Canonical parameter string for content-addressed record caching."""
-        return repr(self)
-
-
-@dataclass(frozen=True)
-class StaticPolicySuite:
-    """A fixed set of policies served for every metric, suite-style.
-
-    Wraps an explicit policy list in the :class:`PolicySuite` interface so
-    ``run_policy_survey`` can treat "the same policies everywhere" and
-    "per-metric policies" uniformly.  The policies must be picklable for
-    multi-worker runs (the built-in ones are).
-    """
-
-    policies: tuple[SamplingPolicy, ...]
-
-    def __post_init__(self) -> None:
-        if not self.policies:
-            raise ValueError("need at least one policy")
-        names = [policy.name for policy in self.policies]
-        if len(set(names)) != len(names):
-            raise ValueError("policy names must be unique")
-
-    def build(self, reference_interval: float) -> list[SamplingPolicy]:
-        return list(self.policies)
 
     def cache_token(self) -> str:
         """Canonical parameter string for content-addressed record caching.
 
-        Composed from the per-policy tokens rather than ``repr(self)``:
-        plain policy objects repr with memory addresses, which would make
-        every run a cache miss.
+        It still names the retired ``headroom``, ``adaptive_backoff`` and
+        ``adaptive_max_rate_factor`` fields with their fixed values, so
+        record stores filled before they became constants keep hitting.
         """
-        tokens = ", ".join(policy.cache_token() for policy in self.policies)
-        return f"{type(self).__name__}({tokens})"
+        return (f"PolicySuite(production_oversample={self.production_oversample!r}, "
+                f"calibration_fraction={self.calibration_fraction!r}, "
+                f"headroom={HEADROOM!r}, adaptive_window={self.adaptive_window!r}, "
+                f"adaptive_backoff={ADAPTIVE_BACKOFF!r}, "
+                f"adaptive_max_rate_factor={ADAPTIVE_MAX_RATE_FACTOR!r})")

@@ -29,7 +29,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..faults.plan import stable_digest
+from ..faults.plan import pair_kind, pair_rng, stable_digest
 from ..signals.distortions import apply_data_fault, blackout_backfill, window_bounds
 from ..signals.timeseries import TimeSeries
 from ..telemetry.source import DelegatingTraceSource, TraceSource, WorkerSpec
@@ -270,23 +270,15 @@ class CounterPathology(ScenarioTransform):
             raise ValueError("window_fraction must be in (0, 1)")
 
     def kind_for(self, metric_name: str, device_id: str) -> str | None:
-        """The pathology this pair suffers, or ``None`` (same rule as FaultPlan)."""
-        if self.fraction == 0.0:
-            return None
-        position = stable_digest(self.seed, "pair", metric_name, device_id) / 2.0 ** 64
-        if position >= self.fraction:
-            return None
-        index = int(position / self.fraction * len(self.kinds))
-        return self.kinds[min(index, len(self.kinds) - 1)]
+        """The pathology this pair suffers, or ``None`` (FaultPlan's :func:`pair_kind` rule)."""
+        return pair_kind(self.seed, self.fraction, self.kinds, metric_name, device_id)
 
     def apply(self, values: np.ndarray, interval: float, metric_name: str,
               device_id: str) -> np.ndarray:
         kind = self.kind_for(metric_name, device_id)
         if kind is None:
             return values.copy()
-        rng = np.random.default_rng(stable_digest(self.seed, "rng", metric_name,
-                                                  device_id))
-        return apply_data_fault(kind, values, rng,
+        return apply_data_fault(kind, values, pair_rng(self.seed, metric_name, device_id),
                                 window_fraction=self.window_fraction)
 
 

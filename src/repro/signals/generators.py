@@ -36,10 +36,9 @@ def _time_axis(duration: float, sampling_rate: float) -> tuple[np.ndarray, float
 
 def multi_tone(frequencies: Sequence[float], duration: float, sampling_rate: float,
                amplitudes: Sequence[float] | None = None,
-               phases: Sequence[float] | None = None,
                offset: float = 0.0,
                name: str = "multi_tone") -> TimeSeries:
-    """A superposition of sinusoids.
+    """A superposition of zero-phase sinusoids.
 
     The Nyquist rate of the result is ``2 * max(frequencies)``, which makes
     multi-tone signals the reference workload for estimator accuracy tests.
@@ -48,13 +47,12 @@ def multi_tone(frequencies: Sequence[float], duration: float, sampling_rate: flo
     if not freqs:
         raise ValueError("need at least one frequency")
     amps = list(amplitudes) if amplitudes is not None else [1.0] * len(freqs)
-    phs = list(phases) if phases is not None else [0.0] * len(freqs)
-    if len(amps) != len(freqs) or len(phs) != len(freqs):
-        raise ValueError("frequencies, amplitudes and phases must have the same length")
+    if len(amps) != len(freqs):
+        raise ValueError("frequencies and amplitudes must have the same length")
     times, interval = _time_axis(duration, sampling_rate)
     values = np.full(times.shape, float(offset))
-    for frequency, amplitude, phase in zip(freqs, amps, phs):
-        values = values + amplitude * np.sin(2 * math.pi * frequency * times + phase)
+    for frequency, amplitude in zip(freqs, amps):
+        values = values + amplitude * np.sin(2 * math.pi * frequency * times)
     return TimeSeries(values, interval, name=name)
 
 

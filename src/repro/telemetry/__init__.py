@@ -3,7 +3,7 @@
 from .dataset import PAPER_PAIR_COUNT, DatasetConfig, FleetDataset, TraceBatch, TracePair
 from .fleet import DEFAULT_ROLE_MIX, build_fleet
 from .ingest import (EXPORT_FORMATS, GNMI_FORMAT, METRIC_PATHS, SNMP_FORMAT,
-                     IngestStats, PairAccumulator, RawUpdate, ShardIngestStats,
+                     IngestStats, PairAccumulator, ShardIngestStats,
                      TelemetryDump, UpdateBlock, export_gnmi_dump, export_snmp_dump,
                      ingest_dump, open_export, sniff_format)
 from .measured import (MeasuredDevice, MeasuredFleetDataset, MeasuredPair,
@@ -21,7 +21,7 @@ __all__ = [
     "MeasuredFleetDataset", "MeasuredPair", "MeasuredDevice", "MeasuredParameters",
     "MeasuredSourceSpec", "export_traces",
     "GNMI_FORMAT", "SNMP_FORMAT", "EXPORT_FORMATS", "METRIC_PATHS",
-    "TelemetryDump", "RawUpdate", "UpdateBlock", "PairAccumulator",
+    "TelemetryDump", "UpdateBlock", "PairAccumulator",
     "IngestStats", "ShardIngestStats",
     "ByteRange", "plan_byte_ranges", "shard_of_key",
     "open_export", "sniff_format", "ingest_dump",

@@ -24,6 +24,7 @@ synthetic fleet to such a directory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,8 +74,9 @@ class DatasetConfig:
     def __post_init__(self) -> None:
         if self.pair_count < 1:
             raise ValueError("pair_count must be >= 1")
-        if self.trace_duration <= 0:
-            raise ValueError("trace_duration must be positive")
+        if not (math.isfinite(self.trace_duration) and self.trace_duration > 0):
+            raise ValueError("trace_duration must be a positive finite number, "
+                             f"got {self.trace_duration}")
         if not self.metrics:
             raise ValueError("metrics must not be empty")
         unknown = [name for name in self.metrics if name not in METRIC_CATALOG]

@@ -25,19 +25,16 @@ DEFAULT_ROLE_MIX: dict[DeviceRole, float] = {
 }
 
 
-def build_fleet(num_devices: int, seed: int = 0,
-                role_mix: dict[DeviceRole, float] | None = None) -> list[DeviceProfile]:
-    """Create ``num_devices`` device profiles with a fixed role mix.
+def build_fleet(num_devices: int, seed: int = 0) -> list[DeviceProfile]:
+    """Create ``num_devices`` device profiles with the :data:`DEFAULT_ROLE_MIX`.
 
     The assignment is deterministic for a given ``seed`` so every run of a
     benchmark or test sees the same fleet.
     """
     if num_devices < 1:
         raise ValueError("num_devices must be >= 1")
-    mix = role_mix or DEFAULT_ROLE_MIX
+    mix = DEFAULT_ROLE_MIX
     total = sum(mix.values())
-    if total <= 0:
-        raise ValueError("role_mix fractions must sum to a positive value")
     rng = np.random.default_rng(seed)
     roles = list(mix)
     probabilities = np.array([mix[role] for role in roles]) / total

@@ -92,7 +92,6 @@ __all__ = [
     "PATH_METRICS",
     "metric_from_path",
     "path_for_metric",
-    "RawUpdate",
     "UpdateBlock",
     "BLOCK_BYTES",
     "TelemetryDump",
@@ -166,20 +165,6 @@ def path_for_metric(name: str) -> str:
 BLOCK_BYTES: int = 1 << 19
 
 
-@dataclass(frozen=True)
-class RawUpdate:
-    """One update parsed by the line-by-line gNMI reader."""
-
-    timestamp: float
-    device: str
-    metric: str
-    value: float
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.metric, self.device)
-
-
 #: One bounded slice of a dump's updates, grouped per pair (columnar): every
 #: ``(metric, device)`` key of the slice, in first-seen order, mapped to that
 #: key's float64 ``(timestamps, values)`` in arrival order.
@@ -232,8 +217,12 @@ _GNMI_FIELDS = ("timestamp", "device", "path", "value")
 FailureCallback = Callable[[int, ValueError], None]
 
 
-def _parse_gnmi_line(stripped: str, path: Path, line_number: int) -> RawUpdate:
-    """Parse one gNMI JSON-lines update, raising ``ValueError`` with file + line."""
+def _parse_gnmi_line(stripped: str, path: Path,
+                     line_number: int) -> tuple[tuple[str, str], float, float]:
+    """Parse one gNMI JSON-lines update into ``((metric, device), timestamp, value)``.
+
+    Raises ``ValueError`` naming the file and line.
+    """
     try:
         update = json.loads(stripped)
     except json.JSONDecodeError as error:
@@ -253,7 +242,7 @@ def _parse_gnmi_line(stripped: str, path: Path, line_number: int) -> RawUpdate:
     value = _require_number(update["value"], "'value'", path, line_number)
     device = _require_name(update["device"], "'device'", path, line_number)
     token = _require_name(update["path"], "'path'", path, line_number)
-    return RawUpdate(timestamp, device, metric_from_path(token), value)
+    return (metric_from_path(token), device), timestamp, value
 
 
 # The one line shape export_gnmi_dump writes, scanned with single-character
@@ -351,13 +340,13 @@ def _parse_gnmi_block(text: str, path: Path, first_line: int, lines: int,
         if not stripped:
             continue
         try:
-            update = _parse_gnmi_line(stripped, path, line_number)
+            key, timestamp, value = _parse_gnmi_line(stripped, path, line_number)
         except ValueError as error:
             if record_failure is None:
                 raise
             record_failure(line_number, error)
             continue
-        builder.add(update.key, update.timestamp, update.value)
+        builder.add(key, timestamp, value)
     return builder.build()
 
 

@@ -50,10 +50,14 @@ def _time_grid(n: int, interval: float) -> np.ndarray:
     return times
 
 
+#: Period of the diurnal cycle, in seconds.
+_DAY_SECONDS = 86400.0
+
+
 @lru_cache(maxsize=32)
-def _diurnal_base(n: int, interval: float, day_seconds: float) -> tuple[np.ndarray, np.ndarray]:
+def _diurnal_base(n: int, interval: float) -> tuple[np.ndarray, np.ndarray]:
     """The diurnal phase ramp ``2*pi*t/day`` on the ``(n, interval)`` grid and its double."""
-    base = 2.0 * math.pi * _time_grid(n, interval) / day_seconds
+    base = 2.0 * math.pi * _time_grid(n, interval) / _DAY_SECONDS
     double = 2.0 * base
     base.flags.writeable = False
     double.flags.writeable = False
@@ -115,15 +119,15 @@ def broadband_component(n: int, amplitude: float, rng: np.random.Generator) -> n
 
 
 def diurnal_component(n: int, interval: float, amplitude: float,
-                      phase: float = 0.0, day_seconds: float = 86400.0) -> np.ndarray:
-    """A day/night cycle with a mild second harmonic (the load backbone).
+                      phase: float = 0.0) -> np.ndarray:
+    """A one-day (86400 s) cycle with a mild second harmonic (the load backbone).
 
     Sampled on the :func:`time_grid` of ``n`` samples ``interval`` seconds
     apart; the phase ramp is built once per grid.
     """
     if amplitude < 0:
         raise ValueError("amplitude must be non-negative")
-    base, double = _diurnal_base(n, interval, day_seconds)
+    base, double = _diurnal_base(n, interval)
     return amplitude * (np.sin(base + phase) + 0.25 * np.sin(double + phase))
 
 

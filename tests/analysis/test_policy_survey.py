@@ -12,7 +12,7 @@ from repro.network.cost import TelemetryCostAccountant
 from repro.network.monitoring import DeploymentSpec
 from repro.network.topology import TopologySpec
 from repro.pipeline.evaluation import DETECTION_UNSCORED, PolicyRecordBlock
-from repro.pipeline.policies import FixedRatePolicy, NyquistStaticPolicy, PolicySuite
+from repro.pipeline.policies import PolicySuite
 from repro.records import SpillingRecordSink
 from repro.telemetry.dataset import DatasetConfig, FleetDataset
 
@@ -103,15 +103,6 @@ class TestRunPolicySurvey:
         assert set(result.metrics()) == {"Temperature", "Link util"}
         assert all(row["points"] == 4 for row in result.rows())
 
-    def test_explicit_policy_sequence(self, demo_spec, demo_accountant):
-        """A plain policy list (StaticPolicySuite coercion) works too."""
-        policies = [FixedRatePolicy(120.0, name="baseline"),
-                    NyquistStaticPolicy(production_interval=120.0)]
-        result = run_policy_survey(demo_spec.open(), policies,
-                                   accountant=demo_accountant,
-                                   metrics=["Temperature"])
-        assert result.policies() == ["baseline", "nyquist-static"]
-
     def test_relative_costs_unknown_baseline(self, demo_survey):
         with pytest.raises(KeyError):
             demo_survey.relative_costs("nope")
@@ -195,12 +186,13 @@ class TestPerPointDriverAgreement:
                                 seed=8).open()
         accountant = source.accountant()
         traces = list(source.traces("Link util"))
-        policies = PolicySuite(production_oversample=4.0).build(traces[0][1].interval)
+        suite = PolicySuite(production_oversample=4.0)
+        policies = suite.build(traces[0][1].interval)
         assert len(policies) == 3
         per_point = CostQualityEvaluator(policies, accountant=accountant)
         for pair, reference in traces:
             per_point.evaluate_point(pair.device.device_id, "Link util", reference)
-        fleet = run_policy_survey(source, policies, accountant=accountant,
+        fleet = run_policy_survey(source, suite, accountant=accountant,
                                   metrics=["Link util"])
 
         left, right = self.rows_by_key(per_point), self.rows_by_key(fleet)

@@ -6,8 +6,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.adaptive import (AdaptiveRun, AdaptiveSamplingController, ControllerConfig,
-                                 ControllerMode)
+from repro.core.adaptive import (MIN_RATE, AdaptiveRun, AdaptiveSamplingController,
+                                 ControllerConfig, ControllerMode)
+from repro.core.aliasing import DualRateAliasingDetector
 from repro.core.nyquist import MIN_SAMPLES, NyquistEstimator
 from repro.core.resampling import decimation_factor
 from repro.signals.generators import multi_tone
@@ -33,12 +34,10 @@ class TestControllerConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"initial_rate": 0.0},
-        {"min_rate": 0.0},
-        {"max_rate": 1e-9, "min_rate": 1e-6},
+        {"max_rate": 1e-9},
+        {"max_rate": MIN_RATE},
         {"probe_multiplier": 1.0},
-        {"decrease_factor": 1.5},
         {"headroom": 0.5},
-        {"memory_decay": 1.5},
         {"aliasing_check_interval": 0},
     ])
     def test_invalid_configs_rejected(self, kwargs):
@@ -64,14 +63,13 @@ class TestControllerBehaviour:
         assert floor * 3600.0 >= controller.estimator.min_samples
         assert floor == MIN_SAMPLES / 3600.0
 
-    def test_estimator_and_detector_come_from_the_config(self):
-        config = ControllerConfig(energy_fraction=0.95, dual_rate_ratio=1.3,
-                                  aliasing_threshold=0.2)
-        controller = AdaptiveSamplingController(config)
+    def test_estimator_and_detector_are_the_short_window_defaults(self):
+        controller = AdaptiveSamplingController()
         assert controller.estimator.cache_token() == NyquistEstimator(
-            energy_fraction=0.95, detrend=True, window="hann",
-            aliased_band_fraction=1.0).cache_token()
-        assert (controller.detector.rate_ratio, controller.detector.threshold) == (1.3, 0.2)
+            detrend=True, window="hann", aliased_band_fraction=1.0).cache_token()
+        default = DualRateAliasingDetector()
+        assert ((controller.detector.rate_ratio, controller.detector.threshold)
+                == (default.rate_ratio, default.threshold) == (1.6, 0.1))
 
     def test_minimum_viable_rate_rejects_bad_window(self):
         with pytest.raises(ValueError):
@@ -101,9 +99,9 @@ class TestControllerBehaviour:
 
     @pytest.mark.parametrize("window", [600.0, 3600.0])
     def test_rate_never_falls_below_the_window_floor(self, rng, window):
-        # initial_rate and min_rate sit far below MIN_SAMPLES / window, so
+        # initial_rate and MIN_RATE sit far below MIN_SAMPLES / window, so
         # only the run's own window floor holds the rate up.
-        config = ControllerConfig(initial_rate=1e-5, min_rate=1e-6, max_rate=0.2)
+        config = ControllerConfig(initial_rate=1e-6, max_rate=0.2)
         run = AdaptiveSamplingController(config).run(quiet_then_busy(rng=rng), window)
         floor = MIN_SAMPLES / window
         assert run.decisions[0].sampling_rate == floor
@@ -124,7 +122,7 @@ class TestControllerBehaviour:
 
     def test_rate_respects_bounds(self, rng):
         reference = quiet_then_busy(rng=rng)
-        config = ControllerConfig(initial_rate=0.01, min_rate=1.0 / 7200.0, max_rate=0.05)
+        config = ControllerConfig(initial_rate=0.01, max_rate=0.05)
         run = AdaptiveSamplingController(config).run(reference, window_duration=3600.0)
         for decision in run.decisions:
             assert decision.sampling_rate <= 0.05 + 1e-12
@@ -176,7 +174,7 @@ class TestControllerBehaviour:
                           amplitudes=[3.0, 6.0], offset=10.0)
         reference = quiet.concatenate(busy).concatenate(quiet).concatenate(busy)
         config = ControllerConfig(initial_rate=1.0 / 900.0, max_rate=rate,
-                                  aliasing_check_interval=1, memory_decay=1.0)
+                                  aliasing_check_interval=1)
         run = AdaptiveSamplingController(config).run(reference, window_duration=1800.0)
         hours = np.array([d.window_start for d in run.decisions]) / 3600.0
         rates = np.array([d.sampling_rate for d in run.decisions])
@@ -237,7 +235,7 @@ class TestBatchStepper:
     @pytest.mark.parametrize("config", [
         ControllerConfig(),
         ControllerConfig(initial_rate=1.0 / 900.0, max_rate=0.05, aliasing_check_interval=2),
-        ControllerConfig(initial_rate=1.0 / 60.0, max_rate=1.0 / 30.0, memory_decay=1.0),
+        ControllerConfig(initial_rate=1.0 / 60.0, max_rate=1.0 / 30.0),
     ])
     def test_rows_equal_single_trace_runs(self, rng, config):
         values = self.references(rng)

@@ -86,6 +86,19 @@ class TestDeployment:
         with pytest.raises(ValueError):
             DeploymentSpec(oversample_factor=0.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("trace_duration", float("nan")), ("trace_duration", float("inf")),
+        ("trace_duration", float("-inf")), ("trace_duration", 0.0),
+        ("trace_duration", -5.0),
+        ("oversample_factor", float("nan")), ("oversample_factor", float("inf")),
+        ("oversample_factor", float("-inf")),
+    ])
+    def test_spec_rejects_non_finite_and_non_positive_values(self, field, value):
+        """Regression: NaN, inf and a negative duration used to construct and
+        fail only when the first trace was cut (or not at all)."""
+        with pytest.raises(ValueError, match=field):
+            DeploymentSpec(**{field: value})
+
     def test_traces_are_deterministic(self, source):
         pair = source.pairs()[0]
         np.testing.assert_array_equal(source.load(pair).values, SPEC.open().load(pair).values)

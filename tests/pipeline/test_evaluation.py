@@ -5,13 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.policy_survey import CostQualityEvaluator, PolicySurveyResult
+from repro.analysis.policy_survey import CostQualityEvaluator
 from repro.network.cost import TelemetryCostAccountant
 from repro.pipeline import policies as policies_module
 from repro.pipeline.evaluation import DETECTION_UNSCORED
 from repro.pipeline.events import EventKind, inject_event
 from repro.pipeline.policies import FixedRatePolicy, NyquistStaticPolicy
-from repro.records import SpillingRecordSink
 from repro.signals.generators import multi_tone
 from repro.signals.noise import add_white_noise
 
@@ -103,19 +102,6 @@ class TestEvaluator:
             assert np.isnan(row["detection_rate"])
             assert np.isnan(row["mean_detection_latency_s"])
 
-    def test_rejects_sink_with_records(self, reference, tmp_path):
-        """A sink that already holds records used to be adopted silently,
-        so its rows were counted twice; re-opening goes through
-        PolicySurveyResult instead."""
-        policies = [FixedRatePolicy(30.0, name="baseline")]
-        first = CostQualityEvaluator(policies, sink=SpillingRecordSink(tmp_path))
-        first.evaluate_point("dev-1", "Link util", reference)
-        with pytest.raises(ValueError, match=r"already holds 1 records.*"
-                                             r"PolicySurveyResult\(sink=\.\.\.\)"):
-            CostQualityEvaluator(policies, sink=SpillingRecordSink(tmp_path))
-        reopened = PolicySurveyResult(sink=SpillingRecordSink(tmp_path))
-        assert reopened.rows() == first.rows()
-
     def test_summary_quality_fields(self, reference):
         evaluator = make_evaluator()
         evaluator.evaluate_point("dev-1", "Link util", reference)
@@ -142,21 +128,6 @@ class TestColumnarStore:
         assert evaluator.rows()[0]["samples"] == sum(
             int(block.samples.sum()) for block in blocks
             if block.policy_name == "baseline")
-
-    def test_spilled_evaluator_round_trips(self, reference, tmp_path):
-        policies = [FixedRatePolicy(30.0, name="baseline"),
-                    NyquistStaticPolicy(production_interval=30.0)]
-        spilling = CostQualityEvaluator(policies, accountant=TelemetryCostAccountant(),
-                                        sink=SpillingRecordSink(tmp_path / "spool"))
-        memory = make_evaluator()
-        for name in ("dev-1", "dev-2"):
-            spilling.evaluate_point(name, "Link util", reference)
-            memory.evaluate_point(name, "Link util", reference)
-        for left, right in zip(spilling.rows(), memory.rows()):
-            assert left.keys() == right.keys()
-            for key in left:
-                assert left[key] == pytest.approx(right[key], nan_ok=True), key
-
 
 class TestRelativeCostGuards:
     def test_zero_baseline_raises_naming_the_policy(self, reference):

@@ -9,9 +9,8 @@ import pytest
 
 from repro.core.adaptive import ControllerMode
 from repro.core.resampling import decimation_factor
-from repro.pipeline.events import (EventKind, ModeTransition, ThresholdDetector,
-                                   inject_event, reprobe_latency, resettle_latency,
-                                   score_detection)
+from repro.pipeline.events import (EventKind, ModeTransition, inject_event, reprobe_latency,
+                                   resettle_latency, score_detection)
 from repro.pipeline.policies import AdaptiveDualRatePolicy
 from repro.scenarios import RegimeShift
 from repro.signals.generators import multi_tone
@@ -103,16 +102,13 @@ class TestDetection:
         outcome = score_detection("none", TimeSeries(np.empty(0), 1.0), event)
         assert not outcome.detected
 
-    def test_detector_threshold_validation(self):
-        with pytest.raises(ValueError):
-            ThresholdDetector(sigma_multiplier=0.0)
-
     @pytest.mark.parametrize("magnitude", [0.01, -0.01], ids=["rise", "drop"])
-    def test_detection_time_none_when_event_below_threshold(self, baseline_trace, magnitude):
+    def test_missed_when_event_below_threshold(self, baseline_trace, magnitude):
         modified, event = inject_event(baseline_trace, EventKind.STEP, 10000.0,
                                        magnitude=magnitude)
-        detector = ThresholdDetector(sigma_multiplier=10.0, min_threshold=5.0)
-        assert detector.detection_time(modified, event) is None
+        outcome = score_detection("full", modified, event)
+        assert not outcome.detected
+        assert outcome.latency == math.inf
 
 
 class TestModeTransitionScoring:

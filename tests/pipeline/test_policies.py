@@ -12,9 +12,10 @@ import pytest
 
 from repro.analysis.policy_survey import CostQualityEvaluator
 from repro.core.adaptive import AdaptiveSamplingController, ControllerMode
-from repro.pipeline.policies import (AdaptiveDualRatePolicy, Collection, FixedRatePolicy,
+from repro.pipeline.policies import (ADAPTIVE_BACKOFF, ADAPTIVE_MAX_RATE_FACTOR, HEADROOM,
+                                     AdaptiveDualRatePolicy, Collection, FixedRatePolicy,
                                      NyquistStaticPolicy, PolicyBatchEvaluation, PolicySuite,
-                                     SamplingPolicy, StaticPolicySuite)
+                                     SamplingPolicy)
 from repro.signals.generators import multi_tone
 from repro.signals.noise import add_white_noise
 from repro.signals.timeseries import TimeSeries
@@ -71,8 +72,6 @@ class TestNyquistStaticPolicy:
             NyquistStaticPolicy(production_interval=0.0)
         with pytest.raises(ValueError):
             NyquistStaticPolicy(production_interval=30.0, calibration_fraction=0.0)
-        with pytest.raises(ValueError):
-            NyquistStaticPolicy(production_interval=30.0, headroom=0.9)
 
 
 class TestFinishGuard:
@@ -342,18 +341,14 @@ class TestPolicySuite:
         assert static.production_interval == pytest.approx(30.0)
         # The controller starts backed off from the production rate.
         assert adaptive.config.initial_rate == pytest.approx((1.0 / 30.0) / 8.0)
+        # ... is capped at it, and settles with the static policy's headroom.
+        assert adaptive.config.max_rate == pytest.approx(1.0 / 30.0)
+        assert adaptive.config.headroom == HEADROOM == 1.2
+        assert (ADAPTIVE_BACKOFF, ADAPTIVE_MAX_RATE_FACTOR) == (8.0, 1.0)
 
     def test_measured_fleet_default_is_production_rate(self):
         policies = PolicySuite().build(reference_interval=30.0)
         assert policies[0].interval == pytest.approx(30.0)
-
-    @pytest.mark.parametrize("knobs, message", [
-        ({"adaptive_backoff": 0.5}, "adaptive_backoff"),
-        ({"adaptive_max_rate_factor": 0.0}, "adaptive_max_rate_factor"),
-    ])
-    def test_rejects_bad_adaptive_knobs(self, knobs, message):
-        with pytest.raises(ValueError, match=message):
-            PolicySuite(**knobs)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -363,18 +358,46 @@ class TestPolicySuite:
         with pytest.raises(ValueError):
             PolicySuite().build(reference_interval=0.0)
 
-    def test_static_suite_serves_fixed_policies(self):
-        policies = (FixedRatePolicy(30.0, name="a"), FixedRatePolicy(60.0, name="b"))
-        suite = StaticPolicySuite(policies)
-        assert suite.build(7.5) == list(policies)
-        assert suite.build(300.0) == list(policies)
+    @pytest.mark.parametrize("field, value", [
+        ("production_oversample", float("nan")), ("production_oversample", float("inf")),
+        ("production_oversample", float("-inf")), ("production_oversample", 0.5),
+        ("adaptive_window", float("nan")), ("adaptive_window", float("inf")),
+        ("adaptive_window", float("-inf")), ("adaptive_window", 0.0),
+        ("adaptive_window", -3600.0),
+        ("calibration_fraction", float("nan")), ("calibration_fraction", 1.0),
+    ])
+    def test_rejects_non_finite_and_out_of_range_fields(self, field, value):
+        """Regression: NaN passed ``x < 1`` and ``x <= 0``, so a NaN window ran
+        the whole survey and then failed on an empty adaptive stream."""
+        with pytest.raises(ValueError, match=field):
+            PolicySuite(**{field: value})
 
-    def test_static_suite_rejects_duplicates_and_empty(self):
-        with pytest.raises(ValueError):
-            StaticPolicySuite(())
-        with pytest.raises(ValueError):
-            StaticPolicySuite((FixedRatePolicy(30.0, name="x"),
-                               FixedRatePolicy(60.0, name="x")))
+    def test_repr_names_only_the_fields(self):
+        assert repr(PolicySuite()) == (
+            "PolicySuite(production_oversample=1.0, calibration_fraction=0.25, "
+            "adaptive_window=14400.0)")
+
+
+NON_POSITIVE = [float("nan"), float("inf"), float("-inf"), 0.0, -30.0]
+
+
+class TestNonFiniteRates:
+    """Every rate or window a policy is built with must be positive and finite."""
+
+    @pytest.mark.parametrize("value", NON_POSITIVE)
+    def test_fixed_rate_interval(self, value):
+        with pytest.raises(ValueError, match="interval must be a positive finite"):
+            FixedRatePolicy(value)
+
+    @pytest.mark.parametrize("value", NON_POSITIVE)
+    def test_static_production_interval(self, value):
+        with pytest.raises(ValueError, match="production_interval must be a positive finite"):
+            NyquistStaticPolicy(production_interval=value)
+
+    @pytest.mark.parametrize("value", NON_POSITIVE)
+    def test_adaptive_window_duration(self, value):
+        with pytest.raises(ValueError, match="window_duration must be a positive finite"):
+            AdaptiveDualRatePolicy(window_duration=value)
 
 
 class TestAdaptivePolicy:
@@ -396,13 +419,6 @@ class TestAdaptivePolicy:
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-#: One of each built-in policy, as an explicit policy list builds them.
-BUILT_IN = {
-    "fixed": "FixedRatePolicy(30.0, name='fixed')",
-    "nyquist-static": "NyquistStaticPolicy(production_interval=30.0)",
-    "adaptive-dual-rate": "AdaptiveDualRatePolicy(window_duration=2 * 3600.0)",
-}
-
 
 def run_fresh(script: str, *args: str) -> str:
     """Run ``script`` in a new interpreter (its own hash seed and addresses)."""
@@ -412,28 +428,19 @@ def run_fresh(script: str, *args: str) -> str:
 
 
 class TestCacheTokens:
-    """A policy's cache_token() is its record-store identity: it must not
+    """A suite's cache_token() is its record-store identity: it must not
     depend on the process that computed it."""
 
-    @pytest.mark.parametrize("policy", list(BUILT_IN))
-    def test_token_is_the_same_in_two_fresh_interpreters(self, policy):
-        script = ("from repro.pipeline.policies import *\n"
-                  f"print({BUILT_IN[policy]}.cache_token())\n")
-        first, second = run_fresh(script), run_fresh(script)
-        assert " object at 0x" not in first
-        assert first == second
-
-    def test_explicit_policy_list_hits_a_store_filled_by_another_process(self, tmp_path):
+    def test_suite_hits_a_store_filled_by_another_process(self, tmp_path):
         script = (
             "import sys\n"
             "from repro.analysis.policy_survey import run_policy_survey\n"
-            "from repro.pipeline.policies import *\n"
+            "from repro.pipeline.policies import PolicySuite\n"
             "from repro.records import RecordStore\n"
             "from repro.telemetry.dataset import DatasetConfig, FleetDataset\n"
-            f"policies = [{', '.join(BUILT_IN.values())}]\n"
             "source = FleetDataset(DatasetConfig(pair_count=12, seed=5, trace_duration=21600.0))\n"
-            "result = run_policy_survey(source, policies, store=RecordStore(sys.argv[1]),\n"
-            "                           chunk_size=4)\n"
+            "result = run_policy_survey(source, PolicySuite(adaptive_window=7200.0),\n"
+            "                           store=RecordStore(sys.argv[1]), chunk_size=4)\n"
             "print(result.cache_hits, result.cache_misses)\n")
         store = str(tmp_path / "store")
         assert run_fresh(script, store) == "0 12"
@@ -445,14 +452,9 @@ class TestCacheTokens:
             "PolicySuite(production_oversample=1.0, calibration_fraction=0.25, headroom=1.2, "
             "adaptive_window=14400.0, adaptive_backoff=8.0, adaptive_max_rate_factor=1.0)")
 
-    def test_fixed_and_adaptive_list_token_is_unchanged(self):
-        """Lists without the static policy hit stores filled by earlier releases."""
-        suite = StaticPolicySuite((FixedRatePolicy(30.0, name="fixed"),
-                                   AdaptiveDualRatePolicy(window_duration=7200.0)))
-        assert suite.cache_token() == (
-            "StaticPolicySuite(FixedRatePolicy(interval=30.0, name='fixed'), "
-            "AdaptiveDualRatePolicy(config=ControllerConfig(initial_rate=0.0033333333333333335, "
-            "min_rate=1.1574074074074073e-05, max_rate=inf, probe_multiplier=2.0, "
-            "decrease_factor=0.5, headroom=1.2, memory_decay=0.9, dual_rate_ratio=1.6, "
-            "aliasing_threshold=0.1, energy_fraction=0.99, aliasing_check_interval=4), "
-            "name='adaptive-dual-rate', window_duration=7200.0))")
+    def test_token_names_every_field_as_given(self):
+        """A field's repr goes into the token as the dataclass repr put it."""
+        assert PolicySuite(production_oversample=4, calibration_fraction=0.5,
+                           adaptive_window=7200.0).cache_token() == (
+            "PolicySuite(production_oversample=4, calibration_fraction=0.5, headroom=1.2, "
+            "adaptive_window=7200.0, adaptive_backoff=8.0, adaptive_max_rate_factor=1.0)")

@@ -141,6 +141,28 @@ class TestCounterPathologyPromotion:
         assert ([pathology.kind_for(m, d) for m, d in PAIRS]
                 == [plan.kind_for(m, d) for m, d in PAIRS])
 
+    @pytest.mark.parametrize("kinds", [("counter-wrap",), ("counter-wrap", "device-reboot"),
+                                       ("device-reboot", "blackout", "counter-wrap")])
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 13, 2 ** 40])
+    def test_pathology_and_plan_share_one_assignment(self, seed, fraction, kinds):
+        """Both draw a pair's kind and placement generator by the digest rule."""
+        pathology = CounterPathology(kinds=kinds, fraction=fraction, seed=seed)
+        plan = FaultPlan(seed=seed, fraction=fraction, kinds=kinds)
+        pairs = PAIRS + [(metric, f"tor-{i:04d}") for metric in ("CPU", "FCS errors")
+                         for i in range(24)]
+        for metric, device in pairs:
+            position = stable_digest(seed, "pair", metric, device) / 2.0 ** 64
+            expected = (None if position >= fraction else
+                        kinds[min(int(position / fraction * len(kinds)), len(kinds) - 1)])
+            assert pathology.kind_for(metric, device) == plan.kind_for(metric, device) \
+                == expected, (metric, device)
+            draw = np.random.default_rng(stable_digest(seed, "rng", metric, device)).random(3)
+            assert np.array_equal(plan.rng_for(metric, device).random(3), draw)
+        touched = [(metric, device) for metric, device in pairs
+                   if pathology.kind_for(metric, device) is not None]
+        assert bool(touched) == (fraction > 0)
+
     def test_distortion_matches_canonical_placement(self):
         """Afflicted pairs suffer exactly apply_data_fault's seeded placement."""
         pathology = CounterPathology(fraction=1.0, window_fraction=0.2, seed=5)

@@ -16,6 +16,12 @@ class TestDatasetConfig:
         assert config.trace_duration == 86400.0
         assert len(config.metrics) == 14
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), float("-inf"), 0.0,
+                                          -1.0])
+    def test_rejects_non_finite_and_non_positive_duration(self, duration):
+        with pytest.raises(ValueError, match="trace_duration must be a positive finite"):
+            DatasetConfig(trace_duration=duration)
+
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             DatasetConfig(pair_count=0)

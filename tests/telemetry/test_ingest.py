@@ -971,10 +971,11 @@ def per_line_block(text: str) -> dict:
     groups: dict = {}
     for line_number, line in enumerate(text.split("\n"), start=1):
         if line.strip():
-            update = _parse_gnmi_line(line.strip(), Path("block.jsonl"), line_number)
-            times, values = groups.setdefault(update.key, ([], []))
-            times.append(update.timestamp)
-            values.append(update.value)
+            key, timestamp, value = _parse_gnmi_line(line.strip(), Path("block.jsonl"),
+                                                     line_number)
+            times, values = groups.setdefault(key, ([], []))
+            times.append(timestamp)
+            values.append(value)
     return {key: (np.array(times, dtype=np.float64), np.array(values, dtype=np.float64))
             for key, (times, values) in groups.items()}
 

@@ -347,8 +347,18 @@ class TestErrorContract:
         (["adaptive", "--days", "0"], "positive"),
         (["policies", "--duration-hours", "3"], "--adaptive-window-hours"),
         (["adaptive", "--days", "0.2", "--window-hours", "6"], "--window-hours"),
+        (["policies", "--duration-hours", "nan"], "trace_duration must be a positive finite"),
+        (["policies", "--duration-hours", "-5"], "trace_duration must be a positive finite"),
+        (["policies", "--oversample", "nan"], "--oversample must be a finite number"),
+        (["policies", "--oversample", "inf"], "--oversample must be a finite number"),
+        (["policies", "--adaptive-window-hours", "nan"], "adaptive_window must be a positive"),
+        (["policies", "--adaptive-window-hours", "inf"], "adaptive_window must be a positive"),
+        (["policies", "--calibration-fraction", "nan"], "calibration_fraction"),
     ], ids=["survey-pairs", "export-fleet-pairs", "windowed-window", "windowed-step",
-            "adaptive-days", "policies-short-trace", "adaptive-short-trace"])
+            "adaptive-days", "policies-short-trace", "adaptive-short-trace",
+            "policies-nan-duration", "policies-negative-duration", "policies-nan-oversample",
+            "policies-inf-oversample", "policies-nan-window", "policies-inf-window",
+            "policies-nan-calibration"])
     def test_bad_parameter_is_one_error_line(self, tmp_path, capsys, argv, message):
         assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
         err = capsys.readouterr().err

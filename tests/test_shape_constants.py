@@ -342,7 +342,7 @@ def cached_arrays(n: int, interval: float) -> list[np.ndarray]:
         batch._detrend_axis(n)[0],
         batch._taper_and_scale("hann", n)[0],
         common._time_grid(n, interval),
-        *common._diurnal_base(n, interval, 86400.0),
+        *common._diurnal_base(n, interval),
         common._band_weights(n, interval),
         noise._median_plan(n)[0],
         transforms._diurnal_carrier(DIURNAL, n, interval),
