@@ -404,9 +404,7 @@ def _check_window_fits(trace: str, trace_hours: float, window: str, window_hours
 def _command_policies(args: argparse.Namespace) -> int:
     default_oversample = 1.0 if args.from_dir is not None else 4.0
     oversample = args.oversample if args.oversample is not None else default_oversample
-    if not (math.isfinite(oversample) and oversample >= 1):
-        raise ValueError(f"--oversample must be a finite number >= 1, got {oversample:g}")
-    # Built first, so a bad window or calibration option fails before any trace loads.
+    # Built first, so a bad oversample or window option fails before any trace loads.
     suite = PolicySuite(production_oversample=oversample,
                         calibration_fraction=args.calibration_fraction,
                         adaptive_window=args.adaptive_window_hours * 3600.0)

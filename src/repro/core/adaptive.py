@@ -38,8 +38,7 @@ from .resampling import decimation_factor
 
 __all__ = [
     "MIN_RATE",
-    "DECREASE_FACTOR",
-    "MEMORY_DECAY",
+    "DEFAULT_HEADROOM",
     "ControllerMode",
     "ControllerConfig",
     "WindowDecision",
@@ -59,13 +58,18 @@ class ControllerMode(enum.Enum):
 #: Hard floor (Hz) on the rate the controller may choose: one sample a day.
 MIN_RATE: float = 1.0 / 86400.0
 
+#: Safety margin the controller applies to an estimated Nyquist rate when
+#: settling unless configured otherwise (§4.2 "maintaining ample headroom
+#: may be helpful"); the Nyquist-static policy polls with it too.
+DEFAULT_HEADROOM: float = 1.2
+
 #: Multiplicative decrease applied in steady mode when the estimated
 #: Nyquist rate falls well below the current rate.
-DECREASE_FACTOR: float = 0.5
+_DECREASE_FACTOR: float = 0.5
 
 #: Per-window decay applied to the remembered maximum Nyquist rate (§4.2
 #: "remember previous maximum Nyquist rates to ramp up more quickly").
-MEMORY_DECAY: float = 0.9
+_MEMORY_DECAY: float = 0.9
 
 
 @dataclass(frozen=True)
@@ -73,9 +77,9 @@ class ControllerConfig:
     """Tuning knobs of the adaptive controller (paper-guided defaults).
 
     The rest of the §4.2 guidance is fixed: the rate floor
-    (:data:`MIN_RATE`), the steady-mode decrease (:data:`DECREASE_FACTOR`),
-    the memory of previous maxima (:data:`MEMORY_DECAY`), and the
-    default dual-rate detector and energy cut-off.
+    (:data:`MIN_RATE`), the steady-mode halving of the rate, the 0.9
+    per-window decay of the remembered maxima, and the default dual-rate
+    detector and energy cut-off.
 
     Attributes
     ----------
@@ -103,7 +107,7 @@ class ControllerConfig:
     initial_rate: float = 1.0 / 300.0
     max_rate: float = math.inf
     probe_multiplier: float = 2.0
-    headroom: float = 1.2
+    headroom: float = DEFAULT_HEADROOM
     aliasing_check_interval: int = 4
 
     def __post_init__(self) -> None:
@@ -380,12 +384,12 @@ class AdaptiveSamplingController:
         # Clean estimate available: settle at Nyquist rate plus headroom.
         state.mode = ControllerMode.STEADY
         target = estimate.nyquist_rate * config.headroom
-        state.remembered_max_rate = max(state.remembered_max_rate * MEMORY_DECAY, target)
-        if target < rate * DECREASE_FACTOR:
+        state.remembered_max_rate = max(state.remembered_max_rate * _MEMORY_DECAY, target)
+        if target < rate * _DECREASE_FACTOR:
             # The signal has quieted down a lot; decrease gradually rather
             # than jumping straight to the target so a transient lull does
             # not leave us wide open to aliasing.
-            return self._clamp(rate * DECREASE_FACTOR, floor, top)
+            return self._clamp(rate * _DECREASE_FACTOR, floor, top)
         return self._clamp(target, floor, top)
 
     # ------------------------------------------------------------------

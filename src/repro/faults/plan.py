@@ -62,6 +62,7 @@ def pair_rng(seed: int, metric_name: str, device_id: str) -> np.random.Generator
     """Seeded generator for a pair's fault placement (window positions)."""
     return np.random.default_rng(stable_digest(seed, "rng", metric_name, device_id))
 
+
 #: Fault kinds that make the affected pair *fail to load* (quarantine
 #: candidates): an unreadable/corrupt trace file, a file cut short, and a
 #: transient IO error on the first ``io_error_opens`` opens.

@@ -27,8 +27,8 @@ import numpy as np
 from ..core.adaptive import ModeTransition
 from ..signals.timeseries import TimeSeries
 
-__all__ = ["EventKind", "InjectedEvent", "inject_event", "DetectionOutcome", "score_detection", "ModeTransition",
-           "reprobe_latency", "resettle_latency"]
+__all__ = ["EventKind", "InjectedEvent", "inject_event", "DetectionOutcome", "score_detection",
+           "ModeTransition", "reprobe_latency", "resettle_latency"]
 
 
 class EventKind(enum.Enum):

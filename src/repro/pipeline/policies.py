@@ -40,30 +40,19 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..core.adaptive import AdaptiveRun, AdaptiveSamplingController, ControllerConfig
+from ..core.adaptive import (DEFAULT_HEADROOM, AdaptiveRun, AdaptiveSamplingController,
+                             ControllerConfig)
 from ..core.nyquist import NyquistEstimator
 from ..core.reconstruction import reconstruction_error_batch
 from ..core.resampling import decimation_factor
 from ..signals.timeseries import TimeSeries
 
 __all__ = ["Collection", "PolicyBatchEvaluation", "SamplingPolicy", "FixedRatePolicy",
-           "NyquistStaticPolicy", "AdaptiveDualRatePolicy", "PolicySuite", "HEADROOM",
-           "ADAPTIVE_BACKOFF", "ADAPTIVE_MAX_RATE_FACTOR"]
-
-#: Margin the Nyquist-static policy and the suite's controller apply to an
-#: estimated Nyquist rate (§4.2 "maintaining ample headroom may be helpful").
-HEADROOM: float = 1.2
+           "NyquistStaticPolicy", "AdaptiveDualRatePolicy", "PolicySuite"]
 
 #: The suite's adaptive controller starts probing at ``production_rate /
-#: ADAPTIVE_BACKOFF``, so it has to earn its way up.
-ADAPTIVE_BACKOFF: float = 8.0
-
-#: The suite's adaptive rate ceiling, as a multiple of the production rate.
-#: 1.0 holds the controller to today's polling rate: the cost comparison of
-#: the paper's title is about spending *less* than the fixed baseline, so a
-#: broadband (already-aliased) metric should cost at most what it costs
-#: today rather than ramping to the full reference rate.
-ADAPTIVE_MAX_RATE_FACTOR: float = 1.0
+#: _ADAPTIVE_BACKOFF``, so it has to earn its way up.
+_ADAPTIVE_BACKOFF: float = 8.0
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -271,7 +260,8 @@ class NyquistStaticPolicy(SamplingPolicy):
         Fraction of the trace spent calibrating at the production rate.
 
     The calibration runs the survey-default :class:`NyquistEstimator`, and
-    the estimated rate is polled with :data:`HEADROOM`.
+    the estimated rate is polled with
+    :data:`~repro.core.adaptive.DEFAULT_HEADROOM`.
     """
 
     def __init__(self, production_interval: float,
@@ -312,7 +302,7 @@ class NyquistStaticPolicy(SamplingPolicy):
             estimates = NyquistEstimator().estimate_batch(calibration, interval * factor_c)
             reliable = np.fromiter((e.reliable for e in estimates), bool, rows)
             nyquist = np.fromiter((e.nyquist_rate for e in estimates), np.float64, rows)
-        target = np.where(reliable, np.minimum(nyquist * HEADROOM, production_rate),
+        target = np.where(reliable, np.minimum(nyquist * DEFAULT_HEADROOM, production_rate),
                           production_rate)
 
         rem_m = n - cal_stop
@@ -339,10 +329,9 @@ class AdaptiveDualRatePolicy(SamplingPolicy):
         once per window).
     config:
         Controller configuration (:class:`ControllerConfig` defaults when
-        omitted).  :class:`PolicySuite` starts the controller
-        :data:`ADAPTIVE_BACKOFF` times below the production rate so it has
-        to *earn* its way up via probing rather than starting from the
-        over-sampled default.
+        omitted).  :class:`PolicySuite` starts the controller eight times
+        below the production rate so it has to *earn* its way up via
+        probing rather than starting from the over-sampled default.
     """
 
     def __init__(self, window_duration: float = 6 * 3600.0,
@@ -403,13 +392,18 @@ class PolicySuite:
         1.0 means the traces *are* the production stream -- the right
         setting for measured fleets recorded at today's rates.
     calibration_fraction:
-        Passed to :class:`NyquistStaticPolicy`.
+        Passed to :class:`NyquistStaticPolicy`, which checks it when
+        :meth:`build` makes the policy.
     adaptive_window:
         Adaptation window of :class:`AdaptiveDualRatePolicy`, in seconds.
 
-    Both rate-setting policies settle with :data:`HEADROOM`; the adaptive
-    controller starts at ``production_rate / ADAPTIVE_BACKOFF`` and is
-    capped at ``production_rate * ADAPTIVE_MAX_RATE_FACTOR``.
+    Both rate-setting policies settle with
+    :data:`~repro.core.adaptive.DEFAULT_HEADROOM`; the adaptive controller
+    starts at an eighth of the production rate and is capped at the
+    production rate: the cost comparison of the paper's title is about
+    spending *less* than the fixed baseline, so a broadband (already
+    aliased) metric costs at most what it costs today rather than ramping
+    to the full reference rate.
     """
 
     production_oversample: float = 1.0
@@ -420,8 +414,6 @@ class PolicySuite:
         if not (math.isfinite(self.production_oversample) and self.production_oversample >= 1):
             raise ValueError("production_oversample must be a finite number >= 1, "
                              f"got {self.production_oversample}")
-        if not 0 < self.calibration_fraction < 1:
-            raise ValueError("calibration_fraction must be in (0, 1)")
         _require_positive("adaptive_window", self.adaptive_window)
 
     def build(self, reference_interval: float) -> list[SamplingPolicy]:
@@ -436,10 +428,8 @@ class PolicySuite:
                                 calibration_fraction=self.calibration_fraction),
             AdaptiveDualRatePolicy(
                 window_duration=self.adaptive_window,
-                config=ControllerConfig(
-                    initial_rate=production_rate / ADAPTIVE_BACKOFF,
-                    max_rate=production_rate * ADAPTIVE_MAX_RATE_FACTOR,
-                    headroom=HEADROOM)),
+                config=ControllerConfig(initial_rate=production_rate / _ADAPTIVE_BACKOFF,
+                                        max_rate=production_rate)),
         ]
 
     def cache_token(self) -> str:
@@ -451,6 +441,5 @@ class PolicySuite:
         """
         return (f"PolicySuite(production_oversample={self.production_oversample!r}, "
                 f"calibration_fraction={self.calibration_fraction!r}, "
-                f"headroom={HEADROOM!r}, adaptive_window={self.adaptive_window!r}, "
-                f"adaptive_backoff={ADAPTIVE_BACKOFF!r}, "
-                f"adaptive_max_rate_factor={ADAPTIVE_MAX_RATE_FACTOR!r})")
+                f"headroom={DEFAULT_HEADROOM!r}, adaptive_window={self.adaptive_window!r}, "
+                f"adaptive_backoff={_ADAPTIVE_BACKOFF!r}, adaptive_max_rate_factor=1.0)")

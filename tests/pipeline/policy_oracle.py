@@ -24,11 +24,12 @@ import math
 
 import numpy as np
 
+from repro.core.adaptive import DEFAULT_HEADROOM
 from repro.core.errors import compare
 from repro.core.nyquist import NyquistEstimator
 from repro.core.reconstruction import reconstruct
 from repro.core.resampling import decimation_factor
-from repro.pipeline.policies import (HEADROOM, AdaptiveDualRatePolicy, FixedRatePolicy,
+from repro.pipeline.policies import (AdaptiveDualRatePolicy, FixedRatePolicy,
                                      NyquistStaticPolicy, PolicyBatchEvaluation,
                                      SamplingPolicy)
 from repro.signals.timeseries import TimeSeries
@@ -60,7 +61,7 @@ def collect_nyquist_static(policy: NyquistStaticPolicy,
     remainder = time_window(reference, split_time, reference.end_time)
     estimate = NyquistEstimator().estimate(calibration) if len(calibration) >= 2 else None
     if estimate is not None and estimate.reliable:
-        target_rate = min(estimate.nyquist_rate * HEADROOM, production_rate)
+        target_rate = min(estimate.nyquist_rate * DEFAULT_HEADROOM, production_rate)
     else:
         target_rate = production_rate
     steady = poll(remainder, target_rate) if len(remainder) >= 2 else remainder

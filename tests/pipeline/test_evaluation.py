@@ -129,6 +129,7 @@ class TestColumnarStore:
             int(block.samples.sum()) for block in blocks
             if block.policy_name == "baseline")
 
+
 class TestRelativeCostGuards:
     def test_zero_baseline_raises_naming_the_policy(self, reference):
         """Satellite fix: a zero-cost baseline used to turn every policy's

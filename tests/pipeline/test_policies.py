@@ -12,8 +12,8 @@ import pytest
 
 from repro.analysis.policy_survey import CostQualityEvaluator
 from repro.core.adaptive import AdaptiveSamplingController, ControllerMode
-from repro.pipeline.policies import (ADAPTIVE_BACKOFF, ADAPTIVE_MAX_RATE_FACTOR, HEADROOM,
-                                     AdaptiveDualRatePolicy, Collection, FixedRatePolicy,
+from repro.core.adaptive import DEFAULT_HEADROOM
+from repro.pipeline.policies import (AdaptiveDualRatePolicy, Collection, FixedRatePolicy,
                                      NyquistStaticPolicy, PolicyBatchEvaluation, PolicySuite,
                                      SamplingPolicy)
 from repro.signals.generators import multi_tone
@@ -343,8 +343,7 @@ class TestPolicySuite:
         assert adaptive.config.initial_rate == pytest.approx((1.0 / 30.0) / 8.0)
         # ... is capped at it, and settles with the static policy's headroom.
         assert adaptive.config.max_rate == pytest.approx(1.0 / 30.0)
-        assert adaptive.config.headroom == HEADROOM == 1.2
-        assert (ADAPTIVE_BACKOFF, ADAPTIVE_MAX_RATE_FACTOR) == (8.0, 1.0)
+        assert adaptive.config.headroom == DEFAULT_HEADROOM == 1.2
 
     def test_measured_fleet_default_is_production_rate(self):
         policies = PolicySuite().build(reference_interval=30.0)
@@ -364,7 +363,6 @@ class TestPolicySuite:
         ("adaptive_window", float("nan")), ("adaptive_window", float("inf")),
         ("adaptive_window", float("-inf")), ("adaptive_window", 0.0),
         ("adaptive_window", -3600.0),
-        ("calibration_fraction", float("nan")), ("calibration_fraction", 1.0),
     ])
     def test_rejects_non_finite_and_out_of_range_fields(self, field, value):
         """Regression: NaN passed ``x < 1`` and ``x <= 0``, so a NaN window ran
@@ -393,6 +391,14 @@ class TestNonFiniteRates:
     def test_static_production_interval(self, value):
         with pytest.raises(ValueError, match="production_interval must be a positive finite"):
             NyquistStaticPolicy(production_interval=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, 1.0])
+    def test_static_calibration_fraction(self, value):
+        """The suite passes its fraction through; building its policies checks it."""
+        with pytest.raises(ValueError, match="calibration_fraction must be in"):
+            NyquistStaticPolicy(production_interval=30.0, calibration_fraction=value)
+        with pytest.raises(ValueError, match="calibration_fraction must be in"):
+            PolicySuite(calibration_fraction=value).build(reference_interval=30.0)
 
     @pytest.mark.parametrize("value", NON_POSITIVE)
     def test_adaptive_window_duration(self, value):

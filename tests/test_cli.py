@@ -349,8 +349,8 @@ class TestErrorContract:
         (["adaptive", "--days", "0.2", "--window-hours", "6"], "--window-hours"),
         (["policies", "--duration-hours", "nan"], "trace_duration must be a positive finite"),
         (["policies", "--duration-hours", "-5"], "trace_duration must be a positive finite"),
-        (["policies", "--oversample", "nan"], "--oversample must be a finite number"),
-        (["policies", "--oversample", "inf"], "--oversample must be a finite number"),
+        (["policies", "--oversample", "nan"], "production_oversample must be a finite number"),
+        (["policies", "--oversample", "inf"], "production_oversample must be a finite number"),
         (["policies", "--adaptive-window-hours", "nan"], "adaptive_window must be a positive"),
         (["policies", "--adaptive-window-hours", "inf"], "adaptive_window must be a positive"),
         (["policies", "--calibration-fraction", "nan"], "calibration_fraction"),
