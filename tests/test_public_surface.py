@@ -18,10 +18,12 @@ variable or parameter, not the member.
 
 The same scan, over ``tests/`` too, checks that every parameter of the
 pipeline entry points is passed by some call: an option no caller sets
-is a fixed value dressed up as a choice.  The spectral layer's classes
+is a fixed value dressed up as a choice.  The other layers' classes
 and functions are held to a stricter rule: there only calls in ``src/``,
 ``benchmarks/`` and ``examples/`` count, because a knob that only its
-own tests turn is a configuration the library never runs.
+own tests turn is a configuration the library never runs.  The optional
+parameters of public methods are held to the same rule, matched by
+method name like the member scan.
 """
 
 from __future__ import annotations
@@ -365,6 +367,90 @@ def test_every_helper_option_has_a_library_caller():
     """A helper option only tests pass is a default the library always takes."""
     unset = _unset_parameters(HELPERS, SCANNED)
     assert not unset, f"{len(unset)} helper option(s) no library call sets: {unset}"
+
+
+#: The fault layer: bounded retry, the pool driver and the seeded fault
+#: placement.  Its retry budget and window sizes are fixed in the library,
+#: so an option only tests set is a drill the library never runs.
+FAULTS = ("RetryPolicy", "FaultPlan", "run_batch_tasks")
+
+#: The section 3.1 cost model: its claims are cost ratios, which do not
+#: depend on the unit costs, so the library prices with one fixed model.
+COST = ("CostModel", "TelemetryCostAccountant")
+
+#: The scenario transforms: their placement is seeded per pair by digest,
+#: so a seed or pathology option no preset sets is a workload never run.
+SCENARIO = ("DiurnalCycle", "RegimeShift", "FlappingRegime", "CounterPathology",
+            "BlackoutWindow", "Scenario")
+
+#: The synthetic fleet's config, the dump emitters and event injection.
+#: The ``generate_*_trace`` family stays out: it is called through a
+#: dispatch table, which the call scan cannot follow.
+TELEMETRY = ("DatasetConfig", "export_gnmi_dump", "export_snmp_dump", "inject_event")
+
+
+@pytest.mark.parametrize("names", [FAULTS, COST, SCENARIO, TELEMETRY],
+                         ids=["faults", "cost", "scenario", "telemetry"])
+def test_every_constructor_option_has_a_library_caller(names):
+    """A fault, cost, scenario or fleet option only tests set is a default in disguise."""
+    unset = _unset_parameters(names, SCANNED)
+    assert not unset, f"{len(unset)} option(s) no library call sets: {unset}"
+
+
+def _method_options(definition: ast.FunctionDef) -> tuple[list[str], list[str]]:
+    """A method's positional parameters after ``self``/``cls``, and its optional ones."""
+    arguments = definition.args
+    positional = [*arguments.posonlyargs, *arguments.args]
+    optional = [arg.arg for arg in positional[len(positional) - len(arguments.defaults):]]
+    optional += [arg.arg for arg, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
+                 if default is not None]
+    static = any(getattr(decorator, "id", None) == "staticmethod"
+                 for decorator in definition.decorator_list)
+    return [arg.arg for arg in positional[0 if static else 1:]], optional
+
+
+def _unset_method_options(roots: tuple[Path, ...] = SCANNED, src: Path = SRC) -> list[str]:
+    """``Class.method(parameter)`` of every optional public-method parameter no call passes.
+
+    A call counts for every ``src/`` method of its attribute name (the
+    receiver's type is unknown), except an attribute of a module.
+    """
+    trees = _trees(roots)
+    bindings = _Bindings(trees, src)
+    methods: dict[str, list[tuple[str, list[str], list[str]]]] = defaultdict(list)
+    for path, tree in trees.items():
+        if not path.is_relative_to(src):
+            continue
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for definition in cls.body:
+                if (isinstance(definition, ast.FunctionDef)
+                        and not definition.name.startswith("_")):
+                    positional, optional = _method_options(definition)
+                    if optional:
+                        methods[definition.name].append((cls.name, positional, optional))
+    passed: dict[str, set[str]] = defaultdict(set)
+    for path, tree in trees.items():
+        table = bindings.files[path]
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in methods):
+                continue
+            base = bindings.resolve(node.func.value, table)
+            if base is not None and base[0] == "module":
+                continue
+            for cls, positional, _ in methods[node.func.attr]:
+                key = f"{cls}.{node.func.attr}"
+                passed[key].update(positional[:len(node.args)])
+                passed[key].update(keyword.arg for keyword in node.keywords if keyword.arg)
+    return [f"{cls}.{name}({parameter})" for name, entries in methods.items()
+            for cls, _, optional in entries for parameter in optional
+            if parameter not in passed[f"{cls}.{name}"]]
+
+
+def test_every_method_option_has_a_library_caller():
+    """An optional method parameter no library call passes is a fixed value."""
+    unset = _unset_method_options()
+    assert not unset, f"{len(unset)} method option(s) no library call passes: {unset}"
 
 
 #: ``pkg/mod.py`` of the resolution fixtures: one function, one class.
