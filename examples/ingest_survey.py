@@ -64,8 +64,10 @@ def main() -> None:
     print(f"Fabricating a {args.wire} dump from {args.pairs} pairs "
           f"({args.duration_hours:g} h each)...")
     start = time.perf_counter()
-    exporter = export_gnmi_dump if args.wire == GNMI_FORMAT else export_snmp_dump
-    exporter(fleet, dump)
+    if args.wire == GNMI_FORMAT:
+        export_gnmi_dump(fleet, dump)
+    else:
+        export_snmp_dump(fleet, dump)
     with dump.open() as handle:
         lines = sum(1 for _ in handle)
     print(f"  {dump}: {lines} lines ({dump.stat().st_size / 2 ** 20:.1f} MiB) "

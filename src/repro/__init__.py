@@ -40,7 +40,7 @@ from . import analysis, core, faults, network, pipeline, scenarios, signals, tel
 from .core import (AdaptiveSamplingController, ControllerConfig, DualRateAliasingDetector,
                    NyquistEstimate, NyquistEstimator, estimate_nyquist_rate,
                    nyquist_round_trip)
-from .faults import BatchExecutionError, FaultInjectingTraceSource, FaultPlan, RetryPolicy
+from .faults import BatchExecutionError, FaultInjectingTraceSource, FaultPlan
 from .signals import IrregularTimeSeries, Spectrum, TimeSeries
 
 __version__ = "0.1.0"
@@ -53,5 +53,5 @@ __all__ = [
     "NyquistEstimator", "NyquistEstimate", "estimate_nyquist_rate",
     "nyquist_round_trip", "AdaptiveSamplingController", "ControllerConfig",
     "DualRateAliasingDetector",
-    "FaultPlan", "FaultInjectingTraceSource", "RetryPolicy", "BatchExecutionError",
+    "FaultPlan", "FaultInjectingTraceSource", "BatchExecutionError",
 ]

@@ -26,7 +26,7 @@ kind, its analysis-parameter token, its failure-stage label and an
   and publishes them to the store exactly as an inline run does.
 * **Failures.**  ``on_error="raise"`` propagates the first failure.
   ``"quarantine"`` retries transient (IO-shaped) failures within the
-  :class:`~repro.faults.RetryPolicy` budget, then salvages the slice pair
+  :data:`~repro.faults.MAX_ATTEMPTS` budget, then salvages the slice pair
   by pair: traces are loaded one at a time, loadable pairs are regrouped
   into equal-shape batches in pair order, and a group is re-evaluated row
   by row only if its evaluation raises.  Healthy rows stay byte-identical
@@ -47,8 +47,8 @@ from typing import Any, Callable, Iterator, Literal, Protocol, Sequence
 
 import numpy as np
 
-from ..faults.execution import (RETRYABLE_EXCEPTIONS, BatchExecutionError, RetryPolicy,
-                                run_batch_tasks)
+from ..faults.execution import (MAX_ATTEMPTS, RETRYABLE_EXCEPTIONS, BatchExecutionError,
+                                retry_delay, run_batch_tasks)
 from ..records import (FailureRecord, FailureRecordBlock, MemoryRecordSink, RecordSink,
                        RecordStore, fingerprint_slice)
 from ..telemetry.source import TraceBatch, TraceSource, WorkerSpec, batch_offsets
@@ -275,7 +275,7 @@ def _quarantine_rows(evaluator: SliceEvaluator, metric_name: str,
 
 def _evaluate_inline(source: TraceSource, evaluator: SliceEvaluator, result: SliceResult,
                      address: _Slice, chunk_size: int, on_error: OnError,
-                     retry: RetryPolicy, sleep: Callable[[float], None]) -> list[Any] | None:
+                     sleep: Callable[[float], None]) -> list[Any] | None:
     """Evaluate one slice in this process under the run's error policy.
 
     Returns the slice's blocks, or ``None`` once quarantine has salvaged
@@ -284,12 +284,12 @@ def _evaluate_inline(source: TraceSource, evaluator: SliceEvaluator, result: Sli
     metric_name, offset, limit = address
     if on_error == "raise":
         return _slice_blocks(source, evaluator, metric_name, offset, limit, chunk_size)
-    for attempt in range(1, retry.max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
             return _slice_blocks(source, evaluator, metric_name, offset, limit, chunk_size)
         except RETRYABLE_EXCEPTIONS:
-            if attempt < retry.max_attempts:
-                sleep(retry.delay(attempt))
+            if attempt < MAX_ATTEMPTS:
+                sleep(retry_delay(attempt))
                 continue
             _quarantine_slice(source, evaluator, result, address)
         except Exception:
@@ -306,14 +306,13 @@ def run_slices(source: TraceSource, evaluator: SliceEvaluator, result: SliceResu
 
     See the module docstring for the loop.  ``metric_names`` defaults to
     every metric of ``source`` and ``workers`` to 1; transient failures
-    are retried under ``RetryPolicy()``.  ``result.cache_hits`` /
+    are retried up to :data:`~repro.faults.MAX_ATTEMPTS` times.  ``result.cache_hits`` /
     ``cache_misses`` count the pairs served from and recomputed past
     ``store`` (both stay 0 without one).
     """
     if metric_names is None:
         metric_names = source.metric_names()
     workers = workers or 1
-    retry = RetryPolicy()
     slices = [(metric_name, offset, limit) for metric_name in metric_names
               for offset, limit in batch_offsets(source, metric_name, limit_per_metric,
                                                  chunk_size)]
@@ -331,7 +330,7 @@ def run_slices(source: TraceSource, evaluator: SliceEvaluator, result: SliceResu
         spec = source.worker_spec()
         tasks = [(spec, evaluator, metric_name, offset, limit, chunk_size)
                  for (metric_name, offset, limit), hit in zip(slices, cached) if hit is None]
-        outcomes = run_batch_tasks(_slice_worker, tasks, workers, retry=retry, sleep=sleep)
+        outcomes = run_batch_tasks(_slice_worker, tasks, workers, sleep=sleep)
 
     for index, address in enumerate(slices):
         hit = cached[index]
@@ -344,7 +343,7 @@ def run_slices(source: TraceSource, evaluator: SliceEvaluator, result: SliceResu
             result.cache_misses += address[2]
         if outcomes is None:
             blocks = _evaluate_inline(source, evaluator, result, address, chunk_size,
-                                      on_error, retry, sleep)
+                                      on_error, sleep)
         else:
             _, outcome = next(outcomes)
             if isinstance(outcome, BatchExecutionError):

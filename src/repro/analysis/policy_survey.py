@@ -225,13 +225,10 @@ class PolicySurveyResult(SliceResult):
                 "relative costs are undefined")
         return {name: entry.total_cost / baseline for name, entry in totals.items()}
 
-    def nrmse_values(self, policy_name: str,
-                     metric_name: str | None = None) -> np.ndarray:
+    def nrmse_values(self, policy_name: str) -> np.ndarray:
         """All finite per-point nrmse values of one policy (quality CDFs)."""
         parts = [block.nrmse[~np.isnan(block.nrmse)]
-                 for block in self._sink.blocks()
-                 if block.policy_name == policy_name
-                 and (metric_name is None or block.metric_name == metric_name)]
+                 for block in self._sink.blocks() if block.policy_name == policy_name]
         return np.concatenate(parts) if parts else np.array([])
 
 
@@ -356,7 +353,7 @@ def run_policy_survey(source: TraceSource,
         Prices each point's collected samples; build it on the same
         topology as a deployment source so transmission is weighted by
         real hop counts.  Defaults to the topology-less accountant
-        (every device at ``default_hops``).
+        (every device at three hops).
     metrics / limit_per_metric:
         Restrict the survey (same semantics as ``run_survey``).
     chunk_size:
@@ -390,10 +387,9 @@ def run_policy_survey(source: TraceSource,
         ``PolicySurveyResult.cache_hits`` / ``cache_misses`` count the
         pairs on each path; quarantined slices are never cached.
     retry_sleep:
-        Injectable backoff sleep (tests/benchmarks pass a no-op) of the
-        default :class:`~repro.faults.RetryPolicy`, which bounds the
-        attempts per batch for transient (IO-shaped) failures and crashed
-        workers.
+        Injectable backoff sleep (tests/benchmarks pass a no-op) between
+        the :data:`~repro.faults.MAX_ATTEMPTS` tries per batch for
+        transient (IO-shaped) failures and crashed workers.
     """
     check_run_options("run_policy_survey", PolicySurveyResult, workers, on_error, sink,
                       failure_sink)

@@ -86,11 +86,6 @@ __all__ = [
     "run_windowed_survey",
 ]
 
-#: Conservative reduction ratio assigned to unreliable pairs when they are
-#: included in a CDF: an aliased trace's Nyquist rate is at least its
-#: sampling rate, so no reduction is achievable.
-UNRELIABLE_RATIO: float = 1.0
-
 #: Reduction ratio above which a pair counts as over-sampled.  The paper's
 #: wording is simply "higher than their Nyquist rate"; a small margin
 #: keeps borderline pairs -- whose estimate sits within estimation noise
@@ -207,26 +202,16 @@ class SurveyResult(SliceResult):
                 for metric in self._metric_order}
 
     # -------------------------- Figure 4 ------------------------------
-    def reduction_ratios(self, metric_name: str | None = None,
-                         include_unreliable: bool = False) -> np.ndarray:
+    def reduction_ratios(self, metric_name: str | None = None) -> np.ndarray:
         """Reduction ratios (current rate / Nyquist rate) for the CDFs of Figure 4.
 
         Unreliable pairs ("we do not show the cases where we cannot
-        reliably detect the Nyquist rate") are excluded by default, exactly
-        as the paper does.  With ``include_unreliable=True`` every pair is
-        represented: unreliable pairs enter at the conservative ratio
-        :data:`UNRELIABLE_RATIO` (1.0), since a trace the estimator deems
-        aliased has a Nyquist rate of at least its sampling rate and hence
-        admits no reduction.
+        reliably detect the Nyquist rate") are excluded, exactly as the
+        paper does.
         """
-        parts: list[np.ndarray] = []
-        for block in self._sink.blocks():
-            if metric_name is not None and block.metric_name != metric_name:
-                continue
-            usable = block.reliable & ~np.isnan(block.reduction_ratio)
-            mask = usable | (~block.reliable) if include_unreliable else usable
-            parts.append(np.where(block.reliable, block.reduction_ratio,
-                                  UNRELIABLE_RATIO)[mask])
+        parts = [block.reduction_ratio[block.reliable & ~np.isnan(block.reduction_ratio)]
+                 for block in self._sink.blocks()
+                 if metric_name is None or block.metric_name == metric_name]
         return np.concatenate(parts) if parts else np.array([])
 
     # -------------------------- Figure 5 ------------------------------
@@ -451,9 +436,9 @@ def run_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
     retry_sleep:
         Sleep callable for the backoff delays (injectable so tests and
         benchmarks skip the real waits).  Transient (IO-shaped) batch
-        failures and crashed workers are retried under the default
-        :class:`~repro.faults.RetryPolicy` (3 attempts, deterministic
-        exponential backoff), in multi-worker runs in both error modes
+        failures and crashed workers are retried up to
+        :data:`~repro.faults.MAX_ATTEMPTS` (3) tries with deterministic
+        exponential backoff, in multi-worker runs in both error modes
         and in sequential quarantine runs.
     """
     check_run_options("run_survey", SurveyResult, workers, on_error, sink, failure_sink)

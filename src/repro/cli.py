@@ -324,6 +324,25 @@ def _print_quarantined(count: int, failures: list, limit: int = 10) -> None:
         print(f"  ... and {count - limit} more")
 
 
+def _record_sinks(args: argparse.Namespace) -> tuple[SpillingRecordSink | None,
+                                                     SpillingRecordSink | None,
+                                                     RecordStore | None]:
+    """A survey run's block sink, quarantine sink and record store, from its options."""
+    sink = SpillingRecordSink(args.spill_dir) if args.spill_dir is not None else None
+    failure_sink = (SpillingRecordSink(args.spill_dir / "failures")
+                    if args.spill_dir is not None and args.on_error == "quarantine"
+                    else None)
+    store = RecordStore(args.store) if args.store is not None else None
+    return sink, failure_sink, store
+
+
+def _print_spill_footer(spill_dir: Path | None, result) -> None:
+    """Print where a run spilled its record chunks (nothing without ``--spill-dir``)."""
+    if spill_dir is not None:
+        print(f"\nRecord chunks spilled to {spill_dir} "
+              f"({len(result.sink.files)} rcb files)")
+
+
 def _command_survey(args: argparse.Namespace) -> int:
     if args.from_dir is not None:
         dataset = MeasuredFleetDataset(args.from_dir)
@@ -332,11 +351,7 @@ def _command_survey(args: argparse.Namespace) -> int:
     else:
         dataset = FleetDataset(DatasetConfig(pair_count=args.pairs, seed=args.seed))
     estimator = NyquistEstimator(energy_fraction=args.energy_fraction)
-    sink = SpillingRecordSink(args.spill_dir) if args.spill_dir is not None else None
-    failure_sink = (SpillingRecordSink(args.spill_dir / "failures")
-                    if args.spill_dir is not None and args.on_error == "quarantine"
-                    else None)
-    store = RecordStore(args.store) if args.store is not None else None
+    sink, failure_sink, store = _record_sinks(args)
     result = run_survey(dataset, estimator=estimator,
                         limit_per_metric=args.limit_per_metric,
                         workers=args.workers, fft_workers=args.fft_workers,
@@ -377,9 +392,7 @@ def _command_survey(args: argparse.Namespace) -> int:
                       for record in result.records if record.reliable]
         write_csv(args.csv_dir / "figure4_reduction_ratios.csv", ratio_rows)
         print(f"\nCSV series written under {args.csv_dir}")
-    if args.spill_dir is not None:
-        print(f"\nRecord chunks spilled to {args.spill_dir} "
-              f"({len(result.sink.files)} rcb files)")
+    _print_spill_footer(args.spill_dir, result)
     return 0
 
 
@@ -436,11 +449,7 @@ def _command_policies(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"{'--metrics needs at least one name' if not args.metrics else f'unknown metrics {unknown}'}; "
                 f"this fleet serves {source.metric_names()}")
-    sink = SpillingRecordSink(args.spill_dir) if args.spill_dir is not None else None
-    failure_sink = (SpillingRecordSink(args.spill_dir / "failures")
-                    if args.spill_dir is not None and args.on_error == "quarantine"
-                    else None)
-    store = RecordStore(args.store) if args.store is not None else None
+    sink, failure_sink, store = _record_sinks(args)
     result = run_policy_survey(source, suite, accountant=accountant,
                                metrics=args.metrics,
                                limit_per_metric=args.limit_per_metric,
@@ -470,9 +479,7 @@ def _command_policies(args: argparse.Namespace) -> int:
             row["cost_vs_fixed"] = fraction
         write_csv(args.csv_dir / "policy_cost_quality.csv", rows)
         print(f"\nCSV written under {args.csv_dir}")
-    if args.spill_dir is not None:
-        print(f"\nRecord chunks spilled to {args.spill_dir} "
-              f"({len(result.sink.files)} rcb files)")
+    _print_spill_footer(args.spill_dir, result)
     return 0
 
 
@@ -540,8 +547,10 @@ def _command_ingest(args: argparse.Namespace) -> int:
 def _command_export_dump(args: argparse.Namespace) -> int:
     dataset = FleetDataset(DatasetConfig(pair_count=args.pairs, seed=args.seed,
                                          trace_duration=args.duration_hours * 3600.0))
-    exporter = export_gnmi_dump if args.format == GNMI_FORMAT else export_snmp_dump
-    exporter(dataset, args.path)
+    if args.format == GNMI_FORMAT:
+        export_gnmi_dump(dataset, args.path)
+    else:
+        export_snmp_dump(dataset, args.path)
     print(f"Exported {len(dataset)} metric-device pairs "
           f"({len(dataset.metric_names())} metrics) as a {args.format} dump:")
     print(f"  {args.path}: {args.path.stat().st_size / 2 ** 20:.1f} MiB")

@@ -703,7 +703,7 @@ class DeterministicIteration(Rule):
 # ----------------------------------------------------------------------
 #: Dotted-name fragments that mark a call as part of the failure-recording
 #: / retry machinery (``record_failure``, ``append_failures``,
-#: ``_quarantine_*``, ``retry.delay``, ``_needs_resubmit``, ...).
+#: ``_quarantine_*``, ``retry_delay``, ``_needs_resubmit``, ...).
 _QUARANTINE_CALL_WORDS = ("failure", "retry", "quarantine", "resubmit")
 
 

@@ -16,15 +16,16 @@ Two halves, both built for reproducibility:
   spec so multi-worker surveys inject identically) and
   :func:`corrupt_dump_lines` (mangle a telemetry dump).
 * :mod:`repro.faults.execution` -- the fault-isolation half:
-  :class:`RetryPolicy` (bounded retry, deterministic backoff),
+  :data:`MAX_ATTEMPTS` and :func:`retry_delay` (one fixed retry
+  budget, deterministic backoff),
   :class:`BatchExecutionError` (picklable, batch-spec-naming wrapper for
   worker-side failures) and :func:`run_batch_tasks`, the process-pool
   driver both surveys use, which retries retryable batches and rebuilds
   a broken pool so a crashed worker costs one batch retry, not the run.
 """
 
-from .execution import (RETRYABLE_EXCEPTIONS, BatchExecutionError, RetryPolicy,
-                        run_batch_tasks)
+from .execution import (MAX_ATTEMPTS, RETRYABLE_EXCEPTIONS, BatchExecutionError,
+                        retry_delay, run_batch_tasks)
 from .inject import (FaultInjectingSourceSpec, FaultInjectingTraceSource,
                      corrupt_dump_lines)
 from .plan import (DATA_FAULT_KINDS, FAULT_KINDS, RAISING_FAULT_KINDS, FaultPlan,
@@ -39,7 +40,8 @@ __all__ = [
     "FaultInjectingSourceSpec",
     "FaultInjectingTraceSource",
     "corrupt_dump_lines",
-    "RetryPolicy",
+    "MAX_ATTEMPTS",
+    "retry_delay",
     "BatchExecutionError",
     "RETRYABLE_EXCEPTIONS",
     "run_batch_tasks",

@@ -10,12 +10,13 @@ costing the run:
   carries the original exception type for failure records, and a
   ``retryable`` verdict (IO errors are transient; content errors are
   not).
-* :class:`RetryPolicy` -- bounded attempts with a *deterministic*
-  exponential backoff (``delay(attempt)`` is a pure function, no jitter),
-  so a chaos run with a seeded fault plan replays identically.
+* :data:`MAX_ATTEMPTS` and :func:`retry_delay` -- the one retry
+  budget (3 tries) with a *deterministic* exponential backoff (0.05 s,
+  doubling: a pure function of the attempt, no jitter), so a chaos run
+  with a seeded fault plan replays identically.
 * :func:`run_batch_tasks` -- submits every task to a process pool and
   yields ``(index, result-or-error)`` in task order.  Retryable failures
-  are resubmitted up to the policy's budget; a ``BrokenProcessPool``
+  are resubmitted up to that budget; a ``BrokenProcessPool``
   (worker crashed mid-batch) rebuilds the pool, charges one retry to the
   batch that was being waited on and resubmits everything not yet
   finished -- completed results are never re-executed, so records are
@@ -27,16 +28,21 @@ from __future__ import annotations
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
-__all__ = ["RETRYABLE_EXCEPTIONS", "BatchExecutionError", "RetryPolicy",
+__all__ = ["RETRYABLE_EXCEPTIONS", "MAX_ATTEMPTS", "BatchExecutionError", "retry_delay",
            "run_batch_tasks"]
 
 #: Exception types treated as transient (worth retrying): IO-shaped
 #: failures.  Content failures (``ValueError``: corrupt trace, bad slice
 #: address) are deterministic and go straight to quarantine/raise.
 RETRYABLE_EXCEPTIONS: tuple[type[BaseException], ...] = (OSError,)
+
+#: Total tries per batch (the first run plus two retries).
+MAX_ATTEMPTS = 3
+
+_BACKOFF_BASE = 0.05
+_BACKOFF_FACTOR = 2.0
 
 
 class BatchExecutionError(RuntimeError):
@@ -63,33 +69,15 @@ class BatchExecutionError(RuntimeError):
                    retryable=isinstance(error, RETRYABLE_EXCEPTIONS))
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with deterministic exponential backoff.
+def retry_delay(attempt: int) -> float:
+    """Seconds to back off after failed attempt number ``attempt`` (1-based).
 
-    ``max_attempts`` counts *total* tries (1 = no retry); the delay before
-    attempt ``n + 1`` is ``backoff_base * backoff_factor ** (n - 1)``
-    seconds -- a pure function of the attempt number, so runs replay
-    identically (no jitter, no clock reads).
+    ``0.05 * 2 ** (attempt - 1)``: a pure function of the attempt number,
+    so runs replay identically (no jitter, no clock reads).
     """
-
-    max_attempts: int = 3
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base < 0:
-            raise ValueError("backoff_base must be >= 0")
-        if self.backoff_factor < 1:
-            raise ValueError("backoff_factor must be >= 1")
-
-    def delay(self, attempt: int) -> float:
-        """Seconds to back off after failed attempt number ``attempt`` (1-based)."""
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
-        return self.backoff_base * self.backoff_factor ** (attempt - 1)
+    if attempt < 1:
+        raise ValueError("attempt is 1-based")
+    return _BACKOFF_BASE * _BACKOFF_FACTOR ** (attempt - 1)
 
 
 def _needs_resubmit(future: Future) -> bool:
@@ -103,8 +91,7 @@ def _needs_resubmit(future: Future) -> bool:
 
 
 def run_batch_tasks(worker_fn: Callable[[Any], Any], tasks: Sequence[Any],
-                    workers: int, retry: RetryPolicy | None = None,
-                    sleep: Callable[[float], None] = time.sleep,
+                    workers: int, sleep: Callable[[float], None] = time.sleep,
                     ) -> Iterator[tuple[int, Any]]:
     """Run every task on a process pool; yield ``(index, outcome)`` in order.
 
@@ -114,7 +101,7 @@ def run_batch_tasks(worker_fn: Callable[[Any], Any], tasks: Sequence[Any],
     failure routes are retried:
 
     * a worker raising a retryable :class:`BatchExecutionError` -- the
-      task is resubmitted after ``retry.delay(attempt)``;
+      task is resubmitted after ``retry_delay(attempt)``;
     * the pool breaking (a worker process died) -- the pool is rebuilt,
       the batch being waited on is charged one attempt, and every
       unfinished task is resubmitted on the new pool.  Results already
@@ -130,7 +117,6 @@ def run_batch_tasks(worker_fn: Callable[[Any], Any], tasks: Sequence[Any],
         raise ValueError("workers must be >= 1")
     if not tasks:
         return
-    retry = retry if retry is not None else RetryPolicy()
     # Never spawn more processes than there are tasks: a short batch list
     # (e.g. a sharded ingest of a tiny dump) should not pay the fork and
     # teardown cost of idle workers.
@@ -150,9 +136,9 @@ def run_batch_tasks(worker_fn: Callable[[Any], Any], tasks: Sequence[Any],
                 # on is the prime suspect and is charged the retry.
                 pool.shutdown(wait=False, cancel_futures=True)
                 pool = ProcessPoolExecutor(max_workers=pool_size)
-                exhausted = attempts[index] >= retry.max_attempts
+                exhausted = attempts[index] >= MAX_ATTEMPTS
                 if not exhausted:
-                    sleep(retry.delay(attempts[index]))
+                    sleep(retry_delay(attempts[index]))
                     attempts[index] += 1
                 for position in range(index + 1 if exhausted else index, len(tasks)):
                     if _needs_resubmit(futures[position]):
@@ -164,8 +150,8 @@ def run_batch_tasks(worker_fn: Callable[[Any], Any], tasks: Sequence[Any],
                     f"{attempts[index]} times (BrokenProcessPool)",
                     error_type="BrokenProcessPool", retryable=True)
             except BatchExecutionError as error:
-                if error.retryable and attempts[index] < retry.max_attempts:
-                    sleep(retry.delay(attempts[index]))
+                if error.retryable and attempts[index] < MAX_ATTEMPTS:
+                    sleep(retry_delay(attempts[index]))
                     attempts[index] += 1
                     futures[index] = pool.submit(worker_fn, tasks[index])
                     continue

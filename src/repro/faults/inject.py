@@ -27,6 +27,10 @@ from .plan import FaultPlan
 __all__ = ["FaultInjectingSourceSpec", "FaultInjectingTraceSource",
            "corrupt_dump_lines"]
 
+#: Fraction of a ``blackout``/``device-reboot`` pair's trace the injected
+#: window covers.
+_WINDOW_FRACTION = 0.2
+
 
 @dataclass(frozen=True)
 class FaultInjectingSourceSpec:
@@ -60,15 +64,17 @@ class FaultInjectingTraceSource(DelegatingTraceSource):
       fault the retry path is measured against.
     * ``counter-wrap`` / ``device-reboot`` / ``blackout`` return a
       distorted trace (level reset from a seeded position; a seeded
-      window pinned to the boot level; a seeded gap backfilled with the
-      value last seen before it).
+      window of a fifth of the trace pinned to the boot level; a seeded
+      gap of the same width backfilled with the value last seen before
+      it).
     * ``plan.crash_slices`` kill the *worker process* the first time it
       serves that (metric, offset) slice -- only ever inside a pool
       worker, never the parent.
 
     The content token folds into the inner token the plan fields that
     decide which pair gets which data fault and where (``seed``,
-    ``fraction``, ``kinds``, ``blackout_fraction``), so a
+    ``fraction``, ``kinds``; the fixed window fraction is written as the
+    literal ``blackout_fraction=0.2`` it was when it was a field), so a
     :class:`~repro.records.RecordStore` misses when either the inner
     trace or a served distortion changes.  ``state_dir``,
     ``io_error_opens``, ``malformed_line_every`` and ``crash_slices``
@@ -86,7 +92,7 @@ class FaultInjectingTraceSource(DelegatingTraceSource):
     def _token_part(self) -> str:
         plan = self.plan
         return (f"faults=seed={plan.seed!r},fraction={plan.fraction!r},"
-                f"kinds={plan.kinds!r},blackout_fraction={plan.blackout_fraction!r}")
+                f"kinds={plan.kinds!r},blackout_fraction=0.2")
 
     # ------------------------- fault injection ------------------------
     def load(self, pair: Any) -> TimeSeries:
@@ -116,7 +122,7 @@ class FaultInjectingTraceSource(DelegatingTraceSource):
         """
         values = apply_data_fault(kind, trace.values,
                                   self.plan.rng_for(metric_name, device_id),
-                                  window_fraction=self.plan.blackout_fraction)
+                                  window_fraction=_WINDOW_FRACTION)
         return TimeSeries(values, trace.interval, start_time=trace.start_time,
                           name=trace.name)
 

@@ -96,9 +96,6 @@ class FaultPlan:
         before the pair loads cleanly.  ``1`` with a retrying executor
         models a transient NFS hiccup that recovery absorbs; a value at
         or above the retry budget turns it into a quarantined failure.
-    blackout_fraction:
-        For ``blackout``/``device-reboot`` pairs: fraction of the trace
-        covered by the injected window.
     malformed_line_every:
         For :func:`~repro.faults.inject.corrupt_dump_lines`: mangle every
         Nth data line of the dump.
@@ -117,7 +114,6 @@ class FaultPlan:
     fraction: float = 0.05
     kinds: tuple[str, ...] = ("corrupt-trace",)
     io_error_opens: int = 1
-    blackout_fraction: float = 0.2
     malformed_line_every: int = 101
     crash_slices: tuple[tuple[str, int], ...] = ()
     state_dir: str | None = None
@@ -131,8 +127,6 @@ class FaultPlan:
                              f"choose from {list(FAULT_KINDS)}")
         if self.io_error_opens < 1:
             raise ValueError("io_error_opens must be >= 1")
-        if not 0.0 < self.blackout_fraction < 1.0:
-            raise ValueError("blackout_fraction must be in (0, 1)")
         if self.malformed_line_every < 2:
             raise ValueError("malformed_line_every must be >= 2")
         if self.state_dir is None and ("io-error" in self.kinds or self.crash_slices):

@@ -5,15 +5,17 @@ analysis, and storage -- all consume resources that, when considering the
 scale of modern data centers, represent a non-negligible overhead" (§3.1).
 The model here prices a monitoring configuration sample by sample:
 
-* **collection** -- CPU time on the monitored device per sample taken;
-* **transmission** -- bytes moved across the fabric, weighted by the hop
-  count from the device to its collector;
-* **storage** -- bytes retained at the collector;
-* **analysis** -- per-sample processing at the collector.
+* **collection** -- CPU time on the monitored device per sample taken
+  (50 us: reading a counter, locking a flow table, sending a probe);
+* **transmission** -- bytes moved across the fabric (64 per sample:
+  timestamp, value and metadata), weighted by the hop count from the
+  device to its collector (1 per byte-hop);
+* **storage** -- bytes retained at the collector (1 per byte);
+* **analysis** -- per-sample processing at the collector (10 per sample).
 
-The absolute constants are configurable; the comparisons the paper cares
-about (baseline vs Nyquist-rate vs adaptive sampling) are ratios, which are
-insensitive to the exact constants.
+The unit costs are fixed: the comparisons the paper cares about (baseline
+vs Nyquist-rate vs adaptive sampling) are ratios, which are insensitive to
+the exact constants.
 """
 
 from __future__ import annotations
@@ -25,40 +27,17 @@ import numpy as np
 
 from .topology import Fabric, hop_counts
 
-__all__ = ["CostModel", "CostBreakdown", "TelemetryCostAccountant"]
+__all__ = ["CostBreakdown", "TelemetryCostAccountant"]
 
+# Per-sample unit costs (see the module docstring).
+_BYTES_PER_SAMPLE = 64.0
+_COLLECTION_CPU_US = 50.0
+_TRANSMISSION_COST_PER_BYTE_HOP = 1.0
+_STORAGE_COST_PER_BYTE = 1.0
+_ANALYSIS_COST_PER_SAMPLE = 10.0
 
-@dataclass(frozen=True)
-class CostModel:
-    """Per-sample unit costs.
-
-    Attributes
-    ----------
-    bytes_per_sample:
-        Wire/storage size of one sample (timestamp + value + metadata).
-    collection_cpu_us:
-        CPU microseconds spent on the monitored device to take one sample
-        (reading a counter, locking a flow table, sending a probe, ...).
-    transmission_cost_per_byte_hop:
-        Cost of moving one byte across one fabric hop.
-    storage_cost_per_byte:
-        Cost of retaining one byte at the collector.
-    analysis_cost_per_sample:
-        Cost of ingesting/processing one sample at the collector.
-    """
-
-    bytes_per_sample: float = 64.0
-    collection_cpu_us: float = 50.0
-    transmission_cost_per_byte_hop: float = 1.0
-    storage_cost_per_byte: float = 1.0
-    analysis_cost_per_sample: float = 10.0
-
-    def __post_init__(self) -> None:
-        for name in ("bytes_per_sample", "collection_cpu_us",
-                     "transmission_cost_per_byte_hop", "storage_cost_per_byte",
-                     "analysis_cost_per_sample"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+#: Hops charged for a device the topology does not hold.
+_DEFAULT_HOPS = 3
 
 
 @dataclass
@@ -73,27 +52,20 @@ class CostBreakdown:
 
 
 class TelemetryCostAccountant:
-    """Prices sample collection against a topology and a cost model.
+    """Prices sample collection against a topology with the fixed unit costs.
 
     Hop counts from every device to its collector are computed once (BFS
     shortest path, :func:`~repro.network.topology.hop_counts`) and cached;
     the topology is a :class:`~repro.network.topology.Fabric` or any graph
     with ``neighbors()`` and ``in``, such as a ``networkx.Graph``.  Devices
-    not present in the topology are priced with a configurable default hop
-    count, which keeps the accountant usable for abstract (topology-less)
-    experiments too.
+    not present in the topology are priced at three hops, which keeps the
+    accountant usable for abstract (topology-less) experiments too.
     """
 
-    def __init__(self, cost_model: CostModel | None = None,
-                 topology: Fabric | None = None,
-                 collector: str | None = None,
-                 default_hops: int = 3) -> None:
-        if default_hops < 0:
-            raise ValueError("default_hops must be non-negative")
-        self.cost_model = cost_model or CostModel()
+    def __init__(self, topology: Fabric | None = None,
+                 collector: str | None = None) -> None:
         self.topology = topology
         self.collector = collector
-        self.default_hops = default_hops
         self._hop_cache: dict[str, int] = {}
         if topology is not None and collector is not None:
             if collector not in topology:
@@ -102,32 +74,35 @@ class TelemetryCostAccountant:
 
     def hops(self, device: str) -> int:
         """Fabric hops from ``device`` to the collector."""
-        return self._hop_cache.get(device, self.default_hops)
+        return self._hop_cache.get(device, _DEFAULT_HOPS)
 
     def cache_token(self) -> str:
         """Canonical parameter string for content-addressed record caching.
 
-        Captures everything that changes a priced record: the cost model,
-        the default hop count and the per-device hop table (sorted, so the
-        token does not depend on BFS traversal order).
+        Captures everything that changes a priced record: the per-device
+        hop table (sorted, so the token does not depend on BFS traversal
+        order).  The fixed unit costs and default hop count are written
+        out as the ``CostModel(...)`` and ``default_hops`` text they had as
+        options, so stores filled before they were fixed still hit.
         """
         hops = ", ".join(f"{device}:{count}"
                          for device, count in sorted(self._hop_cache.items()))
-        return (f"{type(self).__name__}(cost_model={self.cost_model!r}, "
-                f"default_hops={self.default_hops}, hops=[{hops}])")
+        return ("TelemetryCostAccountant(cost_model=CostModel(bytes_per_sample=64.0, "
+                "collection_cpu_us=50.0, transmission_cost_per_byte_hop=1.0, "
+                "storage_cost_per_byte=1.0, analysis_cost_per_sample=10.0), "
+                f"default_hops=3, hops=[{hops}])")
 
     def price_samples(self, device: str, sample_count: int) -> CostBreakdown:
         """Cost of collecting, shipping, storing and analysing ``sample_count`` samples."""
         if sample_count < 0:
             raise ValueError("sample_count must be non-negative")
-        model = self.cost_model
-        bytes_moved = sample_count * model.bytes_per_sample
+        bytes_moved = sample_count * _BYTES_PER_SAMPLE
         return CostBreakdown(
             samples=sample_count,
-            collection_cpu_us=sample_count * model.collection_cpu_us,
-            transmission=bytes_moved * self.hops(device) * model.transmission_cost_per_byte_hop,
-            storage_bytes=bytes_moved * model.storage_cost_per_byte,
-            analysis=sample_count * model.analysis_cost_per_sample,
+            collection_cpu_us=sample_count * _COLLECTION_CPU_US,
+            transmission=bytes_moved * self.hops(device) * _TRANSMISSION_COST_PER_BYTE_HOP,
+            storage_bytes=bytes_moved * _STORAGE_COST_PER_BYTE,
+            analysis=sample_count * _ANALYSIS_COST_PER_SAMPLE,
         )
 
     def hops_array(self, devices: Sequence[str]) -> np.ndarray:
@@ -152,13 +127,12 @@ class TelemetryCostAccountant:
             raise ValueError("sample_counts must be 1-D with one entry per device")
         if np.any(counts < 0):
             raise ValueError("sample_count must be non-negative")
-        model = self.cost_model
         hops = self.hops_array(devices)
-        bytes_moved = counts * model.bytes_per_sample
+        bytes_moved = counts * _BYTES_PER_SAMPLE
         return {
             "hops": hops,
-            "collection_cpu_us": counts * model.collection_cpu_us,
-            "transmission": bytes_moved * hops * model.transmission_cost_per_byte_hop,
-            "storage_bytes": bytes_moved * model.storage_cost_per_byte,
-            "analysis": counts * model.analysis_cost_per_sample,
+            "collection_cpu_us": counts * _COLLECTION_CPU_US,
+            "transmission": bytes_moved * hops * _TRANSMISSION_COST_PER_BYTE_HOP,
+            "storage_bytes": bytes_moved * _STORAGE_COST_PER_BYTE,
+            "analysis": counts * _ANALYSIS_COST_PER_SAMPLE,
         }

@@ -50,41 +50,39 @@ class InjectedEvent:
 
 
 def inject_event(series: TimeSeries, kind: EventKind, start_time: float,
-                 magnitude: float, duration: float | None = None,
-                 rng: np.random.Generator | None = None) -> tuple[TimeSeries, InjectedEvent]:
+                 magnitude: float) -> tuple[TimeSeries, InjectedEvent]:
     """Inject an event into ``series`` and return (modified trace, event record).
 
     ``magnitude`` is expressed in the trace's own units (add it to the
-    affected samples).  ``duration`` defaults to 5 % of the trace for steps
-    (which then persist to the end), one sample for spikes, and 2 % of the
-    trace for bursts.
+    affected samples).  A step persists to the end of the trace, a spike
+    lasts one sample and a burst 2 % of the trace, flapping on and off in
+    a pattern seeded by 0.
     """
     if len(series) == 0:
         raise ValueError("cannot inject an event into an empty trace")
     if not series.start_time <= start_time < series.end_time:
         raise ValueError("start_time must fall inside the trace")
-    rng = rng or np.random.default_rng(0)
     values = series.values.copy()
     times = series.times()
     if kind == EventKind.STEP:
-        duration = series.end_time - start_time if duration is None else duration
+        duration = series.end_time - start_time
         mask = times >= start_time
         values[mask] += magnitude
     elif kind == EventKind.SPIKE:
-        duration = series.interval if duration is None else duration
+        duration = series.interval
         mask = (times >= start_time) & (times < start_time + duration)
         if not np.any(mask):
             mask[np.argmin(np.abs(times - start_time))] = True
         values[mask] += magnitude
     elif kind == EventKind.BURST:
-        duration = 0.02 * series.duration if duration is None else duration
+        duration = 0.02 * series.duration
         mask = (times >= start_time) & (times < start_time + duration)
         count = int(np.count_nonzero(mask))
         if count == 0:
             mask[np.argmin(np.abs(times - start_time))] = True
             count = 1
         # A flapping link produces an on/off pattern, not a clean plateau.
-        pattern = (rng.random(count) < 0.6).astype(float)
+        pattern = (np.random.default_rng(0).random(count) < 0.6).astype(float)
         values[mask] += magnitude * pattern
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown event kind {kind!r}")

@@ -6,9 +6,9 @@ cycles, incidents switch a metric's spectral regime in minutes, counters
 wrap, devices reboot, and collectors lose sites for whole windows.  A
 :class:`ScenarioTransform` models one such behaviour as a *pure function*
 ``values -> values`` of one reference trace -- seeded per (metric, device)
-pair through :func:`repro.faults.stable_digest`, never the process-random
-builtin ``hash()`` -- so a scenario fleet regenerates bit-identically in
-the parent and in every survey worker.
+pair through :func:`repro.faults.stable_digest` from the one seed ``0``,
+never the process-random builtin ``hash()`` -- so a scenario fleet
+regenerates bit-identically in the parent and in every survey worker.
 
 :class:`ScenarioTraceSource` applies a transform stack to any
 :class:`~repro.telemetry.source.TraceSource` at ``load`` time, with a
@@ -39,6 +39,15 @@ __all__ = ["ScenarioTransform", "DiurnalCycle", "RegimeShift", "FlappingRegime",
            "ScenarioTraceSource", "apply_transforms"]
 
 _TWO_PI = 2.0 * math.pi
+
+#: Root of every transform's per-pair digest (phases, pathology placement).
+_SEED = 0
+
+# The counter pathology: half the pairs suffer a counter wrap or a reboot
+# window covering 15 % of the trace.
+_PATHOLOGY_KINDS = ("counter-wrap", "device-reboot")
+_PATHOLOGY_FRACTION = 0.5
+_PATHOLOGY_WINDOW_FRACTION = 0.15
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -108,17 +117,16 @@ class DiurnalCycle(ScenarioTransform):
 
     period: float = 86400.0
     amplitude: float = 0.3
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not (math.isfinite(self.period) and self.period > 0):
+            raise ValueError(f"period must be a positive finite number, got {self.period}")
         if not 0.0 <= self.amplitude < 1.0:
             raise ValueError("amplitude must be in [0, 1)")
 
     def apply(self, values: np.ndarray, interval: float, metric_name: str,
               device_id: str) -> np.ndarray:
-        phase = _TWO_PI * (stable_digest(self.seed, "diurnal-phase", metric_name,
+        phase = _TWO_PI * (stable_digest(_SEED, "diurnal-phase", metric_name,
                                          device_id) / 2.0 ** 64)
         carrier = _diurnal_carrier(self, values.shape[0], interval)
         return values * (1.0 + self.amplitude * np.sin(carrier + phase))
@@ -149,15 +157,15 @@ class RegimeShift(ScenarioTransform):
     shift_fraction: float = 0.55
     frequency_fraction: float = 0.5
     amplitude: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.shift_fraction < 1.0:
             raise ValueError("shift_fraction must be in (0, 1)")
         if not 0.0 < self.frequency_fraction <= 1.0:
             raise ValueError("frequency_fraction must be in (0, 1]")
-        if self.amplitude <= 0:
-            raise ValueError("amplitude must be positive")
+        if not (math.isfinite(self.amplitude) and self.amplitude > 0):
+            raise ValueError(f"amplitude must be a positive finite number, "
+                             f"got {self.amplitude}")
 
     def shift_time(self, duration: float) -> float:
         """Absolute time of the regime shift within a trace of ``duration`` s."""
@@ -173,7 +181,7 @@ class RegimeShift(ScenarioTransform):
         base = float(np.std(values)) if rows >= 2 else 0.0
         if not base > 0.0:
             base = 1.0
-        phase = _TWO_PI * (stable_digest(self.seed, "regime-phase", metric_name,
+        phase = _TWO_PI * (stable_digest(_SEED, "regime-phase", metric_name,
                                          device_id) / 2.0 ** 64)
         carrier = _regime_carrier(self, rows, interval)
         out[shift:] += self.amplitude * base * np.sin(carrier + phase)
@@ -206,19 +214,19 @@ class FlappingRegime(ScenarioTransform):
     duty: float = 0.5
     frequency_fraction: float = 0.8
     amplitude: float = 2.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.onset_fraction < 1.0:
             raise ValueError("onset_fraction must be in (0, 1)")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not (math.isfinite(self.period) and self.period > 0):
+            raise ValueError(f"period must be a positive finite number, got {self.period}")
         if not 0.0 < self.duty < 1.0:
             raise ValueError("duty must be in (0, 1)")
         if not 0.0 < self.frequency_fraction <= 1.0:
             raise ValueError("frequency_fraction must be in (0, 1]")
-        if self.amplitude <= 0:
-            raise ValueError("amplitude must be positive")
+        if not (math.isfinite(self.amplitude) and self.amplitude > 0):
+            raise ValueError(f"amplitude must be a positive finite number, "
+                             f"got {self.amplitude}")
 
     def shift_time(self, duration: float) -> float:
         """Absolute time of the first flap within a trace of ``duration`` s."""
@@ -234,7 +242,7 @@ class FlappingRegime(ScenarioTransform):
         base = float(np.std(values)) if rows >= 2 else 0.0
         if not base > 0.0:
             base = 1.0
-        phase = _TWO_PI * (stable_digest(self.seed, "flap-phase", metric_name,
+        phase = _TWO_PI * (stable_digest(_SEED, "flap-phase", metric_name,
                                          device_id) / 2.0 ** 64)
         carrier, duty = _flap_carrier_and_duty(self, rows, interval)
         out[onset:] += self.amplitude * base * np.sin(carrier + phase) * duty
@@ -245,41 +253,26 @@ class FlappingRegime(ScenarioTransform):
 class CounterPathology(ScenarioTransform):
     """Counter wraps and device reboots as workload semantics, not chaos.
 
-    Promotes the PR-7 :data:`~repro.faults.DATA_FAULT_KINDS` distortions
-    into a supported scenario: a ``fraction`` of pairs (chosen by the same
-    sha256 digest rule as :class:`~repro.faults.FaultPlan`, so assignment
-    is process-independent) suffer a counter wrap or a reboot window with
-    the canonical seeded placement of
+    Promotes the :data:`~repro.faults.DATA_FAULT_KINDS` distortions into a
+    supported scenario: half the pairs (chosen by the same sha256 digest
+    rule as :class:`~repro.faults.FaultPlan`, so assignment is
+    process-independent) suffer a counter wrap or a reboot window over
+    15 % of the trace, with the canonical seeded placement of
     :func:`repro.signals.distortions.apply_data_fault`.
     """
 
-    kinds: tuple[str, ...] = ("counter-wrap", "device-reboot")
-    fraction: float = 0.5
-    window_fraction: float = 0.15
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        allowed = ("counter-wrap", "device-reboot", "blackout")
-        unknown = [kind for kind in self.kinds if kind not in allowed]
-        if not self.kinds or unknown:
-            raise ValueError(f"kinds must be a non-empty subset of {allowed}, "
-                             f"got {self.kinds}")
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
-        if not 0.0 < self.window_fraction < 1.0:
-            raise ValueError("window_fraction must be in (0, 1)")
-
     def kind_for(self, metric_name: str, device_id: str) -> str | None:
         """The pathology this pair suffers, or ``None`` (FaultPlan's :func:`pair_kind` rule)."""
-        return pair_kind(self.seed, self.fraction, self.kinds, metric_name, device_id)
+        return pair_kind(_SEED, _PATHOLOGY_FRACTION, _PATHOLOGY_KINDS, metric_name,
+                         device_id)
 
     def apply(self, values: np.ndarray, interval: float, metric_name: str,
               device_id: str) -> np.ndarray:
         kind = self.kind_for(metric_name, device_id)
         if kind is None:
             return values.copy()
-        return apply_data_fault(kind, values, pair_rng(self.seed, metric_name, device_id),
-                                window_fraction=self.window_fraction)
+        return apply_data_fault(kind, values, pair_rng(_SEED, metric_name, device_id),
+                                window_fraction=_PATHOLOGY_WINDOW_FRACTION)
 
 
 @dataclass(frozen=True)

@@ -66,11 +66,11 @@ class Spectrum:
     def __len__(self) -> int:
         return int(self.frequencies.shape[0])
 
-    def total_energy(self, include_dc: bool = False) -> float:
-        """Sum of per-bin power (the paper's "total energy in the signal")."""
+    def total_energy(self) -> float:
+        """Sum of per-bin power without DC (the paper's "total energy in the signal")."""
         if len(self) == 0:
             return 0.0
-        power = self.power if include_dc else self.power[1:] if self.frequencies[0] == 0 else self.power
+        power = self.power[1:] if self.frequencies[0] == 0 else self.power
         return float(np.sum(power))
 
     def without_dc(self) -> "Spectrum":
@@ -79,22 +79,22 @@ class Spectrum:
             return Spectrum(self.frequencies[1:], self.power[1:], self.sampling_rate)
         return self
 
-    def energy_below(self, frequency: float, include_dc: bool = False) -> float:
-        """Energy contained in bins at or below ``frequency``."""
-        spec = self if include_dc else self.without_dc()
+    def energy_below(self, frequency: float) -> float:
+        """Energy contained in the non-DC bins at or below ``frequency``."""
+        spec = self.without_dc()
         mask = spec.frequencies <= frequency + 1e-15
         return float(np.sum(spec.power[mask]))
 
-    def energy_fraction_below(self, frequency: float, include_dc: bool = False) -> float:
-        """Fraction of total energy at or below ``frequency`` (0 if spectrum is empty)."""
-        total = self.total_energy(include_dc=include_dc)
+    def energy_fraction_below(self, frequency: float) -> float:
+        """Fraction of non-DC energy at or below ``frequency`` (0 if there is none)."""
+        total = self.total_energy()
         if total <= 0:
             return 0.0
-        return self.energy_below(frequency, include_dc=include_dc) / total
+        return self.energy_below(frequency) / total
 
-    def dominant_frequency(self, include_dc: bool = False) -> float | None:
-        """Frequency of the strongest bin (``None`` for an empty spectrum)."""
-        spec = self if include_dc else self.without_dc()
+    def dominant_frequency(self) -> float | None:
+        """Frequency of the strongest non-DC bin (``None`` if there is none)."""
+        spec = self.without_dc()
         if len(spec) == 0:
             return None
         return float(spec.frequencies[int(np.argmax(spec.power))])

@@ -121,12 +121,12 @@ class TimeSeries:
     # ------------------------------------------------------------------
     # Transformations (all return new TimeSeries)
     # ------------------------------------------------------------------
-    def with_values(self, values: Iterable[float], name: str | None = None) -> "TimeSeries":
-        """Return a copy with different sample values (same timing)."""
+    def with_values(self, values: Iterable[float]) -> "TimeSeries":
+        """Return a copy with different sample values (same timing and name)."""
         return TimeSeries(values=np.asarray(values, dtype=np.float64),
                           interval=self.interval,
                           start_time=self.start_time,
-                          name=self.name if name is None else name)
+                          name=self.name)
 
     def with_name(self, name: str) -> "TimeSeries":
         return TimeSeries(self.values, self.interval, self.start_time, name)

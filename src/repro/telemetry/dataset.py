@@ -2,10 +2,11 @@
 
 Section 3.2: "In total, we studied 1613 metric and device pairs (14
 distinct metrics)."  :class:`FleetDataset` materialises the same survey on
-synthetic telemetry: it builds a fleet, assigns each metric to a subset of
-devices so the total number of pairs matches the paper, draws per-pair
-generative parameters (including the ~11 % broadband pairs), and produces
-one day's worth of data per pair at the metric's production polling rate.
+synthetic telemetry: it builds a fleet, assigns each of the 14 catalogue
+metrics to a subset of devices so the total number of pairs matches the
+paper, draws per-pair generative parameters (including the paper's ~11 %
+broadband pairs, a fixed share), and produces one day's worth of data per
+pair at the metric's production polling rate.
 
 Traces are generated lazily so iterating the full survey stays cheap in
 memory; everything is deterministic in the dataset seed.  For the batched
@@ -45,6 +46,15 @@ PAPER_PAIR_COUNT: int = 1613
 #: worth of data from a distinct device").
 PAPER_TRACE_DURATION: float = 86400.0
 
+#: Share of pairs whose traces look aliased (paper: ~11 %).
+_BROADBAND_FRACTION = 0.11
+
+#: Every fleet surveys the whole catalogue, in catalogue order.
+_METRICS = tuple(METRIC_CATALOG)
+
+#: The two retired config fields, as the content token still writes them.
+_RETIRED_FIELDS = f"metrics={_METRICS!r}, broadband_fraction=0.11"
+
 
 @dataclass(frozen=True)
 class DatasetConfig:
@@ -56,19 +66,12 @@ class DatasetConfig:
         Total number of (metric, device) pairs; defaults to the paper's 1613.
     trace_duration:
         Length of each trace in seconds (paper: one day).
-    metrics:
-        Distinct metric names to include; defaults to the full 14-metric
-        catalogue.
-    broadband_fraction:
-        Fraction of pairs whose traces should look aliased (paper: ~11 %).
     seed:
         Master seed; everything else derives from it deterministically.
     """
 
     pair_count: int = PAPER_PAIR_COUNT
     trace_duration: float = PAPER_TRACE_DURATION
-    metrics: tuple[str, ...] = tuple(METRIC_CATALOG)
-    broadband_fraction: float = 0.11
     seed: int = 7
 
     def __post_init__(self) -> None:
@@ -77,16 +80,6 @@ class DatasetConfig:
         if not (math.isfinite(self.trace_duration) and self.trace_duration > 0):
             raise ValueError("trace_duration must be a positive finite number, "
                              f"got {self.trace_duration}")
-        if not self.metrics:
-            raise ValueError("metrics must not be empty")
-        unknown = [name for name in self.metrics if name not in METRIC_CATALOG]
-        if unknown:
-            raise ValueError(f"unknown metrics: {unknown}")
-        repeated = sorted({name for name in self.metrics if self.metrics.count(name) > 1})
-        if repeated:
-            raise ValueError(f"metrics must be distinct; repeated: {repeated}")
-        if not 0 <= self.broadband_fraction <= 1:
-            raise ValueError("broadband_fraction must be in [0, 1]")
 
     def open(self) -> "FleetDataset":
         """Materialise the dataset this config describes.
@@ -125,11 +118,10 @@ class FleetDataset(BaseTraceSource):
     # ------------------------------------------------------------------
     def _pair_counts_per_metric(self) -> dict[str, int]:
         """Split the total pair budget across metrics as evenly as possible."""
-        metrics = self.config.metrics
-        base = self.config.pair_count // len(metrics)
-        remainder = self.config.pair_count % len(metrics)
+        base = self.config.pair_count // len(_METRICS)
+        remainder = self.config.pair_count % len(_METRICS)
         counts = {}
-        for index, name in enumerate(metrics):
+        for index, name in enumerate(_METRICS):
             counts[name] = base + (1 if index < remainder else 0)
         return counts
 
@@ -141,7 +133,7 @@ class FleetDataset(BaseTraceSource):
         fleet = build_fleet(max(counts.values()) if counts else 1, seed=self.config.seed)
         rng = np.random.default_rng(self.config.seed + 1)
         by_metric: dict[str, list[TracePair]] = {}
-        for metric_name in self.config.metrics:
+        for metric_name in _METRICS:
             spec = METRIC_CATALOG[metric_name]
             count = counts[metric_name]
             # Each metric is monitored on its own subset of the fleet: the
@@ -150,7 +142,7 @@ class FleetDataset(BaseTraceSource):
             by_metric[metric_name] = [
                 TracePair(spec, device, draw_metric_parameters(
                     spec, device, self.config.trace_duration,
-                    broadband_fraction=self.config.broadband_fraction))
+                    broadband_fraction=_BROADBAND_FRACTION))
                 for device in (fleet[int(index)] for index in order)]
         self._by_metric = by_metric
         self._pairs = [pair for pairs in by_metric.values() for pair in pairs]
@@ -172,8 +164,15 @@ class FleetDataset(BaseTraceSource):
 
     def pair_content_token(self, pair: TracePair) -> str:
         """Identity of one synthetic trace: the config plus the pair's
-        generative parameters (every trace is a pure function of both)."""
-        return (f"{self.config!r}|{pair.metric.name}|{pair.device.device_id}|"
+        generative parameters (every trace is a pure function of both).
+
+        The config is written as its repr was while the catalogue and the
+        broadband share were options, so stores filled then still hit.
+        """
+        config = self.config
+        return (f"DatasetConfig(pair_count={config.pair_count!r}, "
+                f"trace_duration={config.trace_duration!r}, {_RETIRED_FIELDS}, "
+                f"seed={config.seed!r})|{pair.metric.name}|{pair.device.device_id}|"
                 f"{pair.parameters!r}")
 
     # ------------------------------------------------------------------
@@ -185,5 +184,5 @@ class FleetDataset(BaseTraceSource):
                               rng=rng, device_name=pair.device.device_id)
 
     def metric_names(self) -> list[str]:
-        """Metrics included in this dataset."""
-        return list(self.config.metrics)
+        """Metrics included in this dataset: the whole catalogue."""
+        return list(_METRICS)

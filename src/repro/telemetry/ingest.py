@@ -984,8 +984,8 @@ def ingest_dump(dump: Path | str | TelemetryDump, directory: Path | str,
         accumulator + finishing pass with a ``memory_budget_samples /
         N`` budget.  The published directory is **byte-identical** to a
         ``workers=1`` run for any worker count.  The sharded pipeline's
-        process pools retry transient failures and crashed workers under
-        the default :class:`~repro.faults.RetryPolicy` (see
+        process pools retry transient failures and crashed workers up to
+        :data:`~repro.faults.MAX_ATTEMPTS` tries (see
         :func:`repro.faults.execution.run_batch_tasks`).
 
     Raises
@@ -1146,8 +1146,7 @@ def _write_manifest(dump: TelemetryDump, manifest_path: Path, trace_format: str,
 # ----------------------------------------------------------------------
 # Round-trip emitters: fabricate realistic dumps from any trace source
 # ----------------------------------------------------------------------
-def export_gnmi_dump(source: TraceSource, path: Path | str,
-                     metrics: Sequence[str] | None = None) -> Path:
+def export_gnmi_dump(source: TraceSource, path: Path | str) -> Path:
     """Write ``source`` as an interleaved gNMI-style JSON-lines dump.
 
     Updates are emitted globally time-ordered (ties broken by pair), the
@@ -1157,7 +1156,6 @@ def export_gnmi_dump(source: TraceSource, path: Path | str,
     large, realistic importer workloads.
     """
     path = Path(path)
-    metric_names = list(metrics) if metrics is not None else source.metric_names()
 
     def pair_stream(order: int, pair: Any,
                     trace: TimeSeries) -> Iterator[tuple[float, int, str]]:
@@ -1173,7 +1171,7 @@ def export_gnmi_dump(source: TraceSource, path: Path | str,
 
     streams = []
     order = 0
-    for metric_name in metric_names:
+    for metric_name in source.metric_names():
         for pair, trace in source.traces(metric_name):
             streams.append(pair_stream(order, pair, trace))
             order += 1
@@ -1183,8 +1181,7 @@ def export_gnmi_dump(source: TraceSource, path: Path | str,
     return path
 
 
-def export_snmp_dump(source: TraceSource, path: Path | str,
-                     metrics: Sequence[str] | None = None) -> Path:
+def export_snmp_dump(source: TraceSource, path: Path | str) -> Path:
     """Write ``source`` as an SNMP-poller wide CSV dump.
 
     One row per (poll time, device) with one column per metric path, the
@@ -1193,7 +1190,7 @@ def export_snmp_dump(source: TraceSource, path: Path | str,
     every trace bit for bit.
     """
     path = Path(path)
-    metric_names = list(metrics) if metrics is not None else source.metric_names()
+    metric_names = source.metric_names()
     by_device: dict[str, dict[str, TimeSeries]] = {}
     for metric_name in metric_names:
         for pair, trace in source.traces(metric_name):

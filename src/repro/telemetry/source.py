@@ -274,8 +274,7 @@ class BaseTraceSource(ABC):
         export_traces(self, directory, fmt=fmt)
         return MeasuredFleetDataset(directory)
 
-    def export_gnmi_dump(self, path: Path | str,
-                         metrics: Sequence[str] | None = None) -> Path:
+    def export_gnmi_dump(self, path: Path | str) -> Path:
         """Write this source as an interleaved gNMI-style JSON-lines dump.
 
         The raw-stream counterpart of :meth:`export`: one
@@ -285,7 +284,7 @@ class BaseTraceSource(ABC):
         every trace bit for bit.
         """
         from .ingest import export_gnmi_dump
-        return export_gnmi_dump(self, path, metrics=metrics)
+        return export_gnmi_dump(self, path)
 
 
 class DelegatingTraceSource(BaseTraceSource):

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from fleets import ReshapedFleet
 from repro.analysis.survey import (OVERSAMPLE_THRESHOLD, PairCategory, RecordBlock,
                                    SpillingRecordSink, SurveyResult, _block_from_estimates,
                                    run_survey, run_windowed_survey)
@@ -92,23 +93,6 @@ class TestAggregations:
         assert np.all(np.isfinite(ratios))
         assert np.all(ratios > 0)
         assert len(ratios) == sum(r.reliable for r in survey.records)
-
-    def test_figure4_include_unreliable_represents_every_pair(self):
-        """Regression: include_unreliable used to be a dead flag (unreliable
-        pairs have nan ratios, which the nan-filter then removed)."""
-        dataset = FleetDataset(DatasetConfig(pair_count=84, seed=5, broadband_fraction=0.5))
-        # A sub-1.0 aliased-band threshold makes the planted broadband pairs
-        # (whose energy reaches essentially the band edge) actually refuse.
-        result = run_survey(dataset, estimator=NyquistEstimator(aliased_band_fraction=0.9))
-        unreliable = sum(not r.reliable for r in result.records)
-        assert unreliable > 0  # half of the pairs are planted broadband
-        ratios_all = result.reduction_ratios(include_unreliable=True)
-        ratios_reliable = result.reduction_ratios(include_unreliable=False)
-        assert len(ratios_all) == len(result.records)
-        assert len(ratios_all) - len(ratios_reliable) == unreliable
-        # Unreliable pairs enter at the conservative "no reduction" ratio.
-        assert np.all(np.isfinite(ratios_all))
-        assert (ratios_all == 1.0).sum() >= unreliable
 
     def test_figure4_per_metric_filter(self, survey):
         all_ratios = survey.reduction_ratios()
@@ -310,8 +294,6 @@ class TestSpillToDisk:
                                   memory.nyquist_rates(metric))
             assert np.array_equal(spilled.reduction_ratios(metric),
                                   memory.reduction_ratios(metric))
-        assert np.array_equal(spilled.reduction_ratios(include_unreliable=True),
-                              memory.reduction_ratios(include_unreliable=True))
         assert_blocks_byte_identical(spilled.iter_blocks(), memory.iter_blocks())
 
     def test_spill_directory_reopens(self, tmp_path):
@@ -424,25 +406,23 @@ class TestAliasedBandCalibration:
         """Regression: the strict 1.0 default never fired on day-length
         synthetic traces -- planted broadband pairs came back MARGINAL
         instead of reproducing the paper's "record -1" behaviour."""
-        dataset = FleetDataset(DatasetConfig(pair_count=84, seed=11,
-                                             broadband_fraction=1.0,
-                                             metrics=CONTINUOUS_METRICS))
+        dataset = ReshapedFleet(DatasetConfig(pair_count=168, seed=11),
+                                metrics=CONTINUOUS_METRICS, broadband_fraction=1.0)
         result = run_survey(dataset)
+        assert len(result) == 84
         assert all(record.category is PairCategory.ALIASED_SUSPECT
                    for record in result.records)
 
     def test_clean_pairs_are_never_refused(self):
         """The calibrated default must not flag band-limited pairs."""
-        dataset = FleetDataset(DatasetConfig(pair_count=84, seed=11,
-                                             broadband_fraction=0.0))
+        dataset = ReshapedFleet(DatasetConfig(pair_count=84, seed=11), broadband_fraction=0.0)
         result = run_survey(dataset)
         assert not any(record.category is PairCategory.ALIASED_SUSPECT
                        for record in result.records)
 
     def test_strict_rule_still_available(self):
-        dataset = FleetDataset(DatasetConfig(pair_count=28, seed=11,
-                                             broadband_fraction=1.0,
-                                             metrics=CONTINUOUS_METRICS))
+        dataset = ReshapedFleet(DatasetConfig(pair_count=56, seed=11),
+                                metrics=CONTINUOUS_METRICS, broadband_fraction=1.0)
         strict = run_survey(dataset, estimator=NyquistEstimator(aliased_band_fraction=1.0))
         calibrated = run_survey(dataset)
         strict_suspects = sum(r.category is PairCategory.ALIASED_SUSPECT
@@ -474,9 +454,8 @@ class TestBurstAliasingRegression:
 
     @pytest.fixture(scope="class")
     def burst_survey(self):
-        dataset = FleetDataset(DatasetConfig(pair_count=50, seed=7,
-                                             broadband_fraction=1.0,
-                                             metrics=BURST_METRICS))
+        dataset = ReshapedFleet(DatasetConfig(pair_count=140, seed=7),
+                                metrics=BURST_METRICS, broadband_fraction=1.0)
         return run_survey(dataset)
 
     def test_planted_burst_pairs_stay_predominantly_reliable(self, burst_survey):
@@ -502,19 +481,19 @@ class TestBurstAliasingRegression:
         assert refused >= 1
 
     def test_contrast_continuous_broadband_is_refused_wholesale(self):
-        dataset = FleetDataset(DatasetConfig(pair_count=20, seed=7,
-                                             broadband_fraction=1.0,
-                                             metrics=("Temperature", "Link util")))
+        dataset = ReshapedFleet(DatasetConfig(pair_count=140, seed=7),
+                                metrics=("Temperature", "Link util"), broadband_fraction=1.0)
         result = run_survey(dataset)
+        assert len(result) == 20
         assert all(r.category is PairCategory.ALIASED_SUSPECT for r in result.records)
 
     def test_clean_burst_pairs_are_reliable_too(self):
         # Without planted broadband the burst metrics must survey cleanly
         # (no refusals at all): episodes alone do not trip the rule.
-        dataset = FleetDataset(DatasetConfig(pair_count=25, seed=7,
-                                             broadband_fraction=0.0,
-                                             metrics=BURST_METRICS))
+        dataset = ReshapedFleet(DatasetConfig(pair_count=70, seed=7),
+                                metrics=BURST_METRICS, broadband_fraction=0.0)
         result = run_survey(dataset)
+        assert len(result) == 25
         assert all(r.reliable for r in result.records)
 
 

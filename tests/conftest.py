@@ -122,20 +122,22 @@ MIXED_SLOW_POSITIONS = (2, 3, 4, 5)
 
 
 class _HalfRatePairs(BaseTraceSource):
-    """A fleet in which some pairs poll at twice the production interval."""
+    """Some metrics of a fleet, in which some pairs poll at twice the production interval."""
 
-    def __init__(self, inner: FleetDataset, slow_keys: set[tuple[str, str]]) -> None:
+    def __init__(self, inner: FleetDataset, metrics: tuple[str, ...],
+                 slow_keys: set[tuple[str, str]]) -> None:
         self.inner = inner
+        self.metrics = metrics
         self.slow_keys = slow_keys
 
     def pairs(self) -> Sequence:
-        return self.inner.pairs()
+        return [pair for pair in self.inner.pairs() if pair.metric.name in self.metrics]
 
     def pairs_for_metric(self, metric_name: str) -> Sequence:
-        return self.inner.pairs_for_metric(metric_name)
+        return self.inner.pairs_for_metric(metric_name) if metric_name in self.metrics else []
 
     def metric_names(self) -> list[str]:
-        return self.inner.metric_names()
+        return list(self.metrics)
 
     @property
     def trace_duration(self) -> float:
@@ -155,11 +157,11 @@ class _HalfRatePairs(BaseTraceSource):
 @pytest.fixture(scope="session")
 def mixed_shape_fleet(tmp_path_factory) -> MeasuredFleetDataset:
     """Two metrics of eight 6 h traces; ``Link util`` mixes (720, 30 s) and (360, 60 s)."""
-    fleet = FleetDataset(DatasetConfig(pair_count=16, seed=5, trace_duration=21600.0,
-                                       metrics=("Temperature", MIXED_METRIC)))
+    fleet = FleetDataset(DatasetConfig(pair_count=112, seed=5, trace_duration=21600.0))
     pairs = fleet.pairs_for_metric(MIXED_METRIC)
     slow = {pairs[position].key for position in MIXED_SLOW_POSITIONS}
-    return _HalfRatePairs(fleet, slow).export(tmp_path_factory.mktemp("mixed") / "fleet")
+    return _HalfRatePairs(fleet, ("Temperature", MIXED_METRIC), slow).export(
+        tmp_path_factory.mktemp("mixed") / "fleet")
 
 
 @pytest.fixture(scope="session")

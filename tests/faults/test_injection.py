@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from disk_faults import faulty_export
+from fleets import ReshapedFleet
 from repro.faults import (FaultInjectingSourceSpec, FaultInjectingTraceSource,
                           FaultPlan, corrupt_dump_lines)
 from repro.telemetry.dataset import DatasetConfig, FleetDataset
@@ -129,7 +130,7 @@ class TestCorruptDumpLines:
             self, fleet, tmp_path, exporter):
         clean = tmp_path / "clean.dump"
         dirty = tmp_path / "dirty.dump"
-        exporter(fleet, clean, metrics=fleet.metric_names()[:2])
+        exporter(ReshapedFleet(fleet.config, metrics=tuple(fleet.metric_names()[:2])), clean)
         plan = FaultPlan(malformed_line_every=37)
         mangled = corrupt_dump_lines(clean, dirty, plan)
         assert mangled

@@ -91,8 +91,6 @@ class TestValidation:
         {"fraction": 1.5},
         {"kinds": ("corrupt-trace", "martian-attack")},
         {"io_error_opens": 0},
-        {"blackout_fraction": 0.0},
-        {"blackout_fraction": 1.0},
         {"malformed_line_every": 1},
         {"kinds": ("io-error",)},                 # needs state_dir
         {"crash_slices": (("Link util", 0),)},    # needs state_dir

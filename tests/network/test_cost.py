@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.network.cost import CostModel, TelemetryCostAccountant
+from repro.network.cost import TelemetryCostAccountant
 from repro.network.monitoring import DeploymentSpec
 from repro.network.topology import NodeRole, TopologySpec, attach_collector
 
@@ -13,17 +13,6 @@ from repro.network.topology import NodeRole, TopologySpec, attach_collector
 def total(cost) -> float:
     """Unit-weighted sum of a priced cost's components."""
     return cost.collection_cpu_us + cost.transmission + cost.storage_bytes + cost.analysis
-
-
-class TestCostModel:
-    def test_defaults_are_valid(self):
-        CostModel()
-
-    def test_rejects_negative_values(self):
-        with pytest.raises(ValueError):
-            CostModel(bytes_per_sample=-1.0)
-        with pytest.raises(ValueError):
-            CostModel(analysis_cost_per_sample=-0.5)
 
 
 class TestAccountant:
@@ -50,15 +39,13 @@ class TestAccountant:
         assert total(two) == pytest.approx(2 * total(one))
 
     def test_price_components(self):
-        model = CostModel(bytes_per_sample=10.0, collection_cpu_us=1.0,
-                          transmission_cost_per_byte_hop=1.0, storage_cost_per_byte=1.0,
-                          analysis_cost_per_sample=1.0)
-        accountant = TelemetryCostAccountant(cost_model=model, default_hops=2)
-        cost = accountant.price_samples("dev", 5)
-        assert cost.collection_cpu_us == pytest.approx(5.0)
-        assert cost.storage_bytes == pytest.approx(50.0)
-        assert cost.transmission == pytest.approx(100.0)
-        assert cost.analysis == pytest.approx(5.0)
+        """64 B and 50 us per sample, 1 per byte-hop and per byte stored,
+        10 per sample analysed; a topology-less device is three hops away."""
+        cost = TelemetryCostAccountant().price_samples("dev", 5)
+        assert cost.collection_cpu_us == pytest.approx(250.0)
+        assert cost.storage_bytes == pytest.approx(320.0)
+        assert cost.transmission == pytest.approx(960.0)
+        assert cost.analysis == pytest.approx(50.0)
 
     def test_negative_samples_rejected(self):
         accountant, _, _ = self.make_accountant()
@@ -123,10 +110,7 @@ class TestDeploymentPricing:
                              NodeRole.SERVER: 3}[role]
             assert accountant.hops(node) == expected_hops
             cost = accountant.price_samples(node, 100)
-            model = accountant.cost_model
-            assert cost.transmission == pytest.approx(
-                100 * model.bytes_per_sample * expected_hops
-                * model.transmission_cost_per_byte_hop)
+            assert cost.transmission == pytest.approx(100 * 64.0 * expected_hops)
 
     def test_server_points_cost_more_than_spine_points(self):
         deployment, accountant, graph = self.make_deployment()

@@ -131,24 +131,9 @@ class TestColumnarStore:
 
 
 class TestRelativeCostGuards:
-    def test_zero_baseline_raises_naming_the_policy(self, reference):
-        """Satellite fix: a zero-cost baseline used to turn every policy's
-        relative cost into nan; it must raise naming the baseline."""
-        from repro.network.cost import CostModel
-
-        free = TelemetryCostAccountant(cost_model=CostModel(
-            bytes_per_sample=0.0, collection_cpu_us=0.0,
-            transmission_cost_per_byte_hop=0.0, storage_cost_per_byte=0.0,
-            analysis_cost_per_sample=0.0))
-        evaluator = CostQualityEvaluator(
-            [FixedRatePolicy(30.0, name="baseline")], accountant=free)
-        evaluator.evaluate_point("dev-1", "Link util", reference)
-        with pytest.raises(ValueError, match="'baseline'.*zero total cost"):
-            evaluator.relative_costs("baseline")
-
     def test_no_points_evaluated_raises(self):
         evaluator = make_evaluator()
         assert evaluator.policies() == ["baseline", "nyquist-static"]
         assert [row["points"] for row in evaluator.rows()] == [0.0, 0.0]
-        with pytest.raises(ValueError, match="zero total cost"):
+        with pytest.raises(ValueError, match="'baseline'.*zero total cost"):
             evaluator.relative_costs("baseline")

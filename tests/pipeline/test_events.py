@@ -43,14 +43,16 @@ class TestInjectEvent:
         changed = np.count_nonzero(np.abs(modified.values - baseline_trace.values) > 1.0)
         assert 1 <= changed <= 3
 
-    def test_burst_affects_a_window(self, baseline_trace, rng):
+    def test_burst_affects_a_window(self, baseline_trace):
+        """A burst flaps over 2 % of the trace (432 s of a 6 h trace)."""
         modified, event = inject_event(baseline_trace, EventKind.BURST, 10000.0,
-                                       magnitude=30.0, duration=3000.0, rng=rng)
+                                       magnitude=30.0)
         changed = np.abs(modified.values - baseline_trace.values) > 1.0
         times = baseline_trace.times()
         assert not np.any(changed[times < 10000.0])
-        assert np.any(changed[(times >= 10000.0) & (times < 13000.0)])
-        assert event.start_time + event.duration == pytest.approx(13000.0)
+        assert np.any(changed[(times >= 10000.0) & (times < 10432.0)])
+        assert not np.any(changed[times >= 10432.0])
+        assert event.start_time + event.duration == pytest.approx(10432.0)
 
     def test_rejects_event_outside_trace(self, baseline_trace):
         with pytest.raises(ValueError):
@@ -156,8 +158,7 @@ class TestModeTransitionScoring:
         and the transition stream records a measurable re-probe."""
         quiet = sine(1.0 / 1800.0, duration=4 * 3600.0, sampling_rate=0.5,
                      amplitude=5.0, offset=20.0)
-        shifted = RegimeShift(shift_fraction=0.5, frequency_fraction=0.8,
-                              amplitude=4.0, seed=1)
+        shifted = RegimeShift(shift_fraction=0.5, frequency_fraction=0.8, amplitude=4.0)
         values = shifted.apply(quiet.values, quiet.interval, "Link util", "leaf-0")
         trace = TimeSeries(values, quiet.interval, name="Link util")
         policy = AdaptiveDualRatePolicy(window_duration=1800.0)

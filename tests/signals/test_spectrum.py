@@ -49,10 +49,10 @@ class TestSpectrumConstruction:
 
 
 class TestEnergyAccounting:
-    def test_total_energy_excludes_dc_by_default(self):
+    def test_total_energy_excludes_dc(self):
         spectrum = make_spectrum()
         assert spectrum.total_energy() == pytest.approx(10.0)
-        assert spectrum.total_energy(include_dc=True) == pytest.approx(110.0)
+        assert float(np.sum(spectrum.power)) == pytest.approx(110.0)
 
     def test_without_dc(self):
         spectrum = make_spectrum().without_dc()
@@ -79,8 +79,9 @@ class TestEnergyAccounting:
 
 class TestSpectrumUtilities:
     def test_dominant_frequency(self):
+        # The DC bin holds the most power but never counts as dominant.
         assert make_spectrum().dominant_frequency() == pytest.approx(1.0)
-        assert make_spectrum().dominant_frequency(include_dc=True) == pytest.approx(0.0)
+        assert int(np.argmax(make_spectrum().power)) == 0
 
     def test_dominant_frequency_empty(self):
         assert Spectrum(np.empty(0), np.empty(0), 1.0).dominant_frequency() is None

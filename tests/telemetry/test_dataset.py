@@ -14,7 +14,7 @@ class TestDatasetConfig:
         config = DatasetConfig()
         assert config.pair_count == PAPER_PAIR_COUNT == 1613
         assert config.trace_duration == 86400.0
-        assert len(config.metrics) == 14
+        assert len(FleetDataset(config).metric_names()) == 14
 
     @pytest.mark.parametrize("duration", [float("nan"), float("inf"), float("-inf"), 0.0,
                                           -1.0])
@@ -27,18 +27,6 @@ class TestDatasetConfig:
             DatasetConfig(pair_count=0)
         with pytest.raises(ValueError):
             DatasetConfig(trace_duration=-1.0)
-        with pytest.raises(ValueError):
-            DatasetConfig(metrics=("NotAMetric",))
-        with pytest.raises(ValueError):
-            DatasetConfig(broadband_fraction=2.0)
-        with pytest.raises(ValueError):
-            DatasetConfig(metrics=())
-
-    def test_rejects_repeated_metrics(self):
-        # A repeated metric would give duplicate (metric, device) keys, and
-        # a survey would then return more records than pairs.
-        with pytest.raises(ValueError, match="Temperature"):
-            DatasetConfig(pair_count=20, metrics=("Temperature", "Temperature", "FCS errors"))
 
 
 class TestFleetDataset:
@@ -117,7 +105,7 @@ class TestFleetDataset:
             list(small_dataset.traces(limit=-1))
 
     def test_broadband_fraction_roughly_respected(self):
-        dataset = FleetDataset(DatasetConfig(pair_count=280, seed=3, broadband_fraction=0.11))
+        dataset = FleetDataset(DatasetConfig(pair_count=280, seed=3))
         fraction = np.mean([pair.parameters.broadband for pair in dataset.pairs()])
         assert 0.03 <= fraction <= 0.25
 

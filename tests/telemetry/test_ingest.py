@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fleets import ReshapedFleet
 from repro.analysis.survey import run_survey
 from repro.faults import FaultPlan, corrupt_dump_lines
 from repro.records import (FailureRecord, FailureRecordBlock,
@@ -49,8 +50,8 @@ INGEST_METRICS = ("Temperature", "Unicast bytes", "FCS errors")
 
 @pytest.fixture(scope="module")
 def fleet() -> FleetDataset:
-    return FleetDataset(DatasetConfig(pair_count=9, seed=5, trace_duration=7200.0,
-                                      metrics=INGEST_METRICS))
+    return ReshapedFleet(DatasetConfig(pair_count=42, seed=5, trace_duration=7200.0),
+                        metrics=INGEST_METRICS)
 
 
 @pytest.fixture(scope="module")
@@ -806,8 +807,8 @@ def with_huge_integer_timestamp(dump: Path, tmp_path: Path, digits: int = 401) -
 @pytest.fixture(scope="module")
 def large_gnmi_lines(tmp_path_factory) -> list[str]:
     """A canonical gNMI dump spanning several blocks, as ``\\n``-ended lines."""
-    fleet = FleetDataset(DatasetConfig(pair_count=30, seed=5, trace_duration=14400.0,
-                                       metrics=INGEST_METRICS))
+    fleet = ReshapedFleet(DatasetConfig(pair_count=140, seed=5, trace_duration=14400.0),
+                         metrics=INGEST_METRICS)
     dump = fleet.export_gnmi_dump(tmp_path_factory.mktemp("dumps") / "large.jsonl")
     assert dump.stat().st_size > 2 * BLOCK_BYTES
     return dump.read_text().splitlines(keepends=True)

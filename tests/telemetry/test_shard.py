@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fleets import ReshapedFleet
 from repro.cli import main
 from repro.faults import FaultPlan, corrupt_dump_lines
 from repro.records import MemoryRecordSink
@@ -34,8 +35,8 @@ INGEST_METRICS = ("Temperature", "Unicast bytes", "FCS errors")
 
 @pytest.fixture(scope="module")
 def fleet() -> FleetDataset:
-    return FleetDataset(DatasetConfig(pair_count=9, seed=5, trace_duration=7200.0,
-                                      metrics=INGEST_METRICS))
+    return ReshapedFleet(DatasetConfig(pair_count=42, seed=5, trace_duration=7200.0),
+                        metrics=INGEST_METRICS)
 
 
 @pytest.fixture(scope="module")
@@ -184,9 +185,8 @@ class TestShardedByteIdentity:
     def test_more_workers_than_updates(self, tmp_path):
         # Degenerate split: fewer lines than workers must still publish
         # the same bytes as serial, not crash on empty ranges.
-        fleet = FleetDataset(DatasetConfig(pair_count=2, seed=3,
-                                           trace_duration=600.0,
-                                           metrics=INGEST_METRICS[:1]))
+        fleet = ReshapedFleet(DatasetConfig(pair_count=28, seed=3, trace_duration=600.0),
+                             metrics=INGEST_METRICS[:1])
         dump = fleet.export_gnmi_dump(tmp_path / "small.jsonl")
         ingest_dump(dump, tmp_path / "serial")
         ingest_dump(dump, tmp_path / "wide", workers=8)

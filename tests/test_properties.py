@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fleets import ReshapedFleet
 from repro.analysis.survey import run_survey
 from repro.core.errors import compare
 from repro.core.nyquist import NyquistEstimator, estimate_nyquist_rate
@@ -19,7 +20,7 @@ from repro.core.quantization import UniformQuantizer
 from repro.core.resampling import downsample, fourier_resample, regularize
 from repro.signals.generators import multi_tone
 from repro.signals.timeseries import IrregularTimeSeries, TimeSeries
-from repro.telemetry.dataset import DatasetConfig, FleetDataset
+from repro.telemetry.dataset import DatasetConfig
 from repro.telemetry.ingest import export_gnmi_dump, export_snmp_dump, ingest_dump
 from signal_helpers import sine
 
@@ -193,17 +194,17 @@ def _assert_nan_aware_equal(left: float, right: float, context: str) -> None:
 
 @INGEST
 @given(seed=st.integers(min_value=0, max_value=2 ** 16),
-       pair_count=st.integers(min_value=3, max_value=10),
+       pairs_per_metric=st.integers(min_value=1, max_value=4),
        metrics=st.sampled_from(INGEST_METRIC_POOLS),
        exporter=st.sampled_from([export_gnmi_dump, export_snmp_dump]),
        broadband=st.sampled_from([0.0, 0.25]))
-def test_export_ingest_survey_round_trip(seed, pair_count, metrics, exporter,
+def test_export_ingest_survey_round_trip(seed, pairs_per_metric, metrics, exporter,
                                          broadband):
     """Any fleet, either wire format: the ingested directory surveys
     bit-identically to the in-memory fleet, at 1 and 2 workers."""
-    fleet = FleetDataset(DatasetConfig(pair_count=pair_count, seed=seed,
-                                       trace_duration=3600.0, metrics=metrics,
-                                       broadband_fraction=broadband))
+    fleet = ReshapedFleet(DatasetConfig(pair_count=14 * pairs_per_metric, seed=seed,
+                                        trace_duration=3600.0),
+                          metrics=metrics, broadband_fraction=broadband)
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
         dump = exporter(fleet, tmp_path / "dump")

@@ -369,14 +369,14 @@ def test_every_helper_option_has_a_library_caller():
     assert not unset, f"{len(unset)} helper option(s) no library call sets: {unset}"
 
 
-#: The fault layer: bounded retry, the pool driver and the seeded fault
-#: placement.  Its retry budget and window sizes are fixed in the library,
-#: so an option only tests set is a drill the library never runs.
-FAULTS = ("RetryPolicy", "FaultPlan", "run_batch_tasks")
+#: The fault layer: the pool driver and the seeded fault placement.  Its
+#: retry budget and window sizes are fixed in the library, so an option
+#: only tests set is a drill the library never runs.
+FAULTS = ("FaultPlan", "run_batch_tasks")
 
 #: The section 3.1 cost model: its claims are cost ratios, which do not
 #: depend on the unit costs, so the library prices with one fixed model.
-COST = ("CostModel", "TelemetryCostAccountant")
+COST = ("TelemetryCostAccountant",)
 
 #: The scenario transforms: their placement is seeded per pair by digest,
 #: so a seed or pathology option no preset sets is a workload never run.

@@ -193,13 +193,13 @@ def rerecord_one_trace(measured) -> None:
 
 
 class TestMeasuredFleetContentInvalidation:
-    FLEET = DatasetConfig(pair_count=14, seed=5, metrics=("Temperature", "Link util"))
+    FLEET = DatasetConfig(pair_count=28, seed=5)
 
     def test_rewritten_trace_file_invalidates_its_slice(self, tmp_path):
         measured = FleetDataset(self.FLEET).export(tmp_path / "fleet")
         store = RecordStore(tmp_path / "store")
         cold = run_survey(measured, store=store, chunk_size=4)
-        assert cold.cache_misses == 14
+        assert cold.cache_misses == 28
 
         rerecord_one_trace(measured)
 
@@ -207,7 +207,7 @@ class TestMeasuredFleetContentInvalidation:
         # Only the slice holding the rewritten file misses; everything
         # else is served from the store.
         assert 0 < warm.cache_misses <= 4
-        assert warm.cache_hits == 14 - warm.cache_misses
+        assert warm.cache_hits == 28 - warm.cache_misses
         # And the recomputed records reflect the new trace bytes.
         fresh = run_survey(measured, chunk_size=4)
         assert block_payloads(warm.iter_blocks()) == block_payloads(fresh.iter_blocks())
@@ -225,7 +225,7 @@ class TestMeasuredFleetContentInvalidation:
         rerecord_one_trace(measured)
         warm = run_survey(wrap(measured), store=store, chunk_size=4)
         assert 0 < warm.cache_misses <= 4
-        assert warm.cache_hits == 14 - warm.cache_misses
+        assert warm.cache_hits == 28 - warm.cache_misses
         fresh = run_survey(wrap(measured), chunk_size=4)
         assert block_payloads(warm.iter_blocks()) == block_payloads(fresh.iter_blocks())
 
@@ -253,8 +253,7 @@ class TestMeasuredFleetContentInvalidation:
             base, state_dir=str(tmp_path / "b"), io_error_opens=2,
             malformed_line_every=7, crash_slices=(("Link util", 0),))
         assert token(bookkeeping) == token(base)
-        for change in ({"seed": 4}, {"fraction": 0.25}, {"kinds": ("counter-wrap",)},
-                       {"blackout_fraction": 0.3}):
+        for change in ({"seed": 4}, {"fraction": 0.25}, {"kinds": ("counter-wrap",)}):
             assert token(dataclasses.replace(base, **change)) != token(base), change
 
     def test_fresh_state_dir_rerun_is_all_hits(self, tmp_path, dataset, store):
@@ -339,12 +338,14 @@ class TestPolicySurveyStore:
 
     def test_accountant_change_invalidates(self, tmp_path):
         from repro.network.cost import TelemetryCostAccountant
+        from repro.network.topology import TopologySpec, attach_collector
         source = FleetDataset(self.FLEET)
         store = RecordStore(tmp_path / "store")
         run_policy_survey(source, self.SUITE, store=store, chunk_size=8)
+        fabric = TopologySpec().build()
         changed = run_policy_survey(
             source, self.SUITE, store=store, chunk_size=8,
-            accountant=TelemetryCostAccountant(default_hops=7))
+            accountant=TelemetryCostAccountant(fabric, attach_collector(fabric)))
         assert changed.cache_hits == 0
 
     def test_tokenless_suite_is_rejected(self, tmp_path):

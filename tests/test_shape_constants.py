@@ -83,8 +83,9 @@ def reference_detrend(values: np.ndarray) -> np.ndarray:
     return values - row_means - slopes[:, None] * x_centered
 
 
-def phase_of(transform, kind: str) -> float:
-    return 2.0 * math.pi * (stable_digest(transform.seed, kind, "m", "d")
+def phase_of(kind: str) -> float:
+    """Per-pair phase of a transform for pair ("m", "d"): digest seeded by 0."""
+    return 2.0 * math.pi * (stable_digest(0, kind, "m", "d")
                             / 2.0 ** 64)
 
 
@@ -92,7 +93,7 @@ def reference_diurnal_cycle(transform: DiurnalCycle, values: np.ndarray,
                             interval: float) -> np.ndarray:
     t = np.arange(values.shape[0]) * interval
     return values * (1.0 + transform.amplitude * np.sin(
-        2.0 * math.pi * t / transform.period + phase_of(transform, "diurnal-phase")))
+        2.0 * math.pi * t / transform.period + phase_of("diurnal-phase")))
 
 
 def reference_regime_shift(transform: RegimeShift, values: np.ndarray,
@@ -105,7 +106,7 @@ def reference_regime_shift(transform: RegimeShift, values: np.ndarray,
     frequency = transform.frequency_fraction / (2.0 * interval)
     t = np.arange(shift, rows) * interval
     out[shift:] += transform.amplitude * base * np.sin(
-        2.0 * math.pi * frequency * t + phase_of(transform, "regime-phase"))
+        2.0 * math.pi * frequency * t + phase_of("regime-phase"))
     return out
 
 
@@ -120,7 +121,7 @@ def reference_flapping_regime(transform: FlappingRegime, values: np.ndarray,
     t = np.arange(onset, rows) * interval
     active = ((t - onset * interval) % transform.period) < transform.duty * transform.period
     out[onset:] += (transform.amplitude * base
-                    * np.sin(2.0 * math.pi * frequency * t + phase_of(transform, "flap-phase"))
+                    * np.sin(2.0 * math.pi * frequency * t + phase_of("flap-phase"))
                     * active)
     return out
 
