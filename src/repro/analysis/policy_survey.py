@@ -61,7 +61,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -332,7 +332,6 @@ def run_policy_survey(source: TraceSource,
                       on_error: OnError = "raise",
                       failure_sink: RecordSink | None = None,
                       store: RecordStore | None = None,
-                      retry_sleep: Callable[[float], None] = time.sleep,
                       ) -> PolicySurveyResult:
     """Evaluate sampling policies over every pair of a trace source.
 
@@ -354,8 +353,10 @@ def run_policy_survey(source: TraceSource,
         topology as a deployment source so transmission is weighted by
         real hop counts.  Defaults to the topology-less accountant
         (every device at three hops).
-    metrics / limit_per_metric:
-        Restrict the survey (same semantics as ``run_survey``).
+    metrics:
+        Restrict the survey to these metrics (default: all the source serves).
+    limit_per_metric:
+        Cap the number of pairs evaluated per metric.
     chunk_size:
         Traces held in memory at once; also the pair-slice size of the
         slice driver, so each result block holds at most ``chunk_size``
@@ -386,10 +387,10 @@ def run_policy_survey(source: TraceSource,
         as a store-less run would, then are written back atomically.
         ``PolicySurveyResult.cache_hits`` / ``cache_misses`` count the
         pairs on each path; quarantined slices are never cached.
-    retry_sleep:
-        Injectable backoff sleep (tests/benchmarks pass a no-op) between
-        the :data:`~repro.faults.MAX_ATTEMPTS` tries per batch for
-        transient (IO-shaped) failures and crashed workers.
+
+    Transient (IO-shaped) batch failures and crashed workers are retried
+    up to :data:`~repro.faults.MAX_ATTEMPTS` tries with deterministic
+    exponential backoff.
     """
     check_run_options("run_policy_survey", PolicySurveyResult, workers, on_error, sink,
                       failure_sink)
@@ -397,5 +398,5 @@ def run_policy_survey(source: TraceSource,
     evaluator = _PolicyEvaluator(policies, accountant or TelemetryCostAccountant())
     run_slices(source, evaluator, result, metric_names=metrics,
                limit_per_metric=limit_per_metric, chunk_size=chunk_size, workers=workers,
-               on_error=on_error, store=store, sleep=retry_sleep)
+               on_error=on_error, store=store, sleep=time.sleep)
     return result

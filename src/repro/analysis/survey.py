@@ -359,7 +359,6 @@ class _SurveyEvaluator:
 
 
 def run_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
-               metrics: Sequence[str] | None = None,
                limit_per_metric: int | None = None,
                chunk_size: int = 1024,
                workers: int | None = None,
@@ -384,8 +383,6 @@ def run_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
         byte-identically to the in-memory dataset it came from).
     estimator:
         Nyquist estimator; defaults to the paper's 99 % configuration.
-    metrics:
-        Restrict the survey to these metrics (default: all in the dataset).
     limit_per_metric:
         Cap the number of pairs analysed per metric (useful for quick runs
         and benchmarks).
@@ -445,7 +442,7 @@ def run_survey(dataset: TraceSource, estimator: NyquistEstimator | None = None,
     result = SurveyResult(sink=sink, failure_sink=failure_sink)
     evaluator = _SurveyEvaluator(estimator or NyquistEstimator(), fft_workers,
                                  dataset.trace_duration)
-    run_slices(dataset, evaluator, result, metric_names=metrics,
+    run_slices(dataset, evaluator, result, metric_names=None,
                limit_per_metric=limit_per_metric, chunk_size=chunk_size, workers=workers,
                on_error=on_error, store=store, sleep=retry_sleep)
     return result
@@ -474,7 +471,6 @@ class WindowedPairSummary:
 def run_windowed_survey(dataset: TraceSource,
                         window_seconds: float = FIGURE7_WINDOW_SECONDS,
                         step_seconds: float = FIGURE7_STEP_SECONDS,
-                        metrics: Sequence[str] | None = None,
                         limit_per_metric: int | None = None) -> list[WindowedPairSummary]:
     """Run the Figure 7 moving-window sweep over every pair of a fleet.
 
@@ -497,8 +493,7 @@ def run_windowed_survey(dataset: TraceSource,
     """
     estimator = NyquistEstimator(detrend=True, window="hann", aliased_band_fraction=1.0)
     summaries: list[WindowedPairSummary] = []
-    metric_names = list(metrics) if metrics is not None else dataset.metric_names()
-    for metric_name in metric_names:
+    for metric_name in dataset.metric_names():
         for pair, trace in dataset.traces(metric_name, limit=limit_per_metric):
             estimates = windowed_nyquist_rates(trace, window_seconds=window_seconds,
                                                step_seconds=step_seconds,

@@ -379,8 +379,7 @@ class TestPolicyQuarantineEquivalence:
         chaotic = FaultInjectingTraceSource(dataset, plan)
         assert any(plan.affects(*pair.key) for pair in dataset.pairs())
         survived = run_policy_survey(chaotic, suite, chunk_size=6,
-                                     on_error="quarantine",
-                                     retry_sleep=lambda delay: None)
+                                     on_error="quarantine")
         assert survived.quarantined_count == 0
         assert_policy_blocks_byte_identical(clean_survey.iter_blocks(),
                                             survived.iter_blocks())
@@ -392,8 +391,7 @@ class TestPolicyQuarantineEquivalence:
                          state_dir=str(tmp_path / "state"))
         chaotic = FaultInjectingTraceSource(dataset, plan)
         crashed = run_policy_survey(chaotic, suite, chunk_size=2, workers=2,
-                                    on_error="quarantine",
-                                    retry_sleep=lambda delay: None)
+                                    on_error="quarantine")
         assert crashed.quarantined_count == 0
         clean = run_policy_survey(dataset, suite, chunk_size=2, workers=2)
         assert clean.rows() == crashed.rows()

@@ -54,8 +54,9 @@ class TestRunSurvey:
         assert len(limited) == 2 * 14
 
     def test_metric_subset(self):
-        dataset = FleetDataset(DatasetConfig(pair_count=84, seed=5))
-        result = run_survey(dataset, metrics=["Temperature", "Link util"])
+        dataset = ReshapedFleet(DatasetConfig(pair_count=84, seed=5),
+                                metrics=("Temperature", "Link util"))
+        result = run_survey(dataset)
         assert set(result.metrics()) == {"Temperature", "Link util"}
 
 
@@ -250,11 +251,10 @@ class TestParallelWorkers:
         assert single.headline() == pooled.headline()
 
     def test_workers_respect_limit_and_metrics(self):
-        dataset = FleetDataset(DatasetConfig(pair_count=84, seed=5))
-        single = run_survey(dataset, workers=1, limit_per_metric=2,
-                            metrics=["Temperature", "Link util"])
-        pooled = run_survey(dataset, workers=2, limit_per_metric=2,
-                            metrics=["Temperature", "Link util"])
+        dataset = ReshapedFleet(DatasetConfig(pair_count=84, seed=5),
+                                metrics=("Temperature", "Link util"))
+        single = run_survey(dataset, workers=1, limit_per_metric=2)
+        pooled = run_survey(dataset, workers=2, limit_per_metric=2)
         assert len(single) == len(pooled) == 4
         assert_blocks_byte_identical(single.iter_blocks(), pooled.iter_blocks())
 
@@ -360,12 +360,12 @@ class TestMeasuredSurveyEquivalence:
         assert_blocks_byte_identical(memory.iter_blocks(), spilled.iter_blocks())
         assert memory.estimation_accuracy() == spilled.estimation_accuracy()
 
-    def test_metric_and_limit_filters(self, fleet):
-        dataset, measured = fleet
-        memory = run_survey(dataset, metrics=["Temperature", "Link util"],
-                            limit_per_metric=2)
-        recorded = run_survey(measured, metrics=["Temperature", "Link util"],
-                              limit_per_metric=2)
+    def test_metric_and_limit_filters(self, fleet, tmp_path):
+        dataset, _ = fleet
+        subset = ReshapedFleet(dataset.config, metrics=("Temperature", "Link util"))
+        memory = run_survey(subset, limit_per_metric=2)
+        recorded = run_survey(subset.export(tmp_path / "subset"), limit_per_metric=2)
+        assert set(recorded.metrics()) == {"Temperature", "Link util"}
         assert_blocks_byte_identical(memory.iter_blocks(), recorded.iter_blocks())
 
     def test_csv_trace_files_byte_identical(self, tmp_path):
@@ -383,10 +383,8 @@ class TestMeasuredSurveyEquivalence:
 
     def test_windowed_survey_runs_on_measured_fleet(self, fleet):
         dataset, measured = fleet
-        from_memory = run_windowed_survey(dataset, metrics=["Temperature"],
-                                          limit_per_metric=1)
-        from_disk = run_windowed_survey(measured, metrics=["Temperature"],
-                                        limit_per_metric=1)
+        from_memory = run_windowed_survey(dataset, limit_per_metric=1)
+        from_disk = run_windowed_survey(measured, limit_per_metric=1)
         assert from_memory == from_disk
 
 
@@ -510,9 +508,9 @@ class TestWindowedSurvey:
         assert sum(s.windows > 0 for s in summaries) >= 10
 
     def test_metric_restriction(self):
-        dataset = FleetDataset(DatasetConfig(pair_count=28, seed=5))
-        summaries = run_windowed_survey(dataset, metrics=["Temperature"],
-                                        limit_per_metric=2)
+        dataset = ReshapedFleet(DatasetConfig(pair_count=28, seed=5),
+                                metrics=("Temperature",))
+        summaries = run_windowed_survey(dataset, limit_per_metric=2)
         assert len(summaries) == 2
         assert all(s.metric_name == "Temperature" for s in summaries)
 
