@@ -111,14 +111,18 @@ class ControllerConfig:
     aliasing_check_interval: int = 4
 
     def __post_init__(self) -> None:
-        if self.initial_rate <= 0:
-            raise ValueError("initial_rate must be positive")
-        if self.max_rate <= MIN_RATE:
-            raise ValueError(f"max_rate must exceed the rate floor {MIN_RATE:g} Hz")
-        if self.probe_multiplier <= 1:
-            raise ValueError("probe_multiplier must be > 1")
-        if self.headroom < 1:
-            raise ValueError("headroom must be >= 1")
+        if not (math.isfinite(self.initial_rate) and self.initial_rate > 0):
+            raise ValueError("initial_rate must be a positive finite number, "
+                             f"got {self.initial_rate}")
+        # +inf is the documented "no cap" default; NaN would never cap.
+        if not self.max_rate > MIN_RATE:
+            raise ValueError(f"max_rate must exceed the rate floor {MIN_RATE:g} Hz, "
+                             f"got {self.max_rate}")
+        if not (math.isfinite(self.probe_multiplier) and self.probe_multiplier > 1):
+            raise ValueError("probe_multiplier must be a finite number > 1, "
+                             f"got {self.probe_multiplier}")
+        if not (math.isfinite(self.headroom) and self.headroom >= 1):
+            raise ValueError(f"headroom must be a finite number >= 1, got {self.headroom}")
         if self.aliasing_check_interval < 1:
             raise ValueError("aliasing_check_interval must be >= 1")
 

@@ -179,12 +179,12 @@ class DualRateAliasingDetector:
 
     def __init__(self, rate_ratio: float = DEFAULT_RATE_RATIO,
                  threshold: float = 0.1) -> None:
-        if rate_ratio <= 1.0:
-            raise ValueError("rate_ratio must be > 1")
+        if not (math.isfinite(rate_ratio) and rate_ratio > 1.0):
+            raise ValueError(f"rate_ratio must be a finite number > 1, got {rate_ratio}")
         if math.isclose(rate_ratio, round(rate_ratio), abs_tol=1e-9):
             raise ValueError("rate_ratio must not be an integer (see §4.1)")
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
+        if not (math.isfinite(threshold) and threshold > 0):
+            raise ValueError(f"threshold must be a positive finite number, got {threshold}")
         self.rate_ratio = rate_ratio
         self.threshold = threshold
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 
 import numpy as np
 import pytest
@@ -43,6 +44,24 @@ class TestControllerConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ControllerConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"initial_rate": math.nan},
+        {"initial_rate": math.inf},
+        {"max_rate": math.nan},
+        {"probe_multiplier": math.nan},
+        {"probe_multiplier": math.inf},
+        {"headroom": math.nan},
+        {"headroom": math.inf},
+    ])
+    def test_non_finite_knobs_raise_naming_the_field(self, kwargs):
+        """NaN later fails as an obscure integer conversion, and an infinite
+        headroom pins the rate at the ceiling."""
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            ControllerConfig(**kwargs)
+
+    def test_unbounded_max_rate_is_the_default(self):
+        assert ControllerConfig(max_rate=math.inf).max_rate == ControllerConfig().max_rate
 
 
 class TestControllerBehaviour:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,16 @@ class TestDetectorConfiguration:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             DualRateAliasingDetector(threshold=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rate_ratio", math.nan), ("rate_ratio", math.inf),
+        ("threshold", math.nan), ("threshold", math.inf),
+    ])
+    def test_non_finite_knobs_raise_naming_the_field(self, field, value):
+        """A NaN or infinite ratio fails later in integer conversion; a NaN
+        or infinite threshold flags no window as aliased."""
+        with pytest.raises(ValueError, match=field):
+            DualRateAliasingDetector(**{field: value})
 
     def test_probe_rates(self):
         detector = DualRateAliasingDetector(rate_ratio=1.6)
