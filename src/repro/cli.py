@@ -406,6 +406,12 @@ def _print_store_summary(store, directory, result) -> None:
           f"cache, {result.cache_misses} recomputed ({percent:.0f}% hits)")
 
 
+def _check_positive(option: str, value: float) -> None:
+    """Reject a non-positive or non-finite option value, named by its option."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{option} must be a positive finite number, got {value:g}")
+
+
 def _check_window_fits(trace: str, trace_hours: float, window: str, window_hours: float) -> None:
     """Reject a trace shorter than one adaptation window, named by its options."""
     if 0 < trace_hours < window_hours:
@@ -559,6 +565,8 @@ def _command_export_dump(args: argparse.Namespace) -> int:
 
 
 def _command_windowed(args: argparse.Namespace) -> int:
+    _check_positive("--window-hours", args.window_hours)
+    _check_positive("--step-minutes", args.step_minutes)
     dataset = FleetDataset(DatasetConfig(pair_count=args.pairs, seed=args.seed))
     summaries = run_windowed_survey(dataset,
                                     window_seconds=args.window_hours * 3600.0,
@@ -581,6 +589,8 @@ def _command_windowed(args: argparse.Namespace) -> int:
 
 def _command_adaptive(args: argparse.Namespace) -> int:
     spec = METRIC_CATALOG[args.metric]
+    _check_positive("--days", args.days)
+    _check_positive("--window-hours", args.window_hours)
     device = DeviceProfile(device_id="demo-device", role=DeviceRole.TOR_SWITCH, seed=args.seed)
     duration = args.days * 86400.0
     _check_window_fits(f"--days {args.days:g}", args.days * 24.0,

@@ -160,8 +160,9 @@ class TimeSeries:
         Windows that would extend past the end of the series are not
         yielded.
         """
-        if window <= 0 or step <= 0:
-            raise ValueError("window and step must be positive")
+        if not (math.isfinite(window) and window > 0 and math.isfinite(step) and step > 0):
+            raise ValueError("window and step must be positive finite numbers, "
+                             f"got {window} and {step}")
         n = len(self)
         t = self.start_time
         while t + window <= self.end_time + 1e-9:

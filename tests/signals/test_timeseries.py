@@ -90,6 +90,14 @@ class TestTimeSeriesTiming:
         with pytest.raises(ValueError):
             list(make_series(10).iter_windows(0.0, 1.0))
 
+    @pytest.mark.parametrize("window, step", [
+        (math.nan, 1.0), (math.inf, 1.0), (4.0, math.nan), (4.0, math.inf),
+    ])
+    def test_window_bounds_reject_non_finite_args(self, window, step):
+        """NaN would yield no window at all, and an infinite step one."""
+        with pytest.raises(ValueError, match="finite"):
+            list(make_series(10).iter_window_bounds(window, step))
+
 
 class TestTimeSeriesTransforms:
     def test_with_values_keeps_timing(self):

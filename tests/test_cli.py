@@ -354,11 +354,19 @@ class TestErrorContract:
         (["policies", "--adaptive-window-hours", "nan"], "adaptive_window must be a positive"),
         (["policies", "--adaptive-window-hours", "inf"], "adaptive_window must be a positive"),
         (["policies", "--calibration-fraction", "nan"], "calibration_fraction"),
+        (["windowed", "--window-hours", "nan"], "--window-hours must be a positive finite"),
+        (["windowed", "--step-minutes", "nan"], "--step-minutes must be a positive finite"),
+        (["windowed", "--window-hours", "inf"], "--window-hours must be a positive finite"),
+        (["adaptive", "--window-hours", "nan"], "--window-hours must be a positive finite"),
+        (["adaptive", "--days", "nan"], "--days must be a positive finite"),
+        (["adaptive", "--days", "inf"], "--days must be a positive finite"),
     ], ids=["survey-pairs", "export-fleet-pairs", "windowed-window", "windowed-step",
             "adaptive-days", "policies-short-trace", "adaptive-short-trace",
             "policies-nan-duration", "policies-negative-duration", "policies-nan-oversample",
             "policies-inf-oversample", "policies-nan-window", "policies-inf-window",
-            "policies-nan-calibration"])
+            "policies-nan-calibration", "windowed-nan-window", "windowed-nan-step",
+            "windowed-inf-window", "adaptive-nan-window", "adaptive-nan-days",
+            "adaptive-inf-days"])
     def test_bad_parameter_is_one_error_line(self, tmp_path, capsys, argv, message):
         assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
         err = capsys.readouterr().err
