@@ -6,9 +6,11 @@ telemetry generators (:mod:`repro.telemetry`) and the pipeline simulator
 recipe: a fabric spec, a trace length, a seed and an oversampling factor.
 ``spec.open()`` builds the fabric, attaches the collector and returns a
 :class:`DeploymentTraceSource`, which assigns metric specs to fabric
-nodes, draws the per-(device, metric) generative parameters and serves
-the reference (ground-truth) traces through the
-:class:`~repro.telemetry.source.TraceSource` protocol.  The fleet
+nodes by role and serves the reference (ground-truth) traces through the
+:class:`~repro.telemetry.source.TraceSource` protocol.  Parameter draws,
+trace generation and content tokens are the synthetic-source recipe it
+shares with :class:`~repro.telemetry.dataset.FleetDataset`
+(:class:`~repro.telemetry.dataset.SyntheticTraceSource`).  The fleet
 pipelines (``run_survey``, ``run_policy_survey``) therefore run over a
 monitored fabric exactly like over a
 :class:`~repro.telemetry.dataset.FleetDataset` -- with the crucial
@@ -22,16 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from ..signals.timeseries import TimeSeries
-from ..telemetry.dataset import TracePair
-from ..telemetry.metrics import METRIC_CATALOG
-from ..telemetry.models import generate_trace
-from ..telemetry.profiles import DeviceProfile, DeviceRole, draw_metric_parameters
-from ..telemetry.source import BaseTraceSource
+from ..telemetry.dataset import SyntheticTraceSource, TracePair
+from ..telemetry.metrics import METRIC_CATALOG, MetricSpec
+from ..telemetry.profiles import DeviceProfile, DeviceRole
 from .cost import TelemetryCostAccountant
 from .topology import FabricSpec, NodeRole, TopologySpec, attach_collector, servers, switches
 
@@ -46,9 +44,6 @@ _SERVER_METRICS = ("5-pct CPU util", "Memory usage", "Temperature")
 
 #: The survey order: switch metrics first, then the server-only ones.
 _METRIC_ORDER = tuple(dict.fromkeys((*_SWITCH_METRICS, *_SERVER_METRICS)))
-
-#: Fraction of measurement points drawn broadband (aliased-looking).
-_BROADBAND_FRACTION = 0.11
 
 _ROLE_MAP = {
     NodeRole.SPINE: DeviceRole.CORE_SWITCH,
@@ -112,7 +107,7 @@ class DeploymentSpec:
         return DeploymentTraceSource(self)
 
 
-class DeploymentTraceSource(BaseTraceSource):
+class DeploymentTraceSource(SyntheticTraceSource):
     """A monitored fabric served through the ``TraceSource`` protocol.
 
     Built from a :class:`DeploymentSpec`: ``topology`` is the spec's
@@ -131,8 +126,6 @@ class DeploymentTraceSource(BaseTraceSource):
         self.spec = spec
         self.topology = spec.topology.build()
         self.collector = attach_collector(self.topology)
-        self._pairs: list[TracePair] | None = None
-        self._by_metric: dict[str, list[TracePair]] = {}
 
     def accountant(self) -> TelemetryCostAccountant:
         """A cost accountant on this deployment's own fabric and collector.
@@ -143,69 +136,30 @@ class DeploymentTraceSource(BaseTraceSource):
         """
         return TelemetryCostAccountant(topology=self.topology, collector=self.collector)
 
-    # ------------------------------------------------------------------
-    def pairs(self) -> list[TracePair]:
-        """Every measurement point, grouped by metric in survey order (cached).
+    def worker_spec(self) -> DeploymentSpec:
+        return self.spec
+
+    def _draw_pairs(self) -> dict[str, list[TracePair]]:
+        """Every measurement point, grouped by metric in survey order.
 
         Each point's device is its node's
         :class:`~repro.telemetry.profiles.DeviceProfile` (device id =
         fabric node name).  Profile seeds are drawn from the spec's seed,
         switches first, then servers, each in node order.
         """
-        if self._pairs is None:
-            by_metric: dict[str, list[TracePair]] = {name: [] for name in _METRIC_ORDER}
-            rng = np.random.default_rng(self.spec.seed)
-            for nodes, metric_names in ((switches(self.topology), _SWITCH_METRICS),
-                                        (servers(self.topology), _SERVER_METRICS)):
-                for node in nodes:
-                    for pair in self._pairs_for_node(node, metric_names, rng):
-                        by_metric[pair.metric.name].append(pair)
-            self._by_metric = by_metric
-            self._pairs = [pair for name in _METRIC_ORDER for pair in by_metric[name]]
-        return self._pairs
+        by_metric: dict[str, list[TracePair]] = {name: [] for name in _METRIC_ORDER}
+        rng = np.random.default_rng(self.spec.seed)
+        for nodes, metric_names in ((switches(self.topology), _SWITCH_METRICS),
+                                    (servers(self.topology), _SERVER_METRICS)):
+            for node in nodes:
+                role = _ROLE_MAP.get(self.topology.nodes[node].get("role"), DeviceRole.SERVER)
+                profile = DeviceProfile(device_id=node, role=role,
+                                        seed=int(rng.integers(0, 2 ** 31 - 1)))
+                for name in metric_names:
+                    by_metric[name].append(self._pair(METRIC_CATALOG[name], profile))
+        return by_metric
 
-    def _pairs_for_node(self, node: str, metric_names: Sequence[str],
-                        rng: np.random.Generator) -> list[TracePair]:
-        role = _ROLE_MAP.get(self.topology.nodes[node].get("role"), DeviceRole.SERVER)
-        profile = DeviceProfile(device_id=node, role=role,
-                                seed=int(rng.integers(0, 2 ** 31 - 1)))
-        pairs = []
-        for name in metric_names:
-            metric = METRIC_CATALOG[name]
-            params = draw_metric_parameters(
-                metric, profile, self.spec.trace_duration,
-                broadband_fraction=_BROADBAND_FRACTION)
-            pairs.append(TracePair(metric, profile, params))
-        return pairs
-
-    def pairs_for_metric(self, metric_name: str) -> list[TracePair]:
-        self.pairs()
-        return list(self._by_metric.get(metric_name, []))
-
-    def metric_names(self) -> list[str]:
-        return list(_METRIC_ORDER)
-
-    @property
-    def trace_duration(self) -> float:
-        return self.spec.trace_duration
-
-    def worker_spec(self) -> DeploymentSpec:
-        return self.spec
-
-    def pair_content_token(self, pair: TracePair) -> str:
-        """Identity of one reference trace: the deployment spec plus the
-        point's generative parameters."""
-        return (f"{self.spec!r}|{pair.metric.name}|{pair.device.device_id}|"
-                f"{pair.parameters!r}")
-
-    def load(self, pair: TracePair) -> TimeSeries:
-        """Generate the reference trace for one measurement point.
-
-        The one recipe for a fabric point's trace: the point's own seed,
-        sampled every ``poll_interval / oversample_factor`` seconds (with
-        ``oversample_factor=1`` that is what today's polling collects).
-        """
-        interval = pair.metric.poll_interval / self.spec.oversample_factor
-        rng = np.random.default_rng(pair.parameters.seed)
-        return generate_trace(pair.metric, pair.parameters, self.spec.trace_duration,
-                              interval=interval, rng=rng, device_name=pair.device.device_id)
+    def _interval(self, metric: MetricSpec) -> float:
+        """Reference traces run ``oversample_factor`` times faster than production
+        polling (with ``oversample_factor=1`` that is what today's polling collects)."""
+        return metric.poll_interval / self.spec.oversample_factor

@@ -8,6 +8,14 @@ paper, draws per-pair generative parameters (including the paper's ~11 %
 broadband pairs, a fixed share), and produces one day's worth of data per
 pair at the metric's production polling rate.
 
+Both generated sources -- this fleet and the monitored fabric of
+:class:`~repro.network.DeploymentTraceSource` -- derive from
+:class:`SyntheticTraceSource`, which holds their one recipe: a pair table
+drawn once from a frozen, seeded spec, each trace regenerated from its
+pair's own seed, and a content token of spec, pair and parameters.  A
+subclass only draws its pair table and names its spec (and the fabric
+its oversampled interval).
+
 Traces are generated lazily so iterating the full survey stays cheap in
 memory; everything is deterministic in the dataset seed.  For the batched
 spectral engine, :meth:`FleetDataset.trace_batches` (inherited from
@@ -16,17 +24,20 @@ share a (length, interval) shape into bounded-size :class:`TraceBatch`
 matrices, so fleet-scale surveys can be analysed one ``rfft`` call per
 chunk while memory stays bounded by ``chunk_size`` rows.
 
-:class:`FleetDataset` is one implementation of the
-:class:`~repro.telemetry.source.TraceSource` protocol; recorded (measured)
-fleets are served by :class:`~repro.telemetry.measured.MeasuredFleetDataset`
-through the same interface, and :meth:`FleetDataset.export` round-trips a
-synthetic fleet to such a directory.
+Recorded (measured) fleets are served by
+:class:`~repro.telemetry.measured.MeasuredFleetDataset` through the same
+:class:`~repro.telemetry.source.TraceSource` interface, and
+:meth:`FleetDataset.export` round-trips a synthetic fleet to such a
+directory.
 """
 
 from __future__ import annotations
 
 import math
+from abc import abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Protocol
 
 import numpy as np
 
@@ -34,10 +45,11 @@ from ..signals.timeseries import TimeSeries
 from .fleet import build_fleet
 from .metrics import METRIC_CATALOG, MetricSpec
 from .models import generate_trace
-from .profiles import DeviceProfile, MetricParameters, draw_metric_parameters
-from .source import BaseTraceSource, TraceBatch
+from .profiles import BROADBAND_FRACTION, DeviceProfile, MetricParameters, draw_metric_parameters
+from .source import BaseTraceSource, TraceBatch, TraceSource
 
-__all__ = ["DatasetConfig", "TracePair", "TraceBatch", "FleetDataset", "PAPER_PAIR_COUNT"]
+__all__ = ["DatasetConfig", "TracePair", "TraceBatch", "SyntheticTraceSource", "FleetDataset",
+           "PAPER_PAIR_COUNT"]
 
 #: Number of (metric, device) pairs in the paper's survey.
 PAPER_PAIR_COUNT: int = 1613
@@ -46,14 +58,11 @@ PAPER_PAIR_COUNT: int = 1613
 #: worth of data from a distinct device").
 PAPER_TRACE_DURATION: float = 86400.0
 
-#: Share of pairs whose traces look aliased (paper: ~11 %).
-_BROADBAND_FRACTION = 0.11
-
 #: Every fleet surveys the whole catalogue, in catalogue order.
 _METRICS = tuple(METRIC_CATALOG)
 
 #: The two retired config fields, as the content token still writes them.
-_RETIRED_FIELDS = f"metrics={_METRICS!r}, broadband_fraction=0.11"
+_RETIRED_FIELDS = f"metrics={_METRICS!r}, broadband_fraction={BROADBAND_FRACTION!r}"
 
 
 @dataclass(frozen=True)
@@ -105,84 +114,117 @@ class TracePair:
         return (self.metric.name, self.device.device_id)
 
 
+class _SyntheticSpec(Protocol):
+    """What a synthetic source regenerates from: a frozen, seeded worker spec."""
+
+    @property
+    def trace_duration(self) -> float: ...
+
+    def open(self) -> TraceSource: ...
+
+
+class SyntheticTraceSource(BaseTraceSource):
+    """Base of the generated sources: one pair table, traces regenerated per pair.
+
+    Subclasses draw the pair table (:meth:`_draw_pairs`) and return the
+    spec it derives from (:meth:`worker_spec`); the table is drawn on
+    first use and serves ``pairs``, ``pairs_for_metric`` and
+    ``metric_names``.  Every trace is a pure function of the spec and
+    its pair's parameters, which is what the content token records.
+    """
+
+    @abstractmethod
+    def _draw_pairs(self) -> dict[str, list[TracePair]]:
+        """Every pair, grouped by metric in survey order (empty groups kept)."""
+
+    @abstractmethod
+    def worker_spec(self) -> _SyntheticSpec:
+        """The frozen spec this source regenerates from."""
+
+    @cached_property
+    def _pair_table(self) -> dict[str, list[TracePair]]:
+        return self._draw_pairs()
+
+    @cached_property
+    def _all_pairs(self) -> list[TracePair]:
+        return [pair for pairs in self._pair_table.values() for pair in pairs]
+
+    def _pair(self, metric: MetricSpec, device: DeviceProfile) -> TracePair:
+        """One pair, its parameters drawn at the paper's broadband share."""
+        return TracePair(metric, device,
+                         draw_metric_parameters(metric, device, self.trace_duration))
+
+    def _interval(self, metric: MetricSpec) -> float:
+        """Sampling interval of ``metric``'s traces: its production polling interval."""
+        return metric.poll_interval
+
+    def _spec_text(self) -> str:
+        """The spec as the content token writes it."""
+        return repr(self.worker_spec())
+
+    def pairs(self) -> list[TracePair]:
+        """Every pair, grouped by metric in survey order."""
+        return self._all_pairs
+
+    def pairs_for_metric(self, metric_name: str) -> list[TracePair]:
+        """All pairs belonging to one metric family."""
+        return list(self._pair_table.get(metric_name, []))
+
+    def metric_names(self) -> list[str]:
+        """Metrics of this source, in survey order."""
+        return list(self._pair_table)
+
+    @property
+    def trace_duration(self) -> float:
+        """Length of every trace in seconds (the spec's)."""
+        return self.worker_spec().trace_duration
+
+    def pair_content_token(self, pair: TracePair) -> str:
+        """Identity of one generated trace: the spec plus the pair's
+        generative parameters (every trace is a pure function of both)."""
+        return (f"{self._spec_text()}|{pair.metric.name}|{pair.device.device_id}|"
+                f"{pair.parameters!r}")
+
+    def load(self, pair: TracePair) -> TimeSeries:
+        """Generate one pair's trace from its own seed, every :meth:`_interval` seconds."""
+        return generate_trace(pair.metric, pair.parameters, self.trace_duration,
+                              interval=self._interval(pair.metric),
+                              rng=np.random.default_rng(pair.parameters.seed),
+                              device_name=pair.device.device_id)
+
+
 @dataclass
-class FleetDataset(BaseTraceSource):
+class FleetDataset(SyntheticTraceSource):
     """Lazily generated survey dataset over a synthetic fleet."""
 
     config: DatasetConfig = field(default_factory=DatasetConfig)
 
-    def __post_init__(self) -> None:
-        self._pairs: list[TracePair] | None = None
-        self._by_metric: dict[str, list[TracePair]] = {}
+    def _draw_pairs(self) -> dict[str, list[TracePair]]:
+        """Each catalogue metric on its own subset of one fleet.
 
-    # ------------------------------------------------------------------
-    def _pair_counts_per_metric(self) -> dict[str, int]:
-        """Split the total pair budget across metrics as evenly as possible."""
-        base = self.config.pair_count // len(_METRICS)
-        remainder = self.config.pair_count % len(_METRICS)
-        counts = {}
-        for index, name in enumerate(_METRICS):
-            counts[name] = base + (1 if index < remainder else 0)
-        return counts
-
-    def pairs(self) -> list[TracePair]:
-        """All (metric, device) pairs of the survey (cached after first call)."""
-        if self._pairs is not None:
-            return self._pairs
-        counts = self._pair_counts_per_metric()
-        fleet = build_fleet(max(counts.values()) if counts else 1, seed=self.config.seed)
+        The pair budget is split across the metrics as evenly as possible.
+        """
+        base, remainder = divmod(self.config.pair_count, len(_METRICS))
+        counts = [base + (1 if index < remainder else 0) for index in range(len(_METRICS))]
+        fleet = build_fleet(max(counts), seed=self.config.seed)
         rng = np.random.default_rng(self.config.seed + 1)
         by_metric: dict[str, list[TracePair]] = {}
-        for metric_name in _METRICS:
-            spec = METRIC_CATALOG[metric_name]
-            count = counts[metric_name]
+        for metric_name, count in zip(_METRICS, counts):
             # Each metric is monitored on its own subset of the fleet: the
             # first `count` devices in a metric-specific random order.
             order = rng.permutation(len(fleet))[:count]
-            by_metric[metric_name] = [
-                TracePair(spec, device, draw_metric_parameters(
-                    spec, device, self.config.trace_duration,
-                    broadband_fraction=_BROADBAND_FRACTION))
-                for device in (fleet[int(index)] for index in order)]
-        self._by_metric = by_metric
-        self._pairs = [pair for pairs in by_metric.values() for pair in pairs]
-        return self._pairs
-
-    def pairs_for_metric(self, metric_name: str) -> list[TracePair]:
-        """All pairs belonging to one metric family."""
-        self.pairs()
-        return list(self._by_metric.get(metric_name, []))
-
-    @property
-    def trace_duration(self) -> float:
-        """Nominal trace length in seconds (the config's, paper: one day)."""
-        return self.config.trace_duration
+            by_metric[metric_name] = [self._pair(METRIC_CATALOG[metric_name], fleet[int(index)])
+                                      for index in order]
+        return by_metric
 
     def worker_spec(self) -> DatasetConfig:
         """Picklable worker address: the config the fleet regenerates from."""
         return self.config
 
-    def pair_content_token(self, pair: TracePair) -> str:
-        """Identity of one synthetic trace: the config plus the pair's
-        generative parameters (every trace is a pure function of both).
-
-        The config is written as its repr was while the catalogue and the
-        broadband share were options, so stores filled then still hit.
-        """
+    def _spec_text(self) -> str:
+        """The config as its repr was while the catalogue and the broadband
+        share were options, so stores filled then still hit."""
         config = self.config
         return (f"DatasetConfig(pair_count={config.pair_count!r}, "
                 f"trace_duration={config.trace_duration!r}, {_RETIRED_FIELDS}, "
-                f"seed={config.seed!r})|{pair.metric.name}|{pair.device.device_id}|"
-                f"{pair.parameters!r}")
-
-    # ------------------------------------------------------------------
-    def load(self, pair: TracePair) -> TimeSeries:
-        """Generate the trace for one pair at the metric's production
-        polling interval (what today's monitoring system collects)."""
-        rng = np.random.default_rng(pair.parameters.seed)
-        return generate_trace(pair.metric, pair.parameters, self.config.trace_duration,
-                              rng=rng, device_name=pair.device.device_id)
-
-    def metric_names(self) -> list[str]:
-        """Metrics included in this dataset: the whole catalogue."""
-        return list(_METRICS)
+                f"seed={config.seed!r})")

@@ -22,7 +22,11 @@ import numpy as np
 
 from .metrics import MetricSpec
 
-__all__ = ["DeviceRole", "DeviceProfile", "MetricParameters", "draw_metric_parameters"]
+__all__ = ["DeviceRole", "DeviceProfile", "MetricParameters", "draw_metric_parameters",
+           "BROADBAND_FRACTION"]
+
+#: Share of pairs drawn broadband, i.e. whose traces look aliased (paper: ~11 %).
+BROADBAND_FRACTION = 0.11
 
 
 class DeviceRole(enum.Enum):
@@ -113,7 +117,7 @@ _ROLE_LEVEL_SCALE = {
 
 def draw_metric_parameters(spec: MetricSpec, profile: DeviceProfile,
                            trace_duration: float,
-                           broadband_fraction: float = 0.11,
+                           broadband_fraction: float = BROADBAND_FRACTION,
                            rng: np.random.Generator | None = None) -> MetricParameters:
     """Draw the generative parameters for one (device, metric) pair.
 

@@ -29,14 +29,9 @@ class ReshapedFleet(FleetDataset):
     metrics: tuple[str, ...] = tuple(METRIC_CATALOG)
     broadband_fraction: float | None = None
 
-    def pairs(self) -> list[TracePair]:
-        if self._pairs is None:
-            super().pairs()
-            self._by_metric = {name: [self._redraw(pair) for pair in pairs]
-                               for name, pairs in self._by_metric.items()
-                               if name in self.metrics}
-            self._pairs = [pair for pairs in self._by_metric.values() for pair in pairs]
-        return self._pairs
+    def _draw_pairs(self) -> dict[str, list[TracePair]]:
+        return {name: [self._redraw(pair) for pair in pairs]
+                for name, pairs in super()._draw_pairs().items() if name in self.metrics}
 
     def _redraw(self, pair: TracePair) -> TracePair:
         if self.broadband_fraction is None:
@@ -44,6 +39,3 @@ class ReshapedFleet(FleetDataset):
         return TracePair(pair.metric, pair.device, draw_metric_parameters(
             pair.metric, pair.device, self.trace_duration,
             broadband_fraction=self.broadband_fraction))
-
-    def metric_names(self) -> list[str]:
-        return [name for name in super().metric_names() if name in self.metrics]
