@@ -353,10 +353,9 @@ def run_policy_survey(source: TraceSource,
         topology as a deployment source so transmission is weighted by
         real hop counts.  Defaults to the topology-less accountant
         (every device at three hops).
-    metrics:
-        Restrict the survey to these metrics (default: all the source serves).
-    limit_per_metric:
-        Cap the number of pairs evaluated per metric.
+    metrics / limit_per_metric:
+        Restrict the survey to these metrics (default: all the source
+        serves) and cap the pairs evaluated per metric.
     chunk_size:
         Traces held in memory at once; also the pair-slice size of the
         slice driver, so each result block holds at most ``chunk_size``
@@ -388,9 +387,8 @@ def run_policy_survey(source: TraceSource,
         ``PolicySurveyResult.cache_hits`` / ``cache_misses`` count the
         pairs on each path; quarantined slices are never cached.
 
-    Transient (IO-shaped) batch failures and crashed workers are retried
-    up to :data:`~repro.faults.MAX_ATTEMPTS` tries with deterministic
-    exponential backoff.
+    Transient (IO-shaped) failures and crashed workers are retried up to
+    :data:`~repro.faults.MAX_ATTEMPTS` tries with deterministic backoff.
     """
     check_run_options("run_policy_survey", PolicySurveyResult, workers, on_error, sink,
                       failure_sink)

@@ -160,6 +160,5 @@ class DeploymentTraceSource(SyntheticTraceSource):
         return by_metric
 
     def _interval(self, metric: MetricSpec) -> float:
-        """Reference traces run ``oversample_factor`` times faster than production
-        polling (with ``oversample_factor=1`` that is what today's polling collects)."""
+        """``oversample_factor`` times faster than production polling."""
         return metric.poll_interval / self.spec.oversample_factor

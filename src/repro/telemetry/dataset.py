@@ -8,13 +8,10 @@ paper, draws per-pair generative parameters (including the paper's ~11 %
 broadband pairs, a fixed share), and produces one day's worth of data per
 pair at the metric's production polling rate.
 
-Both generated sources -- this fleet and the monitored fabric of
-:class:`~repro.network.DeploymentTraceSource` -- derive from
-:class:`SyntheticTraceSource`, which holds their one recipe: a pair table
-drawn once from a frozen, seeded spec, each trace regenerated from its
-pair's own seed, and a content token of spec, pair and parameters.  A
-subclass only draws its pair table and names its spec (and the fabric
-its oversampled interval).
+This fleet and the monitored fabric of
+:class:`~repro.network.DeploymentTraceSource` share one recipe, held by
+their base :class:`SyntheticTraceSource`: a pair table drawn once, each
+trace regenerated from its pair's seed, a content token of spec and pair.
 
 Traces are generated lazily so iterating the full survey stays cheap in
 memory; everything is deterministic in the dataset seed.  For the batched
@@ -24,11 +21,11 @@ share a (length, interval) shape into bounded-size :class:`TraceBatch`
 matrices, so fleet-scale surveys can be analysed one ``rfft`` call per
 chunk while memory stays bounded by ``chunk_size`` rows.
 
-Recorded (measured) fleets are served by
-:class:`~repro.telemetry.measured.MeasuredFleetDataset` through the same
-:class:`~repro.telemetry.source.TraceSource` interface, and
-:meth:`FleetDataset.export` round-trips a synthetic fleet to such a
-directory.
+:class:`FleetDataset` is one implementation of the
+:class:`~repro.telemetry.source.TraceSource` protocol; recorded (measured)
+fleets are served by :class:`~repro.telemetry.measured.MeasuredFleetDataset`
+through the same interface, and :meth:`FleetDataset.export` round-trips a
+synthetic fleet to such a directory.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from .fleet import build_fleet
 from .metrics import METRIC_CATALOG, MetricSpec
 from .models import generate_trace
 from .profiles import BROADBAND_FRACTION, DeviceProfile, MetricParameters, draw_metric_parameters
-from .source import BaseTraceSource, TraceBatch, TraceSource
+from .source import BaseTraceSource, TraceBatch, WorkerSpec
 
 __all__ = ["DatasetConfig", "TracePair", "TraceBatch", "SyntheticTraceSource", "FleetDataset",
            "PAPER_PAIR_COUNT"]
@@ -114,24 +111,16 @@ class TracePair:
         return (self.metric.name, self.device.device_id)
 
 
-class _SyntheticSpec(Protocol):
+class _SyntheticSpec(WorkerSpec, Protocol):
     """What a synthetic source regenerates from: a frozen, seeded worker spec."""
 
     @property
     def trace_duration(self) -> float: ...
 
-    def open(self) -> TraceSource: ...
-
 
 class SyntheticTraceSource(BaseTraceSource):
-    """Base of the generated sources: one pair table, traces regenerated per pair.
-
-    Subclasses draw the pair table (:meth:`_draw_pairs`) and return the
-    spec it derives from (:meth:`worker_spec`); the table is drawn on
-    first use and serves ``pairs``, ``pairs_for_metric`` and
-    ``metric_names``.  Every trace is a pure function of the spec and
-    its pair's parameters, which is what the content token records.
-    """
+    """Base of the generated sources: subclasses draw the pair table (on first
+    use) and name the spec; every trace is a pure function of both."""
 
     @abstractmethod
     def _draw_pairs(self) -> dict[str, list[TracePair]]:
@@ -163,15 +152,12 @@ class SyntheticTraceSource(BaseTraceSource):
         return repr(self.worker_spec())
 
     def pairs(self) -> list[TracePair]:
-        """Every pair, grouped by metric in survey order."""
         return self._all_pairs
 
     def pairs_for_metric(self, metric_name: str) -> list[TracePair]:
-        """All pairs belonging to one metric family."""
         return list(self._pair_table.get(metric_name, []))
 
     def metric_names(self) -> list[str]:
-        """Metrics of this source, in survey order."""
         return list(self._pair_table)
 
     @property
@@ -200,10 +186,7 @@ class FleetDataset(SyntheticTraceSource):
     config: DatasetConfig = field(default_factory=DatasetConfig)
 
     def _draw_pairs(self) -> dict[str, list[TracePair]]:
-        """Each catalogue metric on its own subset of one fleet.
-
-        The pair budget is split across the metrics as evenly as possible.
-        """
+        """Each catalogue metric on its own devices, the pair budget split evenly."""
         base, remainder = divmod(self.config.pair_count, len(_METRICS))
         counts = [base + (1 if index < remainder else 0) for index in range(len(_METRICS))]
         fleet = build_fleet(max(counts), seed=self.config.seed)

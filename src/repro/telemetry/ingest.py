@@ -6,8 +6,10 @@ Production archives are not shaped like that: monitoring systems dump
 *streams* -- model-driven (gNMI) telemetry interleaves updates from many
 (metric, device) pairs in one append-only log, and SNMP pollers write wide
 per-poll tables.  This module converts both into the measured-fleet
-directory layout, so ``run_survey``/``run_policy_survey`` (any
-worker count or sink) point at real archives unchanged.
+directory layout, written through the trace-file namer and manifest
+writer of :mod:`repro.telemetry.measured` that ``export_traces`` also
+uses, so ``run_survey``/``run_policy_survey`` (any worker count or sink)
+point at real archives unchanged.
 
 Two wire formats are supported, behind the format-sniffing
 :func:`open_export` front end:
@@ -81,8 +83,8 @@ import numpy as np
 from ..signals.timeseries import IrregularTimeSeries, TimeSeries
 from ..core.resampling import nearest_neighbor_resample
 from ..records import FailureRecord, FailureRecordBlock, RecordSink
-from .measured import (MANIFEST_FORMAT, MANIFEST_NAME, TRACE_FORMATS,
-                       MeasuredFleetDataset, _save_trace)
+from .measured import (_TRACE_DIR, MANIFEST_NAME, TRACE_FORMATS, MeasuredFleetDataset,
+                       _save_manifest, _save_trace, _trace_file)
 from .source import TraceSource
 __all__ = [
     "GNMI_FORMAT",
@@ -829,16 +831,15 @@ def _finish_pair(metric: str, device: str, times: np.ndarray, values: np.ndarray
     return trace, stats
 
 
-def _finish_pairs(accumulator: PairAccumulator, root: Path, name_prefix: str,
+def _finish_pairs(accumulator: PairAccumulator, root: Path, file_name: Callable[[int], str],
                   trace_format: str, min_samples: int) -> tuple[list[dict], list[dict]]:
     """Finish every accumulated pair into trace files plus manifest entries.
 
     Pairs go in canonical (metric, device) order: the output depends only
     on the dump's update *set*, so shuffled/merged copies ingest
     identically, and each metric's pairs come out contiguous as the
-    survey's per-metric iteration requires.  Each kept pair is saved as
-    ``root / f"{name_prefix}{index:05d}.{trace_format}"`` (the manifest
-    ``file`` is the path relative to ``root``); pairs below
+    survey's per-metric iteration requires.  The ``index``-th kept pair is
+    saved as ``root / file_name(index)`` (its manifest ``file``); pairs below
     ``min_samples`` become skipped entries.  Shared by the serial ingest
     and each shard of the sharded one.
     """
@@ -851,11 +852,11 @@ def _finish_pairs(accumulator: PairAccumulator, root: Path, name_prefix: str,
         if trace is None:
             skipped.append({"metric": metric, "device": device, **stats})
             continue
-        file_name = f"{name_prefix}{len(entries):05d}.{trace_format}"
-        _save_trace(root / file_name, trace, trace_format)
+        name = file_name(len(entries))
+        _save_trace(root / name, trace, trace_format)
         entries.append({"metric": metric, "device": device,
                         "interval": trace.interval, "length": len(trace),
-                        "file": file_name, "ingest": stats})
+                        "file": name, "ingest": stats})
     return entries, skipped
 
 
@@ -1014,30 +1015,28 @@ def ingest_dump(dump: Path | str | TelemetryDump, directory: Path | str,
             f"failure_sink already holds {failure_sink.rows} records; ingest_dump "
             "needs an empty failure sink")
     directory = Path(directory)
-    manifest_path = directory / MANIFEST_NAME
     if directory.exists() and not directory.is_dir():
         raise ValueError(f"ingest destination {directory} exists and is not a directory")
-    if manifest_path.exists():
+    if (directory / MANIFEST_NAME).exists():
         raise ValueError(f"{directory} already holds a measured fleet "
                          f"({MANIFEST_NAME} exists); ingest needs a fresh directory")
     staging = directory.parent / f"{directory.name}.partial"
     if staging.exists():  # stale leftover of an interrupted run
         shutil.rmtree(staging)
     try:
-        (staging / "traces").mkdir(parents=True)
+        (staging / _TRACE_DIR).mkdir(parents=True)
     except OSError as error:
         raise ValueError(f"cannot create ingest staging directory {staging}: "
                          f"{error}") from error
     try:
         if workers == 1:
-            failures, stats = _ingest_into(dump, staging, staging / MANIFEST_NAME,
-                                           memory_budget_samples, min_samples,
-                                           trace_format, on_error)
+            failures, stats = _ingest_into(dump, staging, memory_budget_samples,
+                                           min_samples, trace_format, on_error)
         else:
             from .shard import _sharded_ingest_into
             failures, stats = _sharded_ingest_into(
-                dump, staging, staging / MANIFEST_NAME, memory_budget_samples,
-                min_samples, trace_format, on_error, workers)
+                dump, staging, memory_budget_samples, min_samples, trace_format,
+                on_error, workers)
     except BaseException:
         # A failed ingest (malformed dump, write error) only ever costs
         # the staging directory; the destination is untouched.
@@ -1062,14 +1061,14 @@ def _publish_staging(staging: Path, directory: Path) -> None:
     if not directory.exists():
         staging.rename(directory)
         return
-    (directory / "traces").mkdir(exist_ok=True)
-    for file in sorted((staging / "traces").iterdir()):
-        os.replace(file, directory / "traces" / file.name)
+    (directory / _TRACE_DIR).mkdir(exist_ok=True)
+    for file in sorted((staging / _TRACE_DIR).iterdir()):
+        os.replace(file, directory / _TRACE_DIR / file.name)
     os.replace(staging / MANIFEST_NAME, directory / MANIFEST_NAME)
     shutil.rmtree(staging, ignore_errors=True)
 
 
-def _ingest_into(dump: TelemetryDump, directory: Path, manifest_path: Path,
+def _ingest_into(dump: TelemetryDump, directory: Path,
                  memory_budget_samples: int, min_samples: int,
                  trace_format: str, on_error: str,
                  ) -> tuple[list[FailureRecord], IngestStats]:
@@ -1090,8 +1089,9 @@ def _ingest_into(dump: TelemetryDump, directory: Path, manifest_path: Path,
         if not accumulator.keys():
             raise ValueError(f"{dump.path}: no telemetry updates found "
                              f"(format {dump.format})")
-        entries, skipped = _finish_pairs(accumulator, directory, "traces/pair-",
-                                         trace_format, min_samples)
+        entries, skipped = _finish_pairs(
+            accumulator, directory, lambda index: _trace_file(index, trace_format),
+            trace_format, min_samples)
         run_stats = IngestStats(
             workers=1,
             memory_budget_samples=accumulator.memory_budget_samples,
@@ -1099,13 +1099,13 @@ def _ingest_into(dump: TelemetryDump, directory: Path, manifest_path: Path,
             peak_buffered_samples=accumulator.peak_buffered_samples,
             spilled_samples=accumulator.spilled_samples,
             spill_writes=accumulator.spill_writes)
-    _write_manifest(dump, manifest_path, trace_format, entries, skipped,
+    _write_manifest(dump, directory, trace_format, entries, skipped,
                     run_stats.updates, memory_budget_samples, failures,
                     min_samples)
     return failures, run_stats
 
 
-def _write_manifest(dump: TelemetryDump, manifest_path: Path, trace_format: str,
+def _write_manifest(dump: TelemetryDump, directory: Path, trace_format: str,
                     entries: list[dict], skipped: list[dict], updates: int,
                     memory_budget_samples: int, failures: list[FailureRecord],
                     min_samples: int) -> None:
@@ -1122,10 +1122,6 @@ def _write_manifest(dump: TelemetryDump, manifest_path: Path, trace_format: str,
         raise ValueError(
             f"{dump.path}: all {len(skipped)} pairs fell below min_samples="
             f"{min_samples}; nothing to ingest")
-    metrics: list[str] = []
-    for entry in entries:
-        if entry["metric"] not in metrics:
-            metrics.append(entry["metric"])
     summary = {
         "source": str(dump.path), "format": dump.format,
         "updates": updates,
@@ -1137,10 +1133,7 @@ def _write_manifest(dump: TelemetryDump, manifest_path: Path, trace_format: str,
     # A raw stream carries no nominal duration; the longest pair span is
     # the faithful reconstruction (see the module docstring).
     trace_duration = max(entry["interval"] * entry["length"] for entry in entries)
-    manifest = {"format": MANIFEST_FORMAT, "trace_format": trace_format,
-                "trace_duration": trace_duration, "metrics": metrics,
-                "pairs": entries, "ingest": summary}
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    _save_manifest(directory, trace_format, trace_duration, entries, ingest=summary)
 
 
 # ----------------------------------------------------------------------

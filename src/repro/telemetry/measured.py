@@ -12,14 +12,16 @@ recorded data.  Multi-worker batch specs address the directory by
 file-offset slices of the manifest's pair list instead of regenerating a
 config, and a bad address fails loudly against the manifest's pair count.
 
-Directory layout (written by ``FleetDataset.export(dir)`` or
-``repro-monitor export-fleet``)::
+Directory layout (written by ``FleetDataset.export(dir)``, ``repro-monitor
+export-fleet`` and :func:`~repro.telemetry.ingest.ingest_dump`, all through
+this module's one trace-file namer and one manifest writer)::
 
     fleet-dir/
       manifest.json            # format, trace_format, trace_duration,
                                # metrics (survey order), pairs: one entry
                                # of (metric, device, interval, length,
-                               # true_nyquist_rate, file) per pair
+                               # true_nyquist_rate, file) per pair, and
+                               # an ingested fleet's ingest summary
       traces/pair-00000.rcb    # one TraceBlock: values + interval,
       traces/pair-00001.rcb    # start_time, crc32 (or .csv: timestamp,value)
       ...
@@ -225,6 +227,26 @@ def _load_trace_csv(path: Path, interval: float) -> tuple[np.ndarray, float, flo
 
 
 # ----------------------------------------------------------------------
+def _trace_file(index: int, fmt: str) -> str:
+    """Path of the ``index``-th pair's trace file, relative to the fleet directory."""
+    return f"{_TRACE_DIR}/pair-{index:05d}.{fmt}"
+
+
+def _save_manifest(directory: Path, fmt: str, trace_duration: float, entries: list[dict],
+                   ingest: dict | None = None) -> Path:
+    """Write ``directory``'s manifest (metrics in first-appearance order) and
+    return its path; export and both ingest paths all write it here."""
+    manifest = {"format": MANIFEST_FORMAT, "trace_format": fmt,
+                "trace_duration": trace_duration,
+                "metrics": list(dict.fromkeys(entry["metric"] for entry in entries)),
+                "pairs": entries}
+    if ingest is not None:
+        manifest["ingest"] = ingest
+    manifest_path = directory / MANIFEST_NAME
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    return manifest_path
+
+
 def export_traces(source: TraceSource, directory: Path | str,
                   fmt: Literal["rcb", "csv"] = "rcb") -> Path:
     """Write every trace of ``source`` to ``directory`` and return the manifest path.
@@ -237,31 +259,22 @@ def export_traces(source: TraceSource, directory: Path | str,
     if fmt not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format {fmt!r}; choose one of {TRACE_FORMATS}")
     directory = Path(directory)
-    manifest_path = directory / MANIFEST_NAME
-    if manifest_path.exists():
+    if (directory / MANIFEST_NAME).exists():
         raise ValueError(f"{directory} already holds a measured fleet "
                          f"({MANIFEST_NAME} exists); export needs a fresh directory")
     (directory / _TRACE_DIR).mkdir(parents=True, exist_ok=True)
 
-    metrics: list[str] = []
     entries: list[dict] = []
     for index, (pair, trace) in enumerate(source.traces()):
         metric_name, device_id = pair.key
-        if metric_name not in metrics:
-            metrics.append(metric_name)
-        file_name = f"{_TRACE_DIR}/pair-{index:05d}.{fmt}"
+        file_name = _trace_file(index, fmt)
         _save_trace(directory / file_name, trace, fmt)
         parameters = getattr(pair, "parameters", None)
         true_rate = float(getattr(parameters, "true_nyquist_rate", float("nan")))
         entries.append({"metric": metric_name, "device": device_id,
                         "interval": trace.interval, "length": len(trace),
                         "true_nyquist_rate": true_rate, "file": file_name})
-
-    manifest = {"format": MANIFEST_FORMAT, "trace_format": fmt,
-                "trace_duration": source.trace_duration,
-                "metrics": metrics, "pairs": entries}
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return manifest_path
+    return _save_manifest(directory, fmt, source.trace_duration, entries)
 
 
 class MeasuredFleetDataset(BaseTraceSource):

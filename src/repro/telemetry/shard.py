@@ -62,6 +62,7 @@ from ..records import ColumnarBlock, FailureRecord, column, register_block_type
 from .ingest import (SNMP_FORMAT, IngestStats, PairAccumulator, ShardIngestStats,
                      TelemetryDump, UpdateBlock, _finish_pairs, _iter_update_blocks,
                      _parse_failure_recorder, _read_snmp_header, _write_manifest)
+from .measured import _trace_file
 
 __all__ = ["ByteRange", "ShardPartBlock", "plan_byte_ranges", "shard_of_key"]
 
@@ -359,9 +360,10 @@ def _finish_shard(task: _ShardTask) -> _ShardResult:
                     accumulator.extend(pair, part.t[rows], part.v[rows])
         # Canonical (metric, device) order within the shard; the parent's
         # merge interleaves the shards back into one globally sorted list.
-        entries, skipped = _finish_pairs(accumulator, Path(task.out_dir),
-                                         f"shard-{task.shard_index:04d}/trace-",
-                                         task.trace_format, task.min_samples)
+        entries, skipped = _finish_pairs(
+            accumulator, Path(task.out_dir),
+            lambda index: f"shard-{task.shard_index:04d}/trace-{index:05d}.{task.trace_format}",
+            task.trace_format, task.min_samples)
         counters = (accumulator.total_samples, accumulator.peak_buffered_samples,
                     accumulator.spilled_samples, accumulator.spill_writes)
     return _ShardResult(shard_index=task.shard_index, entries=tuple(entries),
@@ -397,7 +399,7 @@ def _run_phase(worker_fn: Callable[[Any], Any], tasks: list[Any], workers: int,
     return results
 
 
-def _sharded_ingest_into(dump: TelemetryDump, staging: Path, manifest_path: Path,
+def _sharded_ingest_into(dump: TelemetryDump, staging: Path,
                          memory_budget_samples: int, min_samples: int,
                          trace_format: str, on_error: str, workers: int,
                          ) -> tuple[list[FailureRecord], IngestStats]:
@@ -455,7 +457,7 @@ def _sharded_ingest_into(dump: TelemetryDump, staging: Path, manifest_path: Path
                       for entry in result.skipped),
                      key=lambda entry: (entry["metric"], entry["device"]))
     for index, entry in enumerate(entries):
-        file_name = f"traces/pair-{index:05d}.{trace_format}"
+        file_name = _trace_file(index, trace_format)
         os.replace(pending / entry["file"], staging / file_name)
         entry["file"] = file_name
     shutil.rmtree(scratch, ignore_errors=True)
@@ -477,6 +479,6 @@ def _sharded_ingest_into(dump: TelemetryDump, staging: Path, manifest_path: Path
             peak_buffered_samples=result.peak_buffered_samples,
             spilled_samples=result.spilled_samples,
             spill_writes=result.spill_writes) for result in shard_results))
-    _write_manifest(dump, manifest_path, trace_format, entries, skipped,
+    _write_manifest(dump, staging, trace_format, entries, skipped,
                     stats.updates, memory_budget_samples, failures, min_samples)
     return failures, stats

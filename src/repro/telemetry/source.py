@@ -12,10 +12,11 @@ through ``run_survey(workers=N, sink=...)`` unchanged.
 ``traces`` iteration, the equal-shape :class:`TraceBatch` grouping the
 batched spectral engine feeds on, and ``export`` (round-trip any source to
 a measured-trace directory).  Concrete sources only implement the pair
-table, the per-pair loader, and a picklable ``worker_spec`` that the
-multi-worker survey ships to its process pool.  :class:`DelegatingTraceSource`
-is the base of source decorators (fault injection, scenario transforms)
-that serve another source's pairs with changed traces.
+table, the per-pair loader, its content token, and a picklable
+``worker_spec`` that the multi-worker survey ships to its process pool.
+:class:`DelegatingTraceSource` is the base of source decorators (fault
+injection, scenario transforms) that serve another source's pairs with
+changed traces.
 """
 
 from __future__ import annotations
@@ -160,20 +161,17 @@ class BaseTraceSource(ABC):
     def worker_spec(self) -> WorkerSpec:
         """Picklable spec from which a survey worker re-opens this source."""
 
+    @abstractmethod
     def pair_content_token(self, pair: Any) -> str:
         """Deterministic string identifying one pair's trace *content*.
 
         The :class:`~repro.records.RecordStore` fingerprints a record
         slice over these tokens: two runs whose tokens (and parameters)
         agree are served the cached bytes, so a token must change whenever
-        the pair's trace data can.  The default derives identity from the
-        worker-spec repr plus the pair's key -- exact for sources whose
-        traces are a pure function of a frozen spec (synthetic fleets,
-        deployments).  Sources reading mutable inputs (trace files)
-        override it with a content hash.
+        the pair's trace data can.  Generated sources write their spec and
+        the pair's parameters; sources reading mutable inputs (trace
+        files) hash the content.
         """
-        metric_name, device_id = pair.key
-        return f"{self.worker_spec()!r}|{metric_name}|{device_id}"
 
     # ------------------------------------------------------------------
     # Shared machinery

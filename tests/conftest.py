@@ -146,6 +146,9 @@ class _HalfRatePairs(BaseTraceSource):
     def worker_spec(self) -> Any:  # pragma: no cover - only exported, never pooled
         raise NotImplementedError
 
+    def pair_content_token(self, pair: Any) -> str:  # pragma: no cover - never stored
+        raise NotImplementedError
+
     def load(self, pair: Any) -> TimeSeries:
         trace = self.inner.load(pair)
         if pair.key not in self.slow_keys:
