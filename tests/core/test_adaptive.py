@@ -60,9 +60,6 @@ class TestControllerConfig:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             ControllerConfig(**kwargs)
 
-    def test_unbounded_max_rate_is_the_default(self):
-        assert ControllerConfig(max_rate=math.inf).max_rate == ControllerConfig().max_rate
-
 
 class TestControllerBehaviour:
     def test_starts_in_probe_mode(self, rng):
