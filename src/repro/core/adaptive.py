@@ -123,8 +123,11 @@ class ControllerConfig:
                              f"got {self.probe_multiplier}")
         if not (math.isfinite(self.headroom) and self.headroom >= 1):
             raise ValueError(f"headroom must be a finite number >= 1, got {self.headroom}")
-        if self.aliasing_check_interval < 1:
-            raise ValueError("aliasing_check_interval must be >= 1")
+        # NaN or inf would silently stop every steady-mode aliasing check.
+        if not (math.isfinite(self.aliasing_check_interval)
+                and self.aliasing_check_interval >= 1):
+            raise ValueError("aliasing_check_interval must be a finite number >= 1, "
+                             f"got {self.aliasing_check_interval}")
 
 
 @dataclass(frozen=True)

@@ -53,10 +53,13 @@ class TestControllerConfig:
         {"probe_multiplier": math.inf},
         {"headroom": math.nan},
         {"headroom": math.inf},
+        {"aliasing_check_interval": math.nan},
+        {"aliasing_check_interval": math.inf},
     ])
     def test_non_finite_knobs_raise_naming_the_field(self, kwargs):
-        """NaN later fails as an obscure integer conversion, and an infinite
-        headroom pins the rate at the ceiling."""
+        """NaN later fails as an obscure integer conversion, an infinite
+        headroom pins the rate at the ceiling, and a NaN or infinite check
+        interval never checks for aliasing in steady mode."""
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             ControllerConfig(**kwargs)
 
