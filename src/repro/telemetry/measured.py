@@ -233,15 +233,13 @@ def _trace_file(index: int, fmt: str) -> str:
 
 
 def _save_manifest(directory: Path, fmt: str, trace_duration: float, entries: list[dict],
-                   ingest: dict | None = None) -> Path:
-    """Write ``directory``'s manifest (metrics in first-appearance order) and
-    return its path; export and both ingest paths all write it here."""
+                   **extra: object) -> Path:
+    """Write ``directory``'s manifest (metrics in first-appearance order, then
+    ``extra``) and return its path; export and both ingest paths write it here."""
     manifest = {"format": MANIFEST_FORMAT, "trace_format": fmt,
                 "trace_duration": trace_duration,
                 "metrics": list(dict.fromkeys(entry["metric"] for entry in entries)),
-                "pairs": entries}
-    if ingest is not None:
-        manifest["ingest"] = ingest
+                "pairs": entries, **extra}
     manifest_path = directory / MANIFEST_NAME
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest_path
